@@ -39,8 +39,10 @@ from wvsched.model import (
     UserConfig,
     UserState,
     advance_traffic,
+    draw,
     initial_buffer,
     payoff,
+    sample_channel,
 )
 from wvsched.pricing import (
     CoordinationReport,
@@ -369,6 +371,11 @@ class ProposedSolution(PricedRuntime):
     def __init__(self, scenario: ScenarioConfig, mode: str = "planning",
                  agent_kind: str = "decomposed", max_slots: int = 120_000,
                  eval_slots: int = 20_000, clearing: bool = False):
+        if clearing and mode == "learning":
+            raise ModelError(
+                "clearing mode needs price-queryable agents; the PDS learning "
+                "agents of proposed-learning have no act_at and cannot be "
+                "re-priced within a slot")
         super().__init__(scenario, clearing)
         self.mode = mode
         self.agent_kind = agent_kind if mode == "planning" else "pds"
@@ -597,7 +604,7 @@ class UniformPriceSolution(Solution):
         n = len(agent.view)
         tally = np.zeros(n)
         count = np.zeros(n)
-        h = int(rng.choice(len(agent.channel), p=agent.channel.stationary()))
+        h = draw(agent.channel.stationary_cdf, rng)
         buf = initial_buffer(agent.template, 0, rng)
         phase = 0
         for _ in range(self.usage_slots):
@@ -608,7 +615,7 @@ class UniformPriceSolution(Solution):
             state = UserState(ctx, buf, h)
             step = advance_traffic(agent.template, state, act, rng)
             buf, phase = step.buffer, step.context.phase
-            h = int(rng.choice(len(agent.channel), p=agent.channel.transition[h]))
+            h = sample_channel(agent.channel, h, rng)
         return np.divide(tally, np.maximum(count, 1))
 
     def prepare(self, rng: np.random.Generator) -> None:
@@ -942,7 +949,7 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
                          view.gain, u.beta, scenario.discount,
                          min_quality=u.min_quality)
     lay = learner.layout
-    h = int(rng.choice(len(u.channel), p=u.channel.stationary()))
+    h = draw(u.channel.stationary_cdf, rng)
     buf, phase = initial_buffer(u.template, 0, rng), 0
     rows = []
     window_pay = 0.0
@@ -952,7 +959,7 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
         state = UserState(ctx, buf, h)
         window_pay += payoff(state, act, u.beta, u.channel)
         step = advance_traffic(u.template, state, act, rng)
-        h2 = int(rng.choice(len(u.channel), p=u.channel.transition[h]))
+        h2 = sample_channel(u.channel, h, rng)
         learner.observe((phase, buf, h, act, step.arrivals, step.buffer, h2),
                         np.asarray(price))
         buf, phase, h = step.buffer, step.context.phase, h2

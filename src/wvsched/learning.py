@@ -19,7 +19,8 @@ import numpy as np
 
 from wvsched.mdp import TrafficLayout
 from wvsched.model import ScheduleAction, transmit_energy
-from wvsched.scheduling import decomposed_schedule
+# DuPdsLearner tables run under this scheduler; perfbench traces it under this name
+from wvsched.scheduling import decomposed_schedule  # noqa: F401
 
 
 PdsKey = tuple[int, tuple[int, ...], int]  # (phase, survivor buffer, view state)
@@ -219,8 +220,3 @@ class DuPdsLearner:
         self.visits[key] = k
         self.u[key] = (1.0 - 1.0 / k) * self.u.get(key, 0.0) + v / k
 
-
-def pds_decomposed_schedule(context, buffer: Sequence[int], view_state: int,
-                            price: float, learners, delta: float):
-    """Table-driven sequential scheduling with learned per-DU continuations."""
-    return decomposed_schedule(context, buffer, view_state, price, learners, delta)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -21,6 +22,19 @@ QUALITY_EPS = 1e-9
 
 class ModelError(ValueError):
     """Raised when a template, channel, or scenario violates an invariant."""
+
+
+def categorical_cdf(probs: Sequence[float]) -> np.ndarray:
+    """Normalised cumulative sums of a PMF, as `Generator.choice` builds them."""
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One categorical draw from a `categorical_cdf`: the same index, from the
+    same single `rng.random()`, as `rng.choice(len(cdf), p=probs)`."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +75,20 @@ class DataUnitSpec:
         if abs(total - 1.0) > 1e-9:
             raise ModelError(f"du {self.du_id}: size_pmf sums to {total!r}, expected 1")
 
-    @property
+    @cached_property
     def max_size(self) -> int:
         return max(v for v, _ in self.size_pmf)
 
-    @property
+    @cached_property
     def mean_size(self) -> float:
         return sum(v * p for v, p in self.size_pmf)
 
+    @cached_property
+    def size_cdf(self) -> np.ndarray:
+        return categorical_cdf([p for _, p in self.size_pmf])
+
     def sample_size(self, rng: np.random.Generator) -> int:
-        values = [v for v, _ in self.size_pmf]
-        probs = [p for _, p in self.size_pmf]
-        return int(values[rng.choice(len(values), p=probs)])
+        return self.size_pmf[draw(self.size_cdf, rng)][0]
 
 
 @dataclass(frozen=True)
@@ -318,10 +334,18 @@ class ChannelModel:
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum()
 
+    @cached_property
+    def transition_cdf(self) -> list[np.ndarray]:
+        return [categorical_cdf(row) for row in self.transition]
+
+    @cached_property
+    def stationary_cdf(self) -> np.ndarray:
+        return categorical_cdf(self.stationary())
+
 
 def sample_channel(model: ChannelModel, h: int, rng: np.random.Generator) -> int:
     """Draw the next channel state from the row p(.|h)."""
-    return int(rng.choice(len(model), p=model.transition[h]))
+    return draw(model.transition_cdf[h], rng)
 
 
 # ---------------------------------------------------------------------------

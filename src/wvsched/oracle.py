@@ -329,7 +329,8 @@ def penalized_joint_value(scenario: ScenarioConfig,
                           state_cap: int = 200_000, tol: float = 1e-9,
                           max_iter: int = 100_000) -> tuple[np.ndarray, float]:
     """Unconstrained joint value with the band constraint priced into the
-    objective: reward + lambda0(s0) * (B - usage)."""
+    objective: reward + lambda0(s0) * (B - usage). Raises ModelError when
+    value iteration has not converged after `max_iter` sweeps."""
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
     nc = len(space.c0_states)
@@ -387,4 +388,7 @@ def penalized_joint_value(scenario: ScenarioConfig,
         values = new
         if delta == 0.0 or diff < stop:
             break
+    else:
+        raise ModelError(
+            f"penalized joint value iteration did not converge in {max_iter} sweeps")
     return values, float(values.mean())

@@ -23,6 +23,7 @@ from wvsched.model import (
     ScheduleAction,
     UserState,
     advance_traffic,
+    draw,
     initial_buffer,
     payoff,
     sample_channel,
@@ -102,9 +103,9 @@ class JointChannel:
 
     def initial(self, rng: np.random.Generator) -> tuple[int, ...]:
         if self.correlation == "common":
-            h = int(rng.choice(len(self.channels[0]), p=self.channels[0].stationary()))
+            h = draw(self.channels[0].stationary_cdf, rng)
             return (h,) * len(self.channels)
-        return tuple(int(rng.choice(len(c), p=c.stationary())) for c in self.channels)
+        return tuple(draw(c.stationary_cdf, rng) for c in self.channels)
 
     def step(self, s0: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
         if self.correlation == "common":

@@ -8,6 +8,7 @@ that fill a fixed packet capacity in a static order.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,36 +46,50 @@ class SingleDuModel:
         self.cap = du.max_size
 
     def solve(self, price: np.ndarray) -> "DuValueTable":
-        """Backward induction over ages; returns value and post-decision tables."""
+        """Backward induction over ages at a per-view-state price.
+
+        Each age takes one masked max over the (send y, buffer x, view) grid
+        of q = y * margin + delta * post[age, x - y]; cells with y > x are
+        -inf. Returns the value and post-decision tables, the smallest
+        maximising send per (age, x, view) and the per-view margins
+        (1-delta)(impact - price) they were solved at.
+        """
         n_view = len(self.view)
         w, cap, delta = self.window, self.cap, self.discount
         values = np.zeros((w + 1, cap + 1, n_view))       # values[w] == 0 terminal
         post = np.zeros((w, cap + 1, n_view))
+        best_send = np.zeros((w, cap + 1, n_view), dtype=np.intp)
         margin = (1.0 - delta) * (self.du.distortion_impact - np.asarray(price))
+        ys = np.arange(cap + 1)[:, None]
+        infeasible = ys > ys.T                            # [y, x]: y > x
+        after = np.where(infeasible, 0, ys.T - ys)        # x - y, 0 where masked
+        gain = ys[:, :, None] * margin                    # [y, 1, v]
         for age in range(w - 1, -1, -1):
             if age < w - 1:
                 post[age] = values[age + 1] @ self.view.transition.T
-            # q[y, x, v]: send y of x packets at this age
-            for x in range(cap + 1):
-                ys = np.arange(x + 1)
-                q = ys[:, None] * margin[None, :] + delta * post[age, x - ys, :]
-                values[age, x] = q.max(axis=0)
-        return DuValueTable(self, values, post)
+            q = gain + delta * post[age][after]
+            q[infeasible] = -np.inf
+            best_send[age] = q.argmax(axis=0)
+            values[age] = q.max(axis=0)
+        return DuValueTable(self, values, post, best_send, margin)
 
 
 @dataclass
 class DuValueTable:
-    """Solved per-DU tables: values[age, x, view] and post[age, x_after, view]."""
+    """Solved per-DU tables: values[age, x, view], post[age, x_after, view],
+    the smallest maximising send best_send[age, x, view] and the per-view
+    margins the tables were solved at."""
 
     model: SingleDuModel
     values: np.ndarray
     post: np.ndarray
+    best_send: np.ndarray
+    margin: np.ndarray
 
-    def continuation(self, age: int, x_after: int, view_state: int) -> float:
-        """E[value at age+1 | channel], 0 when the DU expires after this slot."""
-        if age >= self.model.window - 1:
-            return 0.0
-        return float(self.post[age, x_after, view_state])
+    def copy_for(self, model: SingleDuModel) -> "DuValueTable":
+        """The same solution under another DU's model, with its own arrays."""
+        return DuValueTable(model, self.values.copy(), self.post.copy(),
+                            self.best_send.copy(), self.margin.copy())
 
     def post_slice(self, age: int, x: int, view_state: int) -> np.ndarray:
         """Continuations for sends y = 0..x, i.e. post[age, x - y] vectorized."""
@@ -82,83 +97,108 @@ class DuValueTable:
             return np.zeros(x + 1)
         return self.post[age, x::-1, view_state]
 
+    def best(self, age: int, x: int, view_state: int, margin: float,
+             discount: float) -> tuple[float, int]:
+        """max over y = 0..x of margin * y + discount * post[age, x - y] (post
+        is 0 at the last age) and its smallest maximiser. At the margin and
+        discount the tables were solved at this is a lookup; otherwise it is
+        evaluated from `post`."""
+        if discount == self.model.discount and margin == self.margin[view_state]:
+            return (float(self.values[age, x, view_state]),
+                    int(self.best_send[age, x, view_state]))
+        vals = margin * np.arange(x + 1) + discount * self.post_slice(age, x, view_state)
+        y = int(np.argmax(vals))
+        return float(vals[y]), y
+
 
 def build_du_tables(template: GopTemplate, view: ChannelView, discount: float,
                     price: np.ndarray) -> dict[int, DuValueTable]:
-    """Solve one SingleDuModel per DU type at the given per-view-state price."""
-    return {
-        du.du_id: SingleDuModel(du, template.window, view, discount).solve(price)
-        for du in template.dus
-    }
+    """Per-DU tables at the given per-view-state price, keyed by du_id.
+
+    The solve reads only a DU's distortion impact and maximum size, so each
+    distinct (distortion_impact, max_size) is solved once; every du_id still
+    gets its own SingleDuModel and its own copy of the arrays.
+    """
+    solved: dict[tuple[float, int], DuValueTable] = {}
+    tables = {}
+    for du in template.dus:
+        model = SingleDuModel(du, template.window, view, discount)
+        kind = (du.distortion_impact, du.max_size)
+        if kind in solved:
+            tables[du.du_id] = solved[kind].copy_for(model)
+        else:
+            tables[du.du_id] = solved[kind] = model.solve(price)
+    return tables
 
 
 # ---------------------------------------------------------------------------
 # Decomposed sequential scheduling
 # ---------------------------------------------------------------------------
 
-class ContinuationTables(Mapping):
-    """Read-only mapping du_id -> object with .continuation(age, x_after, view)."""
-
-    def __init__(self, tables):
-        self._tables = dict(tables)
-
-    def __getitem__(self, du_id):
-        return self._tables[du_id]
-
-    def __iter__(self):
-        return iter(self._tables)
-
-    def __len__(self):
-        return len(self._tables)
-
-
 def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int,
                         price: float | Sequence[float], tables: Mapping,
                         discount: float) -> tuple[ScheduleAction, list[int]]:
     """Sequential per-DU scheduling over the context DAG.
 
-    Each round picks, among current roots, the DU and send count maximizing
+    Each round picks, among current roots (DUs whose parents are all
+    scheduled), the DU and send count maximizing
     (1-delta) * (q - price) * y + delta * continuation(age, x - y), then
     removes that DU. Returns the assembled action and the processing order.
-    `price` may be a scalar reused every round or a per-round sequence.
-    Ties: lower send count, then lower slot index.
+    `price` may be a scalar reused every round or a 1-d per-round sequence
+    (list, tuple or ndarray; the last entry repeats). Ties: a candidate
+    replaces the round's best only if it is larger by more than 1e-12, so
+    lower send counts, then lower slot indices, win.
+
+    Tables with a `best` method (DuValueTable) offer one candidate per DU,
+    their best send; under a scalar price it is evaluated once per call and
+    read off the solved tables at the solved margin. Other tables (anything
+    with `continuation`, e.g. DuPdsLearner) offer every send y = 0..x.
     """
     n = len(context)
     sends = [0] * n
     order: list[int] = []
     if n == 0:
         return ScheduleAction(()), order
-    done = [False] * n
-    parents = [[] for _ in range(n)]
+    per_round = not isinstance(price, (int, float)) and np.ndim(price) > 0
+    if per_round and np.ndim(price) != 1:
+        raise ModelError("price must be a scalar or a 1-d per-round sequence")
+    children: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n                          # unscheduled parents per DU
     for p, c in context.edges:
-        parents[c].append(p)
+        children[p].append(c)
+        waiting[c] += 1
+
+    def offers(i: int, lam: float) -> list[tuple[float, int]]:
+        """DU i's (value, send) candidates in scan order."""
+        slot = context.slots[i]
+        tab = tables[slot.du.du_id]
+        age = context.age_of(i)
+        margin = (1.0 - discount) * (slot.du.distortion_impact - lam)
+        x = buffer[i]
+        lookup = getattr(tab, "best", None)
+        if lookup is not None:
+            return [lookup(age, x, view_state, margin, discount)]
+        return [(margin * y + discount * tab.continuation(age, x - y, view_state), y)
+                for y in range(x + 1)]
+
+    cand = [None] * n if per_round else [offers(i, price) for i in range(n)]
+    roots = [i for i in range(n) if not waiting[i]]          # ascending
     for k in range(n):
-        lam = price[min(k, len(price) - 1)] if isinstance(price, (list, tuple)) else price
         best = None
-        for i in range(n):
-            if done[i] or any(not done[p] for p in parents[i]):
-                continue
-            slot = context.slots[i]
-            age = context.age_of(i)
-            tab = tables[slot.du.du_id]
-            margin = (1.0 - discount) * (slot.du.distortion_impact - lam)
-            x = buffer[i]
-            cont = getattr(tab, "post_slice", None)
-            if cont is not None:
-                vals = margin * np.arange(x + 1) + discount * cont(age, x, view_state)
-                y_best = int(np.argmax(vals))
-                val = float(vals[y_best])
+        for i in roots:
+            if per_round:
+                cand[i] = offers(i, price[min(k, len(price) - 1)])
+            for val, y in cand[i]:
                 if best is None or val > best[0] + 1e-12:
-                    best = (val, i, y_best)
-            else:
-                for y in range(x + 1):
-                    val = margin * y + discount * tab.continuation(age, x - y, view_state)
-                    if best is None or val > best[0] + 1e-12:
-                        best = (val, i, y)
+                    best = (val, i, y)
         _, i, y = best
         sends[i] = y
-        done[i] = True
         order.append(i)
+        roots.remove(i)
+        for c in children[i]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                insort(roots, c)
     return ScheduleAction(tuple(sends)), order
 
 

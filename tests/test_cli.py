@@ -71,6 +71,12 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_learning_with_clearing_fails_before_coordination(tmp_path, capsys):
+    assert main(["run", "--scenario", "illustration-2user", "--solution",
+                 "proposed-learning", "--clearing", "--out", str(tmp_path)]) == 2
+    assert "PDS learning agents" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_code(tmp_path, capsys):
     from wvsched.scenario import preset_path
 

@@ -8,6 +8,7 @@ import pytest
 
 from wvsched.harness import (
     MyopicSolution,
+    ProposedSolution,
     build_solution,
     compute_metrics,
     conservation_ok,
@@ -265,6 +266,14 @@ def test_build_solution_names():
         assert build_solution(sc, name) is not None
     with pytest.raises(ModelError):
         build_solution(sc, "nonsense")
+
+
+def test_learning_solution_rejects_clearing_at_construction():
+    sc = preset("illustration-2user")
+    with pytest.raises(ModelError, match="PDS learning agents"):
+        ProposedSolution(sc, mode="learning", clearing=True)
+    with pytest.raises(ModelError, match="PDS learning agents"):
+        build_solution(sc, "proposed-learning", clearing=True)
 
 
 def test_slot_usage_never_exceeds_band_after_scaling(illustration):

@@ -13,7 +13,6 @@ from wvsched.learning import (
     PdsLearner,
     PdsValueTable,
     layout_actions,
-    pds_decomposed_schedule,
     pds_greedy_action,
     pds_key,
     pds_update,
@@ -31,6 +30,7 @@ from wvsched.model import (
     transmit_energy,
 )
 from wvsched.scenario import preset
+from wvsched.scheduling import decomposed_schedule
 
 EXAMPLES = {"greedy_feasible": 1000}
 
@@ -172,9 +172,8 @@ def test_pds_decomposed_matches_planned_when_tables_zero():
         def continuation(self, age, x_after, view_state):
             return 0.0
 
-    from wvsched.scheduling import decomposed_schedule
     ctx = tpl.context(0)
-    got, _ = pds_decomposed_schedule(ctx, (3, 2), 0, 1.0, learners, 0.9)
+    got, _ = decomposed_schedule(ctx, (3, 2), 0, 1.0, learners, 0.9)
     want, _ = decomposed_schedule(ctx, (3, 2), 0, 1.0,
                                   {0: ZeroTable(), 1: ZeroTable()}, 0.9)
     assert got.sends == want.sends
@@ -183,7 +182,7 @@ def test_pds_decomposed_matches_planned_when_tables_zero():
 def test_empty_context_gives_zero_action():
     tpl = GopTemplate([DataUnitSpec(0, "F", 2.0, 0, ((4, 1.0),))], 2, 1)
     ctx = tpl.context(1)
-    act, _ = pds_decomposed_schedule(ctx, (), 0, 0.5, {}, 0.9)
+    act, _ = decomposed_schedule(ctx, (), 0, 0.5, {}, 0.9)
     assert act.sends == ()
 
 

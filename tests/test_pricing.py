@@ -160,6 +160,13 @@ def test_exchange_is_one_price_and_one_request_per_user(trio_results):
         data["scenario"].users)
 
 
+def test_penalized_value_raises_at_iteration_cap():
+    from wvsched.oracle import penalized_joint_value
+
+    with pytest.raises(ModelError, match="did not converge"):
+        penalized_joint_value(preset("tiny-sym"), {}, max_iter=1)
+
+
 def test_penalized_value_decomposes_across_users(trio_results):
     """Joint penalized value equals the sum of per-user penalized values."""
     import scipy.sparse  # noqa: F401  (kept minimal; dense solves below)

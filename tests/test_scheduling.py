@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvsched.mdp import common_view
-from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate
+from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError
 from wvsched.scheduling import (
     SingleDuModel,
     build_du_tables,
@@ -139,9 +139,13 @@ def test_per_round_price_sequence_flag():
     tpl = GopTemplate(dus, 1, 1)
     tables = build_du_tables(tpl, make_view(), 0.0, np.array([0.0, 0.0]))
     ctx = tpl.context(0)
-    act, _ = decomposed_schedule(ctx, (2, 2), 0, [1.0, 9.0], tables, 0.0)
     # first round sends at the cheap price, second round is priced out
-    assert act.total == 2
+    for price in ([1.0, 9.0], (1.0, 9.0), np.array([1.0, 9.0]),
+                  np.array([1.0, 9.0, 9.0])):     # length x + 1 must not broadcast
+        act, _ = decomposed_schedule(ctx, (2, 2), 0, price, tables, 0.0)
+        assert act.total == 2
+    with pytest.raises(ModelError):
+        decomposed_schedule(ctx, (2, 2), 0, np.ones((2, 2)), tables, 0.0)
 
 
 # ---------------------------------------------------------------------------
