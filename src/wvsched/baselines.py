@@ -20,6 +20,7 @@ from wvsched.model import (
     GopTemplate,
     ModelError,
     ScheduleAction,
+    bandwidth_usage,
     transmit_energy,
 )
 
@@ -171,12 +172,9 @@ def inflate_action(context: Context, action: ScheduleAction, budget: int,
     with the nearest deadlines first, capped by the buffer."""
     if action.total >= budget:
         return action
-    order = sorted(range(len(context)),
-                   key=lambda i: (-context.slots[i].du.distortion_impact,
-                                  context.slots[i].remaining, i))
     sends = list(action.sends)
     room = budget - action.total
-    for i in order:
+    for i in context.impact_order():
         take = min(buffer[i] - sends[i], room)
         sends[i] += take
         room -= take
@@ -189,7 +187,7 @@ def scale_up_to_budget(contexts, actions: Sequence[ScheduleAction],
                        buffers, rates: Sequence[float], bits_per_packet: float,
                        bandwidth: float) -> list[ScheduleAction]:
     """Inflate conservative requests to full utilization, buffer-capped."""
-    usage = sum(a.total * bits_per_packet / r for a, r in zip(actions, rates))
+    usage = bandwidth_usage([a.total for a in actions], rates, bits_per_packet)
     if usage <= 0 or usage >= bandwidth - 1e-12:
         return list(actions)
     gamma = bandwidth / usage

@@ -38,16 +38,16 @@ from wvsched.model import (
     ScheduleAction,
     UserConfig,
     UserState,
-    advance_traffic,
-    draw,
-    initial_buffer,
+    bandwidth_usage,
     payoff,
-    sample_channel,
 )
+# the slot engine advances traffic; perfbench traces it under this name too
+from wvsched.model import advance_traffic  # noqa: F401
 from wvsched.pricing import (
     CoordinationReport,
     JointChannel,
     PriceTable,
+    SlotSystem,
     run_coordination,
     scale_to_budget,
 )
@@ -238,11 +238,9 @@ class Solution:
 def agent_fill_order(agent, context, buffer) -> list[int]:
     """Slot order a user fills bonus capacity in: drift users drain by
     position, priced users by impact then urgency."""
-    idx = range(len(context))
     if isinstance(agent, DriftAgent):
-        return list(idx)
-    return sorted(idx, key=lambda j: (-context.slots[j].du.distortion_impact,
-                                      context.slots[j].remaining, j))
+        return list(range(len(context)))
+    return context.impact_order()
 
 
 def agent_bid(agent, context, slot_idx: int, backlog: int) -> float:
@@ -291,10 +289,6 @@ class PricedRuntime(Solution):
             self._cache[key] = decision
         return decision
 
-    def _usage_of(self, acts, rates) -> float:
-        b = self.scenario.bits_per_packet
-        return sum(x.total * b / r for x, r in zip(acts, rates))
-
     def _acts_at(self, s0, contexts, buffers, lam0: float):
         sc = self.scenario
         if not all(hasattr(a, "act_at") for a in self.agents):
@@ -312,20 +306,25 @@ class PricedRuntime(Solution):
         """
         sc = self.scenario
         rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
+
+        def fits(acts) -> bool:
+            return bandwidth_usage([a.total for a in acts], rates,
+                                   sc.bits_per_packet) <= sc.bandwidth + 1e-12
+
         lam0 = self.prices.get(tuple(s0))
-        if self._usage_of(raw, rates) <= sc.bandwidth + 1e-12:
+        if fits(raw):
             return raw, lam0
         lo, hi = lam0, max(lam0, 1e-3)
         acts_hi = raw
         for _ in range(60):
             hi *= 2.0
             acts_hi = self._acts_at(s0, contexts, buffers, hi)
-            if self._usage_of(acts_hi, rates) <= sc.bandwidth + 1e-12:
+            if fits(acts_hi):
                 break
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             acts_mid = self._acts_at(s0, contexts, buffers, mid)
-            if self._usage_of(acts_mid, rates) <= sc.bandwidth + 1e-12:
+            if fits(acts_mid):
                 hi, acts_hi = mid, acts_mid
             else:
                 lo = mid
@@ -336,7 +335,7 @@ class PricedRuntime(Solution):
         user's bid ordering is its own scheduler's."""
         sc = self.scenario
         b = sc.bits_per_packet
-        room = sc.bandwidth - self._usage_of(acts, rates)
+        room = sc.bandwidth - bandwidth_usage([a.total for a in acts], rates, b)
         if room <= 1e-12:
             return list(acts)
         sends = [list(a.sends) for a in acts]
@@ -414,11 +413,9 @@ class ProposedSolution(PricedRuntime):
         for _ in range(rounds):
             tally: dict = {}
             count: dict = {}
-            s0 = joint.initial(rng)
-            buffers = [initial_buffer(u.template, 0, rng) for u in sc.users]
-            phases = [0] * len(sc.users)
+            system = SlotSystem(sc.templates, joint, rng)
             for _t in range(slots):
-                contexts = [u.template.context(p) for u, p in zip(sc.users, phases)]
+                s0, buffers, contexts = system.s0, system.buffers, system.contexts
                 raw = [a.act(ctx, buf, a.view.view_state(s0))
                        for a, ctx, buf in zip(self.agents, contexts, buffers)]
                 rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
@@ -426,12 +423,7 @@ class ProposedSolution(PricedRuntime):
                 sent = self._top_up(s0, contexts, buffers, cleared, rates)
                 tally[s0] = tally.get(s0, 0.0) + lam_c
                 count[s0] = count.get(s0, 0) + 1
-                for i, u in enumerate(sc.users):
-                    state = UserState(contexts[i], buffers[i], s0[i])
-                    step = advance_traffic(u.template, state, sent[i], rng)
-                    buffers[i] = step.buffer
-                    phases[i] = step.context.phase
-                s0 = joint.step(s0, rng)
+                system.advance(sent)
             for key, total in tally.items():
                 self.prices.lam[key] = total / count[key]
             for a in self.agents:
@@ -604,18 +596,13 @@ class UniformPriceSolution(Solution):
         n = len(agent.view)
         tally = np.zeros(n)
         count = np.zeros(n)
-        h = draw(agent.channel.stationary_cdf, rng)
-        buf = initial_buffer(agent.template, 0, rng)
-        phase = 0
+        system = SlotSystem([agent.template], JointChannel([agent.channel]), rng)
         for _ in range(self.usage_slots):
-            ctx = agent.template.context(phase)
+            (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
             act = agent.act(ctx, buf, h)
             tally[h] += act.total * sc.bits_per_packet / agent.channel.rate[h]
             count[h] += 1
-            state = UserState(ctx, buf, h)
-            step = advance_traffic(agent.template, state, act, rng)
-            buf, phase = step.buffer, step.context.phase
-            h = sample_channel(agent.channel, h, rng)
+            system.advance([act])
         return np.divide(tally, np.maximum(count, 1))
 
     def prepare(self, rng: np.random.Generator) -> None:
@@ -724,39 +711,37 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
                 pinned_channels: Sequence[int] | None = None) -> EpisodeTrace:
     """Simulate `slots` slots; channels may be pinned (common correlation only)."""
     sc = scenario
-    joint = JointChannel(sc.channels, sc.channel_correlation)
+    n_users = len(sc.users)
+    s0 = None
     if pinned_channels is not None:
         if sc.channel_correlation != "common":
             raise ModelError("pinned channel replay requires common correlation")
-        s0 = (int(pinned_channels[0]),) * len(sc.users)
-    else:
-        s0 = joint.initial(rng)
-    buffers = [initial_buffer(u.template, 0, rng) for u in sc.users]
-    phases = [0] * len(sc.users)
+        s0 = (int(pinned_channels[0]),) * n_users
+    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation),
+                        rng, s0)
 
     trace = EpisodeTrace(sc.name, solution.name)
-    n_users = len(sc.users)
     trace.arrived = [dict() for _ in range(n_users)]
     trace.sent_totals = [dict() for _ in range(n_users)]
     trace.dropped_totals = [dict() for _ in range(n_users)]
-    for i, u in enumerate(sc.users):
-        ctx = u.template.context(0)
-        for slot, x in zip(ctx.slots, buffers[i]):
+    for i, ctx in enumerate(system.contexts):
+        for slot, x in zip(ctx.slots, system.buffers[i]):
             trace.arrived[i][slot.du.name] = trace.arrived[i].get(slot.du.name, 0) + x
 
     for t in range(slots):
-        contexts = [u.template.context(p) for u, p in zip(sc.users, phases)]
+        s0, buffers, contexts = system.s0, system.buffers, system.contexts
         decision = solution.sent_actions(s0, contexts, buffers)
+        s0_next = None
+        if pinned_channels is not None:
+            s0_next = (int(pinned_channels[min(t + 1, len(pinned_channels) - 1)]),) * n_users
+        steps = system.advance(decision.sent, s0_next)
         users_rec = []
-        new_buffers, new_phases = [], []
-        for i, u in enumerate(sc.users):
-            state = UserState(contexts[i], buffers[i], s0[i])
+        for i, (u, step) in enumerate(zip(sc.users, steps)):
             act = decision.sent[i]
             dist = float(sum(s.du.distortion_impact * y
                              for s, y in zip(contexts[i].slots, act.sends)))
             en = u.channel.energy(s0[i], act.total)
             pay = dist - u.beta * en
-            step = advance_traffic(u.template, state, act, rng)
             dropped = {}
             for key, n in step.dropped.items():
                 name = u.template.du(key[1]).name
@@ -779,23 +764,14 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
                 request_bw=decision.raw[i].total * sc.bits_per_packet / u.channel.rate[s0[i]],
                 share=decision.shares[i],
             ))
-            new_buffers.append(step.buffer)
-            new_phases.append(step.context.phase)
         names = tuple(sc.users[i].channel.names[s0[i]] for i in range(n_users))
         trace.records.append(SlotRecord(
             slot=t + 1, s0=tuple(s0), channel_names=names, lam0=decision.lam0,
             users=users_rec, messages=2 * n_users))
-        buffers, phases = new_buffers, new_phases
-        if pinned_channels is not None:
-            nxt = pinned_channels[t + 1] if t + 1 < len(pinned_channels) else pinned_channels[-1]
-            s0 = (int(nxt),) * n_users
-        else:
-            s0 = joint.step(s0, rng)
 
-    for i, u in enumerate(sc.users):
-        ctx = u.template.context(phases[i])
+    for ctx, buf in zip(system.contexts, system.buffers):
         rem = {}
-        for slot, x in zip(ctx.slots, buffers[i]):
+        for slot, x in zip(ctx.slots, buf):
             rem[slot.du.name] = rem.get(slot.du.name, 0) + x
         trace.remaining.append(rem)
     return trace
@@ -949,20 +925,16 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
                          view.gain, u.beta, scenario.discount,
                          min_quality=u.min_quality)
     lay = learner.layout
-    h = draw(u.channel.stationary_cdf, rng)
-    buf, phase = initial_buffer(u.template, 0, rng), 0
+    system = SlotSystem([u.template], JointChannel([u.channel]), rng)
     rows = []
     window_pay = 0.0
     for t in range(slots):
-        ctx = u.template.context(phase)
-        act = learner.act(phase, buf, h, float(price[h]), rng=rng)
-        state = UserState(ctx, buf, h)
-        window_pay += payoff(state, act, u.beta, u.channel)
-        step = advance_traffic(u.template, state, act, rng)
-        h2 = sample_channel(u.channel, h, rng)
-        learner.observe((phase, buf, h, act, step.arrivals, step.buffer, h2),
-                        np.asarray(price))
-        buf, phase, h = step.buffer, step.context.phase, h2
+        (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
+        act = learner.act(ctx.phase, buf, h, float(price[h]), rng=rng)
+        window_pay += payoff(UserState(ctx, buf, h), act, u.beta, u.channel)
+        (step,) = system.advance([act])
+        learner.observe((ctx.phase, buf, h, act, step.arrivals, step.buffer,
+                         system.s0[0]), np.asarray(price))
         if (t + 1) % every == 0:
             gap = ""
             if plan_u is not None:

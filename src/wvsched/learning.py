@@ -12,28 +12,17 @@ reach by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from wvsched.mdp import TrafficLayout
-from wvsched.model import ScheduleAction, transmit_energy
+from wvsched.model import ScheduleAction, iter_actions, transmit_energy
 # DuPdsLearner tables run under this scheduler; perfbench traces it under this name
 from wvsched.scheduling import decomposed_schedule  # noqa: F401
 
 
 PdsKey = tuple[int, tuple[int, ...], int]  # (phase, survivor buffer, view state)
-
-
-def layout_actions(layout: TrafficLayout, phase: int, buffer: Sequence[int],
-                   min_quality: float = 0.0) -> Iterator[ScheduleAction]:
-    """Feasible actions from structural data only (impacts and buffers)."""
-    q = layout.impacts[phase]
-    floor = min(min_quality, float(np.dot(q, buffer)))
-    for sends in product(*(range(x + 1) for x in buffer)):
-        if np.dot(q, sends) >= floor - 1e-9:
-            yield ScheduleAction(sends)
 
 
 @dataclass
@@ -95,7 +84,7 @@ def pds_greedy_action(layout: TrafficLayout, phase: int, buffer: Sequence[int],
     (default: survivor-collapsed).
     """
     best_act, best_val = None, -np.inf
-    for act in layout_actions(layout, phase, buffer, min_quality):
+    for act in iter_actions(layout.contexts[phase], buffer, min_quality):
         if payoff_fn is None:
             u = _default_payoff(layout, phase, act, gain_to_noise, beta)
         else:
@@ -160,8 +149,8 @@ class PdsLearner:
         if explore and rng is not None:
             self.state_visits[key] = self.state_visits.get(key, 0) + 1
             if rng.random() < self.epsilon(key):
-                acts = list(layout_actions(self.layout, phase, buffer,
-                                           self.min_quality))
+                acts = list(iter_actions(self.layout.contexts[phase], buffer,
+                                         self.min_quality))
                 return acts[int(rng.integers(len(acts)))]
         act, _ = pds_greedy_action(self.layout, phase, buffer, view_state,
                                    self.table, price, self.beta,

@@ -307,12 +307,9 @@ class UserMdp:
         self.n_ta = len(gains)
         self.ta_state = np.repeat(np.arange(lay.n_traffic), group_sizes)
 
-    def _entering_combos(self, phase: int) -> tuple[np.ndarray, np.ndarray]:
-        return entering_combos(self.layout, phase)
-
     def _build_traffic_kernel(self) -> None:
         lay = self.layout
-        combos = [self._entering_combos(p) for p in range(lay.period)]
+        combos = [entering_combos(lay, p) for p in range(lay.period)]
         rows, cols, vals = [], [], []
         ta = 0
         for t_idx, phase, buf in lay.iter_states():
@@ -506,7 +503,7 @@ class UserMdp:
         lay = self.layout
         rows, cols, vals = [], [], []
         for p in range(lay.period):
-            offs, probs = self._entering_combos(p)
+            offs, probs = entering_combos(lay, p)
             nxt = (p + 1) % lay.period
             step = lay.steps[p]
             for surv in product(*(range(c + 1) for c in lay.pds_caps[p])):
@@ -578,9 +575,3 @@ def bellman_backup(model: UserMdp, values: np.ndarray,
     new = model.backup(values, reward)
     return new, model.greedy(values, reward)
 
-
-def solve_priced_mdp(model: UserMdp, price: np.ndarray, tol: float = 1e-6,
-                     init: np.ndarray | None = None) -> ValueTable:
-    """Iterate backups until the value error is below tol; greedy tie-break is
-    the lexicographically smallest action."""
-    return model.solve(price, tol=tol, init=init)

@@ -133,6 +133,13 @@ class Context:
     def impacts(self) -> np.ndarray:
         return np.array([s.du.distortion_impact for s in self.slots], dtype=float)
 
+    def impact_order(self) -> list[int]:
+        """Slot indices by descending impact, then nearest deadline, then
+        position: the order in which trims keep and fills add packets."""
+        return sorted(range(len(self.slots)),
+                      key=lambda i: (-self.slots[i].du.distortion_impact,
+                                     self.slots[i].remaining, i))
+
     def __repr__(self) -> str:
         names = ",".join(f"{s.du.name}@{s.remaining}" for s in self.slots)
         return f"Context(phase={self.phase}, [{names}])"

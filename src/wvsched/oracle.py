@@ -10,7 +10,9 @@ states, matching the design objective's uniform initial-state reading.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wvsched.mdp import TrafficLayout, entering_combos
-from wvsched.model import ModelError, ScenarioConfig, ScheduleAction, iter_actions
+from wvsched.model import ModelError, ScenarioConfig, bandwidth_usage, iter_actions
 from wvsched.pricing import JointChannel
 
 
@@ -103,54 +105,65 @@ class OracleResult:
     sweeps: int
 
 
-def _user_tables(space: JointSpace, scenario: ScenarioConfig):
-    """Per user: action lists, gains, totals per traffic state; entering combos."""
-    per_user = []
-    for u, lay in zip(scenario.users, space.layouts):
-        acts: dict[int, list[ScheduleAction]] = {}
-        for t_idx, phase, buf in lay.iter_states():
-            acts[t_idx] = list(iter_actions(lay.contexts[phase], buf, u.min_quality))
-        combos = [entering_combos(lay, p) for p in range(lay.period)]
-        per_user.append((acts, combos))
-    return per_user
+def build_joint_kernel(space: JointSpace, scenario: ScenarioConfig, choices: Callable,
+                       ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, list[tuple]]:
+    """Transition kernel of the joint chain over each state's candidate actions.
 
-
-def build_joint_kernel(space: JointSpace, scenario: ScenarioConfig,
-                       act_rule: Callable, reward_rule: Callable,
-                       ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Transition matrix and per-state reward for one deterministic action rule.
-
-    act_rule(jphase, buffers, c0) returns the per-user sent actions;
-    reward_rule(jphase, buffers, c0, sent) returns the instantaneous reward.
+    choices(jphase, buffers, c0, user_acts) lists the state's candidate
+    (joint action, reward offset) pairs; user_acts() returns each user's
+    feasible actions there. Returns the pair-by-state kernel, each pair's
+    reward (its offset plus every user's gain - beta * energy, summed in user
+    order), each state's first pair row and the pairs' joint actions.
     """
     layouts = space.layouts
     combos_by_user = [[entering_combos(lay, p) for p in range(lay.period)]
                       for lay in layouts]
-    n = space.n_states
-    rows, cols, vals = [], [], []
-    rewards = np.zeros(n)
+    acts: list[dict] = [{} for _ in layouts]   # per user: (phase, buffer) -> actions
+
+    def user_acts_at(jphase, buffers):
+        out = []
+        for u, lay, cache, buf in zip(scenario.users, layouts, acts, buffers):
+            key = (jphase % lay.period, buf)
+            if key not in cache:
+                cache[key] = list(iter_actions(lay.contexts[key[0]], buf, u.min_quality))
+            out.append(cache[key])
+        return out
+
     nc = len(space.c0_states)
+    rows, cols, vals = array("q"), array("q"), array("d")
+    rewards: list[float] = []
+    starts: list[int] = []
+    pair_actions: list[tuple] = []
     for t in range(space.n_traffic):
-        idx0 = t * nc
-        jphase, buffers, _ = space.decode(idx0)
+        jphase, buffers, _ = space.decode(t * nc)
+        ctxs = [lay.contexts[jphase % lay.period] for lay in layouts]
+        njp = (jphase + 1) % space.period
+        user_acts = partial(user_acts_at, jphase, buffers)
         for c0 in range(nc):
-            idx = idx0 + c0
-            sent = act_rule(jphase, buffers, c0)
-            rewards[idx] = reward_rule(jphase, buffers, c0, sent)
-            nxt_locals = _next_local_branches(space, combos_by_user, jphase, buffers, sent)
+            s0 = space.c0_states[c0]
             chan = space.channel_row(c0)
-            njp = (jphase + 1) % space.period
-            for locs, p_tr in nxt_locals:
-                acc = 0
-                for loc, cnt in zip(locs, space.counts[njp]):
-                    acc = acc * cnt + loc
-                tcol = space.base[njp] + acc
-                for c1, p_ch in chan:
-                    rows.append(idx)
-                    cols.append(tcol * nc + c1)
-                    vals.append(p_tr * p_ch)
-    kernel = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return kernel, rewards
+            starts.append(len(rewards))
+            for joint_act, rew in choices(jphase, buffers, c0, user_acts):
+                for u, ctx, act, h in zip(scenario.users, ctxs, joint_act, s0):
+                    gain = sum(s.du.distortion_impact * y for s, y in zip(ctx.slots, act.sends))
+                    rew += gain - u.beta * u.channel.energy(h, act.total)
+                pair = len(rewards)
+                for locs, p_tr in _next_local_branches(space, combos_by_user, jphase,
+                                                       buffers, joint_act):
+                    acc = 0
+                    for loc, cnt in zip(locs, space.counts[njp]):
+                        acc = acc * cnt + loc
+                    tcol = space.base[njp] + acc
+                    for c1, p_ch in chan:
+                        rows.append(pair)
+                        cols.append(tcol * nc + c1)
+                        vals.append(p_tr * p_ch)
+                rewards.append(rew)
+                pair_actions.append(joint_act)
+    kernel = sp.csr_matrix((np.frombuffer(vals), (np.frombuffer(rows, dtype=np.int64),
+                                                  np.frombuffer(cols, dtype=np.int64))),
+                           shape=(len(rewards), space.n_states))
+    return kernel, np.asarray(rewards), np.asarray(starts, dtype=np.int64), pair_actions
 
 
 def _next_local_branches(space: JointSpace, combos_by_user, jphase: int,
@@ -176,10 +189,23 @@ def _next_local_branches(space: JointSpace, combos_by_user, jphase: int,
     return out
 
 
-def usage_of(scenario: ScenarioConfig, s0: tuple[int, ...],
-             totals: Sequence[int]) -> float:
-    return sum(t * scenario.bits_per_packet / u.channel.rate[h]
-               for t, h, u in zip(totals, s0, scenario.users))
+def _value_iteration(kernel: sp.csr_matrix, reward: np.ndarray, starts: np.ndarray,
+                     delta: float, tol: float, max_iter: int,
+                     what: str) -> tuple[np.ndarray, int]:
+    """Values V = max over each state's pairs of reward + delta * kernel V, and
+    the sweeps taken; one sweep at delta = 0. Raises ModelError naming `what`
+    when `max_iter` sweeps end unconverged."""
+    if delta == 0.0:
+        return np.maximum.reduceat(reward, starts), 1
+    values = np.zeros(kernel.shape[1])
+    stop = tol * (1.0 - delta) / delta
+    for sweeps in range(1, max_iter + 1):
+        new = np.maximum.reduceat(reward + delta * (kernel @ values), starts)
+        diff = float(np.max(np.abs(new - values)))
+        values = new
+        if diff < stop:
+            return values, sweeps
+    raise ModelError(f"{what} did not converge in {max_iter} sweeps")
 
 
 def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
@@ -189,98 +215,34 @@ def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
     enforced inside every state's maximization."""
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
-    nc = len(space.c0_states)
-    per_user = _user_tables(space, scenario)
-    combos_by_user = [combos for _, combos in per_user]
+    pairs = 0
 
-    # Enumerate feasible joint state-action pairs.
-    group_start = [0]
-    sa_reward: list[float] = []
-    sa_rows: list[np.ndarray] = []
-    sa_cols: list[np.ndarray] = []
-    sa_vals: list[np.ndarray] = []
-    sa_actions: list[tuple] = []
-    sa = 0
-    for t in range(space.n_traffic):
-        jphase, buffers, _ = space.decode(t * nc)
-        locs = [lay.index(jphase % lay.period, buf) for lay, buf in
-                zip(space.layouts, buffers)]
-        user_acts = [per_user[i][0][loc] for i, loc in enumerate(locs)]
-        for c0 in range(nc):
-            idx = t * nc + c0
-            s0 = space.c0_states[c0]
-            chan = space.channel_row(c0)
-            found = False
-            for joint_act in product(*user_acts):
-                totals = [a.total for a in joint_act]
-                if usage_of(scenario, s0, totals) > scenario.bandwidth + 1e-9:
-                    continue
-                found = True
-                rew = 0.0
-                for i, (u, act) in enumerate(zip(scenario.users, joint_act)):
-                    gain = sum(s.du.distortion_impact * y for s, y in zip(
-                        space.layouts[i].contexts[jphase % space.layouts[i].period].slots,
-                        act.sends))
-                    rew += gain - u.beta * u.channel.energy(s0[i], act.total)
-                branches = _next_local_branches(space, combos_by_user, jphase,
-                                                buffers, joint_act)
-                njp = (jphase + 1) % space.period
-                r_, c_, v_ = [], [], []
-                for locs2, p_tr in branches:
-                    acc = 0
-                    for loc, cnt in zip(locs2, space.counts[njp]):
-                        acc = acc * cnt + loc
-                    tcol = space.base[njp] + acc
-                    for c1, p_ch in chan:
-                        r_.append(sa)
-                        c_.append(tcol * nc + c1)
-                        v_.append(p_tr * p_ch)
-                sa_rows.append(np.asarray(r_, dtype=np.int64))
-                sa_cols.append(np.asarray(c_, dtype=np.int64))
-                sa_vals.append(np.asarray(v_))
-                sa_reward.append((1.0 - delta) * rew)
-                sa_actions.append(joint_act)
-                sa += 1
-                if sa > pair_cap:
-                    raise ModelError(
-                        f"joint state-action pairs exceed cap {pair_cap}")
-            if not found:
-                raise ModelError(
-                    f"no feasible joint action in joint channel state {s0} "
-                    "(quality floors exceed the band)")
-            group_start.append(sa)
+    def feasible(jphase, buffers, c0, user_acts):
+        nonlocal pairs
+        s0 = space.c0_states[c0]
+        rates = [u.channel.rate[h] for u, h in zip(scenario.users, s0)]
+        out = [(joint_act, 0.0) for joint_act in product(*user_acts())
+               if bandwidth_usage([a.total for a in joint_act], rates,
+                                  scenario.bits_per_packet) <= scenario.bandwidth + 1e-9]
+        if not out:
+            raise ModelError(
+                f"no feasible joint action in joint channel state {s0} "
+                "(quality floors exceed the band)")
+        pairs += len(out)
+        if pairs > pair_cap:
+            raise ModelError(f"joint state-action pairs exceed cap {pair_cap}")
+        return out
 
-    kernel = sp.csr_matrix(
-        (np.concatenate(sa_vals), (np.concatenate(sa_rows), np.concatenate(sa_cols))),
-        shape=(sa, space.n_states))
-    reward = np.asarray(sa_reward)
-    starts = np.asarray(group_start[:-1], dtype=np.int64)
-
-    values = np.zeros(space.n_states)
-    if delta == 0.0:
-        values = np.maximum.reduceat(reward, starts)
-        sweeps = 1
-    else:
-        stop = tol * (1.0 - delta) / delta
-        sweeps = 0
-        for sweeps in range(1, max_iter + 1):
-            q = reward + delta * (kernel @ values)
-            new = np.maximum.reduceat(q, starts)
-            diff = float(np.max(np.abs(new - values)))
-            values = new
-            if diff < stop:
-                break
-        else:
-            raise ModelError("oracle value iteration did not converge")
+    kernel, reward, starts, pair_actions = build_joint_kernel(space, scenario, feasible)
+    reward = (1.0 - delta) * reward
+    values, sweeps = _value_iteration(kernel, reward, starts, delta, tol, max_iter,
+                                      "oracle value iteration")
 
     # Greedy joint policy (first maximizer per state).
     q = reward + delta * (kernel @ values)
-    policy: dict[int, tuple] = {}
-    gs = np.asarray(group_start, dtype=np.int64)
-    for idx in range(space.n_states):
-        lo, hi = gs[idx], gs[idx + 1]
-        k = lo + int(np.argmax(q[lo:hi]))
-        policy[idx] = tuple(a.sends for a in sa_actions[k])
+    ends = np.append(starts[1:], len(reward))
+    policy = {idx: tuple(a.sends for a in pair_actions[lo + int(np.argmax(q[lo:hi]))])
+              for idx, (lo, hi) in enumerate(zip(starts, ends))}
     return OracleResult(space, values, float(values.mean()), policy, sweeps)
 
 
@@ -293,18 +255,9 @@ def joint_value_of(scenario: ScenarioConfig, act_rule: Callable,
     """
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
-
-    def reward_rule(jphase, buffers, c0, sent):
-        s0 = space.c0_states[c0]
-        rew = 0.0
-        for i, (u, act) in enumerate(zip(scenario.users, sent)):
-            lay = space.layouts[i]
-            ctx = lay.contexts[jphase % lay.period]
-            gain = sum(s.du.distortion_impact * y for s, y in zip(ctx.slots, act.sends))
-            rew += gain - u.beta * u.channel.energy(s0[i], act.total)
-        return rew
-
-    kernel, rewards = build_joint_kernel(space, scenario, act_rule, reward_rule)
+    kernel, rewards, _, _ = build_joint_kernel(
+        space, scenario,
+        lambda jphase, buffers, c0, _acts: [(act_rule(jphase, buffers, c0), 0.0)])
     a = sp.eye(space.n_states, format="csr") - delta * kernel
     values = spla.spsolve(a.tocsc(), (1.0 - delta) * rewards)
     return values, float(values.mean())
@@ -333,62 +286,16 @@ def penalized_joint_value(scenario: ScenarioConfig,
     value iteration has not converged after `max_iter` sweeps."""
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
-    nc = len(space.c0_states)
-    per_user = _user_tables(space, scenario)
-    combos_by_user = [combos for _, combos in per_user]
 
-    group_start = [0]
-    sa_reward: list[float] = []
-    sa_rows, sa_cols, sa_vals = [], [], []
-    sa = 0
-    for t in range(space.n_traffic):
-        jphase, buffers, _ = space.decode(t * nc)
-        locs = [lay.index(jphase % lay.period, buf) for lay, buf in
-                zip(space.layouts, buffers)]
-        user_acts = [per_user[i][0][loc] for i, loc in enumerate(locs)]
-        for c0 in range(nc):
-            s0 = space.c0_states[c0]
-            lam = prices.get(s0, 0.0)
-            chan = space.channel_row(c0)
-            for joint_act in product(*user_acts):
-                totals = [a.total for a in joint_act]
-                usage = usage_of(scenario, s0, totals)
-                rew = lam * (scenario.bandwidth - usage)
-                for i, (u, act) in enumerate(zip(scenario.users, joint_act)):
-                    lay = space.layouts[i]
-                    ctx = lay.contexts[jphase % lay.period]
-                    gain = sum(s.du.distortion_impact * y
-                               for s, y in zip(ctx.slots, act.sends))
-                    rew += gain - u.beta * u.channel.energy(s0[i], act.total)
-                branches = _next_local_branches(space, combos_by_user, jphase,
-                                                buffers, joint_act)
-                njp = (jphase + 1) % space.period
-                for locs2, p_tr in branches:
-                    acc = 0
-                    for loc, cnt in zip(locs2, space.counts[njp]):
-                        acc = acc * cnt + loc
-                    tcol = space.base[njp] + acc
-                    for c1, p_ch in chan:
-                        sa_rows.append(sa)
-                        sa_cols.append(tcol * nc + c1)
-                        sa_vals.append(p_tr * p_ch)
-                sa_reward.append((1.0 - delta) * rew)
-                sa += 1
-            group_start.append(sa)
+    def priced(jphase, buffers, c0, user_acts):
+        s0 = space.c0_states[c0]
+        rates = [u.channel.rate[h] for u, h in zip(scenario.users, s0)]
+        lam = prices.get(s0, 0.0)
+        return [(joint_act, lam * (scenario.bandwidth - bandwidth_usage(
+                    [a.total for a in joint_act], rates, scenario.bits_per_packet)))
+                for joint_act in product(*user_acts())]
 
-    kernel = sp.csr_matrix((sa_vals, (sa_rows, sa_cols)), shape=(sa, space.n_states))
-    reward = np.asarray(sa_reward)
-    starts = np.asarray(group_start[:-1], dtype=np.int64)
-    values = np.zeros(space.n_states)
-    stop = tol * (1.0 - delta) / delta if delta > 0 else None
-    for _ in range(max_iter):
-        q = reward + delta * (kernel @ values)
-        new = np.maximum.reduceat(q, starts)
-        diff = float(np.max(np.abs(new - values)))
-        values = new
-        if delta == 0.0 or diff < stop:
-            break
-    else:
-        raise ModelError(
-            f"penalized joint value iteration did not converge in {max_iter} sweeps")
+    kernel, reward, starts, _ = build_joint_kernel(space, scenario, priced)
+    values, _ = _value_iteration(kernel, (1.0 - delta) * reward, starts, delta, tol,
+                                 max_iter, "penalized joint value iteration")
     return values, float(values.mean())

@@ -21,8 +21,10 @@ from wvsched.model import (
     GopTemplate,
     ModelError,
     ScheduleAction,
+    TrafficStep,
     UserState,
     advance_traffic,
+    bandwidth_usage,
     draw,
     initial_buffer,
     payoff,
@@ -120,6 +122,38 @@ class JointChannel:
         return [tuple(k) for k in product(*(range(len(c)) for c in self.channels))]
 
 
+class SlotSystem:
+    """The simulated system every slot loop steps: the joint channel state
+    `s0` and each user's buffer and context (its GOP phase).
+
+    Start-up draws the channel state (unless `s0` is given), then each
+    user's initial buffer. `advance` draws each user's entering DU sizes in
+    user order, then the next channel state (unless `s0_next` is given).
+    """
+
+    def __init__(self, templates: Sequence[GopTemplate], joint: JointChannel,
+                 rng: np.random.Generator, s0: tuple[int, ...] | None = None):
+        self.templates = list(templates)
+        self.joint = joint
+        self.rng = rng
+        self.s0 = joint.initial(rng) if s0 is None else s0
+        self.buffers = [initial_buffer(t, 0, rng) for t in self.templates]
+        self.contexts = [t.context(0) for t in self.templates]
+
+    def advance(self, sent: Sequence[ScheduleAction],
+                s0_next: tuple[int, ...] | None = None) -> list[TrafficStep]:
+        """Apply every user's sends, then move the channel to `s0_next` or a
+        fresh draw."""
+        rng = self.rng
+        steps = [advance_traffic(t, UserState(ctx, buf, h), act, rng)
+                 for t, ctx, buf, h, act in zip(self.templates, self.contexts,
+                                                self.buffers, self.s0, sent, strict=True)]
+        self.buffers = [st.buffer for st in steps]
+        self.contexts = [st.context for st in steps]
+        self.s0 = self.joint.step(self.s0, self.rng) if s0_next is None else s0_next
+        return steps
+
+
 # ---------------------------------------------------------------------------
 # Transmission scaling (transient feasibility)
 # ---------------------------------------------------------------------------
@@ -129,12 +163,9 @@ def trim_action(context, action: ScheduleAction, budget: int) -> ScheduleAction:
     near-deadline packets first."""
     if action.total <= budget:
         return action
-    keep_order = sorted(range(len(context)),
-                        key=lambda i: (-context.slots[i].du.distortion_impact,
-                                       context.slots[i].remaining, i))
     sends = [0] * len(context)
     room = budget
-    for i in keep_order:
+    for i in context.impact_order():
         take = min(action.sends[i], room)
         sends[i] = take
         room -= take
@@ -149,7 +180,7 @@ def scale_to_budget(contexts, actions: Sequence[ScheduleAction],
     The unscaled requests drive the price update; the scaled sends are what
     the simulated system actually transmits.
     """
-    usage = sum(a.total * bits_per_packet / r for a, r in zip(actions, rates))
+    usage = bandwidth_usage([a.total for a in actions], rates, bits_per_packet)
     if usage <= bandwidth + 1e-12:
         return list(actions)
     gamma = bandwidth / usage
@@ -210,12 +241,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
     rng = rng if rng is not None else np.random.default_rng(0)
     table = price_table if price_table is not None else PriceTable()
     joint = JointChannel([a.channel for a in agents], correlation)
-
-    s0 = joint.initial(rng)
-    buffers = []
-    for a in agents:
-        buffers.append(initial_buffer(a.template, 0, rng))
-    phases = [0] * len(agents)
+    system = SlotSystem([a.template for a in agents], joint, rng)
 
     last_price_vec = [None] * len(agents)
     refresh_gate = tolerance / 10.0
@@ -234,6 +260,15 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
             return False
         return abs(win[-1][1] - win[0][1]) <= tolerance
 
+    def requests_and_sends(contexts):
+        s0 = system.s0
+        actions = [a.act(ctx, buf, a.view.view_state(s0))
+                   for a, ctx, buf in zip(agents, contexts, system.buffers)]
+        rates = [a.channel.rate[h] for a, h in zip(agents, s0)]
+        requests = [act.total * bits_per_packet / r for act, r in zip(actions, rates)]
+        return requests, scale_to_budget(contexts, actions, rates, bits_per_packet,
+                                         bandwidth)
+
     for slots in range(1, max_slots + 1):
         # refresh priced policies when the projected prices moved enough
         for i, agent in enumerate(agents):
@@ -242,40 +277,28 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
                 agent.refresh(vec)
                 last_price_vec[i] = vec
 
-        contexts = [a.template.context(p) for a, p in zip(agents, phases)]
-        actions = []
-        requests = []
-        for i, agent in enumerate(agents):
-            v = agent.view.view_state(s0)
-            act = agent.act(contexts[i], buffers[i], v)
-            actions.append(act)
-            requests.append(act.total * bits_per_packet / agent.channel.rate[s0[i]])
-
+        s0 = system.s0
+        contexts = system.contexts
+        requests, sent = requests_and_sends(contexts)
         lam_before = table.get(s0)
         update_prices(table, s0, requests, bandwidth)
         win = windows.setdefault(s0, deque(maxlen=sweep_factor + 1))
         win.append((abs(table.get(s0) - lam_before), table.get(s0)))
 
-        rates = [a.channel.rate[s0[i]] for i, a in enumerate(agents)]
-        sent = scale_to_budget(contexts, actions, rates, bits_per_packet, bandwidth)
-
+        # the next channel state is drawn before the traffic: observers need it
         s0_next = joint.step(s0, rng)
         slot_util = 0.0
         for i, agent in enumerate(agents):
-            state = UserState(contexts[i], buffers[i], s0[i])
+            state = UserState(contexts[i], system.buffers[i], s0[i])
             slot_util += payoff(state, sent[i], users[i].beta, agent.channel)
             if hasattr(agent, "observe"):
-                agent.observe(contexts[i], buffers[i], agent.view.view_state(s0),
+                agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),
                               sent[i], agent.view.view_state(s0_next))
-            step = advance_traffic(agent.template, state, sent[i], rng)
-            buffers[i] = step.buffer
-            phases[i] = step.context.phase
+        system.advance(sent, s0_next)
         util_acc += slot_util
         if slots % 100 == 0:
             utility_traj.append(util_acc / 100.0)
             util_acc = 0.0
-
-        s0 = s0_next
 
         if all(state_settled(w) for w in windows.values()):
             converged = True
@@ -305,24 +328,11 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
     usage_sum: dict[tuple[int, ...], float] = {}
     usage_n: dict[tuple[int, ...], int] = {}
     for _ in range(eval_slots):
-        contexts = [a.template.context(p) for a, p in zip(agents, phases)]
-        actions = []
-        requests = []
-        for i, agent in enumerate(agents):
-            v = agent.view.view_state(s0)
-            act = agent.act(contexts[i], buffers[i], v)
-            actions.append(act)
-            requests.append(act.total * bits_per_packet / agent.channel.rate[s0[i]])
+        s0 = system.s0
+        requests, sent = requests_and_sends(system.contexts)
         usage_sum[s0] = usage_sum.get(s0, 0.0) + sum(requests)
         usage_n[s0] = usage_n.get(s0, 0) + 1
-        rates = [a.channel.rate[s0[i]] for i, a in enumerate(agents)]
-        sent = scale_to_budget(contexts, actions, rates, bits_per_packet, bandwidth)
-        for i, agent in enumerate(agents):
-            state = UserState(contexts[i], buffers[i], s0[i])
-            step = advance_traffic(agent.template, state, sent[i], rng)
-            buffers[i] = step.buffer
-            phases[i] = step.context.phase
-        s0 = joint.step(s0, rng)
+        system.advance(sent)
 
     for key, total in usage_sum.items():
         mean_usage = total / usage_n[key]

@@ -239,10 +239,7 @@ def fifo_schedule(context: Context, buffer: Sequence[int], capacity: int) -> Sch
 def hdf_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
     """Fill capacity by highest distortion impact; equal impacts fall back to
     deadline order."""
-    ranked = sorted(range(len(context)),
-                    key=lambda i: (-context.slots[i].du.distortion_impact,
-                                   context.slots[i].remaining, i))
-    return _fill(context, buffer, capacity, ranked)
+    return _fill(context, buffer, capacity, context.impact_order())
 
 
 SIMPLE_SCHEDULERS = {

@@ -12,7 +12,6 @@ from wvsched.learning import (
     DuPdsLearner,
     PdsLearner,
     PdsValueTable,
-    layout_actions,
     pds_greedy_action,
     pds_key,
     pds_update,
@@ -27,6 +26,7 @@ from wvsched.model import (
     UserState,
     advance_traffic,
     initial_buffer,
+    iter_actions,
     transmit_energy,
 )
 from wvsched.scenario import preset
@@ -64,7 +64,7 @@ def test_greedy_with_zero_table_is_scaled_myopic_argmax():
     for buf in ((3, 3), (2, 0), (0, 1)):
         act, val = pds_greedy_action(lay, 0, buf, 0, table, price, beta, gain, delta)
         best, best_act = -np.inf, None
-        for cand in layout_actions(lay, 0, buf):
+        for cand in iter_actions(lay.contexts[0], buf):
             u = 3.0 * cand.total - beta * transmit_energy(gain, cand.total)
             j = (1 - delta) * (u - price * cand.total)
             if j >= best:

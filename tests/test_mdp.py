@@ -13,7 +13,6 @@ from wvsched.mdp import (
     discount_horizon,
     joint_view,
     own_view,
-    solve_priced_mdp,
 )
 from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ScheduleAction
 

@@ -1,0 +1,62 @@
+"""The benchmark's tracer finds every library name it wraps.
+
+perfbench/tracing.py patches each traced function at every module attribute
+callers look it up under (`harness.advance_traffic`, `learning.decomposed_schedule`,
+...). A library change that drops one of those names breaks every traced
+benchmark run, so these tests resolve each site against the modules the
+benchmark imports and check that a traced episode is counted.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402
+import tracing  # noqa: E402
+from wvsched.scenario import preset  # noqa: E402
+
+
+def bench_modules() -> dict:
+    return {m: importlib.import_module(f"wvsched.{m}") for m in run.MODULES}
+
+
+def traced_sites(modules: dict) -> list:
+    """(owner, attribute) of every site the tracer patches."""
+    return [tracing._resolve(modules[mod], path)
+            for table in (tracing.TIMED, tracing.COUNTED)
+            for _name, sites in table for mod, path in sites]
+
+
+def test_every_traced_site_resolves():
+    modules = bench_modules()
+    sites = traced_sites(modules)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in sites
+               if not hasattr(owner, attr)]
+    assert not missing
+    before = [getattr(owner, attr) for owner, attr in sites]
+    with tracing.Tracer().active(modules):
+        patched = [getattr(owner, attr) for owner, attr in sites]
+    assert all(a is not b for a, b in zip(before, patched))
+    assert all(a is getattr(owner, attr) for a, (owner, attr) in zip(before, sites))
+
+
+def test_traced_episode_counts_traffic_steps():
+    sc = preset("illustration-2user")
+    modules = bench_modules()
+    harness = modules["harness"]
+    sol = harness.build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    tracer = tracing.Tracer()
+    with tracer.active(modules):
+        trace = harness.run_episode(sc, sol, 7, np.random.default_rng(1))
+    metrics = tracer.metrics()
+    assert len(trace.records) == 7
+    assert metrics["harness.run_episode.calls"] == 1
+    assert metrics["model.advance_traffic.calls"] == 7 * len(sc.users)
+    assert metrics["pricing.JointChannel.step.calls"] == 7
