@@ -37,7 +37,6 @@ from wvsched.model import (
     ScenarioConfig,
     ScheduleAction,
     UserConfig,
-    UserState,
     bandwidth_usage,
     payoff,
 )
@@ -931,7 +930,7 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
     for t in range(slots):
         (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
         act = learner.act(ctx.phase, buf, h, float(price[h]), rng=rng)
-        window_pay += payoff(UserState(ctx, buf, h), act, u.beta, u.channel)
+        window_pay += payoff(system.states()[0], act, u.beta, u.channel)
         (step,) = system.advance([act])
         learner.observe((ctx.phase, buf, h, act, step.arrivals, step.buffer,
                          system.s0[0]), np.asarray(price))

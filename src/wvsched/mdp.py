@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from itertools import product
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +41,27 @@ def discount_horizon(delta: float, tol: float = 1e-6) -> int:
     if delta <= 0.0:
         return 1
     return max(1, int(math.ceil(math.log(tol) / math.log(delta))))
+
+
+def value_iteration(backup: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+                    delta: float, tol: float, max_iter: int,
+                    what: str) -> tuple[np.ndarray, int]:
+    """Apply `backup` from `values` until a sweep moves the values by less than
+    tol * (1 - delta) / delta; returns the values and the sweeps taken (one
+    sweep at delta = 0). Raises ModelError naming `what` when `max_iter`
+    sweeps end unconverged."""
+    if delta == 0.0:
+        return backup(values), 1
+    stop = tol * (1.0 - delta) / delta
+    diff = math.inf
+    for sweeps in range(1, max_iter + 1):
+        new = backup(values)
+        diff = float(np.max(np.abs(new - values)))
+        values = new
+        if diff < stop:
+            return values, sweeps
+    raise ModelError(f"{what} did not converge in {max_iter} sweeps "
+                     f"(last sweep moved {diff:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +126,20 @@ def common_view(channel: ChannelModel, n_users: int, user: int = 0) -> ChannelVi
     )
 
 
+def product_chain(channels: Sequence[ChannelModel]) -> np.ndarray:
+    """Transition matrix of independent channels run side by side, joint
+    states in itertools.product order."""
+    return reduce(np.kron, (c.transition for c in channels), np.ones((1, 1)))
+
+
 def joint_view(channels: Sequence[ChannelModel], user: int) -> ChannelView:
     """Product chain over all users' independent channels."""
     keys = [tuple(k) for k in product(*(range(len(c)) for c in channels))]
-    n = len(keys)
-    trans = np.ones((n, n))
-    for a, ka in enumerate(keys):
-        for b, kb in enumerate(keys):
-            for c, (ha, hb) in zip(channels, zip(ka, kb)):
-                trans[a, b] *= c.transition[ha, hb]
     own = np.array([k[user] for k in keys])
     return ChannelView(
         kind="joint",
         user=user,
-        transition=trans,
+        transition=product_chain(channels),
         rate=channels[user].rate[own],
         gain=channels[user].gain[own],
         own_channel=own,
@@ -201,11 +225,14 @@ class TrafficLayout:
     def index(self, phase: int, buffer: Sequence[int]) -> int:
         return self.base[phase] + sum(x * s for x, s in zip(buffer, self.strides[phase]))
 
+    def phase_of(self, idx: int) -> int:
+        return bisect_right(self.base, idx) - 1
+
     def decode(self, idx: int) -> tuple[int, tuple[int, ...]]:
-        phase = max(p for p in range(self.period) if self.base[p] <= idx)
+        phase = self.phase_of(idx)
         rem = idx - self.base[phase]
         buf = []
-        for s, cap in zip(self.strides[phase], self.caps[phase]):
+        for s in self.strides[phase]:
             buf.append(rem // s)
             rem %= s
         return phase, tuple(buf)
@@ -213,20 +240,6 @@ class TrafficLayout:
     def pds_index(self, phase: int, survivors_left: Sequence[int]) -> int:
         return self.pds_base[phase] + sum(
             x * s for x, s in zip(survivors_left, self.pds_strides[phase]))
-
-    def decode_pds(self, idx: int) -> tuple[int, tuple[int, ...]]:
-        phase = max(p for p in range(self.period) if self.pds_base[p] <= idx)
-        rem = idx - self.pds_base[phase]
-        buf = []
-        for s, cap in zip(self.pds_strides[phase], self.pds_caps[phase]):
-            buf.append(rem // s)
-            rem %= s
-        return phase, tuple(buf)
-
-    def survivors_after(self, phase: int, buffer: Sequence[int],
-                        sends: Sequence[int]) -> tuple[int, ...]:
-        """Post-decision buffer restricted to slots that outlive this slot."""
-        return tuple(buffer[i] - sends[i] for i, _ in self.steps[phase].survivors)
 
     def iter_states(self) -> Iterable[tuple[int, int, tuple[int, ...]]]:
         for p in range(self.period):
@@ -236,6 +249,13 @@ class TrafficLayout:
     def phase_count(self, phase: int) -> int:
         """Number of traffic states at a phase."""
         return int(np.prod([c + 1 for c in self.caps[phase]], dtype=np.int64))
+
+
+def buffer_grid(caps: Sequence[int]) -> np.ndarray:
+    """Every buffer with entries 0..cap in index order, shape (count, len(caps))."""
+    count = int(np.prod([c + 1 for c in caps], dtype=np.int64))
+    return np.array(list(product(*(range(c + 1) for c in caps))),
+                    dtype=np.int64).reshape(count, len(caps))
 
 
 def entering_combos(layout: TrafficLayout, phase: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +271,30 @@ def entering_combos(layout: TrafficLayout, phase: int) -> tuple[np.ndarray, np.n
         offsets = (offsets[:, None] + vals[None, :] * layout.strides[nxt_phase][j]).ravel()
         probs = (probs[:, None] * ps[None, :]).ravel()
     return offsets, probs
+
+
+def entering_kernel(layout: TrafficLayout, survivors: Sequence[np.ndarray]) -> sp.csr_matrix:
+    """Kernel from post-decision rows to next-phase traffic states.
+
+    survivors[p] holds, for each of phase p's rows in row order, the packets
+    left in the slots that outlive the slot (ordered as steps[p].survivors);
+    the entering DUs' sizes are drawn from their PMFs.
+    """
+    rows, cols, vals = [], [], []
+    n = 0
+    for p, left in enumerate(survivors):
+        nxt = (p + 1) % layout.period
+        strides = np.array([layout.strides[nxt][j] for _, j in layout.steps[p].survivors],
+                           dtype=np.int64)
+        base = layout.base[nxt] + left @ strides
+        offs, probs = entering_combos(layout, p)
+        rows.append(np.repeat(np.arange(n, n + len(base)), len(offs)))
+        cols.append((base[:, None] + offs[None, :]).ravel())
+        vals.append(np.tile(probs, len(base)))
+        n += len(base)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, layout.n_traffic))
 
 
 # ---------------------------------------------------------------------------
@@ -285,50 +329,39 @@ class UserMdp:
     # -- construction --------------------------------------------------------
 
     def _enumerate_actions(self, pair_budget: int) -> None:
+        """One row per (traffic state, feasible action), grouped by state in
+        iter_actions order; ta_sends holds each row's sends, zero-padded to
+        the widest context."""
         lay = self.layout
-        group_sizes = np.zeros(lay.n_traffic, dtype=np.int64)
+        width = max(len(ctx) for ctx in lay.contexts)
         gains: list[float] = []
-        totals: list[int] = []
+        states, sends = array("q"), array("q")
         for t_idx, phase, buf in lay.iter_states():
-            count = 0
-            ctx = lay.contexts[phase]
-            for act in iter_actions(ctx, buf, self.min_quality):
+            pad = (0,) * (width - len(buf))
+            for act in iter_actions(lay.contexts[phase], buf, self.min_quality):
                 gains.append(float(np.dot(lay.impacts[phase], act.sends)))
-                totals.append(act.total)
-                count += 1
-            group_sizes[t_idx] = count
+                states.append(t_idx)
+                sends.extend(act.sends + pad)
             if len(gains) > pair_budget:
                 raise ModelError(
                     f"state-action pairs exceed budget {pair_budget}; "
                     "use the decomposed scheduler for this template")
-        self.group_start = np.concatenate(([0], np.cumsum(group_sizes)))
-        self.ta_gain = np.asarray(gains)
-        self.ta_total = np.asarray(totals, dtype=np.int64)
         self.n_ta = len(gains)
-        self.ta_state = np.repeat(np.arange(lay.n_traffic), group_sizes)
+        self.ta_state = np.frombuffer(states, dtype=np.int64)
+        self.group_start = np.searchsorted(self.ta_state, np.arange(lay.n_traffic + 1))
+        self.ta_sends = np.frombuffer(sends, dtype=np.int64).reshape(self.n_ta, width)
+        self.ta_total = self.ta_sends.sum(axis=1)
+        self.ta_gain = np.asarray(gains)
 
     def _build_traffic_kernel(self) -> None:
         lay = self.layout
-        combos = [entering_combos(lay, p) for p in range(lay.period)]
-        rows, cols, vals = [], [], []
-        ta = 0
-        for t_idx, phase, buf in lay.iter_states():
-            nxt_phase = (phase + 1) % lay.period
-            step = lay.steps[phase]
-            offs, probs = combos[phase]
-            n_actions = self.group_start[t_idx + 1] - self.group_start[t_idx]
-            ctx = lay.contexts[phase]
-            for act in islice(iter_actions(ctx, buf, self.min_quality), int(n_actions)):
-                surv = lay.base[nxt_phase] + sum(
-                    (buf[i] - act.sends[i]) * lay.strides[nxt_phase][j]
-                    for i, j in step.survivors)
-                rows.append(np.full(len(offs), ta, dtype=np.int64))
-                cols.append(surv + offs)
-                vals.append(probs)
-                ta += 1
-        self.traffic_kernel = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_ta, lay.n_traffic))
+        survivors = []
+        for p in range(lay.period):
+            lo, hi = self.group_start[[lay.base[p], lay.base[p] + lay.phase_count(p)]]
+            buffers = buffer_grid(lay.caps[p])[self.ta_state[lo:hi] - lay.base[p]]
+            post = buffers - self.ta_sends[lo:hi, :len(lay.caps[p])]
+            survivors.append(post[:, [i for i, _ in lay.steps[p].survivors]])
+        self.traffic_kernel = entering_kernel(lay, survivors)
         row_sums = np.asarray(self.traffic_kernel.sum(axis=1)).ravel()
         if np.any(np.abs(row_sums - 1.0) > 1e-9):
             raise ModelError("traffic kernel rows do not sum to 1")
@@ -341,11 +374,9 @@ class UserMdp:
             for n in range(max_total + 1):
                 energy[v, n] = self.view.energy_fn(float(self.view.gain[v]), n)
         self.energy_table = energy
+        self.payoff_table = self.ta_gain[:, None] - self.beta * energy[:, self.ta_total].T
         # Payoff without the price term, already scaled by (1 - delta).
-        gain = self.ta_gain[:, None]
-        self.base_reward = (1.0 - self.discount) * (
-            gain - self.beta * energy[:, self.ta_total].T)
-        self.payoff_table = gain - self.beta * energy[:, self.ta_total].T
+        self.base_reward = (1.0 - self.discount) * self.payoff_table
 
     # -- solving --------------------------------------------------------------
 
@@ -384,43 +415,25 @@ class UserMdp:
     def solve(self, price: np.ndarray, tol: float = 1e-6,
               init: np.ndarray | None = None, max_iter: int = 200_000) -> "ValueTable":
         reward = self.priced_reward(price)
-        values = np.zeros((self.layout.n_traffic, len(self.view))) if init is None \
-            else init.copy()
-        if self.discount == 0.0:
-            values = self.backup(values * 0.0, reward)
-            return ValueTable(self, values, self.greedy(values, reward), np.asarray(price))
-        stop = tol * (1.0 - self.discount) / self.discount
-        for it in range(max_iter):
-            new = self.backup(values, reward)
-            diff = float(np.max(np.abs(new - values)))
-            values = new
-            if diff < stop:
-                break
-        else:
-            raise ModelError(
-                f"value iteration did not converge in {max_iter} sweeps "
-                f"(last sweep moved {diff:.3e}); check the discount and payoff scale")
+        values = np.zeros((self.layout.n_traffic, len(self.view))) if init is None else init
+        values, _ = value_iteration(lambda v: self.backup(v, reward), values,
+                                    self.discount, tol, max_iter, "value iteration")
         return ValueTable(self, values, self.greedy(values, reward), np.asarray(price))
 
     # -- lookups --------------------------------------------------------------
 
-    def traffic_index(self, phase: int, buffer: Sequence[int]) -> int:
-        return self.layout.index(phase, buffer)
-
     def action_for(self, t_idx: int, ta: int) -> ScheduleAction:
-        phase, buf = self.layout.decode(t_idx)
-        k = ta - self.group_start[t_idx]
-        ctx = self.layout.contexts[phase]
-        act = next(islice(iter_actions(ctx, buf, self.min_quality), int(k), None))
-        return act
+        width = len(self.layout.caps[self.layout.phase_of(t_idx)])
+        return ScheduleAction(tuple(self.ta_sends[ta, :width].tolist()))
 
     def ta_of(self, t_idx: int, action: ScheduleAction) -> int:
         """State-action row of a concrete action at a traffic state."""
-        phase, buf = self.layout.decode(t_idx)
-        ctx = self.layout.contexts[phase]
-        for k, act in enumerate(iter_actions(ctx, buf, self.min_quality)):
-            if act.sends == tuple(action.sends):
-                return int(self.group_start[t_idx] + k)
+        lo, hi = self.group_start[t_idx], self.group_start[t_idx + 1]
+        if len(action.sends) == len(self.layout.caps[self.layout.phase_of(t_idx)]):
+            rows = self.ta_sends[lo:hi, :len(action.sends)]
+            hit = np.flatnonzero((rows == np.asarray(action.sends)).all(axis=1))
+            if len(hit):
+                return int(lo + hit[0])
         raise ModelError(f"action {action.sends} not in the action set at state {t_idx}")
 
     # -- evaluation -----------------------------------------------------------
@@ -429,19 +442,13 @@ class UserMdp:
         """Joint (traffic x view) chain under the table's greedy policy."""
         n_view = len(self.view)
         n = self.n_states
-        rows, cols, vals = [], [], []
-        for t in range(self.layout.n_traffic):
-            for v in range(n_view):
-                ta = table.policy[t, v]
-                row = self.traffic_kernel.getrow(ta)
-                for t2, p_tr in zip(row.indices, row.data):
-                    for v2 in range(n_view):
-                        p = p_tr * self.view.transition[v, v2]
-                        if p > 0:
-                            rows.append(t * n_view + v)
-                            cols.append(t2 * n_view + v2)
-                            vals.append(p)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        rows = self.traffic_kernel[table.policy.ravel()].tocoo()
+        vals = (rows.data[:, None] * self.view.transition[rows.row % n_view]).ravel()
+        keep = vals > 0
+        return sp.csr_matrix(
+            (vals[keep], (np.repeat(rows.row, n_view)[keep],
+                          (rows.col[:, None] * n_view + np.arange(n_view)).ravel()[keep])),
+            shape=(n, n))
 
     def exact_policy_value(self, table: "ValueTable",
                            price: np.ndarray | None = None) -> np.ndarray:
@@ -451,18 +458,12 @@ class UserMdp:
         whose fixed point value iteration computes); without it, u is the raw
         long-term payoff. Shape (n_traffic, n_view).
         """
-        n_view = len(self.view)
-        p_pi = self.policy_transition(table)
-        u = np.empty(self.n_states)
-        for t in range(self.layout.n_traffic):
-            for v in range(n_view):
-                ta = table.policy[t, v]
-                u[t * n_view + v] = self.payoff_table[ta, v]
-                if price is not None:
-                    u[t * n_view + v] -= price[v] * self.ta_total[ta]
-        a = sp.eye(self.n_states, format="csr") - self.discount * p_pi
-        val = spla.spsolve(a.tocsc(), (1.0 - self.discount) * u)
-        return val.reshape(self.layout.n_traffic, n_view)
+        u = self.payoff_table[table.policy, np.arange(len(self.view))]
+        if price is not None:
+            u = u - np.asarray(price) * self.ta_total[table.policy]
+        a = sp.eye(self.n_states, format="csr") - self.discount * self.policy_transition(table)
+        val = spla.spsolve(a.tocsc(), (1.0 - self.discount) * u.ravel())
+        return val.reshape(u.shape)
 
     def stationary_under(self, table: "ValueTable") -> np.ndarray:
         """Long-run state distribution of the greedy policy's chain.
@@ -475,10 +476,9 @@ class UserMdp:
         for _ in range(200_000):
             nxt = 0.5 * (p_pi @ dist) + 0.5 * dist   # lazy chain: aperiodic
             if np.max(np.abs(nxt - dist)) < 1e-13:
-                dist = nxt
-                break
+                return nxt / nxt.sum()
             dist = nxt
-        return dist / dist.sum()
+        raise ModelError("stationary distribution did not converge in 200000 power steps")
 
     def expected_usage_by_view(self, table: "ValueTable") -> np.ndarray:
         """E[bandwidth request | view state] under the policy's stationary law."""
@@ -501,21 +501,7 @@ class UserMdp:
         channel transition out of the post-decision view state.
         """
         lay = self.layout
-        rows, cols, vals = [], [], []
-        for p in range(lay.period):
-            offs, probs = entering_combos(lay, p)
-            nxt = (p + 1) % lay.period
-            step = lay.steps[p]
-            for surv in product(*(range(c + 1) for c in lay.pds_caps[p])):
-                pidx = lay.pds_index(p, surv)
-                base = lay.base[nxt] + sum(
-                    x * lay.strides[nxt][j] for x, (_, j) in zip(surv, step.survivors))
-                rows.append(np.full(len(offs), pidx, dtype=np.int64))
-                cols.append(base + offs)
-                vals.append(probs)
-        kernel = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(lay.n_pds, lay.n_traffic))
+        kernel = entering_kernel(lay, [buffer_grid(caps) for caps in lay.pds_caps])
         return kernel @ (table.values @ self.view.transition.T)
 
     def evaluate_policy(self, table: "ValueTable", episodes: int, horizon: int,
@@ -547,11 +533,8 @@ class ValueTable:
     policy: np.ndarray               # (n_traffic, n_view) -> state-action row
     price: np.ndarray                # per-view-state packet price used to solve
 
-    def value_of(self, phase: int, buffer: Sequence[int], view_state: int) -> float:
-        return float(self.values[self.mdp.traffic_index(phase, buffer), view_state])
-
     def action_of(self, phase: int, buffer: Sequence[int], view_state: int) -> ScheduleAction:
-        t = self.mdp.traffic_index(phase, buffer)
+        t = self.mdp.layout.index(phase, buffer)
         return self.mdp.action_for(t, int(self.policy[t, view_state]))
 
     def dump_csv(self, path) -> None:
@@ -566,12 +549,4 @@ class ValueTable:
                     w.writerow([phase, " ".join(map(str, buf)), v,
                                 f"{self.values[t, v]:.9g}",
                                 " ".join(map(str, act.sends))])
-
-
-def bellman_backup(model: UserMdp, values: np.ndarray,
-                   price: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous backup; returns (new values, greedy policy)."""
-    reward = model.priced_reward(price)
-    new = model.backup(values, reward)
-    return new, model.greedy(values, reward)
 

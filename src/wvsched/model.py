@@ -393,13 +393,6 @@ class ScheduleAction:
     def total(self) -> int:
         return sum(self.sends)
 
-    @classmethod
-    def zero(cls, n: int) -> "ScheduleAction":
-        return cls((0,) * n)
-
-    def as_dict(self, context: Context) -> dict[tuple[int, int], int]:
-        return {s.key: y for s, y in zip(context.slots, self.sends)}
-
 
 def _check_feasible(state: UserState, action: ScheduleAction) -> None:
     if len(action.sends) != len(state.buffer):

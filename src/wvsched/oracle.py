@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from wvsched.mdp import TrafficLayout, entering_combos
+from wvsched.mdp import TrafficLayout, entering_combos, product_chain, value_iteration
 from wvsched.model import ModelError, ScenarioConfig, bandwidth_usage, iter_actions
 from wvsched.pricing import JointChannel
 
@@ -33,7 +33,9 @@ class JointSpace:
         self.layouts = [TrafficLayout(u.template) for u in scenario.users]
         self.joint = JointChannel(scenario.channels, scenario.channel_correlation)
         self.c0_states = self.joint.all_states()
-        self.c0_index = {s: i for i, s in enumerate(self.c0_states)}
+        # joint channel transition over c0_states; common correlation rides one chain
+        self.transition = self.joint.channels[0].transition \
+            if self.joint.correlation == "common" else product_chain(self.joint.channels)
         self.period = math.lcm(*(u.template.period for u in scenario.users))
 
         self.counts = []      # per jphase: per-user traffic-state counts
@@ -75,24 +77,6 @@ class JointSpace:
             buffers.append(buf)
         return jphase, buffers, c0
 
-    def channel_row(self, c0: int) -> list[tuple[int, float]]:
-        out = []
-        s0 = self.c0_states[c0]
-        if self.joint.correlation == "common":
-            chain = self.joint.channels[0]
-            for h2 in range(len(chain)):
-                p = chain.transition[s0[0], h2]
-                if p > 0:
-                    out.append((self.c0_index[(h2,) * len(s0)], p))
-            return out
-        for c1, s1 in enumerate(self.c0_states):
-            p = 1.0
-            for chan, (ha, hb) in zip(self.joint.channels, zip(s0, s1)):
-                p *= chan.transition[ha, hb]
-            if p > 0:
-                out.append((c1, p))
-        return out
-
 
 @dataclass
 class OracleResult:
@@ -130,6 +114,8 @@ def build_joint_kernel(space: JointSpace, scenario: ScenarioConfig, choices: Cal
         return out
 
     nc = len(space.c0_states)
+    chan_rows = [[(c1, p) for c1, p in enumerate(row) if p > 0]
+                 for row in space.transition.tolist()]
     rows, cols, vals = array("q"), array("q"), array("d")
     rewards: list[float] = []
     starts: list[int] = []
@@ -141,7 +127,7 @@ def build_joint_kernel(space: JointSpace, scenario: ScenarioConfig, choices: Cal
         user_acts = partial(user_acts_at, jphase, buffers)
         for c0 in range(nc):
             s0 = space.c0_states[c0]
-            chan = space.channel_row(c0)
+            chan = chan_rows[c0]
             starts.append(len(rewards))
             for joint_act, rew in choices(jphase, buffers, c0, user_acts):
                 for u, ctx, act, h in zip(scenario.users, ctxs, joint_act, s0):
@@ -189,25 +175,6 @@ def _next_local_branches(space: JointSpace, combos_by_user, jphase: int,
     return out
 
 
-def _value_iteration(kernel: sp.csr_matrix, reward: np.ndarray, starts: np.ndarray,
-                     delta: float, tol: float, max_iter: int,
-                     what: str) -> tuple[np.ndarray, int]:
-    """Values V = max over each state's pairs of reward + delta * kernel V, and
-    the sweeps taken; one sweep at delta = 0. Raises ModelError naming `what`
-    when `max_iter` sweeps end unconverged."""
-    if delta == 0.0:
-        return np.maximum.reduceat(reward, starts), 1
-    values = np.zeros(kernel.shape[1])
-    stop = tol * (1.0 - delta) / delta
-    for sweeps in range(1, max_iter + 1):
-        new = np.maximum.reduceat(reward + delta * (kernel @ values), starts)
-        diff = float(np.max(np.abs(new - values)))
-        values = new
-        if diff < stop:
-            return values, sweeps
-    raise ModelError(f"{what} did not converge in {max_iter} sweeps")
-
-
 def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
                        pair_cap: int = 5_000_000, tol: float = 1e-9,
                        max_iter: int = 100_000) -> OracleResult:
@@ -235,8 +202,9 @@ def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
 
     kernel, reward, starts, pair_actions = build_joint_kernel(space, scenario, feasible)
     reward = (1.0 - delta) * reward
-    values, sweeps = _value_iteration(kernel, reward, starts, delta, tol, max_iter,
-                                      "oracle value iteration")
+    values, sweeps = value_iteration(
+        lambda v: np.maximum.reduceat(reward + delta * (kernel @ v), starts),
+        np.zeros(space.n_states), delta, tol, max_iter, "oracle value iteration")
 
     # Greedy joint policy (first maximizer per state).
     q = reward + delta * (kernel @ values)
@@ -296,6 +264,8 @@ def penalized_joint_value(scenario: ScenarioConfig,
                 for joint_act in product(*user_acts())]
 
     kernel, reward, starts, _ = build_joint_kernel(space, scenario, priced)
-    values, _ = _value_iteration(kernel, (1.0 - delta) * reward, starts, delta, tol,
-                                 max_iter, "penalized joint value iteration")
+    reward = (1.0 - delta) * reward
+    values, _ = value_iteration(
+        lambda v: np.maximum.reduceat(reward + delta * (kernel @ v), starts),
+        np.zeros(space.n_states), delta, tol, max_iter, "penalized joint value iteration")
     return values, float(values.mean())

@@ -129,6 +129,7 @@ class SlotSystem:
     Start-up draws the channel state (unless `s0` is given), then each
     user's initial buffer. `advance` draws each user's entering DU sizes in
     user order, then the next channel state (unless `s0_next` is given).
+    `states()` builds each user's validated `UserState` once per slot.
     """
 
     def __init__(self, templates: Sequence[GopTemplate], joint: JointChannel,
@@ -139,17 +140,24 @@ class SlotSystem:
         self.s0 = joint.initial(rng) if s0 is None else s0
         self.buffers = [initial_buffer(t, 0, rng) for t in self.templates]
         self.contexts = [t.context(0) for t in self.templates]
+        self._states: list[UserState] | None = None
+
+    def states(self) -> list[UserState]:
+        if self._states is None:
+            self._states = [UserState(ctx, buf, h) for ctx, buf, h in
+                            zip(self.contexts, self.buffers, self.s0, strict=True)]
+        return self._states
 
     def advance(self, sent: Sequence[ScheduleAction],
                 s0_next: tuple[int, ...] | None = None) -> list[TrafficStep]:
         """Apply every user's sends, then move the channel to `s0_next` or a
         fresh draw."""
         rng = self.rng
-        steps = [advance_traffic(t, UserState(ctx, buf, h), act, rng)
-                 for t, ctx, buf, h, act in zip(self.templates, self.contexts,
-                                                self.buffers, self.s0, sent, strict=True)]
+        steps = [advance_traffic(t, state, act, rng)
+                 for t, state, act in zip(self.templates, self.states(), sent, strict=True)]
         self.buffers = [st.buffer for st in steps]
         self.contexts = [st.context for st in steps]
+        self._states = None
         self.s0 = self.joint.step(self.s0, self.rng) if s0_next is None else s0_next
         return steps
 
@@ -288,8 +296,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
         # the next channel state is drawn before the traffic: observers need it
         s0_next = joint.step(s0, rng)
         slot_util = 0.0
-        for i, agent in enumerate(agents):
-            state = UserState(contexts[i], system.buffers[i], s0[i])
+        for i, (agent, state) in enumerate(zip(agents, system.states())):
             slot_util += payoff(state, sent[i], users[i].beta, agent.channel)
             if hasattr(agent, "observe"):
                 agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),

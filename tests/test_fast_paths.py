@@ -2,19 +2,42 @@
 
 The reference implementations below are the plain versions the fast paths
 replaced: the per-buffer-level loop solve, the round-by-round decomposed
-scheduler that re-evaluates every root each round, and `rng.choice` draws.
-Results must agree exactly (==), not approximately.
+scheduler that re-evaluates every root each round, `rng.choice` draws, and
+the user MDP's per-action loops (traffic kernel, policy chain, post-decision
+kernel, action lookups by re-walking `iter_actions`). Results must agree
+exactly (==), not approximately.
 """
 
 from __future__ import annotations
 
+from itertools import islice, product
+
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wvsched.learning import DuPdsLearner
-from wvsched.mdp import common_view
-from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, draw, sample_channel
+from wvsched.mdp import (
+    TrafficLayout,
+    UserMdp,
+    ValueTable,
+    common_view,
+    entering_combos,
+    joint_view,
+)
+from wvsched.model import (
+    ChannelModel,
+    DataUnitSpec,
+    GopTemplate,
+    ModelError,
+    ScheduleAction,
+    draw,
+    iter_actions,
+    sample_channel,
+)
 from wvsched.pricing import JointChannel
 from wvsched.scheduling import SingleDuModel, build_du_tables, decomposed_schedule
 
@@ -86,11 +109,97 @@ def reference_schedule(context, buffer, view_state, price, tables, discount):
     return tuple(sends), order
 
 
+def reference_product_chain(channels) -> np.ndarray:
+    keys = list(product(*(range(len(c)) for c in channels)))
+    trans = np.ones((len(keys), len(keys)))
+    for a, ka in enumerate(keys):
+        for b, kb in enumerate(keys):
+            for c, (ha, hb) in zip(channels, zip(ka, kb)):
+                trans[a, b] *= c.transition[ha, hb]
+    return trans
+
+
 def reference_initial(joint: JointChannel, rng):
     if joint.correlation == "common":
         c = joint.channels[0]
         return (int(rng.choice(len(c), p=c.stationary())),) * len(joint.channels)
     return tuple(int(rng.choice(len(c), p=c.stationary())) for c in joint.channels)
+
+
+def reference_traffic_kernel(mdp: UserMdp) -> sp.csr_matrix:
+    """Traffic kernel built by re-walking each state's actions with islice."""
+    lay = mdp.layout
+    combos = [entering_combos(lay, p) for p in range(lay.period)]
+    rows, cols, vals = [], [], []
+    ta = 0
+    for t_idx, phase, buf in lay.iter_states():
+        nxt_phase = (phase + 1) % lay.period
+        step = lay.steps[phase]
+        offs, probs = combos[phase]
+        n_actions = mdp.group_start[t_idx + 1] - mdp.group_start[t_idx]
+        ctx = lay.contexts[phase]
+        for act in islice(iter_actions(ctx, buf, mdp.min_quality), int(n_actions)):
+            surv = lay.base[nxt_phase] + sum(
+                (buf[i] - act.sends[i]) * lay.strides[nxt_phase][j]
+                for i, j in step.survivors)
+            rows.append(np.full(len(offs), ta, dtype=np.int64))
+            cols.append(surv + offs)
+            vals.append(probs)
+            ta += 1
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mdp.n_ta, lay.n_traffic))
+
+
+def reference_policy_transition(mdp: UserMdp, table: ValueTable) -> sp.csr_matrix:
+    n_view = len(mdp.view)
+    n = mdp.n_states
+    rows, cols, vals = [], [], []
+    for t in range(mdp.layout.n_traffic):
+        for v in range(n_view):
+            ta = table.policy[t, v]
+            row = mdp.traffic_kernel.getrow(ta)
+            for t2, p_tr in zip(row.indices, row.data):
+                for v2 in range(n_view):
+                    p = p_tr * mdp.view.transition[v, v2]
+                    if p > 0:
+                        rows.append(t * n_view + v)
+                        cols.append(t2 * n_view + v2)
+                        vals.append(p)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def reference_exact_policy_value(mdp: UserMdp, table: ValueTable, price=None):
+    n_view = len(mdp.view)
+    u = np.empty(mdp.n_states)
+    for t in range(mdp.layout.n_traffic):
+        for v in range(n_view):
+            ta = table.policy[t, v]
+            u[t * n_view + v] = mdp.payoff_table[ta, v]
+            if price is not None:
+                u[t * n_view + v] -= price[v] * mdp.ta_total[ta]
+    a = sp.eye(mdp.n_states, format="csr") - mdp.discount * reference_policy_transition(
+        mdp, table)
+    return spla.spsolve(a.tocsc(), (1.0 - mdp.discount) * u).reshape(-1, n_view)
+
+
+def reference_pds_kernel(lay: TrafficLayout) -> sp.csr_matrix:
+    """Post-decision kernel built one survivor vector at a time."""
+    rows, cols, vals = [], [], []
+    for p in range(lay.period):
+        offs, probs = entering_combos(lay, p)
+        nxt = (p + 1) % lay.period
+        step = lay.steps[p]
+        for surv in product(*(range(c + 1) for c in lay.pds_caps[p])):
+            pidx = lay.pds_index(p, surv)
+            base = lay.base[nxt] + sum(
+                x * lay.strides[nxt][j] for x, (_, j) in zip(surv, step.survivors))
+            rows.append(np.full(len(offs), pidx, dtype=np.int64))
+            cols.append(base + offs)
+            vals.append(probs)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(lay.n_pds, lay.n_traffic))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +257,46 @@ def instances(draw_):
     buffer = tuple(draw_(st.integers(0, s.du.max_size)) for s in ctx.slots)
     v = draw_(st.integers(0, len(view) - 1))
     return tpl, view, delta, price, ctx, buffer, v
+
+
+@st.composite
+def user_mdps(draw_):
+    """(UserMdp, price vector, seed) on small templates: several phases, DUs
+    entering together, window 1, quality floors, zero-probability sizes and
+    channel moves."""
+    window = draw_(st.integers(1, 3))
+    n = draw_(st.integers(1, 3))
+    impacts = sorted((draw_(values_) for _ in range(n)), reverse=True)
+    deadlines = sorted(draw_(st.integers(0, 3)) for _ in range(n))
+    dus = []
+    for i in range(n):
+        parents = ()
+        able = [j for j in range(i) if deadlines[i] - deadlines[j] < window]
+        if able and draw_(st.booleans()):
+            parents = (draw_(st.sampled_from(able)),)
+        support = draw_(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        weights = draw_(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+                                 min_size=len(support), max_size=len(support)))
+        weights[0] += 0.1
+        pmf = tuple((v, w / sum(weights)) for v, w in zip(support, weights))
+        dus.append(DataUnitSpec(i, f"D{i}", impacts[i], deadlines[i], pmf, parents))
+    tpl = GopTemplate(dus, max(deadlines[-1], 1) + draw_(st.integers(0, 1)), window)
+    assume(TrafficLayout(tpl).n_traffic <= 300)
+    view = common_view(draw_(channels()), 1)
+    min_quality = draw_(st.one_of(st.just(0.0), values_))
+    mdp = UserMdp(tpl, view, draw_(st.floats(0.0, 1.0)), min_quality, 1.0,
+                  draw_(st.floats(0.0, 0.95)))
+    price = np.array([draw_(values_) for _ in range(len(view))])
+    return mdp, price, draw_(st.integers(0, 2**32 - 1))
+
+
+def random_table(mdp: UserMdp, price, seed) -> ValueTable:
+    """Arbitrary values and an arbitrary feasible action per state."""
+    rng = np.random.default_rng(seed)
+    shape = (mdp.layout.n_traffic, len(mdp.view))
+    sizes = np.diff(mdp.group_start)[:, None]
+    policy = mdp.group_start[:-1, None] + (rng.random(shape) * sizes).astype(np.int64)
+    return ValueTable(mdp, rng.normal(size=shape), policy, price)
 
 
 def learners_for(draw_, tpl, delta, n_view):
@@ -279,6 +428,16 @@ def test_channel_draws_equal_choice(chan, seed):
 
 
 @settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(st.lists(channels(), min_size=1, max_size=3))
+def test_product_chain_equals_loop(chans):
+    expect = reference_product_chain(chans)
+    for user in range(len(chans)):
+        trans = joint_view(chans, user).transition
+        assert np.array_equal(trans, expect)
+        assert not any(np.shares_memory(trans, c.transition) for c in chans)
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
 @given(st.lists(channels(), min_size=1, max_size=3), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_joint_initial_equals_choice(chans, common, seed):
@@ -289,3 +448,68 @@ def test_joint_initial_equals_choice(chans, common, seed):
     for _ in range(10):
         assert joint.initial(fast) == reference_initial(joint, ref)
     assert fast.random() == ref.random()
+
+
+# ---------------------------------------------------------------------------
+# User MDP action table
+# ---------------------------------------------------------------------------
+
+def assert_same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(user_mdps())
+def test_traffic_kernel_equals_action_walk(inst):
+    mdp, _price, _seed = inst
+    assert_same_csr(mdp.traffic_kernel, reference_traffic_kernel(mdp))
+    assert mdp.ta_total.tolist() == [a.total for a in (
+        act for _, p, buf in mdp.layout.iter_states()
+        for act in iter_actions(mdp.layout.contexts[p], buf, mdp.min_quality))]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(user_mdps())
+def test_action_lookups_equal_action_walk(inst):
+    mdp, price, seed = inst
+    lay = mdp.layout
+    table = random_table(mdp, price, seed)
+    for t_idx, phase, buf in lay.iter_states():
+        walk = list(iter_actions(lay.contexts[phase], buf, mdp.min_quality))
+        lo = int(mdp.group_start[t_idx])
+        assert int(mdp.group_start[t_idx + 1]) - lo == len(walk)
+        for k, act in enumerate(walk):
+            got = mdp.action_for(t_idx, lo + k)
+            assert got == act and all(type(y) is int for y in got.sends)
+            assert mdp.ta_of(t_idx, act) == lo + k
+        for v in range(len(mdp.view)):
+            assert table.action_of(phase, buf, v) == walk[table.policy[t_idx, v] - lo]
+        with pytest.raises(ModelError, match="not in the action set"):
+            mdp.ta_of(t_idx, ScheduleAction(buf + (0,)))
+        if buf:
+            with pytest.raises(ModelError, match="not in the action set"):
+                mdp.ta_of(t_idx, ScheduleAction((buf[0] + 1,) + buf[1:]))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(user_mdps())
+def test_policy_chain_and_exact_value_equal_loops(inst):
+    mdp, price, seed = inst
+    table = random_table(mdp, price, seed)
+    assert_same_csr(mdp.policy_transition(table), reference_policy_transition(mdp, table))
+    assert np.array_equal(mdp.exact_policy_value(table),
+                          reference_exact_policy_value(mdp, table))
+    assert np.array_equal(mdp.exact_policy_value(table, price),
+                          reference_exact_policy_value(mdp, table, price))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(user_mdps())
+def test_pds_planning_values_equal_per_post_kernel(inst):
+    mdp, price, seed = inst
+    table = random_table(mdp, price, seed)
+    expect = reference_pds_kernel(mdp.layout) @ (table.values @ mdp.view.transition.T)
+    assert np.array_equal(mdp.pds_planning_values(table), expect)

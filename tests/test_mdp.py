@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from wvsched.mdp import (
     ChannelView,
     UserMdp,
-    bellman_backup,
     common_view,
     discount_horizon,
     joint_view,
     own_view,
 )
-from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ScheduleAction
+from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError, ScheduleAction
 
 EXAMPLES = {"contraction": 900}
 
@@ -137,9 +136,9 @@ def test_three_slot_horizon_matches_backward_induction():
 
 def test_bellman_backup_returns_value_and_policy():
     mdp = make_mdp()
-    price = np.zeros(2)
+    reward = mdp.priced_reward(np.zeros(2))
     values = np.zeros((mdp.layout.n_traffic, 2))
-    new, policy = bellman_backup(mdp, values, price)
+    new, policy = mdp.backup(values, reward), mdp.greedy(values, reward)
     assert new.shape == values.shape
     assert policy.shape == values.shape
 
@@ -272,3 +271,13 @@ def test_user_price_ratio_between_users():
                      tuple((((h, h), 1.0),) for h in range(2)))
     vec2 = v2.price_vector(lam, 1.0)
     assert v1[1] / vec2[1] == pytest.approx(40.0 / 60.0)
+
+
+def test_stationary_law_raises_when_power_iteration_stalls():
+    # the channel leaves each state with probability 1e-9 or 2e-9: the true
+    # channel law is (2/3, 1/3), far beyond the power-step cap from uniform
+    chan = make_channel(trans=((1.0 - 1e-9, 1e-9), (2e-9, 1.0 - 2e-9)))
+    mdp = make_mdp(sizes=((1, 1.0),), window=1, channel=chan)
+    table = mdp.solve(np.zeros(2))
+    with pytest.raises(ModelError, match="did not converge"):
+        mdp.stationary_under(table)
