@@ -258,6 +258,28 @@ def buffer_grid(caps: Sequence[int]) -> np.ndarray:
                     dtype=np.int64).reshape(count, len(caps))
 
 
+def action_table(layout: TrafficLayout, min_quality: float, pair_budget: float = math.inf,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every feasible action of every traffic state, one row each, grouped by
+    state in iter_actions order: (each row's traffic state, its sends
+    zero-padded to the widest context, each state's first row plus a final
+    end). Raises ModelError once the rows exceed pair_budget."""
+    width = max(len(ctx) for ctx in layout.contexts)
+    states, sends = array("q"), array("q")
+    for t_idx, phase, buf in layout.iter_states():
+        pad = (0,) * (width - len(buf))
+        for act in iter_actions(layout.contexts[phase], buf, min_quality):
+            states.append(t_idx)
+            sends.extend(act.sends + pad)
+        if len(states) > pair_budget:
+            raise ModelError(
+                f"state-action pairs exceed budget {pair_budget}; "
+                "use the decomposed scheduler for this template")
+    ta_state = np.frombuffer(states, dtype=np.int64)
+    return (ta_state, np.frombuffer(sends, dtype=np.int64).reshape(len(ta_state), width),
+            np.searchsorted(ta_state, np.arange(layout.n_traffic + 1)))
+
+
 def entering_combos(layout: TrafficLayout, phase: int) -> tuple[np.ndarray, np.ndarray]:
     """Next-phase index offsets and probabilities for the entering DUs' sizes."""
     nxt_phase = (phase + 1) % layout.period
@@ -322,36 +344,22 @@ class UserMdp:
                 f"state space has {n_states} states (budget {state_budget}); "
                 f"traffic states per phase: {per_phase}, channel-view states: {len(view)}")
 
-        self._enumerate_actions(pair_budget)
+        self.ta_state, self.ta_sends, self.group_start = action_table(
+            self.layout, self.min_quality, pair_budget)
+        self.n_ta = len(self.ta_state)
+        self.ta_total = self.ta_sends.sum(axis=1)
+        self.ta_gain = self._gains()
         self._build_traffic_kernel()
         self._build_rewards()
 
     # -- construction --------------------------------------------------------
 
-    def _enumerate_actions(self, pair_budget: int) -> None:
-        """One row per (traffic state, feasible action), grouped by state in
-        iter_actions order; ta_sends holds each row's sends, zero-padded to
-        the widest context."""
+    def _gains(self) -> np.ndarray:
+        """Each row's distortion reduction, one np.dot per row."""
         lay = self.layout
-        width = max(len(ctx) for ctx in lay.contexts)
-        gains: list[float] = []
-        states, sends = array("q"), array("q")
-        for t_idx, phase, buf in lay.iter_states():
-            pad = (0,) * (width - len(buf))
-            for act in iter_actions(lay.contexts[phase], buf, self.min_quality):
-                gains.append(float(np.dot(lay.impacts[phase], act.sends)))
-                states.append(t_idx)
-                sends.extend(act.sends + pad)
-            if len(gains) > pair_budget:
-                raise ModelError(
-                    f"state-action pairs exceed budget {pair_budget}; "
-                    "use the decomposed scheduler for this template")
-        self.n_ta = len(gains)
-        self.ta_state = np.frombuffer(states, dtype=np.int64)
-        self.group_start = np.searchsorted(self.ta_state, np.arange(lay.n_traffic + 1))
-        self.ta_sends = np.frombuffer(sends, dtype=np.int64).reshape(self.n_ta, width)
-        self.ta_total = self.ta_sends.sum(axis=1)
-        self.ta_gain = np.asarray(gains)
+        phases = np.searchsorted(lay.base, self.ta_state, side="right") - 1
+        return np.array([float(np.dot(lay.impacts[p], row[:len(lay.impacts[p])]))
+                         for p, row in zip(phases.tolist(), self.ta_sends)])
 
     def _build_traffic_kernel(self) -> None:
         lay = self.layout

@@ -10,42 +10,57 @@ states, matching the design objective's uniform initial-state reading.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from wvsched.mdp import TrafficLayout, entering_combos, product_chain, value_iteration
-from wvsched.model import ModelError, ScenarioConfig, bandwidth_usage, iter_actions
+from wvsched.mdp import (
+    TrafficLayout,
+    action_table,
+    buffer_grid,
+    entering_combos,
+    product_chain,
+    value_iteration,
+)
+from wvsched.model import ModelError, ScenarioConfig, UserConfig
+# mdp.action_table walks iter_actions; perfbench's tracer also patches this name
+from wvsched.model import iter_actions  # noqa: F401
 from wvsched.pricing import JointChannel
 
 
 class JointSpace:
-    """Enumeration of joint states (joint phase, all buffers, joint channel)."""
+    """Enumeration of joint states (joint phase, all buffers, joint channel).
+
+    A joint traffic state's index is its phase's base plus the users' local
+    traffic indices in mixed radix, user 0 most significant; the joint state
+    index is traffic index * (joint channel states) + c0.
+    """
 
     def __init__(self, scenario: ScenarioConfig, state_cap: int = 200_000):
         self.scenario = scenario
         self.layouts = [TrafficLayout(u.template) for u in scenario.users]
         self.joint = JointChannel(scenario.channels, scenario.channel_correlation)
         self.c0_states = self.joint.all_states()
+        # each user's own channel state in every joint channel state, (n_users, n_c0)
+        self.own = np.array(self.c0_states, dtype=np.int64).T
         # joint channel transition over c0_states; common correlation rides one chain
         self.transition = self.joint.channels[0].transition \
             if self.joint.correlation == "common" else product_chain(self.joint.channels)
         self.period = math.lcm(*(u.template.period for u in scenario.users))
 
         self.counts = []      # per jphase: per-user traffic-state counts
+        self.strides = []     # per jphase: per-user mixed-radix strides
         self.base = []
         offset = 0
         for jp in range(self.period):
             cnt = [lay.phase_count(jp % lay.period) for lay in self.layouts]
             self.counts.append(cnt)
+            self.strides.append([math.prod(cnt[u + 1:]) for u in range(len(cnt))])
             self.base.append(offset)
-            offset += int(np.prod(cnt, dtype=np.int64))
+            offset += math.prod(cnt)
         self.n_traffic = offset
         self.n_states = self.n_traffic * len(self.c0_states)
         if self.n_states > state_cap:
@@ -54,28 +69,11 @@ class JointSpace:
                 f"per-phase traffic counts: {self.counts}, "
                 f"joint channel states: {len(self.c0_states)}")
 
-    def index(self, jphase: int, locals_: Sequence[int], c0: int) -> int:
-        acc = 0
-        for loc, cnt in zip(locals_, self.counts[jphase]):
-            acc = acc * cnt + loc
-        return (self.base[jphase] + acc) * len(self.c0_states) + c0
-
-    def decode(self, idx: int) -> tuple[int, list[tuple[int, ...]], int]:
-        c0 = idx % len(self.c0_states)
-        t = idx // len(self.c0_states)
-        jphase = max(p for p in range(self.period) if self.base[p] <= t)
-        acc = t - self.base[jphase]
-        locals_ = []
-        for cnt in reversed(self.counts[jphase]):
-            locals_.append(acc % cnt)
-            acc //= cnt
-        locals_.reverse()
-        buffers = []
-        for lay, loc in zip(self.layouts, locals_):
-            p = jphase % lay.period
-            _, buf = lay.decode(lay.base[p] + loc)
-            buffers.append(buf)
-        return jphase, buffers, c0
+    def locals_of(self, jphase: int) -> np.ndarray:
+        """Each user's local traffic index in every joint traffic state of the
+        phase, in index order; shape (states in the phase, n_users)."""
+        n = math.prod(self.counts[jphase])
+        return np.arange(n)[:, None] // self.strides[jphase] % self.counts[jphase]
 
 
 @dataclass
@@ -89,90 +87,155 @@ class OracleResult:
     sweeps: int
 
 
-def build_joint_kernel(space: JointSpace, scenario: ScenarioConfig, choices: Callable,
-                       ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, list[tuple]]:
-    """Transition kernel of the joint chain over each state's candidate actions.
+@dataclass
+class UserRows:
+    """One user's (traffic state, sends) rows with what the joint kernel reads."""
 
-    choices(jphase, buffers, c0, user_acts) lists the state's candidate
-    (joint action, reward offset) pairs; user_acts() returns each user's
-    feasible actions there. Returns the pair-by-state kernel, each pair's
-    reward (its offset plus every user's gain - beta * energy, summed in user
-    order), each state's first pair row and the pairs' joint actions.
+    sends: np.ndarray      # (n, widest context), zero-padded
+    term: np.ndarray       # (channel states, n): gain - beta * energy
+    share: np.ndarray      # (channel states, n): band share total * b / rate
+    post: np.ndarray       # (n,): the survivors' local index in the next phase
+
+
+def user_rows(layout: TrafficLayout, user: UserConfig, bits_per_packet: float,
+              state: np.ndarray, sends: np.ndarray) -> UserRows:
+    """Per-row terms of a user's rows; `state` holds each row's traffic index.
+
+    The gain is summed slot by slot from the left, as a Python sum would.
     """
-    layouts = space.layouts
-    combos_by_user = [[entering_combos(lay, p) for p in range(lay.period)]
-                      for lay in layouts]
-    acts: list[dict] = [{} for _ in layouts]   # per user: (phase, buffer) -> actions
+    chan = user.channel
+    phase = np.searchsorted(layout.base, state, side="right") - 1
+    gain = np.zeros(len(state))
+    post = np.zeros(len(state), dtype=np.int64)
+    for p in range(layout.period):
+        sel = np.flatnonzero(phase == p)
+        sent = sends[sel, :len(layout.caps[p])]
+        g = np.zeros(len(sel))
+        for q, y in zip(layout.impacts[p], sent.T):
+            g = g + q * y
+        gain[sel] = g
+        buffers = buffer_grid(layout.caps[p])[state[sel] - layout.base[p]]
+        survivors = layout.steps[p].survivors
+        strides = np.array([layout.strides[(p + 1) % layout.period][j] for _, j in survivors],
+                           dtype=np.int64)
+        post[sel] = (buffers - sent)[:, [i for i, _ in survivors]] @ strides
+    total = sends.sum(axis=1)
+    energy = np.array([[chan.energy(h, n) for n in range(int(total.max(initial=0)) + 1)]
+                       for h in range(len(chan))])
+    return UserRows(sends, gain - user.beta * energy[:, total],
+                    total * bits_per_packet / chan.rate[:, None], post)
 
-    def user_acts_at(jphase, buffers):
-        out = []
-        for u, lay, cache, buf in zip(scenario.users, layouts, acts, buffers):
-            key = (jphase % lay.period, buf)
-            if key not in cache:
-                cache[key] = list(iter_actions(lay.contexts[key[0]], buf, u.min_quality))
-            out.append(cache[key])
-        return out
 
+def _action_rows(space: JointSpace, scenario: ScenarioConfig) -> tuple[list, list[UserRows]]:
+    """Each user's action table and its rows."""
+    actions = [action_table(lay, u.min_quality) for lay, u in zip(space.layouts, scenario.users)]
+    return actions, [user_rows(lay, u, scenario.bits_per_packet, ta_state, ta_sends)
+                     for lay, u, (ta_state, ta_sends, _) in
+                     zip(space.layouts, scenario.users, actions)]
+
+
+def _joint_products(space: JointSpace, actions: Sequence[tuple], jphase: int,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Every joint action at every joint state of a phase, ordered by joint
+    state, then user 0's action, user 1's, ... (itertools.product order).
+
+    Returns each pair's joint state and each user's action row, shape
+    (n_users, pairs).
+    """
     nc = len(space.c0_states)
-    chan_rows = [[(c1, p) for c1, p in enumerate(row) if p > 0]
-                 for row in space.transition.tolist()]
-    rows, cols, vals = array("q"), array("q"), array("d")
-    rewards: list[float] = []
-    starts: list[int] = []
-    pair_actions: list[tuple] = []
-    for t in range(space.n_traffic):
-        jphase, buffers, _ = space.decode(t * nc)
-        ctxs = [lay.contexts[jphase % lay.period] for lay in layouts]
-        njp = (jphase + 1) % space.period
-        user_acts = partial(user_acts_at, jphase, buffers)
-        for c0 in range(nc):
-            s0 = space.c0_states[c0]
-            chan = chan_rows[c0]
-            starts.append(len(rewards))
-            for joint_act, rew in choices(jphase, buffers, c0, user_acts):
-                for u, ctx, act, h in zip(scenario.users, ctxs, joint_act, s0):
-                    gain = sum(s.du.distortion_impact * y for s, y in zip(ctx.slots, act.sends))
-                    rew += gain - u.beta * u.channel.energy(h, act.total)
-                pair = len(rewards)
-                for locs, p_tr in _next_local_branches(space, combos_by_user, jphase,
-                                                       buffers, joint_act):
-                    acc = 0
-                    for loc, cnt in zip(locs, space.counts[njp]):
-                        acc = acc * cnt + loc
-                    tcol = space.base[njp] + acc
-                    for c1, p_ch in chan:
-                        rows.append(pair)
-                        cols.append(tcol * nc + c1)
-                        vals.append(p_tr * p_ch)
-                rewards.append(rew)
-                pair_actions.append(joint_act)
-    kernel = sp.csr_matrix((np.frombuffer(vals), (np.frombuffer(rows, dtype=np.int64),
-                                                  np.frombuffer(cols, dtype=np.int64))),
-                           shape=(len(rewards), space.n_states))
-    return kernel, np.asarray(rewards), np.asarray(starts, dtype=np.int64), pair_actions
-
-
-def _next_local_branches(space: JointSpace, combos_by_user, jphase: int,
-                         buffers, sent) -> list[tuple[list[int], float]]:
-    """Per-user survivor part + entering-size branches, crossed over users."""
-    per_user = []
-    njp = (jphase + 1) % space.period
-    for lay, combos, buf, act in zip(space.layouts, combos_by_user, buffers, sent):
+    ranges, local = [], []
+    for lay, (ta_state, _, group_start) in zip(space.layouts, actions):
         p = jphase % lay.period
-        np_ = njp % lay.period
-        step = lay.steps[p]
-        # strides-only sums: local offsets within the next phase, no base term
-        surv = sum((buf[i] - act.sends[i]) * lay.strides[np_][j] for i, j in step.survivors)
-        offs, probs = combos[p]
-        per_user.append([(int(surv + o), float(pr)) for o, pr in zip(offs, probs)])
-    out = []
-    for combo in product(*per_user):
-        locs = [c[0] for c in combo]
-        pr = 1.0
-        for c in combo:
-            pr *= c[1]
-        out.append((locs, pr))
-    return out
+        lo, hi = group_start[[lay.base[p], lay.base[p] + lay.phase_count(p)]]
+        ranges.append(np.arange(lo, hi))
+        local.append(ta_state[lo:hi] - lay.base[p])
+    sizes = [len(r) for r in ranges]
+    n = math.prod(sizes)
+    rows = np.empty((len(ranges), n), dtype=np.int64)
+    traffic = np.full(n, space.base[jphase], dtype=np.int64)
+    for u, (r, loc, stride) in enumerate(zip(ranges, local, space.strides[jphase])):
+        inner, outer = math.prod(sizes[u + 1:]), math.prod(sizes[:u])
+        rows[u] = np.tile(np.repeat(r, inner), outer)
+        traffic += np.tile(np.repeat(loc * stride, inner), outer)
+    # each product at every c0; a stable sort by joint state keeps the
+    # product order among a state's pairs
+    state = (traffic * nc + np.arange(nc)[:, None]).ravel()
+    order = np.argsort(state, kind="stable")
+    return state[order], rows[:, order % n]
+
+
+def _band_usage(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
+                rows: np.ndarray) -> np.ndarray:
+    """Each pair's band usage, the users' shares summed in user order."""
+    c0 = state % len(space.c0_states)
+    usage = np.zeros(len(state))
+    for u, ur in enumerate(users):
+        usage = usage + ur.share[space.own[u][c0], rows[u]]
+    return usage
+
+
+def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
+                       rows: np.ndarray, offset: np.ndarray | None = None,
+                       ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Transition kernel of the joint chain over (joint state, joint action) pairs.
+
+    The pairs are grouped by joint state in index order: pair k is at joint
+    state state[k] and takes row rows[u, k] of users[u]. Returns the
+    pair-by-state kernel, each pair's reward (its offset, default 0, plus
+    every user's gain - beta * energy, added in user order) and each state's
+    first pair row.
+    """
+    nc = len(space.c0_states)
+    c0 = state % nc
+    reward = np.zeros(len(state)) if offset is None else offset.copy()
+    for u, ur in enumerate(users):
+        reward += ur.term[space.own[u][c0], rows[u]]
+
+    # A pair's next-state law: each user's survivors plus its entering DUs'
+    # sizes, crossed in user order, then the channel row of c0. Within a
+    # (joint phase, c0) block every pair shares one pattern of column offsets
+    # and probabilities, sorted by column as CSR rows are.
+    chan = [np.flatnonzero(row > 0) for row in space.transition]
+    bounds = np.searchsorted(state, np.array(space.base + [space.n_traffic]) * nc)
+    patterns = []
+    sizes = np.empty(len(state), dtype=np.int64)
+    for jp in range(space.period):
+        njp = (jp + 1) % space.period
+        offs, probs = np.zeros(1, dtype=np.int64), np.ones(1)
+        for lay, stride in zip(space.layouts, space.strides[njp]):
+            o, pr = entering_combos(lay, jp % lay.period)
+            offs = (offs[:, None] + o * stride).ravel()
+            probs = (probs[:, None] * pr).ravel()
+        block = []
+        for c in range(nc):
+            cols = (offs[:, None] * nc + chan[c]).ravel()
+            vals = (probs[:, None] * space.transition[c, chan[c]]).ravel()
+            order = np.argsort(cols, kind="stable")
+            block.append((cols[order], vals[order]))
+        patterns.append(block)
+        lo, hi = bounds[jp], bounds[jp + 1]
+        sizes[lo:hi] = np.array([len(cols) for cols, _ in block])[c0[lo:hi]]
+
+    nnz = int(sizes.sum())
+    idx = np.int32 if max(nnz, space.n_states) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(len(state) + 1, dtype=idx)
+    np.cumsum(sizes, out=indptr[1:])
+    del sizes
+    indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
+    for jp, block in enumerate(patterns):
+        lo, hi = bounds[jp], bounds[jp + 1]
+        njp = (jp + 1) % space.period
+        nxt = np.full(hi - lo, space.base[njp], dtype=np.int64)
+        for u, (ur, stride) in enumerate(zip(users, space.strides[njp])):
+            nxt += ur.post[rows[u, lo:hi]] * stride
+        for c, (cols, vals) in enumerate(block):
+            sel = np.flatnonzero(c0[lo:hi] == c)
+            pos = indptr[lo + sel][:, None] + np.arange(len(cols))
+            indices[pos] = nxt[sel][:, None] * nc + cols
+            data[pos] = vals
+            del pos
+    kernel = sp.csr_matrix((data, indices, indptr), shape=(len(state), space.n_states))
+    return kernel, reward, np.searchsorted(state, np.arange(space.n_states))
 
 
 def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
@@ -182,25 +245,34 @@ def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
     enforced inside every state's maximization."""
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
+    nc = len(space.c0_states)
+    actions, users = _action_rows(space, scenario)
+    states, rows = [], []
     pairs = 0
-
-    def feasible(jphase, buffers, c0, user_acts):
-        nonlocal pairs
-        s0 = space.c0_states[c0]
-        rates = [u.channel.rate[h] for u, h in zip(scenario.users, s0)]
-        out = [(joint_act, 0.0) for joint_act in product(*user_acts())
-               if bandwidth_usage([a.total for a in joint_act], rates,
-                                  scenario.bits_per_packet) <= scenario.bandwidth + 1e-9]
-        if not out:
+    for jp in range(space.period):
+        state, row = _joint_products(space, actions, jp)
+        keep = _band_usage(space, users, state, row) <= scenario.bandwidth + 1e-9
+        state, row = state[keep], row[:, keep]
+        # the first state without a feasible pair, or the first whose pairs
+        # pass the cap, in state order
+        first = space.base[jp] * nc
+        counts = np.bincount(state - first, minlength=math.prod(space.counts[jp]) * nc)
+        empty = np.flatnonzero(counts == 0)
+        over = np.flatnonzero(pairs + np.cumsum(counts) > pair_cap)
+        if len(empty) and (not len(over) or empty[0] < over[0]):
+            s0 = space.c0_states[(first + empty[0]) % nc]
             raise ModelError(
                 f"no feasible joint action in joint channel state {s0} "
                 "(quality floors exceed the band)")
-        pairs += len(out)
-        if pairs > pair_cap:
+        if len(over):
             raise ModelError(f"joint state-action pairs exceed cap {pair_cap}")
-        return out
+        pairs += len(state)
+        states.append(state)
+        rows.append(row)
+    state, rows = np.concatenate(states), np.concatenate(rows, axis=1)
+    del states
 
-    kernel, reward, starts, pair_actions = build_joint_kernel(space, scenario, feasible)
+    kernel, reward, starts = build_joint_kernel(space, users, state, rows)
     reward = (1.0 - delta) * reward
     values, sweeps = value_iteration(
         lambda v: np.maximum.reduceat(reward + delta * (kernel @ v), starts),
@@ -208,9 +280,14 @@ def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
 
     # Greedy joint policy (first maximizer per state).
     q = reward + delta * (kernel @ values)
-    ends = np.append(starts[1:], len(reward))
-    policy = {idx: tuple(a.sends for a in pair_actions[lo + int(np.argmax(q[lo:hi]))])
-              for idx, (lo, hi) in enumerate(zip(starts, ends))}
+    hit = np.where(q >= np.maximum.reduceat(q, starts)[state], np.arange(len(q)), len(q))
+    best = np.minimum.reduceat(hit, starts)
+    policy = {}
+    for jp in range(space.period):
+        lo, hi = space.base[jp] * nc, (space.base[jp] + math.prod(space.counts[jp])) * nc
+        sends = [map(tuple, ur.sends[rows[u, best[lo:hi]], :len(lay.caps[jp % lay.period])]
+                     .tolist()) for u, (ur, lay) in enumerate(zip(users, space.layouts))]
+        policy.update(zip(range(lo, hi), zip(*sends)))
     return OracleResult(space, values, float(values.mean()), policy, sweeps)
 
 
@@ -220,13 +297,49 @@ def joint_value_of(scenario: ScenarioConfig, act_rule: Callable,
 
     act_rule(jphase, buffers, c0) -> list[ScheduleAction] (the physical sends,
     scaling already applied). Averages uniformly over initial joint states.
+    Raises ModelError when the rule's actions do not match the contexts or
+    send more than a buffer holds.
     """
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
-    kernel, rewards, _, _ = build_joint_kernel(
-        space, scenario,
-        lambda jphase, buffers, c0, _acts: [(act_rule(jphase, buffers, c0), 0.0)])
-    a = sp.eye(space.n_states, format="csr") - delta * kernel
+    nc = len(space.c0_states)
+    n = space.n_states
+    traffic = [np.empty(n, dtype=np.int64) for _ in space.layouts]
+    sends = [np.zeros((n, max(len(c) for c in lay.caps)), dtype=np.int64)
+             for lay in space.layouts]
+    for jp in range(space.period):
+        locs = space.locals_of(jp)
+        lo, hi = space.base[jp] * nc, (space.base[jp] + len(locs)) * nc
+        phases = [jp % lay.period for lay in space.layouts]
+        widths = [len(lay.caps[p]) for lay, p in zip(space.layouts, phases)]
+        grids = [buffer_grid(lay.caps[p])[locs[:, u]]
+                 for u, (lay, p) in enumerate(zip(space.layouts, phases))]
+        sent = []
+        for buffers in zip(*(map(tuple, g.tolist()) for g in grids)):
+            for c0 in range(nc):
+                acts = act_rule(jp, list(buffers), c0)
+                if [len(a.sends) for a in acts] != widths:
+                    raise ModelError(
+                        f"slot rule at joint state {lo + len(sent)} sends "
+                        f"{[a.sends for a in acts]}; the context widths are {widths}")
+                sent.append([a.sends for a in acts])
+        for u, (lay, p, grid) in enumerate(zip(space.layouts, phases, grids)):
+            block = np.array([s[u] for s in sent], dtype=np.int64).reshape(hi - lo, widths[u])
+            buffers = np.repeat(grid, nc, axis=0)
+            bad = np.flatnonzero(((block < 0) | (block > buffers)).any(axis=1))
+            if len(bad):
+                k = bad[0]
+                raise ModelError(
+                    f"slot rule at joint state {lo + k} has user {u} send "
+                    f"{tuple(block[k].tolist())} from buffer {tuple(buffers[k].tolist())}")
+            sends[u][lo:hi, :widths[u]] = block
+            traffic[u][lo:hi] = np.repeat(lay.base[p] + locs[:, u], nc)
+    users = [user_rows(lay, u, scenario.bits_per_packet, t, s)
+             for lay, u, t, s in zip(space.layouts, scenario.users, traffic, sends)]
+    state = np.arange(n)
+    kernel, rewards, _ = build_joint_kernel(space, users, state,
+                                            np.broadcast_to(state, (len(users), n)))
+    a = sp.eye(n, format="csr") - delta * kernel
     values = spla.spsolve(a.tocsc(), (1.0 - delta) * rewards)
     return values, float(values.mean())
 
@@ -254,16 +367,16 @@ def penalized_joint_value(scenario: ScenarioConfig,
     value iteration has not converged after `max_iter` sweeps."""
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
+    actions, users = _action_rows(space, scenario)
+    blocks = [_joint_products(space, actions, jp) for jp in range(space.period)]
+    state = np.concatenate([s for s, _ in blocks])
+    rows = np.concatenate([r for _, r in blocks], axis=1)
+    del blocks
+    lam = np.array([prices.get(s0, 0.0) for s0 in space.c0_states], dtype=float)
+    offset = lam[state % len(space.c0_states)] * (
+        scenario.bandwidth - _band_usage(space, users, state, rows))
 
-    def priced(jphase, buffers, c0, user_acts):
-        s0 = space.c0_states[c0]
-        rates = [u.channel.rate[h] for u, h in zip(scenario.users, s0)]
-        lam = prices.get(s0, 0.0)
-        return [(joint_act, lam * (scenario.bandwidth - bandwidth_usage(
-                    [a.total for a in joint_act], rates, scenario.bits_per_packet)))
-                for joint_act in product(*user_acts())]
-
-    kernel, reward, starts, _ = build_joint_kernel(space, scenario, priced)
+    kernel, reward, starts = build_joint_kernel(space, users, state, rows, offset)
     reward = (1.0 - delta) * reward
     values, _ = value_iteration(
         lambda v: np.maximum.reduceat(reward + delta * (kernel @ v), starts),

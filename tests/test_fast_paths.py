@@ -2,14 +2,17 @@
 
 The reference implementations below are the plain versions the fast paths
 replaced: the per-buffer-level loop solve, the round-by-round decomposed
-scheduler that re-evaluates every root each round, `rng.choice` draws, and
-the user MDP's per-action loops (traffic kernel, policy chain, post-decision
-kernel, action lookups by re-walking `iter_actions`). Results must agree
-exactly (==), not approximately.
+scheduler that re-evaluates every root each round, `rng.choice` draws, the
+user MDP's per-action loops (traffic kernel, policy chain, post-decision
+kernel, action lookups by re-walking `iter_actions`), and the joint kernel's
+loop over (joint state, joint action) pairs with its `choices` callback.
+Results must agree exactly (==), not approximately.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
 from itertools import islice, product
 
 import numpy as np
@@ -19,6 +22,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wvsched import oracle
+from wvsched.harness import build_solution
 from wvsched.learning import DuPdsLearner
 from wvsched.mdp import (
     TrafficLayout,
@@ -27,18 +32,24 @@ from wvsched.mdp import (
     common_view,
     entering_combos,
     joint_view,
+    value_iteration,
 )
 from wvsched.model import (
     ChannelModel,
     DataUnitSpec,
     GopTemplate,
     ModelError,
+    ScenarioConfig,
     ScheduleAction,
+    UserConfig,
+    bandwidth_usage,
     draw,
     iter_actions,
     sample_channel,
 )
+from wvsched.oracle import JointSpace
 from wvsched.pricing import JointChannel
+from wvsched.scenario import preset
 from wvsched.scheduling import SingleDuModel, build_du_tables, decomposed_schedule
 
 EXAMPLES = 300
@@ -202,6 +213,152 @@ def reference_pds_kernel(lay: TrafficLayout) -> sp.csr_matrix:
         shape=(lay.n_pds, lay.n_traffic))
 
 
+def reference_decode(space: JointSpace, t: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Joint phase and per-user buffers of joint traffic state t."""
+    jphase = max(p for p in range(space.period) if space.base[p] <= t)
+    acc = t - space.base[jphase]
+    locals_ = []
+    for cnt in reversed(space.counts[jphase]):
+        locals_.append(acc % cnt)
+        acc //= cnt
+    locals_.reverse()
+    buffers = []
+    for lay, loc in zip(space.layouts, locals_):
+        _, buf = lay.decode(lay.base[jphase % lay.period] + loc)
+        buffers.append(buf)
+    return jphase, buffers
+
+
+def reference_next_local_branches(space: JointSpace, combos_by_user, jphase, buffers, sent):
+    """Per-user survivor part + entering-size branches, crossed over users."""
+    per_user = []
+    njp = (jphase + 1) % space.period
+    for lay, combos, buf, act in zip(space.layouts, combos_by_user, buffers, sent):
+        p = jphase % lay.period
+        step = lay.steps[p]
+        surv = sum((buf[i] - act.sends[i]) * lay.strides[njp % lay.period][j]
+                   for i, j in step.survivors)
+        offs, probs = combos[p]
+        per_user.append([(int(surv + o), float(pr)) for o, pr in zip(offs, probs)])
+    out = []
+    for combo in product(*per_user):
+        pr = 1.0
+        for c in combo:
+            pr *= c[1]
+        out.append(([c[0] for c in combo], pr))
+    return out
+
+
+def reference_joint_kernel(space: JointSpace, scenario, choices):
+    """The pair loop: choices(jphase, buffers, c0, user_acts) lists a state's
+    (joint action, reward offset) pairs, user_acts() each user's actions."""
+    combos_by_user = [[entering_combos(lay, p) for p in range(lay.period)]
+                      for lay in space.layouts]
+    nc = len(space.c0_states)
+    chan_rows = [[(c1, p) for c1, p in enumerate(row) if p > 0]
+                 for row in space.transition.tolist()]
+    rows, cols, vals, rewards, starts, pair_actions = [], [], [], [], [], []
+    for t in range(space.n_traffic):
+        jphase, buffers = reference_decode(space, t)
+        ctxs = [lay.contexts[jphase % lay.period] for lay in space.layouts]
+        njp = (jphase + 1) % space.period
+
+        def user_acts(jphase=jphase, buffers=buffers):
+            return [list(iter_actions(lay.contexts[jphase % lay.period], buf, u.min_quality))
+                    for u, lay, buf in zip(scenario.users, space.layouts, buffers)]
+
+        for c0 in range(nc):
+            s0 = space.c0_states[c0]
+            starts.append(len(rewards))
+            for joint_act, rew in choices(jphase, buffers, c0, user_acts):
+                for u, ctx, act, h in zip(scenario.users, ctxs, joint_act, s0):
+                    gain = sum(s.du.distortion_impact * y for s, y in zip(ctx.slots, act.sends))
+                    rew += gain - u.beta * u.channel.energy(h, act.total)
+                pair = len(rewards)
+                for locs, p_tr in reference_next_local_branches(
+                        space, combos_by_user, jphase, buffers, joint_act):
+                    acc = 0
+                    for loc, cnt in zip(locs, space.counts[njp]):
+                        acc = acc * cnt + loc
+                    for c1, p_ch in chan_rows[c0]:
+                        rows.append(pair)
+                        cols.append((space.base[njp] + acc) * nc + c1)
+                        vals.append(p_tr * p_ch)
+                rewards.append(rew)
+                pair_actions.append(joint_act)
+    kernel = sp.csr_matrix((np.array(vals, dtype=float),
+                            (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+                           shape=(len(rewards), space.n_states))
+    return kernel, np.asarray(rewards), np.asarray(starts, dtype=np.int64), pair_actions
+
+
+def reference_oracle(scenario, pair_cap=5_000_000):
+    """Kernel, rewards, starts, values, policy and sweeps of the oracle."""
+    space = JointSpace(scenario)
+    delta = scenario.discount
+    pairs = 0
+
+    def feasible(jphase, buffers, c0, user_acts):
+        nonlocal pairs
+        s0 = space.c0_states[c0]
+        rates = [u.channel.rate[h] for u, h in zip(scenario.users, s0)]
+        out = [(joint_act, 0.0) for joint_act in product(*user_acts())
+               if bandwidth_usage([a.total for a in joint_act], rates,
+                                  scenario.bits_per_packet) <= scenario.bandwidth + 1e-9]
+        if not out:
+            raise ModelError(
+                f"no feasible joint action in joint channel state {s0} "
+                "(quality floors exceed the band)")
+        pairs += len(out)
+        if pairs > pair_cap:
+            raise ModelError(f"joint state-action pairs exceed cap {pair_cap}")
+        return out
+
+    kernel, reward, starts, pair_actions = reference_joint_kernel(space, scenario, feasible)
+    scaled = (1.0 - delta) * reward
+    values, sweeps = value_iteration(
+        lambda v: np.maximum.reduceat(scaled + delta * (kernel @ v), starts),
+        np.zeros(space.n_states), delta, 1e-9, 100_000, "oracle value iteration")
+    q = scaled + delta * (kernel @ values)
+    ends = np.append(starts[1:], len(reward))
+    policy = {idx: tuple(a.sends for a in pair_actions[lo + int(np.argmax(q[lo:hi]))])
+              for idx, (lo, hi) in enumerate(zip(starts, ends))}
+    return kernel, reward, starts, values, policy, sweeps
+
+
+def reference_penalized(scenario, prices):
+    """Kernel, rewards, starts and values of the priced joint problem."""
+    space = JointSpace(scenario)
+    delta = scenario.discount
+
+    def priced(jphase, buffers, c0, user_acts):
+        s0 = space.c0_states[c0]
+        rates = [u.channel.rate[h] for u, h in zip(scenario.users, s0)]
+        lam = prices.get(s0, 0.0)
+        return [(joint_act, lam * (scenario.bandwidth - bandwidth_usage(
+                    [a.total for a in joint_act], rates, scenario.bits_per_packet)))
+                for joint_act in product(*user_acts())]
+
+    kernel, reward, starts, _ = reference_joint_kernel(space, scenario, priced)
+    scaled = (1.0 - delta) * reward
+    values, _ = value_iteration(
+        lambda v: np.maximum.reduceat(scaled + delta * (kernel @ v), starts),
+        np.zeros(space.n_states), delta, 1e-9, 100_000, "penalized joint value iteration")
+    return kernel, reward, starts, values
+
+
+def reference_joint_value(scenario, act_rule):
+    """Kernel, rewards and values of a deterministic slot rule."""
+    space = JointSpace(scenario)
+    delta = scenario.discount
+    kernel, rewards, starts, _ = reference_joint_kernel(
+        space, scenario,
+        lambda jphase, buffers, c0, _acts: [(act_rule(jphase, buffers, c0), 0.0)])
+    a = sp.eye(space.n_states, format="csr") - delta * kernel
+    values = spla.spsolve(a.tocsc(), (1.0 - delta) * rewards)
+    return kernel, rewards, starts, values
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -260,14 +417,12 @@ def instances(draw_):
 
 
 @st.composite
-def user_mdps(draw_):
-    """(UserMdp, price vector, seed) on small templates: several phases, DUs
-    entering together, window 1, quality floors, zero-probability sizes and
-    channel moves."""
-    window = draw_(st.integers(1, 3))
-    n = draw_(st.integers(1, 3))
+def small_templates(draw_, max_window=3, max_dus=3, max_deadline=3):
+    """Templates with sizes 0-2, zero-probability sizes among them."""
+    window = draw_(st.integers(1, max_window))
+    n = draw_(st.integers(1, max_dus))
     impacts = sorted((draw_(values_) for _ in range(n)), reverse=True)
-    deadlines = sorted(draw_(st.integers(0, 3)) for _ in range(n))
+    deadlines = sorted(draw_(st.integers(0, max_deadline)) for _ in range(n))
     dus = []
     for i in range(n):
         parents = ()
@@ -280,7 +435,15 @@ def user_mdps(draw_):
         weights[0] += 0.1
         pmf = tuple((v, w / sum(weights)) for v, w in zip(support, weights))
         dus.append(DataUnitSpec(i, f"D{i}", impacts[i], deadlines[i], pmf, parents))
-    tpl = GopTemplate(dus, max(deadlines[-1], 1) + draw_(st.integers(0, 1)), window)
+    return GopTemplate(dus, max(deadlines[-1], 1) + draw_(st.integers(0, 1)), window)
+
+
+@st.composite
+def user_mdps(draw_):
+    """(UserMdp, price vector, seed) on small templates: several phases, DUs
+    entering together, window 1, quality floors, zero-probability sizes and
+    channel moves."""
+    tpl = draw_(small_templates())
     assume(TrafficLayout(tpl).n_traffic <= 300)
     view = common_view(draw_(channels()), 1)
     min_quality = draw_(st.one_of(st.just(0.0), values_))
@@ -288,6 +451,29 @@ def user_mdps(draw_):
                   draw_(st.floats(0.0, 0.95)))
     price = np.array([draw_(values_) for _ in range(len(view))])
     return mdp, price, draw_(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def joint_scenarios(draw_):
+    """(scenario, prices) of 2 or 3 users with small templates (periods 1-3,
+    so the joint period can exceed each user's), quality floors, common or
+    independent channels of 1-2 states, a band that binds in some states and
+    discounts from 0."""
+    n_users = draw_(st.integers(2, 3))
+    common = draw_(st.booleans())
+    shared = draw_(channels(max_states=2))
+    users = []
+    for i in range(n_users):
+        tpl = draw_(small_templates(max_window=2, max_dus=4 - n_users, max_deadline=2))
+        users.append(UserConfig(f"u{i}", tpl, shared if common else draw_(channels(max_states=2)),
+                                min_quality=draw_(st.one_of(st.just(0.0), values_)),
+                                beta=draw_(st.sampled_from([0.0, 0.3, 1.0]))))
+    sc = ScenarioConfig("joint", tuple(users), bandwidth=draw_(st.sampled_from([0.5, 1.0, 2.0])),
+                        discount=draw_(st.one_of(st.just(0.0), st.floats(0.0, 0.9))),
+                        channel_correlation="common" if common else "independent")
+    space = JointSpace(sc)
+    assume(space.n_states <= 600)
+    return sc, {s0: draw_(values_) for s0 in space.c0_states}
 
 
 def random_table(mdp: UserMdp, price, seed) -> ValueTable:
@@ -456,9 +642,8 @@ def test_joint_initial_equals_choice(chans, common, seed):
 
 def assert_same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
     assert a.shape == b.shape
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -466,9 +651,11 @@ def assert_same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
 def test_traffic_kernel_equals_action_walk(inst):
     mdp, _price, _seed = inst
     assert_same_csr(mdp.traffic_kernel, reference_traffic_kernel(mdp))
-    assert mdp.ta_total.tolist() == [a.total for a in (
-        act for _, p, buf in mdp.layout.iter_states()
-        for act in iter_actions(mdp.layout.contexts[p], buf, mdp.min_quality))]
+    walk = [(p, act) for _, p, buf in mdp.layout.iter_states()
+            for act in iter_actions(mdp.layout.contexts[p], buf, mdp.min_quality)]
+    assert mdp.ta_total.tolist() == [act.total for _, act in walk]
+    assert mdp.ta_gain.tolist() == [float(np.dot(mdp.layout.impacts[p], act.sends))
+                                    for p, act in walk]
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -513,3 +700,88 @@ def test_pds_planning_values_equal_per_post_kernel(inst):
     table = random_table(mdp, price, seed)
     expect = reference_pds_kernel(mdp.layout) @ (table.values @ mdp.view.transition.T)
     assert np.array_equal(mdp.pds_planning_values(table), expect)
+
+
+# ---------------------------------------------------------------------------
+# Joint kernel
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def built_kernels():
+    """Record every result of oracle.build_joint_kernel while open."""
+    built = []
+    build = oracle.build_joint_kernel
+
+    def record(*args, **kwargs):
+        out = build(*args, **kwargs)
+        built.append(out)
+        return out
+
+    oracle.build_joint_kernel = record
+    try:
+        yield built
+    finally:
+        oracle.build_joint_kernel = build
+
+
+def assert_same_kernel(built, kernel, reward, starts) -> None:
+    assert len(built) == 1
+    got_kernel, got_reward, got_starts = built[0]
+    assert_same_csr(got_kernel, kernel)
+    assert got_reward.dtype == reward.dtype and got_reward.tobytes() == reward.tobytes()
+    assert got_starts.dtype == starts.dtype and np.array_equal(got_starts, starts)
+
+
+def mixed_rule(jphase, buffers, c0):
+    """A deterministic rule that sends anything from 0 to the whole buffer."""
+    return [ScheduleAction(tuple(x * (jphase + c0 + u + 1) % (x + 1) for x in buf))
+            for u, buf in enumerate(buffers)]
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(joint_scenarios())
+def test_joint_kernel_callers_equal_pair_loop(inst):
+    sc, prices = inst
+    try:
+        kernel, reward, starts, values, policy, sweeps = reference_oracle(sc)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            oracle.centralized_oracle(sc)
+        assert str(got.value) == str(exc)
+    else:
+        with built_kernels() as built:
+            orc = oracle.centralized_oracle(sc)
+        assert_same_kernel(built, kernel, reward, starts)
+        assert orc.values.tobytes() == values.tobytes()
+        assert orc.policy == policy and orc.sweeps == sweeps
+        assert all(type(y) is int for acts in orc.policy.values() for a in acts for y in a)
+
+    kernel, reward, starts, values = reference_penalized(sc, prices)
+    with built_kernels() as built:
+        got, _ = oracle.penalized_joint_value(sc, prices)
+    assert_same_kernel(built, kernel, reward, starts)
+    assert got.tobytes() == values.tobytes()
+
+    kernel, reward, starts, values = reference_joint_value(sc, mixed_rule)
+    with built_kernels() as built:
+        got, _ = oracle.joint_value_of(sc, mixed_rule)
+    assert_same_kernel(built, kernel, reward, starts)
+    assert got.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["myopic", "proposed"])
+def test_evaluate_solution_equals_pair_loop(name):
+    sc = replace(preset("tiny-asym"), channel_correlation="independent")
+    sol = build_solution(sc, name)
+    sol.prepare(np.random.default_rng(sc.seed))
+    states = JointChannel(sc.channels, sc.channel_correlation).all_states()
+
+    def rule(jphase, buffers, c0):
+        ctxs = [t.context(jphase % t.period) for t in sc.templates]
+        return sol.sent_actions(states[c0], ctxs, buffers).sent
+
+    kernel, reward, starts, values = reference_joint_value(sc, rule)
+    with built_kernels() as built:
+        got, _ = oracle.evaluate_solution(sc, sol)
+    assert_same_kernel(built, kernel, reward, starts)
+    assert got.tobytes() == values.tobytes()

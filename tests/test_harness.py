@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from wvsched.harness import (
     write_replay_table,
 )
 from wvsched.mdp import UserMdp, common_view
-from wvsched.model import ModelError
-from wvsched.oracle import centralized_oracle
+from wvsched import oracle
+from wvsched.model import ModelError, ScheduleAction
+from wvsched.oracle import centralized_oracle, joint_value_of
 from wvsched.scenario import ScenarioError, list_presets, load_scenario, preset
 
 PINNED = [0, 1, 1, 1, 0]  # good, bad, bad, bad, good
@@ -205,6 +207,55 @@ def test_oracle_cap_rejection_reports_sizing():
     sc = preset("tiny-priced")
     with pytest.raises(ModelError, match="joint state space"):
         centralized_oracle(sc, state_cap=10)
+
+
+def test_oracle_rejects_floors_above_the_band():
+    sc = preset("tiny-sym")
+    floors = replace(sc, users=tuple(replace(u, min_quality=100.0) for u in sc.users))
+    with pytest.raises(ModelError) as exc:
+        centralized_oracle(floors)
+    assert str(exc.value) == ("no feasible joint action in joint channel state (1, 1) "
+                              "(quality floors exceed the band)")
+
+
+def test_oracle_pair_cap_is_checked_before_the_kernel(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built past the pair cap")
+
+    monkeypatch.setattr(oracle, "build_joint_kernel", no_kernel)
+    with pytest.raises(ModelError) as exc:
+        centralized_oracle(preset("tiny-sym"), pair_cap=100)
+    assert str(exc.value) == "joint state-action pairs exceed cap 100"
+
+
+def test_priced_oracle_bounds_exact_values(priced_results):
+    """On the full tiny-priced preset the constrained optimum is at least the
+    exact value of the per-state and the uniform-price solutions."""
+    orc = centralized_oracle(priced_results["scenario"])
+    assert orc.sweeps == 483
+    assert orc.mean_value >= priced_results["proposed_value"] - 1e-9
+    assert orc.mean_value >= priced_results["uniform_value"] - 1e-9
+
+
+def _send_all(buffers):
+    return [ScheduleAction(tuple(b)) for b in buffers]
+
+
+def test_joint_value_rejects_sends_above_the_buffer():
+    def over(jphase, buffers, c0):
+        first = buffers[0]
+        return [ScheduleAction((first[0] + 1,) + first[1:])] + _send_all(buffers[1:])
+
+    with pytest.raises(ModelError, match=r"user 0 send \(1, 0\) from buffer \(0, 0\)"):
+        joint_value_of(preset("tiny-sym"), over)
+
+
+def test_joint_value_rejects_actions_wider_than_the_context():
+    def wide(jphase, buffers, c0):
+        return [ScheduleAction(buffers[0] + (0,))] + _send_all(buffers[1:])
+
+    with pytest.raises(ModelError, match="context widths are"):
+        joint_value_of(preset("tiny-sym"), wide)
 
 
 # ---------------------------------------------------------------------------

@@ -87,3 +87,19 @@ def test_traced_solve_counts_one_backup_per_sweep():
     assert metrics["mdp.UserMdp.solve.calls"] == 2
     assert metrics["mdp.UserMdp.backup.calls"] == sum(sweeps)
     assert metrics["mdp.sweeps_per_solve"] == sum(sweeps) / 2
+
+
+def test_traced_oracle_and_evaluation_build_one_kernel_each():
+    """`oracle.build_joint_kernel` times the kernel build apart from value
+    iteration and the rule calls, so each caller must build its kernel in
+    exactly one call."""
+    modules = bench_modules()
+    harness, oracle = modules["harness"], modules["oracle"]
+    sc = preset("tiny-sym")
+    sol = harness.build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    for call in (lambda: oracle.centralized_oracle(sc), lambda: oracle.evaluate_solution(sc, sol)):
+        tracer = tracing.Tracer()
+        with tracer.active(modules):
+            call()
+        assert tracer.metrics()["oracle.build_joint_kernel.calls"] == 1
