@@ -11,7 +11,7 @@ evaluator for exact value computation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -81,7 +81,7 @@ def expected_entering(template, phase: int) -> float:
 # ---------------------------------------------------------------------------
 
 class DecomposedAgent:
-    """Priced per-DU tables plus the sequential DAG scheduler."""
+    """Priced per-DU tables plus the per-DU decomposed scheduler."""
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float):
         if user.min_quality > 0:
@@ -108,9 +108,8 @@ class DecomposedAgent:
                            float(self.price_vec[view_state]))
 
     def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
-        act, _ = decomposed_schedule(context, buffer, view_state, lam,
-                                     self.tables, self.discount)
-        return act
+        return decomposed_schedule(context, buffer, view_state, lam,
+                                   self.tables, self.discount)
 
 
 class FullMdpAgent:
@@ -171,10 +170,9 @@ class PdsDecomposedAgent:
         if not self.frozen and self.rng.random() < self.epsilon():
             sends = tuple(int(self.rng.integers(x + 1)) for x in buffer)
             return ScheduleAction(sends)
-        act, _ = decomposed_schedule(context, buffer, view_state,
-                                     float(self.price_vec[view_state]),
-                                     self.learners, self.discount)
-        return act
+        return decomposed_schedule(context, buffer, view_state,
+                                   float(self.price_vec[view_state]),
+                                   self.learners, self.discount)
 
     def observe(self, context, buffer, view_state: int, sent: ScheduleAction,
                 next_view: int) -> None:
@@ -384,6 +382,7 @@ class ProposedSolution(PricedRuntime):
 
     def prepare(self, rng: np.random.Generator) -> None:
         sc = self.scenario
+        self._cache, self._cacheable = {}, False
         self.agents = make_agents(sc, self.agent_kind, rng)
         self.prices, self.report = run_coordination(
             sc.users, self.agents,
@@ -414,20 +413,15 @@ class ProposedSolution(PricedRuntime):
             count: dict = {}
             system = SlotSystem(sc.templates, joint, rng)
             for _t in range(slots):
-                s0, buffers, contexts = system.s0, system.buffers, system.contexts
-                raw = [a.act(ctx, buf, a.view.view_state(s0))
-                       for a, ctx, buf in zip(self.agents, contexts, buffers)]
-                rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
-                cleared, lam_c = self._clear(s0, contexts, buffers, raw)
-                sent = self._top_up(s0, contexts, buffers, cleared, rates)
-                tally[s0] = tally.get(s0, 0.0) + lam_c
+                s0 = system.s0
+                decision = self.sent_actions(s0, system.contexts, system.buffers)
+                tally[s0] = tally.get(s0, 0.0) + decision.lam0
                 count[s0] = count.get(s0, 0) + 1
-                system.advance(sent)
+                system.advance(decision.sent)
             for key, total in tally.items():
                 self.prices.lam[key] = total / count[key]
             for a in self.agents:
                 a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
-            self._cache.clear()
 
 
 class MyopicSolution(Solution):
@@ -539,6 +533,7 @@ class LyapunovSolution(PricedRuntime):
             self.proposed = ProposedSolution(self.scenario)
         if self.proposed.prices is None:
             self.proposed.prepare(rng)
+        self._cache, self._cacheable = {}, False
         self.clearing = self.proposed.clearing
         self.prices = self.proposed.prices
         views = build_views(self.scenario)
@@ -606,17 +601,9 @@ class UniformPriceSolution(Solution):
 
     def prepare(self, rng: np.random.Generator) -> None:
         sc = self.scenario
+        self._cache = {}
         # uniform price only needs the user's own channel to index its tables
-        views = ([common_view(sc.channels[i], len(sc.users), user=i)
-                  for i in range(len(sc.users))]
-                 if sc.channel_correlation == "common"
-                 else [own_view(sc.channels, i) for i in range(len(sc.users))])
-        if self.agent_kind == "full":
-            self.agents = [FullMdpAgent(u, v, sc.bits_per_packet, sc.discount)
-                           for u, v in zip(sc.users, views)]
-        else:
-            self.agents = [DecomposedAgent(u, v, sc.discount)
-                           for u, v in zip(sc.users, views)]
+        self.agents = make_agents(replace(sc, price_view="expected"), self.agent_kind)
         joint = JointChannel(sc.channels, sc.channel_correlation)
         self.result = uniform_price_solve(self._usage_estimator(rng),
                                           joint.all_states(), sc.bandwidth,
@@ -645,7 +632,7 @@ class UniformPriceSolution(Solution):
 def build_solution(scenario: ScenarioConfig, name: str,
                    proposed: ProposedSolution | None = None, **kwargs) -> Solution:
     """Solution factory; pairings reuse a prepared proposed solution if given."""
-    if name in ("proposed", "proposed-decomposed"):
+    if name == "proposed":
         return proposed if proposed is not None else ProposedSolution(scenario, **kwargs)
     if name == "proposed-full":
         return ProposedSolution(scenario, agent_kind="full", **kwargs)
@@ -655,7 +642,7 @@ def build_solution(scenario: ScenarioConfig, name: str,
         return MyopicSolution(scenario)
     if name == "lyapunov":
         return LyapunovSolution(scenario, proposed=proposed)
-    if name in ("mu-mdp", "uniform-price"):
+    if name == "mu-mdp":
         return UniformPriceSolution(scenario, **kwargs)
     if name == "mu-mdp-full":
         return UniformPriceSolution(scenario, agent_kind="full", **kwargs)

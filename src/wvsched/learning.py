@@ -173,8 +173,8 @@ class DuPdsLearner:
 
     Keys are (age, remaining packets after sending, view state); values
     approximate the expected onward value of the instance, terminal zero at
-    expiry. Exposes the same continuation() protocol as the planned tables,
-    so the decomposed scheduler runs unchanged on learned values.
+    expiry. Answers the same best() query as the planned tables, so the
+    decomposed scheduler runs unchanged on learned values.
     """
 
     def __init__(self, impact: float, window: int, delta: float):
@@ -189,23 +189,23 @@ class DuPdsLearner:
             return 0.0
         return self.u.get((age, x_after, view_state), 0.0)
 
-    def greedy_value(self, age: int, x: int, view_state: int, price: float) -> float:
-        margin = (1.0 - self.delta) * (self.impact - price)
-        best = -np.inf
-        for y in range(x + 1):
-            val = margin * y + self.delta * self.continuation(age, x - y, view_state)
-            if val >= best:
-                best = val
-        return best
+    def best(self, age: int, x: int, view_state: int, margin: float,
+             discount: float) -> tuple[float, int]:
+        """max over y = 0..x of margin * y + discount * continuation(age, x - y)
+        and its smallest exact maximiser."""
+        vals = [margin * y + discount * self.continuation(age, x - y, view_state)
+                for y in range(x + 1)]
+        top = max(vals)
+        return top, vals.index(top)
 
     def update(self, age: int, x_after: int, view_state: int,
                next_view: int, next_price: float) -> None:
         """One observed step of the instance: blend next-age greedy value."""
         if age >= self.window - 1:
             return
-        v = self.greedy_value(age + 1, x_after, next_view, next_price)
+        margin = (1.0 - self.delta) * (self.impact - next_price)
+        v, _ = self.best(age + 1, x_after, next_view, margin, self.delta)
         key = (age, x_after, view_state)
         k = self.visits.get(key, 0) + 1
         self.visits[key] = k
         self.u[key] = (1.0 - 1.0 / k) * self.u.get(key, 0.0) + v / k
-

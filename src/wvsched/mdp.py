@@ -78,14 +78,13 @@ class ChannelView:
     """
 
     def __init__(self, kind: str, user: int, transition: np.ndarray,
-                 rate: np.ndarray, gain: np.ndarray, own_channel: np.ndarray,
-                 price_weights, joint_keys=None, energy_fn=None):
+                 rate: np.ndarray, gain: np.ndarray, price_weights,
+                 joint_keys=None, energy_fn=None):
         self.kind = kind
         self.user = user
         self.transition = transition
         self.rate = rate
         self.gain = gain
-        self.own_channel = own_channel
         self.price_weights = price_weights
         self.joint_keys = joint_keys
         self.energy_fn = energy_fn if energy_fn is not None else transmit_energy
@@ -120,7 +119,6 @@ def common_view(channel: ChannelModel, n_users: int, user: int = 0) -> ChannelVi
         transition=channel.transition.copy(),
         rate=channel.rate.copy(),
         gain=channel.gain.copy(),
-        own_channel=np.arange(n),
         price_weights=weights,
         energy_fn=channel.energy_fn,
     )
@@ -142,7 +140,6 @@ def joint_view(channels: Sequence[ChannelModel], user: int) -> ChannelView:
         transition=product_chain(channels),
         rate=channels[user].rate[own],
         gain=channels[user].gain[own],
-        own_channel=own,
         price_weights=tuple(((k, 1.0),) for k in keys),
         joint_keys=keys,
         energy_fn=channels[user].energy_fn,
@@ -172,7 +169,6 @@ def own_view(channels: Sequence[ChannelModel], user: int) -> ChannelView:
         transition=me.transition.copy(),
         rate=me.rate.copy(),
         gain=me.gain.copy(),
-        own_channel=np.arange(len(me)),
         price_weights=tuple(weights),
         energy_fn=me.energy_fn,
     )

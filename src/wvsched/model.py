@@ -130,9 +130,6 @@ class Context:
     def age_of(self, i: int) -> int:
         return self.window - 1 - self.slots[i].remaining
 
-    def impacts(self) -> np.ndarray:
-        return np.array([s.du.distortion_impact for s in self.slots], dtype=float)
-
     def impact_order(self) -> list[int]:
         """Slot indices by descending impact, then nearest deadline, then
         position: the order in which trims keep and fills add packets."""

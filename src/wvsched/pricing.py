@@ -56,12 +56,6 @@ class PriceTable:
     def get(self, s0: tuple[int, ...]) -> float:
         return self.lam.get(s0, 0.0)
 
-    def visited(self) -> list[tuple[int, ...]]:
-        return sorted(self.counts)
-
-    def copy_prices(self) -> dict[tuple[int, ...], float]:
-        return dict(self.lam)
-
 
 def user_price(lambda0: float, rate: float, bits_per_packet: float) -> float:
     """Per-packet price seen by a user: lambda0 * b / r(h)."""
@@ -230,14 +224,16 @@ class CoordinationReport:
     exchange_messages_per_slot: int = 0
 
 
+# price updates per settle sweep of one state (see state_settled)
+SWEEP_FACTOR = 10
+
+
 def run_coordination(users, agents: Sequence[PricedUserAgent], *,
                      bandwidth: float, bits_per_packet: float,
                      correlation: str = "independent",
                      tolerance: float = 1e-3, max_slots: int = 200_000,
-                     eval_slots: int = 20_000, sweep_factor: int = 10,
-                     rng: np.random.Generator | None = None,
-                     strict: bool = True,
-                     price_table: PriceTable | None = None) -> tuple[PriceTable, CoordinationReport]:
+                     eval_slots: int = 20_000,
+                     rng: np.random.Generator | None = None) -> tuple[PriceTable, CoordinationReport]:
     """Iterate priced re-solves, bandwidth requests, and subgradient updates.
 
     `users` is the scenario's user config list (template/channel pairs are
@@ -247,7 +243,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
     and complementary-slackness residuals.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    table = price_table if price_table is not None else PriceTable()
+    table = PriceTable()
     joint = JointChannel([a.channel for a in agents], correlation)
     system = SlotSystem([a.template for a in agents], joint, rng)
 
@@ -262,7 +258,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
     def state_settled(win: deque) -> bool:
         # a state is settled once a full sweep of its updates are each small
         # and their net price movement is small (catches slow drift)
-        if len(win) < sweep_factor + 1:
+        if len(win) < SWEEP_FACTOR + 1:
             return False
         if max(step for step, _ in win) > tolerance:
             return False
@@ -290,7 +286,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
         requests, sent = requests_and_sends(contexts)
         lam_before = table.get(s0)
         update_prices(table, s0, requests, bandwidth)
-        win = windows.setdefault(s0, deque(maxlen=sweep_factor + 1))
+        win = windows.setdefault(s0, deque(maxlen=SWEEP_FACTOR + 1))
         win.append((abs(table.get(s0) - lam_before), table.get(s0)))
 
         # the next channel state is drawn before the traffic: observers need it
@@ -312,7 +308,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
             break
 
     report = CoordinationReport(
-        prices=table.copy_prices(),
+        prices=dict(table.lam),
         counts=dict(table.counts),
         slots_run=slots,
         converged=converged,
@@ -321,11 +317,9 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
         exchange_messages_per_slot=2 * len(agents),  # one price + one request per user
     )
     if not converged:
-        if strict:
-            raise CoordinationError(
-                f"prices did not settle within {max_slots} slots "
-                f"(tolerance {tolerance}); see report.price_trace", report)
-        return table, report
+        raise CoordinationError(
+            f"prices did not settle within {max_slots} slots "
+            f"(tolerance {tolerance}); see report.price_trace", report)
 
     # settle policies at the final prices, then measure usage with them frozen
     for i, agent in enumerate(agents):

@@ -1,14 +1,13 @@
 """Packet scheduling within one slot.
 
-Two families: the decomposed sequential scheduler, which walks the context
-DAG root-by-root and sizes each DU's transmission against a per-DU
-continuation value, and the simple reference schedulers (EDF, FIFO, HDF)
-that fill a fixed packet capacity in a static order.
+Two families: the decomposed scheduler, which sizes each DU's transmission
+against its own per-DU continuation value, and the simple reference
+schedulers (EDF, FIFO, HDF) that fill a fixed packet capacity in a static
+order.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -16,13 +15,6 @@ import numpy as np
 
 from wvsched.model import Context, GopTemplate, ModelError, ScheduleAction
 from wvsched.mdp import ChannelView
-
-
-def dependency_order_check(edges: Sequence[tuple[int, int]],
-                           order: Sequence[int]) -> bool:
-    """True iff no slot index appears in `order` before one of its ancestors."""
-    pos = {idx: k for k, idx in enumerate(order)}
-    return all(pos[p] < pos[c] for p, c in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -132,74 +124,27 @@ def build_du_tables(template: GopTemplate, view: ChannelView, discount: float,
 
 
 # ---------------------------------------------------------------------------
-# Decomposed sequential scheduling
+# Decomposed scheduling
 # ---------------------------------------------------------------------------
 
 def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int,
-                        price: float | Sequence[float], tables: Mapping,
-                        discount: float) -> tuple[ScheduleAction, list[int]]:
-    """Sequential per-DU scheduling over the context DAG.
+                        price: float, tables: Mapping,
+                        discount: float) -> ScheduleAction:
+    """Per-DU scheduling at a scalar price.
 
-    Each round picks, among current roots (DUs whose parents are all
-    scheduled), the DU and send count maximizing
-    (1-delta) * (q - price) * y + delta * continuation(age, x - y), then
-    removes that DU. Returns the assembled action and the processing order.
-    `price` may be a scalar reused every round or a 1-d per-round sequence
-    (list, tuple or ndarray; the last entry repeats). Ties: a candidate
-    replaces the round's best only if it is larger by more than 1e-12, so
-    lower send counts, then lower slot indices, win.
-
-    Tables with a `best` method (DuValueTable) offer one candidate per DU,
-    their best send; under a scalar price it is evaluated once per call and
-    read off the solved tables at the solved margin. Other tables (anything
-    with `continuation`, e.g. DuPdsLearner) offer every send y = 0..x.
+    Each DU sends its own best y = 0..x of
+    (1-delta) * (q - price) * y + delta * continuation(age, x - y), the
+    smallest exact maximiser, as `tables[du_id].best` reports it. Under a
+    scalar price no DU's choice depends on another's, so the DAG order plays
+    no part.
     """
-    n = len(context)
-    sends = [0] * n
-    order: list[int] = []
-    if n == 0:
-        return ScheduleAction(()), order
-    per_round = not isinstance(price, (int, float)) and np.ndim(price) > 0
-    if per_round and np.ndim(price) != 1:
-        raise ModelError("price must be a scalar or a 1-d per-round sequence")
-    children: list[list[int]] = [[] for _ in range(n)]
-    waiting = [0] * n                          # unscheduled parents per DU
-    for p, c in context.edges:
-        children[p].append(c)
-        waiting[c] += 1
-
-    def offers(i: int, lam: float) -> list[tuple[float, int]]:
-        """DU i's (value, send) candidates in scan order."""
-        slot = context.slots[i]
-        tab = tables[slot.du.du_id]
-        age = context.age_of(i)
-        margin = (1.0 - discount) * (slot.du.distortion_impact - lam)
-        x = buffer[i]
-        lookup = getattr(tab, "best", None)
-        if lookup is not None:
-            return [lookup(age, x, view_state, margin, discount)]
-        return [(margin * y + discount * tab.continuation(age, x - y, view_state), y)
-                for y in range(x + 1)]
-
-    cand = [None] * n if per_round else [offers(i, price) for i in range(n)]
-    roots = [i for i in range(n) if not waiting[i]]          # ascending
-    for k in range(n):
-        best = None
-        for i in roots:
-            if per_round:
-                cand[i] = offers(i, price[min(k, len(price) - 1)])
-            for val, y in cand[i]:
-                if best is None or val > best[0] + 1e-12:
-                    best = (val, i, y)
-        _, i, y = best
-        sends[i] = y
-        order.append(i)
-        roots.remove(i)
-        for c in children[i]:
-            waiting[c] -= 1
-            if not waiting[c]:
-                insort(roots, c)
-    return ScheduleAction(tuple(sends)), order
+    sends = []
+    for i, slot in enumerate(context.slots):
+        margin = (1.0 - discount) * (slot.du.distortion_impact - price)
+        _, y = tables[slot.du.du_id].best(context.age_of(i), buffer[i], view_state,
+                                          margin, discount)
+        sends.append(y)
+    return ScheduleAction(tuple(sends))
 
 
 # ---------------------------------------------------------------------------

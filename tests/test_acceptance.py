@@ -98,7 +98,7 @@ def test_criterion_4_decomposition_attains_joint_optimum():
         lam = float(rng.uniform(0.0, 9.0))
         tables = build_du_tables(tpl, view, 0.0, np.array([lam, lam]))
         buf = tuple(int(rng.integers(0, c + 1)) for c in caps)
-        act, order = decomposed_schedule(tpl.context(0), buf, 0, lam, tables, 0.0)
+        act = decomposed_schedule(tpl.context(0), buf, 0, lam, tables, 0.0)
         got = float(np.dot(qs, act.sends)) - lam * act.total
         best = max(float(np.dot(qs, sends)) - lam * sum(sends)
                    for sends in product(*(range(x + 1) for x in buf)))

@@ -22,6 +22,7 @@ from wvsched.mdp import UserMdp, common_view
 from wvsched import oracle
 from wvsched.model import ModelError, ScheduleAction
 from wvsched.oracle import centralized_oracle, joint_value_of
+from wvsched.pricing import JointChannel, SlotSystem
 from wvsched.scenario import ScenarioError, list_presets, load_scenario, preset
 
 PINNED = [0, 1, 1, 1, 0]  # good, bad, bad, bad, good
@@ -315,8 +316,30 @@ def test_build_solution_names():
     for name in ("proposed", "proposed-full", "proposed-learning", "myopic",
                  "lyapunov", "mu-mdp", "proposed+edf", "myopic+hdf"):
         assert build_solution(sc, name) is not None
-    with pytest.raises(ModelError):
-        build_solution(sc, "nonsense")
+    for name in ("nonsense", "proposed-decomposed", "uniform-price"):
+        with pytest.raises(ModelError):
+            build_solution(sc, name)
+
+
+@pytest.mark.parametrize("name", ["proposed", "mu-mdp"])
+def test_second_prepare_serves_no_decision_cached_under_the_first(name):
+    sc = preset("tiny-priced")
+    sol = build_solution(sc, name)
+    sol.prepare(np.random.default_rng(1))
+    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation),
+                        np.random.default_rng(5))
+    path = []
+    for _ in range(300):
+        state = (system.s0, system.contexts, system.buffers)
+        path.append(state)
+        system.advance(sol.sent_actions(*state).sent)
+    sol.prepare(np.random.default_rng(2))
+    fresh = build_solution(sc, name)
+    fresh.prepare(np.random.default_rng(2))
+    for state in path:
+        got, want = sol.sent_actions(*state), fresh.sent_actions(*state)
+        assert got.lam0 == want.lam0
+        assert [a.sends for a in got.sent] == [a.sends for a in want.sent]
 
 
 def test_learning_solution_rejects_clearing_at_construction():

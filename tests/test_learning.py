@@ -156,7 +156,8 @@ def test_du_learner_terminal_and_update():
     assert learner.continuation(1, 3, 0) == 0.0  # expiring age is terminal
     # observe a step at age 0 leaving 2 packets; next view 1
     learner.update(0, 2, 0, 1, next_price=1.0)
-    v = learner.greedy_value(1, 2, 1, 1.0)
+    v, _ = learner.best(1, 2, 1, (1 - 0.5) * (4.0 - 1.0), 0.5)
+    assert v == pytest.approx(3.0)       # age 1 is terminal: send both
     assert learner.continuation(0, 2, 0) == pytest.approx(v)
     # terminal ages never update
     learner.update(1, 2, 0, 1, next_price=1.0)
@@ -167,22 +168,17 @@ def test_pds_decomposed_matches_planned_when_tables_zero():
     tpl = GopTemplate([DataUnitSpec(0, "I", 5.0, 0, ((3, 1.0),)),
                        DataUnitSpec(1, "P", 2.0, 1, ((2, 1.0),), (0,))], 2, 2)
     learners = {0: DuPdsLearner(5.0, 2, 0.9), 1: DuPdsLearner(2.0, 2, 0.9)}
-
-    class ZeroTable:
-        def continuation(self, age, x_after, view_state):
-            return 0.0
-
     ctx = tpl.context(0)
-    got, _ = decomposed_schedule(ctx, (3, 2), 0, 1.0, learners, 0.9)
-    want, _ = decomposed_schedule(ctx, (3, 2), 0, 1.0,
-                                  {0: ZeroTable(), 1: ZeroTable()}, 0.9)
-    assert got.sends == want.sends
+    # with zero continuations the planned rule is myopic: send all where
+    # q > price, nothing where q <= price
+    assert decomposed_schedule(ctx, (3, 2), 0, 1.0, learners, 0.9).sends == (3, 2)
+    assert decomposed_schedule(ctx, (3, 2), 0, 2.0, learners, 0.9).sends == (3, 0)
 
 
 def test_empty_context_gives_zero_action():
     tpl = GopTemplate([DataUnitSpec(0, "F", 2.0, 0, ((4, 1.0),))], 2, 1)
     ctx = tpl.context(1)
-    act, _ = decomposed_schedule(ctx, (), 0, 0.5, {}, 0.9)
+    act = decomposed_schedule(ctx, (), 0, 0.5, {}, 0.9)
     assert act.sends == ()
 
 

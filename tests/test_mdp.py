@@ -267,8 +267,7 @@ def test_user_price_ratio_between_users():
     chans = [make_channel(rate=(60.0, 60.0)), make_channel(rate=(40.0, 40.0))]
     v1 = common_view(chans[0], 2, user=0).price_vector(lam, 1.0)
     v2 = ChannelView("common", 1, chans[1].transition, chans[1].rate,
-                     chans[1].gain, np.arange(2),
-                     tuple((((h, h), 1.0),) for h in range(2)))
+                     chans[1].gain, tuple((((h, h), 1.0),) for h in range(2)))
     vec2 = v2.price_vector(lam, 1.0)
     assert v1[1] / vec2[1] == pytest.approx(40.0 / 60.0)
 

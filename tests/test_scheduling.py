@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvsched.mdp import common_view
-from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError
+from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate
 from wvsched.scheduling import (
     SingleDuModel,
     build_du_tables,
     decomposed_schedule,
-    dependency_order_check,
     edf_schedule,
     fifo_schedule,
     hdf_schedule,
@@ -33,25 +32,18 @@ def make_view():
     return common_view(chan, 1)
 
 
-def test_dependency_order_check():
-    edges = [(0, 1), (1, 2)]  # I -> P -> B as slot indices
-    assert dependency_order_check(edges, [0, 1, 2])
-    assert not dependency_order_check([(0, 1)], [1, 0])
-
-
 def test_single_du_myopic_sends_all_when_margin_positive():
     tpl = GopTemplate([du(0, 10.0, 0, 4)], 1, 1)
     tables = build_du_tables(tpl, make_view(), 0.0, np.array([3.0, 3.0]))
     ctx = tpl.context(0)
-    act, order = decomposed_schedule(ctx, (4,), 0, 3.0, tables, 0.0)
+    act = decomposed_schedule(ctx, (4,), 0, 3.0, tables, 0.0)
     assert act.sends == (4,)
-    assert order == [0]
 
 
 def test_zero_margin_defers_nothing_to_send():
     tpl = GopTemplate([du(0, 2.0, 0, 4)], 1, 1)
     tables = build_du_tables(tpl, make_view(), 0.0, np.array([5.0, 5.0]))
-    act, _ = decomposed_schedule(tpl.context(0), (4,), 0, 5.0, tables, 0.0)
+    act = decomposed_schedule(tpl.context(0), (4,), 0, 5.0, tables, 0.0)
     assert act.sends == (0,)
 
 
@@ -59,8 +51,8 @@ def test_empty_context_returns_empty_action():
     tpl = GopTemplate([du(0, 2.0, 0, 4)], 2, 1)
     ctx = tpl.context(1)
     assert len(ctx) == 0
-    act, order = decomposed_schedule(ctx, (), 0, 1.0, {}, 0.9)
-    assert act.sends == () and order == []
+    act = decomposed_schedule(ctx, (), 0, 1.0, {}, 0.9)
+    assert act.sends == ()
 
 
 def _joint_best(impacts, buffers, lam):
@@ -76,7 +68,7 @@ def test_two_du_myopic_matches_joint_brute_force():
     tpl = GopTemplate(dus, 1, 1)
     tables = build_du_tables(tpl, make_view(), 0.0, np.array([5.0, 5.0]))
     ctx = tpl.context(0)
-    act, _ = decomposed_schedule(ctx, (3, 3), 0, 5.0, tables, 0.0)
+    act = decomposed_schedule(ctx, (3, 3), 0, 5.0, tables, 0.0)
     got = sum(q * y for q, y in zip((7.0, 4.0), act.sends)) - 5.0 * act.total
     assert got == pytest.approx(_joint_best((7.0, 4.0), (3, 3), 5.0))
 
@@ -100,23 +92,9 @@ def test_myopic_decomposition_attains_joint_optimum(n, x0, x1, x2, lam,
     tpl = GopTemplate(dus, 1, 1)
     tables = build_du_tables(tpl, make_view(), 0.0, np.array([lam, lam]))
     ctx = tpl.context(0)
-    act, order = decomposed_schedule(ctx, tuple(xs), 0, lam, tables, 0.0)
+    act = decomposed_schedule(ctx, tuple(xs), 0, lam, tables, 0.0)
     got = sum(q * y for q, y in zip(qs, act.sends)) - lam * act.total
     assert got == pytest.approx(_joint_best(qs, xs, lam), abs=1e-9)
-    # structural rule: ancestors are always processed first
-    assert dependency_order_check(ctx.edges, order)
-
-
-def test_rounds_equal_context_size():
-    dus = [du(0, 5.0, 0, 2), du(1, 3.0, 1, 2, parents=[0]), du(2, 2.0, 1, 2, parents=[0])]
-    tpl = GopTemplate(dus, 2, 2)
-    tables = build_du_tables(tpl, make_view(), 0.9, np.array([0.5, 1.0]))
-    for phase in range(2):
-        ctx = tpl.context(phase)
-        buf = tuple(s.du.max_size for s in ctx.slots)
-        _, order = decomposed_schedule(ctx, buf, 0, 0.5, tables, 0.9)
-        assert len(order) == len(ctx)
-        assert dependency_order_check(ctx.edges, order)
 
 
 def test_foresighted_single_du_defers_when_future_cheaper():
@@ -128,24 +106,10 @@ def test_foresighted_single_du_defers_when_future_cheaper():
     view = common_view(chan, 1)
     tables = build_du_tables(tpl, view, 0.95, np.array([0.0, 2.9]))
     ctx = tpl.context(0)   # the DU has remaining=1 here
-    act_bad, _ = decomposed_schedule(ctx, (4,), 1, 2.9, tables, 0.95)
-    act_good, _ = decomposed_schedule(ctx, (4,), 0, 0.0, tables, 0.95)
+    act_bad = decomposed_schedule(ctx, (4,), 1, 2.9, tables, 0.95)
+    act_good = decomposed_schedule(ctx, (4,), 0, 0.0, tables, 0.95)
     assert act_bad.total == 0
     assert act_good.total == 4
-
-
-def test_per_round_price_sequence_flag():
-    dus = [du(0, 5.0, 0, 2), du(1, 5.0, 0, 2)]
-    tpl = GopTemplate(dus, 1, 1)
-    tables = build_du_tables(tpl, make_view(), 0.0, np.array([0.0, 0.0]))
-    ctx = tpl.context(0)
-    # first round sends at the cheap price, second round is priced out
-    for price in ([1.0, 9.0], (1.0, 9.0), np.array([1.0, 9.0]),
-                  np.array([1.0, 9.0, 9.0])):     # length x + 1 must not broadcast
-        act, _ = decomposed_schedule(ctx, (2, 2), 0, price, tables, 0.0)
-        assert act.total == 2
-    with pytest.raises(ModelError):
-        decomposed_schedule(ctx, (2, 2), 0, np.ones((2, 2)), tables, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,26 @@ def test_traced_oracle_and_evaluation_build_one_kernel_each():
         with tracer.active(modules):
             call()
         assert tracer.metrics()["oracle.build_joint_kernel.calls"] == 1
+
+
+def test_traced_gop16_episode_schedules_once_per_agent_act(monkeypatch):
+    """`scheduling.decomposed_schedule.calls` stands for one user decision
+    each, so a DecomposedAgent decision must make exactly one call."""
+    modules = bench_modules()
+    harness = modules["harness"]
+    sc = preset("gop16-default")
+    sol = harness.build_solution(sc, "proposed")
+    sol.prepare(np.random.default_rng(sc.seed))
+    acts = []
+    act = harness.DecomposedAgent.act
+
+    def counted_act(agent, *args):
+        acts.append(1)
+        return act(agent, *args)
+
+    monkeypatch.setattr(harness.DecomposedAgent, "act", counted_act)
+    tracer = tracing.Tracer()
+    with tracer.active(modules):
+        harness.run_episode(sc, sol, 20, np.random.default_rng(1))
+    assert acts
+    assert tracer.metrics()["scheduling.decomposed_schedule.calls"] == len(acts)
