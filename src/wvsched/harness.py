@@ -126,6 +126,8 @@ class FullMdpAgent:
                            bits_per_packet, discount)
         self.table = None
         self.price_vec: np.ndarray | None = None
+        self.resolves = 0                # solves made by refresh
+        self.steps = 0                   # their improvement steps in total
 
     def refresh(self, price_vec: np.ndarray) -> None:
         if self.price_vec is not None and np.array_equal(price_vec, self.price_vec):
@@ -133,6 +135,8 @@ class FullMdpAgent:
         init = self.table.values if self.table is not None else None
         self.price_vec = np.asarray(price_vec, dtype=float)
         self.table = self.mdp.solve(self.price_vec, tol=self.tol, init=init)
+        self.resolves += 1
+        self.steps += self.table.steps
 
     def act(self, context, buffer, view_state: int) -> ScheduleAction:
         return self.table.action_of(context.phase, buffer, view_state)
@@ -367,11 +371,12 @@ class ProposedSolution(PricedRuntime):
     def __init__(self, scenario: ScenarioConfig, mode: str = "planning",
                  agent_kind: str = "decomposed", max_slots: int = 120_000,
                  eval_slots: int = 20_000, clearing: bool = False):
-        if clearing and mode == "learning":
+        if clearing and (mode == "learning" or agent_kind == "full"):
+            agents = ("the PDS learning agents of proposed-learning" if mode == "learning"
+                      else "the full tabular agents of proposed-full")
             raise ModelError(
-                "clearing mode needs price-queryable agents; the PDS learning "
-                "agents of proposed-learning have no act_at and cannot be "
-                "re-priced within a slot")
+                f"clearing mode needs price-queryable agents; {agents} have no "
+                "act_at and cannot be re-priced within a slot")
         super().__init__(scenario, clearing)
         self.mode = mode
         self.agent_kind = agent_kind if mode == "planning" else "pds"

@@ -1,14 +1,15 @@
 """Tabular solver for a user's priced foresighted scheduling problem.
 
 The user state is (GOP phase, per-DU buffer, channel-view state). Given a
-nonnegative per-view-state price on transmitted packets, value iteration on
+nonnegative per-view-state price on transmitted packets, policy iteration on
 
     V(s) = max_a (1-delta) * [u(s,a) - price * |a|] + delta * E[V(s')]
 
-yields the priced value table and greedy policy. Transition structure is
-factorized: the traffic part (deterministic decrements + fresh PMF draws for
-entering DUs) is independent of the Markov channel part, which keeps the
-kernels small and the backups vectorizable.
+yields the priced value table and greedy policy (`value_iteration` serves the
+joint oracle). Transition structure is factorized: the traffic part
+(deterministic decrements + fresh PMF draws for entering DUs) is independent
+of the Markov channel part, which keeps the kernels small and the backups
+vectorizable.
 """
 
 from __future__ import annotations
@@ -417,12 +418,31 @@ class UserMdp:
         return policy
 
     def solve(self, price: np.ndarray, tol: float = 1e-6,
-              init: np.ndarray | None = None, max_iter: int = 200_000) -> "ValueTable":
+              init: np.ndarray | None = None, max_iter: int = 1_000) -> "ValueTable":
+        """Policy iteration from the greedy policy of `init` (of zeros if None).
+
+        Each step evaluates the policy exactly, takes one backup and changes a
+        state's action only where the best Q beats the current one by more
+        than tol * (1 - delta): without that margin, first-maximiser
+        improvement can cycle among actions whose Qs differ only by rounding.
+        When no state gains more, the values are within tol of the optimum;
+        they are returned with their first-maximiser greedy policy. Raises
+        ModelError after `max_iter` steps.
+        """
         reward = self.priced_reward(price)
+        price = np.asarray(price)
         values = np.zeros((self.layout.n_traffic, len(self.view))) if init is None else init
-        values, _ = value_iteration(lambda v: self.backup(v, reward), values,
-                                    self.discount, tol, max_iter, "value iteration")
-        return ValueTable(self, values, self.greedy(values, reward), np.asarray(price))
+        policy = self.greedy(values, reward)
+        margin = tol * (1.0 - self.discount)
+        for steps in range(1, max_iter + 1):
+            values = self.exact_policy_value(ValueTable(self, values, policy, price), price)
+            gain = self.backup(values, reward) - values
+            better = gain > margin
+            if not better.any():
+                return ValueTable(self, values, self.greedy(values, reward), price, steps)
+            policy = np.where(better, self.greedy(values, reward), policy)
+        raise ModelError(f"policy iteration did not converge in {max_iter} steps "
+                         f"(last step's largest gain {float(gain.max()):.3e})")
 
     # -- lookups --------------------------------------------------------------
 
@@ -456,11 +476,11 @@ class UserMdp:
 
     def exact_policy_value(self, table: "ValueTable",
                            price: np.ndarray | None = None) -> np.ndarray:
-        """Solve (I - delta P_pi) V = (1-delta) u_pi for the greedy policy.
+        """Solve (I - delta P_pi) V = (1-delta) u_pi for the table's policy.
 
         With `price` given, u includes the packet-price penalty (the quantity
-        whose fixed point value iteration computes); without it, u is the raw
-        long-term payoff. Shape (n_traffic, n_view).
+        `solve` optimises); without it, u is the raw long-term payoff. Shape
+        (n_traffic, n_view).
         """
         u = self.payoff_table[table.policy, np.arange(len(self.view))]
         if price is not None:
@@ -536,6 +556,7 @@ class ValueTable:
     values: np.ndarray               # (n_traffic, n_view)
     policy: np.ndarray               # (n_traffic, n_view) -> state-action row
     price: np.ndarray                # per-view-state packet price used to solve
+    steps: int = 0                   # improvement steps of the solve that made it
 
     def action_of(self, phase: int, buffer: Sequence[int], view_state: int) -> ScheduleAction:
         t = self.mdp.layout.index(phase, buffer)

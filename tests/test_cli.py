@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 
+from wvsched import harness
 from wvsched.cli import main
 
 
@@ -75,6 +76,16 @@ def test_learning_with_clearing_fails_before_coordination(tmp_path, capsys):
     assert main(["run", "--scenario", "illustration-2user", "--solution",
                  "proposed-learning", "--clearing", "--out", str(tmp_path)]) == 2
     assert "PDS learning agents" in capsys.readouterr().err
+
+
+def test_full_with_clearing_fails_before_coordination(tmp_path, capsys, monkeypatch):
+    def no_coordination(*args, **kwargs):
+        raise AssertionError("coordination ran")
+
+    monkeypatch.setattr(harness, "run_coordination", no_coordination)
+    assert main(["run", "--scenario", "tiny-priced", "--solution",
+                 "proposed-full", "--clearing", "--out", str(tmp_path)]) == 2
+    assert "full tabular agents" in capsys.readouterr().err
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

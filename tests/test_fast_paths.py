@@ -7,7 +7,9 @@ per-DU loop over sends (for learned tables), `rng.choice` draws, the
 user MDP's per-action loops (traffic kernel, policy chain, post-decision
 kernel, action lookups by re-walking `iter_actions`), and the joint kernel's
 loop over (joint state, joint action) pairs with its `choices` callback.
-Results must agree exactly (==), not approximately.
+Results must agree exactly (==), not approximately. The one exception is the
+user MDP's policy-iteration solve: its reference, value iteration, stops at
+a tolerance, so the two agree within it.
 """
 
 from __future__ import annotations
@@ -199,6 +201,15 @@ def reference_exact_policy_value(mdp: UserMdp, table: ValueTable, price=None):
     a = sp.eye(mdp.n_states, format="csr") - mdp.discount * reference_policy_transition(
         mdp, table)
     return spla.spsolve(a.tocsc(), (1.0 - mdp.discount) * u).reshape(-1, n_view)
+
+
+def reference_user_solve(mdp: UserMdp, price, tol: float, init=None) -> np.ndarray:
+    """The user MDP's values by value iteration from `init` (zeros if None)."""
+    reward = mdp.priced_reward(price)
+    values = np.zeros((mdp.layout.n_traffic, len(mdp.view))) if init is None else init
+    values, _ = value_iteration(lambda v: mdp.backup(v, reward), values, mdp.discount,
+                                tol, 1_000_000, "reference")
+    return values
 
 
 def reference_pds_kernel(lay: TrafficLayout) -> sp.csr_matrix:
@@ -461,6 +472,22 @@ def user_mdps(draw_):
 
 
 @st.composite
+def priced_solves(draw_):
+    """(UserMdp, price, warm-start price or None, tol) on small templates with
+    1-2 view states, quality floors and discounts 0, 0.5 and 0.95."""
+    tpl = draw_(small_templates())
+    assume(TrafficLayout(tpl).n_traffic <= 300)
+    view = common_view(draw_(channels(max_states=2)), 1)
+    mdp = UserMdp(tpl, view, draw_(st.floats(0.0, 1.0)),
+                  draw_(st.one_of(st.just(0.0), values_)), 1.0,
+                  draw_(st.sampled_from([0.0, 0.5, 0.95])))
+    prices = st.lists(st.one_of(st.just(0.0), values_), min_size=len(view),
+                      max_size=len(view)).map(np.array)
+    return (mdp, draw_(prices), draw_(st.one_of(st.none(), prices)),
+            draw_(st.sampled_from([1e-6, 1e-9])))
+
+
+@st.composite
 def joint_scenarios(draw_):
     """(scenario, prices) of 2 or 3 users with small templates (periods 1-3,
     so the joint period can exceed each user's), quality floors, common or
@@ -702,6 +729,42 @@ def test_policy_chain_and_exact_value_equal_loops(inst):
                           reference_exact_policy_value(mdp, table))
     assert np.array_equal(mdp.exact_policy_value(table, price),
                           reference_exact_policy_value(mdp, table, price))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(priced_solves())
+def test_policy_iteration_solve_matches_value_iteration(inst):
+    mdp, price, warm_price, tol = inst
+    init = None if warm_price is None else mdp.solve(warm_price, tol=tol).values
+    table = mdp.solve(price, tol=tol, init=init)
+    reward = mdp.priced_reward(price)
+    margin = tol * (1.0 - mdp.discount)
+    ref = reference_user_solve(mdp, price, 1e-12, init)
+    best = mdp.backup(table.values, reward)
+    assert np.max(np.abs(table.values - ref)) <= tol + 1e-12
+    assert np.max(np.abs(best - table.values)) <= margin
+    assert np.array_equal(table.policy, mdp.greedy(table.values, reward))
+    chosen = np.take_along_axis(mdp.q_values(table.values, reward), table.policy, axis=0)
+    assert np.all(chosen >= best - margin)
+
+
+def test_policy_iteration_steps_on_gop16_user():
+    """gop16-default user 1 (11,264 states), whose DUs of equal worth give
+    many near-tied actions: a cold solve at the settled prices and a warm
+    re-solve after a 1% price move stop within 10 and 2 steps, and a cap
+    below the cold solve's steps raises."""
+    sc = preset("gop16-default")
+    u = sc.users[1]
+    view = common_view(u.channel, len(sc.users), user=1)
+    mdp = UserMdp(u.template, view, u.beta, u.min_quality, sc.bits_per_packet,
+                  sc.discount)
+    lam = {(0, 0): 1.267, (1, 1): 1.419}
+    cold = mdp.solve(view.price_vector(lam, sc.bits_per_packet), tol=1e-7)
+    moved = view.price_vector({k: 1.01 * x for k, x in lam.items()}, sc.bits_per_packet)
+    warm = mdp.solve(moved, tol=1e-7, init=cold.values)
+    assert cold.steps <= 10 and warm.steps <= 2
+    with pytest.raises(ModelError, match=r"did not converge in 2 steps \(last step's largest gain"):
+        mdp.solve(view.price_vector(lam, sc.bits_per_packet), tol=1e-7, max_iter=2)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -238,6 +238,17 @@ def test_priced_oracle_bounds_exact_values(priced_results):
     assert orc.mean_value >= priced_results["uniform_value"] - 1e-9
 
 
+def test_priced_full_coordination_re_solves_in_few_steps(priced_results):
+    """The tiny-priced proposed-full prepare settles where the benchmark's
+    reference does, and its warm re-solves take about one improvement step:
+    a solver that sweeps its way to each new fixed point fails here."""
+    sol = priced_results["solution"]
+    assert sol.report.slots_run == 3688
+    assert sol.prices.lam == {(0, 0): 0.0, (1, 1): 1.6713572602736357}
+    for agent in sol.agents:
+        assert 0 < agent.resolves <= agent.steps <= 2 * agent.resolves
+
+
 def _send_all(buffers):
     return [ScheduleAction(tuple(b)) for b in buffers]
 
@@ -348,6 +359,14 @@ def test_learning_solution_rejects_clearing_at_construction():
         ProposedSolution(sc, mode="learning", clearing=True)
     with pytest.raises(ModelError, match="PDS learning agents"):
         build_solution(sc, "proposed-learning", clearing=True)
+
+
+def test_full_solution_rejects_clearing_at_construction():
+    sc = preset("tiny-priced")
+    with pytest.raises(ModelError, match="full tabular agents"):
+        ProposedSolution(sc, agent_kind="full", clearing=True)
+    with pytest.raises(ModelError, match="full tabular agents"):
+        build_solution(sc, "proposed-full", clearing=True)
 
 
 def test_slot_usage_never_exceeds_band_after_scaling(illustration):
