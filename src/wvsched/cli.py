@@ -104,9 +104,13 @@ def _cmd_run(args) -> int:
     trace = run_episode(scenario, solution, args.slots,
                         np.random.default_rng(seed + 1))
     paths = emit_report([trace], scenario, args.out)
-    if isinstance(solution, ProposedSolution) and solution.report is not None:
-        paths.append(write_price_trace(solution.report,
-                                       Path(args.out) / "prices.csv"))
+    report = solution.report if isinstance(solution, ProposedSolution) else None
+    if report is not None:
+        paths.append(write_price_trace(report, Path(args.out) / "prices.csv"))
+        if report.price_trace_dropped:
+            print(f"warning: prices.csv holds the last {len(report.price_trace)} "
+                  f"price updates; the first {report.price_trace_dropped} were "
+                  "dropped from the bounded history", file=sys.stderr)
     m = compute_metrics(trace, scenario)
     print(f"{solution.name}: network payoff {m.network_payoff:.4f}, "
           f"distortion {m.total_distortion:.1f}, energy {m.total_energy:.4g}")

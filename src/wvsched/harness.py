@@ -49,6 +49,7 @@ from wvsched.pricing import (
     SlotSystem,
     run_coordination,
     scale_to_budget,
+    slot_key,
 )
 from wvsched.scheduling import (
     SIMPLE_SCHEDULERS,
@@ -271,8 +272,7 @@ class PricedRuntime(Solution):
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
         sc = self.scenario
-        key = (tuple(s0), tuple(c.phase for c in contexts), tuple(buffers)) \
-            if self._cacheable else None
+        key = slot_key(s0, contexts, buffers) if self._cacheable else None
         if key is not None and key in self._cache:
             return self._cache[key]
         raw = [a.act(ctx, buf, a.view.view_state(s0))
@@ -409,10 +409,12 @@ class ProposedSolution(PricedRuntime):
         The subgradient table undershoots when clearing does the real
         rationing; solving the users' tables against the average cleared
         price keeps their continuation values consistent with what the
-        market actually charges.
+        market actually charges. Prices are fixed within a round, so its
+        decisions are cached; the cache is emptied before the re-solve.
         """
         sc = self.scenario
         joint = JointChannel(sc.channels, sc.channel_correlation)
+        self._cacheable = True
         for _ in range(rounds):
             tally: dict = {}
             count: dict = {}
@@ -425,6 +427,7 @@ class ProposedSolution(PricedRuntime):
                 system.advance(decision.sent)
             for key, total in tally.items():
                 self.prices.lam[key] = total / count[key]
+            self._cache = {}
             for a in self.agents:
                 a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
 
@@ -590,15 +593,20 @@ class UniformPriceSolution(Solution):
         return estimate
 
     def _simulated_usage(self, agent, rng: np.random.Generator) -> np.ndarray:
-        """Long-run E[bandwidth request | own channel] by simulation."""
+        """Long-run E[bandwidth request | own channel] by simulation; the
+        agent's price is fixed here, so each distinct decision is computed once."""
         sc = self.scenario
         n = len(agent.view)
         tally = np.zeros(n)
         count = np.zeros(n)
         system = SlotSystem([agent.template], JointChannel([agent.channel]), rng)
+        decisions: dict = {}
         for _ in range(self.usage_slots):
             (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
-            act = agent.act(ctx, buf, h)
+            key = slot_key(system.s0, system.contexts, system.buffers)
+            if key not in decisions:
+                decisions[key] = agent.act(ctx, buf, h)
+            act = decisions[key]
             tally[h] += act.total * sc.bits_per_packet / agent.channel.rate[h]
             count[h] += 1
             system.advance([act])
@@ -620,7 +628,7 @@ class UniformPriceSolution(Solution):
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
         sc = self.scenario
-        key = (tuple(s0), tuple(c.phase for c in contexts), tuple(buffers))
+        key = slot_key(s0, contexts, buffers)
         if key in self._cache:
             return self._cache[key]
         raw = [a.act(ctx, buf, a.view.view_state(s0))

@@ -10,6 +10,7 @@ active DU, and a Markov channel state. Actions are per-DU packet counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -35,6 +36,15 @@ def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """One categorical draw from a `categorical_cdf`: the same index, from the
     same single `rng.random()`, as `rng.choice(len(cdf), p=probs)`."""
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def uniforms(rng: np.random.Generator, k: int) -> Sequence[float]:
+    """k uniforms from one generator call: the same doubles, and the same
+    generator state after, as k `rng.random()` calls. One scalar call when
+    k = 1 (cheaper than an array), none when k = 0."""
+    if k == 1:
+        return (rng.random(),)
+    return rng.random(k).tolist() if k else ()
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +94,18 @@ class DataUnitSpec:
         return sum(v * p for v, p in self.size_pmf)
 
     @cached_property
-    def size_cdf(self) -> np.ndarray:
-        return categorical_cdf([p for _, p in self.size_pmf])
+    def size_cdf(self) -> list[float]:
+        """The `categorical_cdf` of the sizes as a list: `bisect_right` on it
+        picks the index `searchsorted(side="right")` would, without numpy's
+        per-call overhead."""
+        return categorical_cdf([p for _, p in self.size_pmf]).tolist()
+
+    def size_at(self, u: float) -> int:
+        """The size one uniform draw `u` in [0, 1) maps to."""
+        return self.size_pmf[bisect_right(self.size_cdf, u)][0]
 
     def sample_size(self, rng: np.random.Generator) -> int:
-        return self.size_pmf[draw(self.size_cdf, rng)][0]
+        return self.size_at(rng.random())
 
 
 @dataclass(frozen=True)
@@ -339,8 +356,9 @@ class ChannelModel:
         return pi / pi.sum()
 
     @cached_property
-    def transition_cdf(self) -> list[np.ndarray]:
-        return [categorical_cdf(row) for row in self.transition]
+    def transition_cdf(self) -> list[list[float]]:
+        """Each row's `categorical_cdf` as a list, for `bisect_right`."""
+        return [categorical_cdf(row).tolist() for row in self.transition]
 
     @cached_property
     def stationary_cdf(self) -> np.ndarray:
@@ -349,7 +367,7 @@ class ChannelModel:
 
 def sample_channel(model: ChannelModel, h: int, rng: np.random.Generator) -> int:
     """Draw the next channel state from the row p(.|h)."""
-    return draw(model.transition_cdf[h], rng)
+    return bisect_right(model.transition_cdf[h], rng.random())
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +477,9 @@ def advance_traffic(template: GopTemplate, state: UserState, action: ScheduleAct
     """Apply sends, drop DUs whose deadline passed, draw entering DU sizes.
 
     The context advances deterministically by one phase; leftover packets of
-    expiring DUs are reported as dropped.
+    expiring DUs are reported as dropped. The k entering sizes come from one
+    `uniforms(rng, k)` call, in slot order, so they are the sizes k
+    `sample_size` calls would draw.
     """
     _check_feasible(state, action)
     phase = state.context.phase
@@ -474,10 +494,9 @@ def advance_traffic(template: GopTemplate, state: UserState, action: ScheduleAct
     for i, j in step.survivors:
         buffer[j] = left[i]
     arrivals = {}
-    for j in step.entering:
-        size = nxt.slots[j].du.sample_size(rng)
-        buffer[j] = size
-        arrivals[nxt.slots[j].key] = size
+    for j, u in zip(step.entering, uniforms(rng, len(step.entering))):
+        slot = nxt.slots[j]
+        buffer[j] = arrivals[slot.key] = slot.du.size_at(u)
     return TrafficStep(nxt, tuple(buffer), arrivals, dropped)
 
 

@@ -9,6 +9,7 @@ declared when every price update in a sliding window is below tolerance.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -28,7 +29,7 @@ from wvsched.model import (
     draw,
     initial_buffer,
     payoff,
-    sample_channel,
+    uniforms,
 )
 
 
@@ -104,10 +105,13 @@ class JointChannel:
         return tuple(draw(c.stationary_cdf, rng) for c in self.channels)
 
     def step(self, s0: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+        """The next joint state: one draw if common, else one `uniforms` call
+        over the users, giving the states n `sample_channel` calls would."""
         if self.correlation == "common":
-            h = sample_channel(self.channels[0], s0[0], rng)
+            h = bisect_right(self.channels[0].transition_cdf[s0[0]], rng.random())
             return (h,) * len(self.channels)
-        return tuple(sample_channel(c, h, rng) for c, h in zip(self.channels, s0))
+        return tuple(bisect_right(c.transition_cdf[h], u) for c, h, u in
+                     zip(self.channels, s0, uniforms(rng, len(self.channels))))
 
     def all_states(self) -> list[tuple[int, ...]]:
         if self.correlation == "common":
@@ -116,13 +120,26 @@ class JointChannel:
         return [tuple(k) for k in product(*(range(len(c)) for c in self.channels))]
 
 
+def slot_key(s0, contexts, buffers) -> tuple:
+    """The slot state a fixed policy decides on: the joint channel state,
+    each user's GOP phase and each user's buffer. Hashable, so loops that
+    replay a frozen policy compute each distinct decision once."""
+    return (tuple(s0), tuple(c.phase for c in contexts), tuple(buffers))
+
+
 class SlotSystem:
     """The simulated system every slot loop steps: the joint channel state
     `s0` and each user's buffer and context (its GOP phase).
 
     Start-up draws the channel state (unless `s0` is given), then each
-    user's initial buffer. `advance` draws each user's entering DU sizes in
-    user order, then the next channel state (unless `s0_next` is given).
+    user's initial buffer, one scalar draw per DU. Each `advance` then
+    draws, in user order, one block of k uniforms per user for the k DUs
+    entering at its next phase (none when no DU enters), and last the next
+    channel state (unless `s0_next` is given): one draw if the channel is
+    common, one block over the n users if not. A block is one generator
+    call (`model.uniforms`: `rng.random(k)`, or `rng.random()` when k = 1)
+    and yields the same doubles as k scalar draws, so the stream is the one
+    the per-DU samplers would consume.
     `states()` builds each user's validated `UserState` once per slot.
     """
 
@@ -208,7 +225,13 @@ class PricedUserAgent(Protocol):
         """Adopt a new per-view-state price vector (re-solve if it moved)."""
 
     def act(self, context, buffer: tuple[int, ...], view_state: int) -> ScheduleAction:
-        """Greedy action in the current state under the refreshed prices."""
+        """Greedy action in the current state under the refreshed prices.
+
+        Between two refreshes the action depends on the arguments alone: it
+        draws no random number and changes no state it reads. Learning
+        agents meet this once frozen. Loops that replay a fixed policy rely
+        on it to memoise `act` on `slot_key`.
+        """
 
 
 @dataclass
@@ -221,7 +244,10 @@ class CoordinationReport:
     expected_usage: dict[tuple[int, ...], float] = field(default_factory=dict)
     utility_trajectory: list[float] = field(default_factory=list)
     price_trace: list[tuple[int, tuple[int, ...], float, float]] = field(default_factory=list)
+    price_trace_dropped: int = 0          # early updates the bounded history lost
     exchange_messages_per_slot: int = 0
+    eval_slots: int = 0                   # slots the frozen policies were replayed
+    eval_decisions: int = 0               # distinct slot decisions computed there
 
 
 # price updates per settle sweep of one state (see state_settled)
@@ -240,7 +266,8 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
     read off the agents); one price update happens per simulated slot, at the
     realized joint channel state. Afterwards the converged policies are
     frozen and replayed for `eval_slots` to estimate per-state expected usage
-    and complementary-slackness residuals.
+    and complementary-slackness residuals; frozen policies are deterministic,
+    so the replay computes each distinct slot decision once.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     table = PriceTable()
@@ -264,15 +291,6 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
             return False
         return abs(win[-1][1] - win[0][1]) <= tolerance
 
-    def requests_and_sends(contexts):
-        s0 = system.s0
-        actions = [a.act(ctx, buf, a.view.view_state(s0))
-                   for a, ctx, buf in zip(agents, contexts, system.buffers)]
-        rates = [a.channel.rate[h] for a, h in zip(agents, s0)]
-        requests = [act.total * bits_per_packet / r for act, r in zip(actions, rates)]
-        return requests, scale_to_budget(contexts, actions, rates, bits_per_packet,
-                                         bandwidth)
-
     for slots in range(1, max_slots + 1):
         # refresh priced policies when the projected prices moved enough
         for i, agent in enumerate(agents):
@@ -283,7 +301,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
 
         s0 = system.s0
         contexts = system.contexts
-        requests, sent = requests_and_sends(contexts)
+        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
         lam_before = table.get(s0)
         update_prices(table, s0, requests, bandwidth)
         win = windows.setdefault(s0, deque(maxlen=SWEEP_FACTOR + 1))
@@ -314,6 +332,7 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
         converged=converged,
         utility_trajectory=utility_traj,
         price_trace=[(it, key, usage, lam) for it, key, usage, lam in table.history],
+        price_trace_dropped=table.updates - len(table.history),
         exchange_messages_per_slot=2 * len(agents),  # one price + one request per user
     )
     if not converged:
@@ -326,17 +345,48 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
         if hasattr(agent, "frozen"):
             agent.frozen = True
         agent.refresh(agent.view.price_vector(table.lam, bits_per_packet))
+    report.expected_usage, report.eval_decisions = frozen_usage(
+        system, agents, eval_slots, bits_per_packet=bits_per_packet, bandwidth=bandwidth)
+    report.eval_slots = eval_slots
+    for key, mean_usage in report.expected_usage.items():
+        report.residuals[key] = abs(table.get(key) * (mean_usage - bandwidth))
+    return table, report
+
+
+def slot_requests(agents: Sequence[PricedUserAgent], system: SlotSystem,
+                  bits_per_packet: float,
+                  bandwidth: float) -> tuple[list[float], list[ScheduleAction]]:
+    """Each user's band request at its priced action in the system's current
+    slot, and the actions scaled to fit the band."""
+    s0 = system.s0
+    actions = [a.act(ctx, buf, a.view.view_state(s0))
+               for a, ctx, buf in zip(agents, system.contexts, system.buffers)]
+    rates = [a.channel.rate[h] for a, h in zip(agents, s0)]
+    requests = [act.total * bits_per_packet / r for act, r in zip(actions, rates)]
+    return requests, scale_to_budget(system.contexts, actions, rates, bits_per_packet,
+                                     bandwidth)
+
+
+def frozen_usage(system: SlotSystem, agents: Sequence[PricedUserAgent], slots: int, *,
+                 bits_per_packet: float,
+                 bandwidth: float) -> tuple[dict[tuple[int, ...], float], int]:
+    """Replay frozen policies for `slots` slots: the mean band request per
+    visited joint state, and how many distinct decisions were computed.
+
+    Frozen policies are deterministic (see `PricedUserAgent.act`), so each
+    distinct `slot_key` is decided once; the random stream is the same as if
+    every slot were decided afresh.
+    """
     usage_sum: dict[tuple[int, ...], float] = {}
     usage_n: dict[tuple[int, ...], int] = {}
-    for _ in range(eval_slots):
+    decisions: dict[tuple, tuple] = {}
+    for _ in range(slots):
         s0 = system.s0
-        requests, sent = requests_and_sends(system.contexts)
+        key = slot_key(s0, system.contexts, system.buffers)
+        if key not in decisions:
+            decisions[key] = slot_requests(agents, system, bits_per_packet, bandwidth)
+        requests, sent = decisions[key]
         usage_sum[s0] = usage_sum.get(s0, 0.0) + sum(requests)
         usage_n[s0] = usage_n.get(s0, 0) + 1
         system.advance(sent)
-
-    for key, total in usage_sum.items():
-        mean_usage = total / usage_n[key]
-        report.expected_usage[key] = mean_usage
-        report.residuals[key] = abs(table.get(key) * (mean_usage - bandwidth))
-    return table, report
+    return {s0: total / usage_n[s0] for s0, total in usage_sum.items()}, len(decisions)

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import partial
 
-from wvsched import harness
+from wvsched import harness, pricing
 from wvsched.cli import main
 
 
@@ -30,6 +31,21 @@ def test_run_proposed_emits_price_trace(tmp_path):
     rows = list(csv.reader(open(tmp_path / "prices.csv", encoding="utf-8")))
     assert rows[0][0] == "iteration"
     assert len(rows) > 5
+
+
+def test_run_warns_when_the_price_history_was_truncated(tmp_path, capsys, monkeypatch):
+    args = ["run", "--scenario", "tiny-sym", "--solution", "proposed", "--slots", "10"]
+    assert main(args + ["--out", str(tmp_path / "full")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    updates = len(list(csv.reader(open(tmp_path / "full" / "prices.csv",
+                                       encoding="utf-8")))) - 1
+    monkeypatch.setattr(pricing, "PriceTable", partial(pricing.PriceTable, history_len=10))
+    assert main(args + ["--out", str(tmp_path / "short")]) == 0
+    err = capsys.readouterr().err
+    assert (f"warning: prices.csv holds the last 10 price updates; the first "
+            f"{updates - 10} were dropped") in err
+    rows = list(csv.reader(open(tmp_path / "short" / "prices.csv", encoding="utf-8")))
+    assert len(rows) == 1 + 10
 
 
 def test_compare_command(tmp_path, capsys):

@@ -5,8 +5,12 @@ replaced: the per-buffer-level loop solve, the round-by-round decomposed
 scheduler that re-evaluates every root each round (for planned tables) and a
 per-DU loop over sends (for learned tables), `rng.choice` draws, the
 user MDP's per-action loops (traffic kernel, policy chain, post-decision
-kernel, action lookups by re-walking `iter_actions`), and the joint kernel's
-loop over (joint state, joint action) pairs with its `choices` callback.
+kernel, action lookups by re-walking `iter_actions`), the joint kernel's
+loop over (joint state, joint action) pairs with its `choices` callback,
+the frozen-policy loops (evaluation replay, clearing calibration,
+uniform-price usage) deciding every slot afresh instead of once per
+`slot_key`, and the slot step drawing each entering DU and each channel
+with its own scalar sampler call.
 Results must agree exactly (==), not approximately. The one exception is the
 user MDP's policy-iteration solve: its reference, value iteration, stops at
 a tolerance, so the two agree within it.
@@ -25,8 +29,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wvsched import oracle
-from wvsched.harness import build_solution
+from wvsched import oracle, pricing
+from wvsched.harness import ProposedSolution, UniformPriceSolution, build_solution, make_agents
 from wvsched.learning import DuPdsLearner
 from wvsched.mdp import (
     TrafficLayout,
@@ -47,11 +51,12 @@ from wvsched.model import (
     UserConfig,
     bandwidth_usage,
     draw,
+    initial_buffer,
     iter_actions,
     sample_channel,
 )
 from wvsched.oracle import JointSpace
-from wvsched.pricing import JointChannel
+from wvsched.pricing import JointChannel, SlotSystem, frozen_usage, slot_requests
 from wvsched.scenario import preset
 from wvsched.scheduling import SingleDuModel, build_du_tables, decomposed_schedule
 
@@ -377,6 +382,75 @@ def reference_joint_value(scenario, act_rule):
     return kernel, rewards, starts, values
 
 
+def reference_frozen_usage(system, agents, slots, *, bits_per_packet, bandwidth):
+    """The evaluation replay deciding every slot afresh."""
+    usage_sum, usage_n = {}, {}
+    for _ in range(slots):
+        s0 = system.s0
+        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
+        usage_sum[s0] = usage_sum.get(s0, 0.0) + sum(requests)
+        usage_n[s0] = usage_n.get(s0, 0) + 1
+        system.advance(sent)
+    return {s0: total / usage_n[s0] for s0, total in usage_sum.items()}, slots
+
+
+def reference_calibrate(self, rng, rounds=2, slots=600):
+    """ProposedSolution._calibrate with its decision cache off."""
+    sc = self.scenario
+    joint = JointChannel(sc.channels, sc.channel_correlation)
+    self._cacheable = False
+    for _ in range(rounds):
+        tally, count = {}, {}
+        system = SlotSystem(sc.templates, joint, rng)
+        for _t in range(slots):
+            s0 = system.s0
+            decision = self.sent_actions(s0, system.contexts, system.buffers)
+            tally[s0] = tally.get(s0, 0.0) + decision.lam0
+            count[s0] = count.get(s0, 0) + 1
+            system.advance(decision.sent)
+        for key, total in tally.items():
+            self.prices.lam[key] = total / count[key]
+        for a in self.agents:
+            a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
+
+
+def reference_simulated_usage(self, agent, rng):
+    """UniformPriceSolution._simulated_usage deciding every slot afresh."""
+    sc = self.scenario
+    tally, count = np.zeros(len(agent.view)), np.zeros(len(agent.view))
+    system = SlotSystem([agent.template], JointChannel([agent.channel]), rng)
+    for _ in range(self.usage_slots):
+        (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
+        act = agent.act(ctx, buf, h)
+        tally[h] += act.total * sc.bits_per_packet / agent.channel.rate[h]
+        count[h] += 1
+        system.advance([act])
+    return np.divide(tally, np.maximum(count, 1))
+
+
+def reference_advance(templates, joint, s0, contexts, buffers, sent, rng):
+    """One slot with a `sample_size` call per entering DU, user by user, then
+    a `sample_channel` call per channel draw: (context, buffer, arrivals,
+    drops) per user, and the next joint state."""
+    out = []
+    for tpl, ctx, buf, act in zip(templates, contexts, buffers, sent):
+        step, nxt = tpl.step(ctx.phase), tpl.context(ctx.phase + 1)
+        left = [x - y for x, y in zip(buf, act.sends)]
+        dropped = {ctx.slots[i].key: left[i] for i in step.expiring if left[i] > 0}
+        new = [0] * len(nxt)
+        for i, j in step.survivors:
+            new[j] = left[i]
+        arrivals = {}
+        for j in step.entering:
+            new[j] = arrivals[nxt.slots[j].key] = nxt.slots[j].du.sample_size(rng)
+        out.append((nxt, tuple(new), arrivals, dropped))
+    if joint.correlation == "common":
+        s0_next = (sample_channel(joint.channels[0], s0[0], rng),) * len(s0)
+    else:
+        s0_next = tuple(sample_channel(c, h, rng) for c, h in zip(joint.channels, s0))
+    return out, s0_next
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -508,6 +582,26 @@ def joint_scenarios(draw_):
     space = JointSpace(sc)
     assume(space.n_states <= 600)
     return sc, {s0: draw_(values_) for s0 in space.c0_states}
+
+
+# one 2-packet DU every other slot: a single-point PMF, and a phase at which
+# no DU enters
+SPARSE_TEMPLATE = GopTemplate([DataUnitSpec(0, "I", 1.0, 0, ((2, 1.0),))], 2, 1)
+
+
+@st.composite
+def slot_systems(draw_):
+    """(templates, joint channel, seed) of 1-3 users: small templates (sizes
+    0-2 with zero-probability sizes, several DUs entering together) or the
+    sparse one, on common or independent channels."""
+    n_users = draw_(st.integers(1, 3))
+    common = draw_(st.booleans())
+    shared = draw_(channels())
+    templates = [draw_(st.one_of(small_templates(), st.just(SPARSE_TEMPLATE)))
+                 for _ in range(n_users)]
+    chans = [shared if common else draw_(channels()) for _ in range(n_users)]
+    joint = JointChannel(chans, "common" if common else "independent")
+    return templates, joint, draw_(st.integers(0, 2**32 - 1))
 
 
 def random_table(mdp: UserMdp, price, seed) -> ValueTable:
@@ -672,6 +766,104 @@ def test_joint_initial_equals_choice(chans, common, seed):
     for _ in range(10):
         assert joint.initial(fast) == reference_initial(joint, ref)
     assert fast.random() == ref.random()
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(slot_systems())
+@example(([SPARSE_TEMPLATE, SPARSE_TEMPLATE], JointChannel(
+    [ChannelModel(["g", "b"], [1.0, 1.0], [2.0, 1.0], [[0.5, 0.5], [0.0, 1.0]])] * 2,
+    "independent"), 3))
+def test_batched_slot_engine_equals_per_du_draws(inst):
+    templates, joint, seed = inst
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    system = SlotSystem(templates, joint, fast)
+    s0 = joint.initial(ref)
+    buffers = [initial_buffer(t, 0, ref) for t in templates]
+    contexts = [t.context(0) for t in templates]
+    assert (system.s0, system.buffers) == (s0, buffers)
+    for t in range(25):
+        sent = [ScheduleAction(tuple(x * (t + u + 1) % (x + 1) for x in buf))
+                for u, buf in enumerate(buffers)]
+        expect, s0 = reference_advance(templates, joint, s0, contexts, buffers, sent, ref)
+        steps = system.advance(sent)
+        assert [(st_.context, st_.buffer, st_.arrivals, st_.dropped) for st_ in steps] \
+            == expect
+        assert system.s0 == s0
+        contexts = [c for c, _, _, _ in expect]
+        buffers = [b for _, b, _, _ in expect]
+    assert fast.random() == ref.random()
+
+
+# ---------------------------------------------------------------------------
+# Frozen-policy memos
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(slot_systems(), st.data())
+def test_frozen_usage_equals_fresh_decisions(inst, data):
+    """Decomposed agents at arbitrary fixed prices on small templates, where
+    different phases often hold equal buffers and channel states differ in
+    price: each distinct decision is computed once, with the same usage and
+    the same stream as deciding every slot."""
+    templates, joint, seed = inst
+    users = tuple(UserConfig(f"u{i}", t, c)
+                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
+    sc = ScenarioConfig("memo", users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                        channel_correlation=joint.correlation)
+    agents = make_agents(sc, "decomposed")
+    for a in agents:
+        a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+    results = []
+    for usage in (frozen_usage, reference_frozen_usage):
+        rng = np.random.default_rng(seed)
+        system = SlotSystem(templates, joint, rng)
+        mean, _ = usage(system, agents, 200, bits_per_packet=1.0, bandwidth=sc.bandwidth)
+        results.append((mean, rng.random()))
+    assert results[0] == results[1]
+
+
+def _prepared(sol, seed):
+    """Prepare `sol` on its own stream; return it and that stream's next draw."""
+    rng = np.random.default_rng(seed)
+    sol.prepare(rng)
+    return sol, rng.random()
+
+
+@pytest.mark.parametrize("name, solution", [("gop16-default", "proposed"),
+                                            ("tiny-priced", "proposed-full"),
+                                            ("illustration-2user", "proposed-learning")])
+def test_memoised_evaluation_replay_equals_fresh_decisions(name, solution, monkeypatch):
+    sc = preset(name)
+    fast, fast_next = _prepared(build_solution(sc, solution, eval_slots=5_000), sc.seed)
+    monkeypatch.setattr(pricing, "frozen_usage", reference_frozen_usage)
+    ref, ref_next = _prepared(build_solution(sc, solution, eval_slots=5_000), sc.seed)
+    assert fast.report.expected_usage == ref.report.expected_usage
+    assert fast.report.residuals == ref.report.residuals
+    assert fast_next == ref_next
+    assert fast.report.eval_decisions < ref.report.eval_decisions == 5_000
+
+
+@pytest.mark.parametrize("name", ["illustration-2user", "tiny-priced"])
+def test_memoised_calibration_equals_fresh_clearing(name, monkeypatch):
+    sc = preset(name)
+    fast, fast_next = _prepared(ProposedSolution(sc, eval_slots=2_000, clearing=True),
+                                sc.seed)
+    monkeypatch.setattr(ProposedSolution, "_calibrate", reference_calibrate)
+    ref, ref_next = _prepared(ProposedSolution(sc, eval_slots=2_000, clearing=True),
+                              sc.seed)
+    assert fast.prices.lam == ref.prices.lam
+    assert fast_next == ref_next
+
+
+@pytest.mark.parametrize("name", ["illustration-2user", "tiny-priced"])
+def test_memoised_uniform_price_usage_equals_fresh_decisions(name, monkeypatch):
+    sc = preset(name)
+    fast, fast_next = _prepared(UniformPriceSolution(sc, usage_slots=600), sc.seed)
+    monkeypatch.setattr(UniformPriceSolution, "_simulated_usage", reference_simulated_usage)
+    ref, ref_next = _prepared(UniformPriceSolution(sc, usage_slots=600), sc.seed)
+    assert fast.result.usage_by_state == ref.result.usage_by_state
+    assert fast.price == ref.price
+    assert fast_next == ref_next
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,32 @@ def test_priced_full_coordination_re_solves_in_few_steps(priced_results):
         assert 0 < agent.resolves <= agent.steps <= 2 * agent.resolves
 
 
+def test_frozen_replay_decides_each_distinct_slot_once(priced_results, monkeypatch):
+    """After coordination the frozen policies are replayed for 20,000 slots,
+    but at the preset seeds only 303 distinct slot states occur on
+    gop16-default (`proposed`) and 34 on tiny-priced (`proposed-full`). Each
+    decision scales one set of requests, so a replay that decides every
+    slot afresh fails here, with no timing involved."""
+    from wvsched import pricing
+
+    scaled = []
+    scale = pricing.scale_to_budget
+
+    def counted(*args):
+        scaled.append(1)
+        return scale(*args)
+
+    monkeypatch.setattr(pricing, "scale_to_budget", counted)
+    sc = preset("gop16-default")
+    sol = build_solution(sc, "proposed")
+    sol.prepare(np.random.default_rng(sc.seed))
+    gop16 = sol.report
+    assert (gop16.eval_slots, gop16.eval_decisions) == (20_000, 303)
+    assert len(scaled) == gop16.slots_run + 303
+    tiny = priced_results["solution"].report
+    assert (tiny.eval_slots, tiny.eval_decisions) == (20_000, 34)
+
+
 def _send_all(buffers):
     return [ScheduleAction(tuple(b)) for b in buffers]
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,20 @@ def test_nonconvergence_raises_with_diagnostics():
                          bits_per_packet=1.0, correlation="common",
                          tolerance=1e-9, max_slots=40, rng=np.random.default_rng(0))
     assert err.value.report.price_trace
+
+
+def test_truncated_price_history_counts_the_dropped_updates(monkeypatch):
+    from wvsched import pricing
+
+    monkeypatch.setattr(pricing, "PriceTable", partial(PriceTable, history_len=10))
+    sc = preset("tiny-sym")
+    sol = ProposedSolution(sc, eval_slots=200)
+    sol.prepare(np.random.default_rng(sc.seed))
+    report = sol.report
+    assert report.slots_run > 10
+    assert report.price_trace_dropped == report.slots_run - 10
+    assert [it for it, *_ in report.price_trace] == \
+        list(range(report.price_trace_dropped + 1, report.slots_run + 1))
 
 
 def test_slack_uniform_price_is_zero_and_matches_proposed():
