@@ -82,15 +82,15 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _allocator_kwargs(name: str, **kwargs) -> dict:
+    """`kwargs` for the names that run on a ProposedSolution, else none."""
+    return kwargs if name.startswith("proposed") or name == "lyapunov" else {}
+
+
 def _prepare(scenario, name: str, seed: int, clearing: bool,
              max_slots: int = 120_000):
-    kwargs = {}
-    if name.startswith("proposed") and "+" not in name:
-        kwargs = {"clearing": clearing, "max_slots": max_slots}
-    solution = build_solution(scenario, name, **kwargs)
-    if not isinstance(solution, ProposedSolution) and hasattr(solution, "proposed"):
-        shared = ProposedSolution(scenario, clearing=clearing)
-        solution.proposed = shared
+    solution = build_solution(scenario, name, **_allocator_kwargs(
+        name, clearing=clearing, max_slots=max_slots))
     solution.prepare(np.random.default_rng(seed))
     return solution
 
@@ -127,11 +127,10 @@ def _cmd_compare(args) -> int:
     solutions = []
     prep_rng = np.random.default_rng(seed)
     for name in names:
-        kwargs = {"clearing": args.clearing} \
-            if name.startswith("proposed") and "+" not in name else {}
-        sol = build_solution(scenario, name, proposed=shared, **kwargs)
+        sol = build_solution(scenario, name, proposed=shared,
+                             **_allocator_kwargs(name, clearing=args.clearing))
         sol.prepare(prep_rng)
-        if isinstance(sol, ProposedSolution) and sol.mode == "planning" \
+        if isinstance(sol, ProposedSolution) and sol.agent_kind != "pds" \
                 and shared is None:
             shared = sol
         solutions.append(sol)

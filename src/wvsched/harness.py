@@ -195,9 +195,9 @@ class PdsDecomposedAgent:
 def make_agents(scenario: ScenarioConfig, kind: str,
                 rng: np.random.Generator | None = None) -> list:
     views = build_views(scenario)
-    if kind == "decomposed":
-        return [DecomposedAgent(u, v, scenario.discount)
-                for u, v in zip(scenario.users, views)]
+    if kind in ("decomposed", "drift"):
+        agent = DecomposedAgent if kind == "decomposed" else DriftAgent
+        return [agent(u, v, scenario.discount) for u, v in zip(scenario.users, views)]
     if kind == "full":
         return [FullMdpAgent(u, v, scenario.bits_per_packet, scenario.discount)
                 for u, v in zip(scenario.users, views)]
@@ -259,7 +259,8 @@ class PricedRuntime(Solution):
     and overcommitted slots are proportionally trimmed. With clearing on, a
     within-slot price search shrinks requests until they fit the band, then
     leftover capacity is granted to the highest-marginal-value packets users
-    still hold, so the band ends up fully utilized.
+    still hold, so the band ends up fully utilized. Decisions are cached on
+    `slot_key`; whatever re-prices the agents empties `_cache`.
     """
 
     def __init__(self, scenario: ScenarioConfig, clearing: bool = False):
@@ -268,12 +269,11 @@ class PricedRuntime(Solution):
         self.agents = None
         self.prices: PriceTable | None = None
         self._cache: dict = {}
-        self._cacheable = False
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
         sc = self.scenario
-        key = slot_key(s0, contexts, buffers) if self._cacheable else None
-        if key is not None and key in self._cache:
+        key = slot_key(s0, contexts, buffers)
+        if key in self._cache:
             return self._cache[key]
         raw = [a.act(ctx, buf, a.view.view_state(s0))
                for a, ctx, buf in zip(self.agents, contexts, buffers)]
@@ -286,16 +286,11 @@ class PricedRuntime(Solution):
             sent = scale_to_budget(contexts, raw, rates, sc.bits_per_packet,
                                    sc.bandwidth)
         decision = SlotDecision(raw, sent, lam0, self._shares(sc, s0, sent))
-        if key is not None:
-            self._cache[key] = decision
+        self._cache[key] = decision
         return decision
 
     def _acts_at(self, s0, contexts, buffers, lam0: float):
         sc = self.scenario
-        if not all(hasattr(a, "act_at") for a in self.agents):
-            raise ModelError(
-                "clearing mode needs price-queryable agents; the full tabular "
-                "policy cannot be re-priced within a slot")
         return [a.act_at(ctx, buf, a.view.view_state(s0),
                          lam0 * sc.bits_per_packet / a.channel.rate[s0[i]])
                 for i, (a, ctx, buf) in enumerate(zip(self.agents, contexts, buffers))]
@@ -366,41 +361,39 @@ class PricedRuntime(Solution):
 
 
 class ProposedSolution(PricedRuntime):
-    """Per-state prices from the coordination loop plus priced scheduling."""
+    """Per-state prices from the coordination loop plus priced scheduling,
+    with agents of one `make_agents` kind: "decomposed" (proposed), "full"
+    (proposed-full) or "pds" (proposed-learning)."""
 
-    def __init__(self, scenario: ScenarioConfig, mode: str = "planning",
-                 agent_kind: str = "decomposed", max_slots: int = 120_000,
-                 eval_slots: int = 20_000, clearing: bool = False):
-        if clearing and (mode == "learning" or agent_kind == "full"):
-            agents = ("the PDS learning agents of proposed-learning" if mode == "learning"
-                      else "the full tabular agents of proposed-full")
+    def __init__(self, scenario: ScenarioConfig, agent_kind: str = "decomposed",
+                 max_slots: int = 120_000, eval_slots: int = 20_000,
+                 clearing: bool = False):
+        no_act_at = {"pds": "the PDS learning agents of proposed-learning",
+                     "full": "the full tabular agents of proposed-full"}
+        if clearing and agent_kind in no_act_at:
             raise ModelError(
-                f"clearing mode needs price-queryable agents; {agents} have no "
-                "act_at and cannot be re-priced within a slot")
+                f"clearing mode needs price-queryable agents; {no_act_at[agent_kind]} "
+                "have no act_at and cannot be re-priced within a slot")
         super().__init__(scenario, clearing)
-        self.mode = mode
-        self.agent_kind = agent_kind if mode == "planning" else "pds"
+        self.agent_kind = agent_kind
         self.max_slots = max_slots
         self.eval_slots = eval_slots
-        self.name = "proposed" if mode == "planning" else "proposed-learning"
+        self.name = "proposed-learning" if agent_kind == "pds" else "proposed"
         self.report: CoordinationReport | None = None
 
     def prepare(self, rng: np.random.Generator) -> None:
+        """Coordinate prices (which leaves the agents frozen at them), then
+        calibrate to the cleared prices in clearing mode."""
         sc = self.scenario
-        self._cache, self._cacheable = {}, False
+        self._cache = {}
         self.agents = make_agents(sc, self.agent_kind, rng)
         self.prices, self.report = run_coordination(
-            sc.users, self.agents,
+            self.agents,
             bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
             correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
             max_slots=self.max_slots, eval_slots=self.eval_slots, rng=rng)
-        for a in self.agents:
-            if hasattr(a, "frozen"):
-                a.frozen = True
-            a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
         if self.clearing:
             self._calibrate(rng)
-        self._cacheable = True
 
     def _calibrate(self, rng: np.random.Generator, rounds: int = 2,
                    slots: int = 600) -> None:
@@ -414,7 +407,6 @@ class ProposedSolution(PricedRuntime):
         """
         sc = self.scenario
         joint = JointChannel(sc.channels, sc.channel_correlation)
-        self._cacheable = True
         for _ in range(rounds):
             tally: dict = {}
             count: dict = {}
@@ -432,41 +424,18 @@ class ProposedSolution(PricedRuntime):
                 a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
 
 
-class MyopicSolution(Solution):
-    """Static impact-proportional shares with earliest-deadline-first filling."""
-
-    name = "myopic"
-
-    def __init__(self, scenario: ScenarioConfig, scheduler: str = "edf"):
-        self.scenario = scenario
-        self.scheduler = SIMPLE_SCHEDULERS[scheduler]
-        self.shares = None
-
-    def prepare(self, rng: np.random.Generator) -> None:
-        self.shares = myopic_static_shares(self.scenario.templates)
-
-    def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
-        sc = self.scenario
-        acts = []
-        for i, (u, ctx, buf) in enumerate(zip(sc.users, contexts, buffers)):
-            cap = packet_capacity(self.shares[i], sc.bandwidth,
-                                  u.channel.rate[s0[i]], sc.bits_per_packet)
-            acts.append(self.scheduler(ctx, buf, cap))
-        return SlotDecision(acts, acts, 0.0, self._shares(sc, s0, acts))
-
-
 class PairedSolution(Solution):
     """A resource allocator paired with a simple within-capacity scheduler.
 
-    allocator "proposed": capacities come from the priced agents' scaled
-    demands on the current states; allocator "static": the myopic shares.
+    allocator "proposed": capacities come from `proposed`'s sends on the
+    current states; allocator "static": the myopic impact-proportional
+    shares. The myopic baseline is static shares with EDF filling.
     """
 
     def __init__(self, scenario: ScenarioConfig, allocator: str, scheduler: str,
                  proposed: ProposedSolution | None = None):
         self.scenario = scenario
         self.allocator = allocator
-        self.scheduler_name = scheduler
         self.scheduler = SIMPLE_SCHEDULERS[scheduler]
         self.proposed = proposed
         self.shares = None
@@ -475,11 +444,8 @@ class PairedSolution(Solution):
     def prepare(self, rng: np.random.Generator) -> None:
         if self.allocator == "static":
             self.shares = myopic_static_shares(self.scenario.templates)
-        else:
-            if self.proposed is None:
-                self.proposed = ProposedSolution(self.scenario)
-            if self.proposed.prices is None:
-                self.proposed.prepare(rng)
+        elif self.proposed.prices is None:
+            self.proposed.prepare(rng)
 
     def capacities(self, s0, contexts, buffers) -> list[int]:
         sc = self.scenario
@@ -532,25 +498,19 @@ class LyapunovSolution(PricedRuntime):
 
     name = "lyapunov"
 
-    def __init__(self, scenario: ScenarioConfig, proposed: ProposedSolution | None = None):
-        super().__init__(scenario, clearing=True)
+    def __init__(self, scenario: ScenarioConfig, proposed: ProposedSolution):
+        super().__init__(scenario, clearing=proposed.clearing)
         self.proposed = proposed
 
     def prepare(self, rng: np.random.Generator) -> None:
-        if self.proposed is None:
-            self.proposed = ProposedSolution(self.scenario)
         if self.proposed.prices is None:
             self.proposed.prepare(rng)
-        self._cache, self._cacheable = {}, False
-        self.clearing = self.proposed.clearing
+        self._cache = {}
         self.prices = self.proposed.prices
-        views = build_views(self.scenario)
-        self.agents = [DriftAgent(u, v, self.scenario.discount)
-                       for u, v in zip(self.scenario.users, views)]
+        self.agents = make_agents(self.scenario, "drift")
         for a in self.agents:
             a.refresh(a.view.price_vector(self.prices.lam,
                                           self.scenario.bits_per_packet))
-        self._cacheable = True
 
 
 class UniformPriceSolution(Solution):
@@ -644,26 +604,31 @@ class UniformPriceSolution(Solution):
 
 def build_solution(scenario: ScenarioConfig, name: str,
                    proposed: ProposedSolution | None = None, **kwargs) -> Solution:
-    """Solution factory; pairings reuse a prepared proposed solution if given."""
-    if name == "proposed":
-        return proposed if proposed is not None else ProposedSolution(scenario, **kwargs)
-    if name == "proposed-full":
-        return ProposedSolution(scenario, agent_kind="full", **kwargs)
-    if name == "proposed-learning":
-        return ProposedSolution(scenario, mode="learning", **kwargs)
+    """Solution factory. `kwargs` configure the solution's own allocator: the
+    ProposedSolution of proposed*, lyapunov and proposed+<sched>, or the
+    UniformPriceSolution of mu-mdp*. lyapunov and proposed+<sched> run on
+    `proposed` if given (and "proposed" returns it), else on a new one."""
+    kinds = {"proposed": "decomposed", "proposed-full": "full", "proposed-learning": "pds"}
+    if name == "proposed" and proposed is not None:
+        return proposed
+    if name in kinds:
+        return ProposedSolution(scenario, agent_kind=kinds[name], **kwargs)
+    if name in ("mu-mdp", "mu-mdp-full"):
+        kind = "full" if name == "mu-mdp-full" else "decomposed"
+        return UniformPriceSolution(scenario, agent_kind=kind, **kwargs)
     if name == "myopic":
-        return MyopicSolution(scenario)
-    if name == "lyapunov":
-        return LyapunovSolution(scenario, proposed=proposed)
-    if name == "mu-mdp":
-        return UniformPriceSolution(scenario, **kwargs)
-    if name == "mu-mdp-full":
-        return UniformPriceSolution(scenario, agent_kind="full", **kwargs)
-    if "+" in name:
-        alloc, sched = name.split("+", 1)
-        if alloc in ("proposed", "static", "myopic") and sched in SIMPLE_SCHEDULERS:
-            alloc = "static" if alloc == "myopic" else alloc
-            return PairedSolution(scenario, alloc, sched, proposed=proposed)
+        solution = PairedSolution(scenario, "static", "edf")
+        solution.name = name
+        return solution
+    alloc, _, sched = name.partition("+")
+    if alloc in ("static", "myopic") and sched in SIMPLE_SCHEDULERS:
+        return PairedSolution(scenario, "static", sched)
+    if name == "lyapunov" or (alloc == "proposed" and sched in SIMPLE_SCHEDULERS):
+        if proposed is None:
+            proposed = ProposedSolution(scenario, **kwargs)
+        if name == "lyapunov":
+            return LyapunovSolution(scenario, proposed)
+        return PairedSolution(scenario, alloc, sched, proposed)
     raise ModelError(f"unknown solution {name!r}")
 
 
@@ -680,7 +645,6 @@ class UserSlotRecord:
     payoff: float
     distortion: float
     energy: float
-    request_bw: float
     share: float
 
 
@@ -760,7 +724,6 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
                 payoff=pay,
                 distortion=dist,
                 energy=en,
-                request_bw=decision.raw[i].total * sc.bits_per_packet / u.channel.rate[s0[i]],
                 share=decision.shares[i],
             ))
         names = tuple(sc.users[i].channel.names[s0[i]] for i in range(n_users))

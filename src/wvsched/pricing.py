@@ -28,7 +28,6 @@ from wvsched.model import (
     bandwidth_usage,
     draw,
     initial_buffer,
-    payoff,
     uniforms,
 )
 
@@ -242,7 +241,6 @@ class CoordinationReport:
     converged: bool
     residuals: dict[tuple[int, ...], float] = field(default_factory=dict)
     expected_usage: dict[tuple[int, ...], float] = field(default_factory=dict)
-    utility_trajectory: list[float] = field(default_factory=list)
     price_trace: list[tuple[int, tuple[int, ...], float, float]] = field(default_factory=list)
     price_trace_dropped: int = 0          # early updates the bounded history lost
     exchange_messages_per_slot: int = 0
@@ -254,7 +252,7 @@ class CoordinationReport:
 SWEEP_FACTOR = 10
 
 
-def run_coordination(users, agents: Sequence[PricedUserAgent], *,
+def run_coordination(agents: Sequence[PricedUserAgent], *,
                      bandwidth: float, bits_per_packet: float,
                      correlation: str = "independent",
                      tolerance: float = 1e-3, max_slots: int = 200_000,
@@ -262,12 +260,12 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
                      rng: np.random.Generator | None = None) -> tuple[PriceTable, CoordinationReport]:
     """Iterate priced re-solves, bandwidth requests, and subgradient updates.
 
-    `users` is the scenario's user config list (template/channel pairs are
-    read off the agents); one price update happens per simulated slot, at the
-    realized joint channel state. Afterwards the converged policies are
-    frozen and replayed for `eval_slots` to estimate per-state expected usage
-    and complementary-slackness residuals; frozen policies are deterministic,
-    so the replay computes each distinct slot decision once.
+    Templates and channels are read off the agents; one price update happens
+    per simulated slot, at the realized joint channel state. Afterwards the
+    converged policies are frozen and replayed for `eval_slots` to estimate
+    per-state expected usage and complementary-slackness residuals; frozen
+    policies are deterministic, so the replay computes each distinct slot
+    decision once.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     table = PriceTable()
@@ -277,8 +275,6 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
     last_price_vec = [None] * len(agents)
     refresh_gate = tolerance / 10.0
     windows: dict[tuple[int, ...], deque] = {}
-    utility_traj: list[float] = []
-    util_acc = 0.0
     converged = False
     slots = 0
 
@@ -309,17 +305,11 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
 
         # the next channel state is drawn before the traffic: observers need it
         s0_next = joint.step(s0, rng)
-        slot_util = 0.0
-        for i, (agent, state) in enumerate(zip(agents, system.states())):
-            slot_util += payoff(state, sent[i], users[i].beta, agent.channel)
+        for i, agent in enumerate(agents):
             if hasattr(agent, "observe"):
                 agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),
                               sent[i], agent.view.view_state(s0_next))
         system.advance(sent, s0_next)
-        util_acc += slot_util
-        if slots % 100 == 0:
-            utility_traj.append(util_acc / 100.0)
-            util_acc = 0.0
 
         if all(state_settled(w) for w in windows.values()):
             converged = True
@@ -330,7 +320,6 @@ def run_coordination(users, agents: Sequence[PricedUserAgent], *,
         counts=dict(table.counts),
         slots_run=slots,
         converged=converged,
-        utility_trajectory=utility_traj,
         price_trace=[(it, key, usage, lam) for it, key, usage, lam in table.history],
         price_trace_dropped=table.updates - len(table.history),
         exchange_messages_per_slot=2 * len(agents),  # one price + one request per user

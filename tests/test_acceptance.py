@@ -196,10 +196,10 @@ def test_criterion_6_drift_framework_is_pds_special_case():
 def test_criterion_7_illustration_replay(illustration, tmp_path):
     """Pinned replay: reference packet-loss pattern for the myopic run, no
     I-frame loss after slot 1 for the proposed run, table shape as published."""
-    from wvsched.harness import MyopicSolution
+    from wvsched.harness import build_solution
 
     sc = illustration["scenario"]
-    myopic = MyopicSolution(sc)
+    myopic = build_solution(sc, "myopic")
     myopic.prepare(np.random.default_rng(0))
     mtrace = run_episode(sc, myopic, 5, np.random.default_rng(1),
                          pinned_channels=PINNED_CHANNELS)

@@ -4,7 +4,9 @@ import csv
 import json
 from functools import partial
 
-from wvsched import harness, pricing
+import pytest
+
+from wvsched import cli, harness, pricing
 from wvsched.cli import main
 
 
@@ -118,3 +120,33 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
                  "--slots", "5", "--max-slots", "3000", "--out", str(tmp_path)])
     assert code == 3
     assert "non-convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["lyapunov", "proposed+edf"])
+def test_max_slots_reaches_the_allocator_of(name, tmp_path, capsys):
+    code = main(["run", "--scenario", "illustration-2user", "--solution", name,
+                 "--max-slots", "5", "--slots", "5", "--out", str(tmp_path)])
+    assert code == 3
+    assert "non-convergence" in capsys.readouterr().err
+
+
+def test_compare_clearing_reaches_the_allocators_it_builds(tmp_path, monkeypatch):
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(harness.build_solution(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_solution", recorded)
+    assert main(["compare", "--scenario", "tiny-sym", "--solutions", "lyapunov,proposed+edf",
+                 "--clearing", "--slots", "5", "--seeds", "1", "--out", str(tmp_path)]) == 0
+    lyapunov, paired = built
+    assert lyapunov.clearing and lyapunov.proposed.clearing
+    assert paired.proposed.clearing
+    assert paired.proposed is not lyapunov.proposed
+
+
+def test_run_static_pairing_needs_no_proposed_allocator(tmp_path):
+    assert main(["run", "--scenario", "tiny-sym", "--solution", "myopic+hdf",
+                 "--slots", "5", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "trace_static_hdf.csv").exists()

@@ -395,16 +395,17 @@ def reference_frozen_usage(system, agents, slots, *, bits_per_packet, bandwidth)
 
 
 def reference_calibrate(self, rng, rounds=2, slots=600):
-    """ProposedSolution._calibrate with its decision cache off."""
+    """ProposedSolution._calibrate with its decision cache emptied after
+    every decision."""
     sc = self.scenario
     joint = JointChannel(sc.channels, sc.channel_correlation)
-    self._cacheable = False
     for _ in range(rounds):
         tally, count = {}, {}
         system = SlotSystem(sc.templates, joint, rng)
         for _t in range(slots):
             s0 = system.s0
             decision = self.sent_actions(s0, system.contexts, system.buffers)
+            self._cache = {}
             tally[s0] = tally.get(s0, 0.0) + decision.lam0
             count[s0] = count.get(s0, 0) + 1
             system.advance(decision.sent)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from wvsched.harness import (
-    MyopicSolution,
     ProposedSolution,
     build_solution,
     compute_metrics,
@@ -91,7 +90,7 @@ def test_missing_scenario_file():
 
 def test_same_seed_reproduces_identical_traces():
     sc = preset("illustration-2user")
-    sol = MyopicSolution(sc)
+    sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
     t1 = run_episode(sc, sol, 40, np.random.default_rng(9))
     t2 = run_episode(sc, sol, 40, np.random.default_rng(9))
@@ -103,7 +102,7 @@ def test_same_seed_reproduces_identical_traces():
 
 def test_conservation_over_random_episodes():
     sc = preset("illustration-2user")
-    sol = MyopicSolution(sc)
+    sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
     for seed in range(5):
         trace = run_episode(sc, sol, 60, np.random.default_rng(seed))
@@ -112,7 +111,7 @@ def test_conservation_over_random_episodes():
 
 def test_message_accounting_is_order_user_count():
     sc = preset("illustration-2user")
-    sol = MyopicSolution(sc)
+    sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
     trace = run_episode(sc, sol, 10, np.random.default_rng(0))
     assert all(rec.messages == 2 * len(sc.users) for rec in trace.records)
@@ -121,7 +120,7 @@ def test_message_accounting_is_order_user_count():
 def test_myopic_replay_reproduces_published_table():
     """Pinned channels good,bad,bad,bad,good reproduce the reference run."""
     sc = preset("illustration-2user")
-    sol = MyopicSolution(sc)
+    sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
     trace = run_episode(sc, sol, 5, np.random.default_rng(1),
                         pinned_channels=PINNED)
@@ -163,7 +162,7 @@ def test_zero_traffic_scenario_gives_all_zero_trace(tmp_path):
     path = tmp_path / "quiet.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     sc = load_scenario(path)
-    sol = MyopicSolution(sc)
+    sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
     trace = run_episode(sc, sol, 10, np.random.default_rng(0))
     for rec in trace.records:
@@ -302,7 +301,7 @@ def test_joint_value_rejects_actions_wider_than_the_context():
 
 def test_emit_report_shapes(tmp_path):
     sc = preset("illustration-2user")
-    sol = MyopicSolution(sc)
+    sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
     traces = [run_episode(sc, sol, 8, np.random.default_rng(3))]
     paths = emit_report(traces, sc, tmp_path)
@@ -379,10 +378,27 @@ def test_second_prepare_serves_no_decision_cached_under_the_first(name):
         assert [a.sends for a in got.sent] == [a.sends for a in want.sent]
 
 
+@pytest.mark.parametrize("name", ["illustration-2user", "tiny-priced"])
+def test_myopic_is_myopic_edf_under_its_own_name(name):
+    sc = preset(name)
+    myopic, paired = build_solution(sc, "myopic"), build_solution(sc, "myopic+edf")
+    for sol in (myopic, paired):
+        sol.prepare(np.random.default_rng(0))
+    assert myopic.name == "myopic"
+    got = run_episode(sc, myopic, 60, np.random.default_rng(sc.seed + 1))
+    want = run_episode(sc, paired, 60, np.random.default_rng(sc.seed + 1))
+    assert got.solution == "myopic"
+    assert len(got.records) == 60
+    for a, b in zip(got.records, want.records):
+        assert a == b
+    assert (got.arrived, got.sent_totals, got.dropped_totals, got.remaining) == \
+        (want.arrived, want.sent_totals, want.dropped_totals, want.remaining)
+
+
 def test_learning_solution_rejects_clearing_at_construction():
     sc = preset("illustration-2user")
     with pytest.raises(ModelError, match="PDS learning agents"):
-        ProposedSolution(sc, mode="learning", clearing=True)
+        ProposedSolution(sc, agent_kind="pds", clearing=True)
     with pytest.raises(ModelError, match="PDS learning agents"):
         build_solution(sc, "proposed-learning", clearing=True)
 

@@ -201,7 +201,7 @@ def test_learned_decomposed_solution_matches_planning_payoff():
                             eval_slots=5_000)
     plan.prepare(np.random.default_rng(sc.seed))
     _, v_plan = evaluate_solution(sc, plan)
-    learn = ProposedSolution(sc, mode="learning", max_slots=60_000,
+    learn = ProposedSolution(sc, agent_kind="pds", max_slots=60_000,
                              eval_slots=5_000)
     learn.prepare(np.random.default_rng(sc.seed))
     _, v_learn = evaluate_solution(sc, learn)

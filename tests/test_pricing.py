@@ -204,7 +204,7 @@ def test_nonconvergence_raises_with_diagnostics():
     sc = preset("tiny-mix")
     agents = make_agents(sc, "full")
     with pytest.raises(CoordinationError) as err:
-        run_coordination(sc.users, agents, bandwidth=sc.bandwidth,
+        run_coordination(agents, bandwidth=sc.bandwidth,
                          bits_per_packet=1.0, correlation="common",
                          tolerance=1e-9, max_slots=40, rng=np.random.default_rng(0))
     assert err.value.report.price_trace

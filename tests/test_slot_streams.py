@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from wvsched.harness import (
-    MyopicSolution,
     ProposedSolution,
     UniformPriceSolution,
+    build_solution,
     compute_metrics,
     pds_learning_curve,
     run_episode,
@@ -53,7 +53,7 @@ def test_coordination_stream_decomposed(independent):
 
 def test_coordination_stream_learning(independent):
     # exploring agents draw from the same stream and observe the next state
-    sol = ProposedSolution(independent, mode="learning", max_slots=20_000,
+    sol = ProposedSolution(independent, agent_kind="pds", max_slots=20_000,
                            eval_slots=500)
     sol.prepare(np.random.default_rng(5))
     report = sol.report
@@ -90,7 +90,7 @@ def test_episode_streams_free_and_pinned(illustration):
     pinned = run_episode(sc, sol, 12, np.random.default_rng(9), pinned_channels=PINNED)
     assert [r.s0[0] for r in pinned.records] == PINNED + [0] * 7
     assert compute_metrics(pinned, sc).network_payoff == 181.580931599679
-    myopic = MyopicSolution(sc)
+    myopic = build_solution(sc, "myopic")
     myopic.prepare(np.random.default_rng(0))
     pinned = run_episode(sc, myopic, 12, np.random.default_rng(9), pinned_channels=PINNED)
     assert compute_metrics(pinned, sc).network_payoff == 164.22116326986307

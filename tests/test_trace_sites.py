@@ -38,7 +38,14 @@ def test_every_traced_site_resolves():
     sites = traced_sites(modules)
     missing = [f"{owner.__name__}.{attr}" for owner, attr in sites
                if not hasattr(owner, attr)]
-    assert not missing
+    assert not missing, f"traced names not found: {missing}"
+    # the tracer reads a method off its class's own __dict__ (as it does for
+    # PricedRuntime._clear), so an inherited method does not resolve
+    methods = [site for site in sites if isinstance(site[0], type)]
+    inherited = [f"{owner.__name__}.{attr}"
+                 for owner, attr in methods + [(modules["harness"].PricedRuntime, "_clear")]
+                 if attr not in vars(owner)]
+    assert not inherited, f"traced methods not defined on their own class: {inherited}"
     before = [getattr(owner, attr) for owner, attr in sites]
     with tracing.Tracer().active(modules):
         patched = [getattr(owner, attr) for owner, attr in sites]
