@@ -23,6 +23,7 @@ from wvsched.model import (
     bandwidth_usage,
     transmit_energy,
 )
+from wvsched.scheduling import hdf_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -53,20 +54,17 @@ def drift_objective(backlog: int, sends: int, expected_arrivals: float,
 
 def lyapunov_action(context: Context, buffer: Sequence[int], price: float,
                     beta: float, gain_to_noise: float, delta: float,
-                    expected_arrivals: float,
-                    capacity: int | None = None) -> ScheduleAction:
+                    expected_arrivals: float) -> ScheduleAction:
     """Drift-greedy action: picks a total send count from the quadratic
     backlog drift, blind to per-DU impacts and deadlines.
 
     The objective depends on the action only through its total, so the send
     vector is the lexicographically largest split (earliest buffer positions
-    drain first; ties across totals go to the larger total). `capacity`
-    optionally caps the total in packets.
+    drain first; ties across totals go to the larger total).
     """
     backlog = int(sum(buffer))
-    top = backlog if capacity is None else min(backlog, int(capacity))
     best_m, best_val = 0, -np.inf
-    for m in range(top + 1):
+    for m in range(backlog + 1):
         val = drift_objective(backlog, m, expected_arrivals, price, beta,
                               gain_to_noise, delta)
         if val >= best_val:
@@ -121,14 +119,14 @@ class UniformPriceResult:
 
 
 def uniform_price_solve(estimate_usage, s0_states: Sequence[tuple[int, ...]],
-                        bandwidth: float, lam_hi_start: float = 1.0,
-                        tol: float = 1e-4, max_doublings: int = 60) -> UniformPriceResult:
+                        bandwidth: float, tol: float = 1e-4,
+                        max_doublings: int = 60) -> UniformPriceResult:
     """Bisection for the smallest uniform price with feasible expected usage.
 
     `estimate_usage(lam)` must return {joint channel state: expected usage}
     under every user solving its priced problem at the common packet price
-    lam (before any utilization scaling). Raises with the usage-vs-price
-    curve if no bracket is found.
+    lam (before any utilization scaling). The bracket starts at lam = 1 and
+    doubles; raises with the usage-vs-price curve if none is found.
     """
     curve: list[tuple[float, float]] = []
 
@@ -142,7 +140,7 @@ def uniform_price_solve(estimate_usage, s0_states: Sequence[tuple[int, ...]],
     w0, usage0 = worst(0.0)
     if w0 <= bandwidth + 1e-12:
         return UniformPriceResult(0.0, usage0, 1, curve)
-    hi = lam_hi_start
+    hi = 1.0
     w_hi, usage_hi = worst(hi)
     iterations += 1
     while w_hi > bandwidth + 1e-12:
@@ -166,33 +164,19 @@ def uniform_price_solve(estimate_usage, s0_states: Sequence[tuple[int, ...]],
     return UniformPriceResult(hi, usage, iterations, curve)
 
 
-def inflate_action(context: Context, action: ScheduleAction, budget: int,
-                   buffer: Sequence[int]) -> ScheduleAction:
-    """Grow an action toward `budget` packets, adding high-impact packets
-    with the nearest deadlines first, capped by the buffer."""
-    if action.total >= budget:
-        return action
-    sends = list(action.sends)
-    room = budget - action.total
-    for i in context.impact_order():
-        take = min(buffer[i] - sends[i], room)
-        sends[i] += take
-        room -= take
-        if room == 0:
-            break
-    return ScheduleAction(tuple(sends))
-
-
 def scale_up_to_budget(contexts, actions: Sequence[ScheduleAction],
                        buffers, rates: Sequence[float], bits_per_packet: float,
                        bandwidth: float) -> list[ScheduleAction]:
-    """Inflate conservative requests to full utilization, buffer-capped."""
+    """Inflate conservative requests to full utilization, buffer-capped: each
+    user adds its high-impact, near-deadline packets first."""
     usage = bandwidth_usage([a.total for a in actions], rates, bits_per_packet)
     if usage <= 0 or usage >= bandwidth - 1e-12:
         return list(actions)
     gamma = bandwidth / usage
     out = []
-    for ctx, act, buf, rate in zip(contexts, actions, buffers, rates):
+    for ctx, act, buf in zip(contexts, actions, buffers):
         budget = int(np.floor(gamma * act.total + 1e-9))
-        out.append(inflate_action(ctx, act, budget, buf))
+        extra = hdf_schedule(ctx, [x - y for x, y in zip(buf, act.sends)],
+                             budget - act.total)
+        out.append(ScheduleAction(tuple(y + e for y, e in zip(act.sends, extra.sends))))
     return out

@@ -123,16 +123,21 @@ def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
     names = [n.strip() for n in args.solutions.split(",") if n.strip()]
+    # proposed, lyapunov and proposed+<sched> share one decomposed allocator;
+    # each distinct object is prepared once, in list order
     shared = None
-    solutions = []
+    prepared, solutions = set(), []
     prep_rng = np.random.default_rng(seed)
     for name in names:
         sol = build_solution(scenario, name, proposed=shared,
                              **_allocator_kwargs(name, clearing=args.clearing))
-        sol.prepare(prep_rng)
-        if isinstance(sol, ProposedSolution) and sol.agent_kind != "pds" \
-                and shared is None:
-            shared = sol
+        alloc = sol if isinstance(sol, ProposedSolution) else getattr(sol, "proposed", None)
+        if shared is None and alloc is not None and alloc.agent_kind == "decomposed":
+            shared = alloc
+        for obj in (alloc, sol):
+            if obj is not None and id(obj) not in prepared:
+                obj.prepare(prep_rng)
+                prepared.add(id(obj))
         solutions.append(sol)
     traces = []
     for sol in solutions:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,10 +24,9 @@ from wvsched.baselines import (
     scale_up_to_budget,
     uniform_price_solve,
 )
-from wvsched.learning import DuPdsLearner
+from wvsched.learning import EXPLORE_TAU, DuPdsLearner, PdsLearner
 from wvsched.mdp import (
     ChannelView,
-    TrafficLayout,
     UserMdp,
     common_view,
     joint_view,
@@ -47,6 +47,7 @@ from wvsched.pricing import (
     JointChannel,
     PriceTable,
     SlotSystem,
+    replay,
     run_coordination,
     scale_to_budget,
     slot_key,
@@ -117,12 +118,11 @@ class FullMdpAgent:
     """Exact tabular policy over the user's full (context, buffer, channel) space."""
 
     def __init__(self, user: UserConfig, view: ChannelView, bits_per_packet: float,
-                 discount: float, tol: float = 1e-7):
+                 discount: float):
         self.user = user
         self.template = user.template
         self.channel = user.channel
         self.view = view
-        self.tol = tol
         self.mdp = UserMdp(user.template, view, user.beta, user.min_quality,
                            bits_per_packet, discount)
         self.table = None
@@ -135,7 +135,7 @@ class FullMdpAgent:
             return
         init = self.table.values if self.table is not None else None
         self.price_vec = np.asarray(price_vec, dtype=float)
-        self.table = self.mdp.solve(self.price_vec, tol=self.tol, init=init)
+        self.table = self.mdp.solve(self.price_vec, tol=1e-7, init=init)
         self.resolves += 1
         self.steps += self.table.steps
 
@@ -147,7 +147,7 @@ class PdsDecomposedAgent:
     """Learned per-DU continuations; explores while learning, exact when frozen."""
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float,
-                 rng: np.random.Generator, tau: float = 100.0):
+                 rng: np.random.Generator):
         if user.min_quality > 0:
             raise ModelError(
                 f"user {user.name}: quality floors are not supported while learning")
@@ -157,7 +157,6 @@ class PdsDecomposedAgent:
         self.view = view
         self.discount = discount
         self.rng = rng
-        self.tau = tau
         self.learners = {du.du_id: DuPdsLearner(du.distortion_impact,
                                                 user.template.window, discount)
                          for du in user.template.dus}
@@ -169,7 +168,7 @@ class PdsDecomposedAgent:
         self.price_vec = np.asarray(price_vec, dtype=float)
 
     def epsilon(self) -> float:
-        return 1.0 / (1.0 + self.slots_seen / self.tau)
+        return 1.0 / (1.0 + self.slots_seen / EXPLORE_TAU)
 
     def act(self, context, buffer, view_state: int) -> ScheduleAction:
         if not self.frozen and self.rng.random() < self.epsilon():
@@ -365,6 +364,8 @@ class ProposedSolution(PricedRuntime):
     with agents of one `make_agents` kind: "decomposed" (proposed), "full"
     (proposed-full) or "pds" (proposed-learning)."""
 
+    name = "proposed"
+
     def __init__(self, scenario: ScenarioConfig, agent_kind: str = "decomposed",
                  max_slots: int = 120_000, eval_slots: int = 20_000,
                  clearing: bool = False):
@@ -378,7 +379,6 @@ class ProposedSolution(PricedRuntime):
         self.agent_kind = agent_kind
         self.max_slots = max_slots
         self.eval_slots = eval_slots
-        self.name = "proposed-learning" if agent_kind == "pds" else "proposed"
         self.report: CoordinationReport | None = None
 
     def prepare(self, rng: np.random.Generator) -> None:
@@ -395,30 +395,26 @@ class ProposedSolution(PricedRuntime):
         if self.clearing:
             self._calibrate(rng)
 
-    def _calibrate(self, rng: np.random.Generator, rounds: int = 2,
-                   slots: int = 600) -> None:
-        """Re-anchor the price table at observed within-slot clearing prices.
+    def _calibrate(self, rng: np.random.Generator) -> None:
+        """Re-anchor the price table at observed within-slot clearing prices,
+        in 2 rounds of 600 slots.
 
         The subgradient table undershoots when clearing does the real
         rationing; solving the users' tables against the average cleared
         price keeps their continuation values consistent with what the
-        market actually charges. Prices are fixed within a round, so its
-        decisions are cached; the cache is emptied before the re-solve.
+        market actually charges. Prices are fixed within a round, so it is a
+        `replay`; the decision cache is emptied before the re-solve.
         """
         sc = self.scenario
         joint = JointChannel(sc.channels, sc.channel_correlation)
-        for _ in range(rounds):
-            tally: dict = {}
-            count: dict = {}
-            system = SlotSystem(sc.templates, joint, rng)
-            for _t in range(slots):
-                s0 = system.s0
-                decision = self.sent_actions(s0, system.contexts, system.buffers)
-                tally[s0] = tally.get(s0, 0.0) + decision.lam0
-                count[s0] = count.get(s0, 0) + 1
-                system.advance(decision.sent)
-            for key, total in tally.items():
-                self.prices.lam[key] = total / count[key]
+
+        def cleared(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
+            decision = self.sent_actions(system.s0, system.contexts, system.buffers)
+            return decision.lam0, decision.sent
+
+        for _round in range(2):
+            mean_lam, _ = replay(SlotSystem(sc.templates, joint, rng), cleared, 600)
+            self.prices.lam.update(mean_lam)
             self._cache = {}
             for a in self.agents:
                 a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
@@ -520,11 +516,10 @@ class UniformPriceSolution(Solution):
     name = "mu-mdp"
 
     def __init__(self, scenario: ScenarioConfig, agent_kind: str = "decomposed",
-                 usage_slots: int = 2000, tol: float = 1e-4):
+                 usage_slots: int = 2000):
         self.scenario = scenario
         self.agent_kind = agent_kind
         self.usage_slots = usage_slots
-        self.tol = tol
         self.agents = None
         self.price = None
         self.result = None
@@ -554,23 +549,17 @@ class UniformPriceSolution(Solution):
 
     def _simulated_usage(self, agent, rng: np.random.Generator) -> np.ndarray:
         """Long-run E[bandwidth request | own channel] by simulation; the
-        agent's price is fixed here, so each distinct decision is computed once."""
-        sc = self.scenario
-        n = len(agent.view)
-        tally = np.zeros(n)
-        count = np.zeros(n)
-        system = SlotSystem([agent.template], JointChannel([agent.channel]), rng)
-        decisions: dict = {}
-        for _ in range(self.usage_slots):
+        agent's price is fixed here, so it is a `replay`."""
+        b = self.scenario.bits_per_packet
+
+        def request(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
             (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
-            key = slot_key(system.s0, system.contexts, system.buffers)
-            if key not in decisions:
-                decisions[key] = agent.act(ctx, buf, h)
-            act = decisions[key]
-            tally[h] += act.total * sc.bits_per_packet / agent.channel.rate[h]
-            count[h] += 1
-            system.advance([act])
-        return np.divide(tally, np.maximum(count, 1))
+            act = agent.act(ctx, buf, h)
+            return act.total * b / agent.channel.rate[h], [act]
+
+        system = SlotSystem([agent.template], JointChannel([agent.channel]), rng)
+        usage, _ = replay(system, request, self.usage_slots)
+        return np.array([usage.get((h,), 0.0) for h in range(len(agent.view))])
 
     def prepare(self, rng: np.random.Generator) -> None:
         sc = self.scenario
@@ -579,8 +568,7 @@ class UniformPriceSolution(Solution):
         self.agents = make_agents(replace(sc, price_view="expected"), self.agent_kind)
         joint = JointChannel(sc.channels, sc.channel_correlation)
         self.result = uniform_price_solve(self._usage_estimator(rng),
-                                          joint.all_states(), sc.bandwidth,
-                                          tol=self.tol)
+                                          joint.all_states(), sc.bandwidth)
         self.price = self.result.price
         for agent in self.agents:
             vec = self.price * sc.bits_per_packet / np.asarray(agent.view.rate)
@@ -604,32 +592,31 @@ class UniformPriceSolution(Solution):
 
 def build_solution(scenario: ScenarioConfig, name: str,
                    proposed: ProposedSolution | None = None, **kwargs) -> Solution:
-    """Solution factory. `kwargs` configure the solution's own allocator: the
-    ProposedSolution of proposed*, lyapunov and proposed+<sched>, or the
-    UniformPriceSolution of mu-mdp*. lyapunov and proposed+<sched> run on
-    `proposed` if given (and "proposed" returns it), else on a new one."""
+    """Solution factory; the solution carries `name`. `kwargs` configure the
+    solution's own allocator: the ProposedSolution of proposed*, lyapunov
+    and proposed+<sched>, or the UniformPriceSolution of mu-mdp*. lyapunov
+    and proposed+<sched> run on `proposed` if given (and "proposed" returns
+    it), else on a new one."""
     kinds = {"proposed": "decomposed", "proposed-full": "full", "proposed-learning": "pds"}
+    alloc, _, sched = name.partition("+")
     if name == "proposed" and proposed is not None:
         return proposed
     if name in kinds:
-        return ProposedSolution(scenario, agent_kind=kinds[name], **kwargs)
-    if name in ("mu-mdp", "mu-mdp-full"):
+        solution = ProposedSolution(scenario, agent_kind=kinds[name], **kwargs)
+    elif name in ("mu-mdp", "mu-mdp-full"):
         kind = "full" if name == "mu-mdp-full" else "decomposed"
-        return UniformPriceSolution(scenario, agent_kind=kind, **kwargs)
-    if name == "myopic":
-        solution = PairedSolution(scenario, "static", "edf")
-        solution.name = name
-        return solution
-    alloc, _, sched = name.partition("+")
-    if alloc in ("static", "myopic") and sched in SIMPLE_SCHEDULERS:
-        return PairedSolution(scenario, "static", sched)
-    if name == "lyapunov" or (alloc == "proposed" and sched in SIMPLE_SCHEDULERS):
+        solution = UniformPriceSolution(scenario, agent_kind=kind, **kwargs)
+    elif name == "myopic" or (alloc in ("static", "myopic") and sched in SIMPLE_SCHEDULERS):
+        solution = PairedSolution(scenario, "static", sched or "edf")
+    elif name == "lyapunov" or (alloc == "proposed" and sched in SIMPLE_SCHEDULERS):
         if proposed is None:
             proposed = ProposedSolution(scenario, **kwargs)
-        if name == "lyapunov":
-            return LyapunovSolution(scenario, proposed)
-        return PairedSolution(scenario, alloc, sched, proposed)
-    raise ModelError(f"unknown solution {name!r}")
+        solution = LyapunovSolution(scenario, proposed) if name == "lyapunov" \
+            else PairedSolution(scenario, alloc, sched, proposed)
+    else:
+        raise ModelError(f"unknown solution {name!r}")
+    solution.name = name
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -863,49 +850,35 @@ def emit_report(traces: Sequence[EpisodeTrace], scenario: ScenarioConfig,
 
 
 def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
-                       rng: np.random.Generator, every: int = 500,
-                       with_planning: bool = True, user_index: int = 0):
-    """Train a full-state PDS learner on one user at fixed prices.
+                       rng: np.random.Generator, every: int = 500):
+    """Train a full-state PDS learner on the first user at fixed prices.
 
     Returns (rows, learner): rows carry (slot, user, windowed payoff, sup-norm
-    gap to the planning post-decision values when available).
+    gap to the planning post-decision values).
     """
-    from itertools import product as _product
-
-    from wvsched.learning import PdsLearner
-
-    u = scenario.users[user_index]
+    u = scenario.users[0]
     view = common_view(u.channel, 1)
-    plan_u = None
-    layout = None
-    if with_planning:
-        mdp = UserMdp(u.template, view, u.beta, u.min_quality,
-                      scenario.bits_per_packet, scenario.discount)
-        plan_u = mdp.pds_planning_values(mdp.solve(np.asarray(price)))
-        layout = mdp.layout
-    learner = PdsLearner(TrafficLayout(u.template) if layout is None else layout,
-                         view.gain, u.beta, scenario.discount,
+    mdp = UserMdp(u.template, view, u.beta, u.min_quality,
+                  scenario.bits_per_packet, scenario.discount)
+    plan_u = mdp.pds_planning_values(mdp.solve(np.asarray(price)))
+    lay = mdp.layout
+    learner = PdsLearner(lay, view.gain, u.beta, scenario.discount,
                          min_quality=u.min_quality)
-    lay = learner.layout
     system = SlotSystem([u.template], JointChannel([u.channel]), rng)
     rows = []
     window_pay = 0.0
     for t in range(slots):
         (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
-        act = learner.act(ctx.phase, buf, h, float(price[h]), rng=rng)
+        act = learner.act(ctx.phase, buf, h, float(price[h]), rng)
         window_pay += payoff(system.states()[0], act, u.beta, u.channel)
         (step,) = system.advance([act])
         learner.observe((ctx.phase, buf, h, act, step.arrivals, step.buffer,
                          system.s0[0]), np.asarray(price))
         if (t + 1) % every == 0:
-            gap = ""
-            if plan_u is not None:
-                gap = max(abs(learner.table.value((p, s, v))
-                              - plan_u[lay.pds_index(p, s), v])
-                          for p in range(lay.period)
-                          for s in _product(*(range(c + 1)
-                                              for c in lay.pds_caps[p]))
-                          for v in range(len(view)))
+            gap = max(abs(learner.table.value((p, s, v)) - plan_u[lay.pds_index(p, s), v])
+                      for p in range(lay.period)
+                      for s in product(*(range(c + 1) for c in lay.pds_caps[p]))
+                      for v in range(len(view)))
             rows.append((t + 1, u.name, window_pay / every, gap))
             window_pay = 0.0
     return rows, learner
@@ -919,8 +892,7 @@ def write_learning_curve(rows, path: str | Path) -> Path:
         w = csv.writer(fh)
         w.writerow(["slot", "user", "windowed_payoff", "gap_to_planning"])
         for slot, user, pay, gap in rows:
-            w.writerow([slot, user, f"{pay:.6g}",
-                        f"{gap:.6g}" if gap != "" else ""])
+            w.writerow([slot, user, f"{pay:.6g}", f"{gap:.6g}"])
     return path
 
 

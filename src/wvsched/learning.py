@@ -24,6 +24,9 @@ from wvsched.scheduling import decomposed_schedule  # noqa: F401
 
 PdsKey = tuple[int, tuple[int, ...], int]  # (phase, survivor buffer, view state)
 
+# exploration decays as 1 / (1 + visits / EXPLORE_TAU)
+EXPLORE_TAU = 100.0
+
 
 @dataclass
 class PdsValueTable:
@@ -126,32 +129,26 @@ class PdsLearner:
     """
 
     def __init__(self, layout: TrafficLayout, gain: np.ndarray, beta: float,
-                 delta: float, min_quality: float = 0.0, tau: float = 100.0):
+                 delta: float, min_quality: float = 0.0):
         self.layout = layout
         self.gain = np.asarray(gain, dtype=float)   # per view state
         self.beta = beta
         self.delta = delta
         self.min_quality = min_quality
-        self.tau = tau
         self.table = PdsValueTable()
         self.state_visits: dict = {}
-        self.slots_seen = 0
 
-    def epsilon(self, state_key=None) -> float:
-        seen = self.state_visits.get(state_key, 0) if state_key is not None \
-            else self.slots_seen
-        return 1.0 / (1.0 + seen / self.tau)
+    def epsilon(self, state_key) -> float:
+        return 1.0 / (1.0 + self.state_visits.get(state_key, 0) / EXPLORE_TAU)
 
     def act(self, phase: int, buffer: Sequence[int], view_state: int,
-            price: float, rng: np.random.Generator | None = None,
-            explore: bool = True) -> ScheduleAction:
+            price: float, rng: np.random.Generator) -> ScheduleAction:
         key = (phase, tuple(buffer), view_state)
-        if explore and rng is not None:
-            self.state_visits[key] = self.state_visits.get(key, 0) + 1
-            if rng.random() < self.epsilon(key):
-                acts = list(iter_actions(self.layout.contexts[phase], buffer,
-                                         self.min_quality))
-                return acts[int(rng.integers(len(acts)))]
+        self.state_visits[key] = self.state_visits.get(key, 0) + 1
+        if rng.random() < self.epsilon(key):
+            acts = list(iter_actions(self.layout.contexts[phase], buffer,
+                                     self.min_quality))
+            return acts[int(rng.integers(len(acts)))]
         act, _ = pds_greedy_action(self.layout, phase, buffer, view_state,
                                    self.table, price, self.beta,
                                    float(self.gain[view_state]), self.delta,
@@ -161,7 +158,6 @@ class PdsLearner:
     def observe(self, transition: tuple, prices: Sequence[float]) -> None:
         pds_update(self.table, self.layout, transition, prices, self.beta,
                    self.gain, self.delta, self.min_quality)
-        self.slots_seen += 1
 
 
 # ---------------------------------------------------------------------------

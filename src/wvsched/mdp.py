@@ -80,7 +80,7 @@ class ChannelView:
 
     def __init__(self, kind: str, user: int, transition: np.ndarray,
                  rate: np.ndarray, gain: np.ndarray, price_weights,
-                 joint_keys=None, energy_fn=None):
+                 joint_keys=None):
         self.kind = kind
         self.user = user
         self.transition = transition
@@ -88,7 +88,6 @@ class ChannelView:
         self.gain = gain
         self.price_weights = price_weights
         self.joint_keys = joint_keys
-        self.energy_fn = energy_fn if energy_fn is not None else transmit_energy
         self._key_index = {k: i for i, k in enumerate(joint_keys)} if joint_keys else None
 
     def __len__(self) -> int:
@@ -121,7 +120,6 @@ def common_view(channel: ChannelModel, n_users: int, user: int = 0) -> ChannelVi
         rate=channel.rate.copy(),
         gain=channel.gain.copy(),
         price_weights=weights,
-        energy_fn=channel.energy_fn,
     )
 
 
@@ -143,7 +141,6 @@ def joint_view(channels: Sequence[ChannelModel], user: int) -> ChannelView:
         gain=channels[user].gain[own],
         price_weights=tuple(((k, 1.0),) for k in keys),
         joint_keys=keys,
-        energy_fn=channels[user].energy_fn,
     )
 
 
@@ -171,7 +168,6 @@ def own_view(channels: Sequence[ChannelModel], user: int) -> ChannelView:
         rate=me.rate.copy(),
         gain=me.gain.copy(),
         price_weights=tuple(weights),
-        energy_fn=me.energy_fn,
     )
 
 
@@ -377,7 +373,7 @@ class UserMdp:
         energy = np.zeros((n_view, max_total + 1))
         for v in range(n_view):
             for n in range(max_total + 1):
-                energy[v, n] = self.view.energy_fn(float(self.view.gain[v]), n)
+                energy[v, n] = transmit_energy(float(self.view.gain[v]), n)
         self.energy_table = energy
         self.payoff_table = self.ta_gain[:, None] - self.beta * energy[:, self.ta_total].T
         # Payoff without the price term, already scaled by (1 - delta).

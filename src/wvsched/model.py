@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -312,13 +312,11 @@ class ChannelModel:
     """Finite-state Markov channel with per-state rate and gain-to-noise."""
 
     def __init__(self, names: Sequence[str], gain_to_noise: Sequence[float],
-                 rate: Sequence[float], transition: Sequence[Sequence[float]],
-                 energy_fn: Callable[[float, int], float] = transmit_energy):
+                 rate: Sequence[float], transition: Sequence[Sequence[float]]):
         self.names = tuple(str(n) for n in names)
         self.gain = np.asarray(gain_to_noise, dtype=float)
         self.rate = np.asarray(rate, dtype=float)
         self.transition = np.asarray(transition, dtype=float)
-        self.energy_fn = energy_fn
         n = len(self.names)
         if self.gain.shape != (n,) or self.rate.shape != (n,):
             raise ModelError("channel: gain_to_noise and rate must match states")
@@ -340,7 +338,7 @@ class ChannelModel:
         return len(self.names)
 
     def energy(self, h: int, packets: int) -> float:
-        return self.energy_fn(float(self.gain[h]), packets)
+        return transmit_energy(float(self.gain[h]), packets)
 
     def stationary(self) -> np.ndarray:
         """Stationary distribution of the channel chain.
@@ -537,7 +535,6 @@ class ScenarioConfig:
     bandwidth: float = 1.0
     discount: float = 0.95
     price_tolerance: float = 1e-3
-    horizon: int = 270
     seed: int = 0
     solver: str = "proposed"
     channel_correlation: str = "independent"

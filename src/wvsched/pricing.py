@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from wvsched.model import (
     initial_buffer,
     uniforms,
 )
+from wvsched.scheduling import hdf_schedule
 
 
 class CoordinationError(RuntimeError):
@@ -176,24 +177,11 @@ class SlotSystem:
 # Transmission scaling (transient feasibility)
 # ---------------------------------------------------------------------------
 
-def trim_action(context, action: ScheduleAction, budget: int) -> ScheduleAction:
-    """Reduce an action to at most `budget` packets, keeping high-impact,
-    near-deadline packets first."""
-    if action.total <= budget:
-        return action
-    sends = [0] * len(context)
-    room = budget
-    for i in context.impact_order():
-        take = min(action.sends[i], room)
-        sends[i] = take
-        room -= take
-    return ScheduleAction(tuple(sends))
-
-
 def scale_to_budget(contexts, actions: Sequence[ScheduleAction],
                     rates: Sequence[float], bits_per_packet: float,
                     bandwidth: float) -> list[ScheduleAction]:
-    """Proportionally scale overcommitted requests down to the band budget.
+    """Proportionally scale overcommitted requests down to the band budget,
+    each user keeping its high-impact, near-deadline packets first.
 
     The unscaled requests drive the price update; the scaled sends are what
     the simulated system actually transmits.
@@ -205,7 +193,7 @@ def scale_to_budget(contexts, actions: Sequence[ScheduleAction],
     out = []
     for ctx, act in zip(contexts, actions):
         budget = int(np.floor(gamma * act.total + 1e-9))
-        out.append(trim_action(ctx, act, budget))
+        out.append(hdf_schedule(ctx, act.sends, budget))
     return out
 
 
@@ -334,8 +322,12 @@ def run_coordination(agents: Sequence[PricedUserAgent], *,
         if hasattr(agent, "frozen"):
             agent.frozen = True
         agent.refresh(agent.view.price_vector(table.lam, bits_per_packet))
-    report.expected_usage, report.eval_decisions = frozen_usage(
-        system, agents, eval_slots, bits_per_packet=bits_per_packet, bandwidth=bandwidth)
+
+    def band_request(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
+        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
+        return sum(requests), sent
+
+    report.expected_usage, report.eval_decisions = replay(system, band_request, eval_slots)
     report.eval_slots = eval_slots
     for key, mean_usage in report.expected_usage.items():
         report.residuals[key] = abs(table.get(key) * (mean_usage - bandwidth))
@@ -356,26 +348,26 @@ def slot_requests(agents: Sequence[PricedUserAgent], system: SlotSystem,
                                      bandwidth)
 
 
-def frozen_usage(system: SlotSystem, agents: Sequence[PricedUserAgent], slots: int, *,
-                 bits_per_packet: float,
-                 bandwidth: float) -> tuple[dict[tuple[int, ...], float], int]:
-    """Replay frozen policies for `slots` slots: the mean band request per
-    visited joint state, and how many distinct decisions were computed.
+def replay(system: SlotSystem, decide: Callable,
+           slots: int) -> tuple[dict[tuple[int, ...], float], int]:
+    """Step `system` for `slots` slots under a frozen rule: `decide(system)`
+    returns a value and the sends for the current slot. Returns the mean
+    value per visited joint state and how many distinct decisions were made.
 
-    Frozen policies are deterministic (see `PricedUserAgent.act`), so each
+    A frozen rule is deterministic (see `PricedUserAgent.act`), so each
     distinct `slot_key` is decided once; the random stream is the same as if
     every slot were decided afresh.
     """
-    usage_sum: dict[tuple[int, ...], float] = {}
-    usage_n: dict[tuple[int, ...], int] = {}
+    total: dict[tuple[int, ...], float] = {}
+    visits: dict[tuple[int, ...], int] = {}
     decisions: dict[tuple, tuple] = {}
     for _ in range(slots):
         s0 = system.s0
         key = slot_key(s0, system.contexts, system.buffers)
         if key not in decisions:
-            decisions[key] = slot_requests(agents, system, bits_per_packet, bandwidth)
-        requests, sent = decisions[key]
-        usage_sum[s0] = usage_sum.get(s0, 0.0) + sum(requests)
-        usage_n[s0] = usage_n.get(s0, 0) + 1
+            decisions[key] = decide(system)
+        value, sent = decisions[key]
+        total[s0] = total.get(s0, 0.0) + value
+        visits[s0] = visits.get(s0, 0) + 1
         system.advance(sent)
-    return {s0: total / usage_n[s0] for s0, total in usage_sum.items()}, len(decisions)
+    return {s0: t / visits[s0] for s0, t in total.items()}, len(decisions)

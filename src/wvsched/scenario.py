@@ -1,7 +1,8 @@
 """Scenario files: JSON schema, validation with field-addressed errors,
 and the named presets shipped with the package.
 
-Schema (all keys at their defaults may be omitted):
+Schema (all keys at their defaults may be omitted; a key it does not name
+is rejected, so a misspelt one cannot fall back to its default):
 
     {
       "name": "...",
@@ -9,7 +10,6 @@ Schema (all keys at their defaults may be omitted):
       "bandwidth": 1.0,
       "discount": 0.95,
       "price_tolerance": 0.001,
-      "horizon": 270,
       "seed": 0,
       "solver": "proposed",
       "channel_correlation": "common" | "independent",
@@ -63,6 +63,8 @@ class ScenarioError(ValueError):
 
 
 def _du_from_dict(raw: dict, where: str, errors: list[str]) -> DataUnitSpec | None:
+    errors += [f"{where}: unknown field {k!r}" for k in raw if k not in (
+        "id", "name", "distortion_impact", "deadline_offset", "size_pmf", "parents")]
     try:
         return DataUnitSpec(
             du_id=int(raw["id"]),
@@ -80,6 +82,8 @@ def _du_from_dict(raw: dict, where: str, errors: list[str]) -> DataUnitSpec | No
 
 
 def _user_from_dict(raw: dict, where: str, errors: list[str]) -> UserConfig | None:
+    errors += [f"{where}: unknown field {k!r}" for k in raw if k not in (
+        "name", "beta", "min_quality", "gop", "channel")]
     gop = raw.get("gop")
     chan = raw.get("channel")
     if gop is None:
@@ -88,6 +92,10 @@ def _user_from_dict(raw: dict, where: str, errors: list[str]) -> UserConfig | No
     if chan is None:
         errors.append(f"{where}.channel: missing")
         return None
+    errors += [f"{where}.gop: unknown field {k!r}" for k in gop
+               if k not in ("period", "window", "dus")]
+    errors += [f"{where}.channel: unknown field {k!r}" for k in chan
+               if k not in ("states", "gain_to_noise", "rate", "transition")]
     dus = []
     for k, d in enumerate(gop.get("dus", [])):
         du = _du_from_dict(d, f"{where}.gop.dus[{k}]", errors)
@@ -131,7 +139,9 @@ def _user_from_dict(raw: dict, where: str, errors: list[str]) -> UserConfig | No
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    errors: list[str] = []
+    errors = [f"scenario: unknown field {k!r}" for k in raw if k not in (
+        "name", "bits_per_packet", "bandwidth", "discount", "price_tolerance", "seed",
+        "solver", "channel_correlation", "price_view", "users")]
     users = []
     for i, u in enumerate(raw.get("users", [])):
         user = _user_from_dict(u, f"users[{i}]", errors)
@@ -149,7 +159,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             bandwidth=float(raw.get("bandwidth", 1.0)),
             discount=float(raw.get("discount", 0.95)),
             price_tolerance=float(raw.get("price_tolerance", 1e-3)),
-            horizon=int(raw.get("horizon", 270)),
             seed=int(raw.get("seed", 0)),
             solver=str(raw.get("solver", "proposed")),
             channel_correlation=str(raw.get("channel_correlation", "independent")),

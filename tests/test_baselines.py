@@ -9,7 +9,6 @@ from wvsched.baselines import (
     DriftValueTable,
     drift_objective,
     energy_only_payoff,
-    inflate_action,
     lyapunov_action,
     myopic_static_shares,
     scale_up_to_budget,
@@ -73,9 +72,6 @@ def test_drift_drains_queue_when_free():
     ctx = tpl.context(0)
     act = lyapunov_action(ctx, (5, 5), 0.0, 0.0, 1.4, 0.9, 2.0)
     assert act.total == 10
-    capped = lyapunov_action(ctx, (5, 5), 0.0, 0.0, 1.4, 0.9, 2.0, capacity=6)
-    assert capped.total == 6
-    assert capped.sends == (5, 1)  # position fill
 
 
 def test_drift_equals_pds_greedy_under_substituted_table():
@@ -158,9 +154,13 @@ def test_inflate_action_adds_high_impact_first():
     tpl = GopTemplate([du(0, 4.0, 0, 6, name="I"),
                        du(1, 2.0, 1, 6, parents=[0], name="P")], 2, 2)
     ctx = tpl.context(0)
-    grown = inflate_action(ctx, ScheduleAction((2, 2)), 7, (6, 6))
+    # one user requesting 4 packets at rate 4 fills the band 1.75 (99/4)
+    # times over: 7 (99) packets, capped by the buffer (6, 6)
+    (grown,) = scale_up_to_budget([ctx], [ScheduleAction((2, 2))], [(6, 6)], [4.0],
+                                  1.0, 1.75)
     assert grown.sends == (5, 2)
-    capped = inflate_action(ctx, ScheduleAction((2, 2)), 99, (6, 6))
+    (capped,) = scale_up_to_budget([ctx], [ScheduleAction((2, 2))], [(6, 6)], [4.0],
+                                   1.0, 99 / 4)
     assert capped.sends == (6, 6)
 
 

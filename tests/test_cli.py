@@ -143,10 +143,64 @@ def test_compare_clearing_reaches_the_allocators_it_builds(tmp_path, monkeypatch
     lyapunov, paired = built
     assert lyapunov.clearing and lyapunov.proposed.clearing
     assert paired.proposed.clearing
-    assert paired.proposed is not lyapunov.proposed
+    assert paired.proposed is lyapunov.proposed
 
 
 def test_run_static_pairing_needs_no_proposed_allocator(tmp_path):
     assert main(["run", "--scenario", "tiny-sym", "--solution", "myopic+hdf",
                  "--slots", "5", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "trace_static_hdf.csv").exists()
+    assert (tmp_path / "trace_myopic_hdf.csv").exists()
+
+
+def test_compare_names_each_solution_as_listed(tmp_path):
+    names = ["proposed", "proposed-full", "mu-mdp-full"]
+    assert main(["compare", "--scenario", "tiny-sym", "--solutions", ",".join(names),
+                 "--seeds", "1", "--slots", "20", "--out", str(tmp_path)]) == 0
+    rows = list(csv.reader(open(tmp_path / "metrics.csv", encoding="utf-8")))
+    assert [row[0] for row in rows[1:]] == names
+    assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == \
+        sorted(f"trace_{n}.csv" for n in names)
+
+
+def _compare_prepares(monkeypatch, tmp_path, solutions):
+    """Run `compare` on tiny-sym; return each solution it listed and every
+    ProposedSolution.prepare call, in order."""
+    built, prepared = [], []
+
+    def recorded(*args, **kwargs):
+        built.append(harness.build_solution(*args, **kwargs))
+        return built[-1]
+
+    prepare = harness.ProposedSolution.prepare
+
+    def counted(self, rng):
+        prepared.append(self)
+        prepare(self, rng)
+
+    monkeypatch.setattr(cli, "build_solution", recorded)
+    monkeypatch.setattr(harness.ProposedSolution, "prepare", counted)
+    assert main(["compare", "--scenario", "tiny-sym", "--solutions", solutions,
+                 "--slots", "5", "--seeds", "1", "--out", str(tmp_path)]) == 0
+    return built, prepared
+
+
+def test_compare_pairings_before_proposed_share_one_coordination(tmp_path, monkeypatch):
+    (lyapunov, paired, proposed), prepared = _compare_prepares(
+        monkeypatch, tmp_path, "lyapunov,proposed+edf,proposed")
+    assert lyapunov.proposed is paired.proposed is proposed
+    assert prepared == [proposed]
+
+
+def test_compare_prepares_a_repeated_solution_once(tmp_path, monkeypatch):
+    (first, lyapunov, again), prepared = _compare_prepares(
+        monkeypatch, tmp_path, "proposed,lyapunov,proposed")
+    assert first is lyapunov.proposed is again
+    assert prepared == [first]
+
+
+def test_compare_shares_only_the_decomposed_allocator(tmp_path, monkeypatch):
+    (full, proposed, lyapunov), prepared = _compare_prepares(
+        monkeypatch, tmp_path, "proposed-full,proposed,lyapunov")
+    assert full.agent_kind == "full"
+    assert proposed.agent_kind == "decomposed" and lyapunov.proposed is proposed
+    assert prepared == [full, proposed]

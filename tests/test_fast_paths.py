@@ -7,10 +7,11 @@ per-DU loop over sends (for learned tables), `rng.choice` draws, the
 user MDP's per-action loops (traffic kernel, policy chain, post-decision
 kernel, action lookups by re-walking `iter_actions`), the joint kernel's
 loop over (joint state, joint action) pairs with its `choices` callback,
-the frozen-policy loops (evaluation replay, clearing calibration,
+the frozen-rule `replay` (evaluation replay, clearing calibration,
 uniform-price usage) deciding every slot afresh instead of once per
-`slot_key`, and the slot step drawing each entering DU and each channel
-with its own scalar sampler call.
+`slot_key`, the slot step drawing each entering DU and each channel with
+its own scalar sampler call, and the per-user trim and inflate loops of
+the band scaling.
 Results must agree exactly (==), not approximately. The one exception is the
 user MDP's policy-iteration solve: its reference, value iteration, stops at
 a tolerance, so the two agree within it.
@@ -29,7 +30,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wvsched import oracle, pricing
+from wvsched import harness, oracle, pricing
+from wvsched.baselines import scale_up_to_budget
 from wvsched.harness import ProposedSolution, UniformPriceSolution, build_solution, make_agents
 from wvsched.learning import DuPdsLearner
 from wvsched.mdp import (
@@ -56,7 +58,7 @@ from wvsched.model import (
     sample_channel,
 )
 from wvsched.oracle import JointSpace
-from wvsched.pricing import JointChannel, SlotSystem, frozen_usage, slot_requests
+from wvsched.pricing import JointChannel, SlotSystem, replay, scale_to_budget, slot_requests
 from wvsched.scenario import preset
 from wvsched.scheduling import SingleDuModel, build_du_tables, decomposed_schedule
 
@@ -382,51 +384,63 @@ def reference_joint_value(scenario, act_rule):
     return kernel, rewards, starts, values
 
 
-def reference_frozen_usage(system, agents, slots, *, bits_per_packet, bandwidth):
-    """The evaluation replay deciding every slot afresh."""
-    usage_sum, usage_n = {}, {}
+def reference_replay(system, decide, slots):
+    """`replay` deciding every slot afresh."""
+    total, visits = {}, {}
     for _ in range(slots):
         s0 = system.s0
-        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
-        usage_sum[s0] = usage_sum.get(s0, 0.0) + sum(requests)
-        usage_n[s0] = usage_n.get(s0, 0) + 1
+        value, sent = decide(system)
+        total[s0] = total.get(s0, 0.0) + value
+        visits[s0] = visits.get(s0, 0) + 1
         system.advance(sent)
-    return {s0: total / usage_n[s0] for s0, total in usage_sum.items()}, slots
+    return {s0: t / visits[s0] for s0, t in total.items()}, slots
 
 
-def reference_calibrate(self, rng, rounds=2, slots=600):
-    """ProposedSolution._calibrate with its decision cache emptied after
-    every decision."""
-    sc = self.scenario
-    joint = JointChannel(sc.channels, sc.channel_correlation)
-    for _ in range(rounds):
-        tally, count = {}, {}
-        system = SlotSystem(sc.templates, joint, rng)
-        for _t in range(slots):
-            s0 = system.s0
-            decision = self.sent_actions(s0, system.contexts, system.buffers)
-            self._cache = {}
-            tally[s0] = tally.get(s0, 0.0) + decision.lam0
-            count[s0] = count.get(s0, 0) + 1
-            system.advance(decision.sent)
-        for key, total in tally.items():
-            self.prices.lam[key] = total / count[key]
-        for a in self.agents:
-            a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
+def reference_trim(context, action, budget):
+    """At most `budget` packets of `action`, kept in impact order."""
+    if action.total <= budget:
+        return action
+    sends = [0] * len(context)
+    room = budget
+    for i in context.impact_order():
+        take = min(action.sends[i], room)
+        sends[i] = take
+        room -= take
+    return ScheduleAction(tuple(sends))
 
 
-def reference_simulated_usage(self, agent, rng):
-    """UniformPriceSolution._simulated_usage deciding every slot afresh."""
-    sc = self.scenario
-    tally, count = np.zeros(len(agent.view)), np.zeros(len(agent.view))
-    system = SlotSystem([agent.template], JointChannel([agent.channel]), rng)
-    for _ in range(self.usage_slots):
-        (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
-        act = agent.act(ctx, buf, h)
-        tally[h] += act.total * sc.bits_per_packet / agent.channel.rate[h]
-        count[h] += 1
-        system.advance([act])
-    return np.divide(tally, np.maximum(count, 1))
+def reference_inflate(context, action, budget, buffer):
+    """`action` grown toward `budget` packets in impact order, buffer-capped."""
+    if action.total >= budget:
+        return action
+    sends = list(action.sends)
+    room = budget - action.total
+    for i in context.impact_order():
+        take = min(buffer[i] - sends[i], room)
+        sends[i] += take
+        room -= take
+        if room == 0:
+            break
+    return ScheduleAction(tuple(sends))
+
+
+def reference_scale_to_budget(contexts, actions, rates, bits_per_packet, bandwidth):
+    usage = bandwidth_usage([a.total for a in actions], rates, bits_per_packet)
+    if usage <= bandwidth + 1e-12:
+        return list(actions)
+    gamma = bandwidth / usage
+    return [reference_trim(ctx, act, int(np.floor(gamma * act.total + 1e-9)))
+            for ctx, act in zip(contexts, actions)]
+
+
+def reference_scale_up_to_budget(contexts, actions, buffers, rates, bits_per_packet,
+                                 bandwidth):
+    usage = bandwidth_usage([a.total for a in actions], rates, bits_per_packet)
+    if usage <= 0 or usage >= bandwidth - 1e-12:
+        return list(actions)
+    gamma = bandwidth / usage
+    return [reference_inflate(ctx, act, int(np.floor(gamma * act.total + 1e-9)), buf)
+            for ctx, act, buf in zip(contexts, actions, buffers)]
 
 
 def reference_advance(templates, joint, s0, contexts, buffers, sent, rng):
@@ -804,7 +818,7 @@ def test_batched_slot_engine_equals_per_du_draws(inst):
 def test_frozen_usage_equals_fresh_decisions(inst, data):
     """Decomposed agents at arbitrary fixed prices on small templates, where
     different phases often hold equal buffers and channel states differ in
-    price: each distinct decision is computed once, with the same usage and
+    price: `replay` decides each distinct slot once, with the same usage and
     the same stream as deciding every slot."""
     templates, joint, seed = inst
     users = tuple(UserConfig(f"u{i}", t, c)
@@ -814,11 +828,15 @@ def test_frozen_usage_equals_fresh_decisions(inst, data):
     agents = make_agents(sc, "decomposed")
     for a in agents:
         a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+
+    def band_request(system):
+        requests, sent = slot_requests(agents, system, 1.0, sc.bandwidth)
+        return sum(requests), sent
+
     results = []
-    for usage in (frozen_usage, reference_frozen_usage):
+    for run in (replay, reference_replay):
         rng = np.random.default_rng(seed)
-        system = SlotSystem(templates, joint, rng)
-        mean, _ = usage(system, agents, 200, bits_per_packet=1.0, bandwidth=sc.bandwidth)
+        mean, _ = run(SlotSystem(templates, joint, rng), band_request, 200)
         results.append((mean, rng.random()))
     assert results[0] == results[1]
 
@@ -836,7 +854,7 @@ def _prepared(sol, seed):
 def test_memoised_evaluation_replay_equals_fresh_decisions(name, solution, monkeypatch):
     sc = preset(name)
     fast, fast_next = _prepared(build_solution(sc, solution, eval_slots=5_000), sc.seed)
-    monkeypatch.setattr(pricing, "frozen_usage", reference_frozen_usage)
+    monkeypatch.setattr(pricing, "replay", reference_replay)
     ref, ref_next = _prepared(build_solution(sc, solution, eval_slots=5_000), sc.seed)
     assert fast.report.expected_usage == ref.report.expected_usage
     assert fast.report.residuals == ref.report.residuals
@@ -849,7 +867,15 @@ def test_memoised_calibration_equals_fresh_clearing(name, monkeypatch):
     sc = preset(name)
     fast, fast_next = _prepared(ProposedSolution(sc, eval_slots=2_000, clearing=True),
                                 sc.seed)
-    monkeypatch.setattr(ProposedSolution, "_calibrate", reference_calibrate)
+    cached = ProposedSolution.sent_actions
+
+    def uncached(self, *state):
+        decision = cached(self, *state)
+        self._cache = {}
+        return decision
+
+    monkeypatch.setattr(harness, "replay", reference_replay)
+    monkeypatch.setattr(ProposedSolution, "sent_actions", uncached)
     ref, ref_next = _prepared(ProposedSolution(sc, eval_slots=2_000, clearing=True),
                               sc.seed)
     assert fast.prices.lam == ref.prices.lam
@@ -860,11 +886,46 @@ def test_memoised_calibration_equals_fresh_clearing(name, monkeypatch):
 def test_memoised_uniform_price_usage_equals_fresh_decisions(name, monkeypatch):
     sc = preset(name)
     fast, fast_next = _prepared(UniformPriceSolution(sc, usage_slots=600), sc.seed)
-    monkeypatch.setattr(UniformPriceSolution, "_simulated_usage", reference_simulated_usage)
+    monkeypatch.setattr(harness, "replay", reference_replay)
     ref, ref_next = _prepared(UniformPriceSolution(sc, usage_slots=600), sc.seed)
     assert fast.result.usage_by_state == ref.result.usage_by_state
     assert fast.price == ref.price
     assert fast_next == ref_next
+
+
+# ---------------------------------------------------------------------------
+# Band scaling
+# ---------------------------------------------------------------------------
+
+@st.composite
+def band_slots(draw_):
+    """1-3 users' contexts, buffers and feasible actions, with per-user rates
+    and a band from far below to far above the total request."""
+    users = []
+    for _ in range(draw_(st.integers(1, 3))):
+        ctx, buffer = draw_(instances())[4:6]
+        action = ScheduleAction(tuple(draw_(st.integers(0, x)) for x in buffer))
+        users.append((ctx, buffer, action))
+    contexts, buffers, actions = (list(col) for col in zip(*users))
+    rates = [draw_(st.sampled_from([1.0, 2.0, 3.0, 4.5])) for _ in users]
+    bits = draw_(st.sampled_from([0.5, 1.0]))
+    bandwidth = draw_(st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                                st.floats(0.01, 20.0, allow_nan=False)))
+    return contexts, buffers, actions, rates, bits, bandwidth
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(band_slots())
+def test_budget_scaling_equals_impact_order_loops(inst):
+    """The trim and the inflate fill in impact order through `hdf_schedule`:
+    send for send what the per-user loops they replaced produced."""
+    contexts, buffers, actions, rates, bits, bandwidth = inst
+    down = scale_to_budget(contexts, actions, rates, bits, bandwidth)
+    assert [a.sends for a in down] == [a.sends for a in reference_scale_to_budget(
+        contexts, actions, rates, bits, bandwidth)]
+    up = scale_up_to_budget(contexts, actions, buffers, rates, bits, bandwidth)
+    assert [a.sends for a in up] == [a.sends for a in reference_scale_up_to_budget(
+        contexts, actions, buffers, rates, bits, bandwidth)]
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,32 @@ def test_bad_transition_row_error_names_field(tmp_path):
         load_scenario(bad)
 
 
+@pytest.mark.parametrize("where, key", [
+    ((), "bandwith"),
+    (("users", 1), "bta"),
+    (("users", 0, "gop"), "perid"),
+    (("users", 0, "gop", "dus", 2), "deadline"),
+    (("users", 1, "channel"), "rates"),
+])
+def test_unknown_scenario_key_is_rejected_by_address(where, key, tmp_path, capsys):
+    from wvsched.cli import main
+
+    raw = json.loads(preset_path_text())
+    node = raw
+    for step in where:
+        node = node[step]
+    node[key] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    address = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
+    message = f"{address.lstrip('.') or 'scenario'}: unknown field {key!r}"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(bad)
+    assert err.value.errors == [message]
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_scenario_file():
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario("no-such-scenario")
@@ -351,7 +377,7 @@ def test_build_solution_names():
     sc = preset("tiny-sym")
     for name in ("proposed", "proposed-full", "proposed-learning", "myopic",
                  "lyapunov", "mu-mdp", "proposed+edf", "myopic+hdf"):
-        assert build_solution(sc, name) is not None
+        assert build_solution(sc, name).name == name
     for name in ("nonsense", "proposed-decomposed", "uniform-price"):
         with pytest.raises(ModelError):
             build_solution(sc, name)

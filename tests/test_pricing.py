@@ -13,7 +13,6 @@ from wvsched.pricing import (
     PriceTable,
     run_coordination,
     scale_to_budget,
-    trim_action,
     update_prices,
     user_price,
 )
@@ -71,7 +70,8 @@ def test_trim_keeps_high_impact_near_deadline():
     tpl = GopTemplate(dus, 2, 2)
     ctx = tpl.context(0)
     from wvsched.model import ScheduleAction
-    trimmed = trim_action(ctx, ScheduleAction((4, 4)), 5)
+    # 8 packets at rate 8 on a band of 0.625: a budget of 5 packets
+    (trimmed,) = scale_to_budget([ctx], [ScheduleAction((4, 4))], [8.0], 1.0, 0.625)
     assert trimmed.sends == (4, 1)
 
 
