@@ -176,7 +176,9 @@ def scale_up_to_budget(contexts, actions: Sequence[ScheduleAction],
     out = []
     for ctx, act, buf in zip(contexts, actions, buffers):
         budget = int(np.floor(gamma * act.total + 1e-9))
-        extra = hdf_schedule(ctx, [x - y for x, y in zip(buf, act.sends)],
-                             budget - act.total)
-        out.append(ScheduleAction(tuple(y + e for y, e in zip(act.sends, extra.sends))))
+        if budget != act.total:
+            extra = hdf_schedule(ctx, [x - y for x, y in zip(buf, act.sends)],
+                                 budget - act.total)
+            act = ScheduleAction(tuple(y + e for y, e in zip(act.sends, extra.sends)))
+        out.append(act)
     return out

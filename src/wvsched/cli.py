@@ -122,7 +122,8 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    names = [n.strip() for n in args.solutions.split(",") if n.strip()]
+    # a solution listed twice is built, run and reported once
+    names = list(dict.fromkeys(n.strip() for n in args.solutions.split(",") if n.strip()))
     # proposed, lyapunov and proposed+<sched> share one decomposed allocator;
     # each distinct object is prepared once, in list order
     shared = None

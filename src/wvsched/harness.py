@@ -236,7 +236,7 @@ class Solution:
                 for a, h, u in zip(sent, s0, scenario.users)]
 
 
-def agent_fill_order(agent, context, buffer) -> list[int]:
+def agent_fill_order(agent, context, buffer) -> Sequence[int]:
     """Slot order a user fills bonus capacity in: drift users drain by
     position, priced users by impact then urgency."""
     if isinstance(agent, DriftAgent):

@@ -14,7 +14,6 @@ vectorizable.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from bisect import bisect_right
@@ -35,13 +34,6 @@ from wvsched.model import (
     iter_actions,
     transmit_energy,
 )
-
-
-def discount_horizon(delta: float, tol: float = 1e-6) -> int:
-    """Smallest horizon with delta^horizon < tol (1 when delta == 0)."""
-    if delta <= 0.0:
-        return 1
-    return max(1, int(math.ceil(math.log(tol) / math.log(delta))))
 
 
 def value_iteration(backup: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
@@ -192,6 +184,11 @@ class TrafficLayout:
                              for ctx in self.contexts)
 
         self.strides, self.base, self.n_traffic = self._index_scheme(self.caps)
+        # Next-phase strides of each phase's survivors (ordered as
+        # steps[p].survivors): packets left @ these is their next-phase index.
+        self.survivor_strides = tuple(
+            np.array([self.strides[(p + 1) % self.period][j] for _, j in self.steps[p].survivors],
+                     dtype=np.int64) for p in range(self.period))
 
         # Post-decision space: survivor slots only, ordered as steps[p].survivors.
         pds_caps = tuple(tuple(self.caps[p][i] for i, _ in self.steps[p].survivors)
@@ -288,20 +285,47 @@ def entering_combos(layout: TrafficLayout, phase: int) -> tuple[np.ndarray, np.n
     return offsets, probs
 
 
-def entering_kernel(layout: TrafficLayout, survivors: Sequence[np.ndarray]) -> sp.csr_matrix:
+def row_terms(layout: TrafficLayout, state: np.ndarray, sends: np.ndarray,
+              gain_to_noise: np.ndarray, beta: float,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row terms of a user's (traffic state, sends) rows, `sends`
+    zero-padded to the widest context.
+
+    Returns each row's total packets, its distortion gain (summed slot by
+    slot from the left, as a Python sum would), its payoff gain - beta *
+    energy at every gain-to-noise value (shape (rows, len(gain_to_noise)))
+    and the survivors' local index in the next phase.
+    """
+    phase = np.searchsorted(layout.base, state, side="right") - 1
+    gain = np.zeros(len(state))
+    post = np.zeros(len(state), dtype=np.int64)
+    for p in range(layout.period):
+        sel = np.flatnonzero(phase == p)
+        sent = sends[sel, :len(layout.caps[p])]
+        g = np.zeros(len(sel))
+        for q, y in zip(layout.impacts[p], sent.T):
+            g = g + q * y
+        gain[sel] = g
+        left = buffer_grid(layout.caps[p])[state[sel] - layout.base[p]] - sent
+        survivors = [i for i, _ in layout.steps[p].survivors]
+        post[sel] = left[:, survivors] @ layout.survivor_strides[p]
+    total = sends.sum(axis=1)
+    energy = np.array([[transmit_energy(float(g), n) for g in gain_to_noise]
+                       for n in range(int(total.max(initial=0)) + 1)])
+    return total, gain, gain[:, None] - beta * energy[total], post
+
+
+def entering_kernel(layout: TrafficLayout, post: Sequence[np.ndarray]) -> sp.csr_matrix:
     """Kernel from post-decision rows to next-phase traffic states.
 
-    survivors[p] holds, for each of phase p's rows in row order, the packets
-    left in the slots that outlive the slot (ordered as steps[p].survivors);
-    the entering DUs' sizes are drawn from their PMFs.
+    post[p] holds, for each of phase p's rows in row order, the survivors'
+    local index in the next phase; the entering DUs' sizes are drawn from
+    their PMFs.
     """
     rows, cols, vals = [], [], []
     n = 0
-    for p, left in enumerate(survivors):
-        nxt = (p + 1) % layout.period
-        strides = np.array([layout.strides[nxt][j] for _, j in layout.steps[p].survivors],
-                           dtype=np.int64)
-        base = layout.base[nxt] + left @ strides
+    for p, local in enumerate(post):
+        base = layout.base[(p + 1) % layout.period] + local
         offs, probs = entering_combos(layout, p)
         rows.append(np.repeat(np.arange(n, n + len(base)), len(offs)))
         cols.append((base[:, None] + offs[None, :]).ravel())
@@ -340,44 +364,15 @@ class UserMdp:
         self.ta_state, self.ta_sends, self.group_start = action_table(
             self.layout, self.min_quality, pair_budget)
         self.n_ta = len(self.ta_state)
-        self.ta_total = self.ta_sends.sum(axis=1)
-        self.ta_gain = self._gains()
-        self._build_traffic_kernel()
-        self._build_rewards()
-
-    # -- construction --------------------------------------------------------
-
-    def _gains(self) -> np.ndarray:
-        """Each row's distortion reduction, one np.dot per row."""
-        lay = self.layout
-        phases = np.searchsorted(lay.base, self.ta_state, side="right") - 1
-        return np.array([float(np.dot(lay.impacts[p], row[:len(lay.impacts[p])]))
-                         for p, row in zip(phases.tolist(), self.ta_sends)])
-
-    def _build_traffic_kernel(self) -> None:
-        lay = self.layout
-        survivors = []
-        for p in range(lay.period):
-            lo, hi = self.group_start[[lay.base[p], lay.base[p] + lay.phase_count(p)]]
-            buffers = buffer_grid(lay.caps[p])[self.ta_state[lo:hi] - lay.base[p]]
-            post = buffers - self.ta_sends[lo:hi, :len(lay.caps[p])]
-            survivors.append(post[:, [i for i, _ in lay.steps[p].survivors]])
-        self.traffic_kernel = entering_kernel(lay, survivors)
+        self.ta_total, self.ta_gain, self.payoff_table, post = row_terms(
+            self.layout, self.ta_state, self.ta_sends, view.gain, self.beta)
+        # Payoff without the price term, already scaled by (1 - delta).
+        self.base_reward = (1.0 - self.discount) * self.payoff_table
+        self.traffic_kernel = entering_kernel(
+            self.layout, np.split(post, self.group_start[list(self.layout.base[1:])]))
         row_sums = np.asarray(self.traffic_kernel.sum(axis=1)).ravel()
         if np.any(np.abs(row_sums - 1.0) > 1e-9):
             raise ModelError("traffic kernel rows do not sum to 1")
-
-    def _build_rewards(self) -> None:
-        n_view = len(self.view)
-        max_total = int(self.ta_total.max(initial=0))
-        energy = np.zeros((n_view, max_total + 1))
-        for v in range(n_view):
-            for n in range(max_total + 1):
-                energy[v, n] = transmit_energy(float(self.view.gain[v]), n)
-        self.energy_table = energy
-        self.payoff_table = self.ta_gain[:, None] - self.beta * energy[:, self.ta_total].T
-        # Payoff without the price term, already scaled by (1 - delta).
-        self.base_reward = (1.0 - self.discount) * self.payoff_table
 
     # -- solving --------------------------------------------------------------
 
@@ -398,32 +393,34 @@ class UserMdp:
         mixed = values @ self.view.transition.T              # E over channel
         return reward + self.discount * (self.traffic_kernel @ mixed)
 
-    def backup(self, values: np.ndarray, reward: np.ndarray) -> np.ndarray:
-        q = self.q_values(values, reward)
-        return np.maximum.reduceat(q, self.group_start[:-1], axis=0)
+    def backup(self, values: np.ndarray, reward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One Bellman backup: each state's best Q and its first maximiser."""
+        return self._best(self.q_values(values, reward))
 
     def greedy(self, values: np.ndarray, reward: np.ndarray) -> np.ndarray:
         """First (lexicographically smallest) maximizer per state."""
-        q = self.q_values(values, reward)
+        return self._best(self.q_values(values, reward))[1]
+
+    def _best(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vmax = np.maximum.reduceat(q, self.group_start[:-1], axis=0)
         pos = np.arange(self.n_ta, dtype=np.int64)
         policy = np.empty((self.layout.n_traffic, len(self.view)), dtype=np.int64)
         for v in range(len(self.view)):
             hit = np.where(q[:, v] >= vmax[self.ta_state, v], pos, self.n_ta)
             policy[:, v] = np.minimum.reduceat(hit, self.group_start[:-1])
-        return policy
+        return vmax, policy
 
     def solve(self, price: np.ndarray, tol: float = 1e-6,
               init: np.ndarray | None = None, max_iter: int = 1_000) -> "ValueTable":
         """Policy iteration from the greedy policy of `init` (of zeros if None).
 
         Each step evaluates the policy exactly, takes one backup and changes a
-        state's action only where the best Q beats the current one by more
-        than tol * (1 - delta): without that margin, first-maximiser
-        improvement can cycle among actions whose Qs differ only by rounding.
-        When no state gains more, the values are within tol of the optimum;
-        they are returned with their first-maximiser greedy policy. Raises
-        ModelError after `max_iter` steps.
+        state's action to the backup's first maximiser only where the best Q
+        beats the current one by more than tol * (1 - delta): without that
+        margin, first-maximiser improvement can cycle among actions whose Qs
+        differ only by rounding. When no state gains more, the values are
+        within tol of the optimum; they are returned with the backup's
+        first-maximiser policy. Raises ModelError after `max_iter` steps.
         """
         reward = self.priced_reward(price)
         price = np.asarray(price)
@@ -432,11 +429,12 @@ class UserMdp:
         margin = tol * (1.0 - self.discount)
         for steps in range(1, max_iter + 1):
             values = self.exact_policy_value(ValueTable(self, values, policy, price), price)
-            gain = self.backup(values, reward) - values
+            best, choice = self.backup(values, reward)
+            gain = best - values
             better = gain > margin
             if not better.any():
-                return ValueTable(self, values, self.greedy(values, reward), price, steps)
-            policy = np.where(better, self.greedy(values, reward), policy)
+                return ValueTable(self, values, choice, price, steps)
+            policy = np.where(better, choice, policy)
         raise ModelError(f"policy iteration did not converge in {max_iter} steps "
                          f"(last step's largest gain {float(gain.max()):.3e})")
 
@@ -521,27 +519,9 @@ class UserMdp:
         channel transition out of the post-decision view state.
         """
         lay = self.layout
-        kernel = entering_kernel(lay, [buffer_grid(caps) for caps in lay.pds_caps])
+        kernel = entering_kernel(lay, [buffer_grid(caps) @ strides for caps, strides
+                                       in zip(lay.pds_caps, lay.survivor_strides)])
         return kernel @ (table.values @ self.view.transition.T)
-
-    def evaluate_policy(self, table: "ValueTable", episodes: int, horizon: int,
-                        rng: np.random.Generator) -> float:
-        """Monte Carlo estimate of (1-delta) E[sum delta^t u_t], uniform start."""
-        total = 0.0
-        n_view = len(self.view)
-        for _ in range(episodes):
-            t = int(rng.integers(self.layout.n_traffic))
-            v = int(rng.integers(n_view))
-            acc, disc = 0.0, 1.0
-            for _step in range(horizon):
-                ta = table.policy[t, v]
-                acc += disc * self.payoff_table[ta, v]
-                disc *= self.discount
-                row = self.traffic_kernel.getrow(ta)
-                t = int(rng.choice(row.indices, p=row.data))
-                v = int(rng.choice(n_view, p=self.view.transition[v]))
-            total += (1.0 - self.discount) * acc
-        return total / episodes
 
 
 @dataclass
@@ -557,17 +537,3 @@ class ValueTable:
     def action_of(self, phase: int, buffer: Sequence[int], view_state: int) -> ScheduleAction:
         t = self.mdp.layout.index(phase, buffer)
         return self.mdp.action_for(t, int(self.policy[t, view_state]))
-
-    def dump_csv(self, path) -> None:
-        """State-id encoding: (phase, buffer vector, channel-view index)."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["phase", "buffer", "channel", "value", "action"])
-            for t in range(self.mdp.layout.n_traffic):
-                phase, buf = self.mdp.layout.decode(t)
-                for v in range(len(self.mdp.view)):
-                    act = self.mdp.action_for(t, int(self.policy[t, v]))
-                    w.writerow([phase, " ".join(map(str, buf)), v,
-                                f"{self.values[t, v]:.9g}",
-                                " ".join(map(str, act.sends))])
-

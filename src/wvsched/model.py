@@ -128,7 +128,7 @@ class Context:
     Contexts are interned per (template, phase); identity comparison is safe.
     """
 
-    __slots__ = ("phase", "slots", "edges", "window", "_index")
+    __slots__ = ("phase", "slots", "edges", "window", "_index", "_impact_order")
 
     def __init__(self, phase: int, slots: tuple[ContextSlot, ...],
                  edges: tuple[tuple[int, int], ...], window: int):
@@ -137,6 +137,9 @@ class Context:
         self.edges = edges  # (parent_slot_index, child_slot_index)
         self.window = window
         self._index = {s.key: i for i, s in enumerate(slots)}
+        self._impact_order = tuple(sorted(
+            range(len(slots)),
+            key=lambda i: (-slots[i].du.distortion_impact, slots[i].remaining, i)))
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -147,12 +150,10 @@ class Context:
     def age_of(self, i: int) -> int:
         return self.window - 1 - self.slots[i].remaining
 
-    def impact_order(self) -> list[int]:
+    def impact_order(self) -> tuple[int, ...]:
         """Slot indices by descending impact, then nearest deadline, then
         position: the order in which trims keep and fills add packets."""
-        return sorted(range(len(self.slots)),
-                      key=lambda i: (-self.slots[i].du.distortion_impact,
-                                     self.slots[i].remaining, i))
+        return self._impact_order
 
     def __repr__(self) -> str:
         names = ",".join(f"{s.du.name}@{s.remaining}" for s in self.slots)

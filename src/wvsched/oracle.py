@@ -23,6 +23,7 @@ from wvsched.mdp import (
     buffer_grid,
     entering_combos,
     product_chain,
+    row_terms,
     value_iteration,
 )
 from wvsched.model import ModelError, ScenarioConfig, UserConfig
@@ -92,44 +93,23 @@ class UserRows:
     """One user's (traffic state, sends) rows with what the joint kernel reads."""
 
     sends: np.ndarray      # (n, widest context), zero-padded
-    term: np.ndarray       # (channel states, n): gain - beta * energy
-    share: np.ndarray      # (channel states, n): band share total * b / rate
+    term: np.ndarray       # (n, channel states): gain - beta * energy
+    share: np.ndarray      # (n, channel states): band share total * b / rate
     post: np.ndarray       # (n,): the survivors' local index in the next phase
 
 
-def user_rows(layout: TrafficLayout, user: UserConfig, bits_per_packet: float,
-              state: np.ndarray, sends: np.ndarray) -> UserRows:
-    """Per-row terms of a user's rows; `state` holds each row's traffic index.
-
-    The gain is summed slot by slot from the left, as a Python sum would.
-    """
-    chan = user.channel
-    phase = np.searchsorted(layout.base, state, side="right") - 1
-    gain = np.zeros(len(state))
-    post = np.zeros(len(state), dtype=np.int64)
-    for p in range(layout.period):
-        sel = np.flatnonzero(phase == p)
-        sent = sends[sel, :len(layout.caps[p])]
-        g = np.zeros(len(sel))
-        for q, y in zip(layout.impacts[p], sent.T):
-            g = g + q * y
-        gain[sel] = g
-        buffers = buffer_grid(layout.caps[p])[state[sel] - layout.base[p]]
-        survivors = layout.steps[p].survivors
-        strides = np.array([layout.strides[(p + 1) % layout.period][j] for _, j in survivors],
-                           dtype=np.int64)
-        post[sel] = (buffers - sent)[:, [i for i, _ in survivors]] @ strides
-    total = sends.sum(axis=1)
-    energy = np.array([[chan.energy(h, n) for n in range(int(total.max(initial=0)) + 1)]
-                       for h in range(len(chan))])
-    return UserRows(sends, gain - user.beta * energy[:, total],
-                    total * bits_per_packet / chan.rate[:, None], post)
+def _user_rows(layout: TrafficLayout, user: UserConfig, bits_per_packet: float,
+               state: np.ndarray, sends: np.ndarray) -> UserRows:
+    """`mdp.row_terms` of a user's rows over its channel's states, plus the
+    rows' band shares; `state` holds each row's traffic index."""
+    total, _, term, post = row_terms(layout, state, sends, user.channel.gain, user.beta)
+    return UserRows(sends, term, total[:, None] * bits_per_packet / user.channel.rate, post)
 
 
 def _action_rows(space: JointSpace, scenario: ScenarioConfig) -> tuple[list, list[UserRows]]:
     """Each user's action table and its rows."""
     actions = [action_table(lay, u.min_quality) for lay, u in zip(space.layouts, scenario.users)]
-    return actions, [user_rows(lay, u, scenario.bits_per_packet, ta_state, ta_sends)
+    return actions, [_user_rows(lay, u, scenario.bits_per_packet, ta_state, ta_sends)
                      for lay, u, (ta_state, ta_sends, _) in
                      zip(space.layouts, scenario.users, actions)]
 
@@ -170,7 +150,7 @@ def _band_usage(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
     c0 = state % len(space.c0_states)
     usage = np.zeros(len(state))
     for u, ur in enumerate(users):
-        usage = usage + ur.share[space.own[u][c0], rows[u]]
+        usage = usage + ur.share[rows[u], space.own[u][c0]]
     return usage
 
 
@@ -189,7 +169,7 @@ def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.n
     c0 = state % nc
     reward = np.zeros(len(state)) if offset is None else offset.copy()
     for u, ur in enumerate(users):
-        reward += ur.term[space.own[u][c0], rows[u]]
+        reward += ur.term[rows[u], space.own[u][c0]]
 
     # A pair's next-state law: each user's survivors plus its entering DUs'
     # sizes, crossed in user order, then the channel row of c0. Within a
@@ -238,6 +218,18 @@ def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.n
     return kernel, reward, np.searchsorted(state, np.arange(space.n_states))
 
 
+def _max_values(kernel: sp.csr_matrix, reward: np.ndarray, starts: np.ndarray,
+                delta: float, tol: float, max_iter: int, what: str) -> tuple:
+    """Value iteration from zeros on V(s) = max over s's pairs of Q(V) =
+    reward + delta * E[V(next)], `reward` already scaled by (1 - delta).
+    Returns V, the sweeps and Q as a function of V."""
+    def q_of(v: np.ndarray) -> np.ndarray:
+        return reward + delta * (kernel @ v)
+    values, sweeps = value_iteration(lambda v: np.maximum.reduceat(q_of(v), starts),
+                                     np.zeros(kernel.shape[1]), delta, tol, max_iter, what)
+    return values, sweeps, q_of
+
+
 def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
                        pair_cap: int = 5_000_000, tol: float = 1e-9,
                        max_iter: int = 100_000) -> OracleResult:
@@ -274,12 +266,11 @@ def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
 
     kernel, reward, starts = build_joint_kernel(space, users, state, rows)
     reward = (1.0 - delta) * reward
-    values, sweeps = value_iteration(
-        lambda v: np.maximum.reduceat(reward + delta * (kernel @ v), starts),
-        np.zeros(space.n_states), delta, tol, max_iter, "oracle value iteration")
+    values, sweeps, q_of = _max_values(kernel, reward, starts, delta, tol, max_iter,
+                                       "oracle value iteration")
 
     # Greedy joint policy (first maximizer per state).
-    q = reward + delta * (kernel @ values)
+    q = q_of(values)
     hit = np.where(q >= np.maximum.reduceat(q, starts)[state], np.arange(len(q)), len(q))
     best = np.minimum.reduceat(hit, starts)
     policy = {}
@@ -334,7 +325,7 @@ def joint_value_of(scenario: ScenarioConfig, act_rule: Callable,
                     f"{tuple(block[k].tolist())} from buffer {tuple(buffers[k].tolist())}")
             sends[u][lo:hi, :widths[u]] = block
             traffic[u][lo:hi] = np.repeat(lay.base[p] + locs[:, u], nc)
-    users = [user_rows(lay, u, scenario.bits_per_packet, t, s)
+    users = [_user_rows(lay, u, scenario.bits_per_packet, t, s)
              for lay, u, t, s in zip(space.layouts, scenario.users, traffic, sends)]
     state = np.arange(n)
     kernel, rewards, _ = build_joint_kernel(space, users, state,
@@ -378,7 +369,6 @@ def penalized_joint_value(scenario: ScenarioConfig,
 
     kernel, reward, starts = build_joint_kernel(space, users, state, rows, offset)
     reward = (1.0 - delta) * reward
-    values, _ = value_iteration(
-        lambda v: np.maximum.reduceat(reward + delta * (kernel @ v), starts),
-        np.zeros(space.n_states), delta, tol, max_iter, "penalized joint value iteration")
+    values, _, _ = _max_values(kernel, reward, starts, delta, tol, max_iter,
+                               "penalized joint value iteration")
     return values, float(values.mean())

@@ -193,7 +193,7 @@ def scale_to_budget(contexts, actions: Sequence[ScheduleAction],
     out = []
     for ctx, act in zip(contexts, actions):
         budget = int(np.floor(gamma * act.total + 1e-9))
-        out.append(hdf_schedule(ctx, act.sends, budget))
+        out.append(act if budget == act.total else hdf_schedule(ctx, act.sends, budget))
     return out
 
 

@@ -192,10 +192,25 @@ def test_compare_pairings_before_proposed_share_one_coordination(tmp_path, monke
 
 
 def test_compare_prepares_a_repeated_solution_once(tmp_path, monkeypatch):
-    (first, lyapunov, again), prepared = _compare_prepares(
+    (first, lyapunov), prepared = _compare_prepares(
         monkeypatch, tmp_path, "proposed,lyapunov,proposed")
-    assert first is lyapunov.proposed is again
+    assert first is lyapunov.proposed
     assert prepared == [first]
+
+
+def test_compare_runs_and_reports_a_repeated_solution_once(tmp_path, monkeypatch):
+    episodes = []
+
+    def counted(scenario, solution, *args, **kwargs):
+        episodes.append(solution.name)
+        return harness.run_episode(scenario, solution, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", counted)
+    assert main(["compare", "--scenario", "tiny-sym", "--solutions", "proposed,lyapunov,proposed",
+                 "--seeds", "2", "--slots", "20", "--out", str(tmp_path)]) == 0
+    assert episodes == ["proposed"] * 2 + ["lyapunov"] * 2
+    rows = list(csv.reader(open(tmp_path / "metrics.csv", encoding="utf-8")))
+    assert [row[0] for row in rows[1:]] == ["proposed", "lyapunov"]
 
 
 def test_compare_shares_only_the_decomposed_allocator(tmp_path, monkeypatch):

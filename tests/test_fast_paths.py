@@ -41,6 +41,7 @@ from wvsched.mdp import (
     common_view,
     entering_combos,
     joint_view,
+    own_view,
     value_iteration,
 )
 from wvsched.model import (
@@ -56,6 +57,7 @@ from wvsched.model import (
     initial_buffer,
     iter_actions,
     sample_channel,
+    transmit_energy,
 )
 from wvsched.oracle import JointSpace
 from wvsched.pricing import JointChannel, SlotSystem, replay, scale_to_budget, slot_requests
@@ -214,7 +216,7 @@ def reference_user_solve(mdp: UserMdp, price, tol: float, init=None) -> np.ndarr
     """The user MDP's values by value iteration from `init` (zeros if None)."""
     reward = mdp.priced_reward(price)
     values = np.zeros((mdp.layout.n_traffic, len(mdp.view))) if init is None else init
-    values, _ = value_iteration(lambda v: mdp.backup(v, reward), values, mdp.discount,
+    values, _ = value_iteration(lambda v: mdp.backup(v, reward)[0], values, mdp.discount,
                                 tol, 1_000_000, "reference")
     return values
 
@@ -549,10 +551,20 @@ def small_templates(draw_, max_window=3, max_dus=3, max_deadline=3):
 def user_mdps(draw_):
     """(UserMdp, price vector, seed) on small templates: several phases, DUs
     entering together, window 1, quality floors, zero-probability sizes and
-    channel moves."""
+    channel moves; the view is a common one, or the joint or own view of one
+    of two channels whose states differ in gain."""
     tpl = draw_(small_templates())
     assume(TrafficLayout(tpl).n_traffic <= 300)
-    view = common_view(draw_(channels()), 1)
+    kind = draw_(st.sampled_from(["common", "joint", "own"]))
+    if kind == "common":
+        view = common_view(draw_(channels()), 1)
+    else:
+        chans = []
+        for _ in range(2):
+            c = draw_(channels(max_states=2))
+            gains = [draw_(st.sampled_from([0.5, 1.4, 3.0])) for _ in range(len(c))]
+            chans.append(ChannelModel(c.names, gains, c.rate, c.transition))
+        view = (joint_view if kind == "joint" else own_view)(chans, draw_(st.integers(0, 1)))
     min_quality = draw_(st.one_of(st.just(0.0), values_))
     mdp = UserMdp(tpl, view, draw_(st.floats(0.0, 1.0)), min_quality, 1.0,
                   draw_(st.floats(0.0, 0.95)))
@@ -946,8 +958,11 @@ def test_traffic_kernel_equals_action_walk(inst):
     walk = [(p, act) for _, p, buf in mdp.layout.iter_states()
             for act in iter_actions(mdp.layout.contexts[p], buf, mdp.min_quality)]
     assert mdp.ta_total.tolist() == [act.total for _, act in walk]
-    assert mdp.ta_gain.tolist() == [float(np.dot(mdp.layout.impacts[p], act.sends))
-                                    for p, act in walk]
+    gains = [float(np.dot(mdp.layout.impacts[p], act.sends)) for p, act in walk]
+    assert mdp.ta_gain.tolist() == gains
+    assert mdp.payoff_table.tolist() == [
+        [g - mdp.beta * transmit_energy(float(h), act.total) for h in mdp.view.gain]
+        for g, (_, act) in zip(gains, walk)]
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -994,7 +1009,7 @@ def test_policy_iteration_solve_matches_value_iteration(inst):
     reward = mdp.priced_reward(price)
     margin = tol * (1.0 - mdp.discount)
     ref = reference_user_solve(mdp, price, 1e-12, init)
-    best = mdp.backup(table.values, reward)
+    best = mdp.backup(table.values, reward)[0]
     assert np.max(np.abs(table.values - ref)) <= tol + 1e-12
     assert np.max(np.abs(best - table.values)) <= margin
     assert np.array_equal(table.policy, mdp.greedy(table.values, reward))

@@ -17,7 +17,7 @@ from wvsched.harness import (
     write_price_trace,
     write_replay_table,
 )
-from wvsched.mdp import UserMdp, common_view
+from wvsched.mdp import UserMdp, ValueTable, common_view
 from wvsched import oracle
 from wvsched.model import ModelError, ScheduleAction
 from wvsched.oracle import centralized_oracle, joint_value_of
@@ -360,6 +360,21 @@ def test_price_trace_csv(tmp_path, illustration):
     assert len(rows) > 10
 
 
+def dump_value_table(table: ValueTable, path) -> None:
+    """One CSV row per (traffic state, channel-view state): phase, buffer
+    vector, channel-view index, value and the policy's sends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["phase", "buffer", "channel", "value", "action"])
+        for t in range(table.mdp.layout.n_traffic):
+            phase, buf = table.mdp.layout.decode(t)
+            for v in range(len(table.mdp.view)):
+                act = table.mdp.action_for(t, int(table.policy[t, v]))
+                w.writerow([phase, " ".join(map(str, buf)), v,
+                            f"{table.values[t, v]:.9g}",
+                            " ".join(map(str, act.sends))])
+
+
 def test_value_table_dump(tmp_path):
     sc = preset("pds-toy")
     u = sc.users[0]
@@ -367,7 +382,7 @@ def test_value_table_dump(tmp_path):
                   sc.discount)
     table = mdp.solve(np.array([0.2, 0.6]))
     out = tmp_path / "values.csv"
-    table.dump_csv(out)
+    dump_value_table(table, out)
     rows = list(csv.reader(open(out, encoding="utf-8")))
     assert rows[0] == ["phase", "buffer", "channel", "value", "action"]
     assert len(rows) == 1 + mdp.layout.n_traffic * 2

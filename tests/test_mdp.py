@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,19 @@ from hypothesis import strategies as st
 from wvsched.mdp import (
     ChannelView,
     UserMdp,
+    ValueTable,
     common_view,
-    discount_horizon,
     joint_view,
     own_view,
 )
-from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError, ScheduleAction
+from wvsched.model import (
+    ChannelModel,
+    DataUnitSpec,
+    GopTemplate,
+    ModelError,
+    ScheduleAction,
+    transmit_energy,
+)
 
 EXAMPLES = {"contraction": 900}
 
@@ -94,7 +103,8 @@ def brute_force_horizon(mdp, template, horizon, phase, buf, v, price):
     for act in iter_actions(ctx, buf, 0.0):
         gain = sum(s.du.distortion_impact * y for s, y in zip(ctx.slots, act.sends))
         r = (1 - mdp.discount) * (
-            gain - mdp.beta * mdp.energy_table[v, act.total] - price[v] * act.total)
+            gain - mdp.beta * transmit_energy(float(mdp.view.gain[v]), act.total)
+            - price[v] * act.total)
         nxt_phase = (phase + 1) % template.period
         step = template.step(phase)
         cont = 0.0
@@ -126,7 +136,7 @@ def test_three_slot_horizon_matches_backward_induction():
     reward = mdp.priced_reward(price)
     values = np.zeros((mdp.layout.n_traffic, 2))
     for _ in range(3):
-        values = mdp.backup(values, reward)
+        values = mdp.backup(values, reward)[0]
     for t in range(mdp.layout.n_traffic):
         phase, buf = mdp.layout.decode(t)
         for v in range(2):
@@ -138,9 +148,10 @@ def test_bellman_backup_returns_value_and_policy():
     mdp = make_mdp()
     reward = mdp.priced_reward(np.zeros(2))
     values = np.zeros((mdp.layout.n_traffic, 2))
-    new, policy = mdp.backup(values, reward), mdp.greedy(values, reward)
+    new, policy = mdp.backup(values, reward)
     assert new.shape == values.shape
     assert policy.shape == values.shape
+    assert np.array_equal(policy, mdp.greedy(values, reward))
 
 
 @settings(max_examples=EXAMPLES["contraction"], deadline=None)
@@ -152,7 +163,7 @@ def test_backup_is_a_contraction(seed):
     v1 = rng.uniform(-5, 5, shape)
     v2 = rng.uniform(-5, 5, shape)
     reward = mdp.priced_reward(np.array([0.3, 0.8]))
-    d1 = np.max(np.abs(mdp.backup(v1, reward) - mdp.backup(v2, reward)))
+    d1 = np.max(np.abs(mdp.backup(v1, reward)[0] - mdp.backup(v2, reward)[0]))
     assert d1 <= mdp.discount * np.max(np.abs(v1 - v2)) + 1e-9
 
 
@@ -200,6 +211,33 @@ def test_value_iteration_matches_exact_policy_evaluation():
     assert np.max(np.abs(exact - table.values)) < 1e-6
 
 
+def discount_horizon(delta: float, tol: float = 1e-6) -> int:
+    """Smallest horizon with delta^horizon < tol (1 when delta == 0)."""
+    if delta <= 0.0:
+        return 1
+    return max(1, int(math.ceil(math.log(tol) / math.log(delta))))
+
+
+def evaluate_policy(mdp: UserMdp, table: ValueTable, episodes: int, horizon: int,
+                    rng: np.random.Generator) -> float:
+    """Monte Carlo estimate of (1-delta) E[sum delta^t u_t], uniform start."""
+    total = 0.0
+    n_view = len(mdp.view)
+    for _ in range(episodes):
+        t = int(rng.integers(mdp.layout.n_traffic))
+        v = int(rng.integers(n_view))
+        acc, disc = 0.0, 1.0
+        for _step in range(horizon):
+            ta = table.policy[t, v]
+            acc += disc * mdp.payoff_table[ta, v]
+            disc *= mdp.discount
+            row = mdp.traffic_kernel.getrow(ta)
+            t = int(rng.choice(row.indices, p=row.data))
+            v = int(rng.choice(n_view, p=mdp.view.transition[v]))
+        total += (1.0 - mdp.discount) * acc
+    return total / episodes
+
+
 def test_evaluate_policy_constant_payoff_returns_it():
     du = DataUnitSpec(0, "F", 5.0, 0, ((1, 1.0),))
     tpl = GopTemplate([du], 1, 1)
@@ -207,7 +245,7 @@ def test_evaluate_policy_constant_payoff_returns_it():
     mdp = UserMdp(tpl, common_view(chan, 1), 0.0, 0.0, 1.0, 0.8)
     table = mdp.solve(np.zeros(1))
     horizon = discount_horizon(0.8)
-    val = mdp.evaluate_policy(table, episodes=400, horizon=horizon,
+    val = evaluate_policy(mdp, table, episodes=400, horizon=horizon,
                               rng=np.random.default_rng(0))
     # full-buffer starts earn the constant 5 per slot; empty starts miss the
     # first slot only (value 4); uniform start averages them
@@ -221,7 +259,7 @@ def test_evaluate_policy_monte_carlo_close_to_exact():
     horizon = discount_horizon(0.55)
     episodes = 3000
     rng = np.random.default_rng(1)
-    est = mdp.evaluate_policy(table, episodes, horizon, rng)
+    est = evaluate_policy(mdp, table, episodes, horizon, rng)
     mean_exact = float(exact.mean())
     # within three standard errors of the uniform-start exact value
     spread = float(exact.std()) / np.sqrt(episodes) * 3 + 0.02
