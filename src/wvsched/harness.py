@@ -37,6 +37,7 @@ from wvsched.model import (
     ScenarioConfig,
     ScheduleAction,
     UserConfig,
+    UserState,
     bandwidth_usage,
     payoff,
 )
@@ -780,21 +781,6 @@ def compute_metrics(trace: EpisodeTrace, scenario: ScenarioConfig) -> MetricsRep
     )
 
 
-def conservation_ok(trace: EpisodeTrace) -> bool:
-    """arrived == sent + dropped + remaining, per user and frame type."""
-    for i in range(len(trace.arrived)):
-        names = set(trace.arrived[i]) | set(trace.sent_totals[i]) | \
-            set(trace.dropped_totals[i]) | set(trace.remaining[i])
-        for name in names:
-            lhs = trace.arrived[i].get(name, 0)
-            rhs = (trace.sent_totals[i].get(name, 0)
-                   + trace.dropped_totals[i].get(name, 0)
-                   + trace.remaining[i].get(name, 0))
-            if lhs != rhs:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
@@ -870,7 +856,7 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
     for t in range(slots):
         (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
         act = learner.act(ctx.phase, buf, h, float(price[h]), rng)
-        window_pay += payoff(system.states()[0], act, u.beta, u.channel)
+        window_pay += payoff(UserState(ctx, buf, h), act, u.beta, u.channel)
         (step,) = system.advance([act])
         learner.observe((ctx.phase, buf, h, act, step.arrivals, step.buffer,
                          system.s0[0]), np.asarray(price))

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,6 +160,12 @@ class Context:
         return f"Context(phase={self.phase}, [{names}])"
 
 
+# most (phase, buffer, sends) steps one template memoises: about 10 MB at the
+# ~630 bytes an entry holds, against under 2,000 entries in the perfbench
+# workloads and 85,000 after 120,000 slots of random sends on illustration-2user
+TRANSITION_MEMO = 1 << 14
+
+
 class GopTemplate:
     """Periodic GOP structure: DUs, period T, and scheduling time window W."""
 
@@ -171,6 +177,7 @@ class GopTemplate:
         self._validate()
         self._contexts: list[Context] = [self._build_context(p) for p in range(self.period)]
         self._steps: list[ContextStep] = [self._build_step(p) for p in range(self.period)]
+        self._transitions: dict[tuple, Transition] = {}
 
     # -- validation --------------------------------------------------------
 
@@ -265,7 +272,9 @@ class GopTemplate:
             survivors.append((i, j))
             matched.add(j)
         entering = tuple(j for j in range(len(nxt.slots)) if j not in matched)
-        return ContextStep(tuple(survivors), tuple(expiring), entering)
+        step = ContextStep(tuple(survivors), tuple(expiring), entering)
+        _check_step(cur, nxt, step)
+        return step
 
     # -- public API ---------------------------------------------------------
 
@@ -277,6 +286,45 @@ class GopTemplate:
 
     def du(self, du_id: int) -> DataUnitSpec:
         return self._by_id[du_id]
+
+    def transition(self, context: Context, buffer: tuple[int, ...],
+                   sends: tuple[int, ...]) -> "Transition":
+        """The deterministic part of one slot step from (context, buffer,
+        sends), memoised on (phase, buffer, sends).
+
+        The first time a key is seen the step is computed and checked: the
+        context is this template's, the buffer fits the context's size caps
+        and the sends fit the buffer (every packet is then sent, kept or
+        dropped, since each phase's `ContextStep` partitions the slots; see
+        `_check_step`). A key that fails raises `ModelError` and is not
+        stored, so it raises again on every call. The memo holds at most
+        `TRANSITION_MEMO` keys; past that a new key is built and checked on
+        every call.
+        """
+        key = (context.phase, buffer, sends)
+        move = self._transitions.get(key)
+        if move is None:
+            move = self._build_transition(context, buffer, sends)
+            if len(self._transitions) < TRANSITION_MEMO:
+                self._transitions[key] = move
+        return move
+
+    def _build_transition(self, context: Context, buffer: tuple[int, ...],
+                          sends: tuple[int, ...]) -> "Transition":
+        phase = context.phase
+        if context is not self.context(phase):
+            raise ModelError(f"context {context!r} is not this template's")
+        _check_buffer(context, buffer)
+        _check_sends(buffer, sends)
+        step = self.step(phase)
+        nxt = self.context(phase + 1)
+        left = [x - y for x, y in zip(buffer, sends)]
+        kept = [0] * len(nxt)
+        for i, j in step.survivors:
+            kept[j] = left[i]
+        dropped = tuple((context.slots[i].key, left[i]) for i in step.expiring if left[i] > 0)
+        entering = tuple((j, nxt.slots[j].du, nxt.slots[j].key) for j in step.entering)
+        return Transition(nxt, tuple(kept), entering, dropped)
 
     @property
     def total_impact(self) -> float:
@@ -291,6 +339,16 @@ class ContextStep:
     survivors: tuple[tuple[int, int], ...]  # (index now, index next)
     expiring: tuple[int, ...]               # indices whose deadline passes now
     entering: tuple[int, ...]               # next-context indices drawing fresh sizes
+
+
+def _check_step(cur: Context, nxt: Context, step: ContextStep) -> None:
+    """Each slot of `cur` either survives into its own slot of `nxt` or
+    expires, and every other slot of `nxt` enters, so a step sends, keeps or
+    drops each packet of any buffer exactly once."""
+    sources = sorted([i for i, _ in step.survivors] + list(step.expiring))
+    targets = sorted([j for _, j in step.survivors] + list(step.entering))
+    if sources != list(range(len(cur))) or targets != list(range(len(nxt))):
+        raise ModelError(f"phase {cur.phase}: {step} does not move each slot exactly once")
 
 
 def build_context(template: GopTemplate, phase: int) -> Context:
@@ -382,12 +440,7 @@ class UserState:
     channel: int
 
     def __post_init__(self):
-        if len(self.buffer) != len(self.context):
-            raise ModelError("buffer length does not match context")
-        for x, slot in zip(self.buffer, self.context.slots):
-            if x < 0 or x > slot.du.max_size:
-                raise ModelError(
-                    f"buffer for {slot.du.name} is {x}, outside [0, {slot.du.max_size}]")
+        _check_buffer(self.context, self.buffer)
 
     def __hash__(self):
         return hash((id(self.context), self.buffer, self.channel))
@@ -408,10 +461,19 @@ class ScheduleAction:
         return sum(self.sends)
 
 
-def _check_feasible(state: UserState, action: ScheduleAction) -> None:
-    if len(action.sends) != len(state.buffer):
+def _check_buffer(context: Context, buffer: Sequence[int]) -> None:
+    if len(buffer) != len(context):
+        raise ModelError("buffer length does not match context")
+    for x, slot in zip(buffer, context.slots):
+        if x < 0 or x > slot.du.max_size:
+            raise ModelError(
+                f"buffer for {slot.du.name} is {x}, outside [0, {slot.du.max_size}]")
+
+
+def _check_sends(buffer: Sequence[int], sends: Sequence[int]) -> None:
+    if len(sends) != len(buffer):
         raise ModelError("action length does not match context")
-    for y, x in zip(action.sends, state.buffer):
+    for y, x in zip(sends, buffer):
         if y < 0 or y > x:
             raise ModelError(f"action sends {y} from a buffer of {x}")
 
@@ -439,7 +501,7 @@ def action_set(state: UserState, min_quality: float = 0.0) -> list[ScheduleActio
 
 def distortion_reduction(state: UserState, action: ScheduleAction) -> float:
     """Quality gained this slot: sum of q_DU * sends_DU."""
-    _check_feasible(state, action)
+    _check_sends(state.buffer, action.sends)
     return float(sum(s.du.distortion_impact * y
                      for s, y in zip(state.context.slots, action.sends)))
 
@@ -461,6 +523,29 @@ def bandwidth_usage(totals: Sequence[int], rates: Sequence[float],
 # Traffic dynamics
 # ---------------------------------------------------------------------------
 
+class Transition(NamedTuple):
+    """One user's deterministic slot step from (phase, buffer, sends): the
+    next context, the next buffer before arrivals (each survivor's packets,
+    zeros where DUs enter), the entering (index, DU, key) triples in slot
+    order, and the (key, packets) drops of the DUs whose deadline passed."""
+
+    context: Context
+    kept: tuple[int, ...]
+    entering: tuple[tuple[int, DataUnitSpec, tuple[int, int]], ...]
+    dropped: tuple[tuple[tuple[int, int], int], ...]
+
+    def buffer(self, us: Iterable[float]) -> tuple[int, ...]:
+        """The next buffer, each entering DU's size mapped from the next of
+        `us` in slot order. Takes exactly one uniform per entering DU, so an
+        iterator shared across users and slots stays aligned."""
+        if not self.entering:
+            return self.kept
+        buf = list(self.kept)
+        for (j, du, _key), u in zip(self.entering, us):
+            buf[j] = du.size_at(u)
+        return tuple(buf)
+
+
 @dataclass(frozen=True)
 class TrafficStep:
     """Outcome of one slot of traffic dynamics for a single user."""
@@ -471,32 +556,19 @@ class TrafficStep:
     dropped: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
-def advance_traffic(template: GopTemplate, state: UserState, action: ScheduleAction,
-                    rng: np.random.Generator) -> TrafficStep:
+def advance_traffic(template: GopTemplate, context: Context, buffer: tuple[int, ...],
+                    action: ScheduleAction, rng: np.random.Generator) -> TrafficStep:
     """Apply sends, drop DUs whose deadline passed, draw entering DU sizes.
 
-    The context advances deterministically by one phase; leftover packets of
-    expiring DUs are reported as dropped. The k entering sizes come from one
+    The deterministic part is `template.transition`, checked once per
+    (phase, buffer, sends). The k entering sizes come from one
     `uniforms(rng, k)` call, in slot order, so they are the sizes k
-    `sample_size` calls would draw.
+    `sample_size` calls would draw. The returned dicts are fresh.
     """
-    _check_feasible(state, action)
-    phase = state.context.phase
-    step = template.step(phase)
-    nxt = template.context(phase + 1)
-    left = [x - y for x, y in zip(state.buffer, action.sends)]
-    dropped = {}
-    for i in step.expiring:
-        if left[i] > 0:
-            dropped[state.context.slots[i].key] = left[i]
-    buffer = [0] * len(nxt)
-    for i, j in step.survivors:
-        buffer[j] = left[i]
-    arrivals = {}
-    for j, u in zip(step.entering, uniforms(rng, len(step.entering))):
-        slot = nxt.slots[j]
-        buffer[j] = arrivals[slot.key] = slot.du.size_at(u)
-    return TrafficStep(nxt, tuple(buffer), arrivals, dropped)
+    move = template.transition(context, buffer, action.sends)
+    nxt = move.buffer(uniforms(rng, len(move.entering)))
+    return TrafficStep(move.context, nxt, {key: nxt[j] for j, _, key in move.entering},
+                       dict(move.dropped))
 
 
 def initial_buffer(template: GopTemplate, phase: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from wvsched.model import (
     ModelError,
     ScheduleAction,
     TrafficStep,
-    UserState,
     advance_traffic,
     bandwidth_usage,
     draw,
@@ -58,13 +57,6 @@ class PriceTable:
         return self.lam.get(s0, 0.0)
 
 
-def user_price(lambda0: float, rate: float, bits_per_packet: float) -> float:
-    """Per-packet price seen by a user: lambda0 * b / r(h)."""
-    if lambda0 < 0:
-        raise ModelError("lambda0 must be >= 0")
-    return lambda0 * bits_per_packet / rate
-
-
 def update_prices(table: PriceTable, s0: tuple[int, ...],
                   requests: Sequence[float], bandwidth: float) -> PriceTable:
     """Stochastic subgradient step on the visited state, projected to >= 0."""
@@ -90,6 +82,8 @@ class JointChannel:
             raise ModelError(f"unknown channel correlation {correlation!r}")
         self.channels = list(channels)
         self.correlation = correlation
+        self.draws = 1 if correlation == "common" else len(self.channels)  # uniforms per step
+        self._cdfs = [c.transition_cdf for c in self.channels]
         if correlation == "common":
             first = self.channels[0]
             for c in self.channels[1:]:
@@ -107,11 +101,14 @@ class JointChannel:
     def step(self, s0: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
         """The next joint state: one draw if common, else one `uniforms` call
         over the users, giving the states n `sample_channel` calls would."""
+        return self.next_state(s0, iter(uniforms(rng, self.draws)))
+
+    def next_state(self, s0: tuple[int, ...], us: Iterator[float]) -> tuple[int, ...]:
+        """The joint state after `s0` that the next `draws` uniforms of `us`
+        pick, each by `bisect_right` on its row's transition CDF."""
         if self.correlation == "common":
-            h = bisect_right(self.channels[0].transition_cdf[s0[0]], rng.random())
-            return (h,) * len(self.channels)
-        return tuple(bisect_right(c.transition_cdf[h], u) for c, h, u in
-                     zip(self.channels, s0, uniforms(rng, len(self.channels))))
+            return (bisect_right(self._cdfs[0][s0[0]], next(us)),) * len(self._cdfs)
+        return tuple(bisect_right(cdf[h], u) for cdf, h, u in zip(self._cdfs, s0, us))
 
     def all_states(self) -> list[tuple[int, ...]]:
         if self.correlation == "common":
@@ -140,7 +137,6 @@ class SlotSystem:
     call (`model.uniforms`: `rng.random(k)`, or `rng.random()` when k = 1)
     and yields the same doubles as k scalar draws, so the stream is the one
     the per-DU samplers would consume.
-    `states()` builds each user's validated `UserState` once per slot.
     """
 
     def __init__(self, templates: Sequence[GopTemplate], joint: JointChannel,
@@ -151,24 +147,16 @@ class SlotSystem:
         self.s0 = joint.initial(rng) if s0 is None else s0
         self.buffers = [initial_buffer(t, 0, rng) for t in self.templates]
         self.contexts = [t.context(0) for t in self.templates]
-        self._states: list[UserState] | None = None
-
-    def states(self) -> list[UserState]:
-        if self._states is None:
-            self._states = [UserState(ctx, buf, h) for ctx, buf, h in
-                            zip(self.contexts, self.buffers, self.s0, strict=True)]
-        return self._states
 
     def advance(self, sent: Sequence[ScheduleAction],
                 s0_next: tuple[int, ...] | None = None) -> list[TrafficStep]:
         """Apply every user's sends, then move the channel to `s0_next` or a
         fresh draw."""
         rng = self.rng
-        steps = [advance_traffic(t, state, act, rng)
-                 for t, state, act in zip(self.templates, self.states(), sent, strict=True)]
+        steps = [advance_traffic(t, ctx, buf, act, rng) for t, ctx, buf, act in
+                 zip(self.templates, self.contexts, self.buffers, sent, strict=True)]
         self.buffers = [st.buffer for st in steps]
         self.contexts = [st.context for st in steps]
-        self._states = None
         self.s0 = self.joint.step(self.s0, self.rng) if s0_next is None else s0_next
         return steps
 
@@ -217,7 +205,8 @@ class PricedUserAgent(Protocol):
         Between two refreshes the action depends on the arguments alone: it
         draws no random number and changes no state it reads. Learning
         agents meet this once frozen. Loops that replay a fixed policy rely
-        on it to memoise `act` on `slot_key`.
+        on it to memoise `act` on `slot_key` and to draw the slots'
+        uniforms ahead in blocks (see `replay`).
         """
 
 
@@ -348,26 +337,56 @@ def slot_requests(agents: Sequence[PricedUserAgent], system: SlotSystem,
                                      bandwidth)
 
 
+# most slots whose uniforms `replay` draws in one generator call: the block's
+# list of doubles is what bounds the walk's memory
+REPLAY_BLOCK = 1024
+
+
 def replay(system: SlotSystem, decide: Callable,
            slots: int) -> tuple[dict[tuple[int, ...], float], int]:
     """Step `system` for `slots` slots under a frozen rule: `decide(system)`
     returns a value and the sends for the current slot. Returns the mean
     value per visited joint state and how many distinct decisions were made.
 
-    A frozen rule is deterministic (see `PricedUserAgent.act`), so each
-    distinct `slot_key` is decided once; the random stream is the same as if
-    every slot were decided afresh.
+    A frozen rule is deterministic and draws no random number (see
+    `PricedUserAgent.act`), so each distinct `slot_key` is decided once and
+    memoised with every user's `GopTemplate.transition`; a slot then only
+    maps uniforms to entering sizes and the next channel state. Phases move
+    one per slot whatever is decided, so the number of uniforms a run of
+    slots consumes is known beforehand: they are drawn one block of at most
+    `REPLAY_BLOCK` slots per `rng.random(n)` call, the same doubles in the
+    same order as `SlotSystem.advance` draws, which leaves the generator
+    where deciding and advancing every slot afresh would. The system holds
+    the current slot whenever `decide` runs, and the final one on return.
     """
+    templates, joint, rng = system.templates, system.joint, system.rng
+    entering = [[len(t.step(p).entering) for p in range(t.period)] for t in templates]
+    s0, contexts, buffers = system.s0, system.contexts, system.buffers
     total: dict[tuple[int, ...], float] = {}
     visits: dict[tuple[int, ...], int] = {}
     decisions: dict[tuple, tuple] = {}
-    for _ in range(slots):
-        s0 = system.s0
-        key = slot_key(s0, system.contexts, system.buffers)
-        if key not in decisions:
-            decisions[key] = decide(system)
-        value, sent = decisions[key]
-        total[s0] = total.get(s0, 0.0) + value
-        visits[s0] = visits.get(s0, 0) + 1
-        system.advance(sent)
+    done = 0
+    while done < slots:
+        block = min(REPLAY_BLOCK, slots - done)
+        need = block * joint.draws + sum(
+            ks[(ctx.phase + t) % len(ks)] for ks, ctx in zip(entering, contexts)
+            for t in range(block))
+        us = iter(rng.random(need).tolist())
+        for _ in range(block):
+            key = slot_key(s0, contexts, buffers)
+            decision = decisions.get(key)
+            if decision is None:
+                system.s0, system.contexts, system.buffers = s0, contexts, buffers
+                value, sent = decide(system)
+                decision = decisions[key] = (value, [
+                    t.transition(ctx, buf, act.sends) for t, ctx, buf, act in
+                    zip(templates, contexts, buffers, sent, strict=True)])
+            value, moves = decision
+            total[s0] = total.get(s0, 0.0) + value
+            visits[s0] = visits.get(s0, 0) + 1
+            contexts = [m.context for m in moves]
+            buffers = [m.buffer(us) for m in moves]
+            s0 = joint.next_state(s0, us)
+        done += block
+    system.s0, system.contexts, system.buffers = s0, contexts, buffers
     return {s0: t / visits[s0] for s0, t in total.items()}, len(decisions)

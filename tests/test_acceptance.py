@@ -21,7 +21,6 @@ from wvsched.model import (
     ChannelModel,
     DataUnitSpec,
     GopTemplate,
-    UserState,
     advance_traffic,
     initial_buffer,
     iter_actions,
@@ -129,8 +128,7 @@ def test_criterion_5_pds_learning_convergence():
     for t in range(100_000):
         ctx = u.template.context(phase)
         act = learner.act(phase, buf, h, float(price[h]), rng=rng)
-        state = UserState(ctx, buf, h)
-        step = advance_traffic(u.template, state, act, rng)
+        step = advance_traffic(u.template, ctx, buf, act, rng)
         h2 = int(rng.choice(2, p=u.channel.transition[h]))
         learner.observe((phase, buf, h, act, step.arrivals, step.buffer, h2),
                         price)

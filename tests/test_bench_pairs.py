@@ -1,0 +1,62 @@
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+PARENT = [4.0, 4.1, 3.9, 4.0, 4.2, 3.8, 4.0, 4.1, 3.9, 4.0]
+CHANGE = [2.0] * 10
+
+
+def test_clear_lower_is_better_gain_meets_the_rule(bench_pairs):
+    out = bench_pairs.compare(PARENT, CHANGE, "lower", True)
+    assert out["change_wins"] == 10 and out["change_losses"] == 0
+    assert out["relative_change"] == pytest.approx(-0.5)
+    assert out["meets_gain_rule"]
+
+
+def test_gain_does_not_count_without_sound_change_runs(bench_pairs):
+    out = bench_pairs.compare(PARENT, CHANGE, "lower", ok=False)
+    assert out["change_wins"] == 10
+    assert not out["meets_gain_rule"]
+
+
+def test_gain_inside_the_parents_spread_does_not_count(bench_pairs):
+    parent = [4.0, 3.0, 5.0, 4.0, 3.0, 5.0, 4.0, 3.0, 5.0, 4.0]
+    change = [p - 0.1 for p in parent]
+    out = bench_pairs.compare(parent, change, "lower", True)
+    assert out["change_wins"] == 10
+    assert not out["meets_gain_rule"]
+
+
+def test_higher_is_better_counts_wins_the_other_way(bench_pairs):
+    out = bench_pairs.compare(CHANGE, PARENT, "higher", True)
+    assert out["change_wins"] == 10 and out["meets_gain_rule"]
+    assert not bench_pairs.compare(PARENT, CHANGE, "higher", True)["meets_gain_rule"]
+
+
+def run(fingerprint="match", failed=0):
+    return {"metrics": {}, "fingerprint": fingerprint, "failed": failed}
+
+
+@pytest.mark.parametrize("change, ok", [
+    ([run(), run()], True),
+    ([run(), run("mismatch")], False),
+    ([run(), run("missing")], False),
+    ([run(failed=1), run()], False),
+])
+def test_change_runs_are_sound_only_if_they_match_and_fail_no_more(bench_pairs, change, ok):
+    assert bench_pairs.sound([run(), run()], change) is ok
+    assert bench_pairs.sound([run(failed=1), run()], [run(failed=1), run()])

@@ -8,8 +8,9 @@ user MDP's per-action loops (traffic kernel, policy chain, post-decision
 kernel, action lookups by re-walking `iter_actions`), the joint kernel's
 loop over (joint state, joint action) pairs with its `choices` callback,
 the frozen-rule `replay` (evaluation replay, clearing calibration,
-uniform-price usage) deciding every slot afresh instead of once per
-`slot_key`, the slot step drawing each entering DU and each channel with
+uniform-price usage) deciding every slot afresh and stepping it through
+`SlotSystem.advance` instead of walking memoised transitions once per
+`slot_key` on block-drawn uniforms, the slot step drawing each entering DU and each channel with
 its own scalar sampler call, and the per-user trim and inflate loops of
 the band scaling.
 Results must agree exactly (==), not approximately. The one exception is the
@@ -60,7 +61,14 @@ from wvsched.model import (
     transmit_energy,
 )
 from wvsched.oracle import JointSpace
-from wvsched.pricing import JointChannel, SlotSystem, replay, scale_to_budget, slot_requests
+from wvsched.pricing import (
+    JointChannel,
+    SlotSystem,
+    replay,
+    scale_to_budget,
+    slot_key,
+    slot_requests,
+)
 from wvsched.scenario import preset
 from wvsched.scheduling import SingleDuModel, build_du_tables, decomposed_schedule
 
@@ -617,12 +625,13 @@ SPARSE_TEMPLATE = GopTemplate([DataUnitSpec(0, "I", 1.0, 0, ((2, 1.0),))], 2, 1)
 
 
 @st.composite
-def slot_systems(draw_):
+def slot_systems(draw_, common=None):
     """(templates, joint channel, seed) of 1-3 users: small templates (sizes
     0-2 with zero-probability sizes, several DUs entering together) or the
-    sparse one, on common or independent channels."""
+    sparse one, on common or independent channels (drawn unless `common` is
+    given)."""
     n_users = draw_(st.integers(1, 3))
-    common = draw_(st.booleans())
+    common = draw_(st.booleans()) if common is None else common
     shared = draw_(channels())
     templates = [draw_(st.one_of(small_templates(), st.just(SPARSE_TEMPLATE)))
                  for _ in range(n_users)]
@@ -851,6 +860,44 @@ def test_frozen_usage_equals_fresh_decisions(inst, data):
         mean, _ = run(SlotSystem(templates, joint, rng), band_request, 200)
         results.append((mean, rng.random()))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("common", [False, True])
+@settings(max_examples=EXAMPLES // 6, deadline=None)
+@given(st.data())
+def test_block_drawn_replay_equals_fresh_decisions(common, data):
+    """Over more than two draw blocks plus a remainder, `replay` gives the
+    reference's per-state means, decides once per distinct slot state the
+    reference visits, leaves the system in the reference's final slot and
+    the generator where the reference leaves it."""
+    templates, joint, seed = data.draw(slot_systems(common=common))
+    users = tuple(UserConfig(f"u{i}", t, c)
+                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
+    sc = ScenarioConfig("blocks", users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                        channel_correlation=joint.correlation)
+    agents = make_agents(sc, "decomposed")
+    for a in agents:
+        a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+    slots = 2 * pricing.REPLAY_BLOCK + 452
+
+    results = []
+    for run in (replay, reference_replay):
+        rng = np.random.default_rng(seed)
+        system = SlotSystem(templates, joint, rng)
+        keys = []
+
+        def band_request(system):
+            keys.append(slot_key(system.s0, system.contexts, system.buffers))
+            requests, sent = slot_requests(agents, system, 1.0, sc.bandwidth)
+            return sum(requests), sent
+
+        mean, decisions = run(system, band_request, slots)
+        final = (system.s0, [c.phase for c in system.contexts], list(system.buffers))
+        results.append((mean, final, rng.random(), decisions, keys))
+    (mean, final, after, decisions, keys), (ref_mean, ref_final, ref_after, _, ref_keys) = results
+    assert (mean, final, after) == (ref_mean, ref_final, ref_after)
+    assert decisions == len(keys) == len(set(ref_keys))
+    assert len(ref_keys) == slots
 
 
 def _prepared(sol, seed):

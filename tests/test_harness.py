@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from wvsched.harness import (
+    EpisodeTrace,
     ProposedSolution,
     build_solution,
     compute_metrics,
-    conservation_ok,
     emit_report,
     run_episode,
     write_price_trace,
@@ -124,6 +124,21 @@ def test_same_seed_reproduces_identical_traces():
         assert a.s0 == b.s0
         for ua, ub in zip(a.users, b.users):
             assert ua.sent == ub.sent and ua.traffic == ub.traffic
+
+
+def conservation_ok(trace: EpisodeTrace) -> bool:
+    """arrived == sent + dropped + remaining, per user and frame type."""
+    for i in range(len(trace.arrived)):
+        names = set(trace.arrived[i]) | set(trace.sent_totals[i]) | \
+            set(trace.dropped_totals[i]) | set(trace.remaining[i])
+        for name in names:
+            lhs = trace.arrived[i].get(name, 0)
+            rhs = (trace.sent_totals[i].get(name, 0)
+                   + trace.dropped_totals[i].get(name, 0)
+                   + trace.remaining[i].get(name, 0))
+            if lhs != rhs:
+                return False
+    return True
 
 
 def test_conservation_over_random_episodes():

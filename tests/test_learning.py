@@ -23,7 +23,6 @@ from wvsched.model import (
     DataUnitSpec,
     GopTemplate,
     ScheduleAction,
-    UserState,
     advance_traffic,
     initial_buffer,
     iter_actions,
@@ -137,8 +136,7 @@ def test_learned_values_approach_planning_values():
     for _ in range(30_000):
         ctx = u.template.context(phase)
         act = learner.act(phase, buf, h, float(price[h]), rng=rng)
-        state = UserState(ctx, buf, h)
-        step = advance_traffic(u.template, state, act, rng)
+        step = advance_traffic(u.template, ctx, buf, act, rng)
         h2 = int(rng.choice(2, p=u.channel.transition[h]))
         learner.observe((phase, buf, h, act, step.arrivals, step.buffer, h2), price)
         buf, phase, h = step.buffer, step.context.phase, h2

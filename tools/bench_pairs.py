@@ -1,0 +1,129 @@
+"""Alternating parent/change benchmark pairs, recorded as one JSON file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_<n>.json
+
+Each of the PAIRS pairs runs ``perfbench/run.py --workload W --seed S`` once
+in each checkout, one process at a time, for every workload BENCHMARK.json
+lists, at perfbench's own run length; the side that runs first alternates
+from pair to pair, and pair k uses seed FIRST_SEED + k. Every checkout runs
+its own ``perfbench`` and ``src``. The record holds, per workload and
+end-to-end metric, each side's runs, median and quartiles, how many pairs
+the change won and lost (ties count for neither), the relative change of
+the medians, and whether the change meets the gain rule: every change run
+matches its fingerprint and fails no more operations than its paired parent
+run, the change wins at least nine tenths of the pairs, and its median is
+better than the parent's by more than the parent's interquartile range. It
+also holds every run's fingerprint status and failed-operation count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 10
+FIRST_SEED = 44
+
+
+def _parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, type=Path, help="parent commit checkout")
+    p.add_argument("--change", required=True, type=Path, help="changed checkout")
+    p.add_argument("--out", required=True, type=Path)
+    return p
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark process: its metrics, fingerprint status and failures."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}")
+    result = json.loads(lines[-1])
+    status = next((ln.split(":", 1)[1].strip() for ln in lines
+                   if ln.startswith("fingerprint:")), "missing")
+    return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "fingerprint": status, "failed": result["failed"]}
+
+
+def summary(runs: list[float]) -> dict:
+    if len(runs) > 1:
+        q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    else:
+        q1 = q3 = runs[0]
+    return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+
+
+def sound(parent: list[dict], change: list[dict]) -> bool:
+    """Whether every change run matched its fingerprint and failed no more
+    operations than its paired parent run."""
+    return all(c["fingerprint"] == "match" and c["failed"] <= p["failed"]
+               for p, c in zip(parent, change, strict=True))
+
+
+def compare(parent: list[float], change: list[float], better: str, ok: bool) -> dict:
+    """Pair wins, medians and the gain rule for one metric. `ok` is whether
+    the change runs are `sound`; without it no gain counts."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    base, new = summary(parent), summary(change)
+    gain = sign * (new["median"] - base["median"])
+    return {
+        "parent": base, "change": new,
+        "change_wins": wins, "change_losses": losses,
+        "relative_change": (new["median"] - base["median"]) / base["median"]
+        if base["median"] else 0.0,
+        "meets_gain_rule": ok and wins >= 0.9 * len(parent)
+        and gain > base["q3"] - base["q1"],
+    }
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    names = [w["name"] for w in bench["workloads"]]
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {w: {s: [] for s in sides} for w in names}
+    seeds = [FIRST_SEED + k for k in range(PAIRS)]
+    for k, seed in enumerate(seeds):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for w in names:
+            for side in order:
+                out = run_once(sides[side], w, seed)
+                runs[w][side].append(out)
+                print(f"pair {k + 1}/{PAIRS} seed {seed} {w} {side}: "
+                      f"prepare_s {out['metrics'].get('prepare_s', float('nan')):.3f}, "
+                      f"fingerprint {out['fingerprint']}", flush=True)
+
+    record = {"pairs": PAIRS, "seeds": seeds,
+              "rule": "every change run matches its fingerprint and fails no more "
+                      "operations than its paired parent run, the change wins >= 0.9 "
+                      "of pairs and its median beats the parent's by more than the "
+                      "parent's interquartile range",
+              "workloads": {}}
+    for w in names:
+        entry = {"metrics": {}, "fingerprint": {}, "failed": {}}
+        for side in sides:
+            entry["fingerprint"][side] = [r["fingerprint"] for r in runs[w][side]]
+            entry["failed"][side] = [r["failed"] for r in runs[w][side]]
+        ok = sound(runs[w]["parent"], runs[w]["change"])
+        for metric, direction in better.items():
+            entry["metrics"][metric] = compare(
+                [r["metrics"][metric] for r in runs[w]["parent"]],
+                [r["metrics"][metric] for r in runs[w]["change"]], direction, ok)
+        record["workloads"][w] = entry
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
