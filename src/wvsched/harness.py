@@ -46,6 +46,7 @@ from wvsched.model import advance_traffic  # noqa: F401
 from wvsched.pricing import (
     CoordinationReport,
     JointChannel,
+    PricedAgent,
     PriceTable,
     SlotSystem,
     replay,
@@ -72,18 +73,11 @@ def build_views(scenario: ScenarioConfig) -> list[ChannelView]:
     return [own_view(channels, i) for i in range(len(channels))]
 
 
-def expected_entering(template, phase: int) -> float:
-    """Mean packets entering the context at the next slot."""
-    step = template.step(phase)
-    nxt = template.context(phase + 1)
-    return float(sum(nxt.slots[j].du.mean_size for j in step.entering))
-
-
 # ---------------------------------------------------------------------------
 # User-side agents
 # ---------------------------------------------------------------------------
 
-class DecomposedAgent:
+class DecomposedAgent(PricedAgent):
     """Priced per-DU tables plus the per-DU decomposed scheduler."""
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float):
@@ -91,48 +85,35 @@ class DecomposedAgent:
             raise ModelError(
                 f"user {user.name}: quality floors need the full solver, "
                 "the decomposed scheduler does not support them")
-        self.user = user
-        self.template = user.template
-        self.channel = user.channel
-        self.view = view
-        self.discount = discount
+        super().__init__(user, view, discount)
         self.tables = None
-        self.price_vec: np.ndarray | None = None
 
     def refresh(self, price_vec: np.ndarray) -> None:
-        if self.price_vec is not None and np.array_equal(price_vec, self.price_vec):
+        if self.tables is not None and np.array_equal(price_vec, self.price_vec):
             return
         self.price_vec = np.asarray(price_vec, dtype=float)
         self.tables = build_du_tables(self.template, self.view, self.discount,
                                       self.price_vec)
-
-    def act(self, context, buffer, view_state: int) -> ScheduleAction:
-        return self.act_at(context, buffer, view_state,
-                           float(self.price_vec[view_state]))
 
     def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
         return decomposed_schedule(context, buffer, view_state, lam,
                                    self.tables, self.discount)
 
 
-class FullMdpAgent:
+class FullMdpAgent(PricedAgent):
     """Exact tabular policy over the user's full (context, buffer, channel) space."""
 
     def __init__(self, user: UserConfig, view: ChannelView, bits_per_packet: float,
                  discount: float):
-        self.user = user
-        self.template = user.template
-        self.channel = user.channel
-        self.view = view
+        super().__init__(user, view, discount)
         self.mdp = UserMdp(user.template, view, user.beta, user.min_quality,
                            bits_per_packet, discount)
         self.table = None
-        self.price_vec: np.ndarray | None = None
         self.resolves = 0                # solves made by refresh
         self.steps = 0                   # their improvement steps in total
 
     def refresh(self, price_vec: np.ndarray) -> None:
-        if self.price_vec is not None and np.array_equal(price_vec, self.price_vec):
+        if self.table is not None and np.array_equal(price_vec, self.price_vec):
             return
         init = self.table.values if self.table is not None else None
         self.price_vec = np.asarray(price_vec, dtype=float)
@@ -143,8 +124,13 @@ class FullMdpAgent:
     def act(self, context, buffer, view_state: int) -> ScheduleAction:
         return self.table.action_of(context.phase, buffer, view_state)
 
+    def usage_by_view(self, bits_per_packet: float, rng: np.random.Generator,
+                      slots: int) -> np.ndarray:
+        """Exact, from the policy's stationary law; draws nothing."""
+        return self.mdp.expected_usage_by_view(self.table)
 
-class PdsDecomposedAgent:
+
+class PdsDecomposedAgent(PricedAgent):
     """Learned per-DU continuations; explores while learning, exact when frozen."""
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float,
@@ -152,16 +138,11 @@ class PdsDecomposedAgent:
         if user.min_quality > 0:
             raise ModelError(
                 f"user {user.name}: quality floors are not supported while learning")
-        self.user = user
-        self.template = user.template
-        self.channel = user.channel
-        self.view = view
-        self.discount = discount
+        super().__init__(user, view, discount)
         self.rng = rng
         self.learners = {du.du_id: DuPdsLearner(du.distortion_impact,
                                                 user.template.window, discount)
                          for du in user.template.dus}
-        self.price_vec = np.zeros(len(view))
         self.slots_seen = 0
         self.frozen = False
 
@@ -190,6 +171,38 @@ class PdsDecomposedAgent:
             self.learners[slot.du.du_id].update(age, x_after, view_state,
                                                 next_view, next_price)
         self.slots_seen += 1
+
+    def freeze(self) -> None:
+        self.frozen = True
+
+
+class DriftAgent(PricedAgent):
+    """Queue-drift demand: price-responsive, blind to impacts and deadlines."""
+
+    def __init__(self, user: UserConfig, view: ChannelView, discount: float):
+        super().__init__(user, view, discount)
+        t = user.template
+        # mean packets entering the context at the next slot, per phase
+        self.arrivals = [float(sum(t.context(p + 1).slots[j].du.mean_size
+                                   for j in t.step(p).entering)) for p in range(t.period)]
+
+    def refresh(self, price_vec: np.ndarray) -> None:
+        self.price_vec = np.asarray(price_vec, dtype=float)
+
+    def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
+        return lyapunov_action(
+            context, buffer, price=lam, beta=self.user.beta,
+            gain_to_noise=float(self.view.gain[view_state]),
+            delta=self.discount,
+            expected_arrivals=self.arrivals[context.phase])
+
+    def fill_order(self, context) -> Sequence[int]:
+        """Drains by position."""
+        return range(len(context))
+
+    def bid(self, context, j: int, backlog: int) -> float:
+        """The drift marginal 2·backlog + 1, blind to impacts."""
+        return float(2 * backlog + 1)
 
 
 def make_agents(scenario: ScenarioConfig, kind: str,
@@ -232,24 +245,14 @@ class Solution:
         raise NotImplementedError
 
     def _shares(self, scenario, s0, sent) -> list[float]:
-        return [a.total * scenario.bits_per_packet
-                / u.channel.rate[h] / scenario.bandwidth
-                for a, h, u in zip(sent, s0, scenario.users)]
-
-
-def agent_fill_order(agent, context, buffer) -> Sequence[int]:
-    """Slot order a user fills bonus capacity in: drift users drain by
-    position, priced users by impact then urgency."""
-    if isinstance(agent, DriftAgent):
-        return list(range(len(context)))
-    return context.impact_order()
-
-
-def agent_bid(agent, context, slot_idx: int, backlog: int) -> float:
-    """Declared marginal value of one more packet from this DU."""
-    if isinstance(agent, DriftAgent):
-        return float(2 * backlog + 1)  # drift marginal, impact-blind
-    return float(context.slots[slot_idx].du.distortion_impact)
+        """Each user's band share; every new decision passes here, so sends
+        that overrun the band beyond float slack raise."""
+        shares = [a.total * scenario.bits_per_packet / u.channel.rate[h] / scenario.bandwidth
+                  for a, h, u in zip(sent, s0, scenario.users)]
+        if sum(shares) > 1 + 1e-9:
+            raise ModelError(f"{self.name}: sends take {sum(shares):.6g} of the band "
+                             f"in joint channel state {tuple(s0)}")
+        return shares
 
 
 class PricedRuntime(Solution):
@@ -338,11 +341,9 @@ class PricedRuntime(Solution):
         candidates = []
         for i, agent in enumerate(self.agents):
             backlog = sum(buffers[i])
-            order = agent_fill_order(agent, contexts[i], buffers[i])
-            for rank, j in enumerate(order):
+            for rank, j in enumerate(agent.fill_order(contexts[i])):
                 if buffers[i][j] > sends[i][j]:
-                    bid = agent_bid(agent, contexts[i], j, backlog)
-                    candidates.append((-bid, rank, i, j))
+                    candidates.append((-agent.bid(contexts[i], j, backlog), rank, i, j))
         candidates.sort()
         for _bid, _rank, i, j in candidates:
             cost = b / rates[i]
@@ -424,29 +425,27 @@ class ProposedSolution(PricedRuntime):
 class PairedSolution(Solution):
     """A resource allocator paired with a simple within-capacity scheduler.
 
-    allocator "proposed": capacities come from `proposed`'s sends on the
-    current states; allocator "static": the myopic impact-proportional
-    shares. The myopic baseline is static shares with EDF filling.
+    Capacities come from `proposed`'s sends on the current states, or, when
+    there is none, from the myopic impact-proportional static shares. The
+    myopic baseline is static shares with EDF filling.
     """
 
-    def __init__(self, scenario: ScenarioConfig, allocator: str, scheduler: str,
+    def __init__(self, scenario: ScenarioConfig, scheduler: str,
                  proposed: ProposedSolution | None = None):
         self.scenario = scenario
-        self.allocator = allocator
         self.scheduler = SIMPLE_SCHEDULERS[scheduler]
         self.proposed = proposed
         self.shares = None
-        self.name = f"{allocator}+{scheduler}"
 
     def prepare(self, rng: np.random.Generator) -> None:
-        if self.allocator == "static":
+        if self.proposed is None:
             self.shares = myopic_static_shares(self.scenario.templates)
         elif self.proposed.prices is None:
             self.proposed.prepare(rng)
 
     def capacities(self, s0, contexts, buffers) -> list[int]:
         sc = self.scenario
-        if self.allocator == "static":
+        if self.proposed is None:
             return [packet_capacity(self.shares[i], sc.bandwidth,
                                     u.channel.rate[s0[i]], sc.bits_per_packet)
                     for i, u in enumerate(sc.users)]
@@ -460,34 +459,6 @@ class PairedSolution(Solution):
                 for ctx, buf, cap in zip(contexts, buffers, caps)]
         lam0 = self.proposed.prices.get(tuple(s0)) if self.proposed else 0.0
         return SlotDecision(acts, acts, lam0, self._shares(sc, s0, acts))
-
-
-class DriftAgent:
-    """Queue-drift demand: price-responsive, blind to impacts and deadlines."""
-
-    def __init__(self, user: UserConfig, view: ChannelView, discount: float):
-        self.user = user
-        self.template = user.template
-        self.channel = user.channel
-        self.view = view
-        self.discount = discount
-        self.arrivals = [expected_entering(user.template, p)
-                         for p in range(user.template.period)]
-        self.price_vec = np.zeros(len(view))
-
-    def refresh(self, price_vec: np.ndarray) -> None:
-        self.price_vec = np.asarray(price_vec, dtype=float)
-
-    def act(self, context, buffer, view_state: int) -> ScheduleAction:
-        return self.act_at(context, buffer, view_state,
-                           float(self.price_vec[view_state]))
-
-    def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
-        return lyapunov_action(
-            context, buffer, price=lam, beta=self.user.beta,
-            gain_to_noise=float(self.view.gain[view_state]),
-            delta=self.discount,
-            expected_arrivals=self.arrivals[context.phase])
 
 
 class LyapunovSolution(PricedRuntime):
@@ -534,12 +505,9 @@ class UniformPriceSolution(Solution):
         def estimate(lam: float) -> dict:
             per_user = []
             for agent in self.agents:
-                vec = lam * sc.bits_per_packet / np.asarray(agent.view.rate)
-                agent.refresh(vec)
-                if isinstance(agent, FullMdpAgent):
-                    per_user.append(agent.mdp.expected_usage_by_view(agent.table))
-                else:
-                    per_user.append(self._simulated_usage(agent, rng))
+                agent.refresh(lam * sc.bits_per_packet / np.asarray(agent.view.rate))
+                per_user.append(agent.usage_by_view(sc.bits_per_packet, rng,
+                                                    self.usage_slots))
             out = {}
             for s0 in s0_states:
                 out[s0] = float(sum(us[agent.view.view_state(s0)]
@@ -547,20 +515,6 @@ class UniformPriceSolution(Solution):
             return out
 
         return estimate
-
-    def _simulated_usage(self, agent, rng: np.random.Generator) -> np.ndarray:
-        """Long-run E[bandwidth request | own channel] by simulation; the
-        agent's price is fixed here, so it is a `replay`."""
-        b = self.scenario.bits_per_packet
-
-        def request(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
-            (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
-            act = agent.act(ctx, buf, h)
-            return act.total * b / agent.channel.rate[h], [act]
-
-        system = SlotSystem([agent.template], JointChannel([agent.channel]), rng)
-        usage, _ = replay(system, request, self.usage_slots)
-        return np.array([usage.get((h,), 0.0) for h in range(len(agent.view))])
 
     def prepare(self, rng: np.random.Generator) -> None:
         sc = self.scenario
@@ -608,12 +562,12 @@ def build_solution(scenario: ScenarioConfig, name: str,
         kind = "full" if name == "mu-mdp-full" else "decomposed"
         solution = UniformPriceSolution(scenario, agent_kind=kind, **kwargs)
     elif name == "myopic" or (alloc in ("static", "myopic") and sched in SIMPLE_SCHEDULERS):
-        solution = PairedSolution(scenario, "static", sched or "edf")
+        solution = PairedSolution(scenario, sched or "edf")
     elif name == "lyapunov" or (alloc == "proposed" and sched in SIMPLE_SCHEDULERS):
         if proposed is None:
             proposed = ProposedSolution(scenario, **kwargs)
         solution = LyapunovSolution(scenario, proposed) if name == "lyapunov" \
-            else PairedSolution(scenario, alloc, sched, proposed)
+            else PairedSolution(scenario, sched, proposed)
     else:
         raise ModelError(f"unknown solution {name!r}")
     solution.name = name

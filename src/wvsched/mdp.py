@@ -242,10 +242,11 @@ class TrafficLayout:
 
 
 def buffer_grid(caps: Sequence[int]) -> np.ndarray:
-    """Every buffer with entries 0..cap in index order, shape (count, len(caps))."""
-    count = int(np.prod([c + 1 for c in caps], dtype=np.int64))
-    return np.array(list(product(*(range(c + 1) for c in caps))),
-                    dtype=np.int64).reshape(count, len(caps))
+    """Every buffer with entries 0..cap in index order, shape (count, len(caps)):
+    each index's mixed-radix digits under `TrafficLayout._index_scheme`."""
+    (strides,), _, count = TrafficLayout._index_scheme([caps])
+    return (np.arange(count, dtype=np.int64)[:, None] // np.array(strides, dtype=np.int64)
+            % (np.array(caps, dtype=np.int64) + 1))
 
 
 def action_table(layout: TrafficLayout, min_quality: float, pair_budget: float = math.inf,

@@ -128,13 +128,11 @@ class Context:
     Contexts are interned per (template, phase); identity comparison is safe.
     """
 
-    __slots__ = ("phase", "slots", "edges", "window", "_index", "_impact_order")
+    __slots__ = ("phase", "slots", "window", "_index", "_impact_order")
 
-    def __init__(self, phase: int, slots: tuple[ContextSlot, ...],
-                 edges: tuple[tuple[int, int], ...], window: int):
+    def __init__(self, phase: int, slots: tuple[ContextSlot, ...], window: int):
         self.phase = phase
         self.slots = slots
-        self.edges = edges  # (parent_slot_index, child_slot_index)
         self.window = window
         self._index = {s.key: i for i, s in enumerate(slots)}
         self._impact_order = tuple(sorted(
@@ -242,14 +240,7 @@ class GopTemplate:
                 remaining = o * self.period + du.deadline_offset - phase
                 slots.append(ContextSlot(key=(o, du.du_id), du=du, remaining=remaining))
         slots.sort(key=lambda s: (s.key[0], self._du_pos(s.key[1])))
-        edges = []
-        for ci, child in enumerate(slots):
-            for pid in child.du.parents:
-                pkey = (child.key[0], pid)
-                for pi, cand in enumerate(slots):
-                    if cand.key == pkey:
-                        edges.append((pi, ci))
-        return Context(phase, tuple(slots), tuple(edges), self.window)
+        return Context(phase, tuple(slots), self.window)
 
     def _du_pos(self, du_id: int) -> int:
         for i, du in enumerate(self.dus):

@@ -52,17 +52,11 @@ class JointSpace:
             if self.joint.correlation == "common" else product_chain(self.joint.channels)
         self.period = math.lcm(*(u.template.period for u in scenario.users))
 
-        self.counts = []      # per jphase: per-user traffic-state counts
-        self.strides = []     # per jphase: per-user mixed-radix strides
-        self.base = []
-        offset = 0
-        for jp in range(self.period):
-            cnt = [lay.phase_count(jp % lay.period) for lay in self.layouts]
-            self.counts.append(cnt)
-            self.strides.append([math.prod(cnt[u + 1:]) for u in range(len(cnt))])
-            self.base.append(offset)
-            offset += math.prod(cnt)
-        self.n_traffic = offset
+        # per jphase: per-user traffic-state counts, the radices of the index
+        self.counts = [[lay.phase_count(jp % lay.period) for lay in self.layouts]
+                       for jp in range(self.period)]
+        self.strides, self.base, self.n_traffic = TrafficLayout._index_scheme(
+            [[c - 1 for c in cnt] for cnt in self.counts])
         self.n_states = self.n_traffic * len(self.c0_states)
         if self.n_states > state_cap:
             raise ModelError(
@@ -73,8 +67,7 @@ class JointSpace:
     def locals_of(self, jphase: int) -> np.ndarray:
         """Each user's local traffic index in every joint traffic state of the
         phase, in index order; shape (states in the phase, n_users)."""
-        n = math.prod(self.counts[jphase])
-        return np.arange(n)[:, None] // self.strides[jphase] % self.counts[jphase]
+        return buffer_grid([c - 1 for c in self.counts[jphase]])
 
 
 @dataclass
@@ -176,7 +169,7 @@ def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.n
     # (joint phase, c0) block every pair shares one pattern of column offsets
     # and probabilities, sorted by column as CSR rows are.
     chan = [np.flatnonzero(row > 0) for row in space.transition]
-    bounds = np.searchsorted(state, np.array(space.base + [space.n_traffic]) * nc)
+    bounds = np.searchsorted(state, np.array([*space.base, space.n_traffic]) * nc)
     patterns = []
     sizes = np.empty(len(state), dtype=np.int64)
     for jp in range(space.period):

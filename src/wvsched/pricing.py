@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from wvsched.model import (
     ModelError,
     ScheduleAction,
     TrafficStep,
+    UserConfig,
     advance_traffic,
     bandwidth_usage,
     draw,
@@ -189,15 +190,22 @@ def scale_to_budget(contexts, actions: Sequence[ScheduleAction],
 # Coordination loop
 # ---------------------------------------------------------------------------
 
-class PricedUserAgent(Protocol):
-    """What the coordinator needs from a user-side solver."""
+class PricedAgent:
+    """A user-side solver: all the coordinator and the solutions ask of a
+    user. Subclasses define `refresh` and `act_at` (or `act`); the defaults
+    suit a priced scheduler that values packets by impact and does not learn."""
 
-    template: GopTemplate
-    channel: ChannelModel
-    view: ChannelView
+    def __init__(self, user: UserConfig, view: ChannelView, discount: float):
+        self.user = user
+        self.template = user.template
+        self.channel = user.channel
+        self.view = view
+        self.discount = discount
+        self.price_vec = np.zeros(len(view))
 
     def refresh(self, price_vec: np.ndarray) -> None:
         """Adopt a new per-view-state price vector (re-solve if it moved)."""
+        raise NotImplementedError
 
     def act(self, context, buffer: tuple[int, ...], view_state: int) -> ScheduleAction:
         """Greedy action in the current state under the refreshed prices.
@@ -208,6 +216,36 @@ class PricedUserAgent(Protocol):
         on it to memoise `act` on `slot_key` and to draw the slots'
         uniforms ahead in blocks (see `replay`).
         """
+        return self.act_at(context, buffer, view_state, float(self.price_vec[view_state]))
+
+    def observe(self, context, buffer: tuple[int, ...], view_state: int,
+                sent: ScheduleAction, next_view: int) -> None:
+        """See one coordination slot: its state, the sends and the next view
+        state. Learning agents update here."""
+
+    def freeze(self) -> None:
+        """Stop learning, so that `act` keeps the contract above."""
+
+    def fill_order(self, context) -> Sequence[int]:
+        """Slot order in which the user fills leftover band."""
+        return context.impact_order()
+
+    def bid(self, context, j: int, backlog: int) -> float:
+        """Declared marginal value of one more packet from slot `j`."""
+        return float(context.slots[j].du.distortion_impact)
+
+    def usage_by_view(self, bits_per_packet: float, rng: np.random.Generator,
+                      slots: int) -> np.ndarray:
+        """Long-run E[bandwidth request | own channel state] at the refreshed
+        prices, from a `replay` of the user alone (view state = own channel)."""
+        def request(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
+            (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
+            act = self.act(ctx, buf, h)
+            return act.total * bits_per_packet / self.channel.rate[h], [act]
+
+        system = SlotSystem([self.template], JointChannel([self.channel]), rng)
+        usage, _ = replay(system, request, slots)
+        return np.array([usage.get((h,), 0.0) for h in range(len(self.view))])
 
 
 @dataclass
@@ -229,7 +267,7 @@ class CoordinationReport:
 SWEEP_FACTOR = 10
 
 
-def run_coordination(agents: Sequence[PricedUserAgent], *,
+def run_coordination(agents: Sequence[PricedAgent], *,
                      bandwidth: float, bits_per_packet: float,
                      correlation: str = "independent",
                      tolerance: float = 1e-3, max_slots: int = 200_000,
@@ -283,9 +321,8 @@ def run_coordination(agents: Sequence[PricedUserAgent], *,
         # the next channel state is drawn before the traffic: observers need it
         s0_next = joint.step(s0, rng)
         for i, agent in enumerate(agents):
-            if hasattr(agent, "observe"):
-                agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),
-                              sent[i], agent.view.view_state(s0_next))
+            agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),
+                          sent[i], agent.view.view_state(s0_next))
         system.advance(sent, s0_next)
 
         if all(state_settled(w) for w in windows.values()):
@@ -307,9 +344,8 @@ def run_coordination(agents: Sequence[PricedUserAgent], *,
             f"(tolerance {tolerance}); see report.price_trace", report)
 
     # settle policies at the final prices, then measure usage with them frozen
-    for i, agent in enumerate(agents):
-        if hasattr(agent, "frozen"):
-            agent.frozen = True
+    for agent in agents:
+        agent.freeze()
         agent.refresh(agent.view.price_vector(table.lam, bits_per_packet))
 
     def band_request(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
@@ -323,7 +359,7 @@ def run_coordination(agents: Sequence[PricedUserAgent], *,
     return table, report
 
 
-def slot_requests(agents: Sequence[PricedUserAgent], system: SlotSystem,
+def slot_requests(agents: Sequence[PricedAgent], system: SlotSystem,
                   bits_per_packet: float,
                   bandwidth: float) -> tuple[list[float], list[ScheduleAction]]:
     """Each user's band request at its priced action in the system's current
@@ -349,7 +385,7 @@ def replay(system: SlotSystem, decide: Callable,
     value per visited joint state and how many distinct decisions were made.
 
     A frozen rule is deterministic and draws no random number (see
-    `PricedUserAgent.act`), so each distinct `slot_key` is decided once and
+    `PricedAgent.act`), so each distinct `slot_key` is decided once and
     memoised with every user's `GopTemplate.transition`; a slot then only
     maps uniforms to entering sizes and the next channel state. Phases move
     one per slot whatever is decided, so the number of uniforms a run of

@@ -12,6 +12,16 @@ from wvsched.scenario import preset
 ORACLE_FIXTURES = ("tiny-sym", "tiny-asym", "tiny-mix")
 
 
+def context_edges(context) -> list[tuple[int, int]]:
+    """(parent slot index, child slot index) of every dependency inside a
+    context: each slot's parents of the same GOP offset that are still in
+    the context, children in slot order and each child's parents in order."""
+    index = {s.key: i for i, s in enumerate(context.slots)}
+    return [(index[(child.key[0], pid)], ci)
+            for ci, child in enumerate(context.slots)
+            for pid in child.du.parents if (child.key[0], pid) in index]
+
+
 @pytest.fixture(scope="session")
 def trio_results():
     """Solve the three oracle-scale fixtures once: coordination + oracle + exact values."""

@@ -31,14 +31,22 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import context_edges
 from wvsched import harness, oracle, pricing
 from wvsched.baselines import scale_up_to_budget
-from wvsched.harness import ProposedSolution, UniformPriceSolution, build_solution, make_agents
+from wvsched.harness import (
+    DecomposedAgent,
+    ProposedSolution,
+    UniformPriceSolution,
+    build_solution,
+    make_agents,
+)
 from wvsched.learning import DuPdsLearner
 from wvsched.mdp import (
     TrafficLayout,
     UserMdp,
     ValueTable,
+    buffer_grid,
     common_view,
     entering_combos,
     joint_view,
@@ -108,7 +116,7 @@ def reference_schedule(context, buffer, view_state, price, tables, discount):
     sends = [0] * n
     done = [False] * n
     parents = [[] for _ in range(n)]
-    for p, c in context.edges:
+    for p, c in context_edges(context):
         parents[c].append(p)
     for _ in range(n):
         best = None
@@ -945,11 +953,45 @@ def test_memoised_calibration_equals_fresh_clearing(name, monkeypatch):
 def test_memoised_uniform_price_usage_equals_fresh_decisions(name, monkeypatch):
     sc = preset(name)
     fast, fast_next = _prepared(UniformPriceSolution(sc, usage_slots=600), sc.seed)
-    monkeypatch.setattr(harness, "replay", reference_replay)
+    calls = []
+
+    def counted_replay(*args):
+        calls.append(1)
+        return reference_replay(*args)
+
+    # the agents' `usage_by_view` runs the replay
+    monkeypatch.setattr(pricing, "replay", counted_replay)
     ref, ref_next = _prepared(UniformPriceSolution(sc, usage_slots=600), sc.seed)
+    assert calls
     assert fast.result.usage_by_state == ref.result.usage_by_state
     assert fast.price == ref.price
     assert fast_next == ref_next
+
+
+@settings(max_examples=EXAMPLES // 6, deadline=None)
+@given(slot_systems(), st.data())
+def test_decomposed_usage_by_view_equals_fresh_decisions(inst, data):
+    """An agent's single-user `usage_by_view` replay gives the usage and
+    leaves the generator as deciding and advancing every slot does."""
+    templates, joint, seed = inst
+    user = UserConfig("u", templates[0], joint.channels[0])
+    agent = DecomposedAgent(user, own_view([user.channel], 0),
+                            data.draw(st.sampled_from([0.0, 0.9])))
+    agent.refresh(np.array([data.draw(values_) for _ in range(len(agent.view))]))
+    b = data.draw(st.sampled_from([0.5, 1.0]))
+
+    def request(system):
+        (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
+        act = agent.act(ctx, buf, h)
+        return act.total * b / user.channel.rate[h], [act]
+
+    rng = np.random.default_rng(seed)
+    mean, _ = reference_replay(SlotSystem([user.template], JointChannel([user.channel]), rng),
+                               request, 300)
+    fast_rng = np.random.default_rng(seed)
+    assert agent.usage_by_view(b, fast_rng, 300).tolist() == \
+        [mean.get((h,), 0.0) for h in range(len(user.channel))]
+    assert fast_rng.random() == rng.random()
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +1032,19 @@ def test_budget_scaling_equals_impact_order_loops(inst):
 # ---------------------------------------------------------------------------
 # User MDP action table
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=5))
+@example([])
+@example([0, 3, 0])
+def test_buffer_grid_equals_product_enumeration(caps):
+    grid = buffer_grid(caps)
+    count = int(np.prod([c + 1 for c in caps]))
+    want = np.array(list(product(*(range(c + 1) for c in caps))),
+                    dtype=np.int64).reshape(count, len(caps))
+    assert (grid.dtype, grid.shape) == (want.dtype, want.shape)
+    assert np.array_equal(grid, want)
+
 
 def assert_same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> None:
     assert a.shape == b.shape

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from wvsched.harness import (
+    DriftAgent,
     EpisodeTrace,
+    FullMdpAgent,
     ProposedSolution,
     build_solution,
+    build_views,
     compute_metrics,
     emit_report,
     run_episode,
@@ -483,3 +486,39 @@ def test_conservation_under_clearing_solution(illustration):
     trace = run_episode(sc, illustration["proposed"], 80,
                         np.random.default_rng(12))
     assert conservation_ok(trace)
+
+
+def test_sends_over_the_band_raise_in_episodes_and_evaluation():
+    """Every new decision's shares are checked against the band: a paired
+    scheduler that ignores its capacity and sends whole buffers raises."""
+    sc = preset("tiny-sym")
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    sol.scheduler = lambda ctx, buf, cap: ScheduleAction(tuple(buf))
+    with pytest.raises(ModelError, match="of the band"):
+        run_episode(sc, sol, 50, np.random.default_rng(1))
+    with pytest.raises(ModelError, match="of the band"):
+        oracle.evaluate_solution(sc, sol)
+
+
+def test_drift_agent_fills_by_position_and_bids_its_drift():
+    sc = preset("gop16-default")
+    agent = DriftAgent(sc.users[0], build_views(sc)[0], sc.discount)
+    contexts = [agent.template.context(p) for p in range(agent.template.period)]
+    assert any(tuple(range(len(ctx))) != ctx.impact_order() for ctx in contexts)
+    for ctx in contexts:
+        assert list(agent.fill_order(ctx)) == list(range(len(ctx)))
+        for backlog in (0, 3, 11):
+            assert [agent.bid(ctx, j, backlog) for j in range(len(ctx))] == \
+                [2.0 * backlog + 1.0] * len(ctx)
+
+
+def test_full_agent_usage_is_the_exact_stationary_usage():
+    sc = preset("tiny-priced")
+    agent = FullMdpAgent(sc.users[0], build_views(replace(sc, price_view="expected"))[0],
+                         sc.bits_per_packet, sc.discount)
+    agent.refresh(np.full(len(agent.view), 0.4))
+    rng = np.random.default_rng(3)
+    usage = agent.usage_by_view(sc.bits_per_packet, rng, 500)
+    assert np.array_equal(usage, agent.mdp.expected_usage_by_view(agent.table))
+    assert rng.random() == np.random.default_rng(3).random()

@@ -5,11 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from wvsched.harness import ProposedSolution, make_agents
+from wvsched.harness import ProposedSolution, build_views, make_agents
 from wvsched.mdp import common_view
-from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig, ScenarioConfig
+from wvsched.model import (ChannelModel, DataUnitSpec, GopTemplate, ModelError, ScheduleAction,
+                           UserConfig, ScenarioConfig)
 from wvsched.pricing import (
     JointChannel,
+    PricedAgent,
     PriceTable,
     run_coordination,
     scale_to_budget,
@@ -247,3 +249,36 @@ def test_slack_uniform_price_is_zero_and_matches_proposed():
     _, v_prop = evaluate_solution(slack, prop)
     _, v_uni = evaluate_solution(slack, uni)
     assert v_uni == pytest.approx(v_prop, rel=1e-9)
+
+
+class ThresholdAgent(PricedAgent):
+    """The least a priced agent defines: `refresh` and `act_at`. It sends a
+    slot's whole buffer while the price is below the slot's impact."""
+
+    def refresh(self, price_vec):
+        self.price_vec = np.asarray(price_vec, dtype=float)
+
+    def act_at(self, context, buffer, view_state, lam):
+        return ScheduleAction(tuple(x if s.du.distortion_impact > lam else 0
+                                    for s, x in zip(context.slots, buffer)))
+
+
+def test_coordination_settles_with_a_minimal_priced_agent():
+    """The base class answers `observe`, `freeze` and `act` for an agent
+    that does not learn, so coordination runs it to a settled table and
+    leaves it refreshed at the final prices."""
+    sc = preset("gop16-default")
+    agents = [ThresholdAgent(u, v, sc.discount) for u, v in zip(sc.users, build_views(sc))]
+    table, report = run_coordination(agents, bandwidth=sc.bandwidth,
+                                     bits_per_packet=sc.bits_per_packet,
+                                     correlation=sc.channel_correlation,
+                                     tolerance=sc.price_tolerance, max_slots=50_000,
+                                     eval_slots=500, rng=np.random.default_rng(sc.seed))
+    assert report.converged
+    assert report.eval_decisions > 0
+    assert all(lam >= 0 for lam in table.lam.values())
+    for a in agents:
+        assert np.array_equal(a.price_vec, a.view.price_vector(table.lam, sc.bits_per_packet))
+    ctx = sc.templates[0].context(0)
+    assert agents[0].fill_order(ctx) == ctx.impact_order()
+    assert agents[0].bid(ctx, 0, backlog=7) == ctx.slots[0].du.distortion_impact
