@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -347,6 +347,8 @@ class UserMdp:
     def __init__(self, template: GopTemplate, view: ChannelView, beta: float,
                  min_quality: float, bits_per_packet: float, discount: float,
                  state_budget: int = 5_000_000, pair_budget: int = 20_000_000):
+        if not 0.0 <= discount < 1.0:
+            raise ModelError("discount must be in [0, 1)")
         self.template = template
         self.view = view
         self.beta = float(beta)
@@ -374,6 +376,10 @@ class UserMdp:
         row_sums = np.asarray(self.traffic_kernel.sum(axis=1)).ravel()
         if np.any(np.abs(row_sums - 1.0) > 1e-9):
             raise ModelError("traffic kernel rows do not sum to 1")
+        # The last evaluated policy's (bytes, P_pi, LU of I - delta P_pi): a
+        # warm re-solve mostly re-evaluates one policy at new prices.
+        self._chain = None
+        self.factorizations = 0          # LU factors built
 
     # -- solving --------------------------------------------------------------
 
@@ -469,6 +475,17 @@ class UserMdp:
                           (rows.col[:, None] * n_view + np.arange(n_view)).ravel()[keep])),
             shape=(n, n))
 
+    def _policy_chain(self, table: "ValueTable") -> tuple[sp.csr_matrix, spla.SuperLU]:
+        """P_pi and the LU factor of I - delta P_pi for the table's policy,
+        rebuilt only when the policy differs from the last one asked for."""
+        key = table.policy.tobytes()
+        if self._chain is None or self._chain[0] != key:
+            p_pi = self.policy_transition(table)
+            a = sp.eye(self.n_states, format="csr") - self.discount * p_pi
+            self._chain = (key, p_pi, spla.splu(a.tocsc()))
+            self.factorizations += 1
+        return self._chain[1:]
+
     def exact_policy_value(self, table: "ValueTable",
                            price: np.ndarray | None = None) -> np.ndarray:
         """Solve (I - delta P_pi) V = (1-delta) u_pi for the table's policy.
@@ -480,9 +497,8 @@ class UserMdp:
         u = self.payoff_table[table.policy, np.arange(len(self.view))]
         if price is not None:
             u = u - np.asarray(price) * self.ta_total[table.policy]
-        a = sp.eye(self.n_states, format="csr") - self.discount * self.policy_transition(table)
-        val = spla.spsolve(a.tocsc(), (1.0 - self.discount) * u.ravel())
-        return val.reshape(u.shape)
+        _, lu = self._policy_chain(table)
+        return lu.solve((1.0 - self.discount) * u.ravel()).reshape(u.shape)
 
     def stationary_under(self, table: "ValueTable") -> np.ndarray:
         """Long-run state distribution of the greedy policy's chain.
@@ -490,7 +506,7 @@ class UserMdp:
         Power iteration on the half-lazy chain; the traffic phase makes the
         raw chain periodic, so plain power iteration would oscillate.
         """
-        p_pi = self.policy_transition(table).T.tocsr()
+        p_pi = self._policy_chain(table)[0].T.tocsr()
         dist = np.full(self.n_states, 1.0 / self.n_states)
         for _ in range(200_000):
             nxt = 0.5 * (p_pi @ dist) + 0.5 * dist   # lazy chain: aperiodic
@@ -534,7 +550,14 @@ class ValueTable:
     policy: np.ndarray               # (n_traffic, n_view) -> state-action row
     price: np.ndarray                # per-view-state packet price used to solve
     steps: int = 0                   # improvement steps of the solve that made it
+    # action_of's answers by (phase, buffer, view state); policy is not changed
+    # after construction, so they never go stale
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def action_of(self, phase: int, buffer: Sequence[int], view_state: int) -> ScheduleAction:
-        t = self.mdp.layout.index(phase, buffer)
-        return self.mdp.action_for(t, int(self.policy[t, view_state]))
+        key = (phase, tuple(buffer), view_state)
+        act = self._actions.get(key)
+        if act is None:
+            t = self.mdp.layout.index(phase, buffer)
+            act = self._actions[key] = self.mdp.action_for(t, int(self.policy[t, view_state]))
+        return act

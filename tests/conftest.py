@@ -52,6 +52,7 @@ def priced_results():
     sol = ProposedSolution(sc, agent_kind="full", max_slots=80_000,
                            eval_slots=20_000)
     sol.prepare(np.random.default_rng(sc.seed))
+    factorizations = [agent.mdp.factorizations for agent in sol.agents]
     _, proposed_value = evaluate_solution(sc, sol, state_cap=40_000)
     uni = UniformPriceSolution(sc, agent_kind="full")
     uni.prepare(np.random.default_rng(sc.seed + 1))
@@ -59,6 +60,7 @@ def priced_results():
     return {
         "scenario": sc,
         "solution": sol,
+        "factorizations": factorizations,   # per agent, right after prepare
         "uniform": uni,
         "proposed_value": proposed_value,
         "uniform_value": uniform_value,

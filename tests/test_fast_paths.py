@@ -5,7 +5,8 @@ replaced: the per-buffer-level loop solve, the round-by-round decomposed
 scheduler that re-evaluates every root each round (for planned tables) and a
 per-DU loop over sends (for learned tables), `rng.choice` draws, the
 user MDP's per-action loops (traffic kernel, policy chain, post-decision
-kernel, action lookups by re-walking `iter_actions`), the joint kernel's
+kernel, action lookups by re-walking `iter_actions`, a fresh `spsolve` for
+each exact evaluation in place of the kept LU factor), the joint kernel's
 loop over (joint state, joint action) pairs with its `choices` callback,
 the frozen-rule `replay` (evaluation replay, clearing calibration,
 uniform-price usage) deciding every slot afresh and stepping it through
@@ -1082,7 +1083,9 @@ def test_action_lookups_equal_action_walk(inst):
             assert got == act and all(type(y) is int for y in got.sends)
             assert mdp.ta_of(t_idx, act) == lo + k
         for v in range(len(mdp.view)):
-            assert table.action_of(phase, buf, v) == walk[table.policy[t_idx, v] - lo]
+            want = walk[table.policy[t_idx, v] - lo]
+            assert table.action_of(phase, buf, v) == want      # decoded
+            assert table.action_of(phase, buf, v) == want      # memoised
         with pytest.raises(ModelError, match="not in the action set"):
             mdp.ta_of(t_idx, ScheduleAction(buf + (0,)))
         if buf:
@@ -1090,16 +1093,72 @@ def test_action_lookups_equal_action_walk(inst):
                 mdp.ta_of(t_idx, ScheduleAction((buf[0] + 1,) + buf[1:]))
 
 
+def test_refreshed_agent_acts_on_its_new_table():
+    """Each solved table memoises its own lookups: after a refresh to a price
+    whose policy differs, act answers from the new table."""
+    sc = preset("tiny-sym")
+    agent = make_agents(sc, "full")[0]
+    lay = agent.mdp.layout
+    states = [(lay.contexts[phase], buf, v) for _, phase, buf in lay.iter_states()
+              for v in range(len(agent.view))]
+    agent.refresh(np.zeros(len(agent.view)))
+    before = [agent.act(*s) for s in states]
+    agent.refresh(np.full(len(agent.view), 100.0))
+    after = [agent.act(*s) for s in states]
+    assert after != before
+    table = agent.table
+    assert after == [agent.mdp.action_for(t, int(table.policy[t, v]))
+                     for t in range(lay.n_traffic) for v in range(len(agent.view))]
+
+
+def fresh_copy(mdp: UserMdp) -> UserMdp:
+    """The same user MDP built anew, holding no policy chain or factor."""
+    return UserMdp(mdp.template, mdp.view, mdp.beta, mdp.min_quality,
+                   mdp.bits_per_packet, mdp.discount)
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
-@given(user_mdps())
-def test_policy_chain_and_exact_value_equal_loops(inst):
+@given(user_mdps(), st.integers(0, 2**32 - 1), values_)
+def test_policy_chain_and_exact_value_equal_loops(inst, seed_b, bump):
+    """One UserMdp evaluates policy A, A at a new price, B, A, then A with no
+    price. It keeps the last policy's chain and LU factor, so it builds a
+    factor only when the policy changes. Every value is byte-equal to the
+    `spsolve` reference, and the stationary law to a fresh UserMdp's."""
     mdp, price, seed = inst
-    table = random_table(mdp, price, seed)
-    assert_same_csr(mdp.policy_transition(table), reference_policy_transition(mdp, table))
-    assert np.array_equal(mdp.exact_policy_value(table),
-                          reference_exact_policy_value(mdp, table))
-    assert np.array_equal(mdp.exact_policy_value(table, price),
-                          reference_exact_policy_value(mdp, table, price))
+    a, b = random_table(mdp, price, seed), random_table(mdp, price, seed_b)
+    assert_same_csr(mdp.policy_transition(a), reference_policy_transition(mdp, a))
+    built, last = 0, None
+    for table, p in ((a, price), (a, price + bump), (b, price), (a, price), (a, None)):
+        got = mdp.exact_policy_value(table, p)
+        assert got.tobytes() == reference_exact_policy_value(mdp, table, p).tobytes()
+        built += last is None or not np.array_equal(table.policy, last)
+        last = table.policy
+        assert mdp.factorizations == built
+    try:
+        want = fresh_copy(mdp).stationary_under(a)
+    except ModelError:
+        with pytest.raises(ModelError):
+            mdp.stationary_under(a)
+    else:
+        assert mdp.stationary_under(a).tobytes() == want.tobytes()
+    assert mdp.factorizations == built
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(priced_solves(), st.lists(values_, min_size=1, max_size=3))
+def test_warm_solve_chain_equals_fresh_solves(inst, bumps):
+    """Warm re-solves of one UserMdp along a moving price path give the same
+    values, policy and steps as each solve on a fresh UserMdp, so a kept
+    factor is never stale."""
+    mdp, price, warm_price, tol = inst
+    path = [price] + ([] if warm_price is None else [warm_price]) + [price + b for b in bumps]
+    init = None
+    for p in path:
+        got = mdp.solve(p, tol=tol, init=init)
+        want = fresh_copy(mdp).solve(p, tol=tol, init=init)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.policy, want.policy) and got.steps == want.steps
+        init = got.values
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -292,6 +292,15 @@ def test_priced_full_coordination_re_solves_in_few_steps(priced_results):
         assert 0 < agent.resolves <= agent.steps <= 2 * agent.resolves
 
 
+def test_priced_full_coordination_keeps_its_policy_factors(priced_results):
+    """Most warm re-solves re-evaluate the previous policy at new prices, so
+    each UserMdp keeps that policy's LU factor: the tiny-priced proposed-full
+    prepare builds 16 factors for 1,166 improvement steps. A solver that
+    factorises every step fails here."""
+    steps = sum(agent.steps for agent in priced_results["solution"].agents)
+    assert 10 * sum(priced_results["factorizations"]) <= steps
+
+
 def test_frozen_replay_decides_each_distinct_slot_once(priced_results, monkeypatch):
     """After coordination the frozen policies are replayed for 20,000 slots,
     but at the preset seeds only 303 distinct slot states occur on

@@ -40,6 +40,13 @@ def make_mdp(q=3.0, sizes=((0, 0.35), (1, 0.15), (2, 0.15), (3, 0.35)),
     return UserMdp(tpl, view, beta, 0.0, 1.0, delta)
 
 
+@pytest.mark.parametrize("delta", [1.0, 1.5, -0.1, math.nan])
+def test_discount_outside_unit_interval_is_rejected(delta):
+    # at delta = 1 the policy chain's I - delta P is singular
+    with pytest.raises(ModelError, match=r"discount must be in \[0, 1\)"):
+        make_mdp(delta=delta)
+
+
 def test_myopic_discount_reduces_to_one_step_argmax():
     mdp = make_mdp(delta=0.0, beta=0.0)
     price = np.array([0.5, 1.0])
