@@ -23,6 +23,7 @@ from wvsched.harness import (
     build_solution,
     compute_metrics,
     emit_report,
+    mean_metrics,
     pds_learning_curve,
     run_episode,
     write_learning_curve,
@@ -140,19 +141,21 @@ def _cmd_compare(args) -> int:
                 obj.prepare(prep_rng)
                 prepared.add(id(obj))
         solutions.append(sol)
-    traces = []
+    # metrics.csv holds each solution's means over the seeds, and its trace
+    # file the first seed's episode
+    traces, means = [], []
     for sol in solutions:
-        first, total = None, 0.0
+        reports = []
         for k in range(args.seeds):
             trace = run_episode(scenario, sol, args.slots,
                                 np.random.default_rng(seed + 1000 + k))
-            if first is None:
-                first = trace
-            total += compute_metrics(trace, scenario).network_payoff
-        traces.append(first)
+            if not reports:
+                traces.append(trace)
+            reports.append(compute_metrics(trace, scenario))
+        means.append(mean_metrics(reports))
         print(f"{sol.name}: mean network payoff over {args.seeds} seeds: "
-              f"{total / args.seeds:.4f}")
-    emit_report(traces, scenario, args.out)
+              f"{means[-1].network_payoff:.4f}")
+    emit_report(traces, scenario, args.out, means)
     return 0
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import compress, product
+from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,14 +42,16 @@ from wvsched.model import (
     bandwidth_usage,
     payoff,
 )
-# the slot engine advances traffic; perfbench traces it under this name too
+# perfbench's tracer patches the slot engine's traffic step under this name
 from wvsched.model import advance_traffic  # noqa: F401
 from wvsched.pricing import (
+    REPLAY_BLOCK,
     CoordinationReport,
     JointChannel,
     PricedAgent,
     PriceTable,
     SlotSystem,
+    block_draws,
     replay,
     run_coordination,
     scale_to_budget,
@@ -225,7 +228,7 @@ def make_agents(scenario: ScenarioConfig, kind: str,
 # Solutions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SlotDecision:
     raw: list[ScheduleAction]
     sent: list[ScheduleAction]
@@ -609,76 +612,104 @@ class EpisodeTrace:
     sent_totals: list[dict[str, int]] = field(default_factory=list)
     dropped_totals: list[dict[str, int]] = field(default_factory=list)
     remaining: list[dict[str, int]] = field(default_factory=list)
+    decisions: int = 0          # distinct slot states decided in the episode
 
 
 def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
                 rng: np.random.Generator,
                 pinned_channels: Sequence[int] | None = None) -> EpisodeTrace:
-    """Simulate `slots` slots; channels may be pinned (common correlation only)."""
+    """Simulate `slots` slots; channels may be pinned (common correlation only).
+
+    A prepared solution's rule is frozen (see `PricedAgent.act`), so this is
+    `pricing.replay`'s walk: each distinct `slot_key` is decided once per
+    call and memoised with every user's `GopTemplate.transition` and the
+    record fields the key fixes; a slot then only maps uniforms to entering
+    sizes and the next channel state. The uniforms are drawn one block of at
+    most `REPLAY_BLOCK` slots per `rng.random(n)` call, the same doubles in
+    the same order as stepping `SlotSystem.advance` slot by slot (pinned
+    channels draw none). The memo lives for this call only, and each record
+    gets its own `traffic` list and `dropped` dict.
+    """
     sc = scenario
     n_users = len(sc.users)
-    s0 = None
+    joint = JointChannel(sc.channels, sc.channel_correlation)
+    pins = None
     if pinned_channels is not None:
         if sc.channel_correlation != "common":
             raise ModelError("pinned channel replay requires common correlation")
-        s0 = (int(pinned_channels[0]),) * n_users
-    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation),
-                        rng, s0)
+        pins = [(int(h),) * n_users for h in pinned_channels]
+    system = SlotSystem(sc.templates, joint, rng, None if pins is None else pins[0])
+    s0, contexts, buffers = system.s0, system.contexts, system.buffers
 
     trace = EpisodeTrace(sc.name, solution.name)
     trace.arrived = [dict() for _ in range(n_users)]
     trace.sent_totals = [dict() for _ in range(n_users)]
     trace.dropped_totals = [dict() for _ in range(n_users)]
-    for i, ctx in enumerate(system.contexts):
-        for slot, x in zip(ctx.slots, system.buffers[i]):
-            trace.arrived[i][slot.du.name] = trace.arrived[i].get(slot.du.name, 0) + x
+    for arrived, ctx, buf in zip(trace.arrived, contexts, buffers):
+        for name, x in zip(ctx.names, buf):
+            arrived[name] = arrived.get(name, 0) + x
+    totals = list(zip(trace.arrived, trace.sent_totals, trace.dropped_totals))
 
-    for t in range(slots):
-        s0, buffers, contexts = system.s0, system.buffers, system.contexts
-        decision = solution.sent_actions(s0, contexts, buffers)
-        s0_next = None
-        if pinned_channels is not None:
-            s0_next = (int(pinned_channels[min(t + 1, len(pinned_channels) - 1)]),) * n_users
-        steps = system.advance(decision.sent, s0_next)
-        users_rec = []
-        for i, (u, step) in enumerate(zip(sc.users, steps)):
-            act = decision.sent[i]
-            dist = float(sum(s.du.distortion_impact * y
-                             for s, y in zip(contexts[i].slots, act.sends)))
-            en = u.channel.energy(s0[i], act.total)
-            pay = dist - u.beta * en
-            dropped = {}
-            for key, n in step.dropped.items():
-                name = u.template.du(key[1]).name
-                dropped[name] = dropped.get(name, 0) + n
-                trace.dropped_totals[i][name] = trace.dropped_totals[i].get(name, 0) + n
-            for key, n in step.arrivals.items():
-                name = u.template.du(key[1]).name
-                trace.arrived[i][name] = trace.arrived[i].get(name, 0) + n
-            for s, y in zip(contexts[i].slots, act.sends):
-                if y:
-                    trace.sent_totals[i][s.du.name] = trace.sent_totals[i].get(s.du.name, 0) + y
-            users_rec.append(UserSlotRecord(
-                traffic=[(s.du.name, x) for s, x in zip(contexts[i].slots, buffers[i])],
-                requested=decision.raw[i].sends,
-                sent=act.sends,
-                dropped=dropped,
-                payoff=pay,
-                distortion=dist,
-                energy=en,
-                share=decision.shares[i],
-            ))
-        names = tuple(sc.users[i].channel.names[s0[i]] for i in range(n_users))
-        trace.records.append(SlotRecord(
-            slot=t + 1, s0=tuple(s0), channel_names=names, lam0=decision.lam0,
-            users=users_rec, messages=2 * n_users))
+    memo: dict[tuple, tuple] = {}
+    channel_draws = joint.draws if pins is None else 0
+    done = 0
+    while done < slots:
+        block = min(REPLAY_BLOCK, slots - done)
+        us = iter(rng.random(block_draws(sc.templates, contexts, block, channel_draws)).tolist())
+        for t in range(done + 1, done + block + 1):
+            key = slot_key(s0, contexts, buffers)
+            decided = memo.get(key)
+            if decided is None:
+                decided = memo[key] = _decided_slot(sc, solution, s0, contexts, buffers)
+            lam0, names, parts = decided
+            users_rec, contexts, buffers = [], [], []
+            for (move, traffic, requested, sent, dropped, sent_by_name, pay, dist, en,
+                 share), (arrived, sent_totals, dropped_totals) in zip(parts, totals):
+                users_rec.append(UserSlotRecord(list(traffic), requested, sent, dict(dropped),
+                                                pay, dist, en, share))
+                for name, n in dropped.items():
+                    dropped_totals[name] = dropped_totals.get(name, 0) + n
+                for name, y in sent_by_name:
+                    sent_totals[name] = sent_totals.get(name, 0) + y
+                buf = move.buffer(us)
+                for j, du, _key in move.entering:
+                    arrived[du.name] = arrived.get(du.name, 0) + buf[j]
+                contexts.append(move.context)
+                buffers.append(buf)
+            trace.records.append(SlotRecord(t, s0, names, lam0, users_rec, 2 * n_users))
+            s0 = joint.next_state(s0, us) if pins is None else pins[min(t, len(pins) - 1)]
+        done += block
 
-    for ctx, buf in zip(system.contexts, system.buffers):
+    for ctx, buf in zip(contexts, buffers):
         rem = {}
-        for slot, x in zip(ctx.slots, buf):
-            rem[slot.du.name] = rem.get(slot.du.name, 0) + x
+        for name, x in zip(ctx.names, buf):
+            rem[name] = rem.get(name, 0) + x
         trace.remaining.append(rem)
+    trace.decisions = len(memo)
     return trace
+
+
+def _decided_slot(sc: ScenarioConfig, solution: Solution, s0, contexts, buffers) -> tuple:
+    """All that one slot state fixes of its record: the price, the channel
+    names and, per user, its transition, the (DU name, packets) traffic
+    pairs, the requested and sent sends, the drops by name, the nonzero
+    sends by name, and the payoff, distortion, energy and band share."""
+    decision = solution.sent_actions(s0, contexts, buffers)
+    parts = []
+    for u, h, ctx, buf, raw, act, share in zip(sc.users, s0, contexts, buffers, decision.raw,
+                                               decision.sent, decision.shares, strict=True):
+        move = u.template.transition(ctx, buf, act.sends)
+        dist = float(sum(map(mul, ctx.impacts, act.sends)))
+        en = u.channel.energy(h, act.total)
+        dropped = {}
+        for key, n in move.dropped:
+            name = u.template.du(key[1]).name
+            dropped[name] = dropped.get(name, 0) + n
+        parts.append((move, tuple(zip(ctx.names, buf)), raw.sends, act.sends, dropped,
+                      tuple(compress(zip(ctx.names, act.sends), act.sends)),
+                      dist - u.beta * en, dist, en, share))
+    names = tuple(u.channel.names[h] for u, h in zip(sc.users, s0))
+    return decision.lam0, names, parts
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +728,7 @@ class MetricsReport:
     loss_by_frame: list[dict[str, int]]
     i_loss_after_first_slot: int
     slots: int
+    episodes: int = 1           # episodes averaged (see mean_metrics)
 
 
 def compute_metrics(trace: EpisodeTrace, scenario: ScenarioConfig) -> MetricsReport:
@@ -735,15 +767,59 @@ def compute_metrics(trace: EpisodeTrace, scenario: ScenarioConfig) -> MetricsRep
     )
 
 
+def mean_metrics(reports: Sequence[MetricsReport]) -> MetricsReport:
+    """One solution's episode reports averaged field by field, each a sum in
+    episode order over N, with `episodes` = N."""
+    if not reports:
+        raise ModelError("mean_metrics needs at least one episode")
+    n = len(reports)
+
+    def mean(field_of) -> float:
+        return sum(field_of(r) for r in reports) / n
+
+    users = range(len(reports[0].per_user_payoff))
+    losses = []
+    for i in users:
+        names = dict.fromkeys(name for r in reports for name in r.loss_by_frame[i])
+        losses.append({name: mean(lambda r: r.loss_by_frame[i].get(name, 0))
+                       for name in names})
+    return MetricsReport(
+        solution=reports[0].solution,
+        per_user_payoff=[mean(lambda r: r.per_user_payoff[i]) for i in users],
+        per_user_distortion=[mean(lambda r: r.per_user_distortion[i]) for i in users],
+        network_payoff=mean(lambda r: r.network_payoff),
+        network_distortion=mean(lambda r: r.network_distortion),
+        total_distortion=mean(lambda r: r.total_distortion),
+        total_energy=mean(lambda r: r.total_energy),
+        loss_by_frame=losses,
+        i_loss_after_first_slot=mean(lambda r: r.i_loss_after_first_slot),
+        slots=mean(lambda r: r.slots),
+        episodes=n,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
 
+def _cell(x):
+    """A count as it is, a mean to 6 significant digits."""
+    return x if isinstance(x, int) else f"{x:.6g}"
+
+
 def emit_report(traces: Sequence[EpisodeTrace], scenario: ScenarioConfig,
-                out_dir: str | Path) -> list[Path]:
-    """Comparison metrics CSV plus one full trace CSV per solution."""
+                out_dir: str | Path,
+                metrics: Sequence[MetricsReport] | None = None) -> list[Path]:
+    """Comparison metrics CSV plus one full trace CSV per solution.
+
+    `metrics` holds one report per trace for the metrics rows, such as a
+    `mean_metrics` over several episodes of which the trace is one; by
+    default each row is its own trace's `compute_metrics`.
+    """
     if not traces:
         raise ModelError("emit_report needs at least one trace")
+    if metrics is None:
+        metrics = [compute_metrics(trace, scenario) for trace in traces]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -751,20 +827,19 @@ def emit_report(traces: Sequence[EpisodeTrace], scenario: ScenarioConfig,
     metrics_path = out / "metrics.csv"
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        header = ["solution", "network_payoff", "network_distortion",
+        header = ["solution", "episodes", "network_payoff", "network_distortion",
                   "total_distortion", "total_energy", "i_loss_after_slot1"]
         for i, u in enumerate(scenario.users):
             header += [f"payoff_{u.name}", f"distortion_{u.name}", f"loss_{u.name}"]
         w.writerow(header)
-        for trace in traces:
-            m = compute_metrics(trace, scenario)
-            row = [m.solution, f"{m.network_payoff:.6g}", f"{m.network_distortion:.6g}",
-                   f"{m.total_distortion:.6g}", f"{m.total_energy:.6g}",
-                   m.i_loss_after_first_slot]
+        for m in metrics:
+            row = [m.solution, m.episodes, f"{m.network_payoff:.6g}",
+                   f"{m.network_distortion:.6g}", f"{m.total_distortion:.6g}",
+                   f"{m.total_energy:.6g}", _cell(m.i_loss_after_first_slot)]
             for i in range(len(scenario.users)):
                 loss = sum(m.loss_by_frame[i].values())
                 row += [f"{m.per_user_payoff[i]:.6g}",
-                        f"{m.per_user_distortion[i]:.6g}", loss]
+                        f"{m.per_user_distortion[i]:.6g}", _cell(loss)]
             w.writerow(row)
     written.append(metrics_path)
 

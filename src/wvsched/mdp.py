@@ -180,8 +180,7 @@ class TrafficLayout:
         self.contexts = tuple(template.context(p) for p in range(template.period))
         self.steps = tuple(template.step(p) for p in range(template.period))
         self.caps = tuple(tuple(s.du.max_size for s in ctx.slots) for ctx in self.contexts)
-        self.impacts = tuple(np.array([s.du.distortion_impact for s in ctx.slots])
-                             for ctx in self.contexts)
+        self.impacts = tuple(np.array(ctx.impacts) for ctx in self.contexts)
 
         self.strides, self.base, self.n_traffic = self._index_scheme(self.caps)
         # Next-phase strides of each phase's survivors (ordered as

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -126,14 +127,17 @@ class Context:
     """The set of DUs eligible for transmission at one GOP phase.
 
     Contexts are interned per (template, phase); identity comparison is safe.
+    `names` and `impacts` hold each slot's DU name and distortion impact.
     """
 
-    __slots__ = ("phase", "slots", "window", "_index", "_impact_order")
+    __slots__ = ("phase", "slots", "window", "names", "impacts", "_index", "_impact_order")
 
     def __init__(self, phase: int, slots: tuple[ContextSlot, ...], window: int):
         self.phase = phase
         self.slots = slots
         self.window = window
+        self.names = tuple(s.du.name for s in slots)
+        self.impacts = tuple(s.du.distortion_impact for s in slots)
         self._index = {s.key: i for i, s in enumerate(slots)}
         self._impact_order = tuple(sorted(
             range(len(slots)),
@@ -441,7 +445,7 @@ class UserState:
                 and self.channel == other.channel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleAction:
     """Packets to send per active DU, aligned with the context slot order."""
 
@@ -471,7 +475,7 @@ def _check_sends(buffer: Sequence[int], sends: Sequence[int]) -> None:
 
 def effective_quality_floor(context: Context, buffer: Sequence[int], min_quality: float) -> float:
     """Clamp the quality requirement to the best achievable in this state."""
-    achievable = sum(s.du.distortion_impact * x for s, x in zip(context.slots, buffer))
+    achievable = sum(map(mul, context.impacts, buffer))
     return min(min_quality, achievable)
 
 
@@ -479,9 +483,8 @@ def iter_actions(context: Context, buffer: Sequence[int],
                  min_quality: float = 0.0) -> Iterator[ScheduleAction]:
     """All feasible actions, in lexicographically ascending send order."""
     floor = effective_quality_floor(context, buffer, min_quality)
-    impacts = [s.du.distortion_impact for s in context.slots]
     for sends in product(*(range(x + 1) for x in buffer)):
-        if sum(q * y for q, y in zip(impacts, sends)) >= floor - QUALITY_EPS:
+        if sum(map(mul, context.impacts, sends)) >= floor - QUALITY_EPS:
             yield ScheduleAction(sends)
 
 
@@ -493,8 +496,7 @@ def action_set(state: UserState, min_quality: float = 0.0) -> list[ScheduleActio
 def distortion_reduction(state: UserState, action: ScheduleAction) -> float:
     """Quality gained this slot: sum of q_DU * sends_DU."""
     _check_sends(state.buffer, action.sends)
-    return float(sum(s.du.distortion_impact * y
-                     for s, y in zip(state.context.slots, action.sends)))
+    return float(sum(map(mul, state.context.impacts, action.sends)))
 
 
 def payoff(state: UserState, action: ScheduleAction, beta: float,

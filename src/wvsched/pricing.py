@@ -126,8 +126,14 @@ def slot_key(s0, contexts, buffers) -> tuple:
 
 
 class SlotSystem:
-    """The simulated system every slot loop steps: the joint channel state
-    `s0` and each user's buffer and context (its GOP phase).
+    """The simulated system: the joint channel state `s0` and each user's
+    buffer and context (its GOP phase).
+
+    Every slot loop starts from one, and they all draw in the order set out
+    here. The coordination loop, whose learning agents draw between slots,
+    and `harness.pds_learning_curve` step it with `advance`; the frozen-rule
+    walks (`replay` and `harness.run_episode`) start from it and draw the
+    same uniforms in blocks.
 
     Start-up draws the channel state (unless `s0` is given), then each
     user's initial buffer, one scalar draw per DU. Each `advance` then
@@ -378,6 +384,21 @@ def slot_requests(agents: Sequence[PricedAgent], system: SlotSystem,
 REPLAY_BLOCK = 1024
 
 
+def block_draws(templates: Sequence[GopTemplate], contexts, slots: int,
+                channel_draws: int) -> int:
+    """How many uniforms `slots` slots from `contexts` on consume: each slot,
+    one per DU entering each user's next phase, then `channel_draws` for the
+    channel (`JointChannel.draws`, or 0 when the channel states are pinned).
+    Phases move one per slot whatever is sent, so the count is known before
+    any slot is decided."""
+    need = slots * channel_draws
+    for t, ctx in zip(templates, contexts, strict=True):
+        cycles, rest = divmod(slots, t.period)
+        ks = [len(t.step(ctx.phase + k).entering) for k in range(t.period)]
+        need += cycles * sum(ks) + sum(ks[:rest])
+    return need
+
+
 def replay(system: SlotSystem, decide: Callable,
            slots: int) -> tuple[dict[tuple[int, ...], float], int]:
     """Step `system` for `slots` slots under a frozen rule: `decide(system)`
@@ -387,16 +408,15 @@ def replay(system: SlotSystem, decide: Callable,
     A frozen rule is deterministic and draws no random number (see
     `PricedAgent.act`), so each distinct `slot_key` is decided once and
     memoised with every user's `GopTemplate.transition`; a slot then only
-    maps uniforms to entering sizes and the next channel state. Phases move
-    one per slot whatever is decided, so the number of uniforms a run of
-    slots consumes is known beforehand: they are drawn one block of at most
-    `REPLAY_BLOCK` slots per `rng.random(n)` call, the same doubles in the
-    same order as `SlotSystem.advance` draws, which leaves the generator
-    where deciding and advancing every slot afresh would. The system holds
-    the current slot whenever `decide` runs, and the final one on return.
+    maps uniforms to entering sizes and the next channel state. The number
+    of uniforms a run of slots consumes is known beforehand (`block_draws`):
+    they are drawn one block of at most `REPLAY_BLOCK` slots per
+    `rng.random(n)` call, the same doubles in the same order as
+    `SlotSystem.advance` draws, which leaves the generator where deciding
+    and advancing every slot afresh would. The system holds the current
+    slot whenever `decide` runs, and the final one on return.
     """
     templates, joint, rng = system.templates, system.joint, system.rng
-    entering = [[len(t.step(p).entering) for p in range(t.period)] for t in templates]
     s0, contexts, buffers = system.s0, system.contexts, system.buffers
     total: dict[tuple[int, ...], float] = {}
     visits: dict[tuple[int, ...], int] = {}
@@ -404,10 +424,7 @@ def replay(system: SlotSystem, decide: Callable,
     done = 0
     while done < slots:
         block = min(REPLAY_BLOCK, slots - done)
-        need = block * joint.draws + sum(
-            ks[(ctx.phase + t) % len(ks)] for ks, ctx in zip(entering, contexts)
-            for t in range(block))
-        us = iter(rng.random(need).tolist())
+        us = iter(rng.random(block_draws(templates, contexts, block, joint.draws)).tolist())
         for _ in range(block):
             key = slot_key(s0, contexts, buffers)
             decision = decisions.get(key)

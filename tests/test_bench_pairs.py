@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,36 @@ def run(fingerprint="match", failed=0):
 def test_change_runs_are_sound_only_if_they_match_and_fail_no_more(bench_pairs, change, ok):
     assert bench_pairs.sound([run(), run()], change) is ok
     assert bench_pairs.sound([run(failed=1), run()], [run(failed=1), run()])
+
+
+def test_record_keeps_one_traced_run_per_side_and_workload(bench_pairs, tmp_path, monkeypatch):
+    """After the pairs, each side runs each workload once traced, at the
+    first seed, and the record keeps those per-layer metrics."""
+    workloads = ["w1", "w2"]
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": "total_s", "better": "lower"}]}), encoding="utf-8")
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, trace=False):
+        calls.append((checkout.name, workload, seed, trace))
+        metrics = {"harness.run_episode.self_s": 1.0 if checkout.name == "parent" else 0.5} \
+            if trace else {"total_s": 2.0}
+        return {"metrics": metrics, "fingerprint": "match", "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--out", str(out)]) == 0
+    traced = [c for c in calls if c[3]]
+    assert calls[-len(traced):] == traced
+    assert sorted(traced) == sorted((side, w, bench_pairs.FIRST_SEED, True)
+                                    for side in ("parent", "change") for w in workloads)
+    assert len(calls) - len(traced) == 2 * len(workloads) * bench_pairs.PAIRS
+    record = json.loads(out.read_text(encoding="utf-8"))
+    for w in workloads:
+        assert record["workloads"][w]["per_layer"] == {
+            "parent": {"harness.run_episode.self_s": 1.0},
+            "change": {"harness.run_episode.self_s": 0.5}}

@@ -4,10 +4,12 @@ import csv
 import json
 from functools import partial
 
+import numpy as np
 import pytest
 
 from wvsched import cli, harness, pricing
 from wvsched.cli import main
+from wvsched.scenario import load_scenario
 
 
 def test_presets_command(capsys):
@@ -57,6 +59,32 @@ def test_compare_command(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(open(tmp_path / "metrics.csv", encoding="utf-8")))
     assert len(rows) == 3
+
+
+def test_compare_writes_the_seed_means_it_prints(tmp_path, capsys):
+    """metrics.csv holds each solution's means over the N seeds, which
+    stdout prints, and N; the trace file keeps the first seed's episode."""
+    assert main(["compare", "--scenario", "tiny-asym", "--solutions", "myopic,proposed",
+                 "--seeds", "3", "--slots", "40", "--out", str(tmp_path)]) == 0
+    printed = {line.split(":")[0]: float(line.rsplit(":", 1)[1])
+               for line in capsys.readouterr().out.splitlines()
+               if "mean network payoff" in line}
+    rows = list(csv.DictReader(open(tmp_path / "metrics.csv", encoding="utf-8")))
+    assert [(r["solution"], r["episodes"]) for r in rows] == [("myopic", "3"), ("proposed", "3")]
+    for r in rows:
+        assert f"{float(r['network_payoff']):.4f}" == f"{printed[r['solution']]:.4f}"
+
+    sc = load_scenario("tiny-asym")
+    myopic = harness.build_solution(sc, "myopic")
+    myopic.prepare(np.random.default_rng(sc.seed))
+    traces = [harness.run_episode(sc, myopic, 40, np.random.default_rng(sc.seed + 1000 + k))
+              for k in range(3)]
+    pays = [harness.compute_metrics(t, sc).network_payoff for t in traces]
+    assert len(set(pays)) == 3
+    assert rows[0]["network_payoff"] == f"{sum(pays) / 3:.6g}"
+    trace_rows = list(csv.DictReader(open(tmp_path / "trace_myopic.csv", encoding="utf-8")))
+    assert [float(r["payoff"]) for r in trace_rows] == \
+        [float(f"{ur.payoff:.6g}") for rec in traces[0].records for ur in rec.users]
 
 
 def test_oracle_command(capsys):

@@ -11,9 +11,10 @@ loop over (joint state, joint action) pairs with its `choices` callback,
 the frozen-rule `replay` (evaluation replay, clearing calibration,
 uniform-price usage) deciding every slot afresh and stepping it through
 `SlotSystem.advance` instead of walking memoised transitions once per
-`slot_key` on block-drawn uniforms, the slot step drawing each entering DU and each channel with
-its own scalar sampler call, and the per-user trim and inflate loops of
-the band scaling.
+`slot_key` on block-drawn uniforms, the episode loop doing the same and
+building every record afresh, the slot step drawing each entering DU and
+each channel with its own scalar sampler call, and the per-user trim and
+inflate loops of the band scaling.
 Results must agree exactly (==), not approximately. The one exception is the
 user MDP's policy-iteration solve: its reference, value iteration, stops at
 a tolerance, so the two agree within it.
@@ -413,6 +414,79 @@ def reference_replay(system, decide, slots):
         visits[s0] = visits.get(s0, 0) + 1
         system.advance(sent)
     return {s0: t / visits[s0] for s0, t in total.items()}, slots
+
+
+def reference_run_episode(scenario, solution, slots, rng, pinned_channels=None):
+    """`run_episode` stepping every slot through `SlotSystem.advance` and
+    building every record field afresh; `decisions` counts the distinct
+    slot states it visited."""
+    sc = scenario
+    n_users = len(sc.users)
+    s0 = None
+    if pinned_channels is not None:
+        if sc.channel_correlation != "common":
+            raise ModelError("pinned channel replay requires common correlation")
+        s0 = (int(pinned_channels[0]),) * n_users
+    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation),
+                        rng, s0)
+
+    trace = harness.EpisodeTrace(sc.name, solution.name)
+    trace.arrived = [dict() for _ in range(n_users)]
+    trace.sent_totals = [dict() for _ in range(n_users)]
+    trace.dropped_totals = [dict() for _ in range(n_users)]
+    for i, ctx in enumerate(system.contexts):
+        for slot, x in zip(ctx.slots, system.buffers[i]):
+            trace.arrived[i][slot.du.name] = trace.arrived[i].get(slot.du.name, 0) + x
+
+    keys = set()
+    for t in range(slots):
+        s0, buffers, contexts = system.s0, system.buffers, system.contexts
+        keys.add(slot_key(s0, contexts, buffers))
+        decision = solution.sent_actions(s0, contexts, buffers)
+        s0_next = None
+        if pinned_channels is not None:
+            s0_next = (int(pinned_channels[min(t + 1, len(pinned_channels) - 1)]),) * n_users
+        steps = system.advance(decision.sent, s0_next)
+        users_rec = []
+        for i, (u, step) in enumerate(zip(sc.users, steps)):
+            act = decision.sent[i]
+            dist = float(sum(s.du.distortion_impact * y
+                             for s, y in zip(contexts[i].slots, act.sends)))
+            en = u.channel.energy(s0[i], act.total)
+            pay = dist - u.beta * en
+            dropped = {}
+            for key, n in step.dropped.items():
+                name = u.template.du(key[1]).name
+                dropped[name] = dropped.get(name, 0) + n
+                trace.dropped_totals[i][name] = trace.dropped_totals[i].get(name, 0) + n
+            for key, n in step.arrivals.items():
+                name = u.template.du(key[1]).name
+                trace.arrived[i][name] = trace.arrived[i].get(name, 0) + n
+            for s, y in zip(contexts[i].slots, act.sends):
+                if y:
+                    trace.sent_totals[i][s.du.name] = trace.sent_totals[i].get(s.du.name, 0) + y
+            users_rec.append(harness.UserSlotRecord(
+                traffic=[(s.du.name, x) for s, x in zip(contexts[i].slots, buffers[i])],
+                requested=decision.raw[i].sends,
+                sent=act.sends,
+                dropped=dropped,
+                payoff=pay,
+                distortion=dist,
+                energy=en,
+                share=decision.shares[i],
+            ))
+        names = tuple(sc.users[i].channel.names[s0[i]] for i in range(n_users))
+        trace.records.append(harness.SlotRecord(
+            slot=t + 1, s0=tuple(s0), channel_names=names, lam0=decision.lam0,
+            users=users_rec, messages=2 * n_users))
+
+    for ctx, buf in zip(system.contexts, system.buffers):
+        rem = {}
+        for slot, x in zip(ctx.slots, buf):
+            rem[slot.du.name] = rem.get(slot.du.name, 0) + x
+        trace.remaining.append(rem)
+    trace.decisions = len(keys)
+    return trace
 
 
 def reference_trim(context, action, budget):
@@ -993,6 +1067,121 @@ def test_decomposed_usage_by_view_equals_fresh_decisions(inst, data):
     assert agent.usage_by_view(b, fast_rng, 300).tolist() == \
         [mean.get((h,), 0.0) for h in range(len(user.channel))]
     assert fast_rng.random() == rng.random()
+
+
+# ---------------------------------------------------------------------------
+# Episodes
+# ---------------------------------------------------------------------------
+
+PINNED = [0, 1, 1, 1, 0]       # the pinned replay of `wvsched replay`
+
+
+def assert_same_episode(scenario, solution, slots, seed, pinned=None):
+    """`run_episode` and the reference give equal traces, record dicts in
+    the same order (the trace CSVs print them in order), and leave the
+    generator at the same draw. Returns the walk's trace."""
+    fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = harness.run_episode(scenario, solution, slots, fast_rng, pinned)
+    ref = reference_run_episode(scenario, solution, slots, ref_rng, pinned)
+    assert fast.records == ref.records
+    assert (fast.arrived, fast.sent_totals, fast.dropped_totals, fast.remaining) == \
+        (ref.arrived, ref.sent_totals, ref.dropped_totals, ref.remaining)
+    assert fast.decisions == ref.decisions
+    assert repr(fast) == repr(ref)
+    assert fast_rng.random() == ref_rng.random()
+    return fast
+
+
+def test_episode_walk_equals_reference_on_slot_streams(illustration):
+    """The episode streams of test_slot_streams.py, free and pinned (past
+    the end of the pins), and tiny-sym with independent channels."""
+    sc, sol = illustration["scenario"], illustration["proposed"]
+    assert_same_episode(sc, sol, 60, 9)
+    assert_same_episode(sc, sol, 12, 9, PINNED)
+    myopic = build_solution(sc, "myopic")
+    myopic.prepare(np.random.default_rng(0))
+    assert_same_episode(sc, myopic, 12, 9, PINNED)
+    independent = replace(preset("tiny-sym"), channel_correlation="independent")
+    uni = UniformPriceSolution(independent, usage_slots=300)
+    uni.prepare(np.random.default_rng(7))
+    assert_same_episode(independent, uni, 60, 8)
+
+
+def test_episode_walk_equals_reference_on_gop16():
+    sc = preset("gop16-default")
+    sol = build_solution(sc, "proposed")
+    sol.prepare(np.random.default_rng(sc.seed))
+    for seed in (sc.seed + 1, 44):
+        assert_same_episode(sc, sol, 140, seed)
+
+
+@pytest.mark.parametrize("name", ["proposed+edf", "myopic", "lyapunov", "mu-mdp"])
+def test_episode_walk_equals_reference_on_the_battery(illustration_suite, name):
+    sc = illustration_suite["scenario"]
+    assert_same_episode(sc, illustration_suite["solutions"][name], 140, 45)
+
+
+def test_episode_walk_equals_reference_with_frozen_learners():
+    sc = preset("illustration-2user")
+    sol = build_solution(sc, "proposed-learning")
+    sol.prepare(np.random.default_rng(sc.seed))
+    assert_same_episode(sc, sol, 140, 46)
+
+
+@settings(max_examples=EXAMPLES // 6, deadline=None)
+@given(slot_systems(), st.data())
+def test_episode_walk_equals_reference_on_generated_systems(inst, data):
+    """Decomposed agents at drawn prices on small templates (phases with no
+    DU entering, single-DU entries), common and independent channels,
+    pinned or free, with draw blocks from one slot to longer than the
+    episode."""
+    templates, joint, seed = inst
+    users = tuple(UserConfig(f"u{i}", t, c)
+                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
+    sc = ScenarioConfig("walk", users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                        channel_correlation=joint.correlation)
+    sol = harness.PricedRuntime(sc)
+    sol.agents = make_agents(sc, "decomposed")
+    for a in sol.agents:
+        a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+    sol.prices = pricing.PriceTable()
+    sol.prices.lam.update({s0: data.draw(values_) for s0 in joint.all_states()})
+    pinned = None
+    if joint.correlation == "common" and data.draw(st.booleans()):
+        n = len(joint.channels[0])
+        pinned = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    block = data.draw(st.sampled_from([1, 7, pricing.REPLAY_BLOCK]))
+    saved, harness.REPLAY_BLOCK = harness.REPLAY_BLOCK, block
+    try:
+        assert_same_episode(sc, sol, 60, seed, pinned)
+    finally:
+        harness.REPLAY_BLOCK = saved
+
+
+def test_episode_records_share_no_mutable_parts():
+    """Records of one slot state come from one memo entry, yet each owns its
+    `traffic` list and `dropped` dict: mutating one record changes no later
+    record of that state, in the same episode or the next."""
+    sc = preset("tiny-sym")
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    want = reference_run_episode(sc, sol, 200, np.random.default_rng(4))
+    first = harness.run_episode(sc, sol, 200, np.random.default_rng(4))
+    assert first == want
+    assert first.decisions < len(first.records)
+
+    def state(rec):
+        return (rec.s0, tuple((rec.slot - 1) % u.template.period for u in sc.users),
+                tuple(tuple(x for _, x in ur.traffic) for ur in rec.users))
+
+    states = [state(rec) for rec in first.records]
+    k = next(k for k, s_ in enumerate(states) if s_ in states[k + 1:])
+    later = states.index(states[k], k + 1)
+    for ur in first.records[k].users:
+        ur.traffic.append(("X", 1))
+        ur.dropped["X"] = 1
+    assert first.records[later] == want.records[later]
+    assert harness.run_episode(sc, sol, 200, np.random.default_rng(4)) == want
 
 
 # ---------------------------------------------------------------------------

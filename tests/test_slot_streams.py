@@ -1,8 +1,11 @@
 """Every slot loop keeps its random stream, pinned to exact values.
 
-All simulation loops step `pricing.SlotSystem`, so they share one draw
-order: at start-up the channel state, then each user's buffer, one scalar
-draw per DU; each slot, in user order, one block of k uniforms for the k
+All simulation loops start from `pricing.SlotSystem` and share its draw
+order: coordination and the learning curve step it slot by slot, and the
+frozen-rule walks (`replay`, `run_episode`) draw the same uniforms in
+blocks. The order: at start-up the channel state, then each user's
+buffer, one scalar draw per DU; each slot, in user order, one block of k
+uniforms for the k
 DUs entering that user's next phase (no draw when k = 0), then the next
 channel state (one draw if common, one block over the n users if
 independent). A block is one `rng.random(k)` call (a scalar call when

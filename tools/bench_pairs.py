@@ -13,7 +13,10 @@ the medians, and whether the change meets the gain rule: every change run
 matches its fingerprint and fails no more operations than its paired parent
 run, the change wins at least nine tenths of the pairs, and its median is
 better than the parent's by more than the parent's interquartile range. It
-also holds every run's fingerprint status and failed-operation count.
+also holds every run's fingerprint status and failed-operation count. After
+the pairs, each checkout runs every workload once more with ``--trace 1``
+at FIRST_SEED; the record keeps those per-layer metrics under
+``per_layer``, per workload and side.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark process: its metrics, fingerprint status and failures."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
+    """One benchmark process: its metrics (per-layer ones if `trace`),
+    fingerprint status and failures."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -103,6 +108,9 @@ def main(argv=None) -> int:
                       f"prepare_s {out['metrics'].get('prepare_s', float('nan')):.3f}, "
                       f"fingerprint {out['fingerprint']}", flush=True)
 
+    per_layer = {w: {side: run_once(sides[side], w, FIRST_SEED, trace=True)["metrics"]
+                     for side in sides} for w in names}
+
     record = {"pairs": PAIRS, "seeds": seeds,
               "rule": "every change run matches its fingerprint and fails no more "
                       "operations than its paired parent run, the change wins >= 0.9 "
@@ -119,6 +127,7 @@ def main(argv=None) -> int:
             entry["metrics"][metric] = compare(
                 [r["metrics"][metric] for r in runs[w]["parent"]],
                 [r["metrics"][metric] for r in runs[w]["change"]], direction, ok)
+        entry["per_layer"] = per_layer[w]
         record["workloads"][w] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
