@@ -38,6 +38,15 @@ from wvsched.scenario import ScenarioError, list_presets, load_scenario
 REPLAY_CHANNELS = {"illustration-2user": [0, 1, 1, 1, 0]}
 
 
+def count(text: str) -> int:
+    """An integer of at least 1 (slot and seed counts); argparse exits 2
+    on anything else, before any work starts."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wvsched",
                                 description="Multi-user wireless video scheduling")
@@ -47,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True)
     run.add_argument("--solution", default=None,
                      help="defaults to the scenario's solver field")
-    run.add_argument("--slots", type=int, default=300)
+    run.add_argument("--slots", type=count, default=300)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--clearing", action="store_true",
                      help="per-slot price clearing instead of proportional trims")
@@ -58,8 +67,8 @@ def _parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="run several solutions side by side")
     cmp_.add_argument("--scenario", required=True)
     cmp_.add_argument("--solutions", default="proposed,mu-mdp,lyapunov,myopic")
-    cmp_.add_argument("--slots", type=int, default=300)
-    cmp_.add_argument("--seeds", type=int, default=5)
+    cmp_.add_argument("--slots", type=count, default=300)
+    cmp_.add_argument("--seeds", type=count, default=5)
     cmp_.add_argument("--seed", type=int, default=None)
     cmp_.add_argument("--clearing", action="store_true")
     cmp_.add_argument("--out", default="out")
@@ -75,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
 
     lrn = sub.add_parser("learn", help="single-user post-decision learning curve")
     lrn.add_argument("--scenario", default="pds-toy")
-    lrn.add_argument("--slots", type=int, default=30_000)
+    lrn.add_argument("--slots", type=count, default=30_000)
     lrn.add_argument("--seed", type=int, default=None)
     lrn.add_argument("--out", default="out")
 

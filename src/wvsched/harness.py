@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import compress, product
+from numbers import Integral
 from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
@@ -45,17 +47,16 @@ from wvsched.model import (
 # perfbench's tracer patches the slot engine's traffic step under this name
 from wvsched.model import advance_traffic  # noqa: F401
 from wvsched.pricing import (
-    REPLAY_BLOCK,
     CoordinationReport,
     JointChannel,
     PricedAgent,
     PriceTable,
     SlotSystem,
-    block_draws,
     replay,
     run_coordination,
     scale_to_budget,
     slot_key,
+    walk,
 )
 from wvsched.scheduling import (
     SIMPLE_SCHEDULERS,
@@ -620,67 +621,55 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
                 pinned_channels: Sequence[int] | None = None) -> EpisodeTrace:
     """Simulate `slots` slots; channels may be pinned (common correlation only).
 
-    A prepared solution's rule is frozen (see `PricedAgent.act`), so this is
-    `pricing.replay`'s walk: each distinct `slot_key` is decided once per
-    call and memoised with every user's `GopTemplate.transition` and the
-    record fields the key fixes; a slot then only maps uniforms to entering
-    sizes and the next channel state. The uniforms are drawn one block of at
-    most `REPLAY_BLOCK` slots per `rng.random(n)` call, the same doubles in
-    the same order as stepping `SlotSystem.advance` slot by slot (pinned
-    channels draw none). The memo lives for this call only, and each record
-    gets its own `traffic` list and `dropped` dict.
+    A prepared solution's rule is frozen (see `PricedAgent.act`), so the
+    episode is a fold over `pricing.walk`: each distinct `slot_key` is
+    decided once per call, with the record fields the key fixes, and each
+    slot's record is built from them and the walk's entering sizes. The
+    memo lives for this call only, and each record gets its own `traffic`
+    list and `dropped` dict.
     """
     sc = scenario
     n_users = len(sc.users)
-    joint = JointChannel(sc.channels, sc.channel_correlation)
     pins = None
     if pinned_channels is not None:
         if sc.channel_correlation != "common":
             raise ModelError("pinned channel replay requires common correlation")
+        n_states = len(sc.channels[0])
+        bad = [h for h in pinned_channels
+               if not isinstance(h, Integral) or not 0 <= h < n_states]
+        if len(pinned_channels) == 0 or bad:
+            raise ModelError(f"pinned channels must be a nonempty sequence of integer "
+                             f"channel states in [0, {n_states}); got {list(pinned_channels)}")
         pins = [(int(h),) * n_users for h in pinned_channels]
-    system = SlotSystem(sc.templates, joint, rng, None if pins is None else pins[0])
-    s0, contexts, buffers = system.s0, system.contexts, system.buffers
+    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation), rng,
+                        None if pins is None else pins[0])
 
     trace = EpisodeTrace(sc.name, solution.name)
     trace.arrived = [dict() for _ in range(n_users)]
     trace.sent_totals = [dict() for _ in range(n_users)]
     trace.dropped_totals = [dict() for _ in range(n_users)]
-    for arrived, ctx, buf in zip(trace.arrived, contexts, buffers):
+    for arrived, ctx, buf in zip(trace.arrived, system.contexts, system.buffers):
         for name, x in zip(ctx.names, buf):
             arrived[name] = arrived.get(name, 0) + x
     totals = list(zip(trace.arrived, trace.sent_totals, trace.dropped_totals))
 
     memo: dict[tuple, tuple] = {}
-    channel_draws = joint.draws if pins is None else 0
-    done = 0
-    while done < slots:
-        block = min(REPLAY_BLOCK, slots - done)
-        us = iter(rng.random(block_draws(sc.templates, contexts, block, channel_draws)).tolist())
-        for t in range(done + 1, done + block + 1):
-            key = slot_key(s0, contexts, buffers)
-            decided = memo.get(key)
-            if decided is None:
-                decided = memo[key] = _decided_slot(sc, solution, s0, contexts, buffers)
-            lam0, names, parts = decided
-            users_rec, contexts, buffers = [], [], []
-            for (move, traffic, requested, sent, dropped, sent_by_name, pay, dist, en,
-                 share), (arrived, sent_totals, dropped_totals) in zip(parts, totals):
-                users_rec.append(UserSlotRecord(list(traffic), requested, sent, dict(dropped),
-                                                pay, dist, en, share))
-                for name, n in dropped.items():
-                    dropped_totals[name] = dropped_totals.get(name, 0) + n
-                for name, y in sent_by_name:
-                    sent_totals[name] = sent_totals.get(name, 0) + y
-                buf = move.buffer(us)
-                for j, du, _key in move.entering:
-                    arrived[du.name] = arrived.get(du.name, 0) + buf[j]
-                contexts.append(move.context)
-                buffers.append(buf)
-            trace.records.append(SlotRecord(t, s0, names, lam0, users_rec, 2 * n_users))
-            s0 = joint.next_state(s0, us) if pins is None else pins[min(t, len(pins) - 1)]
-        done += block
+    steps = walk(system, partial(_decided_slot, sc, solution), slots, memo, pins)
+    for t, (s0, (lam0, names, parts), moves, buffers) in enumerate(steps, 1):
+        users_rec = []
+        for (traffic, requested, sent, dropped, sent_by_name, pay, dist, en, share), move, buf, \
+                (arrived, sent_totals, dropped_totals) in zip(parts, moves, buffers, totals):
+            users_rec.append(UserSlotRecord(list(traffic), requested, sent, dict(dropped),
+                                            pay, dist, en, share))
+            for name, n in dropped.items():
+                dropped_totals[name] = dropped_totals.get(name, 0) + n
+            for name, y in sent_by_name:
+                sent_totals[name] = sent_totals.get(name, 0) + y
+            for j, du, _key in move.entering:
+                arrived[du.name] = arrived.get(du.name, 0) + buf[j]
+        trace.records.append(SlotRecord(t, s0, names, lam0, users_rec, 2 * n_users))
 
-    for ctx, buf in zip(contexts, buffers):
+    for ctx, buf in zip(system.contexts, system.buffers):
         rem = {}
         for name, x in zip(ctx.names, buf):
             rem[name] = rem.get(name, 0) + x
@@ -689,13 +678,15 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
     return trace
 
 
-def _decided_slot(sc: ScenarioConfig, solution: Solution, s0, contexts, buffers) -> tuple:
-    """All that one slot state fixes of its record: the price, the channel
-    names and, per user, its transition, the (DU name, packets) traffic
-    pairs, the requested and sent sends, the drops by name, the nonzero
-    sends by name, and the payoff, distortion, energy and band share."""
+def _decided_slot(sc: ScenarioConfig, solution: Solution, system: SlotSystem) -> tuple:
+    """All that the system's current slot state fixes of its record, and
+    every user's transition: the price, the channel names and, per user,
+    the (DU name, packets) traffic pairs, the requested and sent sends, the
+    drops by name, the nonzero sends by name, and the payoff, distortion,
+    energy and band share."""
+    s0, contexts, buffers = system.s0, system.contexts, system.buffers
     decision = solution.sent_actions(s0, contexts, buffers)
-    parts = []
+    parts, moves = [], []
     for u, h, ctx, buf, raw, act, share in zip(sc.users, s0, contexts, buffers, decision.raw,
                                                decision.sent, decision.shares, strict=True):
         move = u.template.transition(ctx, buf, act.sends)
@@ -705,11 +696,12 @@ def _decided_slot(sc: ScenarioConfig, solution: Solution, s0, contexts, buffers)
         for key, n in move.dropped:
             name = u.template.du(key[1]).name
             dropped[name] = dropped.get(name, 0) + n
-        parts.append((move, tuple(zip(ctx.names, buf)), raw.sends, act.sends, dropped,
+        parts.append((tuple(zip(ctx.names, buf)), raw.sends, act.sends, dropped,
                       tuple(compress(zip(ctx.names, act.sends), act.sends)),
                       dist - u.beta * en, dist, en, share))
+        moves.append(move)
     names = tuple(u.channel.names[h] for u, h in zip(sc.users, s0))
-    return decision.lam0, names, parts
+    return (decision.lam0, names, parts), moves
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from wvsched.model import (
     ModelError,
     ScheduleAction,
     TrafficStep,
+    Transition,
     UserConfig,
     advance_traffic,
     bandwidth_usage,
@@ -131,9 +132,9 @@ class SlotSystem:
 
     Every slot loop starts from one, and they all draw in the order set out
     here. The coordination loop, whose learning agents draw between slots,
-    and `harness.pds_learning_curve` step it with `advance`; the frozen-rule
-    walks (`replay` and `harness.run_episode`) start from it and draw the
-    same uniforms in blocks.
+    and `harness.pds_learning_curve` step it with `advance`; a frozen rule
+    (`replay`, `harness.run_episode`) runs on `walk`, which draws the same
+    uniforms in blocks.
 
     Start-up draws the channel state (unless `s0` is given), then each
     user's initial buffer, one scalar draw per DU. Each `advance` then
@@ -220,7 +221,7 @@ class PricedAgent:
         draws no random number and changes no state it reads. Learning
         agents meet this once frozen. Loops that replay a fixed policy rely
         on it to memoise `act` on `slot_key` and to draw the slots'
-        uniforms ahead in blocks (see `replay`).
+        uniforms ahead in blocks (see `walk`).
         """
         return self.act_at(context, buffer, view_state, float(self.price_vec[view_state]))
 
@@ -379,7 +380,7 @@ def slot_requests(agents: Sequence[PricedAgent], system: SlotSystem,
                                      bandwidth)
 
 
-# most slots whose uniforms `replay` draws in one generator call: the block's
+# most slots whose uniforms `walk` draws in one generator call: the block's
 # list of doubles is what bounds the walk's memory
 REPLAY_BLOCK = 1024
 
@@ -399,47 +400,68 @@ def block_draws(templates: Sequence[GopTemplate], contexts, slots: int,
     return need
 
 
-def replay(system: SlotSystem, decide: Callable,
-           slots: int) -> tuple[dict[tuple[int, ...], float], int]:
+def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
+         pins: Sequence[tuple[int, ...]] | None = None) -> Iterator[tuple]:
     """Step `system` for `slots` slots under a frozen rule: `decide(system)`
-    returns a value and the sends for the current slot. Returns the mean
-    value per visited joint state and how many distinct decisions were made.
+    returns a value and every user's `GopTemplate.transition` for the
+    current slot. Yields, per slot, the joint channel state, the decided
+    value, the transitions and the next buffers; writes the final slot back
+    to `system` once exhausted.
 
     A frozen rule is deterministic and draws no random number (see
-    `PricedAgent.act`), so each distinct `slot_key` is decided once and
-    memoised with every user's `GopTemplate.transition`; a slot then only
-    maps uniforms to entering sizes and the next channel state. The number
-    of uniforms a run of slots consumes is known beforehand (`block_draws`):
-    they are drawn one block of at most `REPLAY_BLOCK` slots per
-    `rng.random(n)` call, the same doubles in the same order as
+    `PricedAgent.act`), so each distinct `slot_key` is decided once, into
+    the caller's `memo`; a slot then only maps uniforms to entering sizes
+    and the next channel state. Phases move one per slot whatever is sent,
+    so the number of uniforms a run of slots consumes is known beforehand
+    (`block_draws`): they are drawn one block of at most `REPLAY_BLOCK`
+    slots per `rng.random(n)` call, the same doubles in the same order as
     `SlotSystem.advance` draws, which leaves the generator where deciding
-    and advancing every slot afresh would. The system holds the current
-    slot whenever `decide` runs, and the final one on return.
+    and advancing every slot afresh would. With `pins` the channel draws
+    nothing: the k-th slot after the system's own is at `pins[k]`, and at
+    the last pin past the end. The system holds the current slot whenever
+    `decide` runs.
     """
     templates, joint, rng = system.templates, system.joint, system.rng
     s0, contexts, buffers = system.s0, system.contexts, system.buffers
-    total: dict[tuple[int, ...], float] = {}
-    visits: dict[tuple[int, ...], int] = {}
-    decisions: dict[tuple, tuple] = {}
+    phases = tuple(c.phase for c in contexts)
+    channel_draws = joint.draws if pins is None else 0
     done = 0
     while done < slots:
         block = min(REPLAY_BLOCK, slots - done)
-        us = iter(rng.random(block_draws(templates, contexts, block, joint.draws)).tolist())
-        for _ in range(block):
-            key = slot_key(s0, contexts, buffers)
-            decision = decisions.get(key)
-            if decision is None:
+        us = iter(rng.random(block_draws(templates, contexts, block, channel_draws)).tolist())
+        for t in range(done + 1, done + block + 1):
+            # `slot_key`, with the phases kept from the last decision
+            key = (s0, phases, tuple(buffers))
+            decided = memo.get(key)
+            if decided is None:
                 system.s0, system.contexts, system.buffers = s0, contexts, buffers
-                value, sent = decide(system)
-                decision = decisions[key] = (value, [
-                    t.transition(ctx, buf, act.sends) for t, ctx, buf, act in
-                    zip(templates, contexts, buffers, sent, strict=True)])
-            value, moves = decision
-            total[s0] = total.get(s0, 0.0) + value
-            visits[s0] = visits.get(s0, 0) + 1
-            contexts = [m.context for m in moves]
+                value, moves = decide(system)
+                nxt = [m.context for m in moves]
+                decided = memo[key] = (value, moves, nxt, tuple(c.phase for c in nxt))
+            value, moves, contexts, phases = decided
             buffers = [m.buffer(us) for m in moves]
-            s0 = joint.next_state(s0, us)
+            yield s0, value, moves, buffers
+            s0 = joint.next_state(s0, us) if pins is None else pins[min(t, len(pins) - 1)]
         done += block
     system.s0, system.contexts, system.buffers = s0, contexts, buffers
-    return {s0: t / visits[s0] for s0, t in total.items()}, len(decisions)
+
+
+def replay(system: SlotSystem, decide: Callable,
+           slots: int) -> tuple[dict[tuple[int, ...], float], int]:
+    """`walk` `system` for `slots` slots under the frozen rule `decide`,
+    which returns a value and the sends for the current slot. Returns the
+    mean value per visited joint state and how many distinct decisions
+    were made."""
+    def decided(system: SlotSystem) -> tuple[float, list[Transition]]:
+        value, sent = decide(system)
+        return value, [t.transition(ctx, buf, act.sends) for t, ctx, buf, act in
+                       zip(system.templates, system.contexts, system.buffers, sent,
+                           strict=True)]
+
+    total: dict[tuple[int, ...], float] = {}
+    visits: dict[tuple[int, ...], int] = {}
+    memo: dict[tuple, tuple] = {}
+    for s0, value, _moves, _buffers in walk(system, decided, slots, memo):
+        total[s0] = total.get(s0, 0.0) + value
+        visits[s0] = visits.get(s0, 0) + 1
+    return {s0: t / visits[s0] for s0, t in total.items()}, len(memo)

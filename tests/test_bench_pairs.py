@@ -48,6 +48,31 @@ def test_higher_is_better_counts_wins_the_other_way(bench_pairs):
     assert not bench_pairs.compare(PARENT, CHANGE, "higher", True)["meets_gain_rule"]
 
 
+@pytest.mark.parametrize("parent, change, better, want", [
+    # inside the bound, either way
+    (PARENT, [p * 1.1 for p in PARENT], "lower", "not_worse"),
+    (PARENT, [p * 0.5 for p in PARENT], "lower", "not_worse"),
+    (PARENT, [p * 0.9 for p in PARENT], "higher", "not_worse"),
+    # past the bound, with a parent spread well inside it
+    (PARENT, [p * 1.3 for p in PARENT], "lower", "worse"),
+    (PARENT, [p * 0.7 for p in PARENT], "higher", "worse"),
+    # the parent's own spread (IQR 2 around a median of 3) is wider than the bound
+    ([1.0, 2.0, 3.0, 4.0, 5.0] * 2, [3.0] * 10, "lower", "unresolved"),
+    ([1.0, 2.0, 3.0, 4.0, 5.0] * 2, [9.0] * 10, "lower", "unresolved"),
+    # ... unless every change run beats every parent run
+    ([1.0, 2.0, 3.0, 4.0, 5.0] * 2, [0.5] * 10, "lower", "not_worse"),
+    ([1.0, 2.0, 3.0, 4.0, 5.0] * 2, [6.0] * 10, "higher", "not_worse"),
+])
+def test_verdict_against_the_relative_bound(bench_pairs, parent, change, better, want):
+    assert bench_pairs.verdict(parent, change, better, 0.2) == want
+
+
+def test_verdict_on_a_zero_median(bench_pairs):
+    zeros = [0.0] * 10
+    assert bench_pairs.verdict(zeros, zeros, "lower", 0.05) == "not_worse"
+    assert bench_pairs.verdict(zeros, [1.0] * 10, "lower", 0.05) == "worse"
+
+
 def run(fingerprint="match", failed=0):
     return {"metrics": {}, "fingerprint": fingerprint, "failed": failed}
 
@@ -71,7 +96,8 @@ def test_record_keeps_one_traced_run_per_side_and_workload(bench_pairs, tmp_path
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": w} for w in workloads],
-        "end_to_end": [{"name": "total_s", "better": "lower"}]}), encoding="utf-8")
+        "end_to_end": [{"name": "total_s", "better": "lower", "bound": 0.22}]}),
+        encoding="utf-8")
     calls = []
 
     def fake_run_once(checkout, workload, seed, trace=False):
@@ -91,6 +117,7 @@ def test_record_keeps_one_traced_run_per_side_and_workload(bench_pairs, tmp_path
     assert len(calls) - len(traced) == 2 * len(workloads) * bench_pairs.PAIRS
     record = json.loads(out.read_text(encoding="utf-8"))
     for w in workloads:
+        assert record["workloads"][w]["metrics"]["total_s"]["verdict"] == "not_worse"
         assert record["workloads"][w]["per_layer"] == {
             "parent": {"harness.run_episode.self_s": 1.0},
             "change": {"harness.run_episode.self_s": 0.5}}

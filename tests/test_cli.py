@@ -118,6 +118,29 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "tiny-sym", "--slots", "-3"],
+    ["run", "--scenario", "tiny-sym", "--slots", "0"],
+    ["compare", "--scenario", "tiny-sym", "--slots", "0"],
+    ["compare", "--scenario", "tiny-sym", "--seeds", "0"],
+    ["compare", "--scenario", "tiny-sym", "--seeds", "-1"],
+    ["learn", "--scenario", "pds-toy", "--slots", "-5"],
+    ["learn", "--scenario", "pds-toy", "--slots", "2.5"],
+])
+def test_slot_and_seed_counts_below_one_exit_2_before_any_work(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("build_solution", "load_scenario", "pds_learning_curve"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --s" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_learning_with_clearing_fails_before_coordination(tmp_path, capsys):
     assert main(["run", "--scenario", "illustration-2user", "--solution",
                  "proposed-learning", "--clearing", "--out", str(tmp_path)]) == 2

@@ -1134,7 +1134,8 @@ def test_episode_walk_equals_reference_on_generated_systems(inst, data):
     """Decomposed agents at drawn prices on small templates (phases with no
     DU entering, single-DU entries), common and independent channels,
     pinned or free, with draw blocks from one slot to longer than the
-    episode."""
+    episode; `replay` of the same rule against its reference at the same
+    block size."""
     templates, joint, seed = inst
     users = tuple(UserConfig(f"u{i}", t, c)
                   for i, (t, c) in enumerate(zip(templates, joint.channels)))
@@ -1151,11 +1152,23 @@ def test_episode_walk_equals_reference_on_generated_systems(inst, data):
         n = len(joint.channels[0])
         pinned = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     block = data.draw(st.sampled_from([1, 7, pricing.REPLAY_BLOCK]))
-    saved, harness.REPLAY_BLOCK = harness.REPLAY_BLOCK, block
-    try:
+
+    def band_request(system):
+        requests, sent = slot_requests(sol.agents, system, 1.0, sc.bandwidth)
+        return sum(requests), sent
+
+    # `pricing.walk` reads the block size at each block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pricing, "REPLAY_BLOCK", block)
         assert_same_episode(sc, sol, 60, seed, pinned)
-    finally:
-        harness.REPLAY_BLOCK = saved
+        results = []
+        for run in (replay, reference_replay):
+            rng = np.random.default_rng(seed)
+            system = SlotSystem(templates, joint, rng)
+            mean, _ = run(system, band_request, 60)
+            final = (system.s0, [c.phase for c in system.contexts], list(system.buffers))
+            results.append((mean, final, rng.random()))
+    assert results[0] == results[1]
 
 
 def test_episode_records_share_no_mutable_parts():

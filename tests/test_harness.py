@@ -186,6 +186,22 @@ def test_myopic_replay_reproduces_published_table():
     assert losses[4] == {0: {"I": 10}}
 
 
+@pytest.mark.parametrize("pinned", [[], [-1], [0.6], [7], [0, 2], [0, "1"]])
+def test_pinned_channels_must_be_channel_states(pinned):
+    """An empty sequence, a non-integer or a state outside the chain raises
+    `ModelError` before any draw; numpy integers are channel states too."""
+    sc = preset("illustration-2user")
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    with pytest.raises(ModelError, match="pinned channels"):
+        run_episode(sc, sol, 5, rng, pinned_channels=pinned)
+    assert rng.random() == np.random.default_rng(1).random()
+    trace = run_episode(sc, sol, 5, np.random.default_rng(1),
+                        pinned_channels=np.array(PINNED))
+    assert [rec.s0 for rec in trace.records] == [(h, h) for h in PINNED]
+
+
 def test_proposed_replay_loses_no_i_frames_after_first_slot(illustration):
     sc = illustration["scenario"]
     sol = illustration["proposed"]

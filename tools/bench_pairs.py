@@ -12,8 +12,10 @@ the change won and lost (ties count for neither), the relative change of
 the medians, and whether the change meets the gain rule: every change run
 matches its fingerprint and fails no more operations than its paired parent
 run, the change wins at least nine tenths of the pairs, and its median is
-better than the parent's by more than the parent's interquartile range. It
-also holds every run's fingerprint status and failed-operation count. After
+better than the parent's by more than the parent's interquartile range.
+Each metric also gets a no-regression verdict against its relative
+``bound`` in BENCHMARK.json (see `verdict`), and the record holds every
+run's fingerprint status and failed-operation count. After
 the pairs, each checkout runs every workload once more with ``--trace 1``
 at FIRST_SEED; the record keeps those per-layer metrics under
 ``per_layer``, per workload and side.
@@ -90,10 +92,28 @@ def compare(parent: list[float], change: list[float], better: str, ok: bool) -> 
     }
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """`not_worse` if every change run beats every parent run, or if the
+    change's median is worse than the parent's by at most `bound` relative
+    to it; `unresolved` if, short of the first case, the parent's own
+    interquartile range is wider than `bound` relative to its median, so a
+    shift within the bound cannot be told from noise; else `worse`."""
+    sign = 1.0 if better == "higher" else -1.0
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "not_worse"
+    base = summary(parent)
+    scale = bound * abs(base["median"])
+    if base["q3"] - base["q1"] > scale:
+        return "unresolved"
+    return "worse" if sign * (base["median"] - statistics.median(change)) > scale \
+        else "not_worse"
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     names = [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     runs = {w: {s: [] for s in sides} for w in names}
@@ -116,6 +136,10 @@ def main(argv=None) -> int:
                       "operations than its paired parent run, the change wins >= 0.9 "
                       "of pairs and its median beats the parent's by more than the "
                       "parent's interquartile range",
+              "verdict": "not_worse if every change run beats every parent run or the "
+                         "change's median is worse by at most the metric's relative bound; "
+                         "unresolved if not the first and the parent's interquartile "
+                         "range exceeds the bound; else worse",
               "workloads": {}}
     for w in names:
         entry = {"metrics": {}, "fingerprint": {}, "failed": {}}
@@ -124,9 +148,11 @@ def main(argv=None) -> int:
             entry["failed"][side] = [r["failed"] for r in runs[w][side]]
         ok = sound(runs[w]["parent"], runs[w]["change"])
         for metric, direction in better.items():
-            entry["metrics"][metric] = compare(
-                [r["metrics"][metric] for r in runs[w]["parent"]],
-                [r["metrics"][metric] for r in runs[w]["change"]], direction, ok)
+            parent = [r["metrics"][metric] for r in runs[w]["parent"]]
+            change = [r["metrics"][metric] for r in runs[w]["change"]]
+            entry["metrics"][metric] = compare(parent, change, direction, ok)
+            entry["metrics"][metric]["verdict"] = verdict(parent, change, direction,
+                                                          bounds[metric])
         entry["per_layer"] = per_layer[w]
         record["workloads"][w] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
