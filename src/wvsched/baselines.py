@@ -23,7 +23,7 @@ from wvsched.model import (
     bandwidth_usage,
     transmit_energy,
 )
-from wvsched.scheduling import hdf_schedule
+from wvsched.scheduling import fill_rows, hdf_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +182,19 @@ def scale_up_to_budget(contexts, actions: Sequence[ScheduleAction],
             act = ScheduleAction(tuple(y + e for y, e in zip(act.sends, extra.sends)))
         out.append(act)
     return out
+
+
+def scale_rows_up_to_budget(contexts, sends: Sequence[np.ndarray],
+                            buffers: Sequence[np.ndarray], rates: Sequence[np.ndarray],
+                            bits_per_packet: float, bandwidth: float) -> list[np.ndarray]:
+    """`scale_up_to_budget` of many slots at once: row k of every user's
+    sends, buffers (rows, slots) and rates is one slot at `contexts`. Each
+    row's usage and budget take the scalar inflate's float operations in its
+    order, and rows it leaves alone get no room."""
+    totals = [s.sum(axis=1) for s in sends]
+    usage = sum(t * bits_per_packet / r for t, r in zip(totals, rates))
+    gamma = np.divide(bandwidth, usage, out=np.ones(len(usage)),
+                      where=(usage > 0) & (usage < bandwidth - 1e-12))
+    return [s + fill_rows(buf - s, np.floor(gamma * t + 1e-9).astype(np.int64) - t,
+                          ctx.impact_order())
+            for ctx, s, buf, t in zip(contexts, sends, buffers, totals)]

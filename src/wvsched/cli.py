@@ -39,8 +39,8 @@ REPLAY_CHANNELS = {"illustration-2user": [0, 1, 1, 1, 0]}
 
 
 def count(text: str) -> int:
-    """An integer of at least 1 (slot and seed counts); argparse exits 2
-    on anything else, before any work starts."""
+    """An integer of at least 1 (slot and seed counts, the price-iteration
+    slot cap); argparse exits 2 on anything else, before any work starts."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -60,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--clearing", action="store_true",
                      help="per-slot price clearing instead of proportional trims")
-    run.add_argument("--max-slots", type=int, default=120_000,
+    run.add_argument("--max-slots", type=count, default=120_000,
                      help="price-iteration slot cap before non-convergence")
     run.add_argument("--out", default="out")
 

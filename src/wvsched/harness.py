@@ -24,6 +24,7 @@ import numpy as np
 from wvsched.baselines import (
     lyapunov_action,
     myopic_static_shares,
+    scale_rows_up_to_budget,
     scale_up_to_budget,
     uniform_price_solve,
 )
@@ -54,6 +55,7 @@ from wvsched.pricing import (
     SlotSystem,
     replay,
     run_coordination,
+    scale_rows_to_budget,
     scale_to_budget,
     slot_key,
     walk,
@@ -127,6 +129,13 @@ class FullMdpAgent(PricedAgent):
 
     def act(self, context, buffer, view_state: int) -> ScheduleAction:
         return self.table.action_of(context.phase, buffer, view_state)
+
+    def table_sends(self, context, buffers: np.ndarray, views: np.ndarray) -> np.ndarray:
+        """The policy's rows of the action table, gathered: `act` at every row."""
+        lay = self.mdp.layout
+        t = lay.base[context.phase] + buffers @ np.array(lay.strides[context.phase],
+                                                         dtype=np.int64)
+        return self.mdp.ta_sends[self.table.policy[t, views], :len(context)]
 
     def usage_by_view(self, bits_per_packet: float, rng: np.random.Generator,
                       slots: int) -> np.ndarray:
@@ -248,15 +257,49 @@ class Solution:
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
         raise NotImplementedError
 
+    def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
+        """The sends of `sent_actions` at many slot states at once: row k of
+        buffers[u] (rows, slots) is user u's buffer at `contexts` in joint
+        channel state states[c0[k]]; returns each user's sends, shaped as
+        its buffers. None (this default) for a rule with no array form, which
+        is then asked state by state. The decision cache is not touched."""
+        return None
+
     def _shares(self, scenario, s0, sent) -> list[float]:
         """Each user's band share; every new decision passes here, so sends
         that overrun the band beyond float slack raise."""
         shares = [a.total * scenario.bits_per_packet / u.channel.rate[h] / scenario.bandwidth
                   for a, h, u in zip(sent, s0, scenario.users)]
         if sum(shares) > 1 + 1e-9:
-            raise ModelError(f"{self.name}: sends take {sum(shares):.6g} of the band "
-                             f"in joint channel state {tuple(s0)}")
+            raise self._overrun(sum(shares), s0)
         return shares
+
+    def _overrun(self, share: float, s0) -> ModelError:
+        return ModelError(f"{self.name}: sends take {share:.6g} of the band "
+                          f"in joint channel state {tuple(s0)}")
+
+    def _table_rows(self, states, c0, contexts, buffers, trim) -> list[np.ndarray] | None:
+        """`sent_arrays` for a rule of table actions then trims: every
+        agent's `table_sends`, then trim(raw, rates) with each user's rate at
+        every row, then `_shares`' band check, raised at the first row that
+        overruns. None if an agent has no table."""
+        sc = self.scenario
+        raw = []
+        for a, ctx, buf in zip(self.agents, contexts, buffers):
+            views = np.array([a.view.view_state(s0) for s0 in states])
+            sends = a.table_sends(ctx, buf, views[c0])
+            if sends is None:
+                return None
+            raw.append(sends)
+        own = np.array(states).T[:, c0]
+        rates = [u.channel.rate[h] for u, h in zip(sc.users, own)]
+        sent = trim(raw, rates)
+        shares = sum(s.sum(axis=1) * sc.bits_per_packet / r / sc.bandwidth
+                     for s, r in zip(sent, rates))
+        over = np.flatnonzero(shares > 1 + 1e-9)
+        if len(over):
+            raise self._overrun(shares[over[0]], states[c0[over[0]]])
+        return sent
 
 
 class PricedRuntime(Solution):
@@ -295,6 +338,17 @@ class PricedRuntime(Solution):
         decision = SlotDecision(raw, sent, lam0, self._shares(sc, s0, sent))
         self._cache[key] = decision
         return decision
+
+    def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
+        """Table agents' sends with the proportional trim; clearing has no
+        array form."""
+        if self.clearing:
+            return None
+        sc = self.scenario
+        return self._table_rows(
+            states, c0, contexts, buffers,
+            lambda raw, rates: scale_rows_to_budget(contexts, raw, rates,
+                                                    sc.bits_per_packet, sc.bandwidth))
 
     def _acts_at(self, s0, contexts, buffers, lam0: float):
         sc = self.scenario
@@ -547,6 +601,17 @@ class UniformPriceSolution(Solution):
         decision = SlotDecision(raw, sent, self.price, self._shares(sc, s0, sent))
         self._cache[key] = decision
         return decision
+
+    def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
+        """Table agents' sends, inflated then trimmed."""
+        sc = self.scenario
+
+        def trim(raw, rates):
+            up = scale_rows_up_to_budget(contexts, raw, buffers, rates,
+                                         sc.bits_per_packet, sc.bandwidth)
+            return scale_rows_to_budget(contexts, up, rates, sc.bits_per_packet, sc.bandwidth)
+
+        return self._table_rows(states, c0, contexts, buffers, trim)
 
 
 def build_solution(scenario: ScenarioConfig, name: str,

@@ -5,6 +5,14 @@ iteration with the bandwidth constraint enforced inside each state's max;
 joint_value_of evaluates an arbitrary deterministic per-slot rule on the
 joint chain by a linear solve. Both average uniformly over initial joint
 states, matching the design objective's uniform initial-state reading.
+
+evaluate_solution takes one of two paths to the sends it hands that solve.
+Solutions whose rule is per-user table actions then trims (proposed-full
+and mu-mdp-full, without clearing) gather every joint state's sends from
+the agents' policies and trim them in one array pass per joint phase; every
+other solution (proposed, clearing, lyapunov, myopic, proposed+<sched>) is
+asked state by state through `sent_actions`. Both paths check the context
+widths, 0 <= sends <= buffer and the band, and give the same sends.
 """
 
 from __future__ import annotations
@@ -285,6 +293,38 @@ def joint_value_of(scenario: ScenarioConfig, act_rule: Callable,
     send more than a buffer holds.
     """
     space = JointSpace(scenario, state_cap)
+    return _value_of_sends(space, scenario, _per_state(act_rule, len(space.c0_states)))
+
+
+def _per_state(act_rule: Callable, nc: int) -> Callable:
+    """A phase-block rule (see `_value_of_sends`) that asks
+    act_rule(jphase, buffers, c0) at each joint state in index order."""
+    def block(jphase: int, states: np.ndarray, buffers: list[np.ndarray]) -> list[np.ndarray]:
+        widths = [b.shape[1] for b in buffers]
+        sent = []
+        for s, *bufs in zip(states.tolist(), *(map(tuple, b.tolist()) for b in buffers)):
+            acts = act_rule(jphase, bufs, s % nc)
+            if [len(a.sends) for a in acts] != widths:
+                raise ModelError(
+                    f"slot rule at joint state {s} sends "
+                    f"{[a.sends for a in acts]}; the context widths are {widths}")
+            sent.append([a.sends for a in acts])
+        return [np.array([x[u] for x in sent], dtype=np.int64).reshape(len(states), w)
+                for u, w in enumerate(widths)]
+    return block
+
+
+def _value_of_sends(space: JointSpace, scenario: ScenarioConfig,
+                    block_sends: Callable) -> tuple[np.ndarray, float]:
+    """Exact value of the sends a phase-block rule gives every joint state.
+
+    block_sends(jphase, states, buffers) gets the joint states of one joint
+    phase in index order and each user's buffer at each of them (user u's
+    rows in buffers[u], shape (states, context width)), and returns each
+    user's sends shaped as its buffers. Sends outside 0..buffer raise
+    ModelError at the first such state of the phase, user by user; the
+    checked sends build the joint kernel and a linear solve gives the value.
+    """
     delta = scenario.discount
     nc = len(space.c0_states)
     n = space.n_states
@@ -295,28 +335,22 @@ def joint_value_of(scenario: ScenarioConfig, act_rule: Callable,
         locs = space.locals_of(jp)
         lo, hi = space.base[jp] * nc, (space.base[jp] + len(locs)) * nc
         phases = [jp % lay.period for lay in space.layouts]
-        widths = [len(lay.caps[p]) for lay, p in zip(space.layouts, phases)]
-        grids = [buffer_grid(lay.caps[p])[locs[:, u]]
-                 for u, (lay, p) in enumerate(zip(space.layouts, phases))]
-        sent = []
-        for buffers in zip(*(map(tuple, g.tolist()) for g in grids)):
-            for c0 in range(nc):
-                acts = act_rule(jp, list(buffers), c0)
-                if [len(a.sends) for a in acts] != widths:
-                    raise ModelError(
-                        f"slot rule at joint state {lo + len(sent)} sends "
-                        f"{[a.sends for a in acts]}; the context widths are {widths}")
-                sent.append([a.sends for a in acts])
-        for u, (lay, p, grid) in enumerate(zip(space.layouts, phases, grids)):
-            block = np.array([s[u] for s in sent], dtype=np.int64).reshape(hi - lo, widths[u])
-            buffers = np.repeat(grid, nc, axis=0)
-            bad = np.flatnonzero(((block < 0) | (block > buffers)).any(axis=1))
+        buffers = [np.repeat(buffer_grid(lay.caps[p])[locs[:, u]], nc, axis=0)
+                   for u, (lay, p) in enumerate(zip(space.layouts, phases))]
+        block = block_sends(jp, np.arange(lo, hi), buffers)
+        if [s.shape for s in block] != [b.shape for b in buffers]:
+            raise ModelError(
+                f"slot rule at joint states {lo} to {hi - 1} sends rows of shapes "
+                f"{[s.shape for s in block]}; the context widths are "
+                f"{[b.shape[1] for b in buffers]}")
+        for u, (lay, p, buf, sent) in enumerate(zip(space.layouts, phases, buffers, block)):
+            bad = np.flatnonzero(((sent < 0) | (sent > buf)).any(axis=1))
             if len(bad):
                 k = bad[0]
                 raise ModelError(
                     f"slot rule at joint state {lo + k} has user {u} send "
-                    f"{tuple(block[k].tolist())} from buffer {tuple(buffers[k].tolist())}")
-            sends[u][lo:hi, :widths[u]] = block
+                    f"{tuple(sent[k].tolist())} from buffer {tuple(buf[k].tolist())}")
+            sends[u][lo:hi, :buf.shape[1]] = sent
             traffic[u][lo:hi] = np.repeat(lay.base[p] + locs[:, u], nc)
     users = [_user_rows(lay, u, scenario.bits_per_packet, t, s)
              for lay, u, t, s in zip(space.layouts, scenario.users, traffic, sends)]
@@ -330,16 +364,29 @@ def joint_value_of(scenario: ScenarioConfig, act_rule: Callable,
 
 def evaluate_solution(scenario: ScenarioConfig, solution,
                       state_cap: int = 200_000) -> tuple[np.ndarray, float]:
-    """Exact network value of a prepared solution's deterministic slot rule."""
-    states = JointChannel(scenario.channels, scenario.channel_correlation).all_states()
+    """Exact network value of a prepared solution's deterministic slot rule.
+
+    Each joint phase's states are decided at once by `solution.sent_arrays`
+    where the rule has an array form (table agents then trims: proposed-full
+    and mu-mdp-full without clearing), and else one `sent_actions` call per
+    joint state.
+    """
+    space = JointSpace(scenario, state_cap)
+    states, nc = space.c0_states, len(space.c0_states)
     templates = [u.template for u in scenario.users]
 
     def rule(jphase, buffers, c0):
-        s0 = states[c0]
         ctxs = [t.context(jphase % t.period) for t in templates]
-        return solution.sent_actions(s0, ctxs, buffers).sent
+        return solution.sent_actions(states[c0], ctxs, buffers).sent
 
-    return joint_value_of(scenario, rule, state_cap)
+    per_state = _per_state(rule, nc)
+
+    def block(jphase, joint_states, buffers):
+        ctxs = [t.context(jphase % t.period) for t in templates]
+        sent = solution.sent_arrays(states, joint_states % nc, ctxs, buffers)
+        return per_state(jphase, joint_states, buffers) if sent is None else sent
+
+    return _value_of_sends(space, scenario, block)
 
 
 def penalized_joint_value(scenario: ScenarioConfig,

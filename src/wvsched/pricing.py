@@ -31,7 +31,7 @@ from wvsched.model import (
     initial_buffer,
     uniforms,
 )
-from wvsched.scheduling import hdf_schedule
+from wvsched.scheduling import fill_rows, hdf_schedule
 
 
 class CoordinationError(RuntimeError):
@@ -193,6 +193,20 @@ def scale_to_budget(contexts, actions: Sequence[ScheduleAction],
     return out
 
 
+def scale_rows_to_budget(contexts, sends: Sequence[np.ndarray], rates: Sequence[np.ndarray],
+                         bits_per_packet: float, bandwidth: float) -> list[np.ndarray]:
+    """`scale_to_budget` of many slots at once: row k of every user's sends
+    (rows, slots) and rates is one slot at `contexts`. Each row's usage and
+    budget take the scalar trim's float operations in its order, and rows
+    that fit keep their sends (a budget of their own total)."""
+    totals = [s.sum(axis=1) for s in sends]
+    usage = sum(t * bits_per_packet / r for t, r in zip(totals, rates))
+    gamma = np.divide(bandwidth, usage, out=np.ones(len(usage)),
+                      where=usage > bandwidth + 1e-12)
+    return [fill_rows(s, np.floor(gamma * t + 1e-9).astype(np.int64), ctx.impact_order())
+            for ctx, s, t in zip(contexts, sends, totals)]
+
+
 # ---------------------------------------------------------------------------
 # Coordination loop
 # ---------------------------------------------------------------------------
@@ -232,6 +246,13 @@ class PricedAgent:
 
     def freeze(self) -> None:
         """Stop learning, so that `act` keeps the contract above."""
+
+    def table_sends(self, context, buffers: np.ndarray,
+                    views: np.ndarray) -> np.ndarray | None:
+        """`act` at every row at once, for an agent that acts from a table:
+        row k of `buffers` (rows, slots) at `context` and view state
+        views[k]. None (this default) for an agent that decides slot by slot."""
+        return None
 
     def fill_order(self, context) -> Sequence[int]:
         """Slot order in which the user fills leftover band."""

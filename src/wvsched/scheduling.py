@@ -166,6 +166,19 @@ def _fill(context: Context, buffer: Sequence[int], capacity: int,
     return ScheduleAction(tuple(sends))
 
 
+def fill_rows(buffers: np.ndarray, capacity: np.ndarray, ranked: Sequence[int]) -> np.ndarray:
+    """`_fill` of every row at once: row k of `buffers` (rows, slots) filled
+    in `ranked` order up to capacity[k], as the running sum in that order
+    clipped to the capacity."""
+    if (capacity < 0).any():
+        raise ModelError("capacity must be >= 0")
+    ranked = list(ranked)
+    kept = np.minimum(np.cumsum(buffers[:, ranked], axis=1), capacity[:, None])
+    sends = np.zeros_like(buffers)
+    sends[:, ranked] = np.diff(kept, axis=1, prepend=0)
+    return sends
+
+
 def edf_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
     """Fill capacity in ascending deadline order; ties prefer higher impact."""
     ranked = sorted(range(len(context)),

@@ -121,3 +121,44 @@ def test_record_keeps_one_traced_run_per_side_and_workload(bench_pairs, tmp_path
         assert record["workloads"][w]["per_layer"] == {
             "parent": {"harness.run_episode.self_s": 1.0},
             "change": {"harness.run_episode.self_s": 0.5}}
+
+
+def test_parse_run_reads_rounds_fingerprint_and_metrics(bench_pairs):
+    """The round count comes from perfbench's `<workload>: N round(s)` line."""
+    result = {"correct": True, "attempted": 8, "failed": 0,
+              "metrics": {"total_s": {"value": 2.5, "unit": "s"}}}
+    stdout = "\n".join([
+        "tiny-priced-exact: 2 round(s), seed 44, untraced, host speed factor 1.0000 "
+        "(9 probes); normalised value, measured value, unit",
+        "  total_s                 2.5            2.6 s",
+        "fingerprint: match",
+        json.dumps(result),
+    ]) + "\n"
+    assert bench_pairs.parse_run(stdout, "tiny-priced-exact") == {
+        "metrics": {"total_s": 2.5}, "fingerprint": "match", "failed": 0, "rounds": 2}
+    assert bench_pairs.parse_run(stdout.replace(": 2 round", ": 13 round"),
+                                 "tiny-priced-exact")["rounds"] == 13
+    with pytest.raises(RuntimeError, match="round"):
+        bench_pairs.parse_run(stdout, "gop16-coord")
+
+
+def test_record_keeps_each_runs_round_count(bench_pairs, tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w1"}],
+        "end_to_end": [{"name": "total_s", "better": "lower", "bound": 0.22}]}),
+        encoding="utf-8")
+
+    def fake_run_once(checkout, workload, seed, trace=False):
+        return {"metrics": {"total_s": 2.0}, "fingerprint": "match", "failed": 0,
+                "rounds": 1 if checkout.name == "parent" else seed % 2 + 1}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                      str(tmp_path / "change"), "--out", str(out)])
+    rounds = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w1"]["rounds"]
+    seeds = [bench_pairs.FIRST_SEED + k for k in range(bench_pairs.PAIRS)]
+    assert rounds == {"parent": [1] * bench_pairs.PAIRS,
+                      "change": [seed % 2 + 1 for seed in seeds]}

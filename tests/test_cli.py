@@ -141,6 +141,20 @@ def test_slot_and_seed_counts_below_one_exit_2_before_any_work(argv, tmp_path, c
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_slots_below_one_exits_2_before_any_work(cap, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("build_solution", "load_scenario"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "tiny-sym", "--max-slots", cap, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --max-slots: must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_learning_with_clearing_fails_before_coordination(tmp_path, capsys):
     assert main(["run", "--scenario", "illustration-2user", "--solution",
                  "proposed-learning", "--clearing", "--out", str(tmp_path)]) == 2

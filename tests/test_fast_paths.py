@@ -8,13 +8,16 @@ user MDP's per-action loops (traffic kernel, policy chain, post-decision
 kernel, action lookups by re-walking `iter_actions`, a fresh `spsolve` for
 each exact evaluation in place of the kept LU factor), the joint kernel's
 loop over (joint state, joint action) pairs with its `choices` callback,
-the frozen-rule `replay` (evaluation replay, clearing calibration,
-uniform-price usage) deciding every slot afresh and stepping it through
+the exact evaluation asking `sent_actions` at every joint state in place
+of the table solutions' one array pass, the frozen-rule `replay`
+(evaluation replay, clearing calibration, uniform-price usage) deciding
+every slot afresh and stepping it through
 `SlotSystem.advance` instead of walking memoised transitions once per
 `slot_key` on block-drawn uniforms, the episode loop doing the same and
 building every record afresh, the slot step drawing each entering DU and
-each channel with its own scalar sampler call, and the per-user trim and
-inflate loops of the band scaling.
+each channel with its own scalar sampler call, the per-user trim and
+inflate loops of the band scaling, and the slot-by-slot fills and trims in
+place of their row-array forms.
 Results must agree exactly (==), not approximately. The one exception is the
 user MDP's policy-iteration solve: its reference, value iteration, stops at
 a tolerance, so the two agree within it.
@@ -22,6 +25,7 @@ a tolerance, so the two agree within it.
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice, product
@@ -35,7 +39,7 @@ from hypothesis import strategies as st
 
 from conftest import context_edges
 from wvsched import harness, oracle, pricing
-from wvsched.baselines import scale_up_to_budget
+from wvsched.baselines import scale_rows_up_to_budget, scale_up_to_budget
 from wvsched.harness import (
     DecomposedAgent,
     ProposedSolution,
@@ -73,14 +77,23 @@ from wvsched.model import (
 from wvsched.oracle import JointSpace
 from wvsched.pricing import (
     JointChannel,
+    PriceTable,
     SlotSystem,
     replay,
+    scale_rows_to_budget,
     scale_to_budget,
     slot_key,
     slot_requests,
 )
 from wvsched.scenario import preset
-from wvsched.scheduling import SingleDuModel, build_du_tables, decomposed_schedule
+from wvsched.scheduling import (
+    SingleDuModel,
+    _fill,
+    build_du_tables,
+    decomposed_schedule,
+    fill_rows,
+    hdf_schedule,
+)
 
 EXAMPLES = 300
 
@@ -1232,6 +1245,64 @@ def test_budget_scaling_equals_impact_order_loops(inst):
         contexts, actions, buffers, rates, bits, bandwidth)]
 
 
+@st.composite
+def band_rows(draw_):
+    """1-3 users' contexts, each with the same 1-5 rows (slots) of buffers
+    and feasible actions, a rate per user and row, and a band from far below
+    to far above the requests; rows that request nothing are common."""
+    n_rows = draw_(st.integers(1, 5))
+    contexts, buffers, actions, rates = [], [], [], []
+    for _ in range(draw_(st.integers(1, 3))):
+        ctx = draw_(instances())[4]
+        buf = [[draw_(st.integers(0, s.du.max_size)) for s in ctx.slots] for _ in range(n_rows)]
+        act = [[draw_(st.integers(0, x)) for x in row] for row in buf]
+        contexts.append(ctx)
+        buffers.append(np.array(buf, dtype=np.int64).reshape(n_rows, len(ctx)))
+        actions.append(np.array(act, dtype=np.int64).reshape(n_rows, len(ctx)))
+        rates.append(np.array([draw_(st.sampled_from([1.0, 2.0, 3.0, 4.5]))
+                               for _ in range(n_rows)]))
+    bits = draw_(st.sampled_from([0.5, 1.0]))
+    bandwidth = draw_(st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                                st.floats(0.01, 20.0, allow_nan=False)))
+    return contexts, buffers, actions, rates, bits, bandwidth
+
+
+def as_rows(sends: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(row) for row in sends.tolist()]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(band_rows(), st.data())
+def test_row_fill_and_trims_equal_slot_by_slot_calls(inst, data):
+    """`fill_rows` is `_fill` (in any order) and `hdf_schedule` row by row,
+    and the row trims are `scale_to_budget` and `scale_up_to_budget` slot by
+    slot, with no numpy warning where a row requests nothing."""
+    contexts, buffers, actions, rates, bits, bandwidth = inst
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ctx, buf in zip(contexts, buffers):
+            caps = np.array([data.draw(st.integers(0, 12)) for _ in range(len(buf))])
+            ranked = data.draw(st.permutations(range(len(ctx))))
+            got = fill_rows(buf, caps, ranked)
+            assert got.dtype == np.int64
+            assert as_rows(got) == [_fill(ctx, b, c, ranked).sends
+                                    for b, c in zip(buf.tolist(), caps.tolist())]
+            assert as_rows(fill_rows(buf, caps, ctx.impact_order())) == \
+                [hdf_schedule(ctx, b, c).sends for b, c in zip(buf.tolist(), caps.tolist())]
+            with pytest.raises(ModelError, match="capacity must be >= 0"):
+                fill_rows(buf, caps - caps.max() - 1, ranked)
+        down = scale_rows_to_budget(contexts, actions, rates, bits, bandwidth)
+        up = scale_rows_up_to_budget(contexts, actions, buffers, rates, bits, bandwidth)
+    for k in range(len(rates[0])):
+        acts = [ScheduleAction(tuple(a[k].tolist())) for a in actions]
+        bufs = [tuple(b[k].tolist()) for b in buffers]
+        slot_rates = [r[k] for r in rates]
+        assert [tuple(d[k].tolist()) for d in down] == [a.sends for a in scale_to_budget(
+            contexts, acts, slot_rates, bits, bandwidth)]
+        assert [tuple(u[k].tolist()) for u in up] == [a.sends for a in scale_up_to_budget(
+            contexts, acts, bufs, slot_rates, bits, bandwidth)]
+
+
 # ---------------------------------------------------------------------------
 # User MDP action table
 # ---------------------------------------------------------------------------
@@ -1475,7 +1546,7 @@ def test_joint_kernel_callers_equal_pair_loop(inst):
     assert got.tobytes() == values.tobytes()
 
 
-@pytest.mark.parametrize("name", ["myopic", "proposed"])
+@pytest.mark.parametrize("name", ["myopic", "proposed", "proposed-full", "mu-mdp-full"])
 def test_evaluate_solution_equals_pair_loop(name):
     sc = replace(preset("tiny-asym"), channel_correlation="independent")
     sol = build_solution(sc, name)
@@ -1491,3 +1562,113 @@ def test_evaluate_solution_equals_pair_loop(name):
         got, _ = oracle.evaluate_solution(sc, sol)
     assert_same_kernel(built, kernel, reward, starts)
     assert got.tobytes() == values.tobytes()
+
+
+# (per-user sends, per-user buffers, rates, bits per packet, band) of one
+# slot where some user's gamma * total falls just short of an integer, so
+# only the 1e-9 in floor(gamma * total + 1e-9) gives the scalar budget
+ROUNDING_EDGES = [
+    ([(4, 3, 3), (2, 2)], [(9, 9, 9), (9, 9)], [1.0, 2.0], 0.5, 2.4),     # trim
+    ([(1, 1, 1), (3, 2)], [(9, 9, 9), (9, 9)], [3.0, 1.0], 1.0, 2.4),     # trim
+    ([(3, 2, 2)], [(20, 20, 20)], [3.0], 0.5, 7.5),                       # inflate
+    ([(2, 2, 2), (3, 2)], [(20, 20, 20), (9, 9)], [4.5, 3.0], 1.0, 13.2),  # inflate
+]
+
+
+@pytest.mark.parametrize("sends, buffers, rates, bits, bandwidth", ROUNDING_EDGES)
+def test_row_trims_keep_the_scalar_budget_rounding(sends, buffers, rates, bits, bandwidth):
+    """At budgets on the rounding edge, and beside a row that sends nothing,
+    the row trims give the scalar trims' sends."""
+    contexts = [t.context(1) for t in preset("tiny-priced").templates][:len(sends)]
+    usage = bandwidth_usage([sum(a) for a in sends], rates, bits)
+    gamma = bandwidth / usage
+    assert any(np.floor(gamma * sum(a)) != np.floor(gamma * sum(a) + 1e-9) for a in sends)
+    acts = [ScheduleAction(a) for a in sends]
+    rows = [np.array([a, (0,) * len(a)], dtype=np.int64) for a in sends]
+    bufs = [np.array([b, b], dtype=np.int64) for b in buffers]
+    row_rates = [np.array([r, r]) for r in rates]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        down = scale_rows_to_budget(contexts, rows, row_rates, bits, bandwidth)
+        up = scale_rows_up_to_budget(contexts, rows, bufs, row_rates, bits, bandwidth)
+    assert [tuple(d[0].tolist()) for d in down] == \
+        [a.sends for a in scale_to_budget(contexts, acts, rates, bits, bandwidth)]
+    assert [tuple(u[0].tolist()) for u in up] == \
+        [a.sends for a in scale_up_to_budget(contexts, acts, buffers, rates, bits, bandwidth)]
+    assert all(not d[1].any() and not u[1].any() for d, u in zip(down, up))
+
+
+@contextmanager
+def recorded_sends():
+    """Record the sends array of every user row set the exact evaluation
+    builds while open."""
+    seen = []
+    user_rows = oracle._user_rows
+
+    def record(layout, user, bits_per_packet, state, sends):
+        seen.append(sends.copy())
+        return user_rows(layout, user, bits_per_packet, state, sends)
+
+    oracle._user_rows = record
+    try:
+        yield seen
+    finally:
+        oracle._user_rows = user_rows
+
+
+def full_solutions(sc: ScenarioConfig, prices) -> list:
+    """proposed-full and mu-mdp-full with full agents refreshed at the drawn
+    per-state prices (and at their mean as the one uniform price), without
+    coordination or bisection."""
+    prop = ProposedSolution(sc, agent_kind="full")
+    prop.name = "proposed-full"
+    prop.agents = make_agents(sc, "full")
+    prop.prices = PriceTable()
+    prop.prices.lam.update(prices)
+    for a in prop.agents:
+        a.refresh(a.view.price_vector(prices, sc.bits_per_packet))
+    uni = UniformPriceSolution(sc, agent_kind="full")
+    uni.name = "mu-mdp-full"
+    uni.agents = make_agents(replace(sc, price_view="expected"), "full")
+    uni.price = float(np.mean(list(prices.values())))
+    for a in uni.agents:
+        a.refresh(uni.price * sc.bits_per_packet / np.asarray(a.view.rate))
+    return [prop, uni]
+
+
+def outcome(call):
+    """(sends arrays built, value bytes, None) of an evaluation, or (None,
+    None, message) if it raised ModelError."""
+    with recorded_sends() as seen:
+        try:
+            values, _ = call()
+        except ModelError as exc:
+            return None, None, str(exc)
+    return seen, values.tobytes(), None
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(joint_scenarios())
+def test_table_rule_sends_equal_the_per_state_rule(inst):
+    """The array path of `evaluate_solution` (proposed-full and mu-mdp-full)
+    hands the kernel build the same per-user sends as asking `sent_actions`
+    at every joint state, on generated instances with quality floors, beta >
+    0, common or independent channels and binding bands; it leaves the
+    decision cache empty."""
+    sc, prices = inst
+    states = JointChannel(sc.channels, sc.channel_correlation).all_states()
+    for sol in full_solutions(sc, prices):
+        def rule(jphase, buffers, c0):
+            ctxs = [t.context(jphase % t.period) for t in sc.templates]
+            return sol.sent_actions(states[c0], ctxs, buffers).sent
+
+        fast = outcome(lambda: oracle.evaluate_solution(sc, sol))
+        assert not sol._cache
+        ref = outcome(lambda: oracle.joint_value_of(sc, rule))
+        assert fast[2] == ref[2]
+        if ref[2] is None:
+            assert len(fast[0]) == len(ref[0]) == len(sc.users)
+            for got, want in zip(fast[0], ref[0]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert fast[1] == ref[1]
+

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wvsched import harness
 from wvsched.harness import (
     DriftAgent,
     EpisodeTrace,
@@ -524,6 +526,78 @@ def test_sends_over_the_band_raise_in_episodes_and_evaluation():
         run_episode(sc, sol, 50, np.random.default_rng(1))
     with pytest.raises(ModelError, match="of the band"):
         oracle.evaluate_solution(sc, sol)
+
+
+def _tiny_table_solution(name: str):
+    sc = preset("tiny-sym")
+    sol = build_solution(sc, name)
+    sol.prepare(np.random.default_rng(sc.seed))
+    return sc, sol
+
+
+@pytest.mark.parametrize("name", ["proposed-full", "mu-mdp-full"])
+def test_table_evaluation_leaves_the_decision_cache_empty_and_warns_nothing(name):
+    """The array path decides every joint state without `sent_actions`, so
+    the decision cache stays empty, and states that send nothing (usage 0)
+    give no numpy warning."""
+    sc, sol = _tiny_table_solution(name)
+    assert not sol._cache
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, value = oracle.evaluate_solution(sc, sol)
+    assert not sol._cache
+    assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("name", ["proposed-full", "mu-mdp-full"])
+def test_table_evaluation_raises_the_band_overrun_of_shares(name, monkeypatch):
+    """With the trims passing the sends through, the array path and the
+    per-state rule raise the same `_shares` error at the same joint state."""
+    sc, sol = _tiny_table_solution(name)
+    for trim in ("scale_rows_to_budget", "scale_rows_up_to_budget"):
+        monkeypatch.setattr(harness, trim, lambda contexts, sends, *args: sends)
+    for trim in ("scale_to_budget", "scale_up_to_budget"):
+        monkeypatch.setattr(harness, trim, lambda contexts, actions, *args: list(actions))
+    with pytest.raises(ModelError, match="of the band") as fast:
+        oracle.evaluate_solution(sc, sol)
+    states = JointChannel(sc.channels, sc.channel_correlation).all_states()
+
+    def rule(jphase, buffers, c0):
+        ctxs = [t.context(jphase % t.period) for t in sc.templates]
+        return sol.sent_actions(states[c0], ctxs, buffers).sent
+
+    with pytest.raises(ModelError, match="of the band") as ref:
+        joint_value_of(sc, rule)
+    assert str(fast.value) == str(ref.value)
+    assert str(fast.value).startswith(f"{name}: sends take ")
+
+
+class _ArraySolution:
+    """A stand-in whose array rule sends `sends(buffers)`."""
+
+    def __init__(self, sends):
+        self.sends = sends
+
+    def sent_arrays(self, states, c0, contexts, buffers):
+        return [self.sends(b) for b in buffers]
+
+
+def test_array_rule_is_checked_like_the_per_state_rule():
+    sc = preset("tiny-sym")
+    whole, _ = oracle.evaluate_solution(sc, _ArraySolution(lambda b: b))
+    send_all, _ = joint_value_of(sc, lambda jphase, buffers, c0: _send_all(buffers))
+    assert whole.tobytes() == send_all.tobytes()
+    wide = _ArraySolution(lambda b: np.hstack([b, np.zeros((len(b), 1), dtype=b.dtype)]))
+    with pytest.raises(ModelError, match="context widths are"):
+        oracle.evaluate_solution(sc, wide)
+    one_user = _ArraySolution(lambda b: b)
+    one_user.sent_arrays = lambda states, c0, contexts, buffers: buffers[:1]
+    with pytest.raises(ModelError, match="context widths are"):
+        oracle.evaluate_solution(sc, one_user)
+    with pytest.raises(ModelError, match=r"joint state 0 has user 0 send \(1, 1\) from buffer \(0, 0\)"):
+        oracle.evaluate_solution(sc, _ArraySolution(lambda b: b + 1))
+    with pytest.raises(ModelError, match=r"joint state 0 has user 0 send \(-1, -1\) from buffer \(0, 0\)"):
+        oracle.evaluate_solution(sc, _ArraySolution(lambda b: b - 1))
 
 
 def test_drift_agent_fills_by_position_and_bids_its_drift():

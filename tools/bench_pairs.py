@@ -15,7 +15,9 @@ run, the change wins at least nine tenths of the pairs, and its median is
 better than the parent's by more than the parent's interquartile range.
 Each metric also gets a no-regression verdict against its relative
 ``bound`` in BENCHMARK.json (see `verdict`), and the record holds every
-run's fingerprint status and failed-operation count. After
+run's fingerprint status, failed-operation count and number of rounds
+(how many whole rounds of the workload fit in the run; `peak_rss_mb` is
+comparable only between runs of equal rounds). After
 the pairs, each checkout runs every workload once more with ``--trace 1``
 at FIRST_SEED; the record keeps those per-layer metrics under
 ``per_layer``, per workload and side.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -48,15 +51,26 @@ def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> d
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or not lines:
+    if proc.returncode not in (0, 1) or not proc.stdout.strip():
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}")
+    return parse_run(proc.stdout, workload)
+
+
+def parse_run(stdout: str, workload: str) -> dict:
+    """A benchmark process's stdout: the metrics of its last line, the
+    fingerprint status, the failed operations and the rounds it ran, read
+    from its `<workload>: N round(s)` line."""
+    lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     status = next((ln.split(":", 1)[1].strip() for ln in lines
                    if ln.startswith("fingerprint:")), "missing")
+    counted = (re.match(rf"{re.escape(workload)}: (\d+) round\(s\)", ln) for ln in lines)
+    rounds = next((int(m.group(1)) for m in counted if m), None)
+    if rounds is None:
+        raise RuntimeError(f"no '{workload}: N round(s)' line in the benchmark output")
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "fingerprint": status, "failed": result["failed"]}
+            "fingerprint": status, "failed": result["failed"], "rounds": rounds}
 
 
 def summary(runs: list[float]) -> dict:
@@ -126,6 +140,7 @@ def main(argv=None) -> int:
                 runs[w][side].append(out)
                 print(f"pair {k + 1}/{PAIRS} seed {seed} {w} {side}: "
                       f"prepare_s {out['metrics'].get('prepare_s', float('nan')):.3f}, "
+                      f"{out.get('rounds')} round(s), "
                       f"fingerprint {out['fingerprint']}", flush=True)
 
     per_layer = {w: {side: run_once(sides[side], w, FIRST_SEED, trace=True)["metrics"]
@@ -142,10 +157,11 @@ def main(argv=None) -> int:
                          "range exceeds the bound; else worse",
               "workloads": {}}
     for w in names:
-        entry = {"metrics": {}, "fingerprint": {}, "failed": {}}
+        entry = {"metrics": {}, "fingerprint": {}, "failed": {}, "rounds": {}}
         for side in sides:
             entry["fingerprint"][side] = [r["fingerprint"] for r in runs[w][side]]
             entry["failed"][side] = [r["failed"] for r in runs[w][side]]
+            entry["rounds"][side] = [r.get("rounds") for r in runs[w][side]]
         ok = sound(runs[w]["parent"], runs[w]["change"])
         for metric, direction in better.items():
             parent = [r["metrics"][metric] for r in runs[w]["parent"]]
