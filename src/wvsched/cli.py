@@ -38,13 +38,23 @@ from wvsched.scenario import ScenarioError, list_presets, load_scenario
 REPLAY_CHANNELS = {"illustration-2user": [0, 1, 1, 1, 0]}
 
 
+def _at_least(low: int, text: str) -> int:
+    n = int(text)
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+    return n
+
+
 def count(text: str) -> int:
     """An integer of at least 1 (slot and seed counts, the price-iteration
     slot cap); argparse exits 2 on anything else, before any work starts."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+    return _at_least(1, text)
+
+
+def seed(text: str) -> int:
+    """A random seed, an integer of at least 0; argparse exits 2 on anything
+    else, before any work starts."""
+    return _at_least(0, text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -57,7 +67,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--solution", default=None,
                      help="defaults to the scenario's solver field")
     run.add_argument("--slots", type=count, default=300)
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=seed, default=None)
     run.add_argument("--clearing", action="store_true",
                      help="per-slot price clearing instead of proportional trims")
     run.add_argument("--max-slots", type=count, default=120_000,
@@ -69,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--solutions", default="proposed,mu-mdp,lyapunov,myopic")
     cmp_.add_argument("--slots", type=count, default=300)
     cmp_.add_argument("--seeds", type=count, default=5)
-    cmp_.add_argument("--seed", type=int, default=None)
+    cmp_.add_argument("--seed", type=seed, default=None)
     cmp_.add_argument("--clearing", action="store_true")
     cmp_.add_argument("--out", default="out")
 
@@ -85,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     lrn = sub.add_parser("learn", help="single-user post-decision learning curve")
     lrn.add_argument("--scenario", default="pds-toy")
     lrn.add_argument("--slots", type=count, default=30_000)
-    lrn.add_argument("--seed", type=int, default=None)
+    lrn.add_argument("--seed", type=seed, default=None)
     lrn.add_argument("--out", default="out")
 
     sub.add_parser("presets", help="list shipped scenario presets")

@@ -61,9 +61,12 @@ from wvsched.pricing import (
     walk,
 )
 from wvsched.scheduling import (
+    SCHEDULER_RANKS,
     SIMPLE_SCHEDULERS,
     build_du_tables,
     decomposed_schedule,
+    fill_rows,
+    packet_capacities,
     packet_capacity,
 )
 
@@ -93,6 +96,7 @@ class DecomposedAgent(PricedAgent):
                 "the decomposed scheduler does not support them")
         super().__init__(user, view, discount)
         self.tables = None
+        self.resolves = 0                # solves made by refresh
 
     def refresh(self, price_vec: np.ndarray) -> None:
         if self.tables is not None and np.array_equal(price_vec, self.price_vec):
@@ -100,6 +104,7 @@ class DecomposedAgent(PricedAgent):
         self.price_vec = np.asarray(price_vec, dtype=float)
         self.tables = build_du_tables(self.template, self.view, self.discount,
                                       self.price_vec)
+        self.resolves += 1
 
     def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
         return decomposed_schedule(context, buffer, view_state, lam,
@@ -291,9 +296,18 @@ class Solution:
             if sends is None:
                 return None
             raw.append(sends)
+        rates = self._row_rates(states, c0)
+        return self._within_band(states, c0, trim(raw, rates), rates)
+
+    def _row_rates(self, states, c0) -> list[np.ndarray]:
+        """Each user's rate at every row of a `sent_arrays` call."""
         own = np.array(states).T[:, c0]
-        rates = [u.channel.rate[h] for u, h in zip(sc.users, own)]
-        sent = trim(raw, rates)
+        return [u.channel.rate[h] for u, h in zip(self.scenario.users, own)]
+
+    def _within_band(self, states, c0, sent, rates) -> list[np.ndarray]:
+        """`sent`, after `_shares`' band check on every row, raised at the
+        first row that overruns."""
+        sc = self.scenario
         shares = sum(s.sum(axis=1) * sc.bits_per_packet / r / sc.bandwidth
                      for s, r in zip(sent, rates))
         over = np.flatnonzero(shares > 1 + 1e-9)
@@ -509,6 +523,21 @@ class PairedSolution(Solution):
                     for i, u in enumerate(sc.users)]
         decision = self.proposed.sent_actions(s0, contexts, buffers)
         return [a.total for a in decision.sent]
+
+    def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
+        """Static shares then the scheduler's ranked fill, at every row: each
+        row's `packet_capacities` at its user's rate, `fill_rows` in the
+        scheduler's rank, then the band check. None when the capacities come
+        from `proposed`, or the scheduler has no fixed rank."""
+        rank = SCHEDULER_RANKS.get(self.scheduler)
+        if self.proposed is not None or rank is None:
+            return None
+        sc = self.scenario
+        rates = self._row_rates(states, c0)
+        sent = [fill_rows(buf, packet_capacities(share, sc.bandwidth, r, sc.bits_per_packet),
+                          rank(ctx))
+                for share, r, ctx, buf in zip(self.shares, rates, contexts, buffers)]
+        return self._within_band(states, c0, sent, rates)
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
         sc = self.scenario

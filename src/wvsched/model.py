@@ -162,6 +162,42 @@ class Context:
         return f"Context(phase={self.phase}, [{names}])"
 
 
+class DuLayout:
+    """DUs grouped by (distortion impact, max size) kind and laid out as one
+    flat triangle, so that one backward induction solves every kind.
+
+    Rows are (kind, buffer x) pairs: kind k's x = 0..cap sit at rows
+    row_start[k] + x. Cells are (kind, x, send y <= x) triples: row r's
+    y = 0..x sit at cells seg_start[r] + y. Per cell, `cell_y` is its send,
+    `cell_kind` its kind, `cell_row` its row and `cell_src` the row of the
+    buffer x - y it leaves. `kind_of[i]` is the kind of the i-th DU, and
+    `du_rows[du_slices[i]]` are its kind's rows. Nothing here depends on
+    prices, channel views or the discount.
+    """
+
+    __slots__ = ("kinds", "kind_of", "impacts", "row_start", "seg_start",
+                 "cell_y", "cell_kind", "cell_row", "cell_src", "du_rows", "du_slices")
+
+    def __init__(self, dus: Sequence[DataUnitSpec]):
+        index: dict[tuple[float, int], int] = {}
+        self.kind_of = tuple(index.setdefault((du.distortion_impact, du.max_size), len(index))
+                             for du in dus)
+        self.kinds = tuple(index)
+        caps = np.array([cap for _, cap in self.kinds], dtype=np.intp)
+        self.impacts = np.array([q for q, _ in self.kinds], dtype=float)
+        self.row_start = np.concatenate(([0], np.cumsum(caps + 1)))
+        xs = np.concatenate([np.arange(cap + 1) for cap in caps])
+        self.seg_start = np.concatenate(([0], np.cumsum(xs + 1)[:-1]))
+        self.cell_row = np.repeat(np.arange(len(xs)), xs + 1)
+        self.cell_y = np.arange(len(self.cell_row)) - self.seg_start[self.cell_row]
+        self.cell_kind = np.repeat(np.arange(len(caps)), caps + 1)[self.cell_row]
+        self.cell_src = self.cell_row - self.cell_y
+        self.du_rows = np.concatenate([np.arange(self.row_start[k], self.row_start[k + 1])
+                                       for k in self.kind_of])
+        ends = np.cumsum(caps[list(self.kind_of)] + 1).tolist()
+        self.du_slices = tuple(map(slice, [0] + ends[:-1], ends))
+
+
 # most (phase, buffer, sends) steps one template memoises: about 10 MB at the
 # ~630 bytes an entry holds, against under 2,000 entries in the perfbench
 # workloads and 85,000 after 120,000 slots of random sends on illustration-2user
@@ -281,6 +317,11 @@ class GopTemplate:
 
     def du(self, du_id: int) -> DataUnitSpec:
         return self._by_id[du_id]
+
+    @cached_property
+    def du_layout(self) -> DuLayout:
+        """The `DuLayout` of this template's DUs, built on first use."""
+        return DuLayout(self.dus)
 
     def transition(self, context: Context, buffer: tuple[int, ...],
                    sends: tuple[int, ...]) -> "Transition":

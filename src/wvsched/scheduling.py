@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from wvsched.model import Context, GopTemplate, ModelError, ScheduleAction
+from wvsched.model import Context, DuLayout, GopTemplate, ModelError, ScheduleAction
 from wvsched.mdp import ChannelView
 
 
@@ -38,32 +38,41 @@ class SingleDuModel:
         self.cap = du.max_size
 
     def solve(self, price: np.ndarray) -> "DuValueTable":
-        """Backward induction over ages at a per-view-state price.
+        """`backward_induction` of this DU's kind alone."""
+        values, post, best_send, margin = backward_induction(
+            DuLayout((self.du,)), self.window, self.view, self.discount, price)
+        return DuValueTable(self, values, post, best_send, margin[0])
 
-        Each age takes one masked max over the (send y, buffer x, view) grid
-        of q = y * margin + delta * post[age, x - y]; cells with y > x are
-        -inf. Returns the value and post-decision tables, the smallest
-        maximising send per (age, x, view) and the per-view margins
-        (1-delta)(impact - price) they were solved at.
-        """
-        n_view = len(self.view)
-        w, cap, delta = self.window, self.cap, self.discount
-        values = np.zeros((w + 1, cap + 1, n_view))       # values[w] == 0 terminal
-        post = np.zeros((w, cap + 1, n_view))
-        best_send = np.zeros((w, cap + 1, n_view), dtype=np.intp)
-        margin = (1.0 - delta) * (self.du.distortion_impact - np.asarray(price))
-        ys = np.arange(cap + 1)[:, None]
-        infeasible = ys > ys.T                            # [y, x]: y > x
-        after = np.where(infeasible, 0, ys.T - ys)        # x - y, 0 where masked
-        gain = ys[:, :, None] * margin                    # [y, 1, v]
-        for age in range(w - 1, -1, -1):
-            if age < w - 1:
-                post[age] = values[age + 1] @ self.view.transition.T
-            q = gain + delta * post[age][after]
-            q[infeasible] = -np.inf
-            best_send[age] = q.argmax(axis=0)
-            values[age] = q.max(axis=0)
-        return DuValueTable(self, values, post, best_send, margin)
+
+def backward_induction(layout: DuLayout, window: int, view: ChannelView,
+                       discount: float, price) -> tuple[np.ndarray, ...]:
+    """Backward induction over ages for every kind of `layout` at once, at a
+    per-view-state price.
+
+    Each age takes, over every cell (kind, x, y <= x) of the layout,
+    q = y * margin + delta * post[age, x - y] with
+    post[age] = values[age + 1] @ transition.T (0 at the last age), and the
+    max of each row's cells. Returns values[age, row, view] (ages 0..window,
+    values[window] == 0), post[age, row, view], the smallest exact maximiser
+    best_send[age, row, view] (no tolerance on ties) and the per-kind margins
+    margin[kind, view] = (1-delta)(impact - price).
+    """
+    delta = float(discount)
+    n_rows, n_view = layout.row_start[-1], len(view)
+    margin = (1.0 - delta) * (layout.impacts[:, None] - np.asarray(price))
+    gain = layout.cell_y[:, None] * margin.take(layout.cell_kind, axis=0)
+    values = np.zeros((window + 1, n_rows, n_view))
+    post = np.zeros((window, n_rows, n_view))
+    q = np.empty((window, len(gain), n_view))
+    for age in range(window - 1, -1, -1):
+        if age < window - 1:
+            post[age] = values[age + 1] @ view.transition.T
+        np.add(gain, delta * post[age].take(layout.cell_src, axis=0), out=q[age])
+        values[age] = np.maximum.reduceat(q[age], layout.seg_start)
+    hit = q == values[:window].take(layout.cell_row, axis=1)
+    best_send = np.minimum.reduceat(np.where(hit, layout.cell_y[:, None], len(gain)),
+                                    layout.seg_start, axis=1)
+    return values, post, best_send, margin
 
 
 @dataclass
@@ -77,11 +86,6 @@ class DuValueTable:
     post: np.ndarray
     best_send: np.ndarray
     margin: np.ndarray
-
-    def copy_for(self, model: SingleDuModel) -> "DuValueTable":
-        """The same solution under another DU's model, with its own arrays."""
-        return DuValueTable(model, self.values.copy(), self.post.copy(),
-                            self.best_send.copy(), self.margin.copy())
 
     def post_slice(self, age: int, x: int, view_state: int) -> np.ndarray:
         """Continuations for sends y = 0..x, i.e. post[age, x - y] vectorized."""
@@ -107,19 +111,23 @@ def build_du_tables(template: GopTemplate, view: ChannelView, discount: float,
                     price: np.ndarray) -> dict[int, DuValueTable]:
     """Per-DU tables at the given per-view-state price, keyed by du_id.
 
-    The solve reads only a DU's distortion impact and maximum size, so each
-    distinct (distortion_impact, max_size) is solved once; every du_id still
-    gets its own SingleDuModel and its own copy of the arrays.
+    The solve reads only a DU's distortion impact and maximum size, so one
+    `backward_induction` over the template's `du_layout` solves every
+    (distortion_impact, max_size) kind. One gather per array then gives
+    every DU its own rows, so each du_id gets its own SingleDuModel and
+    arrays that share no element with another DU's.
     """
-    solved: dict[tuple[float, int], DuValueTable] = {}
+    layout = template.du_layout
+    values, post, best_send, margin = backward_induction(
+        layout, template.window, view, discount, price)
+    values, post, best_send = (a.take(layout.du_rows, axis=1)
+                               for a in (values, post, best_send))
     tables = {}
-    for du in template.dus:
-        model = SingleDuModel(du, template.window, view, discount)
-        kind = (du.distortion_impact, du.max_size)
-        if kind in solved:
-            tables[du.du_id] = solved[kind].copy_for(model)
-        else:
-            tables[du.du_id] = solved[kind] = model.solve(price)
+    for du, rows, du_margin in zip(template.dus, layout.du_slices,
+                                   margin.take(layout.kind_of, axis=0)):
+        tables[du.du_id] = DuValueTable(
+            SingleDuModel(du, template.window, view, discount),
+            values[:, rows], post[:, rows], best_send[:, rows], du_margin)
     return tables
 
 
@@ -179,19 +187,27 @@ def fill_rows(buffers: np.ndarray, capacity: np.ndarray, ranked: Sequence[int]) 
     return sends
 
 
+def edf_rank(context: Context) -> list[int]:
+    """Ascending deadline; ties prefer higher impact, then position."""
+    return sorted(range(len(context)),
+                  key=lambda i: (context.slots[i].remaining,
+                                 -context.slots[i].du.distortion_impact, i))
+
+
+def fifo_rank(context: Context) -> list[int]:
+    """Arrival order: earlier GOP first, then DU id."""
+    return sorted(range(len(context)),
+                  key=lambda i: (context.slots[i].key[0], context.slots[i].key[1]))
+
+
 def edf_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
-    """Fill capacity in ascending deadline order; ties prefer higher impact."""
-    ranked = sorted(range(len(context)),
-                    key=lambda i: (context.slots[i].remaining,
-                                   -context.slots[i].du.distortion_impact, i))
-    return _fill(context, buffer, capacity, ranked)
+    """Fill capacity in `edf_rank` order."""
+    return _fill(context, buffer, capacity, edf_rank(context))
 
 
 def fifo_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
-    """Fill capacity in arrival order (earlier GOP first, then DU id)."""
-    ranked = sorted(range(len(context)),
-                    key=lambda i: (context.slots[i].key[0], context.slots[i].key[1]))
-    return _fill(context, buffer, capacity, ranked)
+    """Fill capacity in `fifo_rank` order."""
+    return _fill(context, buffer, capacity, fifo_rank(context))
 
 
 def hdf_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
@@ -206,8 +222,22 @@ SIMPLE_SCHEDULERS = {
     "hdf": hdf_schedule,
 }
 
+# the fixed per-context rank each simple scheduler fills in, for `fill_rows`
+SCHEDULER_RANKS = {
+    edf_schedule: edf_rank,
+    fifo_schedule: fifo_rank,
+    hdf_schedule: Context.impact_order,
+}
+
+
+def packet_capacities(share: float, bandwidth: float, rates: np.ndarray,
+                      bits_per_packet: float) -> np.ndarray:
+    """Packets a user can push through its allocated bandwidth share, at
+    each of `rates`."""
+    return np.floor(share * bandwidth * rates / bits_per_packet + 1e-9).astype(np.int64)
+
 
 def packet_capacity(share: float, bandwidth: float, rate: float,
                     bits_per_packet: float) -> int:
-    """Packets a user can push through its allocated bandwidth share."""
-    return int(np.floor(share * bandwidth * rate / bits_per_packet + 1e-9))
+    """`packet_capacities` at one rate."""
+    return int(packet_capacities(share, bandwidth, rate, bits_per_packet))

@@ -141,6 +141,30 @@ def test_slot_and_seed_counts_below_one_exit_2_before_any_work(argv, tmp_path, c
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "tiny-sym", "--solution", "myopic", "--seed", "-1"],
+    ["compare", "--scenario", "tiny-sym", "--seed", "-1"],
+    ["learn", "--scenario", "pds-toy", "--seed", "-7"],
+    ["run", "--scenario", "tiny-sym", "--seed", "1.5"],
+])
+def test_seeds_below_zero_exit_2_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("build_solution", "load_scenario", "pds_learning_curve"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --seed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_seed_zero_is_a_seed(tmp_path):
+    assert main(["run", "--scenario", "tiny-sym", "--solution", "myopic", "--seed", "0",
+                 "--slots", "5", "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_max_slots_below_one_exits_2_before_any_work(cap, tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):

@@ -795,6 +795,87 @@ def test_each_du_gets_its_own_model_and_arrays(inst):
             assert not np.shares_memory(arrays[a], arrays[b])
 
 
+def assert_tables_match_reference(tpl, view, delta, price):
+    """Each DU's `build_du_tables` arrays are `reference_solve` of its own
+    model, byte for byte (so signed zeros count), with the margins it was
+    solved at."""
+    tables = build_du_tables(tpl, view, delta, price)
+    for du in tpl.dus:
+        tab = tables[du.du_id]
+        values, post, best_send = reference_solve(tab.model, price)
+        margin = (1.0 - delta) * (du.distortion_impact - np.asarray(price))
+        for got, want in ((tab.values, values), (tab.post, post),
+                          (tab.best_send, best_send), (tab.margin, margin)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(instances())
+def test_one_induction_over_all_kinds_equals_loop_solve_per_du(inst):
+    tpl, view, delta, price, *_ = inst
+    assert_tables_match_reference(tpl, view, delta, price)
+
+
+def _two_kinds(caps, window=3):
+    return GopTemplate([DataUnitSpec(0, "I", 4.0, 0, ((caps[0], 1.0),)),
+                        DataUnitSpec(1, "P", 1.5, 1, ((0, 0.5), (caps[1], 0.5)), (0,))],
+                       2, window)
+
+
+def _gop16_cases():
+    sc = preset("gop16-default")
+    return [(u.template, v, sc.discount, np.array([1.2, 1.4]))
+            for u, v in zip(sc.users, harness.build_views(sc))]
+
+
+TWO_STATE = ChannelModel(["bad", "good"], [1.0, 1.4], [2.0, 6.0], [[0.7, 0.3], [0.4, 0.6]])
+
+
+@pytest.mark.parametrize("case", [
+    "caps 1 and 40", "gop16", "one kind", "one DU", "joint view", "prices above impacts"])
+def test_one_induction_on_fixed_templates_equals_loop_solve_per_du(case):
+    common = common_view(TWO_STATE, 2)
+    if case == "caps 1 and 40":
+        cases = [(_two_kinds((1, 40)), common, 0.9, np.array([0.5, 2.0]))]
+    elif case == "gop16":
+        cases = _gop16_cases()
+        assert {cap for tpl, *_ in cases for _, cap in tpl.du_layout.kinds} == {2, 3, 6}
+        assert {tpl.window for tpl, *_ in cases} == {8}
+    elif case == "one kind":
+        dus = [DataUnitSpec(i, f"D{i}", 2.0, i, ((3, 1.0),)) for i in range(3)]
+        cases = [(GopTemplate(dus, 3, 2), common, 0.8, np.array([1.0, 2.5]))]
+        assert len(cases[0][0].du_layout.kinds) == 1
+    elif case == "one DU":
+        cases = [(GopTemplate([DataUnitSpec(0, "D", 2.0, 0, ((5, 1.0),))], 1, 4),
+                  common, 0.8, np.array([1.0, 2.5]))]
+    elif case == "joint view":
+        view = joint_view([TWO_STATE, TWO_STATE], 0)
+        assert len(view) == 4
+        cases = [(_two_kinds((2, 6), window=4), view, 0.95, np.array([0.3, 1.1, 2.0, 5.0]))]
+    else:
+        # every margin negative: each DU sends nothing, and y = 0's gain of
+        # 0 * margin = -0.0 plus a zero continuation reads +0.0
+        cases = [(_two_kinds((3, 5)), common, 0.0, np.array([7.0, 9.0]))]
+    for tpl, view, delta, price in cases:
+        assert_tables_match_reference(tpl, view, delta, price)
+
+
+def test_templates_with_equal_du_counts_get_their_own_layouts():
+    """The layout lives on its template: two live templates with as many DUs
+    but other caps each solve on their own rows."""
+    view = common_view(TWO_STATE, 2)
+    small, large = _two_kinds((2, 1)), _two_kinds((5, 3))
+    assert small.du_layout is small.du_layout
+    assert small.du_layout is not large.du_layout
+    assert small.du_layout.kinds == ((4.0, 2), (1.5, 1))
+    assert large.du_layout.kinds == ((4.0, 5), (1.5, 3))
+    for tpl, caps in ((small, (2, 1)), (large, (5, 3)), (small, (2, 1))):
+        tables = build_du_tables(tpl, view, 0.9, np.array([0.5, 2.0]))
+        assert [tables[i].values.shape[1] for i in (0, 1)] == [c + 1 for c in caps]
+        assert_tables_match_reference(tpl, view, 0.9, np.array([0.5, 2.0]))
+
+
 # ---------------------------------------------------------------------------
 # Decomposed scheduling
 # ---------------------------------------------------------------------------
@@ -1546,7 +1627,8 @@ def test_joint_kernel_callers_equal_pair_loop(inst):
     assert got.tobytes() == values.tobytes()
 
 
-@pytest.mark.parametrize("name", ["myopic", "proposed", "proposed-full", "mu-mdp-full"])
+@pytest.mark.parametrize("name", ["myopic", "myopic+fifo", "myopic+hdf", "proposed",
+                                  "proposed-full", "mu-mdp-full"])
 def test_evaluate_solution_equals_pair_loop(name):
     sc = replace(preset("tiny-asym"), channel_correlation="independent")
     sol = build_solution(sc, name)

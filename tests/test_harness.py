@@ -26,7 +26,7 @@ from wvsched.mdp import UserMdp, ValueTable, common_view
 from wvsched import oracle
 from wvsched.model import ModelError, ScheduleAction
 from wvsched.oracle import centralized_oracle, joint_value_of
-from wvsched.pricing import JointChannel, SlotSystem
+from wvsched.pricing import CoordinationError, JointChannel, SlotSystem, run_coordination
 from wvsched.scenario import ScenarioError, list_presets, load_scenario, preset
 
 PINNED = [0, 1, 1, 1, 0]  # good, bad, bad, bad, good
@@ -570,6 +570,72 @@ def test_table_evaluation_raises_the_band_overrun_of_shares(name, monkeypatch):
         joint_value_of(sc, rule)
     assert str(fast.value) == str(ref.value)
     assert str(fast.value).startswith(f"{name}: sends take ")
+
+
+@pytest.mark.parametrize("name", ["myopic", "myopic+fifo", "myopic+hdf"])
+def test_static_share_evaluation_asks_no_state_by_state(name, monkeypatch):
+    """Static shares then a simple scheduler's fill have an array form, so
+    exact evaluation never calls `sent_actions`."""
+    sc = preset("tiny-asym")
+    sol = build_solution(sc, name)
+    sol.prepare(np.random.default_rng(0))
+
+    def per_state(*args):
+        raise AssertionError("evaluated state by state")
+
+    monkeypatch.setattr(sol, "sent_actions", per_state)
+    _, value = oracle.evaluate_solution(sc, sol)
+    assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("name", ["myopic", "myopic+hdf"])
+def test_static_share_evaluation_raises_the_band_overrun_of_shares(name, monkeypatch):
+    """With capacities past every buffer, the array path and the per-state
+    rule raise the same `_shares` error at the same joint state."""
+    sc = preset("tiny-sym")
+    sol = build_solution(sc, name)
+    sol.prepare(np.random.default_rng(0))
+    monkeypatch.setattr(harness, "packet_capacities",
+                        lambda share, bandwidth, rates, bits: np.full(len(rates), 10**6))
+    monkeypatch.setattr(harness, "packet_capacity", lambda *args: 10**6)
+    with pytest.raises(ModelError, match="of the band") as fast:
+        oracle.evaluate_solution(sc, sol)
+    states = JointChannel(sc.channels, sc.channel_correlation).all_states()
+
+    def rule(jphase, buffers, c0):
+        ctxs = [t.context(jphase % t.period) for t in sc.templates]
+        return sol.sent_actions(states[c0], ctxs, buffers).sent
+
+    with pytest.raises(ModelError, match="of the band") as ref:
+        joint_value_of(sc, rule)
+    assert str(fast.value) == str(ref.value)
+    assert str(fast.value).startswith(f"{name}: sends take ")
+
+
+def test_decomposed_agents_count_the_solves_their_refreshes_make(monkeypatch):
+    """`DecomposedAgent.resolves` counts every table solve of a short gop16
+    coordination, and a refresh at an unchanged price adds none."""
+    sc = preset("gop16-default")
+    solves = []
+    build = harness.build_du_tables
+
+    def counted(template, view, discount, price):
+        solves.append(view)
+        return build(template, view, discount, price)
+
+    monkeypatch.setattr(harness, "build_du_tables", counted)
+    agents = harness.make_agents(sc, "decomposed")
+    with pytest.raises(CoordinationError):
+        run_coordination(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
+                         correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
+                         max_slots=60, rng=np.random.default_rng(sc.seed))
+    for agent in agents:
+        made = sum(v is agent.view for v in solves)
+        assert agent.resolves == made
+        assert 1 < made <= 60
+        agent.refresh(agent.price_vec.copy())
+        assert agent.resolves == made
+    assert len(solves) == sum(a.resolves for a in agents)
 
 
 class _ArraySolution:
