@@ -47,8 +47,19 @@ def _at_least(low: int, text: str) -> int:
 
 def count(text: str) -> int:
     """An integer of at least 1 (slot and seed counts, the price-iteration
-    slot cap); argparse exits 2 on anything else, before any work starts."""
+    slot cap, the oracle's state cap); argparse exits 2 on anything else,
+    before any work starts."""
     return _at_least(1, text)
+
+
+def solution_names(text: str) -> list[str]:
+    """Comma-separated solution names, blanks dropped and each name kept at
+    its first place; argparse exits 2 when none is left, before any work
+    starts."""
+    names = list(dict.fromkeys(n.strip() for n in text.split(",") if n.strip()))
+    if not names:
+        raise argparse.ArgumentTypeError("no solutions given")
+    return names
 
 
 def seed(text: str) -> int:
@@ -76,7 +87,8 @@ def _parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="run several solutions side by side")
     cmp_.add_argument("--scenario", required=True)
-    cmp_.add_argument("--solutions", default="proposed,mu-mdp,lyapunov,myopic")
+    cmp_.add_argument("--solutions", type=solution_names,
+                      default="proposed,mu-mdp,lyapunov,myopic")
     cmp_.add_argument("--slots", type=count, default=300)
     cmp_.add_argument("--seeds", type=count, default=5)
     cmp_.add_argument("--seed", type=seed, default=None)
@@ -85,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact centralized value on a tiny scenario")
     orc.add_argument("--scenario", required=True)
-    orc.add_argument("--cap", type=int, default=200_000)
+    orc.add_argument("--cap", type=count, default=200_000)
 
     rep = sub.add_parser("replay", help="replay a pinned channel sequence")
     rep.add_argument("--fixture", default="illustration-2user")
@@ -142,14 +154,13 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    # a solution listed twice is built, run and reported once
-    names = list(dict.fromkeys(n.strip() for n in args.solutions.split(",") if n.strip()))
+    # a solution listed twice is built, run and reported once (`solution_names`);
     # proposed, lyapunov and proposed+<sched> share one decomposed allocator;
     # each distinct object is prepared once, in list order
     shared = None
     prepared, solutions = set(), []
     prep_rng = np.random.default_rng(seed)
-    for name in names:
+    for name in args.solutions:
         sol = build_solution(scenario, name, proposed=shared,
                              **_allocator_kwargs(name, clearing=args.clearing))
         alloc = sol if isinstance(sol, ProposedSolution) else getattr(sol, "proposed", None)

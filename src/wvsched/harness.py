@@ -255,12 +255,33 @@ class Solution:
     """Base: offline prepare() then a deterministic per-slot transmission rule."""
 
     name = "abstract"
+    # `run_episode`'s walk memo: (the objects it was built under, the memo,
+    # its interned record parts); see `episode_memo`
+    _walks: tuple | None = None
 
     def prepare(self, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
         raise NotImplementedError
+
+    def _rule_state(self) -> tuple:
+        """The objects this solution's decisions derive from. Whatever
+        changes the rule replaces one of them, as re-pricing replaces the
+        decision cache."""
+        return ()
+
+    def episode_memo(self, scenario: ScenarioConfig) -> tuple[dict, dict]:
+        """`run_episode`'s `pricing.walk` memo for episodes on `scenario`, and
+        its table of interned record parts. Both are kept across episodes
+        while the frozen rule stands: while `scenario` and every object of
+        `_rule_state` are the ones they were built under. Any other call
+        drops them for new, empty ones."""
+        owners = (scenario, *self._rule_state())
+        walks = self._walks
+        if walks is None or any(a is not b for a, b in zip(walks[0], owners, strict=True)):
+            walks = self._walks = (owners, {}, {})
+        return walks[1], walks[2]
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
         """The sends of `sent_actions` at many slot states at once: row k of
@@ -324,7 +345,8 @@ class PricedRuntime(Solution):
     within-slot price search shrinks requests until they fit the band, then
     leftover capacity is granted to the highest-marginal-value packets users
     still hold, so the band ends up fully utilized. Decisions are cached on
-    `slot_key`; whatever re-prices the agents empties `_cache`.
+    `slot_key`; whatever re-prices the agents empties `_cache`, by replacing
+    it, which also drops `run_episode`'s walk memo.
     """
 
     def __init__(self, scenario: ScenarioConfig, clearing: bool = False):
@@ -352,6 +374,9 @@ class PricedRuntime(Solution):
         decision = SlotDecision(raw, sent, lam0, self._shares(sc, s0, sent))
         self._cache[key] = decision
         return decision
+
+    def _rule_state(self) -> tuple:
+        return (self._cache,)
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
         """Table agents' sends with the proportional trim; clearing has no
@@ -510,10 +535,16 @@ class PairedSolution(Solution):
         self.shares = None
 
     def prepare(self, rng: np.random.Generator) -> None:
+        self._walks = None
         if self.proposed is None:
             self.shares = myopic_static_shares(self.scenario.templates)
         elif self.proposed.prices is None:
             self.proposed.prepare(rng)
+
+    def _rule_state(self) -> tuple:
+        """The scheduler and, with `proposed`, its decision cache: the
+        capacities come from its decisions."""
+        return (self.scheduler, None if self.proposed is None else self.proposed._cache)
 
     def capacities(self, s0, contexts, buffers) -> list[int]:
         sc = self.scenario
@@ -631,6 +662,9 @@ class UniformPriceSolution(Solution):
         self._cache[key] = decision
         return decision
 
+    def _rule_state(self) -> tuple:
+        return (self._cache,)
+
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
         """Table agents' sends, inflated then trimmed."""
         sc = self.scenario
@@ -707,7 +741,7 @@ class EpisodeTrace:
     sent_totals: list[dict[str, int]] = field(default_factory=list)
     dropped_totals: list[dict[str, int]] = field(default_factory=list)
     remaining: list[dict[str, int]] = field(default_factory=list)
-    decisions: int = 0          # distinct slot states decided in the episode
+    decisions: int = 0          # distinct slot states the episode visited
 
 
 def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
@@ -717,10 +751,13 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
 
     A prepared solution's rule is frozen (see `PricedAgent.act`), so the
     episode is a fold over `pricing.walk`: each distinct `slot_key` is
-    decided once per call, with the record fields the key fixes, and each
-    slot's record is built from them and the walk's entering sizes. The
-    memo lives for this call only, and each record gets its own `traffic`
-    list and `dropped` dict.
+    decided once, with the record fields the key fixes, and each slot's
+    record is built from them, its buffer and the walk's entering sizes.
+    The memo lives with the solution (`Solution.episode_memo`), so a slot
+    state is decided once per frozen rule, not once per episode; it is
+    dropped when the solution is prepared again, when its decision cache is
+    replaced (re-pricing) and when it runs on another scenario object. Each
+    record gets its own `traffic` list and `dropped` dict.
     """
     sc = scenario
     n_users = len(sc.users)
@@ -747,37 +784,45 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
             arrived[name] = arrived.get(name, 0) + x
     totals = list(zip(trace.arrived, trace.sent_totals, trace.dropped_totals))
 
-    memo: dict[tuple, tuple] = {}
-    steps = walk(system, partial(_decided_slot, sc, solution), slots, memo, pins)
-    for t, (s0, (lam0, names, parts), moves, buffers) in enumerate(steps, 1):
+    memo, interned = solution.episode_memo(sc)
+    decided = set()             # ids of the memo entries visited; each key has its own
+    buffers = system.buffers
+    steps = walk(system, partial(_decided_slot, sc, solution, interned), slots, memo, pins)
+    for t, (s0, entry, moves, nxt) in enumerate(steps, 1):
+        decided.add(id(entry))
+        lam0, names, parts = entry
         users_rec = []
-        for (traffic, requested, sent, dropped, sent_by_name, pay, dist, en, share), move, buf, \
-                (arrived, sent_totals, dropped_totals) in zip(parts, moves, buffers, totals):
-            users_rec.append(UserSlotRecord(list(traffic), requested, sent, dict(dropped),
+        for (dus, requested, sent, dropped, sent_by_name, pay, dist, en, share), buf, move, \
+                after, (arrived, sent_totals, dropped_totals) in zip(parts, buffers, moves, nxt,
+                                                                    totals):
+            users_rec.append(UserSlotRecord(list(zip(dus, buf)), requested, sent, dict(dropped),
                                             pay, dist, en, share))
-            for name, n in dropped.items():
+            for name, n in dropped:
                 dropped_totals[name] = dropped_totals.get(name, 0) + n
             for name, y in sent_by_name:
                 sent_totals[name] = sent_totals.get(name, 0) + y
             for j, du, _key in move.entering:
-                arrived[du.name] = arrived.get(du.name, 0) + buf[j]
+                arrived[du.name] = arrived.get(du.name, 0) + after[j]
         trace.records.append(SlotRecord(t, s0, names, lam0, users_rec, 2 * n_users))
+        buffers = nxt
 
     for ctx, buf in zip(system.contexts, system.buffers):
         rem = {}
         for name, x in zip(ctx.names, buf):
             rem[name] = rem.get(name, 0) + x
         trace.remaining.append(rem)
-    trace.decisions = len(memo)
+    trace.decisions = len(decided)
     return trace
 
 
-def _decided_slot(sc: ScenarioConfig, solution: Solution, system: SlotSystem) -> tuple:
+def _decided_slot(sc: ScenarioConfig, solution: Solution, interned: dict,
+                  system: SlotSystem) -> tuple:
     """All that the system's current slot state fixes of its record, and
     every user's transition: the price, the channel names and, per user,
-    the (DU name, packets) traffic pairs, the requested and sent sends, the
-    drops by name, the nonzero sends by name, and the payoff, distortion,
-    energy and band share."""
+    the DU names, the requested and sent sends, the (DU name, packets)
+    drops, the nonzero sends by DU name, and the payoff, distortion, energy
+    and band share. Equal per-user parts and channel names are stored once,
+    in `interned`, as the memo that keeps them lives across episodes."""
     s0, contexts, buffers = system.s0, system.contexts, system.buffers
     decision = solution.sent_actions(s0, contexts, buffers)
     parts, moves = [], []
@@ -790,12 +835,13 @@ def _decided_slot(sc: ScenarioConfig, solution: Solution, system: SlotSystem) ->
         for key, n in move.dropped:
             name = u.template.du(key[1]).name
             dropped[name] = dropped.get(name, 0) + n
-        parts.append((tuple(zip(ctx.names, buf)), raw.sends, act.sends, dropped,
-                      tuple(compress(zip(ctx.names, act.sends), act.sends)),
-                      dist - u.beta * en, dist, en, share))
+        part = (ctx.names, raw.sends, act.sends, tuple(dropped.items()),
+                tuple(compress(zip(ctx.names, act.sends), act.sends)),
+                dist - u.beta * en, dist, en, share)
+        parts.append(interned.setdefault(part, part))
         moves.append(move)
     names = tuple(u.channel.names[h] for u, h in zip(sc.users, s0))
-    return (decision.lam0, names, parts), moves
+    return (decision.lam0, interned.setdefault(names, names), tuple(parts)), tuple(moves)
 
 
 # ---------------------------------------------------------------------------

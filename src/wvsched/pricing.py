@@ -431,8 +431,9 @@ def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
 
     A frozen rule is deterministic and draws no random number (see
     `PricedAgent.act`), so each distinct `slot_key` is decided once, into
-    the caller's `memo`; a slot then only maps uniforms to entering sizes
-    and the next channel state. Phases move one per slot whatever is sent,
+    the caller's `memo`, which may hold entries of earlier walks under the
+    same rule; a slot then only maps uniforms to entering sizes and the
+    next channel state. Phases move one per slot whatever is sent,
     so the number of uniforms a run of slots consumes is known beforehand
     (`block_draws`): they are drawn one block of at most `REPLAY_BLOCK`
     slots per `rng.random(n)` call, the same doubles in the same order as
@@ -457,7 +458,7 @@ def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
             if decided is None:
                 system.s0, system.contexts, system.buffers = s0, contexts, buffers
                 value, moves = decide(system)
-                nxt = [m.context for m in moves]
+                nxt = tuple(m.context for m in moves)
                 decided = memo[key] = (value, moves, nxt, tuple(c.phase for c in nxt))
             value, moves, contexts, phases = decided
             buffers = [m.buffer(us) for m in moves]

@@ -142,23 +142,49 @@ def test_parse_run_reads_rounds_fingerprint_and_metrics(bench_pairs):
         bench_pairs.parse_run(stdout, "gop16-coord")
 
 
-def test_record_keeps_each_runs_round_count(bench_pairs, tmp_path, monkeypatch):
+def _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of) -> dict:
+    """The record of a two-workload run in which a run's round count is
+    rounds_of(side, workload, seed)."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
-        "workloads": [{"name": "w1"}],
-        "end_to_end": [{"name": "total_s", "better": "lower", "bound": 0.22}]}),
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "total_s", "better": "lower", "bound": 0.22},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}),
         encoding="utf-8")
 
     def fake_run_once(checkout, workload, seed, trace=False):
-        return {"metrics": {"total_s": 2.0}, "fingerprint": "match", "failed": 0,
-                "rounds": 1 if checkout.name == "parent" else seed % 2 + 1}
+        return {"metrics": {"total_s": 2.0, "peak_rss_mb": 70.0}, "fingerprint": "match",
+                "failed": 0, "rounds": rounds_of(checkout.name, workload, seed)}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "BENCH.json"
     bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                       str(tmp_path / "change"), "--out", str(out)])
-    rounds = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w1"]["rounds"]
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_record_keeps_each_runs_round_count(bench_pairs, tmp_path, monkeypatch):
+    def rounds_of(side, workload, seed):
+        return 1 if side == "parent" else seed % 2 + 1
+
+    record = _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of)
     seeds = [bench_pairs.FIRST_SEED + k for k in range(bench_pairs.PAIRS)]
-    assert rounds == {"parent": [1] * bench_pairs.PAIRS,
-                      "change": [seed % 2 + 1 for seed in seeds]}
+    assert record["workloads"]["w1"]["rounds"] == {
+        "parent": [1] * bench_pairs.PAIRS, "change": [seed % 2 + 1 for seed in seeds]}
+
+
+def test_peak_rss_says_whether_every_pair_ran_equal_rounds(bench_pairs, tmp_path, monkeypatch):
+    """w1 runs one round on both sides of every pair; w2's change side runs a
+    second round in the last pair only."""
+    last = bench_pairs.FIRST_SEED + bench_pairs.PAIRS - 1
+
+    def rounds_of(side, workload, seed):
+        return 2 if (workload, side, seed) == ("w2", "change", last) else 1
+
+    record = _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of)
+    metrics = {w: record["workloads"][w]["metrics"] for w in ("w1", "w2")}
+    assert metrics["w1"]["peak_rss_mb"]["rounds_equal"] is True
+    assert metrics["w2"]["peak_rss_mb"]["rounds_equal"] is False
+    assert metrics["w2"]["peak_rss_mb"]["verdict"] == "not_worse"
+    assert "rounds_equal" not in metrics["w2"]["total_s"]

@@ -179,6 +179,35 @@ def test_max_slots_below_one_exits_2_before_any_work(cap, tmp_path, capsys, monk
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_oracle_cap_below_one_exits_2_before_any_work(cap, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("load_scenario", "centralized_oracle"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--scenario", "tiny-sym", "--cap", cap])
+    assert exc.value.code == 2
+    assert "error: argument --cap: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solutions", [",", "", " , ,"])
+def test_compare_without_solution_names_exits_2_before_any_work(solutions, tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("build_solution", "load_scenario"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scenario", "tiny-sym", "--solutions", solutions,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --solutions: no solutions given" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_learning_with_clearing_fails_before_coordination(tmp_path, capsys):
     assert main(["run", "--scenario", "illustration-2user", "--solution",
                  "proposed-learning", "--clearing", "--out", str(tmp_path)]) == 2

@@ -1265,10 +1265,18 @@ def test_episode_walk_equals_reference_on_generated_systems(inst, data):
     assert results[0] == results[1]
 
 
+def slot_state(scenario, rec) -> tuple:
+    """A record's `slot_key`: its channel state, every user's phase (one per
+    slot from 0) and buffer."""
+    return (rec.s0, tuple((rec.slot - 1) % u.template.period for u in scenario.users),
+            tuple(tuple(x for _, x in ur.traffic) for ur in rec.users))
+
+
 def test_episode_records_share_no_mutable_parts():
-    """Records of one slot state come from one memo entry, yet each owns its
-    `traffic` list and `dropped` dict: mutating one record changes no later
-    record of that state, in the same episode or the next."""
+    """Records of one slot state come from one memo entry, kept across
+    episodes, yet each owns its `traffic` list and `dropped` dict: mutating
+    one record changes no later record of that state, in the same episode,
+    the next or the one after."""
     sc = preset("tiny-sym")
     sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
@@ -1277,18 +1285,124 @@ def test_episode_records_share_no_mutable_parts():
     assert first == want
     assert first.decisions < len(first.records)
 
-    def state(rec):
-        return (rec.s0, tuple((rec.slot - 1) % u.template.period for u in sc.users),
-                tuple(tuple(x for _, x in ur.traffic) for ur in rec.users))
-
-    states = [state(rec) for rec in first.records]
+    states = [slot_state(sc, rec) for rec in first.records]
     k = next(k for k, s_ in enumerate(states) if s_ in states[k + 1:])
     later = states.index(states[k], k + 1)
     for ur in first.records[k].users:
         ur.traffic.append(("X", 1))
         ur.dropped["X"] = 1
     assert first.records[later] == want.records[later]
+    assert_same_episode(sc, sol, 200, 5)
     assert harness.run_episode(sc, sol, 200, np.random.default_rng(4)) == want
+
+
+@pytest.mark.parametrize("name", ["proposed", "mu-mdp", "lyapunov", "myopic", "proposed+edf"])
+def test_consecutive_episodes_on_one_solution_equal_the_reference(illustration_suite, name):
+    """The walk memo outlives each episode: later episodes, free or pinned,
+    of other lengths or on a seed run before, reuse the slot states earlier
+    ones decided, and each still equals the reference, `decisions` counting
+    the slot states of that episode alone."""
+    sc = illustration_suite["scenario"]
+    sol = illustration_suite["solutions"][name]
+    for slots, seed, pinned in [(140, 47, None), (140, 48, None), (12, 9, PINNED),
+                                (60, 47, None), (140, 49, None)]:
+        assert_same_episode(sc, sol, slots, seed, pinned)
+
+
+def test_walk_memo_holds_one_entry_per_slot_state_visited():
+    """Across the episodes a solution runs, its memo holds exactly the
+    distinct slot states they visited; a new `prepare` empties it."""
+    sc = preset("illustration-2user")
+    for name in ("myopic", "mu-mdp"):
+        sol = build_solution(sc, name)
+        sol.prepare(np.random.default_rng(0))
+        visited = set()
+        for seed in (1, 2, 3):
+            trace = harness.run_episode(sc, sol, 140, np.random.default_rng(seed))
+            visited.update(slot_state(sc, rec) for rec in trace.records)
+            memo, _ = sol.episode_memo(sc)
+            assert set(memo) == visited
+        assert trace.decisions < len(memo)
+        sol.prepare(np.random.default_rng(0))
+        assert sol.episode_memo(sc) == ({}, {})
+
+
+def _re_calibrated(sc):
+    """A clearing `proposed` re-priced as its calibration re-prices: the
+    price table updated (here doubled), `_cache` emptied, agents refreshed."""
+    sol = ProposedSolution(sc, max_slots=40_000, eval_slots=3_000, clearing=True)
+    sol.prepare(np.random.default_rng(sc.seed))
+
+    def re_price():
+        sol.prices.lam.update({s0: 2 * lam for s0, lam in sol.prices.lam.items()})
+        sol._cache = {}
+        for a in sol.agents:
+            a.refresh(a.view.price_vector(sol.prices.lam, sc.bits_per_packet))
+    return sol, re_price
+
+
+def _re_prepared_lyapunov(sc):
+    """`lyapunov` prepared again after its `proposed` was, on another seed."""
+    proposed = ProposedSolution(sc, eval_slots=2_000)
+    sol = build_solution(sc, "lyapunov", proposed=proposed)
+    sol.prepare(np.random.default_rng(sc.seed))
+
+    def re_prepare():
+        proposed.prices.lam.update({s0: 0.5 * lam for s0, lam in proposed.prices.lam.items()})
+        sol.prepare(np.random.default_rng(1))
+    return sol, re_prepare
+
+
+def _re_prepared_uniform(sc):
+    """`mu-mdp` prepared again for a narrower band: a new uniform price."""
+    sol = build_solution(sc, "mu-mdp", usage_slots=600)
+    sol.prepare(np.random.default_rng(sc.seed))
+
+    def re_prepare():
+        sol.scenario = replace(sc, bandwidth=0.6 * sc.bandwidth)
+        sol.prepare(np.random.default_rng(sc.seed))
+    return sol, re_prepare
+
+
+def _re_prepared_shared_proposed(sc):
+    """`proposed+edf` whose shared `proposed` alone is prepared again, for a
+    narrower band: new capacities, the pairing itself untouched."""
+    proposed = ProposedSolution(sc, eval_slots=2_000)
+    sol = build_solution(sc, "proposed+edf", proposed=proposed)
+    sol.prepare(np.random.default_rng(sc.seed))
+
+    def re_prepare():
+        proposed.scenario = replace(sc, bandwidth=0.6 * sc.bandwidth)
+        proposed.prepare(np.random.default_rng(sc.seed))
+    return sol, re_prepare
+
+
+@pytest.mark.parametrize("case", [_re_calibrated, _re_prepared_lyapunov,
+                                  _re_prepared_uniform, _re_prepared_shared_proposed])
+def test_episodes_after_a_rule_change_equal_the_reference(case):
+    """Whatever changes a solution's frozen rule drops its walk memo: an
+    episode after the change equals the reference under the new rule, not
+    the trace a kept memo would replay."""
+    sc = preset("illustration-2user")
+    sol, change = case(sc)
+    before = assert_same_episode(sc, sol, 140, 45)
+    change()
+    after = assert_same_episode(sc, sol, 140, 45)
+    assert after.records != before.records
+    assert_same_episode(sc, sol, 12, 9, PINNED)
+
+
+def test_one_solution_on_two_scenario_objects_equals_the_reference():
+    """Records take payoffs, energies and channel names from the scenario
+    an episode runs on, so a solution's memo for one scenario object is not
+    used for another."""
+    sc = preset("illustration-2user")
+    costly = replace(sc, users=tuple(replace(u, beta=u.beta + 0.5) for u in sc.users))
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    first = assert_same_episode(sc, sol, 60, 3)
+    assert assert_same_episode(costly, sol, 60, 3).records != first.records
+    assert assert_same_episode(sc, sol, 60, 3) == first
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ better than the parent's by more than the parent's interquartile range.
 Each metric also gets a no-regression verdict against its relative
 ``bound`` in BENCHMARK.json (see `verdict`), and the record holds every
 run's fingerprint status, failed-operation count and number of rounds
-(how many whole rounds of the workload fit in the run; `peak_rss_mb` is
-comparable only between runs of equal rounds). After
+(how many whole rounds of the workload fit in the run). `peak_rss_mb` is
+comparable only between runs of equal rounds, so its entry also says
+whether every pair ran equal rounds on both sides (`rounds_equal`). After
 the pairs, each checkout runs every workload once more with ``--trace 1``
 at FIRST_SEED; the record keeps those per-layer metrics under
 ``per_layer``, per workload and side.
@@ -169,6 +170,9 @@ def main(argv=None) -> int:
             entry["metrics"][metric] = compare(parent, change, direction, ok)
             entry["metrics"][metric]["verdict"] = verdict(parent, change, direction,
                                                           bounds[metric])
+        if "peak_rss_mb" in entry["metrics"]:
+            entry["metrics"]["peak_rss_mb"]["rounds_equal"] = \
+                entry["rounds"]["parent"] == entry["rounds"]["change"]
         entry["per_layer"] = per_layer[w]
         record["workloads"][w] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
