@@ -11,7 +11,7 @@ and is blind to distortion impacts and deadlines by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,40 +42,43 @@ def myopic_static_shares(templates: Sequence[GopTemplate]) -> np.ndarray:
 # Queue-drift scheduling
 # ---------------------------------------------------------------------------
 
-def drift_objective(backlog: int, sends: int, expected_arrivals: float,
-                    price: float, beta: float, gain_to_noise: float,
-                    delta: float) -> float:
-    """(1-delta)(-beta*energy - price*m) + delta * (-(backlog - m + arrivals)^2)."""
-    u = -beta * transmit_energy(gain_to_noise, sends)
-    after = (backlog - sends) + expected_arrivals
-    cont = -(after * after)
-    return (1.0 - delta) * (u - price * sends) + delta * cont
+def drift_response(buffer: Sequence[int], beta: float, gain_to_noise: float,
+                   delta: float, expected_arrivals: float) -> Callable[[float], ScheduleAction]:
+    """The drift-greedy action at this buffer as a function of the price.
+
+    Each total m = 0..backlog scores
+    (1-delta)(-beta*energy(m) - price*m) + delta * (-(backlog - m + arrivals)^2);
+    the price-free terms are computed once. The objective depends on the
+    action only through its total, so the send vector is the
+    lexicographically largest split of the best total (earliest buffer
+    positions drain first; ties across totals go to the larger total).
+    Blind to per-DU impacts and deadlines.
+    """
+    backlog = int(sum(buffer))
+    m = np.arange(backlog + 1)
+    u = -beta * transmit_energy(gain_to_noise, m)
+    after = (backlog - m) + expected_arrivals
+    cont = delta * -(after * after)
+    keep = 1.0 - delta
+
+    def at(price: float) -> ScheduleAction:
+        vals = keep * (u - price * m) + cont
+        room = backlog - int(vals[::-1].argmax())
+        sends = []
+        for x in buffer:
+            take = min(x, room)
+            sends.append(take)
+            room -= take
+        return ScheduleAction(tuple(sends))
+
+    return at
 
 
 def lyapunov_action(context: Context, buffer: Sequence[int], price: float,
                     beta: float, gain_to_noise: float, delta: float,
                     expected_arrivals: float) -> ScheduleAction:
-    """Drift-greedy action: picks a total send count from the quadratic
-    backlog drift, blind to per-DU impacts and deadlines.
-
-    The objective depends on the action only through its total, so the send
-    vector is the lexicographically largest split (earliest buffer positions
-    drain first; ties across totals go to the larger total).
-    """
-    backlog = int(sum(buffer))
-    best_m, best_val = 0, -np.inf
-    for m in range(backlog + 1):
-        val = drift_objective(backlog, m, expected_arrivals, price, beta,
-                              gain_to_noise, delta)
-        if val >= best_val:
-            best_val, best_m = val, m
-    sends = []
-    room = best_m
-    for x in buffer:
-        take = min(x, room)
-        sends.append(take)
-        room -= take
-    return ScheduleAction(tuple(sends))
+    """`drift_response` at one price; the context plays no part."""
+    return drift_response(buffer, beta, gain_to_noise, delta, expected_arrivals)(price)
 
 
 class DriftValueTable:

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from wvsched.baselines import (
+    drift_response,
     lyapunov_action,
     myopic_static_shares,
     scale_rows_up_to_budget,
@@ -64,6 +65,7 @@ from wvsched.scheduling import (
     SCHEDULER_RANKS,
     SIMPLE_SCHEDULERS,
     build_du_tables,
+    decomposed_response,
     decomposed_schedule,
     fill_rows,
     packet_capacities,
@@ -109,6 +111,9 @@ class DecomposedAgent(PricedAgent):
     def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
         return decomposed_schedule(context, buffer, view_state, lam,
                                    self.tables, self.discount)
+
+    def price_response(self, context, buffer, view_state: int):
+        return decomposed_response(context, buffer, view_state, self.tables, self.discount)
 
 
 class FullMdpAgent(PricedAgent):
@@ -214,6 +219,10 @@ class DriftAgent(PricedAgent):
             delta=self.discount,
             expected_arrivals=self.arrivals[context.phase])
 
+    def price_response(self, context, buffer, view_state: int):
+        return drift_response(buffer, self.user.beta, float(self.view.gain[view_state]),
+                              self.discount, self.arrivals[context.phase])
+
     def fill_order(self, context) -> Sequence[int]:
         """Drains by position."""
         return range(len(context))
@@ -256,7 +265,8 @@ class Solution:
 
     name = "abstract"
     # `run_episode`'s walk memo: (the objects it was built under, the memo,
-    # its interned record parts); see `episode_memo`
+    # its interned record parts, the scenario's `JointChannel`); see
+    # `episode_memo`
     _walks: tuple | None = None
 
     def prepare(self, rng: np.random.Generator) -> None:
@@ -277,11 +287,19 @@ class Solution:
         while the frozen rule stands: while `scenario` and every object of
         `_rule_state` are the ones they were built under. Any other call
         drops them for new, empty ones."""
+        return self._episode_walks(scenario)[:2]
+
+    def _episode_walks(self, scenario: ScenarioConfig) -> tuple:
+        """`episode_memo`'s memo and interned parts, and the `JointChannel`
+        of `scenario`, kept or replaced with them: its construction checks
+        the scenario's channels, so it is built with the memo, not per
+        episode."""
         owners = (scenario, *self._rule_state())
         walks = self._walks
         if walks is None or any(a is not b for a, b in zip(walks[0], owners, strict=True)):
-            walks = self._walks = (owners, {}, {})
-        return walks[1], walks[2]
+            walks = self._walks = (owners, {}, {}, JointChannel(scenario.channels,
+                                                                scenario.channel_correlation))
+        return walks[1:]
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
         """The sends of `sent_actions` at many slot states at once: row k of
@@ -344,7 +362,9 @@ class PricedRuntime(Solution):
     and overcommitted slots are proportionally trimmed. With clearing on, a
     within-slot price search shrinks requests until they fit the band, then
     leftover capacity is granted to the highest-marginal-value packets users
-    still hold, so the band ends up fully utilized. Decisions are cached on
+    still hold, so the band ends up fully utilized. The search asks each
+    agent for its `price_response` once per slot and calls it once per
+    trial price (`_acts_at`, one step of the search). Decisions are cached on
     `slot_key`; whatever re-prices the agents empties `_cache`, by replacing
     it, which also drops `run_episode`'s walk memo.
     """
@@ -389,15 +409,18 @@ class PricedRuntime(Solution):
             lambda raw, rates: scale_rows_to_budget(contexts, raw, rates,
                                                     sc.bits_per_packet, sc.bandwidth))
 
-    def _acts_at(self, s0, contexts, buffers, lam0: float):
-        sc = self.scenario
-        return [a.act_at(ctx, buf, a.view.view_state(s0),
-                         lam0 * sc.bits_per_packet / a.channel.rate[s0[i]])
-                for i, (a, ctx, buf) in enumerate(zip(self.agents, contexts, buffers))]
+    def _acts_at(self, s0, responses, lam0: float) -> list[ScheduleAction]:
+        """Every agent's action at the band price `lam0`, each at its own
+        per-packet price; one step of the clearing search."""
+        b = self.scenario.bits_per_packet
+        return [respond(lam0 * b / a.channel.rate[h])
+                for respond, a, h in zip(responses, self.agents, s0)]
 
     def _clear(self, s0, contexts, buffers, raw):
         """Smallest price >= the table's at which requests fit the band.
 
+        Doubles, then bisects 40 times; each trial price is one `_acts_at`
+        over the agents' `price_response`s, built once per search.
         Returns the actions and the clearing price actually applied.
         """
         sc = self.scenario
@@ -410,16 +433,18 @@ class PricedRuntime(Solution):
         lam0 = self.prices.get(tuple(s0))
         if fits(raw):
             return raw, lam0
+        responses = [a.price_response(ctx, buf, a.view.view_state(s0))
+                     for a, ctx, buf in zip(self.agents, contexts, buffers)]
         lo, hi = lam0, max(lam0, 1e-3)
         acts_hi = raw
         for _ in range(60):
             hi *= 2.0
-            acts_hi = self._acts_at(s0, contexts, buffers, hi)
+            acts_hi = self._acts_at(s0, responses, hi)
             if fits(acts_hi):
                 break
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            acts_mid = self._acts_at(s0, contexts, buffers, mid)
+            acts_mid = self._acts_at(s0, responses, mid)
             if fits(acts_mid):
                 hi, acts_hi = mid, acts_mid
             else:
@@ -772,8 +797,8 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
             raise ModelError(f"pinned channels must be a nonempty sequence of integer "
                              f"channel states in [0, {n_states}); got {list(pinned_channels)}")
         pins = [(int(h),) * n_users for h in pinned_channels]
-    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation), rng,
-                        None if pins is None else pins[0])
+    memo, interned, joint = solution._episode_walks(sc)
+    system = SlotSystem(sc.templates, joint, rng, None if pins is None else pins[0])
 
     trace = EpisodeTrace(sc.name, solution.name)
     trace.arrived = [dict() for _ in range(n_users)]
@@ -784,7 +809,6 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
             arrived[name] = arrived.get(name, 0) + x
     totals = list(zip(trace.arrived, trace.sent_totals, trace.dropped_totals))
 
-    memo, interned = solution.episode_memo(sc)
     decided = set()             # ids of the memo entries visited; each key has its own
     buffers = system.buffers
     steps = walk(system, partial(_decided_slot, sc, solution, interned), slots, memo, pins)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -214,7 +215,13 @@ def scale_rows_to_budget(contexts, sends: Sequence[np.ndarray], rates: Sequence[
 class PricedAgent:
     """A user-side solver: all the coordinator and the solutions ask of a
     user. Subclasses define `refresh` and `act_at` (or `act`); the defaults
-    suit a priced scheduler that values packets by impact and does not learn."""
+    suit a priced scheduler that values packets by impact and does not learn.
+
+    Within-slot clearing asks an agent only for `price_response`: the slot
+    state stays fixed while the search tries prices, so an agent may build
+    there, once per slot, whatever makes each trial price cheap. The default
+    calls `act_at`, so an agent with `act_at` alone clears too.
+    """
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float):
         self.user = user
@@ -238,6 +245,12 @@ class PricedAgent:
         uniforms ahead in blocks (see `walk`).
         """
         return self.act_at(context, buffer, view_state, float(self.price_vec[view_state]))
+
+    def price_response(self, context, buffer: tuple[int, ...],
+                       view_state: int) -> Callable[[float], ScheduleAction]:
+        """`act_at` in this slot state as a function of the per-packet price
+        alone. Equal prices give equal actions."""
+        return partial(self.act_at, context, buffer, view_state)
 
     def observe(self, context, buffer: tuple[int, ...], view_state: int,
                 sent: ScheduleAction, next_view: int) -> None:

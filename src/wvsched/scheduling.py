@@ -9,7 +9,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,6 +153,33 @@ def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int
                                           margin, discount)
         sends.append(y)
     return ScheduleAction(tuple(sends))
+
+
+def decomposed_response(context: Context, buffer: Sequence[int], view_state: int,
+                        tables: Mapping,
+                        discount: float) -> Callable[[float], ScheduleAction]:
+    """`decomposed_schedule` at this slot state as a function of the price.
+
+    The continuations are gathered once, into one row per DU of
+    discount * post_slice(...) padded with -inf past the DU's buffer; each
+    price then takes `best`'s operations in its order on every row at once,
+    and the first maximiser of a row is `best`'s smallest maximiser (also
+    where `best` looks it up at the solved margin).
+    """
+    width = max(buffer, default=0) + 1
+    cont = np.full((len(buffer), width), -np.inf)
+    for i, slot in enumerate(context.slots):
+        cont[i, :buffer[i] + 1] = discount * tables[slot.du.du_id].post_slice(
+            context.age_of(i), buffer[i], view_state)
+    impacts = np.array(context.impacts, dtype=float)
+    ys = np.arange(width)
+    keep = 1.0 - discount
+
+    def at(price: float) -> ScheduleAction:
+        margin = keep * (impacts - price)
+        return ScheduleAction(tuple((margin[:, None] * ys + cont).argmax(axis=1).tolist()))
+
+    return at
 
 
 # ---------------------------------------------------------------------------

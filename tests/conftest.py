@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from wvsched.harness import ProposedSolution, UniformPriceSolution, build_solution
+from wvsched.model import ScheduleAction, transmit_energy
 from wvsched.oracle import centralized_oracle, evaluate_solution
+from wvsched.pricing import PricedAgent
 from wvsched.scenario import preset
 
 ORACLE_FIXTURES = ("tiny-sym", "tiny-asym", "tiny-mix")
@@ -20,6 +22,28 @@ def context_edges(context) -> list[tuple[int, int]]:
     return [(index[(child.key[0], pid)], ci)
             for ci, child in enumerate(context.slots)
             for pid in child.du.parents if (child.key[0], pid) in index]
+
+
+class ThresholdAgent(PricedAgent):
+    """The least a priced agent defines: `refresh` and `act_at`. It sends a
+    slot's whole buffer while the price is below the slot's impact."""
+
+    def refresh(self, price_vec):
+        self.price_vec = np.asarray(price_vec, dtype=float)
+
+    def act_at(self, context, buffer, view_state, lam):
+        return ScheduleAction(tuple(x if s.du.distortion_impact > lam else 0
+                                    for s, x in zip(context.slots, buffer)))
+
+
+def drift_objective(backlog: int, sends: int, expected_arrivals: float,
+                    price: float, beta: float, gain_to_noise: float,
+                    delta: float) -> float:
+    """(1-delta)(-beta*energy - price*m) + delta * (-(backlog - m + arrivals)^2)."""
+    u = -beta * transmit_energy(gain_to_noise, sends)
+    after = (backlog - sends) + expected_arrivals
+    cont = -(after * after)
+    return (1.0 - delta) * (u - price * sends) + delta * cont
 
 
 @pytest.fixture(scope="session")

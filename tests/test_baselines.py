@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drift_objective
 from wvsched.baselines import (
     DriftValueTable,
-    drift_objective,
     energy_only_payoff,
     lyapunov_action,
     myopic_static_shares,

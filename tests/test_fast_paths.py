@@ -16,8 +16,10 @@ every slot afresh and stepping it through
 `slot_key` on block-drawn uniforms, the episode loop doing the same and
 building every record afresh, the slot step drawing each entering DU and
 each channel with its own scalar sampler call, the per-user trim and
-inflate loops of the band scaling, and the slot-by-slot fills and trims in
-place of their row-array forms.
+inflate loops of the band scaling, the slot-by-slot fills and trims in
+place of their row-array forms, the within-slot clearing search re-pricing
+every agent with `act_at` at each trial price in place of its per-slot
+price responses, and the drift rule's loop over send totals.
 Results must agree exactly (==), not approximately. The one exception is the
 user MDP's policy-iteration solve: its reference, value iteration, stops at
 a tolerance, so the two agree within it.
@@ -37,9 +39,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import context_edges
+from conftest import ThresholdAgent, context_edges, drift_objective
 from wvsched import harness, oracle, pricing
-from wvsched.baselines import scale_rows_up_to_budget, scale_up_to_budget
+from wvsched.baselines import lyapunov_action, scale_rows_up_to_budget, scale_up_to_budget
 from wvsched.harness import (
     DecomposedAgent,
     ProposedSolution,
@@ -90,6 +92,7 @@ from wvsched.scheduling import (
     SingleDuModel,
     _fill,
     build_du_tables,
+    decomposed_response,
     decomposed_schedule,
     fill_rows,
     hdf_schedule,
@@ -502,6 +505,65 @@ def reference_run_episode(scenario, solution, slots, rng, pinned_channels=None):
     return trace
 
 
+def reference_clear(solution, s0, contexts, buffers, raw):
+    """`PricedRuntime._clear` re-pricing every agent with `act_at` at each
+    trial price. Returns the actions, the clearing price and each trial's
+    actions in order."""
+    sc = solution.scenario
+    rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
+    trials = []
+
+    def acts_at(lam0):
+        acts = [a.act_at(ctx, buf, a.view.view_state(s0),
+                         lam0 * sc.bits_per_packet / a.channel.rate[s0[i]])
+                for i, (a, ctx, buf) in enumerate(zip(solution.agents, contexts, buffers))]
+        trials.append(acts)
+        return acts
+
+    def fits(acts) -> bool:
+        return bandwidth_usage([a.total for a in acts], rates,
+                               sc.bits_per_packet) <= sc.bandwidth + 1e-12
+
+    lam0 = solution.prices.get(tuple(s0))
+    if fits(raw):
+        return raw, lam0, trials
+    lo, hi = lam0, max(lam0, 1e-3)
+    acts_hi = raw
+    for _ in range(60):
+        hi *= 2.0
+        acts_hi = acts_at(hi)
+        if fits(acts_hi):
+            break
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        acts_mid = acts_at(mid)
+        if fits(acts_mid):
+            hi, acts_hi = mid, acts_mid
+        else:
+            lo = mid
+    return acts_hi, hi, trials
+
+
+def reference_lyapunov_action(context, buffer, price, beta, gain_to_noise, delta,
+                              expected_arrivals) -> ScheduleAction:
+    """The drift-greedy action by a Python loop over totals: the last total
+    of the best `drift_objective`, drained by buffer position."""
+    backlog = int(sum(buffer))
+    best_m, best_val = 0, -np.inf
+    for m in range(backlog + 1):
+        val = drift_objective(backlog, m, expected_arrivals, price, beta,
+                              gain_to_noise, delta)
+        if val >= best_val:
+            best_val, best_m = val, m
+    sends = []
+    room = best_m
+    for x in buffer:
+        take = min(x, room)
+        sends.append(take)
+        room -= take
+    return ScheduleAction(tuple(sends))
+
+
 def reference_trim(context, action, budget):
     """At most `budget` packets of `action`, kept in impact order."""
     if action.total <= budget:
@@ -883,6 +945,7 @@ def test_templates_with_equal_du_counts_get_their_own_layouts():
 def _same(ctx, buf, v, price, tables, delta):
     act = decomposed_schedule(ctx, buf, v, price, tables, delta)
     assert act.sends == reference_schedule(ctx, buf, v, price, tables, delta)
+    assert decomposed_response(ctx, buf, v, tables, delta)(price) == act
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -924,6 +987,145 @@ def test_learned_and_planned_tables_share_the_exact_tie_rule():
     learned = {0: DuPdsLearner(du.distortion_impact, tpl.window, 0.0)}
     for tables in (planned, learned):
         assert decomposed_schedule(ctx, (1,), 0, 0.0, tables, 0.0).sends == (1,)
+
+
+# ---------------------------------------------------------------------------
+# Within-slot clearing
+# ---------------------------------------------------------------------------
+
+def assert_same_clear(solution, s0, contexts, buffers) -> int:
+    """`_clear` over the agents' price responses equals `reference_clear`:
+    the same actions and clearing price, and the same actions at every trial
+    price, so the same `_acts_at` steps. Returns the number of steps."""
+    raw = [a.act(ctx, buf, a.view.view_state(s0))
+           for a, ctx, buf in zip(solution.agents, contexts, buffers)]
+    trials = []
+    acts_at = harness.PricedRuntime._acts_at
+
+    def recorded(self, *args):
+        acts = acts_at(self, *args)
+        trials.append(acts)
+        return acts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness.PricedRuntime, "_acts_at", recorded)
+        acts, lam = solution._clear(s0, contexts, buffers, raw)
+    ref_acts, ref_lam, ref_trials = reference_clear(solution, s0, contexts, buffers, raw)
+    assert (acts, lam) == (ref_acts, ref_lam)
+    assert trials == ref_trials
+    return len(trials)
+
+
+def episode_slot_states(scenario, solution, slots, seed):
+    """Each slot state (s0, contexts, buffers) of an episode of `solution`,
+    stepped slot by slot through `SlotSystem.advance`."""
+    joint = JointChannel(scenario.channels, scenario.channel_correlation)
+    system = SlotSystem(scenario.templates, joint, np.random.default_rng(seed))
+    for _ in range(slots):
+        state = (system.s0, system.contexts, system.buffers)
+        yield state
+        system.advance(solution.sent_actions(*state).sent)
+
+
+@pytest.mark.parametrize("name", ["proposed", "lyapunov"])
+def test_clearing_search_equals_per_agent_repricing_on_episodes(illustration_suite, name):
+    """Every slot of three illustration-2user episodes under clearing, with
+    decomposed (`proposed`) and drift (`lyapunov`) agents."""
+    sc = illustration_suite["scenario"]
+    sol = illustration_suite["solutions"][name]
+    assert sol.clearing
+    steps = [assert_same_clear(sol, *state)
+             for seed in (45, 46, 47) for state in episode_slot_states(sc, sol, 140, seed)]
+    assert sum(n > 0 for n in steps) >= 50
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(slot_systems(), st.data())
+def test_clearing_search_equals_per_agent_repricing_on_generated_states(inst, data):
+    """Decomposed agents at drawn prices in drawn slot states of small
+    templates. The band price is drawn, or puts the first trial price of
+    one user at its tables' solved price (so `best` looks its sends up) or
+    at one of its slots' impacts (a zero margin, where sends tie)."""
+    templates, joint, _seed = inst
+    users = tuple(UserConfig(f"u{i}", t, c)
+                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
+    sc = ScenarioConfig("clear", users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                        channel_correlation=joint.correlation)
+    sol = harness.PricedRuntime(sc, clearing=True)
+    sol.agents = make_agents(sc, "decomposed")
+    s0 = data.draw(st.sampled_from(joint.all_states()))
+    contexts = [t.context(data.draw(st.integers(0, t.period - 1))) for t in templates]
+    buffers = [tuple(data.draw(st.integers(0, s.du.max_size)) for s in ctx.slots)
+               for ctx in contexts]
+    prices = [np.array([data.draw(values_) for _ in range(len(a.view))]) for a in sol.agents]
+    lam0 = data.draw(values_)
+    i = data.draw(st.integers(0, len(users) - 1))
+    rate = users[i].channel.rate[s0[i]]
+    kind = data.draw(st.sampled_from(["drawn", "solved price", "impact"]))
+    if kind == "impact" and len(contexts[i]):
+        lam0 = data.draw(st.sampled_from(contexts[i].impacts)) * rate / sc.bits_per_packet / 2.0
+    if kind == "solved price":
+        # `_acts_at`'s price for user i at the first doubling
+        prices[i][sol.agents[i].view.view_state(s0)] = \
+            max(lam0, 1e-3) * 2.0 * sc.bits_per_packet / rate
+    for a, price in zip(sol.agents, prices):
+        a.refresh(price)
+    sol.prices = pricing.PriceTable()
+    sol.prices.lam[s0] = lam0
+    assert_same_clear(sol, s0, contexts, buffers)
+
+
+def test_act_at_only_agent_clears_through_the_default_response(illustration):
+    """An agent that defines only `refresh` and `act_at` clears through the
+    base class's `price_response`, as `reference_clear` does."""
+    sc = illustration["scenario"]
+    sol = harness.PricedRuntime(sc, clearing=True)
+    sol.agents = [ThresholdAgent(u, v, sc.discount)
+                  for u, v in zip(sc.users, harness.build_views(sc))]
+    assert type(sol.agents[0]).price_response is pricing.PricedAgent.price_response
+    for a in sol.agents:
+        a.refresh(np.zeros(len(a.view)))
+    sol.prices = illustration["proposed"].prices
+    steps = [assert_same_clear(sol, *state) for state in episode_slot_states(sc, sol, 140, 45)]
+    assert sum(n > 0 for n in steps) >= 50
+
+
+# ---------------------------------------------------------------------------
+# Drift rule
+# ---------------------------------------------------------------------------
+
+ILLUSTRATION_TEMPLATES = preset("illustration-2user").templates
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(st.data())
+def test_drift_action_equals_loop_over_totals(data):
+    """`lyapunov_action` (one `drift_response` evaluation) equals the loop
+    over totals on illustration-2user buffers, with beta 0 or positive. The
+    price is drawn, or solved from dyadic terms to tie two consecutive
+    totals exactly; the objective is concave in the total, so both are
+    maxima and the largest maximiser wins."""
+    tpl = data.draw(st.sampled_from(ILLUSTRATION_TEMPLATES))
+    ctx = tpl.context(data.draw(st.integers(0, tpl.period - 1)))
+    buf = tuple(data.draw(st.integers(0, s.du.max_size)) for s in ctx.slots)
+    beta = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0))
+    gain = data.draw(st.sampled_from([1.0, 2.0, 1.4]))
+    delta = data.draw(st.sampled_from([0.5, 0.75]) | st.floats(0.0, 0.99))
+    arrivals = data.draw(st.sampled_from([0.0, 1.0, 1.5]) | st.floats(0.0, 5.0))
+    backlog = sum(buf)
+    m = data.draw(st.integers(0, backlog - 1)) if backlog and data.draw(st.booleans()) else None
+    if m is None:
+        price = data.draw(values_)
+    else:
+        # f(m) == f(m + 1) for f the drift objective at this price
+        du = -beta * (transmit_energy(gain, m + 1) - transmit_energy(gain, m))
+        dc = delta * ((backlog - m + arrivals) ** 2 - (backlog - m - 1 + arrivals) ** 2)
+        price = du + dc / (1.0 - delta)
+    want = reference_lyapunov_action(ctx, buf, price, beta, gain, delta, arrivals)
+    assert lyapunov_action(ctx, buf, price, beta, gain, delta, arrivals) == want
+    if m is not None and drift_objective(backlog, m, arrivals, price, beta, gain, delta) == \
+            drift_objective(backlog, m + 1, arrivals, price, beta, gain, delta):
+        assert want.total >= m + 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import ThresholdAgent
 from wvsched.harness import ProposedSolution, build_views, make_agents
 from wvsched.mdp import common_view
-from wvsched.model import (ChannelModel, DataUnitSpec, GopTemplate, ModelError, ScheduleAction,
-                           UserConfig, ScenarioConfig)
+from wvsched.model import (ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig,
+                           ScenarioConfig)
 from wvsched.pricing import (
     JointChannel,
-    PricedAgent,
     PriceTable,
     run_coordination,
     scale_to_budget,
@@ -249,18 +249,6 @@ def test_slack_uniform_price_is_zero_and_matches_proposed():
     _, v_prop = evaluate_solution(slack, prop)
     _, v_uni = evaluate_solution(slack, uni)
     assert v_uni == pytest.approx(v_prop, rel=1e-9)
-
-
-class ThresholdAgent(PricedAgent):
-    """The least a priced agent defines: `refresh` and `act_at`. It sends a
-    slot's whole buffer while the price is below the slot's impact."""
-
-    def refresh(self, price_vec):
-        self.price_vec = np.asarray(price_vec, dtype=float)
-
-    def act_at(self, context, buffer, view_state, lam):
-        return ScheduleAction(tuple(x if s.du.distortion_impact > lam else 0
-                                    for s, x in zip(context.slots, buffer)))
 
 
 def test_coordination_settles_with_a_minimal_priced_agent():
