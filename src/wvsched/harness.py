@@ -286,7 +286,8 @@ class Solution:
         its table of interned record parts. Both are kept across episodes
         while the frozen rule stands: while `scenario` and every object of
         `_rule_state` are the ones they were built under. Any other call
-        drops them for new, empty ones."""
+        drops them, and the successors the memo's entries keep, for new,
+        empty ones."""
         return self._episode_walks(scenario)[:2]
 
     def _episode_walks(self, scenario: ScenarioConfig) -> tuple:

@@ -323,6 +323,11 @@ class GopTemplate:
         """The `DuLayout` of this template's DUs, built on first use."""
         return DuLayout(self.dus)
 
+    @cached_property
+    def size_draws(self) -> SizeDraws:
+        """The `SizeDraws` of this template's slot steps, built on first use."""
+        return SizeDraws(self)
+
     def transition(self, context: Context, buffer: tuple[int, ...],
                    sends: tuple[int, ...]) -> "Transition":
         """The deterministic part of one slot step from (context, buffer,
@@ -366,6 +371,41 @@ class GopTemplate:
     def total_impact(self) -> float:
         """Expected distortion impact carried by one GOP (q * mean size summed)."""
         return sum(du.distortion_impact * du.mean_size for du in self.dus)
+
+
+class SizeDraws:
+    """Which size CDF each uniform of a template's slot step feeds.
+
+    The step from phase p draws counts[p] uniforms, one per DU entering at
+    p + 1 in slot order. `breaks` is the sorted union of every entering
+    DU's `size_cdf` breakpoints. A uniform u falls in bucket
+    `breaks.searchsorted(u, side="right")`, and within a bucket
+    `bisect_right` on each of those CDFs is constant, so the j-th draw's
+    size from any u in bucket b is sizes[rows[j, p] + b]: its DU's
+    `size_at(u)`. Lanes j past counts[p] read a row of zeros. Every size
+    is below `bound`.
+    """
+
+    __slots__ = ("counts", "breaks", "rows", "sizes", "lanes", "bound")
+
+    def __init__(self, template: GopTemplate):
+        steps = [[template.context(p + 1).slots[j].du for j in template.step(p).entering]
+                 for p in range(template.period)]
+        dus = [du for step in steps for du in step]
+        self.counts = np.array([len(step) for step in steps], dtype=np.int64)
+        self.breaks = np.unique(np.concatenate([du.size_cdf for du in dus]))
+        lower = np.concatenate(([-np.inf], self.breaks[:-1]))   # each bucket's least u
+        self.sizes = np.concatenate([np.array([v for v, _ in du.size_pmf])[
+            np.searchsorted(du.size_cdf, lower, side="right")] for du in dus]
+            + [np.zeros(len(lower), dtype=np.int64)])
+        width = int(self.counts.max())
+        self.rows = np.full((width, template.period), len(dus) * len(lower), dtype=np.int64)
+        first = 0
+        for p, step in enumerate(steps):
+            self.rows[:len(step), p] = np.arange(first, first + len(step)) * len(lower)
+            first += len(step)
+        self.lanes = np.arange(width)[:, None]
+        self.bound = 1 + max(du.max_size for du in dus)
 
 
 @dataclass(frozen=True)
@@ -452,6 +492,14 @@ class ChannelModel:
     def transition_cdf(self) -> list[list[float]]:
         """Each row's `categorical_cdf` as a list, for `bisect_right`."""
         return [categorical_cdf(row).tolist() for row in self.transition]
+
+    @cached_property
+    def draw_breaks(self) -> np.ndarray:
+        """The sorted union of every row's `transition_cdf` breakpoints. A
+        uniform's bucket, `searchsorted(u, side="right")` on it, fixes the
+        next state from every current state: `bisect_right` on any row is
+        constant within a bucket."""
+        return np.unique(np.concatenate(self.transition_cdf))
 
     @cached_property
     def stationary_cdf(self) -> np.ndarray:

@@ -4,11 +4,14 @@ The coordinator keeps one nonnegative price per joint channel state. Each
 slot the users submit bandwidth requests implied by their priced policies;
 the visited state's price moves by (sum of requests - bandwidth) with a
 1/(k+1) stepsize, where k counts that state's own updates. Convergence is
-declared when every price update in a sliding window is below tolerance.
+declared once every visited state is settled: over a sliding window of its
+last `SWEEP_FACTOR` + 1 updates, each update moved its price by at most the
+tolerance, and so did the window's net movement, first to last.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -302,6 +305,7 @@ class CoordinationReport:
     exchange_messages_per_slot: int = 0
     eval_slots: int = 0                   # slots the frozen policies were replayed
     eval_decisions: int = 0               # distinct slot decisions computed there
+    eval_transitions: int = 0             # (slot state, draw outcome) successors it recorded
 
 
 # price updates per settle sweep of one state (see state_settled)
@@ -393,7 +397,10 @@ def run_coordination(agents: Sequence[PricedAgent], *,
         requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
         return sum(requests), sent
 
-    report.expected_usage, report.eval_decisions = replay(system, band_request, eval_slots)
+    memo: dict[tuple, tuple] = {}
+    report.expected_usage, report.eval_decisions = replay(system, band_request, eval_slots,
+                                                          memo)
+    report.eval_transitions = sum(len(entry[-1]) for entry in memo.values())
     report.eval_slots = eval_slots
     for key, mean_usage in report.expected_usage.items():
         report.residuals[key] = abs(table.get(key) * (mean_usage - bandwidth))
@@ -415,23 +422,60 @@ def slot_requests(agents: Sequence[PricedAgent], system: SlotSystem,
 
 
 # most slots whose uniforms `walk` draws in one generator call: the block's
-# list of doubles is what bounds the walk's memory
+# uniforms and outcome codes are what bound the walk's memory
 REPLAY_BLOCK = 1024
 
+# outcome codes are int64 while they stay below this, and Python ints (an
+# object array, much slower) past it
+CODE_LIMIT = 1 << 62
 
-def block_draws(templates: Sequence[GopTemplate], contexts, slots: int,
-                channel_draws: int) -> int:
-    """How many uniforms `slots` slots from `contexts` on consume: each slot,
-    one per DU entering each user's next phase, then `channel_draws` for the
-    channel (`JointChannel.draws`, or 0 when the channel states are pinned).
-    Phases move one per slot whatever is sent, so the count is known before
-    any slot is decided."""
-    need = slots * channel_draws
-    for t, ctx in zip(templates, contexts, strict=True):
-        cycles, rest = divmod(slots, t.period)
-        ks = [len(t.step(ctx.phase + k).entering) for k in range(t.period)]
-        need += cycles * sum(ks) + sum(ks[:rest])
-    return need
+
+def draw_outcomes(templates: Sequence[GopTemplate], channels: Sequence[ChannelModel],
+                  phases: Sequence[int], slots: int,
+                  draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniforms of `slots` slots from `phases` on, where each slot
+    draws, per user, one uniform per DU entering its next phase, then one
+    per channel of `channels`; `draw(n)` returns all n at once. Phases move
+    one per slot whatever is sent, so n is known before any slot is decided.
+
+    Returns the uniforms, the offsets `starts` (slot k's are
+    us[starts[k]:starts[k + 1]]) and each slot's outcome code below
+    `code_span(templates, channels)` (int64, or Python ints past
+    `CODE_LIMIT`): each user's entering sizes, lane by lane (digits below
+    its `SizeDraws.bound`), then each channel's `draw_breaks` bucket, as
+    the digits of one mixed-radix int. Two slots at the same phases with
+    equal codes draw the same sizes and move every channel state to the
+    same next state. One `searchsorted` per template and channel maps the
+    whole block.
+    """
+    ks = np.arange(slots)
+    steps = [(t.size_draws, (p + ks) % t.period) for t, p in zip(templates, phases)]
+    counts = [lay.counts.take(ph) for lay, ph in steps]
+    starts = np.zeros(slots + 1, dtype=np.int64)
+    np.cumsum(sum(counts, len(channels)), out=starts[1:])
+    us = draw(int(starts[-1]))
+    codes = np.zeros(slots, dtype=np.int64 if code_span(templates, channels) <= CODE_LIMIT
+                     else object)
+    if not len(us):                    # pinned slots where no DU enters
+        return us, starts, codes
+    base = starts[:-1]                 # each slot's first uniform of the next user
+    for (lay, ph), cnt in zip(steps, counts):
+        pos = lay.lanes + base         # (lane, slot)
+        buckets = lay.breaks.searchsorted(us.take(pos, mode="clip"), side="right")
+        # one lane at a time, in the codes' own dtype, so no digit overflows
+        for sizes in lay.sizes.take(lay.rows.take(ph, axis=1) + buckets):
+            codes = codes * lay.bound + sizes
+        base = base + cnt
+    for i, ch in enumerate(channels):
+        codes = codes * len(ch.draw_breaks) + ch.draw_breaks.searchsorted(us.take(base + i),
+                                                                          side="right")
+    return us, starts, codes
+
+
+def code_span(templates: Sequence[GopTemplate], channels: Sequence[ChannelModel]) -> int:
+    """How many outcome codes `draw_outcomes` may give a slot."""
+    return math.prod([t.size_draws.bound ** len(t.size_draws.lanes) for t in templates]
+                     + [len(ch.draw_breaks) for ch in channels])
 
 
 def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
@@ -443,60 +487,84 @@ def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
     to `system` once exhausted.
 
     A frozen rule is deterministic and draws no random number (see
-    `PricedAgent.act`), so each distinct `slot_key` is decided once, into
-    the caller's `memo`, which may hold entries of earlier walks under the
-    same rule; a slot then only maps uniforms to entering sizes and the
-    next channel state. Phases move one per slot whatever is sent,
-    so the number of uniforms a run of slots consumes is known beforehand
-    (`block_draws`): they are drawn one block of at most `REPLAY_BLOCK`
-    slots per `rng.random(n)` call, the same doubles in the same order as
-    `SlotSystem.advance` draws, which leaves the generator where deciding
-    and advancing every slot afresh would. With `pins` the channel draws
-    nothing: the k-th slot after the system's own is at `pins[k]`, and at
-    the last pin past the end. The system holds the current slot whenever
-    `decide` runs.
+    `PricedAgent.act`), so each distinct `slot_key` is decided once, when a
+    slot first reaches it, into the caller's `memo`, which may hold entries
+    of earlier walks under the same rule. The uniforms are drawn one block
+    of at most `REPLAY_BLOCK` slots per `rng.random(n)` call, the same
+    doubles in the same order as `SlotSystem.advance` draws, which leaves
+    the generator where deciding and advancing every slot afresh would;
+    `draw_outcomes` maps each slot's to one outcome code. The memo maps
+    each key to (value, transitions, next contexts, next phases, the key,
+    successors), where successors maps an outcome code to the next slot's
+    key (the key of its memo entry, if it has one). A (state, code) pair
+    seen before steps by two dict lookups, there and in the memo; a new one
+    maps its uniforms to entering sizes (`Transition.buffer`) and to the
+    next channel state (`JointChannel.next_state`) once. With `pins` the
+    channel draws nothing: the k-th slot after the system's own is at
+    `pins[k]`, and at the last pin past the end; a pinned slot's outcome is
+    the pair of its code and its next pin, which equals no free walk's int
+    code. The system holds the current slot whenever `decide` runs.
     """
     templates, joint, rng = system.templates, system.joint, system.rng
-    s0, contexts, buffers = system.s0, system.contexts, system.buffers
+    s0, contexts, buffers = system.s0, system.contexts, tuple(system.buffers)
     phases = tuple(c.phase for c in contexts)
-    channel_draws = joint.draws if pins is None else 0
+    channels = joint.channels[:joint.draws] if pins is None else []
+    key = (s0, phases, buffers)
+    entry = memo.get(key)
     done = 0
     while done < slots:
         block = min(REPLAY_BLOCK, slots - done)
-        us = iter(rng.random(block_draws(templates, contexts, block, channel_draws)).tolist())
-        for t in range(done + 1, done + block + 1):
-            # `slot_key`, with the phases kept from the last decision
-            key = (s0, phases, tuple(buffers))
-            decided = memo.get(key)
-            if decided is None:
-                system.s0, system.contexts, system.buffers = s0, contexts, buffers
+        us, starts, codes = draw_outcomes(templates, channels, phases, block, rng.random)
+        codes = codes.tolist()
+        if pins is not None:
+            codes = [(code, pins[min(t, len(pins) - 1)])
+                     for t, code in enumerate(codes, done + 1)]
+        for k, code in enumerate(codes):
+            if entry is None:
+                system.s0, system.contexts, system.buffers = s0, contexts, list(buffers)
                 value, moves = decide(system)
                 nxt = tuple(m.context for m in moves)
-                decided = memo[key] = (value, moves, nxt, tuple(c.phase for c in nxt))
-            value, moves, contexts, phases = decided
-            buffers = [m.buffer(us) for m in moves]
-            yield s0, value, moves, buffers
-            s0 = joint.next_state(s0, us) if pins is None else pins[min(t, len(pins) - 1)]
+                entry = memo[key] = (value, moves, nxt, tuple(c.phase for c in nxt), key, {})
+            value, moves, contexts, phases, _, successors = entry
+            key = successors.get(code)
+            if key is None:
+                draws = iter(us[starts[k]:starts[k + 1]].tolist())
+                buffers = tuple(m.buffer(draws) for m in moves)
+                s1 = (joint.next_state(s0, draws) if pins is None
+                      else pins[min(done + k + 1, len(pins) - 1)])
+                key = (s1, phases, buffers)
+                entry = memo.get(key)
+                # an existing entry's own key, so that successors share keys
+                key = successors[code] = key if entry is None else entry[4]
+            else:
+                entry = memo.get(key)
+            yield s0, value, moves, key[2]
+            s0, _, buffers = key
         done += block
-    system.s0, system.contexts, system.buffers = s0, contexts, buffers
+    system.s0, system.contexts, system.buffers = s0, contexts, list(buffers)
 
 
-def replay(system: SlotSystem, decide: Callable,
-           slots: int) -> tuple[dict[tuple[int, ...], float], int]:
+def replay(system: SlotSystem, decide: Callable, slots: int,
+           memo: dict | None = None) -> tuple[dict[tuple[int, ...], float], int]:
     """`walk` `system` for `slots` slots under the frozen rule `decide`,
     which returns a value and the sends for the current slot. Returns the
     mean value per visited joint state and how many distinct decisions
-    were made."""
+    the walk's memo holds: those it made, as the memo is a new one unless
+    the caller passes its own (`memo`) to read its successors after."""
     def decided(system: SlotSystem) -> tuple[float, list[Transition]]:
         value, sent = decide(system)
         return value, [t.transition(ctx, buf, act.sends) for t, ctx, buf, act in
                        zip(system.templates, system.contexts, system.buffers, sent,
                            strict=True)]
 
-    total: dict[tuple[int, ...], float] = {}
-    visits: dict[tuple[int, ...], int] = {}
-    memo: dict[tuple, tuple] = {}
+    # per visited joint state, its running total (added slot by slot, left
+    # to right) and its visits
+    sums: dict[tuple[int, ...], list] = {}
+    memo = {} if memo is None else memo
     for s0, value, _moves, _buffers in walk(system, decided, slots, memo):
-        total[s0] = total.get(s0, 0.0) + value
-        visits[s0] = visits.get(s0, 0) + 1
-    return {s0: t / visits[s0] for s0, t in total.items()}, len(memo)
+        acc = sums.get(s0)
+        if acc is None:
+            acc = sums[s0] = [0.0, 0]
+        acc[0] += value
+        acc[1] += 1
+    return {s0: total / visits for s0, (total, visits) in sums.items()}, len(memo)

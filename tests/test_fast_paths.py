@@ -13,8 +13,10 @@ of the table solutions' one array pass, the frozen-rule `replay`
 (evaluation replay, clearing calibration, uniform-price usage) deciding
 every slot afresh and stepping it through
 `SlotSystem.advance` instead of walking memoised transitions once per
-`slot_key` on block-drawn uniforms, the episode loop doing the same and
-building every record afresh, the slot step drawing each entering DU and
+`slot_key` on block-drawn uniforms and stepping by successor lookup, the
+episode loop doing the same and building every record afresh, `size_at`
+and `bisect_right` on each uniform in place of the block-wide outcome
+codes, the slot step drawing each entering DU and
 each channel with its own scalar sampler call, the per-user trim and
 inflate loops of the band scaling, the slot-by-slot fills and trims in
 place of their row-array forms, the within-slot clearing search re-pricing
@@ -28,6 +30,7 @@ a tolerance, so the two agree within it.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice, product
@@ -1279,6 +1282,75 @@ def test_block_drawn_replay_equals_fresh_decisions(common, data):
     assert len(ref_keys) == slots
 
 
+def breakpoint_uniforms(*cdfs) -> list[float]:
+    """0, and every breakpoint of `cdfs` with one ulp either side, as far as
+    they lie in [0, 1)."""
+    us = {0.0}
+    for cdf in cdfs:
+        for c in cdf:
+            us.update(float(u) for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))
+                      if 0.0 <= u < 1.0)
+    return sorted(us)
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(channels(), small_templates())
+def test_draw_buckets_equal_the_scalar_mappings(chan, template):
+    """At every CDF breakpoint and one ulp either side, a channel uniform's
+    `draw_breaks` bucket fixes `bisect_right` on every row (any uniform of
+    the bucket gives the same next states), and a size uniform's
+    `SizeDraws` entry is its DU's `size_at`. Zero-probability channel moves
+    and sizes repeat breakpoints."""
+    breaks = chan.draw_breaks
+    for u in breakpoint_uniforms(*chan.transition_cdf):
+        b = int(breaks.searchsorted(u, side="right"))
+        least = float(breaks[b - 1]) if b else 0.0
+        assert b < len(breaks)
+        assert [bisect_right(row, u) for row in chan.transition_cdf] == \
+            [bisect_right(row, least) for row in chan.transition_cdf]
+
+    lay = template.size_draws
+    us = breakpoint_uniforms(*(du.size_cdf for du in template.dus))
+    buckets = lay.breaks.searchsorted(us, side="right")
+    for p in range(template.period):
+        nxt = template.context(p + 1)
+        dus = [nxt.slots[j].du for j in template.step(p).entering]
+        assert lay.counts[p] == len(dus)
+        assert not lay.sizes[lay.rows[len(dus):, p, None] + buckets].any()
+        for j, du in enumerate(dus):
+            assert lay.sizes[lay.rows[j, p] + buckets].tolist() == [du.size_at(u) for u in us]
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(slot_systems(), st.data())
+def test_equal_outcome_codes_draw_equal_outcomes(inst, data):
+    """Slots at the same phases with equal `draw_outcomes` codes draw the
+    same entering sizes and move every joint channel state to the same
+    next state, on uniforms at every breakpoint and one ulp either side."""
+    templates, joint, seed = inst
+    channels_ = joint.channels[:joint.draws]
+    pool = breakpoint_uniforms(*(du.size_cdf for t in templates for du in t.dus),
+                               *(cdf for c in channels_ for cdf in c.transition_cdf))
+    phases = [data.draw(st.integers(0, t.period - 1)) for t in templates]
+    slots = data.draw(st.integers(1, 200))
+    rng = np.random.default_rng(seed)
+    us, starts, codes = pricing.draw_outcomes(templates, channels_, phases, slots,
+                                              lambda n: rng.choice(pool, n))
+    assert len(us) == starts[-1] and 0 <= codes.min()
+    assert codes.max() < pricing.code_span(templates, channels_)
+    outcomes = {}
+    for k in range(slots):
+        draws = iter(us[starts[k]:starts[k + 1]].tolist())
+        sizes = tuple(tuple(t.context(p + k + 1).slots[j].du.size_at(next(draws))
+                            for j in t.step(p + k).entering)
+                      for t, p in zip(templates, phases))
+        rest = list(draws)
+        assert len(rest) == joint.draws
+        moves = tuple(joint.next_state(s0, iter(rest)) for s0 in joint.all_states())
+        state = (tuple((p + k) % t.period for t, p in zip(templates, phases)), int(codes[k]))
+        assert outcomes.setdefault(state, (sizes, moves)) == (sizes, moves)
+
+
 def _prepared(sol, seed):
     """Prepare `sol` on its own stream; return it and that stream's next draw."""
     rng = np.random.default_rng(seed)
@@ -1292,12 +1364,17 @@ def _prepared(sol, seed):
 def test_memoised_evaluation_replay_equals_fresh_decisions(name, solution, monkeypatch):
     sc = preset(name)
     fast, fast_next = _prepared(build_solution(sc, solution, eval_slots=5_000), sc.seed)
-    monkeypatch.setattr(pricing, "replay", reference_replay)
+    # the reference keeps no memo, so it records no successors
+    monkeypatch.setattr(pricing, "replay",
+                        lambda system, decide, slots, memo: reference_replay(system, decide,
+                                                                             slots))
     ref, ref_next = _prepared(build_solution(sc, solution, eval_slots=5_000), sc.seed)
     assert fast.report.expected_usage == ref.report.expected_usage
     assert fast.report.residuals == ref.report.residuals
     assert fast_next == ref_next
     assert fast.report.eval_decisions < ref.report.eval_decisions == 5_000
+    assert fast.report.eval_decisions <= fast.report.eval_transitions
+    assert ref.report.eval_transitions == 0
 
 
 @pytest.mark.parametrize("name", ["illustration-2user", "tiny-priced"])
@@ -1605,6 +1682,145 @@ def test_one_solution_on_two_scenario_objects_equals_the_reference():
     first = assert_same_episode(sc, sol, 60, 3)
     assert assert_same_episode(costly, sol, 60, 3).records != first.records
     assert assert_same_episode(sc, sol, 60, 3) == first
+
+
+def test_a_walk_of_no_slots_draws_and_decides_nothing():
+    """A 0-slot episode or replay draws no uniform, decides no slot state
+    and leaves the system as it was, as the reference does."""
+    sc = preset("illustration-2user")
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    trace = assert_same_episode(sc, sol, 0, 5)
+    assert (trace.records, trace.decisions) == ([], 0)
+    assert sol.episode_memo(sc) == ({}, {})
+
+    joint = JointChannel(sc.channels, sc.channel_correlation)
+    results = []
+    for run in (replay, reference_replay):
+        rng = np.random.default_rng(5)
+        system = SlotSystem(sc.templates, joint, rng)
+        before = (system.s0, list(system.contexts), list(system.buffers))
+        calls = []
+        assert run(system, calls.append, 0) == ({}, 0)
+        assert calls == []
+        assert (system.s0, list(system.contexts), list(system.buffers)) == before
+        results.append(rng.random())
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("slots", [1, pricing.REPLAY_BLOCK])
+def test_a_walk_decides_no_state_past_its_last_slot(slots):
+    """Walks of one slot and of exactly one draw block equal the reference
+    and decide exactly the slot states they visit: the state after the last
+    slot is left undecided, episode or replay."""
+    sc = preset("illustration-2user")
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    trace = assert_same_episode(sc, sol, slots, 6)
+    memo, _ = sol.episode_memo(sc)
+    assert set(memo) == {slot_state(sc, rec) for rec in trace.records}
+
+    joint = JointChannel(sc.channels, sc.channel_correlation)
+    results = []
+    for run in (replay, reference_replay):
+        rng = np.random.default_rng(6)
+        keys = []
+
+        def sent(system):
+            keys.append(slot_key(system.s0, system.contexts, system.buffers))
+            decision = sol.sent_actions(system.s0, system.contexts, system.buffers)
+            return float(sum(a.total for a in decision.sent)), decision.sent
+
+        mean, _ = run(SlotSystem(sc.templates, joint, rng), sent, slots)
+        results.append((mean, set(keys), len(keys), rng.random()))
+    (mean, keys, decided, after), (ref_mean, ref_keys, ref_slots, ref_after) = results
+    assert (mean, keys, after) == (ref_mean, ref_keys, ref_after)
+    assert decided == len(ref_keys) and ref_slots == slots
+
+
+def test_pinned_and_free_episodes_on_one_memo_equal_the_reference():
+    """Pinned slots draw no channel uniform, and their outcome codes are kept
+    apart from the free ones: pinned and free episodes that share one memo,
+    in either order and from the same seed, each equal the reference. The
+    pins move between the channel states throughout, so a pinned code read
+    as a free one sends a free slot to a wrong state."""
+    for name in ("tiny-sym", "illustration-2user"):
+        sc = preset(name)
+        pins = np.random.default_rng(2).integers(0, len(sc.channels[0]), 140).tolist()
+        for pinned_first in (True, False):
+            sol = build_solution(sc, "myopic")
+            sol.prepare(np.random.default_rng(0))
+            runs = [(140, 9, pins), (140, 9, None)]
+            for slots, seed, pinned in runs if pinned_first else runs[::-1]:
+                assert_same_episode(sc, sol, slots, seed, pinned)
+            assert_same_episode(sc, sol, 12, 9, PINNED)
+
+
+def assert_same_walks(sc, pins):
+    """Free, pinned and free episodes of one `myopic` solution, and a
+    replay, each equal the reference."""
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    for pinned in (None, pins, None):
+        assert_same_episode(sc, sol, 30, 3, pinned)
+
+    def sent(system):
+        decision = sol.sent_actions(system.s0, system.contexts, system.buffers)
+        return float(sum(a.total for a in decision.sent)), decision.sent
+
+    joint = JointChannel(sc.channels, sc.channel_correlation)
+    results = []
+    for run in (replay, reference_replay):
+        rng = np.random.default_rng(4)
+        system = SlotSystem(sc.templates, joint, rng)
+        mean, _ = run(system, sent, 30)
+        results.append((mean, system.s0, list(system.buffers), rng.random()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("states", [2, 3])
+def test_walks_past_int64_outcome_codes_equal_the_reference(states):
+    """Forty users whose one DU enters every slot with one of three sizes,
+    on a common channel of two or three states: a slot has more outcome
+    codes than int64 holds, so they are Python ints, and with three states
+    so has the joint channel (3**40 states), which pinned codes must not
+    index; free and pinned episodes and a replay still equal the
+    reference."""
+    tpl = GopTemplate([DataUnitSpec(0, "I", 1.0, 0, ((0, 0.3), (1, 0.3), (2, 0.4)))], 1, 1)
+    stay, leave = 0.8, 0.2 / (states - 1)
+    move = np.full((states, states), leave) + np.eye(states) * (stay - leave)
+    chan = ChannelModel([f"c{h}" for h in range(states)], [1.0] * states,
+                        [40.0 * (h + 1) for h in range(states)], move)
+    sc = ScenarioConfig("wide", tuple(UserConfig(f"u{i}", tpl, chan) for i in range(40)),
+                        channel_correlation="common")
+    joint = JointChannel(sc.channels, "common")
+    assert pricing.code_span(sc.templates, joint.channels[:1]) > pricing.CODE_LIMIT
+    _, _, codes = pricing.draw_outcomes(sc.templates, joint.channels[:1], [0] * 40, 50,
+                                        np.random.default_rng(0).random)
+    assert max(codes.tolist()) >= 2**63
+    assert_same_walks(sc, [0, states - 1, 1, states - 1, 0])
+
+
+def test_a_template_past_int64_outcome_codes_equals_the_reference():
+    """One user whose 17 DUs all enter every slot, the first with 1 or 15
+    packets, the others with 2: one template's digits of radix 16 pass
+    int64 on their own (16**17 codes), so the first lane's place value
+    would wrap to 0 in int64 and drop its size from the code. The codes
+    tell the two sizes apart, and walks equal the reference."""
+    dus = [DataUnitSpec(0, "I", 1.0, 0, ((1, 0.5), (15, 0.5)))] + \
+        [DataUnitSpec(i, f"P{i}", 1.0, 0, ((2, 1.0),)) for i in range(1, 17)]
+    tpl = GopTemplate(dus, 1, 1)
+    assert [tpl.context(1).slots[j].du.du_id for j in tpl.step(0).entering] == list(range(17))
+    assert pricing.code_span([tpl], []) == 16**17
+    us, starts, codes = pricing.draw_outcomes([tpl], [], [0], 50,
+                                              np.random.default_rng(0).random)
+    first = [dus[0].size_at(u) for u in us[starts[:-1]]]
+    assert len(set(first)) == 2
+    assert len(set(codes.tolist())) == 2
+    assert len(set(zip(first, codes.tolist()))) == 2
+    chan = ChannelModel(["g", "b"], [1.0, 1.0], [40.0, 80.0], [[0.7, 0.3], [0.4, 0.6]])
+    assert_same_walks(ScenarioConfig("wide-gop", (UserConfig("u", tpl, chan),),
+                                     channel_correlation="common"), PINNED)
 
 
 # ---------------------------------------------------------------------------

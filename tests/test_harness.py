@@ -324,7 +324,9 @@ def test_frozen_replay_decides_each_distinct_slot_once(priced_results, monkeypat
     but at the preset seeds only 303 distinct slot states occur on
     gop16-default (`proposed`) and 34 on tiny-priced (`proposed-full`). Each
     decision scales one set of requests, so a replay that decides every
-    slot afresh fails here, with no timing involved."""
+    slot afresh fails here, with no timing involved. The replay steps the
+    other slots by successor lookup: 1,775 (slot state, draw outcome)
+    successors on gop16-default and 102 on tiny-priced."""
     from wvsched import pricing
 
     scaled = []
@@ -341,8 +343,9 @@ def test_frozen_replay_decides_each_distinct_slot_once(priced_results, monkeypat
     gop16 = sol.report
     assert (gop16.eval_slots, gop16.eval_decisions) == (20_000, 303)
     assert len(scaled) == gop16.slots_run + 303
+    assert gop16.eval_transitions == 1_775
     tiny = priced_results["solution"].report
-    assert (tiny.eval_slots, tiny.eval_decisions) == (20_000, 34)
+    assert (tiny.eval_slots, tiny.eval_decisions, tiny.eval_transitions) == (20_000, 34, 102)
 
 
 def _send_all(buffers):
