@@ -58,6 +58,7 @@ from wvsched.pricing import (
     run_coordination,
     scale_rows_to_budget,
     scale_to_budget,
+    slot_count,
     slot_key,
     walk,
 )
@@ -736,7 +737,7 @@ def build_solution(scenario: ScenarioConfig, name: str,
 # Episodes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class UserSlotRecord:
     traffic: list[tuple[str, int]]
     requested: tuple[int, ...]
@@ -748,7 +749,7 @@ class UserSlotRecord:
     share: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotRecord:
     slot: int
     s0: tuple[int, ...]
@@ -777,29 +778,36 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
 
     A prepared solution's rule is frozen (see `PricedAgent.act`), so the
     episode is a fold over `pricing.walk`: each distinct `slot_key` is
-    decided once, with the record fields the key fixes, and each slot's
-    record is built from them, its buffer and the walk's entering sizes.
-    The memo lives with the solution (`Solution.episode_memo`), so a slot
-    state is decided once per frozen rule, not once per episode; it is
-    dropped when the solution is prepared again, when its decision cache is
-    replaced (re-pricing) and when it runs on another scenario object. Each
-    record gets its own `traffic` list and `dropped` dict.
+    decided once, into a memo entry holding every record part the key
+    fixes (`_decided_slot`). The memo lives with the solution
+    (`Solution.episode_memo`), so a slot state is decided once per frozen
+    rule, not once per episode; it is dropped when the solution is prepared
+    again, when its decision cache is replaced (re-pricing) and when it runs
+    on another scenario object. A bad `slots` (see `pricing.slot_count`)
+    or `pinned_channels` raises `ModelError` before any draw. Each slot's
+    record is built from its entry
+    alone, with its own `traffic` list and `dropped` dict; arrivals are
+    added only where DUs enter. The sent and dropped totals are folded after
+    the walk, each entry's contribution times its visits, entries in
+    first-visit order, so every name lands where slot-by-slot sums put it.
     """
     sc = scenario
     n_users = len(sc.users)
+    slots = slot_count(slots)
     pins = None
     if pinned_channels is not None:
         if sc.channel_correlation != "common":
             raise ModelError("pinned channel replay requires common correlation")
         n_states = len(sc.channels[0])
-        bad = [h for h in pinned_channels
-               if not isinstance(h, Integral) or not 0 <= h < n_states]
+        bad = [h for h in pinned_channels if isinstance(h, bool)
+               or not isinstance(h, Integral) or not 0 <= h < n_states]
         if len(pinned_channels) == 0 or bad:
             raise ModelError(f"pinned channels must be a nonempty sequence of integer "
                              f"channel states in [0, {n_states}); got {list(pinned_channels)}")
         pins = [(int(h),) * n_users for h in pinned_channels]
     memo, interned, joint = solution._episode_walks(sc)
     system = SlotSystem(sc.templates, joint, rng, None if pins is None else pins[0])
+    steps = walk(system, partial(_decided_slot, sc, solution, interned), slots, memo, pins)
 
     trace = EpisodeTrace(sc.name, solution.name)
     trace.arrived = [dict() for _ in range(n_users)]
@@ -808,65 +816,72 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
     for arrived, ctx, buf in zip(trace.arrived, system.contexts, system.buffers):
         for name, x in zip(ctx.names, buf):
             arrived[name] = arrived.get(name, 0) + x
-    totals = list(zip(trace.arrived, trace.sent_totals, trace.dropped_totals))
 
-    decided = set()             # ids of the memo entries visited; each key has its own
-    buffers = system.buffers
-    steps = walk(system, partial(_decided_slot, sc, solution, interned), slots, memo, pins)
-    for t, (s0, entry, moves, nxt) in enumerate(steps, 1):
-        decided.add(id(entry))
-        lam0, names, parts = entry
-        users_rec = []
-        for (dus, requested, sent, dropped, sent_by_name, pay, dist, en, share), buf, move, \
-                after, (arrived, sent_totals, dropped_totals) in zip(parts, buffers, moves, nxt,
-                                                                    totals):
-            users_rec.append(UserSlotRecord(list(zip(dus, buf)), requested, sent, dict(dropped),
-                                            pay, dist, en, share))
-            for name, n in dropped:
-                dropped_totals[name] = dropped_totals.get(name, 0) + n
-            for name, y in sent_by_name:
-                sent_totals[name] = sent_totals.get(name, 0) + y
-            for j, du, _key in move.entering:
-                arrived[du.name] = arrived.get(du.name, 0) + after[j]
-        trace.records.append(SlotRecord(t, s0, names, lam0, users_rec, 2 * n_users))
-        buffers = nxt
+    records, arrived, messages = trace.records, trace.arrived, 2 * n_users
+    visits = {}                 # id of each memo entry visited: [its value, visits]
+    for t, (s0, entry, _moves, nxt) in enumerate(steps, 1):
+        visits.setdefault(id(entry), [entry, 0])[1] += 1
+        lam0, names, parts, entering, _, _ = entry
+        records.append(SlotRecord(t, s0, names, lam0, [
+            UserSlotRecord(list(traffic), requested, sent, dropped.copy(), pay, dist, en, share)
+            for traffic, requested, sent, dropped, pay, dist, en, share in parts], messages))
+        for u, j, name in entering:
+            arrived[u][name] = arrived[u].get(name, 0) + nxt[u][j]
 
+    for (*_, sent, dropped), n in visits.values():
+        for totals, pairs in ((trace.sent_totals, sent), (trace.dropped_totals, dropped)):
+            for u, name, x in pairs:
+                totals[u][name] = totals[u].get(name, 0) + n * x
     for ctx, buf in zip(system.contexts, system.buffers):
         rem = {}
         for name, x in zip(ctx.names, buf):
             rem[name] = rem.get(name, 0) + x
         trace.remaining.append(rem)
-    trace.decisions = len(decided)
+    trace.decisions = len(visits)
     return trace
 
 
 def _decided_slot(sc: ScenarioConfig, solution: Solution, interned: dict,
                   system: SlotSystem) -> tuple:
-    """All that the system's current slot state fixes of its record, and
-    every user's transition: the price, the channel names and, per user,
-    the DU names, the requested and sent sends, the (DU name, packets)
-    drops, the nonzero sends by DU name, and the payoff, distortion, energy
-    and band share. Equal per-user parts and channel names are stored once,
-    in `interned`, as the memo that keeps them lives across episodes."""
+    """All that the system's current slot state fixes of its records and
+    totals, and every user's transition. The parts are the price, the
+    channel names, each user's record part in `UserSlotRecord` field order
+    (its (DU name, packets) traffic, requested and sent sends, (DU name,
+    packets) drops, payoff, distortion, energy and band share), the
+    (user, index, DU name) of each DU entering next, and the (user, DU
+    name, packets) sends and drops a visit adds to the totals, each summed
+    per name. Equal parts are stored once, in `interned`, as the memo that
+    keeps them lives across episodes."""
     s0, contexts, buffers = system.s0, system.contexts, system.buffers
     decision = solution.sent_actions(s0, contexts, buffers)
-    parts, moves = [], []
-    for u, h, ctx, buf, raw, act, share in zip(sc.users, s0, contexts, buffers, decision.raw,
-                                               decision.sent, decision.shares, strict=True):
+    parts, moves, entering, sent_totals, dropped_totals = [], [], [], [], []
+    for i, (u, h, ctx, buf, raw, act, share) in enumerate(zip(
+            sc.users, s0, contexts, buffers, decision.raw, decision.sent, decision.shares,
+            strict=True)):
         move = u.template.transition(ctx, buf, act.sends)
         dist = float(sum(map(mul, ctx.impacts, act.sends)))
         en = u.channel.energy(h, act.total)
-        dropped = {}
+        dropped, sent = {}, {}
         for key, n in move.dropped:
             name = u.template.du(key[1]).name
             dropped[name] = dropped.get(name, 0) + n
-        part = (ctx.names, raw.sends, act.sends, tuple(dropped.items()),
-                tuple(compress(zip(ctx.names, act.sends), act.sends)),
-                dist - u.beta * en, dist, en, share)
-        parts.append(interned.setdefault(part, part))
+        for name, y in compress(zip(ctx.names, act.sends), act.sends):
+            sent[name] = sent.get(name, 0) + y
+        traffic = tuple(zip(ctx.names, buf))
+        part = (interned.setdefault(traffic, traffic), raw.sends, act.sends,
+                tuple(dropped.items()), dist - u.beta * en, dist, en, share)
+        # kept with its drops as a dict, which each record copies
+        parts.append(interned.setdefault(part, (*part[:3], dropped, *part[4:])))
         moves.append(move)
+        entering += [(i, j, du.name) for j, du, _key in move.entering]
+        sent_totals += [(i, name, y) for name, y in sent.items()]
+        dropped_totals += [(i, name, n) for name, n in dropped.items()]
     names = tuple(u.channel.names[h] for u, h in zip(sc.users, s0))
-    return (decision.lam0, interned.setdefault(names, names), tuple(parts)), tuple(moves)
+    names, entering, sent_totals, dropped_totals = [
+        interned.setdefault(x, x) for x in (names, tuple(entering), tuple(sent_totals),
+                                            tuple(dropped_totals))]
+    return (decision.lam0, names, tuple(parts), entering, sent_totals, dropped_totals), \
+        tuple(moves)
 
 
 # ---------------------------------------------------------------------------

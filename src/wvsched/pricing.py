@@ -15,7 +15,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -439,7 +440,8 @@ def draw_outcomes(templates: Sequence[GopTemplate], channels: Sequence[ChannelMo
     one per slot whatever is sent, so n is known before any slot is decided.
 
     Returns the uniforms, the offsets `starts` (slot k's are
-    us[starts[k]:starts[k + 1]]) and each slot's outcome code below
+    us[starts[k]:starts[k + 1]]; read-only, and shared by every block of
+    the same layout) and each slot's outcome code below
     `code_span(templates, channels)` (int64, or Python ints past
     `CODE_LIMIT`): each user's entering sizes, lane by lane (digits below
     its `SizeDraws.bound`), then each channel's `draw_breaks` bucket, as
@@ -448,28 +450,45 @@ def draw_outcomes(templates: Sequence[GopTemplate], channels: Sequence[ChannelMo
     same next state. One `searchsorted` per template and channel maps the
     whole block.
     """
-    ks = np.arange(slots)
-    steps = [(t.size_draws, (p + ks) % t.period) for t, p in zip(templates, phases)]
-    counts = [lay.counts.take(ph) for lay, ph in steps]
-    starts = np.zeros(slots + 1, dtype=np.int64)
-    np.cumsum(sum(counts, len(channels)), out=starts[1:])
+    starts, lanes, base = block_layout(tuple(templates), len(channels), tuple(phases), slots)
     us = draw(int(starts[-1]))
     codes = np.zeros(slots, dtype=np.int64 if code_span(templates, channels) <= CODE_LIMIT
                      else object)
     if not len(us):                    # pinned slots where no DU enters
         return us, starts, codes
-    base = starts[:-1]                 # each slot's first uniform of the next user
-    for (lay, ph), cnt in zip(steps, counts):
-        pos = lay.lanes + base         # (lane, slot)
+    for lay, pos, rows in lanes:
         buckets = lay.breaks.searchsorted(us.take(pos, mode="clip"), side="right")
         # one lane at a time, in the codes' own dtype, so no digit overflows
-        for sizes in lay.sizes.take(lay.rows.take(ph, axis=1) + buckets):
+        for sizes in lay.sizes.take(rows + buckets):
             codes = codes * lay.bound + sizes
-        base = base + cnt
     for i, ch in enumerate(channels):
         codes = codes * len(ch.draw_breaks) + ch.draw_breaks.searchsorted(us.take(base + i),
                                                                           side="right")
     return us, starts, codes
+
+
+@lru_cache(maxsize=16)
+def block_layout(templates: tuple[GopTemplate, ...], n_channels: int, phases: tuple[int, ...],
+                 slots: int) -> tuple[np.ndarray, tuple[tuple, ...], np.ndarray]:
+    """Where `draw_outcomes` finds each uniform of a block, which depends on
+    the phases and the block's length alone, not on the draws: the offsets
+    `starts`, per template its `SizeDraws`, each (lane, slot) uniform's
+    position and its CDF row, and each slot's first channel uniform.
+    Cached, as every episode starts from phase 0 with the same length; the
+    arrays are read-only."""
+    ks = np.arange(slots)
+    steps = [(t.size_draws, (p + ks) % t.period) for t, p in zip(templates, phases)]
+    counts = [lay.counts.take(ph) for lay, ph in steps]
+    starts = np.zeros(slots + 1, dtype=np.int64)
+    np.cumsum(sum(counts, n_channels), out=starts[1:])
+    base = starts[:-1]                 # each slot's first uniform of the next user
+    lanes = []
+    for (lay, ph), cnt in zip(steps, counts):
+        lanes.append((lay, lay.lanes + base, lay.rows.take(ph, axis=1)))   # (lane, slot)
+        base = base + cnt
+    for a in [starts, base, *(a for _, *arrays in lanes for a in arrays)]:
+        a.flags.writeable = False
+    return starts, tuple(lanes), base
 
 
 def code_span(templates: Sequence[GopTemplate], channels: Sequence[ChannelModel]) -> int:
@@ -504,7 +523,24 @@ def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
     `pins[k]`, and at the last pin past the end; a pinned slot's outcome is
     the pair of its code and its next pin, which equals no free walk's int
     code. The system holds the current slot whenever `decide` runs.
+
+    Raises `ModelError` naming `slots`, before any step, unless it is a
+    `slot_count`.
     """
+    return _walk(system, decide, slot_count(slots), memo, pins)
+
+
+def slot_count(slots) -> int:
+    """`slots` as an int, if it is an integer (not a bool) of at least 0;
+    else raises `ModelError` naming it."""
+    if isinstance(slots, bool) or not isinstance(slots, Integral) or slots < 0:
+        raise ModelError(f"slots must be an integer >= 0; got {slots!r}")
+    return int(slots)
+
+
+def _walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
+          pins: Sequence[tuple[int, ...]] | None) -> Iterator[tuple]:
+    """`walk`'s steps, its slot count checked."""
     templates, joint, rng = system.templates, system.joint, system.rng
     s0, contexts, buffers = system.s0, system.contexts, tuple(system.buffers)
     phases = tuple(c.phase for c in contexts)

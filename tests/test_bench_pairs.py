@@ -142,9 +142,11 @@ def test_parse_run_reads_rounds_fingerprint_and_metrics(bench_pairs):
         bench_pairs.parse_run(stdout, "gop16-coord")
 
 
-def _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of) -> dict:
+def _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of,
+                        rss_of=lambda side, workload, seed: 70.0) -> dict:
     """The record of a two-workload run in which a run's round count is
-    rounds_of(side, workload, seed)."""
+    rounds_of(side, workload, seed) and its `peak_rss_mb` is rss_of(side,
+    workload, seed)."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
@@ -154,8 +156,10 @@ def _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of) -> dict:
         encoding="utf-8")
 
     def fake_run_once(checkout, workload, seed, trace=False):
-        return {"metrics": {"total_s": 2.0, "peak_rss_mb": 70.0}, "fingerprint": "match",
-                "failed": 0, "rounds": rounds_of(checkout.name, workload, seed)}
+        return {"metrics": {"total_s": 2.0,
+                            "peak_rss_mb": rss_of(checkout.name, workload, seed)},
+                "fingerprint": "match", "failed": 0,
+                "rounds": rounds_of(checkout.name, workload, seed)}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "BENCH.json"
@@ -188,3 +192,32 @@ def test_peak_rss_says_whether_every_pair_ran_equal_rounds(bench_pairs, tmp_path
     assert metrics["w2"]["peak_rss_mb"]["rounds_equal"] is False
     assert metrics["w2"]["peak_rss_mb"]["verdict"] == "not_worse"
     assert "rounds_equal" not in metrics["w2"]["total_s"]
+
+
+def test_peak_rss_is_summarised_over_the_equal_round_pairs(bench_pairs, tmp_path, monkeypatch):
+    """Only pairs whose sides ran equal rounds enter `equal_rounds`: in w1
+    the change runs a second round, and peaks 10 MB higher, on even seeds;
+    on odd seeds both sides run one round and the change peaks lower on all
+    but the last. w2's sides never run equal rounds."""
+    seeds = [bench_pairs.FIRST_SEED + k for k in range(bench_pairs.PAIRS)]
+    odd = [seed for seed in seeds if seed % 2]
+
+    def rounds_of(side, workload, seed):
+        if workload == "w2":
+            return 1 if side == "parent" else 2
+        return 2 if side == "change" and seed % 2 == 0 else 1
+
+    def rss_of(side, workload, seed):
+        if side == "parent":
+            return 70.0 + seed
+        return 80.0 + seed if seed % 2 == 0 or seed == odd[-1] else 69.5 + seed
+
+    record = _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of, rss_of)
+    w1 = record["workloads"]["w1"]["metrics"]["peak_rss_mb"]
+    assert w1["rounds_equal"] is False
+    assert w1["equal_rounds"] == {
+        "pairs": len(odd), "parent_median": 70.0 + odd[len(odd) // 2],
+        "change_median": 69.5 + odd[len(odd) // 2], "change_wins": len(odd) - 1}
+    assert record["workloads"]["w2"]["metrics"]["peak_rss_mb"]["equal_rounds"] == {
+        "pairs": 0, "parent_median": None, "change_median": None, "change_wins": 0}
+    assert "equal_rounds" not in record["workloads"]["w1"]["metrics"]["total_s"]

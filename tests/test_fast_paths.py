@@ -1351,6 +1351,30 @@ def test_equal_outcome_codes_draw_equal_outcomes(inst, data):
         assert outcomes.setdefault(state, (sizes, moves)) == (sizes, moves)
 
 
+@pytest.mark.parametrize("name", ["illustration-2user", "gop16-default", "tiny-sym"])
+def test_blocks_of_one_layout_share_it_read_only(name):
+    """Blocks at the same phases and length share one cached layout, whose
+    arrays no caller can write, and map their draws as a freshly built
+    layout does."""
+    sc = preset(name)
+    joint = JointChannel(sc.channels, sc.channel_correlation)
+    channels_ = joint.channels[:joint.draws]
+    phases = [1] * len(sc.templates)
+
+    def block(seed):
+        rng = np.random.default_rng(seed)
+        return pricing.draw_outcomes(sc.templates, channels_, phases, 140, rng.random)
+
+    first, second = block(1), block(2)
+    assert first[1] is second[1]
+    with pytest.raises(ValueError, match="read-only"):
+        first[1][0] = 1
+    pricing.block_layout.cache_clear()
+    fresh = block(2)
+    assert fresh[1] is not second[1]
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, second, strict=True))
+
+
 def _prepared(sol, seed):
     """Prepare `sol` on its own stream; return it and that stream's next draw."""
     rng = np.random.default_rng(seed)
@@ -1555,7 +1579,8 @@ def test_episode_records_share_no_mutable_parts():
     """Records of one slot state come from one memo entry, kept across
     episodes, yet each owns its `traffic` list and `dropped` dict: mutating
     one record changes no later record of that state, in the same episode,
-    the next or the one after."""
+    the next or the one after. The trace's totals are folded from parts
+    the entries keep too, yet mutating them changes no later episode."""
     sc = preset("tiny-sym")
     sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
@@ -1571,6 +1596,9 @@ def test_episode_records_share_no_mutable_parts():
         ur.traffic.append(("X", 1))
         ur.dropped["X"] = 1
     assert first.records[later] == want.records[later]
+    for totals in (first.arrived, first.sent_totals, first.dropped_totals):
+        for by_name in totals:
+            by_name.update(dict.fromkeys(by_name, -1), X=1)
     assert_same_episode(sc, sol, 200, 5)
     assert harness.run_episode(sc, sol, 200, np.random.default_rng(4)) == want
 

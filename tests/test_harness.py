@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from wvsched.harness import (
     write_replay_table,
 )
 from wvsched.mdp import UserMdp, ValueTable, common_view
-from wvsched import oracle
+from wvsched import oracle, pricing
 from wvsched.model import ModelError, ScheduleAction
 from wvsched.oracle import centralized_oracle, joint_value_of
 from wvsched.pricing import CoordinationError, JointChannel, SlotSystem, run_coordination
@@ -188,10 +189,33 @@ def test_myopic_replay_reproduces_published_table():
     assert losses[4] == {0: {"I": 10}}
 
 
-@pytest.mark.parametrize("pinned", [[], [-1], [0.6], [7], [0, 2], [0, "1"]])
+@pytest.mark.parametrize("slots", [-3, 2.5, True, False, "3", None, np.float64(4.0)])
+def test_slot_counts_must_be_integers_of_at_least_zero(slots):
+    """An episode or a replay of a negative, fractional, bool or non-number
+    slot count raises `ModelError` naming it, an episode before any draw;
+    numpy integers are slot counts too."""
+    sc = preset("illustration-2user")
+    sol = build_solution(sc, "myopic")
+    sol.prepare(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    message = re.escape(f"slots must be an integer >= 0; got {slots!r}")
+    with pytest.raises(ModelError, match=message):
+        run_episode(sc, sol, slots, rng)
+    assert rng.random() == np.random.default_rng(1).random()
+    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation),
+                        np.random.default_rng(1))
+    with pytest.raises(ModelError, match="slots must be an integer >= 0"):
+        pricing.replay(system, lambda system: (0.0, []), slots)
+    assert run_episode(sc, sol, np.int64(4), np.random.default_rng(1)) == \
+        run_episode(sc, sol, 4, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("pinned", [[], [-1], [0.6], [7], [0, 2], [0, "1"], [True, False],
+                                    [1, True]])
 def test_pinned_channels_must_be_channel_states(pinned):
-    """An empty sequence, a non-integer or a state outside the chain raises
-    `ModelError` before any draw; numpy integers are channel states too."""
+    """An empty sequence, a non-integer (a bool included) or a state outside
+    the chain raises `ModelError` before any draw; numpy integers are
+    channel states too."""
     sc = preset("illustration-2user")
     sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))

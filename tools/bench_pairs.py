@@ -18,7 +18,9 @@ Each metric also gets a no-regression verdict against its relative
 run's fingerprint status, failed-operation count and number of rounds
 (how many whole rounds of the workload fit in the run). `peak_rss_mb` is
 comparable only between runs of equal rounds, so its entry also says
-whether every pair ran equal rounds on both sides (`rounds_equal`). After
+whether every pair ran equal rounds on both sides (`rounds_equal`) and,
+over the pairs that did, their count, each side's median and the change's
+wins (`equal_rounds`). After
 the pairs, each checkout runs every workload once more with ``--trace 1``
 at FIRST_SEED; the record keeps those per-layer metrics under
 ``per_layer``, per workload and side.
@@ -107,6 +109,18 @@ def compare(parent: list[float], change: list[float], better: str, ok: bool) -> 
     }
 
 
+def equal_rounds(parent: list[dict], change: list[dict], metric: str, better: str) -> dict:
+    """`metric` over the pairs whose two runs fit equal rounds: how many,
+    each side's median (None without such pairs) and the change's wins."""
+    sign = 1.0 if better == "higher" else -1.0
+    pairs = [(p["metrics"][metric], c["metrics"][metric])
+             for p, c in zip(parent, change, strict=True) if p["rounds"] == c["rounds"]]
+    return {"pairs": len(pairs),
+            "parent_median": statistics.median(p for p, _ in pairs) if pairs else None,
+            "change_median": statistics.median(c for _, c in pairs) if pairs else None,
+            "change_wins": sum(sign * (c - p) > 0 for p, c in pairs)}
+
+
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """`not_worse` if every change run beats every parent run, or if the
     change's median is worse than the parent's by at most `bound` relative
@@ -171,8 +185,10 @@ def main(argv=None) -> int:
             entry["metrics"][metric]["verdict"] = verdict(parent, change, direction,
                                                           bounds[metric])
         if "peak_rss_mb" in entry["metrics"]:
-            entry["metrics"]["peak_rss_mb"]["rounds_equal"] = \
-                entry["rounds"]["parent"] == entry["rounds"]["change"]
+            rss = entry["metrics"]["peak_rss_mb"]
+            rss["rounds_equal"] = entry["rounds"]["parent"] == entry["rounds"]["change"]
+            rss["equal_rounds"] = equal_rounds(runs[w]["parent"], runs[w]["change"],
+                                               "peak_rss_mb", better["peak_rss_mb"])
         entry["per_layer"] = per_layer[w]
         record["workloads"][w] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
