@@ -90,7 +90,15 @@ def build_views(scenario: ScenarioConfig) -> list[ChannelView]:
 # ---------------------------------------------------------------------------
 
 class DecomposedAgent(PricedAgent):
-    """Priced per-DU tables plus the per-DU decomposed scheduler."""
+    """Priced per-DU tables plus the per-DU decomposed scheduler.
+
+    A refresh solves one `DuTables` for the whole template and builds no
+    per-DU object. `act` is `decomposed_schedule` at the agent's own price,
+    where every DU's margin is the solved one, so it is a lookup of the
+    tables' best sends (`DuTables.solved_sends`); `table_sends` gathers the
+    same entries for many rows at once. Other prices (`act_at` elsewhere,
+    `price_response`) are evaluated from the post-decision values.
+    """
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float):
         if user.min_quality > 0:
@@ -102,12 +110,23 @@ class DecomposedAgent(PricedAgent):
         self.resolves = 0                # solves made by refresh
 
     def refresh(self, price_vec: np.ndarray) -> None:
-        if self.tables is not None and np.array_equal(price_vec, self.price_vec):
+        price = np.array(price_vec, dtype=float)
+        if self.tables is not None and price.tolist() == self.tables.price:
             return
-        self.price_vec = np.asarray(price_vec, dtype=float)
-        self.tables = build_du_tables(self.template, self.view, self.discount,
-                                      self.price_vec)
+        self.tables = build_du_tables(self.template, self.view, self.discount, price)
+        self.price_vec = price
         self.resolves += 1
+
+    def table_sends(self, context, buffers: np.ndarray, views: np.ndarray) -> np.ndarray | None:
+        """`act` at every row: slot i of row k sends best_send[age, row +
+        buffers[k, i], views[k]] at its `GopTemplate.du_slot_rows` pair, one
+        gather for all rows. None where `act` would not look up
+        (`DuTables.exact_at`)."""
+        if not self.tables.exact_at(self.discount):
+            return None
+        ages, rows = np.array(self.template.du_slot_rows[context.phase],
+                              dtype=np.intp).reshape(-1, 2).T
+        return self.tables.best_send[ages, rows + buffers, views[:, None]]
 
     def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
         return decomposed_schedule(context, buffer, view_state, lam,
@@ -133,8 +152,9 @@ class FullMdpAgent(PricedAgent):
         if self.table is not None and np.array_equal(price_vec, self.price_vec):
             return
         init = self.table.values if self.table is not None else None
-        self.price_vec = np.asarray(price_vec, dtype=float)
-        self.table = self.mdp.solve(self.price_vec, tol=1e-7, init=init)
+        price = np.array(price_vec, dtype=float)
+        self.table = self.mdp.solve(price, tol=1e-7, init=init)
+        self.price_vec = price
         self.resolves += 1
         self.steps += self.table.steps
 
@@ -171,7 +191,7 @@ class PdsDecomposedAgent(PricedAgent):
         self.frozen = False
 
     def refresh(self, price_vec: np.ndarray) -> None:
-        self.price_vec = np.asarray(price_vec, dtype=float)
+        self.price_vec = np.array(price_vec, dtype=float)
 
     def epsilon(self) -> float:
         return 1.0 / (1.0 + self.slots_seen / EXPLORE_TAU)
@@ -211,7 +231,7 @@ class DriftAgent(PricedAgent):
                                    for j in t.step(p).entering)) for p in range(t.period)]
 
     def refresh(self, price_vec: np.ndarray) -> None:
-        self.price_vec = np.asarray(price_vec, dtype=float)
+        self.price_vec = np.array(price_vec, dtype=float)
 
     def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
         return lyapunov_action(
@@ -329,7 +349,6 @@ class Solution:
         agent's `table_sends`, then trim(raw, rates) with each user's rate at
         every row, then `_shares`' band check, raised at the first row that
         overruns. None if an agent has no table."""
-        sc = self.scenario
         raw = []
         for a, ctx, buf in zip(self.agents, contexts, buffers):
             views = np.array([a.view.view_state(s0) for s0 in states])
@@ -401,8 +420,8 @@ class PricedRuntime(Solution):
         return (self._cache,)
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
-        """Table agents' sends with the proportional trim; clearing has no
-        array form."""
+        """Table agents' sends (decomposed or full) with the proportional
+        trim; clearing has no array form."""
         if self.clearing:
             return None
         sc = self.scenario
@@ -583,18 +602,25 @@ class PairedSolution(Solution):
         return [a.total for a in decision.sent]
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
-        """Static shares then the scheduler's ranked fill, at every row: each
-        row's `packet_capacities` at its user's rate, `fill_rows` in the
-        scheduler's rank, then the band check. None when the capacities come
-        from `proposed`, or the scheduler has no fixed rank."""
+        """`capacities` then the scheduler's ranked fill, at every row: each
+        row's `packet_capacities` at its user's rate, or the row totals of
+        `proposed`'s own `sent_arrays`; then `fill_rows` in the scheduler's
+        rank and the band check. None when `proposed` has no array form, or
+        the scheduler has no fixed rank."""
         rank = SCHEDULER_RANKS.get(self.scheduler)
-        if self.proposed is not None or rank is None:
+        if rank is None:
             return None
         sc = self.scenario
         rates = self._row_rates(states, c0)
-        sent = [fill_rows(buf, packet_capacities(share, sc.bandwidth, r, sc.bits_per_packet),
-                          rank(ctx))
-                for share, r, ctx, buf in zip(self.shares, rates, contexts, buffers)]
+        if self.proposed is None:
+            caps = [packet_capacities(share, sc.bandwidth, r, sc.bits_per_packet)
+                    for share, r in zip(self.shares, rates)]
+        else:
+            sent = self.proposed.sent_arrays(states, c0, contexts, buffers)
+            if sent is None:
+                return None
+            caps = [s.sum(axis=1) for s in sent]
+        sent = [fill_rows(buf, cap, rank(ctx)) for cap, ctx, buf in zip(caps, contexts, buffers)]
         return self._within_band(states, c0, sent, rates)
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:

@@ -162,6 +162,10 @@ class Context:
         return f"Context(phase={self.phase}, [{names}])"
 
 
+# number types whose arithmetic with a Python float is float64 arithmetic
+DOUBLES = (float, int, np.float64)
+
+
 class DuLayout:
     """DUs grouped by (distortion impact, max size) kind and laid out as one
     flat triangle, so that one backward induction solves every kind.
@@ -170,21 +174,24 @@ class DuLayout:
     row_start[k] + x. Cells are (kind, x, send y <= x) triples: row r's
     y = 0..x sit at cells seg_start[r] + y. Per cell, `cell_y` is its send,
     `cell_kind` its kind, `cell_row` its row and `cell_src` the row of the
-    buffer x - y it leaves. `kind_of[i]` is the kind of the i-th DU, and
-    `du_rows[du_slices[i]]` are its kind's rows. Nothing here depends on
-    prices, channel views or the discount.
+    buffer x - y it leaves. `kind_of[du_id]` is the kind of DU du_id, in the
+    DUs' order. `exact` says whether every impact is an int or a double,
+    whose arithmetic with a double is the float64 arithmetic of `impacts`.
+    Nothing here depends on prices, channel views or the discount.
     """
 
-    __slots__ = ("kinds", "kind_of", "impacts", "row_start", "seg_start",
-                 "cell_y", "cell_kind", "cell_row", "cell_src", "du_rows", "du_slices")
+    __slots__ = ("kinds", "kind_of", "impacts", "exact", "row_start", "seg_start",
+                 "cell_y", "cell_kind", "cell_row", "cell_src")
 
     def __init__(self, dus: Sequence[DataUnitSpec]):
         index: dict[tuple[float, int], int] = {}
-        self.kind_of = tuple(index.setdefault((du.distortion_impact, du.max_size), len(index))
-                             for du in dus)
+        self.kind_of = {du.du_id: index.setdefault((du.distortion_impact, du.max_size),
+                                                   len(index))
+                        for du in dus}
         self.kinds = tuple(index)
         caps = np.array([cap for _, cap in self.kinds], dtype=np.intp)
         self.impacts = np.array([q for q, _ in self.kinds], dtype=float)
+        self.exact = all(type(q) in DOUBLES for q, _ in self.kinds)
         self.row_start = np.concatenate(([0], np.cumsum(caps + 1)))
         xs = np.concatenate([np.arange(cap + 1) for cap in caps])
         self.seg_start = np.concatenate(([0], np.cumsum(xs + 1)[:-1]))
@@ -192,10 +199,6 @@ class DuLayout:
         self.cell_y = np.arange(len(self.cell_row)) - self.seg_start[self.cell_row]
         self.cell_kind = np.repeat(np.arange(len(caps)), caps + 1)[self.cell_row]
         self.cell_src = self.cell_row - self.cell_y
-        self.du_rows = np.concatenate([np.arange(self.row_start[k], self.row_start[k + 1])
-                                       for k in self.kind_of])
-        ends = np.cumsum(caps[list(self.kind_of)] + 1).tolist()
-        self.du_slices = tuple(map(slice, [0] + ends[:-1], ends))
 
 
 # most (phase, buffer, sends) steps one template memoises: about 10 MB at the
@@ -322,6 +325,15 @@ class GopTemplate:
     def du_layout(self) -> DuLayout:
         """The `DuLayout` of this template's DUs, built on first use."""
         return DuLayout(self.dus)
+
+    @cached_property
+    def du_slot_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per phase, each context slot's (age, first `du_layout` row of its
+        DU's kind), built on first use."""
+        lay = self.du_layout
+        return tuple(tuple((ctx.age_of(i), int(lay.row_start[lay.kind_of[slot.du.du_id]]))
+                           for i, slot in enumerate(ctx.slots))
+                     for ctx in self._contexts)
 
     @cached_property
     def size_draws(self) -> SizeDraws:

@@ -367,10 +367,11 @@ def evaluate_solution(scenario: ScenarioConfig, solution,
     """Exact network value of a prepared solution's deterministic slot rule.
 
     Each joint phase's states are decided at once by `solution.sent_arrays`
-    where the rule has an array form (table agents then trims: proposed-full
-    and mu-mdp-full without clearing; static shares then a simple
-    scheduler's fill: myopic and static+<sched>), and else one
-    `sent_actions` call per joint state.
+    where the rule has an array form (table agents then trims: proposed,
+    proposed-full, mu-mdp and mu-mdp-full without clearing; static shares
+    or proposed's trimmed totals, then a simple scheduler's fill: myopic,
+    static+<sched> and proposed+<sched>), and else one `sent_actions` call
+    per joint state.
     """
     space = JointSpace(scenario, state_cap)
     states, nc = space.c0_states, len(space.c0_states)

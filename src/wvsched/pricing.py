@@ -349,12 +349,15 @@ def run_coordination(agents: Sequence[PricedAgent], *,
         return abs(win[-1][1] - win[0][1]) <= tolerance
 
     for slots in range(1, max_slots + 1):
-        # refresh priced policies when the projected prices moved enough
+        # refresh priced policies when the projected prices moved enough,
+        # compared as Python floats: as exact as numpy's, and cheaper on a
+        # few view states
         for i, agent in enumerate(agents):
             vec = agent.view.price_vector(table.lam, bits_per_packet)
-            if last_price_vec[i] is None or np.max(np.abs(vec - last_price_vec[i])) > refresh_gate:
+            now, last = vec.tolist(), last_price_vec[i]
+            if last is None or any(abs(a - b) > refresh_gate for a, b in zip(now, last)):
                 agent.refresh(vec)
-                last_price_vec[i] = vec
+                last_price_vec[i] = now
 
         s0 = system.s0
         contexts = system.contexts

@@ -4,16 +4,32 @@ Two families: the decomposed scheduler, which sizes each DU's transmission
 against its own per-DU continuation value, and the simple reference
 schedulers (EDF, FIFO, HDF) that fill a fixed packet capacity in a static
 order.
+
+The per-DU continuations of one template at one price are a single
+`DuTables`: one backward induction over the template's DU kinds. At the
+price they were solved at, a DU's decomposed send is its kind's
+`best_send` entry, so a decision there is a lookup (`decomposed_schedule`,
+`harness.DecomposedAgent.table_sends`); at any other price it is
+evaluated from the post-decision values.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from wvsched.model import Context, DuLayout, GopTemplate, ModelError, ScheduleAction
+from wvsched.model import (
+    DOUBLES,
+    Context,
+    DuLayout,
+    GopTemplate,
+    ModelError,
+    ScheduleAction,
+)
 from wvsched.mdp import ChannelView
 
 
@@ -107,28 +123,90 @@ class DuValueTable:
         return float(vals[y]), y
 
 
+class DuTables(Mapping):
+    """`backward_induction` of a template's whole `du_layout` at one price,
+    as the du_id -> `DuValueTable` mapping the per-DU scheduler reads.
+
+    Holds the solved price (a list, one float per view state), discount,
+    values[age, row, view], post[age, row, view], best_send[age, row, view]
+    and margin[kind, view] over the layout's kind rows. A DU's table is
+    built on first access, with its own copies of its kind's rows, and then
+    kept: no element is shared between two DUs, and a caller that only
+    looks sends up (`solved_sends`) builds no per-DU object.
+    """
+
+    def __init__(self, template: GopTemplate, view: ChannelView, discount: float,
+                 price: list[float], values: np.ndarray, post: np.ndarray,
+                 best_send: np.ndarray, margin: np.ndarray):
+        self.template, self.view, self.discount = template, view, float(discount)
+        self.layout = template.du_layout
+        self.price = price
+        self.values, self.post, self.best_send, self.margin = values, post, best_send, margin
+        self._tables: dict[int, DuValueTable] = {}
+        self._sends: list | None = None
+
+    def exact_at(self, discount) -> bool:
+        """Whether, at a solved price and `discount`, every DU's margin in
+        `decomposed_schedule`'s scalar arithmetic is its solved margin: the
+        discount is the solved one, and it and every impact is a double or
+        an int (`model.DOUBLES`)."""
+        return type(discount) in DOUBLES and discount == self.discount and self.layout.exact
+
+    def solved_sends(self, context: Context, buffer: Sequence[int], view_state: int,
+                     price, discount) -> ScheduleAction | None:
+        """`decomposed_schedule`'s action, looked up, where `price` (a double
+        or an int) is the solved price of `view_state`, `exact_at(discount)`
+        holds and `context` is the template's: there every DU's margin is
+        the solved one, at which `DuValueTable.best` looks up too. Slot i
+        sends best_send[age, row + x, view] at its `du_slot_rows` pair.
+        Else None."""
+        if (type(price) not in DOUBLES or price != self.price[view_state]
+                or not self.exact_at(discount)
+                or context is not self.template.context(context.phase)):
+            return None
+        if self._sends is None:
+            self._sends = self.best_send.transpose(2, 0, 1).tolist()   # [view][age][row]
+        sends = self._sends[view_state]
+        return ScheduleAction(tuple([sends[age][row + x] for (age, row), x in zip(
+            self.template.du_slot_rows[context.phase], buffer, strict=True)]))
+
+    def __getitem__(self, du_id: int) -> DuValueTable:
+        tab = self._tables.get(du_id)
+        if tab is None:
+            kind = self.layout.kind_of[du_id]
+            rows = slice(self.layout.row_start[kind], self.layout.row_start[kind + 1])
+            tab = self._tables[du_id] = DuValueTable(
+                SingleDuModel(self.template.du(du_id), self.template.window, self.view,
+                              self.discount),
+                self.values[:, rows].copy(), self.post[:, rows].copy(),
+                self.best_send[:, rows].copy(), self.margin[kind].copy())
+        return tab
+
+    def __iter__(self):
+        return iter(self.layout.kind_of)
+
+    def __len__(self) -> int:
+        return len(self.layout.kind_of)
+
+
 def build_du_tables(template: GopTemplate, view: ChannelView, discount: float,
-                    price: np.ndarray) -> dict[int, DuValueTable]:
+                    price) -> DuTables:
     """Per-DU tables at the given per-view-state price, keyed by du_id.
 
     The solve reads only a DU's distortion impact and maximum size, so one
     `backward_induction` over the template's `du_layout` solves every
-    (distortion_impact, max_size) kind. One gather per array then gives
-    every DU its own rows, so each du_id gets its own SingleDuModel and
-    arrays that share no element with another DU's.
+    (distortion_impact, max_size) kind. A price that is not one finite,
+    nonnegative entry per view state raises `ModelError`.
     """
-    layout = template.du_layout
-    values, post, best_send, margin = backward_induction(
-        layout, template.window, view, discount, price)
-    values, post, best_send = (a.take(layout.du_rows, axis=1)
-                               for a in (values, post, best_send))
-    tables = {}
-    for du, rows, du_margin in zip(template.dus, layout.du_slices,
-                                   margin.take(layout.kind_of, axis=0)):
-        tables[du.du_id] = DuValueTable(
-            SingleDuModel(du, template.window, view, discount),
-            values[:, rows], post[:, rows], best_send[:, rows], du_margin)
-    return tables
+    price = np.asarray(price, dtype=float)
+    if price.shape != (len(view),):
+        raise ModelError(f"price vector must have shape ({len(view)},); got shape {price.shape}")
+    listed = price.tolist()
+    if not all(0.0 <= p < math.inf for p in listed):
+        raise ModelError(f"prices must be finite and nonnegative; got {listed}")
+    return DuTables(template, view, discount, listed,
+                    *backward_induction(template.du_layout, template.window, view, discount,
+                                        price))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +222,14 @@ def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int
     (1-delta) * (q - price) * y + delta * continuation(age, x - y), the
     smallest exact maximiser, as `tables[du_id].best` reports it. Under a
     scalar price no DU's choice depends on another's, so the DAG order plays
-    no part.
+    no part. At the price a `DuTables` was solved at, `best` would look
+    every send up, so the whole action is looked up at once
+    (`DuTables.solved_sends`), with no per-DU table.
     """
+    if isinstance(tables, DuTables):
+        act = tables.solved_sends(context, buffer, view_state, price, discount)
+        if act is not None:
+            return act
     sends = []
     for i, slot in enumerate(context.slots):
         margin = (1.0 - discount) * (slot.du.distortion_impact - price)

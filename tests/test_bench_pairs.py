@@ -73,8 +73,8 @@ def test_verdict_on_a_zero_median(bench_pairs):
     assert bench_pairs.verdict(zeros, [1.0] * 10, "lower", 0.05) == "worse"
 
 
-def run(fingerprint="match", failed=0):
-    return {"metrics": {}, "fingerprint": fingerprint, "failed": failed}
+def run(fingerprint="match", failed=0, correct=True):
+    return {"metrics": {}, "correct": correct, "fingerprint": fingerprint, "failed": failed}
 
 
 @pytest.mark.parametrize("change, ok", [
@@ -82,6 +82,8 @@ def run(fingerprint="match", failed=0):
     ([run(), run("mismatch")], False),
     ([run(), run("missing")], False),
     ([run(failed=1), run()], False),
+    # a run whose output checks fail (exit 1) may still match and fail no operation
+    ([run(), run(correct=False)], False),
 ])
 def test_change_runs_are_sound_only_if_they_match_and_fail_no_more(bench_pairs, change, ok):
     assert bench_pairs.sound([run(), run()], change) is ok
@@ -104,7 +106,7 @@ def test_record_keeps_one_traced_run_per_side_and_workload(bench_pairs, tmp_path
         calls.append((checkout.name, workload, seed, trace))
         metrics = {"harness.run_episode.self_s": 1.0 if checkout.name == "parent" else 0.5} \
             if trace else {"total_s": 2.0}
-        return {"metrics": metrics, "fingerprint": "match", "failed": 0}
+        return {"metrics": metrics, "correct": True, "fingerprint": "match", "failed": 0}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "BENCH.json"
@@ -135,7 +137,10 @@ def test_parse_run_reads_rounds_fingerprint_and_metrics(bench_pairs):
         json.dumps(result),
     ]) + "\n"
     assert bench_pairs.parse_run(stdout, "tiny-priced-exact") == {
-        "metrics": {"total_s": 2.5}, "fingerprint": "match", "failed": 0, "rounds": 2}
+        "metrics": {"total_s": 2.5}, "correct": True, "fingerprint": "match", "failed": 0,
+        "rounds": 2}
+    assert bench_pairs.parse_run(stdout.replace('"correct": true', '"correct": false'),
+                                 "tiny-priced-exact")["correct"] is False
     assert bench_pairs.parse_run(stdout.replace(": 2 round", ": 13 round"),
                                  "tiny-priced-exact")["rounds"] == 13
     with pytest.raises(RuntimeError, match="round"):
@@ -158,7 +163,7 @@ def _record_with_rounds(bench_pairs, tmp_path, monkeypatch, rounds_of,
     def fake_run_once(checkout, workload, seed, trace=False):
         return {"metrics": {"total_s": 2.0,
                             "peak_rss_mb": rss_of(checkout.name, workload, seed)},
-                "fingerprint": "match", "failed": 0,
+                "correct": True, "fingerprint": "match", "failed": 0,
                 "rounds": rounds_of(checkout.name, workload, seed)}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
@@ -221,3 +226,33 @@ def test_peak_rss_is_summarised_over_the_equal_round_pairs(bench_pairs, tmp_path
     assert record["workloads"]["w2"]["metrics"]["peak_rss_mb"]["equal_rounds"] == {
         "pairs": 0, "parent_median": None, "change_median": None, "change_wins": 0}
     assert "equal_rounds" not in record["workloads"]["w1"]["metrics"]["total_s"]
+
+
+def test_a_gain_from_runs_whose_checks_fail_does_not_count(bench_pairs, tmp_path, monkeypatch):
+    """A change run whose output checks fail (perfbench exits 1) keeps its
+    metrics, and the record keeps each run's `correct`, but its gain does
+    not meet the rule however large it is."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w1"}],
+        "end_to_end": [{"name": "total_s", "better": "lower", "bound": 0.22}]}),
+        encoding="utf-8")
+    broken = bench_pairs.FIRST_SEED + 3
+
+    def fake_run_once(checkout, workload, seed, trace=False):
+        change = checkout.name == "change"
+        return {"metrics": {"total_s": 1.0 if change else 4.0},
+                "correct": not (change and seed == broken), "fingerprint": "match",
+                "failed": 0, "rounds": 1}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--out", str(out)]) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w1"]
+    assert entry["correct"]["parent"] == [True] * bench_pairs.PAIRS
+    assert entry["correct"]["change"] == [seed != broken for seed in range(
+        bench_pairs.FIRST_SEED, bench_pairs.FIRST_SEED + bench_pairs.PAIRS)]
+    total = entry["metrics"]["total_s"]
+    assert total["change_wins"] == bench_pairs.PAIRS and not total["meets_gain_rule"]

@@ -33,6 +33,7 @@ import warnings
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from itertools import islice, product
 
 import numpy as np
@@ -990,6 +991,110 @@ def test_learned_and_planned_tables_share_the_exact_tie_rule():
     learned = {0: DuPdsLearner(du.distortion_impact, tpl.window, 0.0)}
     for tables in (planned, learned):
         assert decomposed_schedule(ctx, (1,), 0, 0.0, tables, 0.0).sends == (1,)
+
+
+def decomposed_agent(tpl, view, delta, price) -> DecomposedAgent:
+    """A DecomposedAgent of `tpl` on `view`, refreshed at `price`."""
+    channel = ChannelModel([f"s{h}" for h in range(len(view))], view.gain, view.rate,
+                           view.transition)
+    agent = DecomposedAgent(UserConfig("u", tpl, channel), view, delta)
+    agent.refresh(price)
+    return agent
+
+
+def per_du_schedule(context, buffer, view_state, price, tables, discount) -> tuple:
+    """The decomposed rule as one `DuValueTable.best` query per DU."""
+    return tuple(tables[slot.du.du_id].best(
+        context.age_of(i), buffer[i], view_state,
+        (1.0 - discount) * (slot.du.distortion_impact - price), discount)[1]
+        for i, slot in enumerate(context.slots))
+
+
+def assert_lookup_is_the_scalar_rule(agent, ctx, buffers, views) -> None:
+    """`act` at each (buffer, view state), and `table_sends` of the stacked
+    buffers row by row, are the per-DU `best` rule and the evaluated
+    `reference_schedule` at the agent's own price there; the acts build no
+    per-DU table, and every DU's margin there is the solved one."""
+    built = set(agent.tables._tables)
+    acts = [agent.act(ctx, buf, v).sends for buf, v in zip(buffers, views)]
+    rows = np.array(buffers, dtype=np.int64).reshape(len(buffers), len(ctx))
+    got = agent.table_sends(ctx, rows, np.array(views, dtype=np.int64))
+    assert set(agent.tables._tables) == built
+    assert got.dtype == np.int64 and got.shape == rows.shape
+    assert list(map(tuple, got.tolist())) == acts
+    for sends, buf, v in zip(acts, buffers, views):
+        price = float(agent.price_vec[v])
+        assert all(type(y) is int for y in sends)
+        assert sends == per_du_schedule(ctx, buf, v, price, agent.tables, agent.discount)
+        assert sends == reference_schedule(ctx, buf, v, price, agent.tables, agent.discount)
+        for slot in ctx.slots:
+            margin = (1.0 - agent.discount) * (slot.du.distortion_impact - price)
+            assert margin == agent.tables[slot.du.du_id].margin[v]
+
+
+def test_lookup_declines_arguments_whose_margins_may_differ():
+    """`solved_sends` looks up only at a solved price and discount given as
+    doubles or ints, on impacts of those types and on the template's own
+    contexts; elsewhere the per-DU rule decides, and `table_sends` defers
+    to `act`."""
+    tpl = _two_kinds((3, 2))
+    view = common_view(TWO_STATE, 2)
+    agent = decomposed_agent(tpl, view, 0.9, np.array([0.5, 2.0]))
+    tables, ctx = agent.tables, tpl.context(1)
+    for price in (0.5, np.float64(0.5)):
+        assert tables.solved_sends(ctx, (2, 3, 1), 0, price, 0.9) is not None
+    assert tables.solved_sends(tpl.context(0), (3, 2, 0), 1, 2.0, 0.9) is not None
+    assert tables.solved_sends(ctx, (2, 3, 1), 0, np.float32(0.5), 0.9) is None
+    assert tables.solved_sends(ctx, (2, 3, 1), 0, 0.5, np.float32(0.9)) is None
+    assert tables.solved_sends(ctx, (2, 3, 1), 0, 2.0, 0.9) is None
+    assert tables.solved_sends(ctx, (2, 3, 1), 0, 0.5, 0.8) is None
+    assert tables.solved_sends(_two_kinds((3, 2)).context(1), (2, 3, 1), 0, 0.5, 0.9) is None
+    assert not tables._tables
+    odd = GopTemplate([DataUnitSpec(0, "I", np.float32(4.0), 0, ((3, 1.0),))], 1, 1)
+    agent = decomposed_agent(odd, view, 0.9, np.array([0.5, 2.0]))
+    assert not agent.tables.exact_at(0.9)
+    assert agent.table_sends(odd.context(0), np.array([[3]]), np.array([0])) is None
+    assert agent.act(odd.context(0), (3,), 0).sends == per_du_schedule(
+        odd.context(0), (3,), 0, 0.5, agent.tables, 0.9)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(instances(), st.data())
+def test_lookup_act_equals_the_scalar_rule_at_the_solved_price(inst, data):
+    """On generated templates, also where the price at the queried view
+    state is one of the context's impacts: a zero margin, where sends tie."""
+    tpl, view, delta, price, ctx, buf, v = inst
+    if len(ctx) and data.draw(st.booleans()):
+        price = price.copy()
+        price[v] = data.draw(st.sampled_from(ctx.impacts))
+    agent = decomposed_agent(tpl, view, delta, price)
+    caps = tuple(s.du.max_size for s in ctx.slots)
+    buffers = [buf, (0,) * len(ctx), caps] + [
+        tuple(data.draw(st.integers(0, c)) for c in caps) for _ in range(3)]
+    views = [v] + [data.draw(st.integers(0, len(view) - 1)) for _ in range(5)]
+    assert_lookup_is_the_scalar_rule(agent, ctx, buffers, views)
+
+
+@pytest.mark.parametrize("name", ["gop16-default", "illustration-2user", "pds-toy",
+                                  "tiny-asym", "tiny-mix", "tiny-priced", "tiny-sym"])
+def test_lookup_act_equals_the_scalar_rule_on_every_preset_context(name):
+    """Every phase's context of every user, at every view state, on the
+    empty, the full and 20 drawn buffers, at a drawn price and at one that
+    zeroes the margin of the template's last DU."""
+    sc = preset(name)
+    rng = np.random.default_rng(7)
+    for agent in make_agents(sc, "decomposed"):
+        tpl, n_view = agent.template, len(agent.view)
+        top = max(du.distortion_impact for du in tpl.dus)
+        for price in (rng.uniform(0.0, 1.5 * top, n_view),
+                      np.full(n_view, tpl.dus[-1].distortion_impact)):
+            agent.refresh(price)
+            for ctx in map(tpl.context, range(tpl.period)):
+                caps = [s.du.max_size for s in ctx.slots]
+                buffers = [(0,) * len(caps), tuple(caps)] + [
+                    tuple(int(rng.integers(c + 1)) for c in caps) for _ in range(20)]
+                for v in range(n_view):
+                    assert_lookup_is_the_scalar_rule(agent, ctx, buffers, [v] * len(buffers))
 
 
 # ---------------------------------------------------------------------------
@@ -2188,7 +2293,8 @@ def test_joint_kernel_callers_equal_pair_loop(inst):
 
 
 @pytest.mark.parametrize("name", ["myopic", "myopic+fifo", "myopic+hdf", "proposed",
-                                  "proposed-full", "mu-mdp-full"])
+                                  "proposed-full", "mu-mdp-full", "proposed+edf",
+                                  "proposed+fifo", "proposed+hdf", "mu-mdp"])
 def test_evaluate_solution_equals_pair_loop(name):
     sc = replace(preset("tiny-asym"), channel_correlation="independent")
     sol = build_solution(sc, name)
@@ -2258,24 +2364,28 @@ def recorded_sends():
         oracle._user_rows = user_rows
 
 
-def full_solutions(sc: ScenarioConfig, prices) -> list:
-    """proposed-full and mu-mdp-full with full agents refreshed at the drawn
-    per-state prices (and at their mean as the one uniform price), without
-    coordination or bisection."""
-    prop = ProposedSolution(sc, agent_kind="full")
-    prop.name = "proposed-full"
-    prop.agents = make_agents(sc, "full")
+def priced_solutions(sc: ScenarioConfig, prices, kind: str) -> list:
+    """proposed and mu-mdp on agents of `kind` ("full" or "decomposed"),
+    refreshed at the drawn per-state prices (and at their mean as the one
+    uniform price), without coordination or bisection; with decomposed
+    agents also proposed+edf, +fifo and +hdf on that proposed."""
+    suffix = "-full" if kind == "full" else ""
+    prop = ProposedSolution(sc, agent_kind=kind)
+    prop.name = "proposed" + suffix
+    prop.agents = make_agents(sc, kind)
     prop.prices = PriceTable()
     prop.prices.lam.update(prices)
     for a in prop.agents:
         a.refresh(a.view.price_vector(prices, sc.bits_per_packet))
-    uni = UniformPriceSolution(sc, agent_kind="full")
-    uni.name = "mu-mdp-full"
-    uni.agents = make_agents(replace(sc, price_view="expected"), "full")
+    uni = UniformPriceSolution(sc, agent_kind=kind)
+    uni.name = "mu-mdp" + suffix
+    uni.agents = make_agents(replace(sc, price_view="expected"), kind)
     uni.price = float(np.mean(list(prices.values())))
     for a in uni.agents:
         a.refresh(uni.price * sc.bits_per_packet / np.asarray(a.view.rate))
-    return [prop, uni]
+    paired = [] if kind == "full" else [build_solution(sc, f"proposed+{name}", proposed=prop)
+                                        for name in ("edf", "fifo", "hdf")]
+    return [prop, uni, *paired]
 
 
 def outcome(call):
@@ -2289,28 +2399,60 @@ def outcome(call):
     return seen, values.tobytes(), None
 
 
+def assert_array_rules_equal_the_per_state_rule(sc: ScenarioConfig, solutions) -> None:
+    """The array path of `evaluate_solution` hands the kernel build the same
+    per-user sends, and gives the same value bytes or the same ModelError,
+    as asking `sent_actions` at every joint state; it fills no decision
+    cache, so it is the path every solution took."""
+    states = JointChannel(sc.channels, sc.channel_correlation).all_states()
+    caches = [sol._cache for sol in solutions if hasattr(sol, "_cache")]
+    fast = [outcome(partial(oracle.evaluate_solution, sc, sol)) for sol in solutions]
+    assert not any(caches)
+    for sol, got in zip(solutions, fast):
+        def rule(jphase, buffers, c0, sol=sol):
+            ctxs = [t.context(jphase % t.period) for t in sc.templates]
+            return sol.sent_actions(states[c0], ctxs, buffers).sent
+
+        ref = outcome(lambda: oracle.joint_value_of(sc, rule))
+        assert got[2] == ref[2]
+        if ref[2] is None:
+            assert len(got[0]) == len(ref[0]) == len(sc.users)
+            for a, b in zip(got[0], ref[0]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got[1] == ref[1]
+
+
 @settings(max_examples=EXAMPLES // 3, deadline=None)
 @given(joint_scenarios())
 def test_table_rule_sends_equal_the_per_state_rule(inst):
     """The array path of `evaluate_solution` (proposed-full and mu-mdp-full)
-    hands the kernel build the same per-user sends as asking `sent_actions`
-    at every joint state, on generated instances with quality floors, beta >
-    0, common or independent channels and binding bands; it leaves the
-    decision cache empty."""
+    equals the per-state rule (`assert_array_rules_equal_the_per_state_rule`)
+    on generated instances with quality floors, beta > 0, common or
+    independent channels and binding bands."""
     sc, prices = inst
-    states = JointChannel(sc.channels, sc.channel_correlation).all_states()
-    for sol in full_solutions(sc, prices):
-        def rule(jphase, buffers, c0):
-            ctxs = [t.context(jphase % t.period) for t in sc.templates]
-            return sol.sent_actions(states[c0], ctxs, buffers).sent
+    assert_array_rules_equal_the_per_state_rule(sc, priced_solutions(sc, prices, "full"))
 
-        fast = outcome(lambda: oracle.evaluate_solution(sc, sol))
-        assert not sol._cache
-        ref = outcome(lambda: oracle.joint_value_of(sc, rule))
-        assert fast[2] == ref[2]
-        if ref[2] is None:
-            assert len(fast[0]) == len(ref[0]) == len(sc.users)
-            for got, want in zip(fast[0], ref[0]):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert fast[1] == ref[1]
 
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(joint_scenarios())
+def test_decomposed_rule_sends_equal_the_per_state_rule(inst):
+    """The same for proposed, proposed+edf, +fifo, +hdf and mu-mdp on
+    decomposed agents, whose lookup rule has no quality floors: generated
+    instances with beta 0, 0.3 or 1, common or independent channels and
+    binding bands."""
+    sc, prices = inst
+    sc = replace(sc, users=tuple(replace(u, min_quality=0.0) for u in sc.users))
+    assert_array_rules_equal_the_per_state_rule(sc, priced_solutions(sc, prices, "decomposed"))
+
+
+@pytest.mark.parametrize("name", ["tiny-sym", "tiny-asym", "tiny-mix", "tiny-priced"])
+def test_decomposed_rule_sends_equal_the_per_state_rule_on_presets(name):
+    """The same for the coordinated and bisected solutions of the presets:
+    proposed, proposed+edf, +fifo and +hdf on one proposed, and mu-mdp."""
+    sc = preset(name)
+    prop = build_solution(sc, "proposed")
+    solutions = [prop] + [build_solution(sc, other, proposed=prop) for other in
+                          ("proposed+edf", "proposed+fifo", "proposed+hdf", "mu-mdp")]
+    for sol in solutions:
+        sol.prepare(np.random.default_rng(sc.seed))
+    assert_array_rules_equal_the_per_state_rule(sc, solutions)

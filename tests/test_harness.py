@@ -23,7 +23,7 @@ from wvsched.harness import (
     write_price_trace,
     write_replay_table,
 )
-from wvsched.mdp import UserMdp, ValueTable, common_view
+from wvsched.mdp import ChannelView, UserMdp, ValueTable, common_view
 from wvsched import oracle, pricing
 from wvsched.model import ModelError, ScheduleAction
 from wvsched.oracle import centralized_oracle, joint_value_of
@@ -663,6 +663,72 @@ def test_decomposed_agents_count_the_solves_their_refreshes_make(monkeypatch):
         agent.refresh(agent.price_vec.copy())
         assert agent.resolves == made
     assert len(solves) == sum(a.resolves for a in agents)
+
+
+@pytest.mark.parametrize("kind", ["decomposed", "full", "pds", "drift"])
+def test_refresh_keeps_its_own_copy_of_the_price_vector(kind):
+    """A refresh copies the caller's price array: changing it in place
+    neither moves the agent's price nor the price its table was solved at,
+    and a refresh at the changed array re-solves."""
+    sc = preset("tiny-priced")
+    agent = harness.make_agents(sc, kind, np.random.default_rng(0))[0]
+    price = np.arange(1.0, len(agent.view) + 1.0)
+    agent.refresh(price)
+    price[0] = 50.0
+    assert agent.price_vec[0] == 1.0
+    agent.refresh(price)
+    assert agent.price_vec.tolist() == price.tolist() and agent.price_vec is not price
+    if kind == "decomposed":
+        assert agent.resolves == 2
+        impacts = sc.users[0].template.du_layout.impacts
+        assert agent.tables.margin[:, 0].tolist() == \
+            ((1.0 - sc.discount) * (impacts - 50.0)).tolist()
+    if kind == "full":
+        assert agent.resolves == 2
+        assert agent.table.price.tolist() == price.tolist() and agent.table.price is not price
+
+
+def test_refresh_gate_decides_as_the_numpy_rule(monkeypatch):
+    """`run_coordination` refreshes an agent exactly when one of its
+    projected prices moved by more than tolerance / 10 since its last
+    refresh, as np.max(np.abs(new - last)) measures it; a short gop16
+    coordination takes both branches many times."""
+    sc = preset("gop16-default")
+    events = []
+    price_vector = ChannelView.price_vector
+
+    def priced(view, lam, bits_per_packet):
+        vec = price_vector(view, lam, bits_per_packet)
+        events.append((view, "price", vec.copy()))
+        return vec
+
+    monkeypatch.setattr(ChannelView, "price_vector", priced)
+    agents = harness.make_agents(sc, "decomposed")
+    for agent in agents:
+        def refresh(vec, agent=agent, solve=agent.refresh):
+            events.append((agent.view, "refresh", np.array(vec)))
+            solve(vec)
+        agent.refresh = refresh
+    with pytest.raises(CoordinationError):
+        run_coordination(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
+                         correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
+                         max_slots=600, rng=np.random.default_rng(sc.seed))
+    gate = sc.price_tolerance / 10.0
+    taken = {True: 0, False: 0}
+    for agent in agents:
+        mine = [(kind, vec) for view, kind, vec in events if view is agent.view]
+        last = None
+        for k, (kind, vec) in enumerate(mine):
+            if kind != "price":
+                continue
+            want = last is None or np.max(np.abs(vec - last)) > gate
+            got = k + 1 < len(mine) and mine[k + 1][0] == "refresh"
+            assert got == want
+            if got:
+                assert np.array_equal(mine[k + 1][1], vec)
+                last = vec
+            taken[want] += 1
+    assert min(taken.values()) > 50
 
 
 class _ArraySolution:

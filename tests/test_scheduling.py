@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wvsched.harness import DecomposedAgent
 from wvsched.mdp import common_view
-from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate
+from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig
 from wvsched.scheduling import (
     SingleDuModel,
     build_du_tables,
@@ -53,6 +54,25 @@ def test_empty_context_returns_empty_action():
     assert len(ctx) == 0
     act = decomposed_schedule(ctx, (), 0, 1.0, {}, 0.9)
     assert act.sends == ()
+
+
+@pytest.mark.parametrize("price", [2.0, [2.0], [2.0, 2.0, 2.0], [[2.0, 2.0]], [-1.0, 2.0],
+                                   [2.0, -1e-300], [np.nan, 2.0], [2.0, np.inf], [-np.inf, 2.0]])
+def test_du_tables_reject_malformed_prices(price):
+    """A price must be one finite, nonnegative entry per view state: no
+    broadcast scalar or single entry, no negative, NaN or infinite price.
+    An agent's refresh at one raises and keeps its tables and price."""
+    tpl = GopTemplate([du(0, 10.0, 0, 4), du(1, 3.0, 1, 2, (0,))], 2, 2)
+    with pytest.raises(ModelError, match="price"):
+        build_du_tables(tpl, make_view(), 0.9, price)
+    view = make_view()
+    agent = DecomposedAgent(UserConfig("u", tpl, ChannelModel(
+        ["good", "bad"], view.gain, view.rate, view.transition)), view, 0.9)
+    agent.refresh(np.array([1.0, 2.0]))
+    tables = agent.tables
+    with pytest.raises(ModelError, match="price"):
+        agent.refresh(price)
+    assert agent.tables is tables and agent.price_vec.tolist() == [1.0, 2.0]
 
 
 def _joint_best(impacts, buffers, lam):

@@ -10,12 +10,13 @@ its own ``perfbench`` and ``src``. The record holds, per workload and
 end-to-end metric, each side's runs, median and quartiles, how many pairs
 the change won and lost (ties count for neither), the relative change of
 the medians, and whether the change meets the gain rule: every change run
-matches its fingerprint and fails no more operations than its paired parent
-run, the change wins at least nine tenths of the pairs, and its median is
-better than the parent's by more than the parent's interquartile range.
-Each metric also gets a no-regression verdict against its relative
-``bound`` in BENCHMARK.json (see `verdict`), and the record holds every
-run's fingerprint status, failed-operation count and number of rounds
+passes its output checks (perfbench's `correct`), matches its fingerprint
+and fails no more operations than its paired parent run, the change wins
+at least nine tenths of the pairs, and its median is better than the
+parent's by more than the parent's interquartile range. Each metric also
+gets a no-regression verdict against its relative ``bound`` in
+BENCHMARK.json (see `verdict`), and the record holds every run's check
+result, fingerprint status, failed-operation count and number of rounds
 (how many whole rounds of the workload fit in the run). `peak_rss_mb` is
 comparable only between runs of equal rounds, so its entry also says
 whether every pair ran equal rounds on both sides (`rounds_equal`) and,
@@ -50,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
     """One benchmark process: its metrics (per-layer ones if `trace`),
-    fingerprint status and failures."""
+    check result, fingerprint status and failures."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
@@ -61,9 +62,10 @@ def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> d
 
 
 def parse_run(stdout: str, workload: str) -> dict:
-    """A benchmark process's stdout: the metrics of its last line, the
-    fingerprint status, the failed operations and the rounds it ran, read
-    from its `<workload>: N round(s)` line."""
+    """A benchmark process's stdout: the metrics and check result
+    (`correct`) of its last line, the fingerprint status, the failed
+    operations and the rounds it ran, read from its `<workload>: N
+    round(s)` line."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     status = next((ln.split(":", 1)[1].strip() for ln in lines
@@ -73,7 +75,8 @@ def parse_run(stdout: str, workload: str) -> dict:
     if rounds is None:
         raise RuntimeError(f"no '{workload}: N round(s)' line in the benchmark output")
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "fingerprint": status, "failed": result["failed"], "rounds": rounds}
+            "correct": result["correct"], "fingerprint": status,
+            "failed": result["failed"], "rounds": rounds}
 
 
 def summary(runs: list[float]) -> dict:
@@ -85,9 +88,10 @@ def summary(runs: list[float]) -> dict:
 
 
 def sound(parent: list[dict], change: list[dict]) -> bool:
-    """Whether every change run matched its fingerprint and failed no more
-    operations than its paired parent run."""
-    return all(c["fingerprint"] == "match" and c["failed"] <= p["failed"]
+    """Whether every change run passed its output checks, matched its
+    fingerprint and failed no more operations than its paired parent run."""
+    return all(c["correct"] is True and c["fingerprint"] == "match"
+               and c["failed"] <= p["failed"]
                for p, c in zip(parent, change, strict=True))
 
 
@@ -162,18 +166,19 @@ def main(argv=None) -> int:
                      for side in sides} for w in names}
 
     record = {"pairs": PAIRS, "seeds": seeds,
-              "rule": "every change run matches its fingerprint and fails no more "
-                      "operations than its paired parent run, the change wins >= 0.9 "
-                      "of pairs and its median beats the parent's by more than the "
-                      "parent's interquartile range",
+              "rule": "every change run passes its checks, matches its fingerprint "
+                      "and fails no more operations than its paired parent run, the "
+                      "change wins >= 0.9 of pairs and its median beats the parent's "
+                      "by more than the parent's interquartile range",
               "verdict": "not_worse if every change run beats every parent run or the "
                          "change's median is worse by at most the metric's relative bound; "
                          "unresolved if not the first and the parent's interquartile "
                          "range exceeds the bound; else worse",
               "workloads": {}}
     for w in names:
-        entry = {"metrics": {}, "fingerprint": {}, "failed": {}, "rounds": {}}
+        entry = {"metrics": {}, "correct": {}, "fingerprint": {}, "failed": {}, "rounds": {}}
         for side in sides:
+            entry["correct"][side] = [r["correct"] for r in runs[w][side]]
             entry["fingerprint"][side] = [r["fingerprint"] for r in runs[w][side]]
             entry["failed"][side] = [r["failed"] for r in runs[w][side]]
             entry["rounds"][side] = [r.get("rounds") for r in runs[w][side]]
