@@ -33,6 +33,7 @@ from wvsched.learning import EXPLORE_TAU, DuPdsLearner, PdsLearner
 from wvsched.mdp import (
     ChannelView,
     UserMdp,
+    checked_price,
     common_view,
     joint_view,
     own_view,
@@ -44,6 +45,7 @@ from wvsched.model import (
     UserConfig,
     UserState,
     bandwidth_usage,
+    check_buffer_rows,
     payoff,
 )
 # perfbench's tracer patches the slot engine's traffic step under this name
@@ -94,10 +96,10 @@ class DecomposedAgent(PricedAgent):
 
     A refresh solves one `DuTables` for the whole template and builds no
     per-DU object. `act` is `decomposed_schedule` at the agent's own price,
-    where every DU's margin is the solved one, so it is a lookup of the
-    tables' best sends (`DuTables.solved_sends`); `table_sends` gathers the
-    same entries for many rows at once. Other prices (`act_at` elsewhere,
-    `price_response`) are evaluated from the post-decision values.
+    the tables' solved price, so it is a lookup of their best sends
+    (`DuTables.solved_sends`); `table_sends` gathers the same entries for
+    many rows at once. Other prices (`act_at` elsewhere, `price_response`)
+    are evaluated by `decomposed_response`.
     """
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float):
@@ -117,13 +119,12 @@ class DecomposedAgent(PricedAgent):
         self.price_vec = price
         self.resolves += 1
 
-    def table_sends(self, context, buffers: np.ndarray, views: np.ndarray) -> np.ndarray | None:
+    def table_sends(self, context, buffers: np.ndarray, views: np.ndarray) -> np.ndarray:
         """`act` at every row: slot i of row k sends best_send[age, row +
         buffers[k, i], views[k]] at its `GopTemplate.du_slot_rows` pair, one
-        gather for all rows. None where `act` would not look up
-        (`DuTables.exact_at`)."""
-        if not self.tables.exact_at(self.discount):
-            return None
+        gather for all rows. A row outside the context's caps raises
+        `ModelError`."""
+        check_buffer_rows(context, buffers)
         ages, rows = np.array(self.template.du_slot_rows[context.phase],
                               dtype=np.intp).reshape(-1, 2).T
         return self.tables.best_send[ages, rows + buffers, views[:, None]]
@@ -162,7 +163,9 @@ class FullMdpAgent(PricedAgent):
         return self.table.action_of(context.phase, buffer, view_state)
 
     def table_sends(self, context, buffers: np.ndarray, views: np.ndarray) -> np.ndarray:
-        """The policy's rows of the action table, gathered: `act` at every row."""
+        """The policy's rows of the action table, gathered: `act` at every
+        row. A row outside the context's caps raises `ModelError`."""
+        check_buffer_rows(context, buffers)
         lay = self.mdp.layout
         t = lay.base[context.phase] + buffers @ np.array(lay.strides[context.phase],
                                                          dtype=np.int64)
@@ -191,7 +194,7 @@ class PdsDecomposedAgent(PricedAgent):
         self.frozen = False
 
     def refresh(self, price_vec: np.ndarray) -> None:
-        self.price_vec = np.array(price_vec, dtype=float)
+        self.price_vec = checked_price(self.view, price_vec)
 
     def epsilon(self) -> float:
         return 1.0 / (1.0 + self.slots_seen / EXPLORE_TAU)
@@ -231,7 +234,7 @@ class DriftAgent(PricedAgent):
                                    for j in t.step(p).entering)) for p in range(t.period)]
 
     def refresh(self, price_vec: np.ndarray) -> None:
-        self.price_vec = np.array(price_vec, dtype=float)
+        self.price_vec = checked_price(self.view, price_vec)
 
     def act_at(self, context, buffer, view_state: int, lam: float) -> ScheduleAction:
         return lyapunov_action(

@@ -169,8 +169,8 @@ class DuPdsLearner:
 
     Keys are (age, remaining packets after sending, view state); values
     approximate the expected onward value of the instance, terminal zero at
-    expiry. Answers the same best() query as the planned tables, so the
-    decomposed scheduler runs unchanged on learned values.
+    expiry. `decomposed_schedule` asks each DU's learner for `best`, the
+    smallest exact maximiser, the tie rule of the planned tables.
     """
 
     def __init__(self, impact: float, window: int, delta: float):

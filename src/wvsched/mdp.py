@@ -31,6 +31,7 @@ from wvsched.model import (
     GopTemplate,
     ModelError,
     ScheduleAction,
+    check_buffer,
     iter_actions,
     transmit_energy,
 )
@@ -99,6 +100,19 @@ class ChannelView:
             lam_v = sum(w * lam.get(key, 0.0) for key, w in pairs)
             out[v] = lam_v * bits_per_packet / self.rate[v]
         return out
+
+
+def checked_price(view: ChannelView, price) -> np.ndarray:
+    """`price` as a new float array, if it is one finite, nonnegative entry
+    per state of `view`; else `ModelError`. Every priced agent's refresh
+    and every priced solve takes its price through here."""
+    price = np.array(price, dtype=float)
+    if price.shape != (len(view),):
+        raise ModelError(f"price vector must have shape ({len(view)},); got shape {price.shape}")
+    listed = price.tolist()
+    if not all(0.0 <= p < math.inf for p in listed):
+        raise ModelError(f"prices must be finite and nonnegative; got {listed}")
+    return price
 
 
 def common_view(channel: ChannelModel, n_users: int, user: int = 0) -> ChannelView:
@@ -387,11 +401,7 @@ class UserMdp:
         return self.layout.n_traffic * len(self.view)
 
     def priced_reward(self, price: np.ndarray) -> np.ndarray:
-        price = np.asarray(price, dtype=float)
-        if price.shape != (len(self.view),):
-            raise ModelError(f"price vector must have shape ({len(self.view)},)")
-        if np.any(price < 0):
-            raise ModelError("prices must be nonnegative")
+        price = checked_price(self.view, price)
         return self.base_reward - (1.0 - self.discount) * (
             self.ta_total[:, None] * price[None, :])
 
@@ -554,9 +564,13 @@ class ValueTable:
     _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def action_of(self, phase: int, buffer: Sequence[int], view_state: int) -> ScheduleAction:
+        """The policy's action; a buffer outside the phase's caps raises
+        `ModelError` (checked when the key is first seen: only valid keys
+        are kept)."""
         key = (phase, tuple(buffer), view_state)
         act = self._actions.get(key)
         if act is None:
+            check_buffer(self.mdp.layout.contexts[phase], buffer)
             t = self.mdp.layout.index(phase, buffer)
             act = self._actions[key] = self.mdp.action_for(t, int(self.policy[t, view_state]))
         return act

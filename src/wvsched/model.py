@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from operator import mul
+from operator import contains, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -127,10 +127,12 @@ class Context:
     """The set of DUs eligible for transmission at one GOP phase.
 
     Contexts are interned per (template, phase); identity comparison is safe.
-    `names` and `impacts` hold each slot's DU name and distortion impact.
+    `names` and `impacts` hold each slot's DU name and distortion impact,
+    `sizes` the range(max_size + 1) of buffers it may hold.
     """
 
-    __slots__ = ("phase", "slots", "window", "names", "impacts", "_index", "_impact_order")
+    __slots__ = ("phase", "slots", "window", "names", "impacts", "sizes", "_index",
+                 "_impact_order")
 
     def __init__(self, phase: int, slots: tuple[ContextSlot, ...], window: int):
         self.phase = phase
@@ -138,6 +140,7 @@ class Context:
         self.window = window
         self.names = tuple(s.du.name for s in slots)
         self.impacts = tuple(s.du.distortion_impact for s in slots)
+        self.sizes = tuple(range(s.du.max_size + 1) for s in slots)
         self._index = {s.key: i for i, s in enumerate(slots)}
         self._impact_order = tuple(sorted(
             range(len(slots)),
@@ -162,10 +165,6 @@ class Context:
         return f"Context(phase={self.phase}, [{names}])"
 
 
-# number types whose arithmetic with a Python float is float64 arithmetic
-DOUBLES = (float, int, np.float64)
-
-
 class DuLayout:
     """DUs grouped by (distortion impact, max size) kind and laid out as one
     flat triangle, so that one backward induction solves every kind.
@@ -175,12 +174,10 @@ class DuLayout:
     y = 0..x sit at cells seg_start[r] + y. Per cell, `cell_y` is its send,
     `cell_kind` its kind, `cell_row` its row and `cell_src` the row of the
     buffer x - y it leaves. `kind_of[du_id]` is the kind of DU du_id, in the
-    DUs' order. `exact` says whether every impact is an int or a double,
-    whose arithmetic with a double is the float64 arithmetic of `impacts`.
-    Nothing here depends on prices, channel views or the discount.
+    DUs' order. Nothing here depends on prices, channel views or the discount.
     """
 
-    __slots__ = ("kinds", "kind_of", "impacts", "exact", "row_start", "seg_start",
+    __slots__ = ("kinds", "kind_of", "impacts", "row_start", "seg_start",
                  "cell_y", "cell_kind", "cell_row", "cell_src")
 
     def __init__(self, dus: Sequence[DataUnitSpec]):
@@ -191,7 +188,6 @@ class DuLayout:
         self.kinds = tuple(index)
         caps = np.array([cap for _, cap in self.kinds], dtype=np.intp)
         self.impacts = np.array([q for q, _ in self.kinds], dtype=float)
-        self.exact = all(type(q) in DOUBLES for q, _ in self.kinds)
         self.row_start = np.concatenate(([0], np.cumsum(caps + 1)))
         xs = np.concatenate([np.arange(cap + 1) for cap in caps])
         self.seg_start = np.concatenate(([0], np.cumsum(xs + 1)[:-1]))
@@ -367,7 +363,7 @@ class GopTemplate:
         phase = context.phase
         if context is not self.context(phase):
             raise ModelError(f"context {context!r} is not this template's")
-        _check_buffer(context, buffer)
+        check_buffer(context, buffer)
         _check_sends(buffer, sends)
         step = self.step(phase)
         nxt = self.context(phase + 1)
@@ -536,7 +532,7 @@ class UserState:
     channel: int
 
     def __post_init__(self):
-        _check_buffer(self.context, self.buffer)
+        check_buffer(self.context, self.buffer)
 
     def __hash__(self):
         return hash((id(self.context), self.buffer, self.channel))
@@ -557,13 +553,26 @@ class ScheduleAction:
         return sum(self.sends)
 
 
-def _check_buffer(context: Context, buffer: Sequence[int]) -> None:
+def check_buffer(context: Context, buffer: Sequence[int]) -> None:
+    """Raise `ModelError` unless `buffer` holds one entry per slot of
+    `context`, each within [0, max_size] of the slot's DU."""
+    if len(buffer) == len(context) and all(map(contains, context.sizes, buffer)):
+        return
     if len(buffer) != len(context):
         raise ModelError("buffer length does not match context")
     for x, slot in zip(buffer, context.slots):
         if x < 0 or x > slot.du.max_size:
             raise ModelError(
                 f"buffer for {slot.du.name} is {x}, outside [0, {slot.du.max_size}]")
+
+
+def check_buffer_rows(context: Context, buffers: np.ndarray) -> None:
+    """`check_buffer` of every row of `buffers` (rows, slots), raised at the
+    first row that fails."""
+    sizes = [len(r) for r in context.sizes]
+    if buffers.shape[1:] != (len(sizes),) or not ((buffers >= 0) & (buffers < sizes)).all():
+        for row in np.atleast_2d(buffers).tolist():
+            check_buffer(context, row)
 
 
 def _check_sends(buffer: Sequence[int], sends: Sequence[int]) -> None:

@@ -7,12 +7,14 @@ joint chain by a linear solve. Both average uniformly over initial joint
 states, matching the design objective's uniform initial-state reading.
 
 evaluate_solution takes one of two paths to the sends it hands that solve.
-Solutions whose rule is per-user table actions then trims (proposed-full
-and mu-mdp-full, without clearing) gather every joint state's sends from
-the agents' policies and trim them in one array pass per joint phase; every
-other solution (proposed, clearing, lyapunov, myopic, proposed+<sched>) is
-asked state by state through `sent_actions`. Both paths check the context
-widths, 0 <= sends <= buffer and the band, and give the same sends.
+Solutions with an array form (`Solution.sent_arrays`) decide every joint
+state of a joint phase in one array pass: proposed, proposed-full, mu-mdp
+and mu-mdp-full without clearing gather the agents' table sends and trim
+them, and myopic, static+<sched> and proposed+<sched> fill their
+capacities in the scheduler's rank. The rest (clearing, lyapunov and
+proposed-learning) are asked state by state through `sent_actions`. Both
+paths check the context widths, 0 <= sends <= buffer and the band, and
+give the same sends.
 """
 
 from __future__ import annotations

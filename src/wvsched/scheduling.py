@@ -6,16 +6,17 @@ schedulers (EDF, FIFO, HDF) that fill a fixed packet capacity in a static
 order.
 
 The per-DU continuations of one template at one price are a single
-`DuTables`: one backward induction over the template's DU kinds. At the
-price they were solved at, a DU's decomposed send is its kind's
-`best_send` entry, so a decision there is a lookup (`decomposed_schedule`,
-`harness.DecomposedAgent.table_sends`); at any other price it is
-evaluated from the post-decision values.
+`DuTables`: one backward induction over the template's DU kinds. A planned
+decision at the solved price and discount is a lookup of its kinds'
+`best_send` entries (`DuTables.solved_sends`,
+`harness.DecomposedAgent.table_sends`); at any other price
+`decomposed_response` evaluates it from slices of the layout-wide `post`.
+Prices and discounts enter as floats and margins are float64, as in the
+induction, so the two agree wherever the values are equal.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,14 +24,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from wvsched.model import (
-    DOUBLES,
     Context,
     DuLayout,
     GopTemplate,
     ModelError,
     ScheduleAction,
+    check_buffer,
 )
-from wvsched.mdp import ChannelView
+from wvsched.mdp import ChannelView, checked_price
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,7 @@ class SingleDuModel:
         """`backward_induction` of this DU's kind alone."""
         values, post, best_send, margin = backward_induction(
             DuLayout((self.du,)), self.window, self.view, self.discount, price)
-        return DuValueTable(self, values, post, best_send, margin[0])
+        return DuValueTable(values, post, best_send, margin[0])
 
 
 def backward_induction(layout: DuLayout, window: int, view: ChannelView,
@@ -93,46 +94,25 @@ def backward_induction(layout: DuLayout, window: int, view: ChannelView,
 
 @dataclass
 class DuValueTable:
-    """Solved per-DU tables: values[age, x, view], post[age, x_after, view],
-    the smallest maximising send best_send[age, x, view] and the per-view
-    margins the tables were solved at."""
+    """One DU kind's solved tables: values[age, x, view], post[age,
+    x_after, view], the smallest maximising send best_send[age, x, view] and
+    the per-view margins the tables were solved at."""
 
-    model: SingleDuModel
     values: np.ndarray
     post: np.ndarray
     best_send: np.ndarray
     margin: np.ndarray
 
-    def post_slice(self, age: int, x: int, view_state: int) -> np.ndarray:
-        """Continuations for sends y = 0..x, i.e. post[age, x - y] vectorized."""
-        if age >= self.model.window - 1:
-            return np.zeros(x + 1)
-        return self.post[age, x::-1, view_state]
-
-    def best(self, age: int, x: int, view_state: int, margin: float,
-             discount: float) -> tuple[float, int]:
-        """max over y = 0..x of margin * y + discount * post[age, x - y] (post
-        is 0 at the last age) and its smallest maximiser. At the margin and
-        discount the tables were solved at this is a lookup; otherwise it is
-        evaluated from `post`."""
-        if discount == self.model.discount and margin == self.margin[view_state]:
-            return (float(self.values[age, x, view_state]),
-                    int(self.best_send[age, x, view_state]))
-        vals = margin * np.arange(x + 1) + discount * self.post_slice(age, x, view_state)
-        y = int(np.argmax(vals))
-        return float(vals[y]), y
-
 
 class DuTables(Mapping):
-    """`backward_induction` of a template's whole `du_layout` at one price,
-    as the du_id -> `DuValueTable` mapping the per-DU scheduler reads.
+    """`backward_induction` of a template's whole `du_layout` at one price.
 
     Holds the solved price (a list, one float per view state), discount,
     values[age, row, view], post[age, row, view], best_send[age, row, view]
-    and margin[kind, view] over the layout's kind rows. A DU's table is
-    built on first access, with its own copies of its kind's rows, and then
-    kept: no element is shared between two DUs, and a caller that only
-    looks sends up (`solved_sends`) builds no per-DU object.
+    and margin[kind, view] over the layout's kind rows. Decisions read these
+    layout-wide arrays. As a mapping, du_id -> a `DuValueTable` with its own
+    copies of its kind's rows, built on first access and then kept; no
+    decision builds one.
     """
 
     def __init__(self, template: GopTemplate, view: ChannelView, discount: float,
@@ -145,30 +125,19 @@ class DuTables(Mapping):
         self._tables: dict[int, DuValueTable] = {}
         self._sends: list | None = None
 
-    def exact_at(self, discount) -> bool:
-        """Whether, at a solved price and `discount`, every DU's margin in
-        `decomposed_schedule`'s scalar arithmetic is its solved margin: the
-        discount is the solved one, and it and every impact is a double or
-        an int (`model.DOUBLES`)."""
-        return type(discount) in DOUBLES and discount == self.discount and self.layout.exact
-
-    def solved_sends(self, context: Context, buffer: Sequence[int], view_state: int,
-                     price, discount) -> ScheduleAction | None:
-        """`decomposed_schedule`'s action, looked up, where `price` (a double
-        or an int) is the solved price of `view_state`, `exact_at(discount)`
-        holds and `context` is the template's: there every DU's margin is
-        the solved one, at which `DuValueTable.best` looks up too. Slot i
-        sends best_send[age, row + x, view] at its `du_slot_rows` pair.
-        Else None."""
-        if (type(price) not in DOUBLES or price != self.price[view_state]
-                or not self.exact_at(discount)
-                or context is not self.template.context(context.phase)):
-            return None
+    def solved_sends(self, context: Context, buffer: Sequence[int],
+                     view_state: int) -> ScheduleAction:
+        """`decomposed_schedule`'s action at the solved price of `view_state`
+        and the solved discount, looked up; `context` must be one of the
+        template's. Slot i sends best_send[age, row + x, view] at its
+        `du_slot_rows` pair. A buffer outside the context's caps raises
+        `ModelError`."""
+        check_buffer(context, buffer)
         if self._sends is None:
             self._sends = self.best_send.transpose(2, 0, 1).tolist()   # [view][age][row]
         sends = self._sends[view_state]
         return ScheduleAction(tuple([sends[age][row + x] for (age, row), x in zip(
-            self.template.du_slot_rows[context.phase], buffer, strict=True)]))
+            self.template.du_slot_rows[context.phase], buffer)]))
 
     def __getitem__(self, du_id: int) -> DuValueTable:
         tab = self._tables.get(du_id)
@@ -176,8 +145,6 @@ class DuTables(Mapping):
             kind = self.layout.kind_of[du_id]
             rows = slice(self.layout.row_start[kind], self.layout.row_start[kind + 1])
             tab = self._tables[du_id] = DuValueTable(
-                SingleDuModel(self.template.du(du_id), self.template.window, self.view,
-                              self.discount),
                 self.values[:, rows].copy(), self.post[:, rows].copy(),
                 self.best_send[:, rows].copy(), self.margin[kind].copy())
         return tab
@@ -196,15 +163,10 @@ def build_du_tables(template: GopTemplate, view: ChannelView, discount: float,
     The solve reads only a DU's distortion impact and maximum size, so one
     `backward_induction` over the template's `du_layout` solves every
     (distortion_impact, max_size) kind. A price that is not one finite,
-    nonnegative entry per view state raises `ModelError`.
+    nonnegative entry per view state raises `ModelError` (`checked_price`).
     """
-    price = np.asarray(price, dtype=float)
-    if price.shape != (len(view),):
-        raise ModelError(f"price vector must have shape ({len(view)},); got shape {price.shape}")
-    listed = price.tolist()
-    if not all(0.0 <= p < math.inf for p in listed):
-        raise ModelError(f"prices must be finite and nonnegative; got {listed}")
-    return DuTables(template, view, discount, listed,
+    price = checked_price(view, price)
+    return DuTables(template, view, discount, price.tolist(),
                     *backward_induction(template.du_layout, template.window, view, discount,
                                         price))
 
@@ -220,16 +182,18 @@ def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int
 
     Each DU sends its own best y = 0..x of
     (1-delta) * (q - price) * y + delta * continuation(age, x - y), the
-    smallest exact maximiser, as `tables[du_id].best` reports it. Under a
-    scalar price no DU's choice depends on another's, so the DAG order plays
-    no part. At the price a `DuTables` was solved at, `best` would look
-    every send up, so the whole action is looked up at once
-    (`DuTables.solved_sends`), with no per-DU table.
+    smallest exact maximiser. Under a scalar price no DU's choice depends on
+    another's, so the DAG order plays no part. A `DuTables` looks the action
+    up at its solved price and discount on the template's own contexts, and
+    evaluates it by `decomposed_response` elsewhere; learned tables answer
+    each DU's `best`.
     """
     if isinstance(tables, DuTables):
-        act = tables.solved_sends(context, buffer, view_state, price, discount)
-        if act is not None:
-            return act
+        price, discount = float(price), float(discount)
+        if (price == tables.price[view_state] and discount == tables.discount
+                and context is tables.template.context(context.phase)):
+            return tables.solved_sends(context, buffer, view_state)
+        return decomposed_response(context, buffer, view_state, tables, discount)(price)
     sends = []
     for i, slot in enumerate(context.slots):
         margin = (1.0 - discount) * (slot.du.distortion_impact - price)
@@ -240,27 +204,35 @@ def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int
 
 
 def decomposed_response(context: Context, buffer: Sequence[int], view_state: int,
-                        tables: Mapping,
+                        tables: DuTables,
                         discount: float) -> Callable[[float], ScheduleAction]:
     """`decomposed_schedule` at this slot state as a function of the price.
 
-    The continuations are gathered once, into one row per DU of
-    discount * post_slice(...) padded with -inf past the DU's buffer; each
-    price then takes `best`'s operations in its order on every row at once,
-    and the first maximiser of a row is `best`'s smallest maximiser (also
-    where `best` looks it up at the solved margin).
+    Slot i's continuations discount * post[age, row + x - y, view],
+    y = 0..x, are one reversed slice of the layout-wide `post` at its DU
+    kind's rows, padded with -inf past x. Each price then takes
+    `backward_induction`'s operations for `best_send` on every row at once:
+    y * margin + continuation, float64 margins from the layout's impacts,
+    and the first maximiser. A buffer outside the caps raises `ModelError`.
     """
+    check_buffer(context, buffer)
+    discount = float(discount)
+    lay = tables.layout
+    kinds = [lay.kind_of[slot.du.du_id] for slot in context.slots]
     width = max(buffer, default=0) + 1
-    cont = np.full((len(buffer), width), -np.inf)
-    for i, slot in enumerate(context.slots):
-        cont[i, :buffer[i] + 1] = discount * tables[slot.du.du_id].post_slice(
-            context.age_of(i), buffer[i], view_state)
-    impacts = np.array(context.impacts, dtype=float)
     ys = np.arange(width)
+    cont = np.zeros((len(buffer), width))
+    post = tables.post[..., view_state]
+    for i, (k, x) in enumerate(zip(kinds, buffer)):
+        row = lay.row_start[k]
+        cont[i, :x + 1] = post[context.age_of(i), row:row + x + 1][::-1]
+    cont *= discount
+    cont[ys > np.array(buffer, dtype=np.int64)[:, None]] = -np.inf
+    impacts = lay.impacts[kinds]
     keep = 1.0 - discount
 
     def at(price: float) -> ScheduleAction:
-        margin = keep * (impacts - price)
+        margin = keep * (impacts - float(price))
         return ScheduleAction(tuple((margin[:, None] * ys + cont).argmax(axis=1).tolist()))
 
     return at

@@ -44,7 +44,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ThresholdAgent, context_edges, drift_objective
-from wvsched import harness, oracle, pricing
+from wvsched import harness, oracle, pricing, scheduling
 from wvsched.baselines import lyapunov_action, scale_rows_up_to_budget, scale_up_to_budget
 from wvsched.harness import (
     DecomposedAgent,
@@ -148,7 +148,7 @@ def reference_schedule(context, buffer, view_state, price, tables, discount):
             slot = context.slots[i]
             margin = (1.0 - discount) * (slot.du.distortion_impact - price)
             x = buffer[i]
-            cont = tables[slot.du.du_id].post_slice(context.age_of(i), x, view_state)
+            cont = tables[slot.du.du_id].post[context.age_of(i), x::-1, view_state]
             vals = margin * np.arange(x + 1) + discount * cont
             y_best = int(np.argmax(vals))
             val = float(vals[y_best])
@@ -851,7 +851,7 @@ def test_each_du_gets_its_own_model_and_arrays(inst):
     arrays = []
     for du in tpl.dus:
         tab = tables[du.du_id]
-        assert tab.model.du is du
+        assert tables[du.du_id] is tab
         own = SingleDuModel(du, tpl.window, view, delta).solve(price)
         for name in ("values", "post", "best_send", "margin"):
             assert np.array_equal(getattr(tab, name), getattr(own, name))
@@ -868,7 +868,8 @@ def assert_tables_match_reference(tpl, view, delta, price):
     tables = build_du_tables(tpl, view, delta, price)
     for du in tpl.dus:
         tab = tables[du.du_id]
-        values, post, best_send = reference_solve(tab.model, price)
+        values, post, best_send = reference_solve(SingleDuModel(du, tpl.window, view, delta),
+                                                  price)
         margin = (1.0 - delta) * (du.distortion_impact - np.asarray(price))
         for got, want in ((tab.values, values), (tab.post, post),
                           (tab.best_send, best_send), (tab.margin, margin)):
@@ -1002,23 +1003,47 @@ def decomposed_agent(tpl, view, delta, price) -> DecomposedAgent:
     return agent
 
 
+def reference_best(tab, age: int, x: int, view_state: int, margin: float,
+                   discount: float) -> int:
+    """The per-DU rule: the smallest y = 0..x maximising
+    margin * y + discount * post[age, x - y] of one DU's `DuValueTable`
+    (post is 0 at the last age)."""
+    vals = margin * np.arange(x + 1) + discount * tab.post[age, x::-1, view_state]
+    return int(np.argmax(vals))
+
+
 def per_du_schedule(context, buffer, view_state, price, tables, discount) -> tuple:
-    """The decomposed rule as one `DuValueTable.best` query per DU."""
-    return tuple(tables[slot.du.du_id].best(
-        context.age_of(i), buffer[i], view_state,
-        (1.0 - discount) * (slot.du.distortion_impact - price), discount)[1]
+    """The decomposed rule as one `reference_best` query per DU, in double
+    arithmetic: price, discount and each impact taken as Python floats."""
+    price, discount = float(price), float(discount)
+    return tuple(reference_best(
+        tables[slot.du.du_id], context.age_of(i), buffer[i], view_state,
+        (1.0 - discount) * (float(slot.du.distortion_impact) - price), discount)
         for i, slot in enumerate(context.slots))
 
 
-def assert_lookup_is_the_scalar_rule(agent, ctx, buffers, views) -> None:
+@contextmanager
+def no_evaluation():
+    """Fail any planned decision that is evaluated rather than looked up."""
+    def evaluated(*args):
+        raise AssertionError("a planned decision was evaluated, not looked up")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduling, "decomposed_response", evaluated)
+        yield
+
+
+def assert_lookup_is_the_scalar_rule(agent, ctx, buffers, views, lams=()) -> None:
     """`act` at each (buffer, view state), and `table_sends` of the stacked
-    buffers row by row, are the per-DU `best` rule and the evaluated
-    `reference_schedule` at the agent's own price there; the acts build no
-    per-DU table, and every DU's margin there is the solved one."""
+    buffers row by row, are lookups that build no per-DU table, and are the
+    per-DU rule and the evaluated `reference_schedule` at the agent's own
+    price there, where every DU's margin is the solved one. `act_at` and
+    `price_response` at each price of `lams` are the per-DU rule too."""
     built = set(agent.tables._tables)
-    acts = [agent.act(ctx, buf, v).sends for buf, v in zip(buffers, views)]
     rows = np.array(buffers, dtype=np.int64).reshape(len(buffers), len(ctx))
-    got = agent.table_sends(ctx, rows, np.array(views, dtype=np.int64))
+    with no_evaluation():
+        acts = [agent.act(ctx, buf, v).sends for buf, v in zip(buffers, views)]
+        got = agent.table_sends(ctx, rows, np.array(views, dtype=np.int64))
     assert set(agent.tables._tables) == built
     assert got.dtype == np.int64 and got.shape == rows.shape
     assert list(map(tuple, got.tolist())) == acts
@@ -1030,39 +1055,80 @@ def assert_lookup_is_the_scalar_rule(agent, ctx, buffers, views) -> None:
         for slot in ctx.slots:
             margin = (1.0 - agent.discount) * (slot.du.distortion_impact - price)
             assert margin == agent.tables[slot.du.du_id].margin[v]
+        respond = agent.price_response(ctx, buf, v)
+        for lam in lams:
+            want = per_du_schedule(ctx, buf, v, lam, agent.tables, agent.discount)
+            assert agent.act_at(ctx, buf, v, lam).sends == want
+            assert respond(lam).sends == want
 
 
-def test_lookup_declines_arguments_whose_margins_may_differ():
-    """`solved_sends` looks up only at a solved price and discount given as
-    doubles or ints, on impacts of those types and on the template's own
-    contexts; elsewhere the per-DU rule decides, and `table_sends` defers
-    to `act`."""
-    tpl = _two_kinds((3, 2))
+def test_lookup_takes_equal_values_of_any_number_type(monkeypatch):
+    """Price and discount enter as floats and margins are float64 from the
+    layout's impacts, so int and np.float32 prices, discounts and impacts
+    are looked up wherever their values are the solved ones, and evaluated
+    in float64 elsewhere, on other templates' contexts too."""
+    evaluated = []
+    response = scheduling.decomposed_response
+
+    def counted(*args):
+        evaluated.append(args)
+        return response(*args)
+
+    monkeypatch.setattr(scheduling, "decomposed_response", counted)
     view = common_view(TWO_STATE, 2)
-    agent = decomposed_agent(tpl, view, 0.9, np.array([0.5, 2.0]))
-    tables, ctx = agent.tables, tpl.context(1)
-    for price in (0.5, np.float64(0.5)):
-        assert tables.solved_sends(ctx, (2, 3, 1), 0, price, 0.9) is not None
-    assert tables.solved_sends(tpl.context(0), (3, 2, 0), 1, 2.0, 0.9) is not None
-    assert tables.solved_sends(ctx, (2, 3, 1), 0, np.float32(0.5), 0.9) is None
-    assert tables.solved_sends(ctx, (2, 3, 1), 0, 0.5, np.float32(0.9)) is None
-    assert tables.solved_sends(ctx, (2, 3, 1), 0, 2.0, 0.9) is None
-    assert tables.solved_sends(ctx, (2, 3, 1), 0, 0.5, 0.8) is None
-    assert tables.solved_sends(_two_kinds((3, 2)).context(1), (2, 3, 1), 0, 0.5, 0.9) is None
-    assert not tables._tables
-    odd = GopTemplate([DataUnitSpec(0, "I", np.float32(4.0), 0, ((3, 1.0),))], 1, 1)
-    agent = decomposed_agent(odd, view, 0.9, np.array([0.5, 2.0]))
-    assert not agent.tables.exact_at(0.9)
-    assert agent.table_sends(odd.context(0), np.array([[3]]), np.array([0])) is None
-    assert agent.act(odd.context(0), (3,), 0).sends == per_du_schedule(
-        odd.context(0), (3,), 0, 0.5, agent.tables, 0.9)
+    ints = GopTemplate([DataUnitSpec(0, "I", 4, 0, ((3, 1.0),)),
+                        DataUnitSpec(1, "P", 1, 1, ((0, 0.5), (2, 0.5)), (0,))], 2, 3)
+    singles = GopTemplate([DataUnitSpec(0, "I", np.float32(4.3), 0, ((3, 1.0),)),
+                           DataUnitSpec(1, "P", np.float32(1.1), 1, ((0, 0.5), (2, 0.5)),
+                                        (0,))], 2, 3)
+    for tpl in (_two_kinds((3, 2)), ints, singles):
+        ctx = tpl.context(1)
+        for delta in (0.5, np.float32(0.5), 0):
+            agent = decomposed_agent(tpl, view, delta, np.array([0.5, 2.0]))
+            tables = agent.tables
+            for v, prices in ((0, (0.5, np.float64(0.5), np.float32(0.5))),
+                              (1, (2, np.int64(2), np.float32(2.0), 2.0))):
+                for price, discount in product(prices, (delta, float(delta),
+                                                        np.float64(delta))):
+                    for buf in ((2, 3, 1), (1, 3, 2), (0, 0, 0)):
+                        act = decomposed_schedule(ctx, buf, v, price, tables, discount)
+                        assert act.sends == per_du_schedule(ctx, buf, v, price, tables,
+                                                            discount)
+            assert not evaluated
+            other = (ctx, (2, 3, 1), 0)
+            for args, foreign in (((*other, 2.0, delta), False),
+                                  ((*other, np.float32(0.1), delta), False),
+                                  ((*other, 0.5, 0.8), False),
+                                  ((*other, 0.5, np.float32(0.9)), False),
+                                  ((tpl.context(0), (3, 2, 0), 1, 0.5, delta), False),
+                                  ((_two_kinds((3, 2)).context(1), (2, 3, 1), 0, 0.5, delta),
+                                   True)):
+                c, buf, v, price, discount = args
+                act = decomposed_schedule(c, buf, v, price, tables, discount)
+                assert len(evaluated) == 1
+                assert evaluated.pop()[:2] == (c, buf)
+                if not foreign:
+                    assert act.sends == per_du_schedule(c, buf, v, price, tables, discount)
+            assert agent.table_sends(ctx, np.array([[2, 3, 1]]), np.array([1])).tolist() == [
+                list(agent.act(ctx, (2, 3, 1), 1).sends)]
+    # a float32 impact is a float64 margin: np.float32(0.1) is above the
+    # double 0.1, so its packet is worth sending at that price, looked up or
+    # evaluated (float32 arithmetic would make the margin 0, a tie won by 0)
+    tpl = GopTemplate([DataUnitSpec(0, "I", np.float32(0.1), 0, ((3, 1.0),))], 1, 1)
+    for solved in (0.1, 0.7):
+        agent = decomposed_agent(tpl, view, 0.5, np.array([solved, 0.1]))
+        assert agent.act_at(tpl.context(0), (3,), 0, 0.1).sends == (3,)
+        assert agent.price_response(tpl.context(0), (3,), 0)(0.1).sends == (3,)
+    assert evaluated
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(instances(), st.data())
 def test_lookup_act_equals_the_scalar_rule_at_the_solved_price(inst, data):
     """On generated templates, also where the price at the queried view
-    state is one of the context's impacts: a zero margin, where sends tie."""
+    state is one of the context's impacts: a zero margin, where sends tie.
+    `act_at` and `price_response` at a drawn price and at each impact are
+    the per-DU rule too."""
     tpl, view, delta, price, ctx, buf, v = inst
     if len(ctx) and data.draw(st.booleans()):
         price = price.copy()
@@ -1072,7 +1138,8 @@ def test_lookup_act_equals_the_scalar_rule_at_the_solved_price(inst, data):
     buffers = [buf, (0,) * len(ctx), caps] + [
         tuple(data.draw(st.integers(0, c)) for c in caps) for _ in range(3)]
     views = [v] + [data.draw(st.integers(0, len(view) - 1)) for _ in range(5)]
-    assert_lookup_is_the_scalar_rule(agent, ctx, buffers, views)
+    lams = [data.draw(values_), *ctx.impacts]
+    assert_lookup_is_the_scalar_rule(agent, ctx, buffers, views, lams)
 
 
 @pytest.mark.parametrize("name", ["gop16-default", "illustration-2user", "pds-toy",
@@ -1080,7 +1147,8 @@ def test_lookup_act_equals_the_scalar_rule_at_the_solved_price(inst, data):
 def test_lookup_act_equals_the_scalar_rule_on_every_preset_context(name):
     """Every phase's context of every user, at every view state, on the
     empty, the full and 20 drawn buffers, at a drawn price and at one that
-    zeroes the margin of the template's last DU."""
+    zeroes the margin of the template's last DU; `act_at` and
+    `price_response` at a drawn price, at the first DU's impact and at 0."""
     sc = preset(name)
     rng = np.random.default_rng(7)
     for agent in make_agents(sc, "decomposed"):
@@ -1089,12 +1157,36 @@ def test_lookup_act_equals_the_scalar_rule_on_every_preset_context(name):
         for price in (rng.uniform(0.0, 1.5 * top, n_view),
                       np.full(n_view, tpl.dus[-1].distortion_impact)):
             agent.refresh(price)
+            lams = (float(rng.uniform(0.0, 1.5 * top)), tpl.dus[0].distortion_impact, 0.0)
             for ctx in map(tpl.context, range(tpl.period)):
                 caps = [s.du.max_size for s in ctx.slots]
                 buffers = [(0,) * len(caps), tuple(caps)] + [
                     tuple(int(rng.integers(c + 1)) for c in caps) for _ in range(20)]
                 for v in range(n_view):
-                    assert_lookup_is_the_scalar_rule(agent, ctx, buffers, [v] * len(buffers))
+                    assert_lookup_is_the_scalar_rule(agent, ctx, buffers, [v] * len(buffers),
+                                                     lams)
+
+
+def test_clearing_prepare_and_episode_build_no_per_du_table():
+    """Planned decisions read the layout-wide arrays only: a clearing
+    `proposed` prepare on illustration-2user, whose search evaluates price
+    responses, and an episode after it leave every agent's per-DU table
+    cache empty."""
+    sc = preset("illustration-2user")
+    responses = []
+    respond = DecomposedAgent.price_response
+
+    def counted(self, *state):
+        responses.append(state)
+        return respond(self, *state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DecomposedAgent, "price_response", counted)
+        sol = ProposedSolution(sc, eval_slots=2_000, clearing=True)
+        sol.prepare(np.random.default_rng(sc.seed))
+        harness.run_episode(sc, sol, 140, np.random.default_rng(1))
+    assert responses
+    assert all(not a.tables._tables for a in sol.agents)
 
 
 # ---------------------------------------------------------------------------

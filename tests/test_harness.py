@@ -23,7 +23,7 @@ from wvsched.harness import (
     write_price_trace,
     write_replay_table,
 )
-from wvsched.mdp import ChannelView, UserMdp, ValueTable, common_view
+from wvsched.mdp import ChannelView, UserMdp, ValueTable, checked_price, common_view
 from wvsched import oracle, pricing
 from wvsched.model import ModelError, ScheduleAction
 from wvsched.oracle import centralized_oracle, joint_value_of
@@ -686,6 +686,71 @@ def test_refresh_keeps_its_own_copy_of_the_price_vector(kind):
     if kind == "full":
         assert agent.resolves == 2
         assert agent.table.price.tolist() == price.tolist() and agent.table.price is not price
+
+
+MALFORMED_PRICES = [2.0, [2.0], [2.0, 2.0, 2.0], [[2.0, 2.0]], [-1.0, 2.0], [np.nan, 0.0],
+                    [0.0, np.inf], [-np.inf, 0.0]]
+
+
+@pytest.mark.parametrize("kind", ["decomposed", "full", "pds", "drift"])
+def test_every_agent_refresh_rejects_malformed_prices(kind):
+    """Every agent's refresh takes its price through `checked_price`: a
+    price that is not one finite, nonnegative entry per view state raises
+    its `ModelError`, and the agent keeps its price (and tables); so does
+    `UserMdp.priced_reward`, which NaN once sent to an IndexError."""
+    sc = preset("tiny-priced")
+    agent = harness.make_agents(sc, kind, np.random.default_rng(0))[0]
+    agent.refresh(np.array([0.5, 1.0]))
+    kept = (agent.price_vec, getattr(agent, "tables", None), getattr(agent, "table", None))
+    for price in MALFORMED_PRICES:
+        with pytest.raises(ModelError) as want:
+            checked_price(agent.view, price)
+        with pytest.raises(ModelError, match="price") as got:
+            agent.refresh(price)
+        assert str(got.value) == str(want.value)
+        assert kept == (agent.price_vec, getattr(agent, "tables", None),
+                        getattr(agent, "table", None))
+        if kind == "full":
+            with pytest.raises(ModelError, match=re.escape(str(want.value))):
+                agent.mdp.priced_reward(price)
+
+
+def _bad_buffer_calls(agent, ctx, buf):
+    """Every table path an agent decides a buffer by."""
+    calls = [lambda: agent.act(ctx, buf, 0),
+             lambda: agent.table_sends(ctx, np.array([[0] * len(buf), buf]), np.array([0, 1]))]
+    if isinstance(agent, harness.DecomposedAgent):
+        calls += [lambda: agent.act_at(ctx, buf, 0, 0.3),
+                  lambda: agent.price_response(ctx, buf, 0)]
+    return calls
+
+
+@pytest.mark.parametrize("name, kind, price, caps", [
+    ("gop16-default", "decomposed", [1.0, 1.5], (6, 2, 2, 3, 2, 2, 3, 2)),
+    ("tiny-priced", "full", [1e-3, 1e-3], (8, 2, 2))])
+def test_table_agents_reject_buffers_outside_the_caps(name, kind, price, caps):
+    """A buffer above a slot's cap once read another kind's rows (gop16 I
+    buffer 7 sent (0,0,0,3,0,0,3,0); tiny-priced (9,2,2) sent (0,0,8)) and a
+    negative one wrapped (3 I packets; (2,2,8)); now every table path raises
+    `check_buffer`'s `ModelError`, and valid buffers still decide."""
+    sc = preset(name)
+    agent = harness.make_agents(sc, kind)[0]
+    agent.refresh(np.array(price))
+    ctx = agent.template.context(0)
+    assert tuple(len(r) - 1 for r in ctx.sizes) == caps
+    rest = list(caps[1:])
+    for first in (caps[0] + 1, -1):
+        buf = (first, *rest)
+        for call in _bad_buffer_calls(agent, ctx, buf):
+            with pytest.raises(ModelError, match=re.escape(
+                    f"buffer for I is {first}, outside [0, {caps[0]}]")):
+                call()
+    for call in _bad_buffer_calls(agent, ctx, tuple(rest)):
+        with pytest.raises(ModelError, match="buffer length does not match context"):
+            call()
+    sends = agent.table_sends(ctx, np.array([caps, [0] * len(caps)]), np.array([0, 1]))
+    assert [tuple(r) for r in sends.tolist()] == [agent.act(ctx, caps, 0).sends,
+                                                 agent.act(ctx, (0,) * len(caps), 1).sends]
 
 
 def test_refresh_gate_decides_as_the_numpy_rule(monkeypatch):
