@@ -8,10 +8,8 @@ from wvsched.model import (
     ModelError,
     ScheduleAction,
     UserState,
-    action_set,
     advance_traffic,
     bandwidth_usage,
-    build_context,
     distortion_reduction,
     payoff,
     sample_channel,
@@ -26,10 +24,8 @@ __all__ = [
     "ModelError",
     "ScheduleAction",
     "UserState",
-    "action_set",
     "advance_traffic",
     "bandwidth_usage",
-    "build_context",
     "distortion_reduction",
     "payoff",
     "sample_channel",

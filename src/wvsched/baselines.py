@@ -23,7 +23,7 @@ from wvsched.model import (
     bandwidth_usage,
     transmit_energy,
 )
-from wvsched.scheduling import fill_rows, hdf_schedule
+from wvsched.scheduling import fill, fill_rows
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +63,7 @@ def drift_response(buffer: Sequence[int], beta: float, gain_to_noise: float,
 
     def at(price: float) -> ScheduleAction:
         vals = keep * (u - price * m) + cont
-        room = backlog - int(vals[::-1].argmax())
-        sends = []
-        for x in buffer:
-            take = min(x, room)
-            sends.append(take)
-            room -= take
-        return ScheduleAction(tuple(sends))
+        return fill(buffer, backlog - int(vals[::-1].argmax()), range(len(buffer)))
 
     return at
 
@@ -180,8 +174,8 @@ def scale_up_to_budget(contexts, actions: Sequence[ScheduleAction],
     for ctx, act, buf in zip(contexts, actions, buffers):
         budget = int(np.floor(gamma * act.total + 1e-9))
         if budget != act.total:
-            extra = hdf_schedule(ctx, [x - y for x, y in zip(buf, act.sends)],
-                                 budget - act.total)
+            extra = fill([x - y for x, y in zip(buf, act.sends)], budget - act.total,
+                         ctx.impact_order())
             act = ScheduleAction(tuple(y + e for y, e in zip(act.sends, extra.sends)))
         out.append(act)
     return out

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import compress, product
 from numbers import Integral
-from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -45,8 +44,10 @@ from wvsched.model import (
     UserConfig,
     UserState,
     bandwidth_usage,
+    check_buffer,
     check_buffer_rows,
     payoff,
+    slot_payoff,
 )
 # perfbench's tracer patches the slot engine's traffic step under this name
 from wvsched.model import advance_traffic  # noqa: F401
@@ -65,14 +66,13 @@ from wvsched.pricing import (
     walk,
 )
 from wvsched.scheduling import (
-    SCHEDULER_RANKS,
     SIMPLE_SCHEDULERS,
     build_du_tables,
     decomposed_response,
     decomposed_schedule,
+    fill,
     fill_rows,
     packet_capacities,
-    packet_capacity,
 )
 
 
@@ -305,20 +305,15 @@ class Solution:
         decision cache."""
         return ()
 
-    def episode_memo(self, scenario: ScenarioConfig) -> tuple[dict, dict]:
-        """`run_episode`'s `pricing.walk` memo for episodes on `scenario`, and
-        its table of interned record parts. Both are kept across episodes
-        while the frozen rule stands: while `scenario` and every object of
+    def episode_memo(self, scenario: ScenarioConfig) -> tuple[dict, dict, JointChannel]:
+        """`run_episode`'s `pricing.walk` memo for episodes on `scenario`, its
+        table of interned record parts and the scenario's `JointChannel`
+        (whose construction checks the channels, so it is built with the
+        memo, not per episode). All three are kept across episodes while the
+        frozen rule stands: while `scenario` and every object of
         `_rule_state` are the ones they were built under. Any other call
         drops them, and the successors the memo's entries keep, for new,
         empty ones."""
-        return self._episode_walks(scenario)[:2]
-
-    def _episode_walks(self, scenario: ScenarioConfig) -> tuple:
-        """`episode_memo`'s memo and interned parts, and the `JointChannel`
-        of `scenario`, kept or replaced with them: its construction checks
-        the scenario's channels, so it is built with the memo, not per
-        episode."""
         owners = (scenario, *self._rule_state())
         walks = self._walks
         if walks is None or any(a is not b for a, b in zip(walks[0], owners, strict=True)):
@@ -569,7 +564,8 @@ class ProposedSolution(PricedRuntime):
 
 
 class PairedSolution(Solution):
-    """A resource allocator paired with a simple within-capacity scheduler.
+    """A resource allocator paired with a simple within-capacity scheduler:
+    each user `fill`s its capacity in the scheduler's per-context `rank`.
 
     Capacities come from `proposed`'s sends on the current states, or, when
     there is none, from the myopic impact-proportional static shares. The
@@ -579,7 +575,7 @@ class PairedSolution(Solution):
     def __init__(self, scenario: ScenarioConfig, scheduler: str,
                  proposed: ProposedSolution | None = None):
         self.scenario = scenario
-        self.scheduler = SIMPLE_SCHEDULERS[scheduler]
+        self.rank = SIMPLE_SCHEDULERS[scheduler]
         self.proposed = proposed
         self.shares = None
 
@@ -591,28 +587,24 @@ class PairedSolution(Solution):
             self.proposed.prepare(rng)
 
     def _rule_state(self) -> tuple:
-        """The scheduler and, with `proposed`, its decision cache: the
+        """The rank and, with `proposed`, its decision cache: the
         capacities come from its decisions."""
-        return (self.scheduler, None if self.proposed is None else self.proposed._cache)
+        return (self.rank, None if self.proposed is None else self.proposed._cache)
 
     def capacities(self, s0, contexts, buffers) -> list[int]:
         sc = self.scenario
         if self.proposed is None:
-            return [packet_capacity(self.shares[i], sc.bandwidth,
-                                    u.channel.rate[s0[i]], sc.bits_per_packet)
+            return [int(packet_capacities(self.shares[i], sc.bandwidth,
+                                          u.channel.rate[s0[i]], sc.bits_per_packet))
                     for i, u in enumerate(sc.users)]
         decision = self.proposed.sent_actions(s0, contexts, buffers)
         return [a.total for a in decision.sent]
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
-        """`capacities` then the scheduler's ranked fill, at every row: each
-        row's `packet_capacities` at its user's rate, or the row totals of
-        `proposed`'s own `sent_arrays`; then `fill_rows` in the scheduler's
-        rank and the band check. None when `proposed` has no array form, or
-        the scheduler has no fixed rank."""
-        rank = SCHEDULER_RANKS.get(self.scheduler)
-        if rank is None:
-            return None
+        """`capacities` then the ranked fill, at every row: each row's
+        `packet_capacities` at its user's rate, or the row totals of
+        `proposed`'s own `sent_arrays`; then `fill_rows` in `rank` and the
+        band check. None when `proposed` has no array form."""
         sc = self.scenario
         rates = self._row_rates(states, c0)
         if self.proposed is None:
@@ -623,13 +615,18 @@ class PairedSolution(Solution):
             if sent is None:
                 return None
             caps = [s.sum(axis=1) for s in sent]
-        sent = [fill_rows(buf, cap, rank(ctx)) for cap, ctx, buf in zip(caps, contexts, buffers)]
+        sent = [fill_rows(buf, cap, self.rank(ctx))
+                for cap, ctx, buf in zip(caps, contexts, buffers)]
         return self._within_band(states, c0, sent, rates)
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
+        """`fill` in `rank` up to `capacities`; a buffer outside its
+        context's `sizes` raises `ModelError`."""
         sc = self.scenario
+        for ctx, buf in zip(contexts, buffers):
+            check_buffer(ctx, buf)
         caps = self.capacities(s0, contexts, buffers)
-        acts = [self.scheduler(ctx, buf, cap)
+        acts = [fill(buf, cap, self.rank(ctx))
                 for ctx, buf, cap in zip(contexts, buffers, caps)]
         lam0 = self.proposed.prices.get(tuple(s0)) if self.proposed else 0.0
         return SlotDecision(acts, acts, lam0, self._shares(sc, s0, acts))
@@ -834,7 +831,7 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
             raise ModelError(f"pinned channels must be a nonempty sequence of integer "
                              f"channel states in [0, {n_states}); got {list(pinned_channels)}")
         pins = [(int(h),) * n_users for h in pinned_channels]
-    memo, interned, joint = solution._episode_walks(sc)
+    memo, interned, joint = solution.episode_memo(sc)
     system = SlotSystem(sc.templates, joint, rng, None if pins is None else pins[0])
     steps = walk(system, partial(_decided_slot, sc, solution, interned), slots, memo, pins)
 
@@ -888,8 +885,7 @@ def _decided_slot(sc: ScenarioConfig, solution: Solution, interned: dict,
             sc.users, s0, contexts, buffers, decision.raw, decision.sent, decision.shares,
             strict=True)):
         move = u.template.transition(ctx, buf, act.sends)
-        dist = float(sum(map(mul, ctx.impacts, act.sends)))
-        en = u.channel.energy(h, act.total)
+        pay, dist, en = slot_payoff(ctx.impacts, act.sends, u.beta, float(u.channel.gain[h]))
         dropped, sent = {}, {}
         for key, n in move.dropped:
             name = u.template.du(key[1]).name
@@ -898,7 +894,7 @@ def _decided_slot(sc: ScenarioConfig, solution: Solution, interned: dict,
             sent[name] = sent.get(name, 0) + y
         traffic = tuple(zip(ctx.names, buf))
         part = (interned.setdefault(traffic, traffic), raw.sends, act.sends,
-                tuple(dropped.items()), dist - u.beta * en, dist, en, share)
+                tuple(dropped.items()), pay, dist, en, share)
         # kept with its drops as a dict, which each record copies
         parts.append(interned.setdefault(part, (*part[:3], dropped, *part[4:])))
         moves.append(move)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from wvsched.mdp import TrafficLayout
-from wvsched.model import ScheduleAction, iter_actions, transmit_energy
+from wvsched.model import ScheduleAction, iter_actions, slot_payoff
 # DuPdsLearner tables run under this scheduler; perfbench traces it under this name
 from wvsched.scheduling import decomposed_schedule  # noqa: F401
 
@@ -67,9 +67,7 @@ def raw_pds_key(layout: TrafficLayout, phase: int, buffer: Sequence[int],
 
 def _default_payoff(layout: TrafficLayout, phase: int, action: ScheduleAction,
                     gain_to_noise: float, beta: float) -> float:
-    q = layout.impacts[phase]
-    return float(np.dot(q, action.sends)) - beta * transmit_energy(
-        gain_to_noise, action.total)
+    return slot_payoff(layout.contexts[phase].impacts, action.sends, beta, gain_to_noise)[0]
 
 
 def pds_greedy_action(layout: TrafficLayout, phase: int, buffer: Sequence[int],

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 from operator import contains, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -435,13 +436,6 @@ def _check_step(cur: Context, nxt: Context, step: ContextStep) -> None:
         raise ModelError(f"phase {cur.phase}: {step} does not move each slot exactly once")
 
 
-def build_context(template: GopTemplate, phase: int) -> Context:
-    """Context at a GOP phase: DUs with deadlines in [phase, phase + W)."""
-    if not 0 <= phase < template.period:
-        raise ModelError(f"phase {phase} outside [0, {template.period})")
-    return template.context(phase)
-
-
 # ---------------------------------------------------------------------------
 # Channel
 # ---------------------------------------------------------------------------
@@ -555,20 +549,25 @@ class ScheduleAction:
 
 def check_buffer(context: Context, buffer: Sequence[int]) -> None:
     """Raise `ModelError` unless `buffer` holds one entry per slot of
-    `context`, each within [0, max_size] of the slot's DU."""
-    if len(buffer) == len(context) and all(map(contains, context.sizes, buffer)):
+    `context`, each an integer in its slot's `sizes`, [0, max_size] of the
+    slot's DU. A float is refused even where it equals such an integer."""
+    if (len(buffer) == len(context) and all(map(contains, context.sizes, buffer))
+            and set(map(type, buffer)) <= {int}):
         return
     if len(buffer) != len(context):
         raise ModelError("buffer length does not match context")
-    for x, slot in zip(buffer, context.slots):
-        if x < 0 or x > slot.du.max_size:
+    for x, slot, sizes in zip(buffer, context.slots, context.sizes):
+        if not (isinstance(x, Integral) and x in sizes):
+            what = "not an integer in" if 0 <= x <= slot.du.max_size else "outside"
             raise ModelError(
-                f"buffer for {slot.du.name} is {x}, outside [0, {slot.du.max_size}]")
+                f"buffer for {slot.du.name} is {x}, {what} [0, {slot.du.max_size}]")
 
 
 def check_buffer_rows(context: Context, buffers: np.ndarray) -> None:
     """`check_buffer` of every row of `buffers` (rows, slots), raised at the
-    first row that fails."""
+    first row that fails; an array of other than integers raises."""
+    if buffers.dtype.kind not in "iu":
+        raise ModelError(f"buffer rows must be integers, not {buffers.dtype}")
     sizes = [len(r) for r in context.sizes]
     if buffers.shape[1:] != (len(sizes),) or not ((buffers >= 0) & (buffers < sizes)).all():
         for row in np.atleast_2d(buffers).tolist():
@@ -598,22 +597,29 @@ def iter_actions(context: Context, buffer: Sequence[int],
             yield ScheduleAction(sends)
 
 
-def action_set(state: UserState, min_quality: float = 0.0) -> list[ScheduleAction]:
-    """Feasible action set under the (clamped) minimum-quality requirement."""
-    return list(iter_actions(state.context, state.buffer, min_quality))
-
-
 def distortion_reduction(state: UserState, action: ScheduleAction) -> float:
     """Quality gained this slot: sum of q_DU * sends_DU."""
     _check_sends(state.buffer, action.sends)
     return float(sum(map(mul, state.context.impacts, action.sends)))
 
 
+def slot_payoff(impacts: Sequence[float], sends: Sequence[int], beta: float,
+                gain_to_noise: float) -> tuple[float, float, float]:
+    """One user's slot of `sends` from DUs of `impacts`: (payoff, distortion
+    reduction, energy). The distortion reduction sums q * y from the left,
+    the energy is `transmit_energy` of the total, and the payoff is
+    distortion - beta * energy; `mdp.row_terms` is the array form."""
+    dist = float(sum(map(mul, impacts, sends)))
+    energy = transmit_energy(gain_to_noise, sum(sends))
+    return dist - beta * energy, dist, energy
+
+
 def payoff(state: UserState, action: ScheduleAction, beta: float,
            channel: ChannelModel) -> float:
     """Distortion reduction minus beta-weighted transmission energy."""
-    gain = distortion_reduction(state, action)
-    return gain - beta * channel.energy(state.channel, action.total)
+    _check_sends(state.buffer, action.sends)
+    return slot_payoff(state.context.impacts, action.sends, beta,
+                       float(channel.gain[state.channel]))[0]
 
 
 def bandwidth_usage(totals: Sequence[int], rates: Sequence[float],

@@ -36,7 +36,7 @@ from wvsched.model import (
     initial_buffer,
     uniforms,
 )
-from wvsched.scheduling import fill_rows, hdf_schedule
+from wvsched.scheduling import fill, fill_rows
 
 
 class CoordinationError(RuntimeError):
@@ -135,11 +135,13 @@ class SlotSystem:
     """The simulated system: the joint channel state `s0` and each user's
     buffer and context (its GOP phase).
 
-    Every slot loop starts from one, and they all draw in the order set out
-    here. The coordination loop, whose learning agents draw between slots,
-    and `harness.pds_learning_curve` step it with `advance`; a frozen rule
-    (`replay`, `harness.run_episode`) runs on `walk`, which draws the same
-    uniforms in blocks.
+    Every slot loop starts from one. The coordination loop, whose learning
+    agents draw between slots, and `harness.pds_learning_curve` step it
+    with `advance`; a frozen rule (`replay`, `harness.run_episode`) runs on
+    `walk`, which draws the same uniforms in blocks. All of them draw in
+    the order set out here but one: `run_coordination` draws each slot's
+    next channel state before the traffic, because its agents observe it,
+    and hands it to `advance` as `s0_next`.
 
     Start-up draws the channel state (unless `s0` is given), then each
     user's initial buffer, one scalar draw per DU. Each `advance` then
@@ -194,7 +196,7 @@ def scale_to_budget(contexts, actions: Sequence[ScheduleAction],
     out = []
     for ctx, act in zip(contexts, actions):
         budget = int(np.floor(gamma * act.total + 1e-9))
-        out.append(act if budget == act.total else hdf_schedule(ctx, act.sends, budget))
+        out.append(act if budget == act.total else fill(act.sends, budget, ctx.impact_order()))
     return out
 
 

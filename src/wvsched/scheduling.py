@@ -2,8 +2,8 @@
 
 Two families: the decomposed scheduler, which sizes each DU's transmission
 against its own per-DU continuation value, and the simple reference
-schedulers (EDF, FIFO, HDF) that fill a fixed packet capacity in a static
-order.
+schedulers (EDF, FIFO, HDF), each a static per-context rank in which `fill`
+spends a fixed packet capacity.
 
 The per-DU continuations of one template at one price are a single
 `DuTables`: one backward induction over the template's DU kinds. A planned
@@ -242,11 +242,12 @@ def decomposed_response(context: Context, buffer: Sequence[int], view_state: int
 # Simple schedulers
 # ---------------------------------------------------------------------------
 
-def _fill(context: Context, buffer: Sequence[int], capacity: int,
-          ranked: Sequence[int]) -> ScheduleAction:
+def fill(buffer: Sequence[int], capacity: int, ranked: Sequence[int]) -> ScheduleAction:
+    """Up to `capacity` packets of `buffer`, each slot in `ranked` order
+    sending all it holds or what room is left."""
     if capacity < 0:
         raise ModelError("capacity must be >= 0")
-    sends = [0] * len(context)
+    sends = [0] * len(buffer)
     room = capacity
     for i in ranked:
         take = min(buffer[i], room)
@@ -258,7 +259,7 @@ def _fill(context: Context, buffer: Sequence[int], capacity: int,
 
 
 def fill_rows(buffers: np.ndarray, capacity: np.ndarray, ranked: Sequence[int]) -> np.ndarray:
-    """`_fill` of every row at once: row k of `buffers` (rows, slots) filled
+    """`fill` of every row at once: row k of `buffers` (rows, slots) filled
     in `ranked` order up to capacity[k], as the running sum in that order
     clipped to the capacity."""
     if (capacity < 0).any():
@@ -283,33 +284,12 @@ def fifo_rank(context: Context) -> list[int]:
                   key=lambda i: (context.slots[i].key[0], context.slots[i].key[1]))
 
 
-def edf_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
-    """Fill capacity in `edf_rank` order."""
-    return _fill(context, buffer, capacity, edf_rank(context))
-
-
-def fifo_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
-    """Fill capacity in `fifo_rank` order."""
-    return _fill(context, buffer, capacity, fifo_rank(context))
-
-
-def hdf_schedule(context: Context, buffer: Sequence[int], capacity: int) -> ScheduleAction:
-    """Fill capacity by highest distortion impact; equal impacts fall back to
-    deadline order."""
-    return _fill(context, buffer, capacity, context.impact_order())
-
-
+# each simple scheduler is a fixed per-context rank that `fill` (or
+# `fill_rows`) fills a capacity in; HDF's is `Context.impact_order`
 SIMPLE_SCHEDULERS = {
-    "edf": edf_schedule,
-    "fifo": fifo_schedule,
-    "hdf": hdf_schedule,
-}
-
-# the fixed per-context rank each simple scheduler fills in, for `fill_rows`
-SCHEDULER_RANKS = {
-    edf_schedule: edf_rank,
-    fifo_schedule: fifo_rank,
-    hdf_schedule: Context.impact_order,
+    "edf": edf_rank,
+    "fifo": fifo_rank,
+    "hdf": Context.impact_order,
 }
 
 
@@ -319,8 +299,3 @@ def packet_capacities(share: float, bandwidth: float, rates: np.ndarray,
     each of `rates`."""
     return np.floor(share * bandwidth * rates / bits_per_packet + 1e-9).astype(np.int64)
 
-
-def packet_capacity(share: float, bandwidth: float, rate: float,
-                    bits_per_packet: float) -> int:
-    """`packet_capacities` at one rate."""
-    return int(packet_capacities(share, bandwidth, rate, bits_per_packet))

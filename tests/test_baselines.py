@@ -200,7 +200,7 @@ def test_proposed_beats_uniform_on_binding_fixture(priced_results):
 def test_edf_matches_myopic_priced_greedy_at_du_boundary_cuts():
     from wvsched.mdp import UserMdp, common_view
     from wvsched.model import ChannelModel
-    from wvsched.scheduling import edf_schedule
+    from wvsched.scheduling import edf_rank, fill
 
     # DAG-consistent impacts align EDF order with value order; with the
     # capacity cutting exactly at a DU boundary, the static-share shadow
@@ -215,5 +215,5 @@ def test_edf_matches_myopic_priced_greedy_at_du_boundary_cuts():
     table = mdp.solve(np.array([shadow]))
     buf = (2, 2, 2)
     greedy = table.action_of(0, buf, 0)
-    edf = edf_schedule(tpl.context(0), buf, capacity)
+    edf = fill(buf, capacity, edf_rank(tpl.context(0)))
     assert greedy.sends == edf.sends == (2, 2, 0)

@@ -94,12 +94,11 @@ from wvsched.pricing import (
 from wvsched.scenario import preset
 from wvsched.scheduling import (
     SingleDuModel,
-    _fill,
     build_du_tables,
     decomposed_response,
     decomposed_schedule,
+    fill,
     fill_rows,
-    hdf_schedule,
 )
 
 EXAMPLES = 300
@@ -1824,11 +1823,11 @@ def test_walk_memo_holds_one_entry_per_slot_state_visited():
         for seed in (1, 2, 3):
             trace = harness.run_episode(sc, sol, 140, np.random.default_rng(seed))
             visited.update(slot_state(sc, rec) for rec in trace.records)
-            memo, _ = sol.episode_memo(sc)
+            memo = sol.episode_memo(sc)[0]
             assert set(memo) == visited
         assert trace.decisions < len(memo)
         sol.prepare(np.random.default_rng(0))
-        assert sol.episode_memo(sc) == ({}, {})
+        assert sol.episode_memo(sc)[:2] == ({}, {})
 
 
 def _re_calibrated(sc):
@@ -1917,7 +1916,7 @@ def test_a_walk_of_no_slots_draws_and_decides_nothing():
     sol.prepare(np.random.default_rng(0))
     trace = assert_same_episode(sc, sol, 0, 5)
     assert (trace.records, trace.decisions) == ([], 0)
-    assert sol.episode_memo(sc) == ({}, {})
+    assert sol.episode_memo(sc)[:2] == ({}, {})
 
     joint = JointChannel(sc.channels, sc.channel_correlation)
     results = []
@@ -1942,7 +1941,7 @@ def test_a_walk_decides_no_state_past_its_last_slot(slots):
     sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
     trace = assert_same_episode(sc, sol, slots, 6)
-    memo, _ = sol.episode_memo(sc)
+    memo = sol.episode_memo(sc)[0]
     assert set(memo) == {slot_state(sc, rec) for rec in trace.records}
 
     joint = JointChannel(sc.channels, sc.channel_correlation)
@@ -2072,7 +2071,7 @@ def band_slots(draw_):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(band_slots())
 def test_budget_scaling_equals_impact_order_loops(inst):
-    """The trim and the inflate fill in impact order through `hdf_schedule`:
+    """The trim and the inflate `fill` in impact order:
     send for send what the per-user loops they replaced produced."""
     contexts, buffers, actions, rates, bits, bandwidth = inst
     down = scale_to_budget(contexts, actions, rates, bits, bandwidth)
@@ -2112,9 +2111,9 @@ def as_rows(sends: np.ndarray) -> list[tuple[int, ...]]:
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(band_rows(), st.data())
 def test_row_fill_and_trims_equal_slot_by_slot_calls(inst, data):
-    """`fill_rows` is `_fill` (in any order) and `hdf_schedule` row by row,
-    and the row trims are `scale_to_budget` and `scale_up_to_budget` slot by
-    slot, with no numpy warning where a row requests nothing."""
+    """`fill_rows` is `fill` row by row, in any order, and the row trims are
+    `scale_to_budget` and `scale_up_to_budget` slot by slot, with no numpy
+    warning where a row requests nothing."""
     contexts, buffers, actions, rates, bits, bandwidth = inst
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -2123,10 +2122,8 @@ def test_row_fill_and_trims_equal_slot_by_slot_calls(inst, data):
             ranked = data.draw(st.permutations(range(len(ctx))))
             got = fill_rows(buf, caps, ranked)
             assert got.dtype == np.int64
-            assert as_rows(got) == [_fill(ctx, b, c, ranked).sends
+            assert as_rows(got) == [fill(b, c, ranked).sends
                                     for b, c in zip(buf.tolist(), caps.tolist())]
-            assert as_rows(fill_rows(buf, caps, ctx.impact_order())) == \
-                [hdf_schedule(ctx, b, c).sends for b, c in zip(buf.tolist(), caps.tolist())]
             with pytest.raises(ModelError, match="capacity must be >= 0"):
                 fill_rows(buf, caps - caps.max() - 1, ranked)
         down = scale_rows_to_budget(contexts, actions, rates, bits, bandwidth)

@@ -25,7 +25,7 @@ from wvsched.harness import (
 )
 from wvsched.mdp import ChannelView, UserMdp, ValueTable, checked_price, common_view
 from wvsched import oracle, pricing
-from wvsched.model import ModelError, ScheduleAction
+from wvsched.model import ModelError, ScheduleAction, UserState
 from wvsched.oracle import centralized_oracle, joint_value_of
 from wvsched.pricing import CoordinationError, JointChannel, SlotSystem, run_coordination
 from wvsched.scenario import ScenarioError, list_presets, load_scenario, preset
@@ -524,6 +524,31 @@ def test_full_solution_rejects_clearing_at_construction():
         build_solution(sc, "proposed-full", clearing=True)
 
 
+def test_solutions_see_common_random_numbers():
+    """Under one free-channel episode seed, a battery of solutions sees the
+    same joint channel path and the same arrivals whatever it sends: each
+    slot's draws depend on the slot's phase alone, so differences between
+    solutions are paired on common random numbers."""
+    battery = ("proposed", "myopic", "lyapunov", "mu-mdp", "proposed+edf")
+    sends = set()
+    for name in ("tiny-sym", "illustration-2user"):
+        sc = preset(name)
+        proposed = build_solution(sc, "proposed")
+        seen = {}
+        for sol_name in battery:
+            sol = build_solution(sc, sol_name, proposed)
+            sol.prepare(np.random.default_rng(sc.seed))
+            trace = run_episode(sc, sol, 200, np.random.default_rng(sc.seed + 1))
+            seen[sol_name] = ([rec.s0 for rec in trace.records], trace.arrived)
+            sends.add((name, tuple(tuple(ur.sent for ur in rec.users) for rec in trace.records)))
+        path, arrived = seen["proposed"]
+        assert len(set(path)) > 1
+        for sol_name in battery:
+            assert seen[sol_name] == (path, arrived), sol_name
+    # the battery does not send alike, so the equal draws are not vacuous
+    assert len(sends) > 2
+
+
 def test_slot_usage_never_exceeds_band_after_scaling(illustration):
     sc = illustration["scenario"]
     trace = run_episode(sc, illustration["proposed"], 60,
@@ -542,13 +567,14 @@ def test_conservation_under_clearing_solution(illustration):
     assert conservation_ok(trace)
 
 
-def test_sends_over_the_band_raise_in_episodes_and_evaluation():
+def test_sends_over_the_band_raise_in_episodes_and_evaluation(monkeypatch):
     """Every new decision's shares are checked against the band: a paired
-    scheduler that ignores its capacity and sends whole buffers raises."""
+    scheduler whose fill ignores its capacity and sends whole buffers raises."""
     sc = preset("tiny-sym")
     sol = build_solution(sc, "myopic")
     sol.prepare(np.random.default_rng(0))
-    sol.scheduler = lambda ctx, buf, cap: ScheduleAction(tuple(buf))
+    monkeypatch.setattr(harness, "fill", lambda buf, cap, ranked: ScheduleAction(tuple(buf)))
+    monkeypatch.setattr(harness, "fill_rows", lambda bufs, caps, ranked: bufs)
     with pytest.raises(ModelError, match="of the band"):
         run_episode(sc, sol, 50, np.random.default_rng(1))
     with pytest.raises(ModelError, match="of the band"):
@@ -623,8 +649,7 @@ def test_static_share_evaluation_raises_the_band_overrun_of_shares(name, monkeyp
     sol = build_solution(sc, name)
     sol.prepare(np.random.default_rng(0))
     monkeypatch.setattr(harness, "packet_capacities",
-                        lambda share, bandwidth, rates, bits: np.full(len(rates), 10**6))
-    monkeypatch.setattr(harness, "packet_capacity", lambda *args: 10**6)
+                        lambda share, bandwidth, rates, bits: np.full(np.shape(rates), 10**6))
     with pytest.raises(ModelError, match="of the band") as fast:
         oracle.evaluate_solution(sc, sol)
     states = JointChannel(sc.channels, sc.channel_correlation).all_states()
@@ -751,6 +776,40 @@ def test_table_agents_reject_buffers_outside_the_caps(name, kind, price, caps):
     sends = agent.table_sends(ctx, np.array([caps, [0] * len(caps)]), np.array([0, 1]))
     assert [tuple(r) for r in sends.tolist()] == [agent.act(ctx, caps, 0).sends,
                                                  agent.act(ctx, (0,) * len(caps), 1).sends]
+
+
+def test_non_integral_buffers_raise_model_error():
+    """3.5 packets of tiny-priced's I frame lie inside [0, 8], so the bounds
+    test once let them through: `UserState` was built and the transition
+    dropped the 3.5 packets. An entry outside its slot's `sizes` now raises
+    `ModelError` on every path that takes a buffer, and so does a float
+    row array, even of whole numbers."""
+    sc = preset("tiny-priced")
+    tpl = sc.users[0].template
+    ctx = tpl.context(0)
+    buf = (3.5, 1, 1)
+    msg = re.escape("buffer for I is 3.5, not an integer in [0, 8]")
+    with pytest.raises(ModelError, match=msg):
+        UserState(ctx, buf, 0)
+    with pytest.raises(ModelError, match="buffer for I is 3.0, not an integer"):
+        UserState(ctx, (3.0, 1, 1), 0)
+    with pytest.raises(ModelError, match=msg):
+        tpl.transition(ctx, buf, (0, 0, 0))
+    for kind, price in (("decomposed", [0.5, 1.0]), ("full", [1e-3, 1e-3])):
+        agent = harness.make_agents(sc, kind)[0]
+        agent.refresh(np.array(price))
+        with pytest.raises(ModelError, match=msg):
+            agent.act(ctx, buf, 0)
+        for rows in (np.array([[3, 1, 1], buf]), np.array([[3.0, 1.0, 1.0]])):
+            with pytest.raises(ModelError, match="buffer rows must be integers, not float64"):
+                agent.table_sends(ctx, rows, np.zeros(len(rows), dtype=np.int64))
+    contexts = [t.context(0) for t in sc.templates]
+    proposed = build_solution(sc, "proposed")
+    for name in ("proposed", "mu-mdp", "myopic", "proposed+edf"):
+        sol = build_solution(sc, name, proposed)
+        sol.prepare(np.random.default_rng(sc.seed))
+        with pytest.raises(ModelError, match=msg):
+            sol.sent_actions((0, 0), contexts, [buf, (1, 1)])
 
 
 def test_refresh_gate_decides_as_the_numpy_rule(monkeypatch):

@@ -16,11 +16,10 @@ from wvsched.model import (
     ScheduleAction,
     UserState,
     _check_step,
-    action_set,
     advance_traffic,
     bandwidth_usage,
-    build_context,
     distortion_reduction,
+    iter_actions,
     payoff,
     sample_channel,
     transmit_energy,
@@ -58,10 +57,10 @@ def fig_template():
 def test_window_two_contexts_cycle_through_du_groups():
     tpl = fig_template()
     ids = lambda ctx: [s.key[1] for s in ctx.slots]
-    assert ids(build_context(tpl, 0)) == [1, 2, 3]
-    assert ids(build_context(tpl, 1)) == [2, 3, 4, 5]
+    assert ids(tpl.context(0)) == [1, 2, 3]
+    assert ids(tpl.context(1)) == [2, 3, 4, 5]
     # third context wraps into the next GOP's first DU
-    ctx2 = build_context(tpl, 2)
+    ctx2 = tpl.context(2)
     assert ids(ctx2) == [4, 5, 1]
     assert ctx2.slots[-1].key == (1, 1)
 
@@ -82,11 +81,6 @@ def test_context_periodicity():
         a, b = tpl.context(p), tpl.context(p + tpl.period)
         assert [s.key[1] for s in a.slots] == [s.key[1] for s in b.slots]
         assert context_edges(a) == context_edges(b)
-
-
-def test_phase_out_of_range_rejected():
-    with pytest.raises(ModelError):
-        build_context(fig_template(), 3)
 
 
 def test_dependency_rule_violations_rejected():
@@ -123,20 +117,20 @@ def single_du_state(q, x, cap=None, channel=0):
 
 def test_action_set_unconstrained():
     _, state = single_du_state(3.0, 2)
-    acts = action_set(state, 0.0)
+    acts = list(iter_actions(state.context, state.buffer, 0.0))
     assert [a.sends for a in acts] == [(0,), (1,), (2,)]
 
 
 def test_action_set_quality_floor():
     _, state = single_du_state(10.0, 4)
-    acts = action_set(state, 25.0)
+    acts = list(iter_actions(state.context, state.buffer, 25.0))
     assert [a.sends for a in acts] == [(3,), (4,)]
 
 
 def test_action_set_clamps_on_empty_buffer():
     tpl = GopTemplate([du(0, 10.0, 0, [(4, 1.0)])], 1, 1)
     state = UserState(tpl.context(0), (0,), 0)
-    acts = action_set(state, 50.0)
+    acts = list(iter_actions(state.context, state.buffer, 50.0))
     assert [a.sends for a in acts] == [(0,)]
 
 

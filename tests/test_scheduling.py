@@ -11,13 +11,12 @@ from wvsched.harness import DecomposedAgent
 from wvsched.mdp import common_view
 from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig
 from wvsched.scheduling import (
+    SIMPLE_SCHEDULERS,
     SingleDuModel,
     build_du_tables,
     decomposed_schedule,
-    edf_schedule,
-    fifo_schedule,
-    hdf_schedule,
-    packet_capacity,
+    fill,
+    packet_capacities,
 )
 
 EXAMPLES = {"joint_optimum": 1400, "capacity_respect": 1200}
@@ -25,6 +24,11 @@ EXAMPLES = {"joint_optimum": 1400, "capacity_respect": 1200}
 
 def du(i, q, d, size, parents=(), name=None):
     return DataUnitSpec(i, name or f"DU{i}", q, d, ((size, 1.0),), tuple(parents))
+
+
+def schedule(name, ctx, buf, cap):
+    """The simple scheduler `name`: `fill` in its rank."""
+    return fill(buf, cap, SIMPLE_SCHEDULERS[name](ctx))
 
 
 def make_view():
@@ -146,47 +150,47 @@ def illustration_context(phase):
 
 def test_edf_fills_earliest_deadline_first():
     ctx = illustration_context(0)  # I expiring, then P, B
-    act = edf_schedule(ctx, (40, 10, 10), 30)
+    act = schedule("edf", ctx, (40, 10, 10), 30)
     assert act.sends == (30, 0, 0)
 
 
 def test_edf_serves_expiring_low_impact_before_late_i_frame():
     ctx = illustration_context(1)  # P, B expiring; next GOP's I has a slot left
-    act = edf_schedule(ctx, (10, 10, 40), 20)
+    act = schedule("edf", ctx, (10, 10, 40), 20)
     assert act.sends == (10, 10, 0)
 
 
 def test_edf_zero_capacity():
     ctx = illustration_context(0)
-    assert edf_schedule(ctx, (40, 10, 10), 0).sends == (0, 0, 0)
+    assert schedule("edf", ctx, (40, 10, 10), 0).sends == (0, 0, 0)
 
 
 def test_hdf_fills_by_impact():
     dus = [du(0, 4.0, 0, 40, name="I"), du(1, 2.0, 1, 10, parents=[0], name="P"),
            du(2, 1.0, 1, 10, parents=[1], name="B")]
     tpl = GopTemplate(dus, 2, 2)
-    act = hdf_schedule(tpl.context(0), (40, 10, 10), 45)
+    act = schedule("hdf", tpl.context(0), (40, 10, 10), 45)
     assert act.sends == (40, 5, 0)
 
 
 def test_hdf_equal_impacts_fall_back_to_deadline_order():
     dus = [du(0, 2.0, 0, 10), du(1, 2.0, 1, 10, parents=[0])]
     tpl = GopTemplate(dus, 2, 2)
-    act = hdf_schedule(tpl.context(0), (10, 10), 12)
+    act = schedule("hdf", tpl.context(0), (10, 10), 12)
     assert act.sends == (10, 2)
 
 
 def test_fifo_single_du_matches_edf():
     tpl = GopTemplate([du(0, 3.0, 0, 9)], 1, 1)
     ctx = tpl.context(0)
-    assert fifo_schedule(ctx, (9,), 5).sends == edf_schedule(ctx, (9,), 5).sends
+    assert schedule("fifo", ctx, (9,), 5).sends == schedule("edf", ctx, (9,), 5).sends
 
 
 def test_fifo_prefers_older_gop():
     tpl = GopTemplate([du(0, 3.0, 0, 5)], 1, 2)
     ctx = tpl.context(0)   # current GOP's DU (expiring) and next GOP's
     assert [s.key[0] for s in ctx.slots] == [0, 1]
-    act = fifo_schedule(ctx, (5, 5), 6)
+    act = schedule("fifo", ctx, (5, 5), 6)
     assert act.sends == (5, 1)
 
 
@@ -196,15 +200,15 @@ def test_fifo_prefers_older_gop():
 def test_simple_schedulers_respect_capacity_and_buffers(cap, bufs):
     ctx = illustration_context(0)
     buf = tuple(min(b, s.du.max_size) for b, s in zip(bufs, ctx.slots))
-    for sched in (edf_schedule, fifo_schedule, hdf_schedule):
-        act = sched(ctx, buf, cap)
+    for name in SIMPLE_SCHEDULERS:
+        act = schedule(name, ctx, buf, cap)
         assert act.total <= cap
         assert all(0 <= y <= x for y, x in zip(act.sends, buf))
 
 
 def test_packet_capacity_floor():
-    assert packet_capacity(0.5, 1.0, 60.0, 1.0) == 30
-    assert packet_capacity(0.33, 1.0, 10.0, 1.0) == 3
+    assert packet_capacities(0.5, 1.0, np.array([60.0, 10.0]), 1.0).tolist() == [30, 5]
+    assert int(packet_capacities(0.33, 1.0, 10.0, 1.0)) == 3
 
 
 def test_single_du_model_tables_have_backward_consistency():
