@@ -21,6 +21,7 @@ from wvsched.model import (
     ModelError,
     ScheduleAction,
     bandwidth_usage,
+    check_buffer,
     transmit_energy,
 )
 from wvsched.scheduling import fill, fill_rows
@@ -71,7 +72,9 @@ def drift_response(buffer: Sequence[int], beta: float, gain_to_noise: float,
 def lyapunov_action(context: Context, buffer: Sequence[int], price: float,
                     beta: float, gain_to_noise: float, delta: float,
                     expected_arrivals: float) -> ScheduleAction:
-    """`drift_response` at one price; the context plays no part."""
+    """`drift_response` at one price. The context only checks the buffer:
+    `check_buffer`'s `ModelError` unless it fits the context's caps."""
+    check_buffer(context, buffer)
     return drift_response(buffer, beta, gain_to_noise, delta, expected_arrivals)(price)
 
 

@@ -192,7 +192,9 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
     result = centralized_oracle(scenario, state_cap=args.cap)
-    print(f"joint states: {result.space.n_states}, sweeps: {result.sweeps}")
+    print(f"joint states: {result.space.n_states}, sweeps: {result.sweeps}, "
+          f"feasible pairs: {result.pairs}, (state, row) groups: {result.groups}, "
+          f"kernel rows: {result.kernel_rows}")
     print(f"oracle network utility (uniform initial): {result.mean_value:.6f}")
     return 0
 

@@ -200,6 +200,7 @@ class PdsDecomposedAgent(PricedAgent):
         return 1.0 / (1.0 + self.slots_seen / EXPLORE_TAU)
 
     def act(self, context, buffer, view_state: int) -> ScheduleAction:
+        check_buffer(context, buffer)
         if not self.frozen and self.rng.random() < self.epsilon():
             sends = tuple(int(self.rng.integers(x + 1)) for x in buffer)
             return ScheduleAction(sends)
@@ -244,6 +245,7 @@ class DriftAgent(PricedAgent):
             expected_arrivals=self.arrivals[context.phase])
 
     def price_response(self, context, buffer, view_state: int):
+        check_buffer(context, buffer)
         return drift_response(buffer, self.user.beta, float(self.view.gain[view_state]),
                               self.discount, self.arrivals[context.phase])
 

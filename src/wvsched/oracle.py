@@ -6,6 +6,14 @@ joint_value_of evaluates an arbitrary deterministic per-slot rule on the
 joint chain by a linear solve. Both average uniformly over initial joint
 states, matching the design objective's uniform initial-state reading.
 
+A joint action moves the chain only through its post-decision state (the
+buffers the sends leave, before arrivals and the channel move) and c0, so
+`build_joint_kernel` builds one kernel row per distinct (post-decision
+state, c0), not one per (joint state, joint action) pair, and maps each
+pair to its row. A value-iteration sweep (`PairBackup`) maximises over
+each state's distinct rows at their best reward, which gives the pairs'
+max bit for bit; the greedy policy is still the first maximising pair.
+
 evaluate_solution takes one of two paths to the sends it hands that solve.
 Solutions with an array form (`Solution.sent_arrays`) decide every joint
 state of a joint phase in one array pass: proposed, proposed-full, mu-mdp
@@ -89,6 +97,9 @@ class OracleResult:
     mean_value: float
     policy: dict[int, tuple[tuple[int, ...], ...]]
     sweeps: int
+    pairs: int         # feasible (joint state, joint action) pairs
+    groups: int        # distinct (joint state, kernel row) among them
+    kernel_rows: int   # distinct (post-decision state, c0) among them
 
 
 @dataclass
@@ -159,14 +170,19 @@ def _band_usage(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
 
 def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
                        rows: np.ndarray, offset: np.ndarray | None = None,
-                       ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Transition kernel of the joint chain over (joint state, joint action) pairs.
+                       ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """Transition kernel of the joint chain over (joint state, joint action)
+    pairs, factored through the post-decision state.
 
     The pairs are grouped by joint state in index order: pair k is at joint
-    state state[k] and takes row rows[u, k] of users[u]. Returns the
-    pair-by-state kernel, each pair's reward (its offset, default 0, plus
-    every user's gain - beta * energy, added in user order) and each state's
-    first pair row.
+    state state[k] and takes row rows[u, k] of users[u]. A pair's next-state
+    law depends on it only through its post-decision state (the joint
+    traffic state of the next phase its survivors leave, entering DUs still
+    empty) and c0, so the kernel has one row per distinct such (post-decision
+    state, c0) among the pairs, in index order. Returns that kernel, each
+    pair's row in it, each pair's reward (its offset, default 0, plus every
+    user's gain - beta * energy, added in user order) and each state's first
+    pair; kernel[pair_row] is the pair-by-state kernel.
     """
     nc = len(space.c0_states)
     c0 = state % nc
@@ -174,16 +190,32 @@ def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.n
     for u, ur in enumerate(users):
         reward += ur.term[rows[u], space.own[u][c0]]
 
-    # A pair's next-state law: each user's survivors plus its entering DUs'
-    # sizes, crossed in user order, then the channel row of c0. Within a
-    # (joint phase, c0) block every pair shares one pattern of column offsets
-    # and probabilities, sorted by column as CSR rows are.
-    chan = [np.flatnonzero(row > 0) for row in space.transition]
-    bounds = np.searchsorted(state, np.array([*space.base, space.n_traffic]) * nc)
-    patterns = []
-    sizes = np.empty(len(state), dtype=np.int64)
+    # each pair's post-decision state and c0 as one joint state index
+    phase_starts = np.array([*space.base, space.n_traffic]) * nc
+    bounds = np.searchsorted(state, phase_starts)
+    post = np.empty(len(state), dtype=np.int64)
     for jp in range(space.period):
+        lo, hi = bounds[jp], bounds[jp + 1]
         njp = (jp + 1) % space.period
+        nxt = np.full(hi - lo, space.base[njp], dtype=np.int64)
+        for u, (ur, stride) in enumerate(zip(users, space.strides[njp])):
+            nxt += ur.post[rows[u, lo:hi]] * stride
+        post[lo:hi] = nxt * nc + c0[lo:hi]
+    del c0
+    used = np.zeros(space.n_states, dtype=bool)
+    used[post] = True
+    keys = np.flatnonzero(used)
+
+    # A row's law: each user's survivors plus its entering DUs' sizes,
+    # crossed in user order, then the channel row of c0. Within a (joint
+    # phase, c0) block every row shares one pattern of column offsets and
+    # probabilities, sorted by column as CSR rows are.
+    chan = [np.flatnonzero(row > 0) for row in space.transition]
+    key_bounds = np.searchsorted(keys, phase_starts)
+    patterns = []
+    sizes = np.empty(len(keys), dtype=np.int64)
+    for njp in range(space.period):
+        jp = (njp - 1) % space.period
         offs, probs = np.zeros(1, dtype=np.int64), np.ones(1)
         for lay, stride in zip(space.layouts, space.strides[njp]):
             o, pr = entering_combos(lay, jp % lay.period)
@@ -196,41 +228,81 @@ def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.n
             order = np.argsort(cols, kind="stable")
             block.append((cols[order], vals[order]))
         patterns.append(block)
-        lo, hi = bounds[jp], bounds[jp + 1]
-        sizes[lo:hi] = np.array([len(cols) for cols, _ in block])[c0[lo:hi]]
+        lo, hi = key_bounds[njp], key_bounds[njp + 1]
+        sizes[lo:hi] = np.array([len(cols) for cols, _ in block])[keys[lo:hi] % nc]
 
     nnz = int(sizes.sum())
     idx = np.int32 if max(nnz, space.n_states) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(len(state) + 1, dtype=idx)
+    indptr = np.zeros(len(keys) + 1, dtype=idx)
     np.cumsum(sizes, out=indptr[1:])
-    del sizes
     indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
-    for jp, block in enumerate(patterns):
-        lo, hi = bounds[jp], bounds[jp + 1]
-        njp = (jp + 1) % space.period
-        nxt = np.full(hi - lo, space.base[njp], dtype=np.int64)
-        for u, (ur, stride) in enumerate(zip(users, space.strides[njp])):
-            nxt += ur.post[rows[u, lo:hi]] * stride
+    for njp, block in enumerate(patterns):
+        lo, hi = key_bounds[njp], key_bounds[njp + 1]
         for c, (cols, vals) in enumerate(block):
-            sel = np.flatnonzero(c0[lo:hi] == c)
-            pos = indptr[lo + sel][:, None] + np.arange(len(cols))
-            indices[pos] = nxt[sel][:, None] * nc + cols
+            sel = lo + np.flatnonzero(keys[lo:hi] % nc == c)
+            pos = indptr[sel][:, None] + np.arange(len(cols))
+            indices[pos] = (keys[sel] - c)[:, None] + cols
             data[pos] = vals
-            del pos
-    kernel = sp.csr_matrix((data, indices, indptr), shape=(len(state), space.n_states))
-    return kernel, reward, np.searchsorted(state, np.arange(space.n_states))
+    kernel = sp.csr_matrix((data, indices, indptr), shape=(len(keys), space.n_states))
+    pair_row = (np.cumsum(used, dtype=idx) - 1)[post]
+    return kernel, pair_row, reward, np.searchsorted(state, np.arange(space.n_states))
 
 
-def _max_values(kernel: sp.csr_matrix, reward: np.ndarray, starts: np.ndarray,
-                delta: float, tol: float, max_iter: int, what: str) -> tuple:
-    """Value iteration from zeros on V(s) = max over s's pairs of Q(V) =
-    reward + delta * E[V(next)], `reward` already scaled by (1 - delta).
-    Returns V, the sweeps and Q as a function of V."""
-    def q_of(v: np.ndarray) -> np.ndarray:
-        return reward + delta * (kernel @ v)
-    values, sweeps = value_iteration(lambda v: np.maximum.reduceat(q_of(v), starts),
-                                     np.zeros(kernel.shape[1]), delta, tol, max_iter, what)
-    return values, sweeps, q_of
+class PairBackup:
+    """The Bellman backup over (joint state, joint action) pairs: pair k
+    earns reward[k] (already scaled by 1 - delta) and moves by row
+    pair_row[k] of `kernel`; state s's pairs start at starts[s].
+
+    A sweep maximises over each state's groups of pairs that share a row,
+    each group at its largest reward. That is the pairs' max to the bit:
+    fl(r + c) never decreases as r grows, so max_k fl(r_k + c) =
+    fl(max_k r_k + c), and a max does no rounding. Equal sums have equal
+    bits because no reward is -0.0: a sum is -0.0 only if both addends are,
+    and a user's gain - beta * energy term never is.
+    """
+
+    def __init__(self, kernel: sp.csr_matrix, pair_row: np.ndarray, reward: np.ndarray,
+                 starts: np.ndarray, delta: float):
+        self.kernel, self.pair_row, self.reward, self.starts = kernel, pair_row, reward, starts
+        self.delta = delta
+        self.counts = np.diff(starts, append=len(reward))
+        # (state, row) keys in order; a group is a run of one key
+        key = np.repeat(np.arange(len(starts), dtype=np.int64) * kernel.shape[0], self.counts)
+        key += pair_row
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        self.group_reward = np.maximum.reduceat(reward[order], first)
+        del order
+        key = key[first]
+        self.group_row = key % kernel.shape[0]
+        self.group_starts = np.searchsorted(key, np.arange(len(starts)) * kernel.shape[0])
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """Each state's max over its pairs of reward + delta * E[v(next)]."""
+        return np.maximum.reduceat(
+            self.group_reward + (self.delta * (self.kernel @ v)).take(self.group_row),
+            self.group_starts)
+
+    def greedy(self, v: np.ndarray) -> np.ndarray:
+        """Each state's first maximising pair under `v`."""
+        q = self.reward + (self.delta * (self.kernel @ v)).take(self.pair_row)
+        hit = np.where(q >= np.repeat(self(v), self.counts), np.arange(len(q)), len(q))
+        return np.minimum.reduceat(hit, self.starts)
+
+
+def _max_values(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
+                rows: np.ndarray, offset: np.ndarray | None, delta: float, tol: float,
+                max_iter: int, what: str) -> tuple[np.ndarray, int, PairBackup]:
+    """Value iteration from zeros on V(s) = max over s's pairs of
+    (1 - delta) * reward + delta * E[V(next)], the pairs as
+    `build_joint_kernel` takes them. Returns V, the sweeps and the backup."""
+    kernel, pair_row, reward, starts = build_joint_kernel(space, users, state, rows, offset)
+    reward = (1.0 - delta) * reward
+    backup = PairBackup(kernel, pair_row, reward, starts, delta)
+    values, sweeps = value_iteration(backup, np.zeros(space.n_states), delta, tol, max_iter,
+                                     what)
+    return values, sweeps, backup
 
 
 def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
@@ -267,22 +339,19 @@ def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
     state, rows = np.concatenate(states), np.concatenate(rows, axis=1)
     del states
 
-    kernel, reward, starts = build_joint_kernel(space, users, state, rows)
-    reward = (1.0 - delta) * reward
-    values, sweeps, q_of = _max_values(kernel, reward, starts, delta, tol, max_iter,
-                                       "oracle value iteration")
-
+    values, sweeps, backup = _max_values(space, users, state, rows, None, delta, tol,
+                                         max_iter, "oracle value iteration")
+    del state
     # Greedy joint policy (first maximizer per state).
-    q = q_of(values)
-    hit = np.where(q >= np.maximum.reduceat(q, starts)[state], np.arange(len(q)), len(q))
-    best = np.minimum.reduceat(hit, starts)
+    best = backup.greedy(values)
     policy = {}
     for jp in range(space.period):
         lo, hi = space.base[jp] * nc, (space.base[jp] + math.prod(space.counts[jp])) * nc
         sends = [map(tuple, ur.sends[rows[u, best[lo:hi]], :len(lay.caps[jp % lay.period])]
                      .tolist()) for u, (ur, lay) in enumerate(zip(users, space.layouts))]
         policy.update(zip(range(lo, hi), zip(*sends)))
-    return OracleResult(space, values, float(values.mean()), policy, sweeps)
+    return OracleResult(space, values, float(values.mean()), policy, sweeps, pairs,
+                        len(backup.group_row), backup.kernel.shape[0])
 
 
 def joint_value_of(scenario: ScenarioConfig, act_rule: Callable,
@@ -357,9 +426,9 @@ def _value_of_sends(space: JointSpace, scenario: ScenarioConfig,
     users = [_user_rows(lay, u, scenario.bits_per_packet, t, s)
              for lay, u, t, s in zip(space.layouts, scenario.users, traffic, sends)]
     state = np.arange(n)
-    kernel, rewards, _ = build_joint_kernel(space, users, state,
-                                            np.broadcast_to(state, (len(users), n)))
-    a = sp.eye(n, format="csr") - delta * kernel
+    kernel, row, rewards, _ = build_joint_kernel(space, users, state,
+                                                 np.broadcast_to(state, (len(users), n)))
+    a = sp.eye(n, format="csr") - delta * kernel[row]
     values = spla.spsolve(a.tocsc(), (1.0 - delta) * rewards)
     return values, float(values.mean())
 
@@ -411,8 +480,6 @@ def penalized_joint_value(scenario: ScenarioConfig,
     offset = lam[state % len(space.c0_states)] * (
         scenario.bandwidth - _band_usage(space, users, state, rows))
 
-    kernel, reward, starts = build_joint_kernel(space, users, state, rows, offset)
-    reward = (1.0 - delta) * reward
-    values, _, _ = _max_values(kernel, reward, starts, delta, tol, max_iter,
+    values, _, _ = _max_values(space, users, state, rows, offset, delta, tol, max_iter,
                                "penalized joint value iteration")
     return values, float(values.mean())

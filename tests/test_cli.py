@@ -93,6 +93,15 @@ def test_oracle_command(capsys):
     assert "oracle network utility" in out
 
 
+def test_oracle_command_prints_the_kernel_sizes(capsys):
+    """tiny-sym's 2,443 feasible pairs lead to 18 kernel rows (distinct
+    post-decision states and c0), in 648 distinct (joint state, row) groups."""
+    assert main(["oracle", "--scenario", "tiny-sym"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "joint states: 162, sweeps: 453, feasible pairs: 2443, "
+        "(state, row) groups: 648, kernel rows: 18")
+
+
 def test_replay_command(tmp_path, capsys):
     code = main(["replay", "--fixture", "illustration-2user",
                  "--solution", "myopic", "--out", str(tmp_path)])

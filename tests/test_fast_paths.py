@@ -2337,9 +2337,12 @@ def built_kernels():
 
 
 def assert_same_kernel(built, kernel, reward, starts) -> None:
+    """One kernel was built, and its rows gathered at each pair's row are the
+    pair loop's kernel, byte for byte; so are the rewards and starts."""
     assert len(built) == 1
-    got_kernel, got_reward, got_starts = built[0]
-    assert_same_csr(got_kernel, kernel)
+    got_kernel, got_row, got_reward, got_starts = built[0]
+    assert got_kernel.shape[0] == len(np.unique(got_row))
+    assert_same_csr(got_kernel[got_row], kernel)
     assert got_reward.dtype == reward.dtype and got_reward.tobytes() == reward.tobytes()
     assert got_starts.dtype == starts.dtype and np.array_equal(got_starts, starts)
 
@@ -2366,6 +2369,12 @@ def test_joint_kernel_callers_equal_pair_loop(inst):
         assert_same_kernel(built, kernel, reward, starts)
         assert orc.values.tobytes() == values.tobytes()
         assert orc.policy == policy and orc.sweeps == sweeps
+        # a kernel row is a next-state law at one c0; a group, one at a state
+        laws = [(row.indices.tobytes(), row.data.tobytes()) for row in kernel]
+        state = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(laws))).tolist()
+        c0 = [s % len(orc.space.c0_states) for s in state]
+        assert (orc.pairs, orc.groups, orc.kernel_rows) == (
+            len(laws), len(set(zip(state, laws))), len(set(zip(c0, laws))))
         assert all(type(y) is int for acts in orc.policy.values() for a in acts for y in a)
 
     kernel, reward, starts, values = reference_penalized(sc, prices)
@@ -2399,6 +2408,52 @@ def test_evaluate_solution_equals_pair_loop(name):
         got, _ = oracle.evaluate_solution(sc, sol)
     assert_same_kernel(built, kernel, reward, starts)
     assert got.tobytes() == values.tobytes()
+
+
+def reference_backup(kernel, pair_row, reward, starts, delta, v):
+    """Each state's max, and its first maximising pair, of reward + delta *
+    E[v(next)] over its pairs, from the pair-by-state kernel."""
+    q = reward + delta * (kernel[pair_row] @ v)
+    ends = np.append(starts[1:], len(q))
+    return (np.maximum.reduceat(q, starts),
+            np.array([lo + int(np.argmax(q[lo:hi])) for lo, hi in zip(starts, ends)]))
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(joint_scenarios(), st.sampled_from(["built", "tied in row", "coarse", "doubled"]),
+       st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from(["spread", "small ints"]),
+       st.integers(0, 2**32 - 1), st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+def test_grouped_backup_equals_pair_backup(inst, ties, bump, spread, seed, delta):
+    """The backup over each state's (row, largest reward) groups gives the
+    pair backup's values byte for byte, and its first maximising pairs, at
+    arbitrary value vectors and discounts from 0. The pairs are the priced
+    joint problem's, as built, or with ties forced: every pair of a (state,
+    row) group at one reward, rewards rounded to integers, or each pair
+    doubled at the same row with its reward moved by -1, 0 or 1. Values
+    span nine decades or are small integers, so sums tie across rows too."""
+    sc, prices = inst
+    with built_kernels() as built:
+        oracle.penalized_joint_value(sc, prices)
+    kernel, pair_row, reward, starts = built[0]
+    rng = np.random.default_rng(seed)
+    if ties == "tied in row":
+        state = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(reward)))
+        _, first, group = np.unique(state * kernel.shape[0] + pair_row, return_index=True,
+                                    return_inverse=True)
+        reward = reward[first][group]
+    elif ties == "coarse":
+        reward = np.round(reward) + 0.0  # as built, no reward is -0.0
+    elif ties == "doubled":
+        pair_row, starts = np.repeat(pair_row, 2), 2 * starts
+        reward = np.repeat(reward, 2) + np.tile([0.0, bump], len(reward))
+    if spread == "small ints":
+        v = rng.integers(-2, 3, kernel.shape[1]).astype(float)
+    else:
+        v = rng.normal(size=kernel.shape[1]) * 10.0 ** rng.integers(-3, 7, kernel.shape[1])
+    backup = oracle.PairBackup(kernel, pair_row, reward, starts, delta)
+    want, first_best = reference_backup(kernel, pair_row, reward, starts, delta, v)
+    assert backup(v).tobytes() == want.tobytes()
+    assert np.array_equal(backup.greedy(v), first_best)
 
 
 # (per-user sends, per-user buffers, rates, bits per packet, band) of one

@@ -805,11 +805,37 @@ def test_non_integral_buffers_raise_model_error():
                 agent.table_sends(ctx, rows, np.zeros(len(rows), dtype=np.int64))
     contexts = [t.context(0) for t in sc.templates]
     proposed = build_solution(sc, "proposed")
-    for name in ("proposed", "mu-mdp", "myopic", "proposed+edf"):
+    for name in ("proposed", "mu-mdp", "myopic", "proposed+edf", "lyapunov",
+                 "proposed-learning"):
         sol = build_solution(sc, name, proposed)
         sol.prepare(np.random.default_rng(sc.seed))
         with pytest.raises(ModelError, match=msg):
             sol.sent_actions((0, 0), contexts, [buf, (1, 1)])
+
+
+def test_drift_and_learning_agents_reject_non_integral_buffers():
+    """On tiny-priced, `lyapunov` once sent (3.5, 1, 0.5) from the buffer
+    (3.5, 1, 1), and `proposed-learning` died in its exploration draw with a
+    bare `TypeError`. The drift agent's `act_at` and price response (so
+    `lyapunov` with clearing too) and the learning agent's `act` now raise
+    `check_buffer`'s `ModelError`, the learning agent before it draws."""
+    sc = preset("tiny-priced")
+    ctx = sc.users[0].template.context(0)
+    buf = (3.5, 1, 1)
+    msg = re.escape("buffer for I is 3.5, not an integer in [0, 8]")
+    drift, pds = harness.make_agents(sc, "drift")[0], harness.make_agents(sc, "pds")[0]
+    for agent in (drift, pds):
+        agent.refresh(np.array([0.5, 1.0]))
+    state = pds.rng.bit_generator.state
+    for call in (lambda: drift.act_at(ctx, buf, 0, 0.3), lambda: drift.price_response(ctx, buf, 0),
+                 lambda: pds.act(ctx, buf, 0)):
+        with pytest.raises(ModelError, match=msg):
+            call()
+    assert pds.rng.bit_generator.state == state
+    sol = build_solution(sc, "lyapunov", clearing=True)
+    sol.prepare(np.random.default_rng(sc.seed))
+    with pytest.raises(ModelError, match=msg):
+        sol.sent_actions((0, 0), [t.context(0) for t in sc.templates], [buf, (1, 1)])
 
 
 def test_refresh_gate_decides_as_the_numpy_rule(monkeypatch):
