@@ -146,6 +146,9 @@ def _cmd_run(args) -> int:
     m = compute_metrics(trace, scenario)
     print(f"{solution.name}: network payoff {m.network_payoff:.4f}, "
           f"distortion {m.total_distortion:.1f}, energy {m.total_energy:.4g}")
+    if report is not None:
+        print(f"coordination: {report.slots_run} slots, policy refreshes per user "
+              f"{', '.join(map(str, report.refreshes))}")
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -152,9 +152,8 @@ class FullMdpAgent(PricedAgent):
     def refresh(self, price_vec: np.ndarray) -> None:
         if self.table is not None and np.array_equal(price_vec, self.price_vec):
             return
-        init = self.table.values if self.table is not None else None
         price = np.array(price_vec, dtype=float)
-        self.table = self.mdp.solve(price, tol=1e-7, init=init)
+        self.table = self.mdp.solve(price, tol=1e-7, init=self.table)
         self.price_vec = price
         self.resolves += 1
         self.steps += self.table.steps
@@ -1085,9 +1084,11 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
         (h,), (buf,), (ctx,) = system.s0, system.buffers, system.contexts
         act = learner.act(ctx.phase, buf, h, float(price[h]), rng)
         window_pay += payoff(UserState(ctx, buf, h), act, u.beta, u.channel)
-        (step,) = system.advance([act])
-        learner.observe((ctx.phase, buf, h, act, step.arrivals, step.buffer,
-                         system.s0[0]), np.asarray(price))
+        (move,) = system.advance([act])
+        (nxt,) = system.buffers
+        arrivals = {key: nxt[j] for j, _, key in move.entering}
+        learner.observe((ctx.phase, buf, h, act, arrivals, nxt, system.s0[0]),
+                        np.asarray(price))
         if (t + 1) % every == 0:
             gap = max(abs(learner.table.value((p, s, v)) - plan_u[lay.pds_index(p, s), v])
                       for p in range(lay.period)

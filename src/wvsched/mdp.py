@@ -82,6 +82,13 @@ class ChannelView:
         self.price_weights = price_weights
         self.joint_keys = joint_keys
         self._key_index = {k: i for i, k in enumerate(joint_keys)} if joint_keys else None
+        # each joint key's readers: the view states whose price weights read
+        # its price, so a move of that one price moves only their entries
+        readers: dict[tuple[int, ...], dict[int, None]] = {}
+        for v, pairs in enumerate(price_weights):
+            for key, _ in pairs:
+                readers.setdefault(key, {})[v] = None
+        self.readers = {key: tuple(vs) for key, vs in readers.items()}
 
     def __len__(self) -> int:
         return len(self.rate)
@@ -92,14 +99,18 @@ class ChannelView:
             return self._key_index[tuple(s0)]
         return int(s0[self.user])
 
+    def price_entry(self, lam: Mapping[tuple[int, ...], float], v: int,
+                    bits_per_packet: float) -> float:
+        """View state v's packet price: E[lambda0(s0) | v] * b / r(v). It
+        reads the prices of the keys whose `readers` hold v, and no other."""
+        lam_v = sum(w * lam.get(key, 0.0) for key, w in self.price_weights[v])
+        return float(lam_v * bits_per_packet / self.rate[v])
+
     def price_vector(self, lam: Mapping[tuple[int, ...], float],
                      bits_per_packet: float) -> np.ndarray:
-        """Per-view-state packet price: E[lambda0(s0) | view] * b / r."""
-        out = np.zeros(len(self))
-        for v, pairs in enumerate(self.price_weights):
-            lam_v = sum(w * lam.get(key, 0.0) for key, w in pairs)
-            out[v] = lam_v * bits_per_packet / self.rate[v]
-        return out
+        """Every view state's `price_entry`."""
+        return np.array([self.price_entry(lam, v, bits_per_packet) for v in range(len(self))],
+                        dtype=float)
 
 
 def checked_price(view: ChannelView, price) -> np.ndarray:
@@ -393,6 +404,12 @@ class UserMdp:
         # warm re-solve mostly re-evaluates one policy at new prices.
         self._chain = None
         self.factorizations = 0          # LU factors built
+        # every row's position, a column, for `_best`'s first-maximiser pass
+        self._rows = np.arange(self.n_ta, dtype=np.int64)[:, None]
+        # `ValueTable.action_of`'s lookups, kept across re-solves: each checked
+        # (phase, buffer)'s traffic index and each action-table row's action
+        self._traffic_index: dict[tuple, int] = {}
+        self._row_action: dict[int, ScheduleAction] = {}
 
     # -- solving --------------------------------------------------------------
 
@@ -405,60 +422,121 @@ class UserMdp:
         return self.base_reward - (1.0 - self.discount) * (
             self.ta_total[:, None] * price[None, :])
 
-    def q_values(self, values: np.ndarray, reward: np.ndarray) -> np.ndarray:
+    def continuation(self, values: np.ndarray) -> np.ndarray:
+        """delta * E[V(s') | row, view state]: each row's discounted
+        expectation of `values` over the channel and the entering sizes."""
         mixed = values @ self.view.transition.T              # E over channel
-        return reward + self.discount * (self.traffic_kernel @ mixed)
+        return self.discount * (self.traffic_kernel @ mixed)
 
-    def backup(self, values: np.ndarray, reward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One Bellman backup: each state's best Q and its first maximiser."""
-        return self._best(self.q_values(values, reward))
+    def q_values(self, values: np.ndarray, reward: np.ndarray) -> np.ndarray:
+        return reward + self.continuation(values)
+
+    def backup(self, values: np.ndarray, reward: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One Bellman backup: each state's best Q, its first maximiser and
+        the continuation of `values` the Qs added to `reward`."""
+        cont = self.continuation(values)
+        return (*self._best(reward + cont), cont)
 
     def greedy(self, values: np.ndarray, reward: np.ndarray) -> np.ndarray:
         """First (lexicographically smallest) maximizer per state."""
         return self._best(self.q_values(values, reward))[1]
 
     def _best(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vmax = np.maximum.reduceat(q, self.group_start[:-1], axis=0)
-        pos = np.arange(self.n_ta, dtype=np.int64)
-        policy = np.empty((self.layout.n_traffic, len(self.view)), dtype=np.int64)
-        for v in range(len(self.view)):
-            hit = np.where(q[:, v] >= vmax[self.ta_state, v], pos, self.n_ta)
-            policy[:, v] = np.minimum.reduceat(hit, self.group_start[:-1])
-        return vmax, policy
+        """Each traffic state's best Q and first maximising row, per column
+        of `q` (rows, columns), in one pass over all columns."""
+        starts = self.group_start[:-1]
+        vmax = np.maximum.reduceat(q, starts, axis=0)
+        hit = np.where(q >= vmax[self.ta_state], self._rows, self.n_ta)
+        return vmax, np.minimum.reduceat(hit, starts, axis=0)
 
     def solve(self, price: np.ndarray, tol: float = 1e-6,
-              init: np.ndarray | None = None, max_iter: int = 1_000) -> "ValueTable":
-        """Policy iteration from the greedy policy of `init` (of zeros if None).
+              init: "ValueTable | None" = None, max_iter: int = 1_000) -> "ValueTable":
+        """Policy iteration from the greedy policy of `init`, a table of this
+        MDP (of zero values if None).
 
-        Each step evaluates the policy exactly, takes one backup and changes a
-        state's action to the backup's first maximiser only where the best Q
-        beats the current one by more than tol * (1 - delta): without that
-        margin, first-maximiser improvement can cycle among actions whose Qs
-        differ only by rounding. When no state gains more, the values are
-        within tol of the optimum; they are returned with the backup's
-        first-maximiser policy. Raises ModelError after `max_iter` steps.
+        The start policy is the first maximiser of the priced reward plus
+        `init`'s continuation, which is `greedy(init.values, reward)`. A
+        table that `solve` returned carries the continuation of the backup
+        that chose its policy, so in the view states whose price equals the
+        table's, the start is the table's own policy, and only the moved
+        ones are maximised; a table that carries none has every view state
+        moved. Each step evaluates the policy exactly, takes one backup and
+        changes a state's action to the backup's first maximiser only where
+        the best Q beats the current one by more than tol * (1 - delta):
+        without that margin, first-maximiser improvement can cycle among
+        actions whose Qs differ only by rounding. When no state gains more,
+        the values are within tol of the optimum; they are returned with
+        the backup's first-maximiser policy and its continuation. Raises
+        ModelError after `max_iter` steps, and for an `init` that is not a
+        table of this MDP with finite values of its shape.
         """
         reward = self.priced_reward(price)
         price = np.asarray(price)
-        values = np.zeros((self.layout.n_traffic, len(self.view))) if init is None else init
-        policy = self.greedy(values, reward)
+        policy = self._start_policy(reward, price, init)
         margin = tol * (1.0 - self.discount)
         for steps in range(1, max_iter + 1):
-            values = self.exact_policy_value(ValueTable(self, values, policy, price), price)
-            best, choice = self.backup(values, reward)
+            values = self.exact_policy_value(ValueTable(self, None, policy, price), price)
+            best, choice, cont = self.backup(values, reward)
             gain = best - values
             better = gain > margin
             if not better.any():
-                return ValueTable(self, values, choice, price, steps)
+                return ValueTable(self, values, choice, price, steps, cont)
             policy = np.where(better, choice, policy)
         raise ModelError(f"policy iteration did not converge in {max_iter} steps "
                          f"(last step's largest gain {float(gain.max()):.3e})")
+
+    def _start_policy(self, reward: np.ndarray, price: np.ndarray,
+                      init: "ValueTable | None") -> np.ndarray:
+        """`solve`'s start: the first maximiser of reward plus init's
+        continuation in the view states whose price moved, init's policy in
+        the others."""
+        shape = (self.layout.n_traffic, len(self.view))
+        if init is None:
+            init = ValueTable(self, np.zeros(shape), None, price)
+        elif not isinstance(init, ValueTable) or init.mdp is not self:
+            raise ModelError(f"init must be None or a ValueTable of this UserMdp; "
+                             f"got {type(init).__name__}")
+        values = init.values
+        if not isinstance(values, np.ndarray) or values.shape != shape:
+            raise ModelError(f"init values must have shape {shape}; "
+                             f"got shape {np.shape(values)}")
+        if not np.isfinite(values).all():
+            raise ModelError("init values must be finite")
+        if init.continuation is None:
+            cont, moved = self.continuation(values), np.ones(shape[1], dtype=bool)
+        else:
+            cont, moved = init.continuation, price != init.price
+        if moved.all():
+            return self._best(reward + cont)[1]
+        policy = init.policy.copy()
+        if moved.any():
+            policy[:, moved] = self._best(reward[:, moved] + cont[:, moved])[1]
+        return policy
 
     # -- lookups --------------------------------------------------------------
 
     def action_for(self, t_idx: int, ta: int) -> ScheduleAction:
         width = len(self.layout.caps[self.layout.phase_of(t_idx)])
         return ScheduleAction(tuple(self.ta_sends[ta, :width].tolist()))
+
+    def traffic_index(self, phase: int, buffer: Sequence[int]) -> int:
+        """The traffic index of (phase, buffer), memoised; a buffer outside
+        the phase's caps raises `ModelError` on every call (only checked
+        keys are kept)."""
+        key = (phase, tuple(buffer))
+        t = self._traffic_index.get(key)
+        if t is None:
+            check_buffer(self.layout.contexts[phase], buffer)
+            t = self._traffic_index[key] = self.layout.index(phase, buffer)
+        return t
+
+    def row_action(self, t_idx: int, ta: int) -> ScheduleAction:
+        """`action_for`, memoised on the row."""
+        act = self._row_action.get(ta)
+        if act is None:
+            act = self._row_action[ta] = self.action_for(t_idx, ta)
+        return act
 
     def ta_of(self, t_idx: int, action: ScheduleAction) -> int:
         """State-action row of a concrete action at a traffic state."""
@@ -559,18 +637,12 @@ class ValueTable:
     policy: np.ndarray               # (n_traffic, n_view) -> state-action row
     price: np.ndarray                # per-view-state packet price used to solve
     steps: int = 0                   # improvement steps of the solve that made it
-    # action_of's answers by (phase, buffer, view state); policy is not changed
-    # after construction, so they never go stale
-    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # delta * E[V'] per (row, view state) of the backup that chose `policy`,
+    # if a solve made the table: a warm re-solve's start (see UserMdp.solve)
+    continuation: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def action_of(self, phase: int, buffer: Sequence[int], view_state: int) -> ScheduleAction:
         """The policy's action; a buffer outside the phase's caps raises
-        `ModelError` (checked when the key is first seen: only valid keys
-        are kept)."""
-        key = (phase, tuple(buffer), view_state)
-        act = self._actions.get(key)
-        if act is None:
-            check_buffer(self.mdp.layout.contexts[phase], buffer)
-            t = self.mdp.layout.index(phase, buffer)
-            act = self._actions[key] = self.mdp.action_for(t, int(self.policy[t, view_state]))
-        return act
+        `ModelError`. The lookups are the MDP's, so they outlive a re-solve."""
+        t = self.mdp.traffic_index(phase, buffer)
+        return self.mdp.row_action(t, int(self.policy[t, view_state]))

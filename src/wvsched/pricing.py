@@ -27,15 +27,15 @@ from wvsched.model import (
     GopTemplate,
     ModelError,
     ScheduleAction,
-    TrafficStep,
     Transition,
     UserConfig,
-    advance_traffic,
     bandwidth_usage,
     draw,
     initial_buffer,
     uniforms,
 )
+# perfbench's tracer patches the slot engine's traffic step under this name
+from wvsched.model import advance_traffic  # noqa: F401
 from wvsched.scheduling import fill, fill_rows
 
 
@@ -145,7 +145,8 @@ class SlotSystem:
 
     Start-up draws the channel state (unless `s0` is given), then each
     user's initial buffer, one scalar draw per DU. Each `advance` then
-    draws, in user order, one block of k uniforms per user for the k DUs
+    steps each user, in user order, by its `GopTemplate.transition` and
+    `Transition.buffer`, drawing one block of k uniforms for the k DUs
     entering at its next phase (none when no DU enters), and last the next
     channel state (unless `s0_next` is given): one draw if the channel is
     common, one block over the n users if not. A block is one generator
@@ -164,16 +165,21 @@ class SlotSystem:
         self.contexts = [t.context(0) for t in self.templates]
 
     def advance(self, sent: Sequence[ScheduleAction],
-                s0_next: tuple[int, ...] | None = None) -> list[TrafficStep]:
+                s0_next: tuple[int, ...] | None = None) -> list[Transition]:
         """Apply every user's sends, then move the channel to `s0_next` or a
-        fresh draw."""
+        fresh draw. Returns each user's `Transition`; the drawn buffers are
+        the system's new `buffers`."""
         rng = self.rng
-        steps = [advance_traffic(t, ctx, buf, act, rng) for t, ctx, buf, act in
-                 zip(self.templates, self.contexts, self.buffers, sent, strict=True)]
-        self.buffers = [st.buffer for st in steps]
-        self.contexts = [st.context for st in steps]
-        self.s0 = self.joint.step(self.s0, self.rng) if s0_next is None else s0_next
-        return steps
+        moves, buffers = [], []
+        for t, ctx, buf, act in zip(self.templates, self.contexts, self.buffers, sent,
+                                    strict=True):
+            move = t.transition(ctx, buf, act.sends)
+            moves.append(move)
+            buffers.append(move.buffer(uniforms(rng, len(move.entering))))
+        self.buffers = buffers
+        self.contexts = [m.context for m in moves]
+        self.s0 = self.joint.step(self.s0, rng) if s0_next is None else s0_next
+        return moves
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +315,7 @@ class CoordinationReport:
     eval_slots: int = 0                   # slots the frozen policies were replayed
     eval_decisions: int = 0               # distinct slot decisions computed there
     eval_transitions: int = 0             # (slot state, draw outcome) successors it recorded
+    refreshes: list[int] = field(default_factory=list)  # per agent, refreshes the loop's gate passed
 
 
 # price updates per settle sweep of one state (see state_settled)
@@ -335,39 +342,70 @@ def run_coordination(agents: Sequence[PricedAgent], *,
     joint = JointChannel([a.channel for a in agents], correlation)
     system = SlotSystem([a.template for a in agents], joint, rng)
 
+    # each agent's projected prices, kept current as Python floats: a slot
+    # moves one price, lam0(s0), so only the entries of the view states
+    # that read s0 move, into a fresh list
+    vecs = [a.view.price_vector(table.lam, bits_per_packet).tolist() for a in agents]
+    stale = [True] * len(agents)         # moved since the refresh gate last saw it
     last_price_vec = [None] * len(agents)
+    refreshes = [0] * len(agents)
     refresh_gate = tolerance / 10.0
-    windows: dict[tuple[int, ...], deque] = {}
+    # per updated state, the price moves and the prices of its last
+    # SWEEP_FACTOR + 1 updates
+    windows: dict[tuple[int, ...], tuple[deque, deque]] = {}
+    unsettled: set[tuple[int, ...]] = set()
     converged = False
     slots = 0
 
-    def state_settled(win: deque) -> bool:
+    def state_settled(moves: deque, lams: deque) -> bool:
         # a state is settled once a full sweep of its updates are each small
         # and their net price movement is small (catches slow drift)
-        if len(win) < SWEEP_FACTOR + 1:
+        if len(moves) < SWEEP_FACTOR + 1:
             return False
-        if max(step for step, _ in win) > tolerance:
+        if max(moves) > tolerance:
             return False
-        return abs(win[-1][1] - win[0][1]) <= tolerance
+        return abs(lams[-1] - lams[0]) <= tolerance
 
     for slots in range(1, max_slots + 1):
         # refresh priced policies when the projected prices moved enough,
         # compared as Python floats: as exact as numpy's, and cheaper on a
-        # few view states
+        # few view states. Prices that have not moved since the gate last
+        # saw them get its same answer, no.
         for i, agent in enumerate(agents):
-            vec = agent.view.price_vector(table.lam, bits_per_packet)
-            now, last = vec.tolist(), last_price_vec[i]
-            if last is None or any(abs(a - b) > refresh_gate for a, b in zip(now, last)):
-                agent.refresh(vec)
-                last_price_vec[i] = now
+            if stale[i]:
+                stale[i] = False
+                now, last = vecs[i], last_price_vec[i]
+                if last is None or any(abs(a - b) > refresh_gate for a, b in zip(now, last)):
+                    agent.refresh(np.array(now))
+                    last_price_vec[i] = now
+                    refreshes[i] += 1
 
         s0 = system.s0
         contexts = system.contexts
         requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
         lam_before = table.get(s0)
         update_prices(table, s0, requests, bandwidth)
-        win = windows.setdefault(s0, deque(maxlen=SWEEP_FACTOR + 1))
-        win.append((abs(table.get(s0) - lam_before), table.get(s0)))
+        lam = table.get(s0)
+        if lam != lam_before:                # else no entry moves
+            for i, agent in enumerate(agents):
+                view = agent.view
+                for v in view.readers.get(s0, ()):
+                    entry = view.price_entry(table.lam, v, bits_per_packet)
+                    if entry != vecs[i][v]:
+                        if vecs[i] is last_price_vec[i]:
+                            vecs[i] = vecs[i].copy()   # the last refreshed list stays
+                        vecs[i][v] = entry
+                        stale[i] = True
+        # a window changes only when its own state is updated
+        win = windows.get(s0)
+        if win is None:
+            win = windows[s0] = (deque(maxlen=SWEEP_FACTOR + 1), deque(maxlen=SWEEP_FACTOR + 1))
+        win[0].append(abs(lam - lam_before))
+        win[1].append(lam)
+        if state_settled(*win):
+            unsettled.discard(s0)
+        else:
+            unsettled.add(s0)
 
         # the next channel state is drawn before the traffic: observers need it
         s0_next = joint.step(s0, rng)
@@ -376,7 +414,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
                           sent[i], agent.view.view_state(s0_next))
         system.advance(sent, s0_next)
 
-        if all(state_settled(w) for w in windows.values()):
+        if not unsettled:
             converged = True
             break
 
@@ -388,6 +426,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
         price_trace=[(it, key, usage, lam) for it, key, usage, lam in table.history],
         price_trace_dropped=table.updates - len(table.history),
         exchange_messages_per_slot=2 * len(agents),  # one price + one request per user
+        refreshes=refreshes,
     )
     if not converged:
         raise CoordinationError(
@@ -395,9 +434,9 @@ def run_coordination(agents: Sequence[PricedAgent], *,
             f"(tolerance {tolerance}); see report.price_trace", report)
 
     # settle policies at the final prices, then measure usage with them frozen
-    for agent in agents:
+    for agent, vec in zip(agents, vecs):
         agent.freeze()
-        agent.refresh(agent.view.price_vector(table.lam, bits_per_packet))
+        agent.refresh(np.array(vec))
 
     def band_request(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
         requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)

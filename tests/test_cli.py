@@ -37,6 +37,24 @@ def test_run_proposed_emits_price_trace(tmp_path):
     assert len(rows) > 5
 
 
+def test_run_proposed_prints_the_coordination_refreshes(tmp_path, capsys, monkeypatch):
+    reports = []
+    run = pricing.run_coordination
+
+    def kept(*args, **kwargs):
+        out = run(*args, **kwargs)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(harness, "run_coordination", kept)
+    assert main(["run", "--scenario", "tiny-sym", "--solution", "proposed-full",
+                 "--slots", "10", "--out", str(tmp_path)]) == 0
+    (report,) = reports
+    assert len(report.refreshes) == 2 and min(report.refreshes) >= 1
+    assert (f"coordination: {report.slots_run} slots, policy refreshes per user "
+            f"{report.refreshes[0]}, {report.refreshes[1]}\n") in capsys.readouterr().out
+
+
 def test_run_warns_when_the_price_history_was_truncated(tmp_path, capsys, monkeypatch):
     args = ["run", "--scenario", "tiny-sym", "--solution", "proposed", "--slots", "10"]
     assert main(args + ["--out", str(tmp_path / "full")]) == 0

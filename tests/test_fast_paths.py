@@ -21,7 +21,10 @@ each channel with its own scalar sampler call, the per-user trim and
 inflate loops of the band scaling, the slot-by-slot fills and trims in
 place of their row-array forms, the within-slot clearing search re-pricing
 every agent with `act_at` at each trial price in place of its per-slot
-price responses, and the drift rule's loop over send totals.
+price responses, the drift rule's loop over send totals, the user MDP's
+warm start maximising every view state from the table's values, and the
+coordination loop recomputing every agent's price vector, refresh gate and
+every settle window each slot while stepping traffic by `advance_traffic`.
 Results must agree exactly (==), not approximately. The one exception is the
 user MDP's policy-iteration solve: its reference, value iteration, stops at
 a tolerance, so the two agree within it.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
@@ -55,6 +59,7 @@ from wvsched.harness import (
 )
 from wvsched.learning import DuPdsLearner
 from wvsched.mdp import (
+    ChannelView,
     TrafficLayout,
     UserMdp,
     ValueTable,
@@ -73,6 +78,7 @@ from wvsched.model import (
     ScenarioConfig,
     ScheduleAction,
     UserConfig,
+    advance_traffic,
     bandwidth_usage,
     draw,
     initial_buffer,
@@ -465,20 +471,20 @@ def reference_run_episode(scenario, solution, slots, rng, pinned_channels=None):
         s0_next = None
         if pinned_channels is not None:
             s0_next = (int(pinned_channels[min(t + 1, len(pinned_channels) - 1)]),) * n_users
-        steps = system.advance(decision.sent, s0_next)
+        steps = slot_outcomes(system.advance(decision.sent, s0_next), system.buffers)
         users_rec = []
-        for i, (u, step) in enumerate(zip(sc.users, steps)):
+        for i, (u, (_, _, arrivals, drops)) in enumerate(zip(sc.users, steps)):
             act = decision.sent[i]
             dist = float(sum(s.du.distortion_impact * y
                              for s, y in zip(contexts[i].slots, act.sends)))
             en = u.channel.energy(s0[i], act.total)
             pay = dist - u.beta * en
             dropped = {}
-            for key, n in step.dropped.items():
+            for key, n in drops.items():
                 name = u.template.du(key[1]).name
                 dropped[name] = dropped.get(name, 0) + n
                 trace.dropped_totals[i][name] = trace.dropped_totals[i].get(name, 0) + n
-            for key, n in step.arrivals.items():
+            for key, n in arrivals.items():
                 name = u.template.du(key[1]).name
                 trace.arrived[i][name] = trace.arrived[i].get(name, 0) + n
             for s, y in zip(contexts[i].slots, act.sends):
@@ -614,6 +620,13 @@ def reference_scale_up_to_budget(contexts, actions, buffers, rates, bits_per_pac
             for ctx, act, buf in zip(contexts, actions, buffers)]
 
 
+def slot_outcomes(moves, buffers) -> list[tuple]:
+    """(context, buffer, arrivals, drops) per user of one `SlotSystem.advance`:
+    its transitions and the buffers it drew."""
+    return [(m.context, buf, {key: buf[j] for j, _, key in m.entering}, dict(m.dropped))
+            for m, buf in zip(moves, buffers, strict=True)]
+
+
 def reference_advance(templates, joint, s0, contexts, buffers, sent, rng):
     """One slot with a `sample_size` call per entering DU, user by user, then
     a `sample_channel` call per channel draw: (context, buffer, arrivals,
@@ -635,6 +648,119 @@ def reference_advance(templates, joint, s0, contexts, buffers, sent, rng):
     else:
         s0_next = tuple(sample_channel(c, h, rng) for c, h in zip(joint.channels, s0))
     return out, s0_next
+
+
+def reference_first_maximiser(mdp: UserMdp, q: np.ndarray) -> np.ndarray:
+    """Each traffic state's first maximising row of `q`, one view state
+    (column) at a time."""
+    vmax = np.maximum.reduceat(q, mdp.group_start[:-1], axis=0)
+    pos = np.arange(mdp.n_ta, dtype=np.int64)
+    policy = np.empty(vmax.shape, dtype=np.int64)
+    for v in range(q.shape[1]):
+        hit = np.where(q[:, v] >= vmax[mdp.ta_state, v], pos, mdp.n_ta)
+        policy[:, v] = np.minimum.reduceat(hit, mdp.group_start[:-1])
+    return policy
+
+
+def reference_warm_solve(mdp: UserMdp, price, tol: float, init_values=None,
+                         max_iter: int = 1_000) -> ValueTable:
+    """`UserMdp.solve` started from the greedy policy of `init_values` (of
+    zeros if None) in every view state, each Q built afresh from values."""
+    reward = mdp.priced_reward(price)
+    values = (np.zeros((mdp.layout.n_traffic, len(mdp.view))) if init_values is None
+              else init_values)
+
+    def q_of(values):
+        mixed = values @ mdp.view.transition.T
+        return reward + mdp.discount * (mdp.traffic_kernel @ mixed)
+
+    policy = reference_first_maximiser(mdp, q_of(values))
+    margin = tol * (1.0 - mdp.discount)
+    for steps in range(1, max_iter + 1):
+        values = mdp.exact_policy_value(ValueTable(mdp, values, policy, price), price)
+        q = q_of(values)
+        best = np.maximum.reduceat(q, mdp.group_start[:-1], axis=0)
+        choice = reference_first_maximiser(mdp, q)
+        better = best - values > margin
+        if not better.any():
+            return ValueTable(mdp, values, choice, np.asarray(price), steps)
+        policy = np.where(better, choice, policy)
+    raise ModelError("reference policy iteration did not converge")
+
+
+def reference_run_coordination(agents, *, bandwidth, bits_per_packet, correlation="independent",
+                               tolerance=1e-3, max_slots=200_000, eval_slots=20_000, rng=None):
+    """`run_coordination` recomputing everything every slot: each agent's
+    whole `price_vector`, the refresh gate for every agent, every window's
+    settle test, and each user's traffic stepped by `advance_traffic`."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    table = PriceTable()
+    joint = JointChannel([a.channel for a in agents], correlation)
+    system = SlotSystem([a.template for a in agents], joint, rng)
+    last_price_vec = [None] * len(agents)
+    refreshes = [0] * len(agents)
+    refresh_gate = tolerance / 10.0
+    windows = {}
+    converged = False
+    slots = 0
+
+    def state_settled(win):
+        if len(win) < pricing.SWEEP_FACTOR + 1:
+            return False
+        if max(step for step, _ in win) > tolerance:
+            return False
+        return abs(win[-1][1] - win[0][1]) <= tolerance
+
+    for slots in range(1, max_slots + 1):
+        for i, agent in enumerate(agents):
+            vec = agent.view.price_vector(table.lam, bits_per_packet)
+            now, last = vec.tolist(), last_price_vec[i]
+            if last is None or any(abs(a - b) > refresh_gate for a, b in zip(now, last)):
+                agent.refresh(vec)
+                last_price_vec[i] = now
+                refreshes[i] += 1
+        s0 = system.s0
+        contexts = system.contexts
+        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
+        lam_before = table.get(s0)
+        pricing.update_prices(table, s0, requests, bandwidth)
+        win = windows.setdefault(s0, deque(maxlen=pricing.SWEEP_FACTOR + 1))
+        win.append((abs(table.get(s0) - lam_before), table.get(s0)))
+        s0_next = joint.step(s0, rng)
+        for i, agent in enumerate(agents):
+            agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),
+                          sent[i], agent.view.view_state(s0_next))
+        steps = [advance_traffic(t, ctx, buf, act, rng) for t, ctx, buf, act in
+                 zip(system.templates, system.contexts, system.buffers, sent, strict=True)]
+        system.buffers = [st_.buffer for st_ in steps]
+        system.contexts = [st_.context for st_ in steps]
+        system.s0 = s0_next
+        if all(state_settled(w) for w in windows.values()):
+            converged = True
+            break
+
+    report = pricing.CoordinationReport(
+        prices=dict(table.lam), counts=dict(table.counts), slots_run=slots,
+        converged=converged, price_trace=list(table.history),
+        price_trace_dropped=table.updates - len(table.history),
+        exchange_messages_per_slot=2 * len(agents), refreshes=refreshes)
+    if not converged:
+        raise pricing.CoordinationError("reference did not settle", report)
+    for agent in agents:
+        agent.freeze()
+        agent.refresh(agent.view.price_vector(table.lam, bits_per_packet))
+
+    def band_request(system):
+        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
+        return sum(requests), sent
+
+    memo = {}
+    report.expected_usage, report.eval_decisions = replay(system, band_request, eval_slots, memo)
+    report.eval_transitions = sum(len(entry[-1]) for entry in memo.values())
+    report.eval_slots = eval_slots
+    for key, mean_usage in report.expected_usage.items():
+        report.residuals[key] = abs(table.get(key) * (mean_usage - bandwidth))
+    return table, report
 
 
 # ---------------------------------------------------------------------------
@@ -1399,9 +1525,7 @@ def test_batched_slot_engine_equals_per_du_draws(inst):
         sent = [ScheduleAction(tuple(x * (t + u + 1) % (x + 1) for x in buf))
                 for u, buf in enumerate(buffers)]
         expect, s0 = reference_advance(templates, joint, s0, contexts, buffers, sent, ref)
-        steps = system.advance(sent)
-        assert [(st_.context, st_.buffer, st_.arrivals, st_.dropped) for st_ in steps] \
-            == expect
+        assert slot_outcomes(system.advance(sent), system.buffers) == expect
         assert system.s0 == s0
         contexts = [c for c, _, _, _ in expect]
         buffers = [b for _, b, _, _ in expect]
@@ -2256,28 +2380,82 @@ def test_policy_chain_and_exact_value_equal_loops(inst, seed_b, bump):
 @given(priced_solves(), st.lists(values_, min_size=1, max_size=3))
 def test_warm_solve_chain_equals_fresh_solves(inst, bumps):
     """Warm re-solves of one UserMdp along a moving price path give the same
-    values, policy and steps as each solve on a fresh UserMdp, so a kept
-    factor is never stale."""
+    values, policy and steps as each solve on a fresh UserMdp from a table
+    of the same values that carries no continuation, so neither a kept
+    factor nor a carried continuation is ever stale."""
     mdp, price, warm_price, tol = inst
     path = [price] + ([] if warm_price is None else [warm_price]) + [price + b for b in bumps]
     init = None
     for p in path:
         got = mdp.solve(p, tol=tol, init=init)
-        want = fresh_copy(mdp).solve(p, tol=tol, init=init)
+        fresh = fresh_copy(mdp)
+        want = fresh.solve(p, tol=tol, init=None if init is None else
+                           ValueTable(fresh, init.values, init.policy, init.price))
         assert got.values.tobytes() == want.values.tobytes()
         assert np.array_equal(got.policy, want.policy) and got.steps == want.steps
-        init = got.values
+        init = got
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(user_mdps(), st.sampled_from([1e-6, 1e-9]), st.booleans(), st.data())
+def test_warm_solve_equals_the_values_based_start(inst, tol, cold, data):
+    """Along a price path whose steps move no view entry, one, or every one
+    (often to tied values), `solve(p, init=table)` equals the solve started
+    from the greedy policy of the table's values in every view state, byte
+    for byte: values, policy, steps and the LU factors built. The path
+    starts cold or from a table that carries no continuation."""
+    mdp, price, seed = inst
+    ref = fresh_copy(mdp)
+    table = None if cold else random_table(mdp, price, seed)
+    ref_init = None if cold else table.values
+    p = price
+    for _ in range(data.draw(st.integers(1, 4))):
+        got = mdp.solve(p, tol=tol, init=table)
+        want = reference_warm_solve(ref, p, tol, ref_init)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.policy.tobytes() == want.policy.tobytes()
+        assert (got.steps, mdp.factorizations) == (want.steps, ref.factorizations)
+        # the carried continuation is that of the returned values
+        assert got.continuation.tobytes() == mdp.continuation(got.values).tobytes()
+        table, ref_init = got, want.values
+        move = data.draw(st.sampled_from(["none", "one", "every"]))
+        p = p.copy()
+        if move == "one":
+            p[data.draw(st.integers(0, len(p) - 1))] = data.draw(values_)
+        elif move == "every":
+            p = np.array([data.draw(values_) for _ in p])
+
+
+def test_solve_rejects_an_init_that_is_not_a_finite_table_of_its_mdp():
+    sc = preset("tiny-sym")
+    u = sc.users[0]
+    mdp = UserMdp(u.template, common_view(u.channel, len(sc.users)), u.beta, u.min_quality,
+                  sc.bits_per_packet, sc.discount)
+    price = np.full(len(mdp.view), 0.3)
+    cold = mdp.solve(price)
+    other = fresh_copy(mdp)
+    nan = ValueTable(mdp, np.full_like(cold.values, np.nan), cold.policy, cold.price)
+    inf = ValueTable(mdp, np.where(cold.values > 0, np.inf, cold.values), cold.policy,
+                     cold.price)
+    wide = ValueTable(mdp, np.zeros((len(cold.values), len(mdp.view) + 1)), cold.policy,
+                      cold.price)
+    for init, match in ((nan, "finite"), (inf, "finite"), (wide, "shape"),
+                        (cold.values, "ValueTable of this UserMdp"),
+                        (other.solve(price), "ValueTable of this UserMdp")):
+        with pytest.raises(ModelError, match=match):
+            mdp.solve(price, init=init)
+    assert mdp.solve(price * 2, init=cold).steps >= 1
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(priced_solves())
 def test_policy_iteration_solve_matches_value_iteration(inst):
     mdp, price, warm_price, tol = inst
-    init = None if warm_price is None else mdp.solve(warm_price, tol=tol).values
+    init = None if warm_price is None else mdp.solve(warm_price, tol=tol)
     table = mdp.solve(price, tol=tol, init=init)
     reward = mdp.priced_reward(price)
     margin = tol * (1.0 - mdp.discount)
-    ref = reference_user_solve(mdp, price, 1e-12, init)
+    ref = reference_user_solve(mdp, price, 1e-12, None if init is None else init.values)
     best = mdp.backup(table.values, reward)[0]
     assert np.max(np.abs(table.values - ref)) <= tol + 1e-12
     assert np.max(np.abs(best - table.values)) <= margin
@@ -2299,7 +2477,7 @@ def test_policy_iteration_steps_on_gop16_user():
     lam = {(0, 0): 1.267, (1, 1): 1.419}
     cold = mdp.solve(view.price_vector(lam, sc.bits_per_packet), tol=1e-7)
     moved = view.price_vector({k: 1.01 * x for k, x in lam.items()}, sc.bits_per_packet)
-    warm = mdp.solve(moved, tol=1e-7, init=cold.values)
+    warm = mdp.solve(moved, tol=1e-7, init=cold)
     assert cold.steps <= 10 and warm.steps <= 2
     with pytest.raises(ModelError, match=r"did not converge in 2 steps \(last step's largest gain"):
         mdp.solve(view.price_vector(lam, sc.bits_per_packet), tol=1e-7, max_iter=2)
@@ -2312,6 +2490,97 @@ def test_pds_planning_values_equal_per_post_kernel(inst):
     table = random_table(mdp, price, seed)
     expect = reference_pds_kernel(mdp.layout) @ (table.values @ mdp.view.transition.T)
     assert np.array_equal(mdp.pds_planning_values(table), expect)
+
+
+# ---------------------------------------------------------------------------
+# Coordination loop
+# ---------------------------------------------------------------------------
+
+def blurred_view(view: ChannelView) -> ChannelView:
+    """`view` with each state's price read 3/4 from its own weights and 1/4
+    from the other states', so that every joint key has several readers."""
+    n = len(view)
+    weights = tuple(
+        tuple((key, 0.75 * w) for key, w in view.price_weights[v])
+        + tuple((key, 0.25 * w / (n - 1)) for u in range(n) if u != v
+                for key, w in view.price_weights[u])
+        for v in range(n))
+    return ChannelView(view.kind, view.user, view.transition, view.rate, view.gain, weights,
+                       view.joint_keys)
+
+
+# each view kind's scenario: the preset's common channel, or independent
+# channels priced by the own view, the joint view or a blurred own view
+COORDINATION_VIEWS = {
+    "common": {},
+    "own": {"channel_correlation": "independent", "price_view": "expected"},
+    "joint": {"channel_correlation": "independent", "price_view": "full"},
+    "blurred": {"channel_correlation": "independent", "price_view": "expected"},
+}
+
+
+def coordinate(run, sc, kind: str, view_kind: str, max_slots: int):
+    """`run` (run_coordination or its reference) on fresh agents of `kind`
+    and the scenario's generator: the price table (None when it raised
+    `CoordinationError`), the report, every refresh vector in call order,
+    the generator's state after and the agents."""
+    rng = np.random.default_rng(sc.seed)
+    views = harness.build_views(sc)
+    if view_kind == "blurred":
+        views = [blurred_view(v) for v in views]
+    make = {"decomposed": lambda u, v: DecomposedAgent(u, v, sc.discount),
+            "full": lambda u, v: harness.FullMdpAgent(u, v, sc.bits_per_packet, sc.discount),
+            "pds": lambda u, v: harness.PdsDecomposedAgent(u, v, sc.discount, rng),
+            "drift": lambda u, v: harness.DriftAgent(u, v, sc.discount)}[kind]
+    agents = [make(u, v) for u, v in zip(sc.users, views)]
+    calls = []
+    for i, agent in enumerate(agents):
+        def refresh(vec, i=i, solve=agent.refresh):
+            calls.append((i, np.asarray(vec).dtype.str, np.asarray(vec).tobytes()))
+            solve(vec)
+        agent.refresh = refresh
+    try:
+        table, report = run(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
+                            correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
+                            max_slots=max_slots, eval_slots=300, rng=rng)
+    except pricing.CoordinationError as err:
+        table, report = None, err.report
+    return table, report, calls, rng.bit_generator.state, agents
+
+
+@pytest.mark.parametrize("name,view_kind", [("tiny-mix", v) for v in COORDINATION_VIEWS]
+                         + [("tiny-sym", v) for v in ("own", "joint", "blurred")])
+@pytest.mark.parametrize("kind", ["decomposed", "full", "pds", "drift"])
+def test_incremental_coordination_equals_full_recomputation(name, view_kind, kind):
+    """The loop that rewrites only the price entries that read the updated
+    state, runs the refresh gate only on moved vectors, re-tests only the
+    updated state's window and steps traffic by transition gives the same
+    price table, report, refresh vectors, generator state and agents as
+    recomputing everything every slot, when it settles and when it hits
+    its slot cap."""
+    sc = replace(preset(name), **COORDINATION_VIEWS[view_kind])
+    cap = 20_000
+    for settles in (True, False):
+        got = coordinate(pricing.run_coordination, sc, kind, view_kind, cap)
+        want = coordinate(reference_run_coordination, sc, kind, view_kind, cap)
+        (table, report, calls, state, agents), (ref_table, ref_report, ref_calls, ref_state,
+                                                ref_agents) = got, want
+        assert report.converged == settles and (table is not None) == settles
+        assert report == ref_report
+        assert calls == ref_calls
+        assert state == ref_state
+        # the loop's refreshes; a settled loop then refreshes each agent once
+        in_loop = calls[:-len(agents)] if settles else calls
+        assert report.refreshes == [sum(1 for i, *_ in in_loop if i == k)
+                                    for k in range(len(agents))]
+        if settles:
+            assert (table.lam, table.counts, table.history, table.updates) == \
+                (ref_table.lam, ref_table.counts, ref_table.history, ref_table.updates)
+        if kind == "full":
+            for a, b in zip(agents, ref_agents):
+                assert a.table.values.tobytes() == b.table.values.tobytes()
+                assert a.table.policy.tobytes() == b.table.policy.tobytes()
+        cap = report.slots_run // 2
 
 
 # ---------------------------------------------------------------------------

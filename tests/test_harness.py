@@ -23,7 +23,7 @@ from wvsched.harness import (
     write_price_trace,
     write_replay_table,
 )
-from wvsched.mdp import ChannelView, UserMdp, ValueTable, checked_price, common_view
+from wvsched.mdp import UserMdp, ValueTable, checked_price, common_view
 from wvsched import oracle, pricing
 from wvsched.model import ModelError, ScheduleAction, UserState
 from wvsched.oracle import centralized_oracle, joint_value_of
@@ -841,32 +841,42 @@ def test_drift_and_learning_agents_reject_non_integral_buffers():
 def test_refresh_gate_decides_as_the_numpy_rule(monkeypatch):
     """`run_coordination` refreshes an agent exactly when one of its
     projected prices moved by more than tolerance / 10 since its last
-    refresh, as np.max(np.abs(new - last)) measures it; a short gop16
-    coordination takes both branches many times."""
+    refresh, as np.max(np.abs(new - last)) measures it on the vector
+    recomputed from the price table after each update; a short gop16
+    coordination takes both branches many times, and the report counts
+    the refreshes."""
     sc = preset("gop16-default")
     events = []
-    price_vector = ChannelView.price_vector
-
-    def priced(view, lam, bits_per_packet):
-        vec = price_vector(view, lam, bits_per_packet)
-        events.append((view, "price", vec.copy()))
-        return vec
-
-    monkeypatch.setattr(ChannelView, "price_vector", priced)
     agents = harness.make_agents(sc, "decomposed")
+    update_prices = pricing.update_prices
+
+    def updated(table, s0, requests, bandwidth):
+        update_prices(table, s0, requests, bandwidth)
+        for agent in agents:
+            events.append((agent.view, "price",
+                           agent.view.price_vector(table.lam, sc.bits_per_packet)))
+        return table
+
+    monkeypatch.setattr(pricing, "update_prices", updated)
     for agent in agents:
+        # the first gate sees the prices of the empty table
+        events.append((agent.view, "price", agent.view.price_vector({}, sc.bits_per_packet)))
+
         def refresh(vec, agent=agent, solve=agent.refresh):
             events.append((agent.view, "refresh", np.array(vec)))
             solve(vec)
         agent.refresh = refresh
-    with pytest.raises(CoordinationError):
+    with pytest.raises(CoordinationError) as err:
         run_coordination(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
                          correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
                          max_slots=600, rng=np.random.default_rng(sc.seed))
     gate = sc.price_tolerance / 10.0
     taken = {True: 0, False: 0}
-    for agent in agents:
+    for agent, refreshes in zip(agents, err.value.report.refreshes):
         mine = [(kind, vec) for view, kind, vec in events if view is agent.view]
+        # no gate follows the last slot's update
+        assert mine[-1][0] == "price"
+        mine = mine[:-1]
         last = None
         for k, (kind, vec) in enumerate(mine):
             if kind != "price":
@@ -878,6 +888,7 @@ def test_refresh_gate_decides_as_the_numpy_rule(monkeypatch):
                 assert np.array_equal(mine[k + 1][1], vec)
                 last = vec
             taken[want] += 1
+        assert refreshes == sum(kind == "refresh" for kind, _ in mine)
     assert min(taken.values()) > 50
 
 

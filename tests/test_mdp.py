@@ -155,10 +155,12 @@ def test_bellman_backup_returns_value_and_policy():
     mdp = make_mdp()
     reward = mdp.priced_reward(np.zeros(2))
     values = np.zeros((mdp.layout.n_traffic, 2))
-    new, policy = mdp.backup(values, reward)
+    new, policy, cont = mdp.backup(values, reward)
     assert new.shape == values.shape
     assert policy.shape == values.shape
     assert np.array_equal(policy, mdp.greedy(values, reward))
+    # the continuation the Qs added to the reward
+    assert np.array_equal(reward + cont, mdp.q_values(values, reward))
 
 
 @settings(max_examples=EXAMPLES["contraction"], deadline=None)

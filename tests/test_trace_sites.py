@@ -85,7 +85,7 @@ def test_traced_solve_counts_one_backup_per_sweep():
     tracer = tracing.Tracer()
     with tracer.active(modules):
         cold = model.solve(np.full(len(model.view), 0.3))
-        warm = model.solve(np.full(len(model.view), 0.6), init=cold.values)
+        warm = model.solve(np.full(len(model.view), 0.6), init=cold)
     metrics = tracer.metrics()
     assert cold.steps + warm.steps > 2
     assert metrics["mdp.UserMdp.solve.calls"] == 2
