@@ -343,21 +343,6 @@ class Solution:
         return ModelError(f"{self.name}: sends take {share:.6g} of the band "
                           f"in joint channel state {tuple(s0)}")
 
-    def _table_rows(self, states, c0, contexts, buffers, trim) -> list[np.ndarray] | None:
-        """`sent_arrays` for a rule of table actions then trims: every
-        agent's `table_sends`, then trim(raw, rates) with each user's rate at
-        every row, then `_shares`' band check, raised at the first row that
-        overruns. None if an agent has no table."""
-        raw = []
-        for a, ctx, buf in zip(self.agents, contexts, buffers):
-            views = np.array([a.view.view_state(s0) for s0 in states])
-            sends = a.table_sends(ctx, buf, views[c0])
-            if sends is None:
-                return None
-            raw.append(sends)
-        rates = self._row_rates(states, c0)
-        return self._within_band(states, c0, trim(raw, rates), rates)
-
     def _row_rates(self, states, c0) -> list[np.ndarray]:
         """Each user's rate at every row of a `sent_arrays` call."""
         own = np.array(states).T[:, c0]
@@ -378,15 +363,17 @@ class Solution:
 class PricedRuntime(Solution):
     """Shared per-slot mechanics for price-mediated solutions.
 
-    With clearing off, users request at the coordinator's converged prices
-    and overcommitted slots are proportionally trimmed. With clearing on, a
-    within-slot price search shrinks requests until they fit the band, then
-    leftover capacity is granted to the highest-marginal-value packets users
-    still hold, so the band ends up fully utilized. The search asks each
-    agent for its `price_response` once per slot and calls it once per
-    trial price (`_acts_at`, one step of the search). Decisions are cached on
-    `slot_key`; whatever re-prices the agents empties `_cache`, by replacing
-    it, which also drops `run_episode`'s walk memo.
+    Each slot, every agent requests at its own prices and `_fit` fits the
+    requests into the band. With clearing off, overcommitted slots are
+    proportionally trimmed at the coordinator's converged price. With
+    clearing on, a within-slot price search shrinks requests until they fit
+    the band, then leftover capacity is granted to the highest-marginal-value
+    packets users still hold, so the band ends up fully utilized. The search
+    asks each agent for its `price_response` once per slot and calls it once
+    per trial price (`_acts_at`, one step of the search). A subclass may
+    override `_fit` and its row form `_fit_rows` (`mu-mdp` does). Decisions
+    are cached on `slot_key`; `_reprice` re-prices the agents after
+    replacing `_cache`, which also drops `run_episode`'s walk memo.
     """
 
     def __init__(self, scenario: ScenarioConfig, clearing: bool = False):
@@ -404,30 +391,54 @@ class PricedRuntime(Solution):
         raw = [a.act(ctx, buf, a.view.view_state(s0))
                for a, ctx, buf in zip(self.agents, contexts, buffers)]
         rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
-        if self.clearing:
-            cleared, lam0 = self._clear(s0, contexts, buffers, raw)
-            sent = self._top_up(s0, contexts, buffers, cleared, rates)
-        else:
-            lam0 = self.prices.get(tuple(s0))
-            sent = scale_to_budget(contexts, raw, rates, sc.bits_per_packet,
-                                   sc.bandwidth)
+        sent, lam0 = self._fit(s0, contexts, buffers, raw, rates)
         decision = SlotDecision(raw, sent, lam0, self._shares(sc, s0, sent))
         self._cache[key] = decision
         return decision
+
+    def _fit(self, s0, contexts, buffers, raw, rates) -> tuple[list[ScheduleAction], float]:
+        """The requests `raw` fitted into the band, and the price they were
+        decided at: cleared then topped up at the cleared price, or
+        proportionally trimmed at the table's price."""
+        if self.clearing:
+            cleared, lam0 = self._clear(s0, contexts, buffers, raw)
+            return self._top_up(s0, contexts, buffers, cleared, rates), lam0
+        sc = self.scenario
+        return (scale_to_budget(contexts, raw, rates, sc.bits_per_packet, sc.bandwidth),
+                self.prices.get(tuple(s0)))
+
+    def _fit_rows(self, contexts, buffers, raw, rates) -> list[np.ndarray]:
+        """`_fit`'s sends at every row of a `sent_arrays` call, clearing off."""
+        sc = self.scenario
+        return scale_rows_to_budget(contexts, raw, rates, sc.bits_per_packet, sc.bandwidth)
+
+    def _reprice(self, vectors) -> None:
+        """Refresh each agent at its price vector, `vectors` in agent order,
+        after replacing the decision cache (which also drops the episodes'
+        walk memo), so no decision made at the old prices is served."""
+        self._cache = {}
+        for a, vec in zip(self.agents, vectors, strict=True):
+            a.refresh(vec)
 
     def _rule_state(self) -> tuple:
         return (self._cache,)
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
-        """Table agents' sends (decomposed or full) with the proportional
-        trim; clearing has no array form."""
+        """Every agent's `table_sends` (decomposed or full), then `_fit_rows`
+        and the band check, raised at the first row that overruns. None in
+        clearing mode, which has no array form, or if an agent has no table."""
         if self.clearing:
             return None
-        sc = self.scenario
-        return self._table_rows(
-            states, c0, contexts, buffers,
-            lambda raw, rates: scale_rows_to_budget(contexts, raw, rates,
-                                                    sc.bits_per_packet, sc.bandwidth))
+        raw = []
+        for a, ctx, buf in zip(self.agents, contexts, buffers):
+            views = np.array([a.view.view_state(s0) for s0 in states])
+            sends = a.table_sends(ctx, buf, views[c0])
+            if sends is None:
+                return None
+            raw.append(sends)
+        rates = self._row_rates(states, c0)
+        sent = self._fit_rows(contexts, buffers, raw, rates)
+        return self._within_band(states, c0, sent, rates)
 
     def _acts_at(self, s0, responses, lam0: float) -> list[ScheduleAction]:
         """Every agent's action at the band price `lam0`, each at its own
@@ -547,7 +558,7 @@ class ProposedSolution(PricedRuntime):
         rationing; solving the users' tables against the average cleared
         price keeps their continuation values consistent with what the
         market actually charges. Prices are fixed within a round, so it is a
-        `replay`; the decision cache is emptied before the re-solve.
+        `replay`; each round ends in a `_reprice`.
         """
         sc = self.scenario
         joint = JointChannel(sc.channels, sc.channel_correlation)
@@ -559,9 +570,8 @@ class ProposedSolution(PricedRuntime):
         for _round in range(2):
             mean_lam, _ = replay(SlotSystem(sc.templates, joint, rng), cleared, 600)
             self.prices.lam.update(mean_lam)
-            self._cache = {}
-            for a in self.agents:
-                a.refresh(a.view.price_vector(self.prices.lam, sc.bits_per_packet))
+            self._reprice(a.view.price_vector(self.prices.lam, sc.bits_per_packet)
+                          for a in self.agents)
 
 
 class PairedSolution(Solution):
@@ -645,15 +655,13 @@ class LyapunovSolution(PricedRuntime):
     def prepare(self, rng: np.random.Generator) -> None:
         if self.proposed.prices is None:
             self.proposed.prepare(rng)
-        self._cache = {}
         self.prices = self.proposed.prices
         self.agents = make_agents(self.scenario, "drift")
-        for a in self.agents:
-            a.refresh(a.view.price_vector(self.prices.lam,
-                                          self.scenario.bits_per_packet))
+        self._reprice(a.view.price_vector(self.prices.lam, self.scenario.bits_per_packet)
+                      for a in self.agents)
 
 
-class UniformPriceSolution(Solution):
+class UniformPriceSolution(PricedRuntime):
     """One price for every joint channel state, chosen by feasibility bisection;
     conservative requests are inflated to full utilization at run time."""
 
@@ -661,13 +669,11 @@ class UniformPriceSolution(Solution):
 
     def __init__(self, scenario: ScenarioConfig, agent_kind: str = "decomposed",
                  usage_slots: int = 2000):
-        self.scenario = scenario
+        super().__init__(scenario)
         self.agent_kind = agent_kind
         self.usage_slots = usage_slots
-        self.agents = None
         self.price = None
         self.result = None
-        self._cache: dict = {}
 
     def _usage_estimator(self, rng: np.random.Generator) -> Callable:
         sc = self.scenario
@@ -675,11 +681,10 @@ class UniformPriceSolution(Solution):
         s0_states = joint.all_states()
 
         def estimate(lam: float) -> dict:
-            per_user = []
-            for agent in self.agents:
-                agent.refresh(lam * sc.bits_per_packet / np.asarray(agent.view.rate))
-                per_user.append(agent.usage_by_view(sc.bits_per_packet, rng,
-                                                    self.usage_slots))
+            self._reprice(lam * sc.bits_per_packet / np.asarray(a.view.rate)
+                          for a in self.agents)
+            per_user = [a.usage_by_view(sc.bits_per_packet, rng, self.usage_slots)
+                        for a in self.agents]
             out = {}
             for s0 in s0_states:
                 out[s0] = float(sum(us[agent.view.view_state(s0)]
@@ -697,38 +702,23 @@ class UniformPriceSolution(Solution):
         self.result = uniform_price_solve(self._usage_estimator(rng),
                                           joint.all_states(), sc.bandwidth)
         self.price = self.result.price
-        for agent in self.agents:
-            vec = self.price * sc.bits_per_packet / np.asarray(agent.view.rate)
-            agent.refresh(vec)
+        self._reprice(self.price * sc.bits_per_packet / np.asarray(a.view.rate)
+                      for a in self.agents)
 
-    def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
+    # perfbench's tracer times this class's slot rule under its own name
+    sent_actions = PricedRuntime.sent_actions
+
+    def _fit(self, s0, contexts, buffers, raw, rates) -> tuple[list[ScheduleAction], float]:
+        """Requests inflated to full utilization, then trimmed, at the one price."""
         sc = self.scenario
-        key = slot_key(s0, contexts, buffers)
-        if key in self._cache:
-            return self._cache[key]
-        raw = [a.act(ctx, buf, a.view.view_state(s0))
-               for a, ctx, buf in zip(self.agents, contexts, buffers)]
-        rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
-        sent = scale_up_to_budget(contexts, raw, buffers, rates,
-                                  sc.bits_per_packet, sc.bandwidth)
-        sent = scale_to_budget(contexts, sent, rates, sc.bits_per_packet, sc.bandwidth)
-        decision = SlotDecision(raw, sent, self.price, self._shares(sc, s0, sent))
-        self._cache[key] = decision
-        return decision
+        up = scale_up_to_budget(contexts, raw, buffers, rates, sc.bits_per_packet, sc.bandwidth)
+        return scale_to_budget(contexts, up, rates, sc.bits_per_packet, sc.bandwidth), self.price
 
-    def _rule_state(self) -> tuple:
-        return (self._cache,)
-
-    def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
-        """Table agents' sends, inflated then trimmed."""
+    def _fit_rows(self, contexts, buffers, raw, rates) -> list[np.ndarray]:
         sc = self.scenario
-
-        def trim(raw, rates):
-            up = scale_rows_up_to_budget(contexts, raw, buffers, rates,
-                                         sc.bits_per_packet, sc.bandwidth)
-            return scale_rows_to_budget(contexts, up, rates, sc.bits_per_packet, sc.bandwidth)
-
-        return self._table_rows(states, c0, contexts, buffers, trim)
+        up = scale_rows_up_to_budget(contexts, raw, buffers, rates,
+                                     sc.bits_per_packet, sc.bandwidth)
+        return scale_rows_to_budget(contexts, up, rates, sc.bits_per_packet, sc.bandwidth)
 
 
 def build_solution(scenario: ScenarioConfig, name: str,

@@ -162,21 +162,21 @@ class PdsLearner:
 # Per-DU learned continuation tables (decomposed scheduling while learning)
 # ---------------------------------------------------------------------------
 
-class DuPdsLearner:
+class DuPdsLearner(PdsValueTable):
     """Learned continuation for one DU type over its window lifetime.
 
     Keys are (age, remaining packets after sending, view state); values
     approximate the expected onward value of the instance, terminal zero at
-    expiry. `decomposed_schedule` asks each DU's learner for `best`, the
-    smallest exact maximiser, the tie rule of the planned tables.
+    expiry, blended by the table's 1/k running mean. `decomposed_schedule`
+    asks each DU's learner for `best`, the smallest exact maximiser, the tie
+    rule of the planned tables.
     """
 
     def __init__(self, impact: float, window: int, delta: float):
+        super().__init__()
         self.impact = float(impact)
         self.window = int(window)
         self.delta = delta
-        self.u: dict[tuple[int, int, int], float] = {}
-        self.visits: dict[tuple[int, int, int], int] = {}
 
     def continuation(self, age: int, x_after: int, view_state: int) -> float:
         if age >= self.window - 1:
@@ -199,7 +199,4 @@ class DuPdsLearner:
             return
         margin = (1.0 - self.delta) * (self.impact - next_price)
         v, _ = self.best(age + 1, x_after, next_view, margin, self.delta)
-        key = (age, x_after, view_state)
-        k = self.visits.get(key, 0) + 1
-        self.visits[key] = k
-        self.u[key] = (1.0 - 1.0 / k) * self.u.get(key, 0.0) + v / k
+        self.blend((age, x_after, view_state), v)

@@ -71,16 +71,17 @@ class DataUnitSpec:
     def __post_init__(self):
         pmf = tuple(sorted((int(v), float(p)) for v, p in self.size_pmf))
         object.__setattr__(self, "size_pmf", pmf)
-        if self.distortion_impact < 0:
-            raise ModelError(f"du {self.du_id}: distortion_impact must be >= 0")
+        if not (math.isfinite(self.distortion_impact) and self.distortion_impact >= 0):
+            raise ModelError(f"du {self.du_id}: distortion_impact must be finite and >= 0")
         if self.deadline_offset < 0:
             raise ModelError(f"du {self.du_id}: deadline_offset must be >= 0")
         if not pmf:
             raise ModelError(f"du {self.du_id}: size_pmf is empty")
         if any(v < 0 for v, _ in pmf):
             raise ModelError(f"du {self.du_id}: size_pmf has negative support")
-        if any(p < 0 for _, p in pmf):
-            raise ModelError(f"du {self.du_id}: size_pmf has negative probability")
+        if not all(math.isfinite(p) and p >= 0 for _, p in pmf):
+            raise ModelError(f"du {self.du_id}: size_pmf has a negative or non-finite "
+                             "probability")
         if len({v for v, _ in pmf}) != len(pmf):
             raise ModelError(f"du {self.du_id}: size_pmf has duplicate values")
         total = sum(p for _, p in pmf)
@@ -453,18 +454,21 @@ class ChannelModel:
         self.names = tuple(str(n) for n in names)
         self.gain = np.asarray(gain_to_noise, dtype=float)
         self.rate = np.asarray(rate, dtype=float)
-        self.transition = np.asarray(transition, dtype=float)
         n = len(self.names)
+        try:
+            self.transition = np.asarray(transition, dtype=float)
+        except ValueError as exc:        # ragged rows
+            raise ModelError(f"channel.transition must be {n}x{n}") from exc
         if self.gain.shape != (n,) or self.rate.shape != (n,):
             raise ModelError("channel: gain_to_noise and rate must match states")
         if self.transition.shape != (n, n):
             raise ModelError(f"channel.transition must be {n}x{n}")
-        if np.any(self.rate <= 0):
-            raise ModelError("channel.rate entries must be > 0")
-        if np.any(self.gain <= 0):
-            raise ModelError("channel.gain_to_noise entries must be > 0")
-        if np.any(self.transition < 0):
-            raise ModelError("channel.transition has negative entries")
+        if not np.all(np.isfinite(self.rate) & (self.rate > 0)):
+            raise ModelError("channel.rate entries must be finite and > 0")
+        if not np.all(np.isfinite(self.gain) & (self.gain > 0)):
+            raise ModelError("channel.gain_to_noise entries must be finite and > 0")
+        if not np.all(np.isfinite(self.transition) & (self.transition >= 0)):
+            raise ModelError("channel.transition has negative or non-finite entries")
         rows = self.transition.sum(axis=1)
         bad = np.where(np.abs(rows - 1.0) > 1e-9)[0]
         if bad.size:
@@ -701,10 +705,10 @@ class UserConfig:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.min_quality < 0:
-            raise ModelError(f"user {self.name}: min_quality must be >= 0")
-        if self.beta < 0:
-            raise ModelError(f"user {self.name}: beta must be >= 0")
+        if not (math.isfinite(self.min_quality) and self.min_quality >= 0):
+            raise ModelError(f"user {self.name}: min_quality must be finite and >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ModelError(f"user {self.name}: beta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -727,12 +731,12 @@ class ScenarioConfig:
             raise ModelError("scenario has no users")
         if not 0.0 <= self.discount < 1.0:
             raise ModelError("discount must be in [0, 1)")
-        if self.bandwidth <= 0:
-            raise ModelError("bandwidth must be > 0")
-        if self.bits_per_packet <= 0:
-            raise ModelError("bits_per_packet must be > 0")
-        if self.price_tolerance <= 0:
-            raise ModelError("price_tolerance must be > 0")
+        for name in ("bandwidth", "bits_per_packet", "price_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ModelError(f"{name} must be finite and > 0")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
         if self.channel_correlation not in ("independent", "common"):
             raise ModelError(f"unknown channel_correlation {self.channel_correlation!r}")
         if self.price_view not in ("expected", "full"):

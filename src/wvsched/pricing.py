@@ -344,7 +344,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
 
     # each agent's projected prices, kept current as Python floats: a slot
     # moves one price, lam0(s0), so only the entries of the view states
-    # that read s0 move, into a fresh list
+    # that read s0 move, in place
     vecs = [a.view.price_vector(table.lam, bits_per_packet).tolist() for a in agents]
     stale = [True] * len(agents)         # moved since the refresh gate last saw it
     last_price_vec = [None] * len(agents)
@@ -377,7 +377,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
                 now, last = vecs[i], last_price_vec[i]
                 if last is None or any(abs(a - b) > refresh_gate for a, b in zip(now, last)):
                     agent.refresh(np.array(now))
-                    last_price_vec[i] = now
+                    last_price_vec[i] = list(now)
                     refreshes[i] += 1
 
         s0 = system.s0
@@ -392,8 +392,6 @@ def run_coordination(agents: Sequence[PricedAgent], *,
                 for v in view.readers.get(s0, ()):
                     entry = view.price_entry(table.lam, v, bits_per_packet)
                     if entry != vecs[i][v]:
-                        if vecs[i] is last_price_vec[i]:
-                            vecs[i] = vecs[i].copy()   # the last refreshed list stays
                         vecs[i][v] = entry
                         stale[i] = True
         # a window changes only when its own state is updated

@@ -2,7 +2,9 @@
 and the named presets shipped with the package.
 
 Schema (all keys at their defaults may be omitted; a key it does not name
-is rejected, so a misspelt one cannot fall back to its default):
+is rejected, so a misspelt one cannot fall back to its default). Every
+number must be finite, and ids, deadline offsets, sizes, parents, period,
+window and seed whole numbers (a bool is neither):
 
     {
       "name": "...",
@@ -41,8 +43,10 @@ is rejected, so a misspelt one cannot fall back to its default):
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from wvsched.model import (
     ChannelModel,
@@ -62,110 +66,182 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _du_from_dict(raw: dict, where: str, errors: list[str]) -> DataUnitSpec | None:
-    errors += [f"{where}: unknown field {k!r}" for k in raw if k not in (
-        "id", "name", "distortion_impact", "deadline_offset", "size_pmf", "parents")]
-    try:
-        return DataUnitSpec(
-            du_id=int(raw["id"]),
-            name=str(raw.get("name", f"DU{raw.get('id')}")),
-            distortion_impact=float(raw["distortion_impact"]),
-            deadline_offset=int(raw["deadline_offset"]),
-            size_pmf=tuple((int(v), float(p)) for v, p in raw["size_pmf"]),
-            parents=tuple(int(p) for p in raw.get("parents", ())),
-        )
-    except KeyError as exc:
-        errors.append(f"{where}: missing field {exc.args[0]!r}")
-    except (TypeError, ValueError, ModelError) as exc:
-        errors.append(f"{where}: {exc}")
+_MISSING = object()
+
+
+# One converter per kind of JSON value: each returns x read at the address
+# `where`, or None after appending one error that names the address.
+
+def _object(x, where: str, errors: list[str]) -> dict | None:
+    if isinstance(x, dict):
+        return x
+    errors.append(f"{where}: expected an object, got {x!r}")
     return None
 
 
-def _user_from_dict(raw: dict, where: str, errors: list[str]) -> UserConfig | None:
-    errors += [f"{where}: unknown field {k!r}" for k in raw if k not in (
-        "name", "beta", "min_quality", "gop", "channel")]
-    gop = raw.get("gop")
-    chan = raw.get("channel")
-    if gop is None:
-        errors.append(f"{where}.gop: missing")
+def _list(x, where: str, errors: list[str]) -> list | None:
+    if isinstance(x, list):
+        return x
+    errors.append(f"{where}: expected a list, got {x!r}")
+    return None
+
+
+def _string(x, where: str, errors: list[str]) -> str | None:
+    if isinstance(x, str):
+        return x
+    errors.append(f"{where}: expected a string, got {x!r}")
+    return None
+
+
+def _real(x, where: str, errors: list[str]) -> float | None:
+    """A finite number; a bool is not one."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:            # an integer beyond float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    errors.append(f"{where}: expected a finite number, got {x!r}")
+    return None
+
+
+def _integer(x, where: str, errors: list[str]) -> int | None:
+    """A whole number: neither a bool nor a fractional or non-finite float."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    errors.append(f"{where}: expected an integer, got {x!r}")
+    return None
+
+
+def _list_of(kind: Callable) -> Callable:
+    """The converter of a list whose entries `kind` reads; gives a tuple."""
+    def read(x, where: str, errors: list[str]) -> tuple | None:
+        items = _list(x, where, errors)
+        return None if items is None else tuple(kind(v, f"{where}[{k}]", errors)
+                                                for k, v in enumerate(items))
+    return read
+
+
+def _field(raw: dict, key: str, where: str, errors: list[str], kind: Callable,
+           default=_MISSING):
+    """raw[key] read by `kind` at the address where.key (key alone at the
+    top level); `default` if the key is absent, an error if it has none."""
+    if key not in raw:
+        if default is _MISSING:
+            errors.append(f"{where or 'scenario'}: missing field {key!r}")
+            return None
+        return default
+    return kind(raw[key], f"{where}.{key}" if where else key, errors)
+
+
+def _fields(x, where: str, errors: list[str], spec: dict) -> dict | None:
+    """The object x's fields of `spec` ({key: (kind, default)}, `_MISSING`
+    for a required key), after an error for each key `spec` does not name;
+    None if x is not an object or any of its fields was wrong."""
+    raw = _object(x, where or "scenario", errors)
+    if raw is None:
         return None
-    if chan is None:
-        errors.append(f"{where}.channel: missing")
-        return None
-    errors += [f"{where}.gop: unknown field {k!r}" for k in gop
-               if k not in ("period", "window", "dus")]
-    errors += [f"{where}.channel: unknown field {k!r}" for k in chan
-               if k not in ("states", "gain_to_noise", "rate", "transition")]
-    dus = []
-    for k, d in enumerate(gop.get("dus", [])):
-        du = _du_from_dict(d, f"{where}.gop.dus[{k}]", errors)
-        if du is not None:
-            dus.append(du)
-    if not dus:
-        errors.append(f"{where}.gop.dus: empty")
-        return None
+    n = len(errors)
+    errors += [f"{where or 'scenario'}: unknown field {k!r}" for k in raw if k not in spec]
+    out = {key: _field(raw, key, where, errors, kind, default)
+           for key, (kind, default) in spec.items()}
+    return None if len(errors) > n else out
+
+
+def _built(make: Callable, where: str, errors: list[str], **kwargs):
+    """make(**kwargs), or None after appending the ModelError it raises at
+    the address `where`."""
     try:
-        template = GopTemplate(dus, int(gop["period"]), int(gop["window"]))
-    except KeyError as exc:
-        errors.append(f"{where}.gop: missing field {exc.args[0]!r}")
-        return None
-    except ModelError as exc:
-        errors.append(f"{where}.gop: {exc}")
-        return None
-    try:
-        channel = ChannelModel(
-            names=chan["states"],
-            gain_to_noise=chan["gain_to_noise"],
-            rate=chan["rate"],
-            transition=chan["transition"],
-        )
-    except KeyError as exc:
-        errors.append(f"{where}.channel: missing field {exc.args[0]!r}")
-        return None
-    except ModelError as exc:
-        errors.append(f"{where}.channel: {exc}")
-        return None
-    try:
-        return UserConfig(
-            name=str(raw.get("name", where)),
-            template=template,
-            channel=channel,
-            min_quality=float(raw.get("min_quality", 0.0)),
-            beta=float(raw.get("beta", 0.0)),
-        )
+        return make(**kwargs)
     except ModelError as exc:
         errors.append(f"{where}: {exc}")
         return None
 
 
+def _size_entry(x, where: str, errors: list[str]) -> tuple | None:
+    pair = _list(x, where, errors)
+    if pair is None:
+        return None
+    if len(pair) != 2:
+        errors.append(f"{where}: expected a [size, probability] pair, got {x!r}")
+        return None
+    return _integer(pair[0], f"{where}[0]", errors), _real(pair[1], f"{where}[1]", errors)
+
+
+def _du(x, where: str, errors: list[str]) -> DataUnitSpec | None:
+    f = _fields(x, where, errors, {
+        "id": (_integer, _MISSING),
+        "name": (_string, None),
+        "distortion_impact": (_real, _MISSING),
+        "deadline_offset": (_integer, _MISSING),
+        "size_pmf": (_list_of(_size_entry), _MISSING),
+        "parents": (_list_of(_integer), ()),
+    })
+    return f and _built(DataUnitSpec, where, errors, du_id=f["id"],
+                        name=f"DU{f['id']}" if f["name"] is None else f["name"],
+                        distortion_impact=f["distortion_impact"],
+                        deadline_offset=f["deadline_offset"], size_pmf=f["size_pmf"],
+                        parents=f["parents"])
+
+
+def _gop(x, where: str, errors: list[str]) -> GopTemplate | None:
+    f = _fields(x, where, errors, {
+        "period": (_integer, _MISSING),
+        "window": (_integer, _MISSING),
+        "dus": (_list_of(_du), _MISSING),
+    })
+    return f and _built(GopTemplate, where, errors, **f)
+
+
+def _channel(x, where: str, errors: list[str]) -> ChannelModel | None:
+    f = _fields(x, where, errors, {
+        "states": (_list_of(_string), _MISSING),
+        "gain_to_noise": (_list_of(_real), _MISSING),
+        "rate": (_list_of(_real), _MISSING),
+        "transition": (_list_of(_list_of(_real)), _MISSING),
+    })
+    return f and _built(ChannelModel, where, errors, names=f["states"],
+                        gain_to_noise=f["gain_to_noise"], rate=f["rate"],
+                        transition=f["transition"])
+
+
+def _user(x, where: str, errors: list[str]) -> UserConfig | None:
+    f = _fields(x, where, errors, {
+        "name": (_string, where),
+        "beta": (_real, 0.0),
+        "min_quality": (_real, 0.0),
+        "gop": (_gop, _MISSING),
+        "channel": (_channel, _MISSING),
+    })
+    return f and _built(UserConfig, where, errors, name=f["name"], template=f["gop"],
+                        channel=f["channel"], min_quality=f["min_quality"],
+                        beta=f["beta"])
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    errors = [f"scenario: unknown field {k!r}" for k in raw if k not in (
-        "name", "bits_per_packet", "bandwidth", "discount", "price_tolerance", "seed",
-        "solver", "channel_correlation", "price_view", "users")]
-    users = []
-    for i, u in enumerate(raw.get("users", [])):
-        user = _user_from_dict(u, f"users[{i}]", errors)
-        if user is not None:
-            users.append(user)
-    if not users and not errors:
-        errors.append("users: empty")
+    """The scenario of a parsed scenario file (see the schema above). Every
+    field is read by the converter of its kind; a wrong, missing or unknown
+    field raises one ScenarioError listing each such field by address."""
+    errors: list[str] = []
+    f = _fields(raw, "", errors, {
+        "name": (_string, "scenario"),
+        "bits_per_packet": (_real, 1.0),
+        "bandwidth": (_real, 1.0),
+        "discount": (_real, 0.95),
+        "price_tolerance": (_real, 1e-3),
+        "seed": (_integer, 0),
+        "solver": (_string, "proposed"),
+        "channel_correlation": (_string, "independent"),
+        "price_view": (_string, "expected"),
+        "users": (_list_of(_user), ()),
+    })
+    scenario = f and _built(ScenarioConfig, "scenario", errors, **f)
     if errors:
         raise ScenarioError(errors)
-    try:
-        return ScenarioConfig(
-            name=str(raw.get("name", "scenario")),
-            users=tuple(users),
-            bits_per_packet=float(raw.get("bits_per_packet", 1.0)),
-            bandwidth=float(raw.get("bandwidth", 1.0)),
-            discount=float(raw.get("discount", 0.95)),
-            price_tolerance=float(raw.get("price_tolerance", 1e-3)),
-            seed=int(raw.get("seed", 0)),
-            solver=str(raw.get("solver", "proposed")),
-            channel_correlation=str(raw.get("channel_correlation", "independent")),
-            price_view=str(raw.get("price_view", "expected")),
-        )
-    except ModelError as exc:
-        raise ScenarioError([str(exc)]) from exc
+    return scenario
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

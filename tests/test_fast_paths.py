@@ -1956,15 +1956,14 @@ def test_walk_memo_holds_one_entry_per_slot_state_visited():
 
 def _re_calibrated(sc):
     """A clearing `proposed` re-priced as its calibration re-prices: the
-    price table updated (here doubled), `_cache` emptied, agents refreshed."""
+    price table updated (here doubled), then `_reprice` at its vectors."""
     sol = ProposedSolution(sc, max_slots=40_000, eval_slots=3_000, clearing=True)
     sol.prepare(np.random.default_rng(sc.seed))
 
     def re_price():
         sol.prices.lam.update({s0: 2 * lam for s0, lam in sol.prices.lam.items()})
-        sol._cache = {}
-        for a in sol.agents:
-            a.refresh(a.view.price_vector(sol.prices.lam, sc.bits_per_packet))
+        sol._reprice(a.view.price_vector(sol.prices.lam, sc.bits_per_packet)
+                     for a in sol.agents)
     return sol, re_price
 
 

@@ -25,7 +25,7 @@ from wvsched.harness import (
 )
 from wvsched.mdp import UserMdp, ValueTable, checked_price, common_view
 from wvsched import oracle, pricing
-from wvsched.model import ModelError, ScheduleAction, UserState
+from wvsched.model import ModelError, ScheduleAction, UserState, bandwidth_usage
 from wvsched.oracle import centralized_oracle, joint_value_of
 from wvsched.pricing import CoordinationError, JointChannel, SlotSystem, run_coordination
 from wvsched.scenario import ScenarioError, list_presets, load_scenario, preset
@@ -71,9 +71,9 @@ def test_cyclic_dag_load_error_names_cycle(tmp_path):
         load_scenario(bad)
 
 
-def preset_path_text():
+def preset_path_text(name="illustration-2user"):
     from wvsched.scenario import preset_path
-    return preset_path("illustration-2user").read_text(encoding="utf-8")
+    return preset_path(name).read_text(encoding="utf-8")
 
 
 def test_bad_transition_row_error_names_field(tmp_path):
@@ -109,6 +109,70 @@ def test_unknown_scenario_key_is_rejected_by_address(where, key, tmp_path, capsy
     assert err.value.errors == [message]
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, value, address", [
+    (("bandwidth",), "1.0", "bandwidth"),
+    (("users", 0, "beta"), "0", "users[0].beta"),
+    (("users", 0, "min_quality"), "0", "users[0].min_quality"),
+    (("users", 0, "gop", "period"), "1", "users[0].gop.period"),
+    (("users", 0, "channel", "rate", 1), "4", "users[0].channel.rate[1]"),
+    (("users", 0, "channel", "transition"), [[0.6, 0.4], [1.0]],
+     "users[0].channel: channel.transition"),
+    (("users", 1), "b", "users[1]"),
+    (("users", 0, "gop"), [1], "users[0].gop"),
+    (("users", 0, "gop", "dus", 0), 7, "users[0].gop.dus[0]"),
+    (("users", 0, "gop", "dus"), {"id": 0}, "users[0].gop.dus"),
+    (("seed",), -3, "seed"),
+    (("seed",), 1.5, "seed"),
+    (("seed",), True, "seed"),
+    (("users", 0, "gop", "dus", 0, "deadline_offset"), 0.7,
+     "users[0].gop.dus[0].deadline_offset"),
+    (("users", 0, "gop", "dus", 0, "size_pmf", 0, 0), 2.5,
+     "users[0].gop.dus[0].size_pmf[0][0]"),
+    (("bandwidth",), NAN, "bandwidth"),
+    (("bits_per_packet",), NAN, "bits_per_packet"),
+    (("price_tolerance",), NAN, "price_tolerance"),
+    (("users", 0, "beta"), NAN, "users[0].beta"),
+    (("users", 0, "min_quality"), NAN, "users[0].min_quality"),
+    (("users", 0, "gop", "dus", 0, "size_pmf", 0, 1), NAN,
+     "users[0].gop.dus[0].size_pmf[0][1]"),
+    (("users", 0, "channel", "rate", 0), NAN, "users[0].channel.rate[0]"),
+    (("users", 1, "channel", "transition", 0, 1), NAN, "users[1].channel.transition[0][1]"),
+    (("bandwidth",), INF, "bandwidth"),
+    (("users", 0, "channel", "gain_to_noise", 1), INF, "users[0].channel.gain_to_noise[1]"),
+])
+def test_malformed_scenario_field_is_rejected_by_address(path, value, address, tmp_path):
+    """A field of the wrong kind, a negative seed, a fractional count or a
+    number that is not finite raises ScenarioError naming the field; none
+    gets through to a bare exception."""
+    raw = json.loads(preset_path_text("tiny-sym"))
+    node = raw
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(bad)
+    assert len(err.value.errors) == 1
+    assert address in err.value.errors[0]
+
+
+def test_run_on_a_malformed_scenario_exits_2_without_a_traceback(tmp_path, capsys):
+    from wvsched.cli import main
+
+    raw = json.loads(preset_path_text("tiny-sym"))
+    raw["bandwidth"] = NAN
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: bandwidth: expected a finite number, got nan" in err
+    assert "Traceback" not in err
 
 
 def test_missing_scenario_file():
@@ -565,6 +629,35 @@ def test_conservation_under_clearing_solution(illustration):
     trace = run_episode(sc, illustration["proposed"], 80,
                         np.random.default_rng(12))
     assert conservation_ok(trace)
+
+
+def test_each_priced_rule_records_the_price_it_decided_at(illustration_suite):
+    """`mu-mdp` decides at its one price and proportional trims at the
+    table's price; clearing decides at the table's price where the requests
+    fit the band (`_clear`'s own test) and at a raised price where not."""
+    sc = illustration_suite["scenario"]
+    uniform = illustration_suite["solutions"]["mu-mdp"]
+    clearing = illustration_suite["solutions"]["proposed"]
+    trimmed = ProposedSolution(sc, max_slots=40_000, eval_slots=3_000)
+    trimmed.prepare(np.random.default_rng(sc.seed))
+
+    def records(sol):
+        return run_episode(sc, sol, 140, np.random.default_rng(7)).records
+
+    assert all(r.lam0 == uniform.price for r in records(uniform))
+    assert all(r.lam0 == trimmed.prices.get(r.s0) for r in records(trimmed))
+    fitted = raised = 0
+    for r in records(clearing):
+        usage = bandwidth_usage([sum(ur.requested) for ur in r.users],
+                                [u.channel.rate[h] for u, h in zip(sc.users, r.s0)],
+                                sc.bits_per_packet)
+        if usage <= sc.bandwidth + 1e-12:
+            assert r.lam0 == clearing.prices.get(r.s0)
+            fitted += 1
+        else:
+            assert r.lam0 > clearing.prices.get(r.s0)
+            raised += 1
+    assert fitted and raised
 
 
 def test_sends_over_the_band_raise_in_episodes_and_evaluation(monkeypatch):

@@ -106,6 +106,40 @@ def test_pmf_validation():
         du(0, 1.0, 0, [(-1, 1.0)])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: du(0, NAN, 0, [(1, 1.0)]), "distortion_impact"),
+    (lambda: du(0, INF, 0, [(1, 1.0)]), "distortion_impact"),
+    (lambda: du(0, 1.0, 0, [(1, NAN)]), "probability"),
+    (lambda: du(0, 1.0, 0, [(1, 0.5), (2, NAN)]), "probability"),
+    (lambda: two_state_channel(rate=(NAN, 40.0)), "rate"),
+    (lambda: two_state_channel(rate=(INF, 40.0)), "rate"),
+    (lambda: ChannelModel(["a", "b"], [INF, 1.4], [1.0, 1.0], [[1, 0], [0, 1]]),
+     "gain_to_noise"),
+    (lambda: two_state_channel(trans=((NAN, 0.3), (0.4, 0.6))), "transition"),
+    (lambda: two_state_channel(trans=((0.7, 0.3), (1.0,))), "transition"),
+    (lambda: model.UserConfig("u", fig_template(), two_state_channel(), beta=NAN), "beta"),
+    (lambda: model.UserConfig("u", fig_template(), two_state_channel(), min_quality=INF),
+     "min_quality"),
+])
+def test_non_finite_numbers_are_rejected(build, match):
+    """A NaN passes every `x < 0` test, so each number is checked finite."""
+    with pytest.raises(ModelError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth", NAN), ("bandwidth", INF), ("bits_per_packet", NAN),
+    ("price_tolerance", NAN), ("discount", NAN), ("seed", -3),
+])
+def test_scenario_config_rejects_non_finite_numbers_and_negative_seeds(field, value):
+    user = model.UserConfig("u", fig_template(), two_state_channel())
+    with pytest.raises(ModelError, match=field):
+        model.ScenarioConfig("s", (user,), **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # actions and payoffs
 # ---------------------------------------------------------------------------
