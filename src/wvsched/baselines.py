@@ -126,8 +126,12 @@ def uniform_price_solve(estimate_usage, s0_states: Sequence[tuple[int, ...]],
     `estimate_usage(lam)` must return {joint channel state: expected usage}
     under every user solving its priced problem at the common packet price
     lam (before any utilization scaling). The bracket starts at lam = 1 and
-    doubles; raises with the usage-vs-price curve if none is found.
+    doubles; raises with the usage-vs-price curve if none is found. Bisects
+    until the bracket is at most `tol` wide, or no double lies inside it;
+    raises ModelError, before any estimate, unless 0 < tol < inf.
     """
+    if not 0.0 < tol < float("inf"):
+        raise ModelError(f"uniform price: tol must be finite and > 0; got {tol!r}")
     curve: list[tuple[float, float]] = []
 
     def worst(lam: float) -> tuple[float, dict]:
@@ -155,6 +159,8 @@ def uniform_price_solve(estimate_usage, s0_states: Sequence[tuple[int, ...]],
     usage = usage_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         w_mid, usage_mid = worst(mid)
         iterations += 1
         if w_mid <= bandwidth + 1e-12:

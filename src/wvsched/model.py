@@ -27,6 +27,13 @@ class ModelError(ValueError):
     """Raised when a template, channel, or scenario violates an invariant."""
 
 
+def _require_integer(value, what: str) -> None:
+    """Raise `ModelError` naming `what` unless `value` is an integer
+    (`numbers.Integral`, numpy's too, but not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ModelError(f"{what} must be an integer; got {value!r}")
+
+
 def categorical_cdf(probs: Sequence[float]) -> np.ndarray:
     """Normalised cumulative sums of a PMF, as `Generator.choice` builds them."""
     cdf = np.cumsum(np.asarray(probs, dtype=float))
@@ -69,6 +76,12 @@ class DataUnitSpec:
     parents: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _require_integer(self.du_id, "du_id")
+        _require_integer(self.deadline_offset, f"du {self.du_id}: deadline_offset")
+        for v, _ in self.size_pmf:
+            _require_integer(v, f"du {self.du_id}: a size_pmf size")
+        for pid in self.parents:
+            _require_integer(pid, f"du {self.du_id}: a parent")
         pmf = tuple(sorted((int(v), float(p)) for v, p in self.size_pmf))
         object.__setattr__(self, "size_pmf", pmf)
         if not (math.isfinite(self.distortion_impact) and self.distortion_impact >= 0):
@@ -209,6 +222,8 @@ class GopTemplate:
     """Periodic GOP structure: DUs, period T, and scheduling time window W."""
 
     def __init__(self, dus: Sequence[DataUnitSpec], period: int, window: int):
+        _require_integer(period, "gop.period")
+        _require_integer(window, "gop.window")
         self.dus = tuple(dus)
         self.period = int(period)
         self.window = int(window)
@@ -392,11 +407,10 @@ class SizeDraws:
     `breaks.searchsorted(u, side="right")`, and within a bucket
     `bisect_right` on each of those CDFs is constant, so the j-th draw's
     size from any u in bucket b is sizes[rows[j, p] + b]: its DU's
-    `size_at(u)`. Lanes j past counts[p] read a row of zeros. Every size
-    is below `bound`.
+    `size_at(u)`. Lanes j past counts[p] read a row of zeros.
     """
 
-    __slots__ = ("counts", "breaks", "rows", "sizes", "lanes", "bound")
+    __slots__ = ("counts", "breaks", "rows", "sizes", "lanes")
 
     def __init__(self, template: GopTemplate):
         steps = [[template.context(p + 1).slots[j].du for j in template.step(p).entering]
@@ -415,7 +429,6 @@ class SizeDraws:
             self.rows[:len(step), p] = np.arange(first, first + len(step)) * len(lower)
             first += len(step)
         self.lanes = np.arange(width)[:, None]
-        self.bound = 1 + max(du.max_size for du in dus)
 
 
 @dataclass(frozen=True)
@@ -735,6 +748,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ModelError(f"{name} must be finite and > 0")
+        _require_integer(self.seed, "seed")
         if self.seed < 0:
             raise ModelError("seed must be >= 0")
         if self.channel_correlation not in ("independent", "common"):

@@ -305,21 +305,24 @@ def _max_values(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
     return values, sweeps, backup
 
 
-def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
-                       pair_cap: int = 5_000_000, tol: float = 1e-9,
-                       max_iter: int = 100_000) -> OracleResult:
-    """Exact value iteration on the joint MDP with the band constraint
-    enforced inside every state's maximization."""
-    space = JointSpace(scenario, state_cap)
-    delta = scenario.discount
+# most joint (state, action) pairs the joint value iterations enumerate
+PAIR_CAP = 5_000_000
+
+
+def _joint_pairs(space: JointSpace, actions: Sequence[tuple], users: Sequence[UserRows],
+                 bandwidth: float | None, pair_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every joint phase's `_joint_products`, phase after phase, keeping
+    only the pairs whose band usage fits `bandwidth` unless it is None.
+    Raises ModelError, before the next phase is built, at the first state
+    without a pair or the first whose pairs pass `pair_cap`, in state order."""
     nc = len(space.c0_states)
-    actions, users = _action_rows(space, scenario)
     states, rows = [], []
     pairs = 0
     for jp in range(space.period):
         state, row = _joint_products(space, actions, jp)
-        keep = _band_usage(space, users, state, row) <= scenario.bandwidth + 1e-9
-        state, row = state[keep], row[:, keep]
+        if bandwidth is not None:
+            keep = _band_usage(space, users, state, row) <= bandwidth + 1e-9
+            state, row = state[keep], row[:, keep]
         # the first state without a feasible pair, or the first whose pairs
         # pass the cap, in state order
         first = space.base[jp] * nc
@@ -336,8 +339,20 @@ def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
         pairs += len(state)
         states.append(state)
         rows.append(row)
-    state, rows = np.concatenate(states), np.concatenate(rows, axis=1)
-    del states
+    return np.concatenate(states), np.concatenate(rows, axis=1)
+
+
+def centralized_oracle(scenario: ScenarioConfig, state_cap: int = 200_000,
+                       pair_cap: int = PAIR_CAP, tol: float = 1e-9,
+                       max_iter: int = 100_000) -> OracleResult:
+    """Exact value iteration on the joint MDP with the band constraint
+    enforced inside every state's maximization."""
+    space = JointSpace(scenario, state_cap)
+    delta = scenario.discount
+    nc = len(space.c0_states)
+    actions, users = _action_rows(space, scenario)
+    state, rows = _joint_pairs(space, actions, users, scenario.bandwidth, pair_cap)
+    pairs = len(state)
 
     values, sweeps, backup = _max_values(space, users, state, rows, None, delta, tol,
                                          max_iter, "oracle value iteration")
@@ -468,14 +483,12 @@ def penalized_joint_value(scenario: ScenarioConfig,
                           max_iter: int = 100_000) -> tuple[np.ndarray, float]:
     """Unconstrained joint value with the band constraint priced into the
     objective: reward + lambda0(s0) * (B - usage). Raises ModelError when
-    value iteration has not converged after `max_iter` sweeps."""
+    the joint pairs pass `PAIR_CAP` or value iteration has not converged
+    after `max_iter` sweeps."""
     space = JointSpace(scenario, state_cap)
     delta = scenario.discount
     actions, users = _action_rows(space, scenario)
-    blocks = [_joint_products(space, actions, jp) for jp in range(space.period)]
-    state = np.concatenate([s for s, _ in blocks])
-    rows = np.concatenate([r for _, r in blocks], axis=1)
-    del blocks
+    state, rows = _joint_pairs(space, actions, users, None, PAIR_CAP)
     lam = np.array([prices.get(s0, 0.0) for s0 in space.c0_states], dtype=float)
     offset = lam[state % len(space.c0_states)] * (
         scenario.bandwidth - _band_usage(space, users, state, rows))

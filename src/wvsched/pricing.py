@@ -11,7 +11,6 @@ tolerance, and so did the window's net movement, first to last.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -465,17 +464,13 @@ def slot_requests(agents: Sequence[PricedAgent], system: SlotSystem,
 
 
 # most slots whose uniforms `walk` draws in one generator call: the block's
-# uniforms and outcome codes are what bound the walk's memory
+# uniforms and outcomes are what bound the walk's memory
 REPLAY_BLOCK = 1024
-
-# outcome codes are int64 while they stay below this, and Python ints (an
-# object array, much slower) past it
-CODE_LIMIT = 1 << 62
 
 
 def draw_outcomes(templates: Sequence[GopTemplate], channels: Sequence[ChannelModel],
                   phases: Sequence[int], slots: int,
-                  draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  draw: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray, list]:
     """The uniforms of `slots` slots from `phases` on, where each slot
     draws, per user, one uniform per DU entering its next phase, then one
     per channel of `channels`; `draw(n)` returns all n at once. Phases move
@@ -483,30 +478,24 @@ def draw_outcomes(templates: Sequence[GopTemplate], channels: Sequence[ChannelMo
 
     Returns the uniforms, the offsets `starts` (slot k's are
     us[starts[k]:starts[k + 1]]; read-only, and shared by every block of
-    the same layout) and each slot's outcome code below
-    `code_span(templates, channels)` (int64, or Python ints past
-    `CODE_LIMIT`): each user's entering sizes, lane by lane (digits below
-    its `SizeDraws.bound`), then each channel's `draw_breaks` bucket, as
-    the digits of one mixed-radix int. Two slots at the same phases with
-    equal codes draw the same sizes and move every channel state to the
-    same next state. One `searchsorted` per template and channel maps the
-    whole block.
+    the same layout) and each slot's outcome, the tuple of its digits:
+    each user's entering sizes, lane by lane (0 on a lane no DU enters),
+    then each channel's `draw_breaks` bucket. Two slots at the same phases
+    with equal outcomes draw the same sizes and move every channel state
+    to the same next state. One `searchsorted` per template and channel
+    maps the whole block.
     """
     starts, lanes, base = block_layout(tuple(templates), len(channels), tuple(phases), slots)
     us = draw(int(starts[-1]))
-    codes = np.zeros(slots, dtype=np.int64 if code_span(templates, channels) <= CODE_LIMIT
-                     else object)
-    if not len(us):                    # pinned slots where no DU enters
-        return us, starts, codes
+    digits = []
     for lay, pos, rows in lanes:
-        buckets = lay.breaks.searchsorted(us.take(pos, mode="clip"), side="right")
-        # one lane at a time, in the codes' own dtype, so no digit overflows
-        for sizes in lay.sizes.take(rows + buckets):
-            codes = codes * lay.bound + sizes
-    for i, ch in enumerate(channels):
-        codes = codes * len(ch.draw_breaks) + ch.draw_breaks.searchsorted(us.take(base + i),
-                                                                          side="right")
-    return us, starts, codes
+        # pinned slots where no DU enters draw no uniform: every lane reads 0
+        buckets = lay.breaks.searchsorted(us.take(pos, mode="clip"), side="right") \
+            if len(us) else 0
+        digits.append(lay.sizes.take(rows + buckets))
+    digits += [ch.draw_breaks.searchsorted(us.take(base + i), side="right")[None]
+               for i, ch in enumerate(channels)]
+    return us, starts, list(zip(*np.concatenate(digits).tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -533,12 +522,6 @@ def block_layout(templates: tuple[GopTemplate, ...], n_channels: int, phases: tu
     return starts, tuple(lanes), base
 
 
-def code_span(templates: Sequence[GopTemplate], channels: Sequence[ChannelModel]) -> int:
-    """How many outcome codes `draw_outcomes` may give a slot."""
-    return math.prod([t.size_draws.bound ** len(t.size_draws.lanes) for t in templates]
-                     + [len(ch.draw_breaks) for ch in channels])
-
-
 def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
          pins: Sequence[tuple[int, ...]] | None = None) -> Iterator[tuple]:
     """Step `system` for `slots` slots under a frozen rule: `decide(system)`
@@ -554,17 +537,18 @@ def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
     of at most `REPLAY_BLOCK` slots per `rng.random(n)` call, the same
     doubles in the same order as `SlotSystem.advance` draws, which leaves
     the generator where deciding and advancing every slot afresh would;
-    `draw_outcomes` maps each slot's to one outcome code. The memo maps
+    `draw_outcomes` maps each slot's to one outcome tuple. The memo maps
     each key to (value, transitions, next contexts, next phases, the key,
-    successors), where successors maps an outcome code to the next slot's
-    key (the key of its memo entry, if it has one). A (state, code) pair
+    successors), where successors maps an outcome to the next slot's key
+    (the key of its memo entry, if it has one). A (state, outcome) pair
     seen before steps by two dict lookups, there and in the memo; a new one
     maps its uniforms to entering sizes (`Transition.buffer`) and to the
     next channel state (`JointChannel.next_state`) once. With `pins` the
     channel draws nothing: the k-th slot after the system's own is at
     `pins[k]`, and at the last pin past the end; a pinned slot's outcome is
-    the pair of its code and its next pin, which equals no free walk's int
-    code. The system holds the current slot whenever `decide` runs.
+    the pair of its drawn outcome and its next pin, nested so that it
+    equals no free walk's flat tuple of ints. The system holds the current
+    slot whenever `decide` runs.
 
     Raises `ModelError` naming `slots`, before any step, unless it is a
     `slot_count`.
@@ -592,19 +576,18 @@ def _walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
     done = 0
     while done < slots:
         block = min(REPLAY_BLOCK, slots - done)
-        us, starts, codes = draw_outcomes(templates, channels, phases, block, rng.random)
-        codes = codes.tolist()
+        us, starts, outcomes = draw_outcomes(templates, channels, phases, block, rng.random)
         if pins is not None:
-            codes = [(code, pins[min(t, len(pins) - 1)])
-                     for t, code in enumerate(codes, done + 1)]
-        for k, code in enumerate(codes):
+            outcomes = [(drawn, pins[min(t, len(pins) - 1)])
+                        for t, drawn in enumerate(outcomes, done + 1)]
+        for k, outcome in enumerate(outcomes):
             if entry is None:
                 system.s0, system.contexts, system.buffers = s0, contexts, list(buffers)
                 value, moves = decide(system)
                 nxt = tuple(m.context for m in moves)
                 entry = memo[key] = (value, moves, nxt, tuple(c.phase for c in nxt), key, {})
             value, moves, contexts, phases, _, successors = entry
-            key = successors.get(code)
+            key = successors.get(outcome)
             if key is None:
                 draws = iter(us[starts[k]:starts[k + 1]].tolist())
                 buffers = tuple(m.buffer(draws) for m in moves)
@@ -613,7 +596,7 @@ def _walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
                 key = (s1, phases, buffers)
                 entry = memo.get(key)
                 # an existing entry's own key, so that successors share keys
-                key = successors[code] = key if entry is None else entry[4]
+                key = successors[outcome] = key if entry is None else entry[4]
             else:
                 entry = memo.get(key)
             yield s0, value, moves, key[2]

@@ -150,6 +150,32 @@ def test_uniform_price_reports_curve_when_no_bracket():
         uniform_price_solve(estimate, [(1, 1)], 1.0, max_doublings=6)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
+def test_uniform_price_rejects_a_tolerance_outside_zero_to_inf(tol):
+    """A zero or negative tolerance would bisect forever once a midpoint
+    rounds to an end, and a NaN one would return the first bracket."""
+    calls = []
+
+    def estimate(lam):
+        calls.append(lam)
+        return {(1, 1): 1.5 / (1.0 + lam)}
+
+    with pytest.raises(ModelError, match="tol"):
+        uniform_price_solve(estimate, [(1, 1)], 1.0, tol=tol)
+    assert calls == []
+
+
+def test_uniform_price_bisection_stops_where_no_double_is_left():
+    """A tolerance below the doubles' spacing stops once the bracket holds
+    no double strictly inside, at the smallest price feasible within the
+    usage slack of 1e-12."""
+    res = uniform_price_solve(lambda lam: {(1, 1): 1.5 / (1.0 + lam)}, [(1, 1)], 1.0,
+                              tol=1e-300)
+    assert res.price == pytest.approx(0.5, abs=1e-11)
+    assert np.nextafter(res.price, 0.0) == max(lam for lam, w in res.curve if w > 1.0 + 1e-12)
+    assert res.iterations < 100
+
+
 def test_inflate_action_adds_high_impact_first():
     tpl = GopTemplate([du(0, 4.0, 0, 6, name="I"),
                        du(1, 2.0, 1, 6, parents=[0], name="P")], 2, 2)

@@ -16,7 +16,7 @@ every slot afresh and stepping it through
 `slot_key` on block-drawn uniforms and stepping by successor lookup, the
 episode loop doing the same and building every record afresh, `size_at`
 and `bisect_right` on each uniform in place of the block-wide outcome
-codes, the slot step drawing each entering DU and
+tuples, the slot step drawing each entering DU and
 each channel with its own scalar sampler call, the per-user trim and
 inflate loops of the band scaling, the slot-by-slot fills and trims in
 place of their row-array forms, the within-slot clearing search re-pricing
@@ -1644,7 +1644,7 @@ def test_draw_buckets_equal_the_scalar_mappings(chan, template):
 @settings(max_examples=EXAMPLES // 3, deadline=None)
 @given(slot_systems(), st.data())
 def test_equal_outcome_codes_draw_equal_outcomes(inst, data):
-    """Slots at the same phases with equal `draw_outcomes` codes draw the
+    """Slots at the same phases with equal `draw_outcomes` outcomes draw the
     same entering sizes and move every joint channel state to the same
     next state, on uniforms at every breakpoint and one ulp either side."""
     templates, joint, seed = inst
@@ -1656,8 +1656,7 @@ def test_equal_outcome_codes_draw_equal_outcomes(inst, data):
     rng = np.random.default_rng(seed)
     us, starts, codes = pricing.draw_outcomes(templates, channels_, phases, slots,
                                               lambda n: rng.choice(pool, n))
-    assert len(us) == starts[-1] and 0 <= codes.min()
-    assert codes.max() < pricing.code_span(templates, channels_)
+    assert len(us) == starts[-1] and len(codes) == slots
     outcomes = {}
     for k in range(slots):
         draws = iter(us[starts[k]:starts[k + 1]].tolist())
@@ -1667,7 +1666,7 @@ def test_equal_outcome_codes_draw_equal_outcomes(inst, data):
         rest = list(draws)
         assert len(rest) == joint.draws
         moves = tuple(joint.next_state(s0, iter(rest)) for s0 in joint.all_states())
-        state = (tuple((p + k) % t.period for t, p in zip(templates, phases)), int(codes[k]))
+        state = (tuple((p + k) % t.period for t, p in zip(templates, phases)), codes[k])
         assert outcomes.setdefault(state, (sizes, moves)) == (sizes, moves)
 
 
@@ -2086,12 +2085,13 @@ def test_a_walk_decides_no_state_past_its_last_slot(slots):
 
 
 def test_pinned_and_free_episodes_on_one_memo_equal_the_reference():
-    """Pinned slots draw no channel uniform, and their outcome codes are kept
+    """Pinned slots draw no channel uniform, and their outcomes are kept
     apart from the free ones: pinned and free episodes that share one memo,
     in either order and from the same seed, each equal the reference. The
-    pins move between the channel states throughout, so a pinned code read
-    as a free one sends a free slot to a wrong state."""
-    for name in ("tiny-sym", "illustration-2user"):
+    pins move between the channel states throughout, so a pinned outcome
+    read as a free one sends a free slot to a wrong state. pds-toy has one
+    user, whose free (size, bucket) outcome has a pinned one's length."""
+    for name in ("tiny-sym", "illustration-2user", "pds-toy"):
         sc = preset(name)
         pins = np.random.default_rng(2).integers(0, len(sc.channels[0]), 140).tolist()
         for pinned_first in (True, False):
@@ -2126,12 +2126,12 @@ def assert_same_walks(sc, pins):
 
 
 @pytest.mark.parametrize("states", [2, 3])
-def test_walks_past_int64_outcome_codes_equal_the_reference(states):
+def test_walks_of_wide_outcomes_equal_the_reference(states):
     """Forty users whose one DU enters every slot with one of three sizes,
-    on a common channel of two or three states: a slot has more outcome
-    codes than int64 holds, so they are Python ints, and with three states
-    so has the joint channel (3**40 states), which pinned codes must not
-    index; free and pinned episodes and a replay still equal the
+    on a common channel of two or three states: a slot has 3**40 size
+    outcomes, past what one int64 code could hold, and with three states
+    so has the joint channel (3**40 states), which pinned outcomes must
+    not index; free and pinned episodes and a replay still equal the
     reference."""
     tpl = GopTemplate([DataUnitSpec(0, "I", 1.0, 0, ((0, 0.3), (1, 0.3), (2, 0.4)))], 1, 1)
     stay, leave = 0.8, 0.2 / (states - 1)
@@ -2140,31 +2140,24 @@ def test_walks_past_int64_outcome_codes_equal_the_reference(states):
                         [40.0 * (h + 1) for h in range(states)], move)
     sc = ScenarioConfig("wide", tuple(UserConfig(f"u{i}", tpl, chan) for i in range(40)),
                         channel_correlation="common")
-    joint = JointChannel(sc.channels, "common")
-    assert pricing.code_span(sc.templates, joint.channels[:1]) > pricing.CODE_LIMIT
-    _, _, codes = pricing.draw_outcomes(sc.templates, joint.channels[:1], [0] * 40, 50,
-                                        np.random.default_rng(0).random)
-    assert max(codes.tolist()) >= 2**63
     assert_same_walks(sc, [0, states - 1, 1, states - 1, 0])
 
 
-def test_a_template_past_int64_outcome_codes_equals_the_reference():
+def test_a_template_of_wide_outcomes_equals_the_reference():
     """One user whose 17 DUs all enter every slot, the first with 1 or 15
-    packets, the others with 2: one template's digits of radix 16 pass
-    int64 on their own (16**17 codes), so the first lane's place value
-    would wrap to 0 in int64 and drop its size from the code. The codes
-    tell the two sizes apart, and walks equal the reference."""
+    packets, the others with 2: one template's 17 size digits, each below
+    16, pass int64 as one mixed-radix code (16**17). The outcomes tell the
+    first lane's two sizes apart, and walks equal the reference."""
     dus = [DataUnitSpec(0, "I", 1.0, 0, ((1, 0.5), (15, 0.5)))] + \
         [DataUnitSpec(i, f"P{i}", 1.0, 0, ((2, 1.0),)) for i in range(1, 17)]
     tpl = GopTemplate(dus, 1, 1)
     assert [tpl.context(1).slots[j].du.du_id for j in tpl.step(0).entering] == list(range(17))
-    assert pricing.code_span([tpl], []) == 16**17
-    us, starts, codes = pricing.draw_outcomes([tpl], [], [0], 50,
-                                              np.random.default_rng(0).random)
+    us, starts, outcomes = pricing.draw_outcomes([tpl], [], [0], 50,
+                                                 np.random.default_rng(0).random)
     first = [dus[0].size_at(u) for u in us[starts[:-1]]]
     assert len(set(first)) == 2
-    assert len(set(codes.tolist())) == 2
-    assert len(set(zip(first, codes.tolist()))) == 2
+    assert len(set(outcomes)) == 2
+    assert len(set(zip(first, outcomes))) == 2
     chan = ChannelModel(["g", "b"], [1.0, 1.0], [40.0, 80.0], [[0.7, 0.3], [0.4, 0.6]])
     assert_same_walks(ScenarioConfig("wide-gop", (UserConfig("u", tpl, chan),),
                                      channel_correlation="common"), PINNED)

@@ -378,6 +378,19 @@ def test_oracle_pair_cap_is_checked_before_the_kernel(monkeypatch):
     assert str(exc.value) == "joint state-action pairs exceed cap 100"
 
 
+def test_penalized_value_pair_cap_is_checked_before_the_kernel(monkeypatch):
+    """The dual enumerates its pairs under the oracle's `PAIR_CAP`, and
+    raises at it instead of building every pair."""
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel built past the pair cap")
+
+    monkeypatch.setattr(oracle, "build_joint_kernel", no_kernel)
+    monkeypatch.setattr(oracle, "PAIR_CAP", 100)
+    with pytest.raises(ModelError) as exc:
+        oracle.penalized_joint_value(preset("tiny-sym"), {})
+    assert str(exc.value) == "joint state-action pairs exceed cap 100"
+
+
 def test_priced_oracle_bounds_exact_values(priced_results):
     """On the full tiny-priced preset the constrained optimum is at least the
     exact value of the per-state and the uniform-price solutions."""

@@ -123,16 +123,39 @@ NAN, INF = float("nan"), float("inf")
     (lambda: model.UserConfig("u", fig_template(), two_state_channel(), beta=NAN), "beta"),
     (lambda: model.UserConfig("u", fig_template(), two_state_channel(), min_quality=INF),
      "min_quality"),
+    (lambda: du(0, 1.0, 0, [(2.5, 1.0)]), "size_pmf size"),
+    (lambda: du(0, 1.0, 0, [(NAN, 1.0)]), "size_pmf size"),
+    (lambda: du(0, 1.0, 0, [(True, 1.0)]), "size_pmf size"),
+    (lambda: du(0, 1.0, 0.7, [(1, 1.0)]), "deadline_offset"),
+    (lambda: du(1.5, 1.0, 0, [(1, 1.0)]), "du_id"),
+    (lambda: du(1, 1.0, 0, [(1, 1.0)], parents=[0.5]), "parent"),
+    (lambda: GopTemplate([du(0, 1.0, 0, [(1, 1.0)])], 1.9, 1), "gop.period"),
+    (lambda: GopTemplate([du(0, 1.0, 0, [(1, 1.0)])], NAN, 1), "gop.period"),
+    (lambda: GopTemplate([du(0, 1.0, 0, [(1, 1.0)])], 2, 1.5), "gop.window"),
 ])
 def test_non_finite_numbers_are_rejected(build, match):
-    """A NaN passes every `x < 0` test, so each number is checked finite."""
+    """A NaN passes every `x < 0` test, so each number is checked finite,
+    and a count is checked an integer rather than truncated by `int`."""
     with pytest.raises(ModelError, match=match):
         build()
+
+
+def test_numpy_integers_pass_as_integer_fields():
+    """numpy integers are `numbers.Integral`, so they pass where a float or
+    a bool is refused; sizes come out as Python ints."""
+    one = np.int64(1)
+    spec = du(np.int64(0), 1.0, np.int64(0), [(np.int64(2), 1.0)])
+    assert spec.size_pmf == ((2, 1.0),) and type(spec.size_pmf[0][0]) is int
+    tpl = GopTemplate([spec, du(one, 1.0, one, [(one, 1.0)], parents=[np.int64(0)])], 2, 2 * one)
+    assert (tpl.period, tpl.window) == (2, 2)
+    user = model.UserConfig("u", fig_template(), two_state_channel())
+    assert model.ScenarioConfig("s", (user,), seed=np.int64(3)).seed == 3
 
 
 @pytest.mark.parametrize("field, value", [
     ("bandwidth", NAN), ("bandwidth", INF), ("bits_per_packet", NAN),
     ("price_tolerance", NAN), ("discount", NAN), ("seed", -3),
+    ("seed", 1.5), ("seed", NAN), ("seed", True),
 ])
 def test_scenario_config_rejects_non_finite_numbers_and_negative_seeds(field, value):
     user = model.UserConfig("u", fig_template(), two_state_channel())
