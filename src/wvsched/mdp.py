@@ -20,11 +20,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from wvsched.model import (
     ChannelModel,
@@ -35,6 +33,12 @@ from wvsched.model import (
     iter_actions,
     transmit_energy,
 )
+
+if TYPE_CHECKING:
+    # loaded where a sparse kernel or solve is built, so that the numpy-only
+    # paths never import scipy
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 
 def value_iteration(backup: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
@@ -347,6 +351,8 @@ def entering_kernel(layout: TrafficLayout, post: Sequence[np.ndarray]) -> sp.csr
     local index in the next phase; the entering DUs' sizes are drawn from
     their PMFs.
     """
+    import scipy.sparse as sp
+
     rows, cols, vals = [], [], []
     n = 0
     for p, local in enumerate(post):
@@ -447,7 +453,7 @@ class UserMdp:
         of `q` (rows, columns), in one pass over all columns."""
         starts = self.group_start[:-1]
         vmax = np.maximum.reduceat(q, starts, axis=0)
-        hit = np.where(q >= vmax[self.ta_state], self._rows, self.n_ta)
+        hit = np.where(q >= vmax.take(self.ta_state, axis=0), self._rows, self.n_ta)
         return vmax, np.minimum.reduceat(hit, starts, axis=0)
 
     def solve(self, price: np.ndarray, tol: float = 1e-6,
@@ -552,6 +558,8 @@ class UserMdp:
 
     def policy_transition(self, table: "ValueTable") -> sp.csr_matrix:
         """Joint (traffic x view) chain under the table's greedy policy."""
+        import scipy.sparse as sp
+
         n_view = len(self.view)
         n = self.n_states
         rows = self.traffic_kernel[table.policy.ravel()].tocoo()
@@ -567,6 +575,9 @@ class UserMdp:
         rebuilt only when the policy differs from the last one asked for."""
         key = table.policy.tobytes()
         if self._chain is None or self._chain[0] != key:
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
             p_pi = self.policy_transition(table)
             a = sp.eye(self.n_states, format="csr") - self.discount * p_pi
             self._chain = (key, p_pi, spla.splu(a.tocsc()))

@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from wvsched.mdp import (
     TrafficLayout,
@@ -48,6 +46,10 @@ from wvsched.model import ModelError, ScenarioConfig, UserConfig
 # mdp.action_table walks iter_actions; perfbench's tracer also patches this name
 from wvsched.model import iter_actions  # noqa: F401
 from wvsched.pricing import JointChannel
+
+if TYPE_CHECKING:
+    # loaded where the joint kernel is built (see mdp)
+    import scipy.sparse as sp
 
 
 class JointSpace:
@@ -184,6 +186,8 @@ def build_joint_kernel(space: JointSpace, users: Sequence[UserRows], state: np.n
     user's gain - beta * energy, added in user order) and each state's first
     pair; kernel[pair_row] is the pair-by-state kernel.
     """
+    import scipy.sparse as sp
+
     nc = len(space.c0_states)
     c0 = state % nc
     reward = np.zeros(len(state)) if offset is None else offset.copy()
@@ -411,6 +415,9 @@ def _value_of_sends(space: JointSpace, scenario: ScenarioConfig,
     ModelError at the first such state of the phase, user by user; the
     checked sends build the joint kernel and a linear solve gives the value.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     delta = scenario.discount
     nc = len(space.c0_states)
     n = space.n_states
