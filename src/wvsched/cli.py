@@ -148,7 +148,8 @@ def _cmd_run(args) -> int:
           f"distortion {m.total_distortion:.1f}, energy {m.total_energy:.4g}")
     if report is not None:
         print(f"coordination: {report.slots_run} slots, policy refreshes per user "
-              f"{', '.join(map(str, report.refreshes))}")
+              f"{', '.join(map(str, report.refreshes))}, solves per user "
+              f"{', '.join(map(str, report.solves))}")
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -67,12 +67,14 @@ from wvsched.pricing import (
 )
 from wvsched.scheduling import (
     SIMPLE_SCHEDULERS,
+    TableShare,
     build_du_tables,
     decomposed_response,
     decomposed_schedule,
     fill,
     fill_rows,
     packet_capacities,
+    priced_problem,
 )
 
 
@@ -91,33 +93,47 @@ def build_views(scenario: ScenarioConfig) -> list[ChannelView]:
 # User-side agents
 # ---------------------------------------------------------------------------
 
+def refuse_floor(user: UserConfig, rule: str) -> None:
+    """`ModelError` naming `user` if it has a quality floor, which `rule`
+    cannot honour."""
+    if user.min_quality > 0:
+        raise ModelError(f"user {user.name}: quality floors need the full solver, "
+                         f"{rule} does not support them")
+
+
 class DecomposedAgent(PricedAgent):
     """Priced per-DU tables plus the per-DU decomposed scheduler.
 
     A refresh solves one `DuTables` for the whole template and builds no
-    per-DU object. `act` is `decomposed_schedule` at the agent's own price,
+    per-DU object, unless its `TableShare` (one per `make_agents` call)
+    holds a solve of the same priced problem over all of the agent's kinds,
+    which it then reuses or gathers; `solves` counts the inductions its
+    refreshes ran. `act` is `decomposed_schedule` at the agent's own price,
     the tables' solved price, so it is a lookup of their best sends
     (`DuTables.solved_sends`); `table_sends` gathers the same entries for
     many rows at once. Other prices (`act_at` elsewhere, `price_response`)
     are evaluated by `decomposed_response`.
     """
 
-    def __init__(self, user: UserConfig, view: ChannelView, discount: float):
-        if user.min_quality > 0:
-            raise ModelError(
-                f"user {user.name}: quality floors need the full solver, "
-                "the decomposed scheduler does not support them")
+    def __init__(self, user: UserConfig, view: ChannelView, discount: float,
+                 share: TableShare | None = None):
+        refuse_floor(user, "the decomposed scheduler")
         super().__init__(user, view, discount)
         self.tables = None
-        self.resolves = 0                # solves made by refresh
+        self.share = TableShare() if share is None else share
 
     def refresh(self, price_vec: np.ndarray) -> None:
         price = np.array(price_vec, dtype=float)
         if self.tables is not None and price.tolist() == self.tables.price:
             return
-        self.tables = build_du_tables(self.template, self.view, self.discount, price)
+        problem = priced_problem(self.template.window, self.view, self.discount, price)
+        tables = self.share.lookup(problem, self.template, self.view, self.discount, price)
+        if tables is None:
+            tables = self.share.keep(problem, build_du_tables(self.template, self.view,
+                                                              self.discount, price))
+            self.solves += 1
+        self.tables = tables
         self.price_vec = price
-        self.resolves += 1
 
     def table_sends(self, context, buffers: np.ndarray, views: np.ndarray) -> np.ndarray:
         """`act` at every row: slot i of row k sends best_send[age, row +
@@ -146,8 +162,7 @@ class FullMdpAgent(PricedAgent):
         self.mdp = UserMdp(user.template, view, user.beta, user.min_quality,
                            bits_per_packet, discount)
         self.table = None
-        self.resolves = 0                # solves made by refresh
-        self.steps = 0                   # their improvement steps in total
+        self.steps = 0                   # the solves' improvement steps in total
 
     def refresh(self, price_vec: np.ndarray) -> None:
         if self.table is not None and np.array_equal(price_vec, self.price_vec):
@@ -155,7 +170,7 @@ class FullMdpAgent(PricedAgent):
         price = np.array(price_vec, dtype=float)
         self.table = self.mdp.solve(price, tol=1e-7, init=self.table)
         self.price_vec = price
-        self.resolves += 1
+        self.solves += 1
         self.steps += self.table.steps
 
     def act(self, context, buffer, view_state: int) -> ScheduleAction:
@@ -227,6 +242,7 @@ class DriftAgent(PricedAgent):
     """Queue-drift demand: price-responsive, blind to impacts and deadlines."""
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float):
+        refuse_floor(user, "the drift scheduler")
         super().__init__(user, view, discount)
         t = user.template
         # mean packets entering the context at the next slot, per phase
@@ -259,10 +275,14 @@ class DriftAgent(PricedAgent):
 
 def make_agents(scenario: ScenarioConfig, kind: str,
                 rng: np.random.Generator | None = None) -> list:
+    """One agent of `kind` per user; decomposed agents share one `TableShare`."""
     views = build_views(scenario)
-    if kind in ("decomposed", "drift"):
-        agent = DecomposedAgent if kind == "decomposed" else DriftAgent
-        return [agent(u, v, scenario.discount) for u, v in zip(scenario.users, views)]
+    if kind == "decomposed":
+        share = TableShare()
+        return [DecomposedAgent(u, v, scenario.discount, share)
+                for u, v in zip(scenario.users, views)]
+    if kind == "drift":
+        return [DriftAgent(u, v, scenario.discount) for u, v in zip(scenario.users, views)]
     if kind == "full":
         return [FullMdpAgent(u, v, scenario.bits_per_packet, scenario.discount)
                 for u, v in zip(scenario.users, views)]
@@ -580,11 +600,16 @@ class PairedSolution(Solution):
 
     Capacities come from `proposed`'s sends on the current states, or, when
     there is none, from the myopic impact-proportional static shares. The
-    myopic baseline is static shares with EDF filling.
+    myopic baseline is static shares with EDF filling. Static shares ignore
+    quality floors, so without `proposed` a user with one raises
+    `ModelError`.
     """
 
     def __init__(self, scenario: ScenarioConfig, scheduler: str,
                  proposed: ProposedSolution | None = None):
+        if proposed is None:
+            for u in scenario.users:
+                refuse_floor(u, "a static-share allocation")
         self.scenario = scenario
         self.rank = SIMPLE_SCHEDULERS[scheduler]
         self.proposed = proposed
@@ -644,11 +669,15 @@ class PairedSolution(Solution):
 
 
 class LyapunovSolution(PricedRuntime):
-    """Drift-based demands run through the proposed allocation mechanism."""
+    """Drift-based demands run through the proposed allocation mechanism;
+    the drift scheduler ignores quality floors, so a user with one raises
+    `ModelError`."""
 
     name = "lyapunov"
 
     def __init__(self, scenario: ScenarioConfig, proposed: ProposedSolution):
+        for u in scenario.users:
+            refuse_floor(u, "the drift scheduler")
         super().__init__(scenario, clearing=proposed.clearing)
         self.proposed = proposed
 

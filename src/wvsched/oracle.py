@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
@@ -313,24 +314,40 @@ def _max_values(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
 PAIR_CAP = 5_000_000
 
 
+def _product_counts(space: JointSpace, actions: Sequence[tuple], jphase: int) -> np.ndarray:
+    """Each joint state's pair count in the phase's `_joint_products`, in
+    state order, without building them: the product of the users' action
+    counts at their local traffic states (user 0 most significant), the
+    same at every c0."""
+    sizes = []
+    for lay, (_, _, group_start) in zip(space.layouts, actions):
+        p = jphase % lay.period
+        sizes.append(np.diff(group_start[lay.base[p]:lay.base[p] + lay.phase_count(p) + 1]))
+    return np.repeat(reduce(np.multiply.outer, sizes).ravel(), len(space.c0_states))
+
+
 def _joint_pairs(space: JointSpace, actions: Sequence[tuple], users: Sequence[UserRows],
                  bandwidth: float | None, pair_cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Every joint phase's `_joint_products`, phase after phase, keeping
     only the pairs whose band usage fits `bandwidth` unless it is None.
-    Raises ModelError, before the next phase is built, at the first state
-    without a pair or the first whose pairs pass `pair_cap`, in state order."""
+    Raises ModelError at the first state without a pair or the first whose
+    pairs pass `pair_cap`, in state order: before the next phase is built,
+    and, unfiltered (`bandwidth` None), before the phase itself is, from
+    its `_product_counts`."""
     nc = len(space.c0_states)
     states, rows = [], []
     pairs = 0
     for jp in range(space.period):
-        state, row = _joint_products(space, actions, jp)
-        if bandwidth is not None:
+        first = space.base[jp] * nc
+        if bandwidth is None:
+            counts = _product_counts(space, actions, jp)
+        else:
+            state, row = _joint_products(space, actions, jp)
             keep = _band_usage(space, users, state, row) <= bandwidth + 1e-9
             state, row = state[keep], row[:, keep]
+            counts = np.bincount(state - first, minlength=math.prod(space.counts[jp]) * nc)
         # the first state without a feasible pair, or the first whose pairs
         # pass the cap, in state order
-        first = space.base[jp] * nc
-        counts = np.bincount(state - first, minlength=math.prod(space.counts[jp]) * nc)
         empty = np.flatnonzero(counts == 0)
         over = np.flatnonzero(pairs + np.cumsum(counts) > pair_cap)
         if len(empty) and (not len(over) or empty[0] < over[0]):
@@ -340,6 +357,8 @@ def _joint_pairs(space: JointSpace, actions: Sequence[tuple], users: Sequence[Us
                 "(quality floors exceed the band)")
         if len(over):
             raise ModelError(f"joint state-action pairs exceed cap {pair_cap}")
+        if bandwidth is None:
+            state, row = _joint_products(space, actions, jp)
         pairs += len(state)
         states.append(state)
         rows.append(row)

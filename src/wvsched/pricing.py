@@ -234,6 +234,8 @@ class PricedAgent:
     calls `act_at`, so an agent with `act_at` alone clears too.
     """
 
+    solves = 0       # the solves its refreshes ran; 0 for an agent that solves nothing
+
     def __init__(self, user: UserConfig, view: ChannelView, discount: float):
         self.user = user
         self.template = user.template
@@ -315,6 +317,7 @@ class CoordinationReport:
     eval_decisions: int = 0               # distinct slot decisions computed there
     eval_transitions: int = 0             # (slot state, draw outcome) successors it recorded
     refreshes: list[int] = field(default_factory=list)  # per agent, refreshes the loop's gate passed
+    solves: list[int] = field(default_factory=list)     # per agent, the solves those refreshes ran
 
 
 # price updates per settle sweep of one state (see state_settled)
@@ -348,6 +351,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
     stale = [True] * len(agents)         # moved since the refresh gate last saw it
     last_price_vec = [None] * len(agents)
     refreshes = [0] * len(agents)
+    solves = [a.solves for a in agents]
     refresh_gate = tolerance / 10.0
     # per updated state, the price moves and the prices of its last
     # SWEEP_FACTOR + 1 updates
@@ -355,6 +359,8 @@ def run_coordination(agents: Sequence[PricedAgent], *,
     unsettled: set[tuple[int, ...]] = set()
     converged = False
     slots = 0
+    # each agent's view state of the current slot, computed once a slot
+    views = [a.view.view_state(system.s0) for a in agents]
 
     def state_settled(moves: deque, lams: deque) -> bool:
         # a state is settled once a full sweep of its updates are each small
@@ -381,7 +387,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
 
         s0 = system.s0
         contexts = system.contexts
-        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
+        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth, views)
         lam_before = table.get(s0)
         update_prices(table, s0, requests, bandwidth)
         lam = table.get(s0)
@@ -406,10 +412,12 @@ def run_coordination(agents: Sequence[PricedAgent], *,
 
         # the next channel state is drawn before the traffic: observers need it
         s0_next = joint.step(s0, rng)
-        for i, agent in enumerate(agents):
-            agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),
-                          sent[i], agent.view.view_state(s0_next))
+        next_views = [a.view.view_state(s0_next) for a in agents]
+        for agent, ctx, buf, v, act, v_next in zip(agents, contexts, system.buffers, views,
+                                                   sent, next_views):
+            agent.observe(ctx, buf, v, act, v_next)
         system.advance(sent, s0_next)
+        views = next_views
 
         if not unsettled:
             converged = True
@@ -424,6 +432,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
         price_trace_dropped=table.updates - len(table.history),
         exchange_messages_per_slot=2 * len(agents),  # one price + one request per user
         refreshes=refreshes,
+        solves=[a.solves - before for a, before in zip(agents, solves)],
     )
     if not converged:
         raise CoordinationError(
@@ -450,13 +459,16 @@ def run_coordination(agents: Sequence[PricedAgent], *,
 
 
 def slot_requests(agents: Sequence[PricedAgent], system: SlotSystem,
-                  bits_per_packet: float,
-                  bandwidth: float) -> tuple[list[float], list[ScheduleAction]]:
+                  bits_per_packet: float, bandwidth: float,
+                  views: Sequence[int] | None = None) -> tuple[list[float], list[ScheduleAction]]:
     """Each user's band request at its priced action in the system's current
-    slot, and the actions scaled to fit the band."""
+    slot, and the actions scaled to fit the band. `views` are the agents'
+    view states of that slot, computed here if None."""
     s0 = system.s0
-    actions = [a.act(ctx, buf, a.view.view_state(s0))
-               for a, ctx, buf in zip(agents, system.contexts, system.buffers)]
+    if views is None:
+        views = [a.view.view_state(s0) for a in agents]
+    actions = [a.act(ctx, buf, v)
+               for a, ctx, buf, v in zip(agents, system.contexts, system.buffers, views)]
     rates = [a.channel.rate[h] for a, h in zip(agents, s0)]
     requests = [act.total * bits_per_packet / r for act, r in zip(actions, rates)]
     return requests, scale_to_budget(system.contexts, actions, rates, bits_per_packet,

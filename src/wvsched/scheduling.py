@@ -13,6 +13,15 @@ decision at the solved price and discount is a lookup of its kinds'
 `decomposed_response` evaluates it from slices of the layout-wide `post`.
 Prices and discounts enter as floats and margins are float64, as in the
 induction, so the two agree wherever the values are equal.
+
+The induction solves each kind's rows alone, so agents priced alike share
+it (`TableShare`): the decomposed agents of one `harness.make_agents` call
+hold one share, and a refresh whose priced problem (window, view
+transition, discount and price vector) equals one the share has just solved
+for a layout holding all of the agent's kinds takes that solve's arrays, or
+gathers its kinds' row blocks, instead of solving. Users on one common
+channel at equal rates get equal price vectors, so a refresh round of such
+users whose kinds are all among the first user's costs one induction.
 """
 
 from __future__ import annotations
@@ -169,6 +178,82 @@ def build_du_tables(template: GopTemplate, view: ChannelView, discount: float,
     return DuTables(template, view, discount, price.tolist(),
                     *backward_induction(template.du_layout, template.window, view, discount,
                                         price))
+
+
+def priced_problem(window: int, view: ChannelView, discount: float,
+                   price: np.ndarray) -> tuple:
+    """What `backward_induction` reads besides the layout, exactly: the
+    window, the discount's bits, the dtype, shape, strides and bytes of the
+    view's transition (the strides choose the matrix product's kernel) and
+    the price array's dtype, shape and bytes."""
+    t = view.transition
+    return (int(window), float(discount).hex(), t.dtype.str, t.shape, t.strides, t.tobytes(),
+            price.dtype.str, price.shape, price.tobytes())
+
+
+class TableShare:
+    """The `DuTables` solved at the last priced problem, shared by the
+    agents that would solve the same rows.
+
+    `backward_induction` solves each kind's rows alone, so a kind's rows of
+    one solve are those of any other solve at the same `priced_problem` that
+    holds the kind. `lookup` answers a template at the kept problem from the
+    first kept solve whose layout holds all of its kinds: with that solve's
+    arrays if the kinds are equal, in equal order, else with a gather of its
+    kinds' row blocks. `keep` records a new solve, dropping the kept ones
+    if its problem differs. Kinds match on their impact's exact bits, as a
+    0.0 and a -0.0 impact give margins of different bytes.
+    """
+
+    def __init__(self):
+        self._problem: tuple | None = None
+        self._solved: list[DuTables] = []
+        self._picks: dict[tuple[DuLayout, DuLayout], tuple | None] = {}
+
+    def lookup(self, problem: tuple, template: GopTemplate, view: ChannelView,
+               discount: float, price: np.ndarray) -> DuTables | None:
+        """`build_du_tables(template, view, discount, price)`, whose
+        `priced_problem` is `problem`, from a kept solve, or None if no kept
+        solve holds it."""
+        if problem != self._problem:
+            return None
+        for solved in self._solved:
+            pick = self._pick(solved.layout, template.du_layout)
+            if pick is None:
+                continue
+            arrays = solved.values, solved.post, solved.best_send, solved.margin
+            if pick:
+                kinds, rows = pick
+                arrays = (*(a.take(rows, axis=1) for a in arrays[:3]),
+                          solved.margin.take(kinds, axis=0))
+            return DuTables(template, view, discount, price.tolist(), *arrays)
+        return None
+
+    def keep(self, problem: tuple, tables: DuTables) -> DuTables:
+        """Record `tables`, solved at `problem`, and return it."""
+        if problem != self._problem:
+            self._problem, self._solved = problem, []
+        self._solved.append(tables)
+        return tables
+
+    def _pick(self, solved: DuLayout, layout: DuLayout) -> tuple | None:
+        """`layout`'s kinds and rows within `solved`: () if the kinds are
+        equal, in equal order, None if one is missing. Kept per pair."""
+        key = (solved, layout)
+        if key not in self._picks:
+            have = {(float(q).hex(), cap): k for k, (q, cap) in enumerate(solved.kinds)}
+            want = [have.get((float(q).hex(), cap)) for q, cap in layout.kinds]
+            if None in want:
+                pick = None
+            elif want == list(range(len(solved.kinds))):
+                pick = ()
+            else:
+                kinds = np.array(want, dtype=np.intp)
+                pick = kinds, np.concatenate([np.arange(solved.row_start[k],
+                                                        solved.row_start[k + 1])
+                                              for k in kinds])
+            self._picks[key] = pick
+        return self._picks[key]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,15 @@ def drift_objective(backlog: int, sends: int, expected_arrivals: float,
     return (1.0 - delta) * (u - price * sends) + delta * cont
 
 
+def assert_same_tables(got, want) -> None:
+    """Two `DuTables` with equal solved prices, and equal dtypes, shapes
+    and bytes of every array."""
+    assert got.price == want.price
+    for name in ("values", "post", "best_send", "margin"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 @pytest.fixture(scope="session")
 def trio_results():
     """Solve the three oracle-scale fixtures once: coordination + oracle + exact values."""

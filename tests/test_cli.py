@@ -37,7 +37,9 @@ def test_run_proposed_emits_price_trace(tmp_path):
     assert len(rows) > 5
 
 
-def test_run_proposed_prints_the_coordination_refreshes(tmp_path, capsys, monkeypatch):
+def _run_coordination_report(name, tmp_path, capsys, monkeypatch):
+    """`wvsched run` of `name` on tiny-sym: its coordination report and
+    what it printed."""
     reports = []
     run = pricing.run_coordination
 
@@ -47,12 +49,31 @@ def test_run_proposed_prints_the_coordination_refreshes(tmp_path, capsys, monkey
         return out
 
     monkeypatch.setattr(harness, "run_coordination", kept)
-    assert main(["run", "--scenario", "tiny-sym", "--solution", "proposed-full",
+    assert main(["run", "--scenario", "tiny-sym", "--solution", name,
                  "--slots", "10", "--out", str(tmp_path)]) == 0
     (report,) = reports
+    return report, capsys.readouterr().out
+
+
+def test_run_proposed_prints_the_coordination_refreshes(tmp_path, capsys, monkeypatch):
+    """`wvsched run` prints the loop's refreshes and their solves per user,
+    one solve per refresh for the full agents."""
+    report, out = _run_coordination_report("proposed-full", tmp_path, capsys, monkeypatch)
     assert len(report.refreshes) == 2 and min(report.refreshes) >= 1
+    assert report.solves == report.refreshes
     assert (f"coordination: {report.slots_run} slots, policy refreshes per user "
-            f"{report.refreshes[0]}, {report.refreshes[1]}\n") in capsys.readouterr().out
+            f"{report.refreshes[0]}, {report.refreshes[1]}, solves per user "
+            f"{report.solves[0]}, {report.solves[1]}\n") in out
+
+
+def test_run_proposed_prints_the_solves_its_users_share(tmp_path, capsys, monkeypatch):
+    """tiny-sym's decomposed users are priced alike and have equal kinds, so
+    the second reuses every solve of the first and makes none itself."""
+    report, out = _run_coordination_report("proposed", tmp_path, capsys, monkeypatch)
+    assert report.refreshes[0] == report.refreshes[1] >= 1
+    assert report.solves == [report.refreshes[0], 0]
+    assert (f"policy refreshes per user {report.refreshes[0]}, {report.refreshes[1]}, "
+            f"solves per user {report.solves[0]}, 0\n") in out
 
 
 def test_run_warns_when_the_price_history_was_truncated(tmp_path, capsys, monkeypatch):

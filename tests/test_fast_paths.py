@@ -47,7 +47,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ThresholdAgent, context_edges, drift_objective
+from conftest import ThresholdAgent, assert_same_tables, context_edges, drift_objective
 from wvsched import harness, oracle, pricing, scheduling
 from wvsched.baselines import lyapunov_action, scale_rows_up_to_budget, scale_up_to_budget
 from wvsched.harness import (
@@ -699,6 +699,7 @@ def reference_run_coordination(agents, *, bandwidth, bits_per_packet, correlatio
     system = SlotSystem([a.template for a in agents], joint, rng)
     last_price_vec = [None] * len(agents)
     refreshes = [0] * len(agents)
+    solves = [a.solves for a in agents]
     refresh_gate = tolerance / 10.0
     windows = {}
     converged = False
@@ -743,7 +744,8 @@ def reference_run_coordination(agents, *, bandwidth, bits_per_packet, correlatio
         prices=dict(table.lam), counts=dict(table.counts), slots_run=slots,
         converged=converged, price_trace=list(table.history),
         price_trace_dropped=table.updates - len(table.history),
-        exchange_messages_per_slot=2 * len(agents), refreshes=refreshes)
+        exchange_messages_per_slot=2 * len(agents), refreshes=refreshes,
+        solves=[a.solves - before for a, before in zip(agents, solves)])
     if not converged:
         raise pricing.CoordinationError("reference did not settle", report)
     for agent in agents:
@@ -783,8 +785,8 @@ def pmfs(draw_, max_size=8):
 
 
 @st.composite
-def channels(draw_, max_states=3):
-    n = draw_(st.integers(1, max_states))
+def channels(draw_, max_states=3, min_states=1):
+    n = draw_(st.integers(min_states, max_states))
     rows = []
     for _ in range(n):
         w = draw_(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
@@ -2576,6 +2578,126 @@ def test_incremental_coordination_equals_full_recomputation(name, view_kind, kin
 
 
 # ---------------------------------------------------------------------------
+# Shared inductions
+# ---------------------------------------------------------------------------
+
+def assert_own_tables(agent) -> None:
+    """The agent's tables equal its own `build_du_tables` at its price."""
+    assert_same_tables(agent.tables, build_du_tables(agent.template, agent.view,
+                                                     agent.discount, agent.price_vec))
+
+
+@st.composite
+def kind_sharing_scenarios(draw_):
+    """Scenarios of 2-3 users whose DU kinds are equal to the first user's
+    (one template, or its DUs in reverse order, which reverses the kinds),
+    nested in them (a prefix of its DUs, shorter where it can be), disjoint
+    from them (impacts moved past every drawn one) or drawn apart, on one
+    common channel at equal or unequal rates, in any user order. One in four
+    rides independent channels of one state count, 2 or 3, whose own views
+    differ in their transitions."""
+    base = draw_(small_templates(max_dus=3))
+    relation = draw_(st.sampled_from(["equal", "reversed", "nested", "disjoint", "drawn"]))
+    common = draw_(st.integers(0, 3)) > 0
+    shared = draw_(channels(min_states=1 if common else 2))
+    unequal = draw_(st.booleans())
+    users = []
+    for i in range(draw_(st.integers(2, 3))):
+        tpl = base
+        if i and relation == "reversed":
+            tpl = GopTemplate(base.dus[::-1], base.period, base.window)
+        elif i and relation == "nested":
+            tpl = GopTemplate(base.dus[:draw_(st.integers(1, max(1, len(base.dus) - 1)))],
+                              base.period, base.window)
+        elif i and relation == "disjoint":
+            tpl = GopTemplate([replace(du, distortion_impact=du.distortion_impact + 20.0 * i)
+                               for du in base.dus], base.period, base.window)
+        elif i and relation == "drawn":
+            tpl = draw_(small_templates(max_dus=3))
+        ch = shared if common else draw_(channels(len(shared), len(shared)))
+        if unequal:
+            ch = ChannelModel(ch.names, ch.gain, ch.rate * (1.0 + 0.5 * i), ch.transition)
+        users.append(UserConfig(f"u{i}", tpl, ch))
+    order = draw_(st.permutations(range(len(users))))
+    return ScenarioConfig("shared", tuple(users[i] for i in order),
+                          bandwidth=draw_(st.sampled_from([0.5, 1.0, 3.0])),
+                          discount=draw_(st.sampled_from([0.0, 0.5, 0.9])),
+                          price_tolerance=0.05,
+                          channel_correlation="common" if common else "independent")
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(kind_sharing_scenarios(), values_)
+def test_shared_inductions_equal_each_agents_own_solve(sc, lam):
+    """After every refresh of a short coordination, and of a re-pricing at
+    one band price `lam` as `mu-mdp` makes (equal vectors on independent
+    channels with equal rates, whose transitions differ), each decomposed
+    agent's tables equal its own `build_du_tables`, byte for byte, whether
+    they were solved, reused or gathered from another agent's solve; no
+    agent solves more often than its tables change. In the coordination,
+    users priced alike on a common channel whose kinds the first user's
+    hold solve nothing."""
+    agents = make_agents(sc, "decomposed")
+    changed = [0] * len(agents)
+    for i, agent in enumerate(agents):
+        def refresh(vec, i=i, agent=agent, solve=agent.refresh):
+            before = agent.tables
+            solve(vec)
+            changed[i] += agent.tables is not before
+            for a in agents:
+                if a.tables is not None:
+                    assert_own_tables(a)
+        agent.refresh = refresh
+    try:
+        pricing.run_coordination(agents, bandwidth=sc.bandwidth,
+                                 bits_per_packet=sc.bits_per_packet,
+                                 correlation=sc.channel_correlation,
+                                 tolerance=sc.price_tolerance, max_slots=40, eval_slots=20,
+                                 rng=np.random.default_rng(0))
+    except pricing.CoordinationError:
+        pass
+    assert all(a.solves <= n for a, n in zip(agents, changed))
+    coordinated = [a.solves for a in agents]
+    for a in agents:
+        a.refresh(lam * sc.bits_per_packet / np.asarray(a.view.rate))
+    assert all(a.solves <= n for a, n in zip(agents, changed))
+    first = agents[0]
+    if sc.channel_correlation == "common" and all(
+            (u.channel.rate == sc.users[0].channel.rate).all() for u in sc.users):
+        for a in agents[1:]:
+            if (a.template.window == first.template.window
+                    and set(a.template.du_layout.kinds) <= set(first.template.du_layout.kinds)):
+                assert coordinated[agents.index(a)] == 0
+
+
+def test_gop16_coordination_is_the_same_when_each_agent_solves_alone(monkeypatch):
+    """gop16-default's coordination with shared inductions equals, byte for
+    byte, one where each agent solves its own tables (a share that never
+    answers): prices, update counts and history, the report but for its
+    solves, and every agent's tables. Shared, the second user solves
+    nothing."""
+    sc = preset("gop16-default")
+
+    def prepared():
+        sol = ProposedSolution(sc)
+        sol.prepare(np.random.default_rng(sc.seed))
+        return sol
+
+    shared = prepared()
+    monkeypatch.setattr(scheduling.TableShare, "lookup", lambda self, *args: None)
+    alone = prepared()
+    assert shared.report.solves == [shared.report.refreshes[0], 0]
+    assert alone.report.solves == alone.report.refreshes == shared.report.refreshes
+    assert replace(shared.report, solves=[]) == replace(alone.report, solves=[])
+    assert (shared.prices.lam, shared.prices.counts, shared.prices.history) == \
+        (alone.prices.lam, alone.prices.counts, alone.prices.history)
+    for a, b in zip(shared.agents, alone.agents):
+        assert a.price_vec.tobytes() == b.price_vec.tobytes()
+        assert_same_tables(a.tables, b.tables)
+        assert_own_tables(a)
+
+
+# ---------------------------------------------------------------------------
 # Joint kernel
 # ---------------------------------------------------------------------------
 
@@ -2649,6 +2771,24 @@ def test_joint_kernel_callers_equal_pair_loop(inst):
         got, _ = oracle.joint_value_of(sc, mixed_rule)
     assert_same_kernel(built, kernel, reward, starts)
     assert got.tobytes() == values.tobytes()
+
+
+@settings(max_examples=EXAMPLES // 6, deadline=None)
+@given(joint_scenarios())
+def test_product_counts_are_the_built_phases_counts(inst):
+    """`oracle._product_counts`, which the unfiltered enumeration checks
+    against the pair cap before it builds a phase, gives every joint
+    state's pair count in each phase's `_joint_products`, on generated
+    instances with quality floors."""
+    sc, _ = inst
+    space = JointSpace(sc)
+    actions, _ = oracle._action_rows(space, sc)
+    nc = len(space.c0_states)
+    for jp in range(space.period):
+        state, _ = oracle._joint_products(space, actions, jp)
+        built = np.bincount(state - space.base[jp] * nc,
+                            minlength=int(np.prod(space.counts[jp])) * nc)
+        assert np.array_equal(oracle._product_counts(space, actions, jp), built)
 
 
 @pytest.mark.parametrize("name", ["myopic", "myopic+fifo", "myopic+hdf", "proposed",

@@ -368,6 +368,21 @@ def test_oracle_rejects_floors_above_the_band():
                               "(quality floors exceed the band)")
 
 
+@pytest.mark.parametrize("name", ["myopic", "static+fifo", "myopic+hdf", "lyapunov"])
+def test_rules_that_ignore_quality_floors_refuse_them(name):
+    """The static-share rules and the drift scheduler never read a quality
+    floor, so building one for a scenario with a floor raises `ModelError`
+    naming the user, as the decomposed and learning agents do; so does a
+    drift agent. With the floor at 0 they build."""
+    sc = preset("tiny-sym")
+    floored = replace(sc, users=(sc.users[0], replace(sc.users[1], min_quality=0.5)))
+    with pytest.raises(ModelError, match=f"^user {sc.users[1].name}: quality floors need"):
+        build_solution(floored, name)
+    with pytest.raises(ModelError, match=f"^user {sc.users[1].name}: quality floors need"):
+        harness.make_agents(floored, "drift")
+    assert build_solution(sc, name).name == name
+
+
 def test_oracle_pair_cap_is_checked_before_the_kernel(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("kernel built past the pair cap")
@@ -380,11 +395,16 @@ def test_oracle_pair_cap_is_checked_before_the_kernel(monkeypatch):
 
 def test_penalized_value_pair_cap_is_checked_before_the_kernel(monkeypatch):
     """The dual enumerates its pairs under the oracle's `PAIR_CAP`, and
-    raises at it instead of building every pair."""
+    raises at it before it builds any pair: its pairs are unfiltered, so
+    tiny-sym's one phase is known to hold 2,592 before it is built."""
     def no_kernel(*args, **kwargs):
         raise AssertionError("kernel built past the pair cap")
 
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("pairs built past the pair cap")
+
     monkeypatch.setattr(oracle, "build_joint_kernel", no_kernel)
+    monkeypatch.setattr(oracle, "_joint_products", no_pairs)
     monkeypatch.setattr(oracle, "PAIR_CAP", 100)
     with pytest.raises(ModelError) as exc:
         oracle.penalized_joint_value(preset("tiny-sym"), {})
@@ -408,7 +428,7 @@ def test_priced_full_coordination_re_solves_in_few_steps(priced_results):
     assert sol.report.slots_run == 3688
     assert sol.prices.lam == {(0, 0): 0.0, (1, 1): 1.6713572602736357}
     for agent in sol.agents:
-        assert 0 < agent.resolves <= agent.steps <= 2 * agent.resolves
+        assert 0 < agent.solves <= agent.steps <= 2 * agent.solves
 
 
 def test_priced_full_coordination_keeps_its_policy_factors(priced_results):
@@ -771,8 +791,12 @@ def test_static_share_evaluation_raises_the_band_overrun_of_shares(name, monkeyp
 
 
 def test_decomposed_agents_count_the_solves_their_refreshes_make(monkeypatch):
-    """`DecomposedAgent.resolves` counts every table solve of a short gop16
-    coordination, and a refresh at an unchanged price adds none."""
+    """`DecomposedAgent.solves` counts the table solves its refreshes ran in
+    a short gop16 coordination, and a refresh at an unchanged price adds
+    none. Both users ride one channel at equal rates, so every refresh round
+    prices them alike and makes one solve: the first user's, whose kinds
+    hold the second's; the second gathers its rows from it and solves
+    nothing. `CoordinationReport.solves` counts the same solves."""
     sc = preset("gop16-default")
     solves = []
     build = harness.build_du_tables
@@ -783,17 +807,21 @@ def test_decomposed_agents_count_the_solves_their_refreshes_make(monkeypatch):
 
     monkeypatch.setattr(harness, "build_du_tables", counted)
     agents = harness.make_agents(sc, "decomposed")
-    with pytest.raises(CoordinationError):
+    with pytest.raises(CoordinationError) as err:
         run_coordination(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
                          correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
                          max_slots=60, rng=np.random.default_rng(sc.seed))
+    report = err.value.report
+    first, second = agents
+    assert set(second.template.du_layout.kinds) < set(first.template.du_layout.kinds)
+    assert report.solves == [first.solves, 0] == [report.refreshes[0], second.solves]
+    assert 1 < first.solves <= 60 and report.refreshes[1] == report.refreshes[0]
     for agent in agents:
         made = sum(v is agent.view for v in solves)
-        assert agent.resolves == made
-        assert 1 < made <= 60
+        assert agent.solves == made
         agent.refresh(agent.price_vec.copy())
-        assert agent.resolves == made
-    assert len(solves) == sum(a.resolves for a in agents)
+        assert agent.solves == made
+    assert len(solves) == sum(a.solves for a in agents)
 
 
 @pytest.mark.parametrize("kind", ["decomposed", "full", "pds", "drift"])
@@ -810,12 +838,12 @@ def test_refresh_keeps_its_own_copy_of_the_price_vector(kind):
     agent.refresh(price)
     assert agent.price_vec.tolist() == price.tolist() and agent.price_vec is not price
     if kind == "decomposed":
-        assert agent.resolves == 2
+        assert agent.solves == 2
         impacts = sc.users[0].template.du_layout.impacts
         assert agent.tables.margin[:, 0].tolist() == \
             ((1.0 - sc.discount) * (impacts - 50.0)).tolist()
     if kind == "full":
-        assert agent.resolves == 2
+        assert agent.solves == 2
         assert agent.table.price.tolist() == price.tolist() and agent.table.price is not price
 
 

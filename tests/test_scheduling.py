@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_tables
 from wvsched.harness import DecomposedAgent
 from wvsched.mdp import common_view
 from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig
 from wvsched.scheduling import (
     SIMPLE_SCHEDULERS,
     SingleDuModel,
+    TableShare,
     build_du_tables,
     decomposed_schedule,
     fill,
     packet_capacities,
+    priced_problem,
 )
 
 EXAMPLES = {"joint_optimum": 1400, "capacity_respect": 1200}
@@ -77,6 +80,45 @@ def test_du_tables_reject_malformed_prices(price):
     with pytest.raises(ModelError, match="price"):
         agent.refresh(price)
     assert agent.tables is tables and agent.price_vec.tolist() == [1.0, 2.0]
+
+
+def test_table_share_answers_only_the_problem_it_solved():
+    """A `TableShare` answers a template whose kinds a kept solve holds, at
+    an equal window, transition, discount and price: with the solve's own
+    arrays when the kinds are equal, in order, and with a gather of its rows
+    for a subset in another order, equal to the template's own solve. A
+    different window, transition (also one laid out in Fortran order),
+    discount or price, a kind it lacks, or an impact that differs only in
+    the sign of a zero, misses; and a solve at a new problem drops the
+    kept ones."""
+    view, price = make_view(), np.array([1.5, 4.0])
+    big = GopTemplate([du(0, 9.0, 0, 4), du(1, 0.0, 1, 2, (0,)), du(2, 3.0, 1, 3)], 2, 2)
+    equal = GopTemplate([du(0, 9.0, 0, 4), du(1, 0.0, 1, 2), du(2, 3.0, 1, 3)], 2, 2)
+    subset = GopTemplate([du(0, 3.0, 0, 3), du(1, 9.0, 1, 4)], 2, 2)
+    share = TableShare()
+
+    def lookup(tpl, v=view, delta=0.9, p=price):
+        return share.lookup(priced_problem(tpl.window, v, delta, p), tpl, v, delta, p)
+
+    assert lookup(big) is None
+    solved = share.keep(priced_problem(2, view, 0.9, price),
+                        build_du_tables(big, view, 0.9, price))
+    got = lookup(equal)
+    assert got.values is solved.values and got.best_send is solved.best_send
+    assert_same_tables(got, build_du_tables(equal, view, 0.9, price))
+    assert_same_tables(lookup(subset), build_du_tables(subset, view, 0.9, price))
+    other = common_view(ChannelModel(["good", "bad"], [1.4, 1.4], [6.0, 3.0],
+                                     [[0.6, 0.4], [0.4, 0.6]]), 1)
+    fortran = make_view()
+    fortran.transition = np.asfortranarray(fortran.transition)
+    assert fortran.transition.tobytes() == view.transition.tobytes()
+    for args in [(GopTemplate(subset.dus, 2, 3),), (subset, other), (subset, fortran),
+                 (subset, view, 0.5), (subset, view, 0.9, np.array([1.5, 4.5])),
+                 (GopTemplate([du(0, 9.0, 0, 5)], 2, 2),),
+                 (GopTemplate([du(0, 9.0, 0, 4), du(1, -0.0, 1, 2)], 2, 2),)]:
+        assert lookup(*args) is None
+    share.keep(priced_problem(2, view, 0.5, price), build_du_tables(big, view, 0.5, price))
+    assert lookup(subset) is None
 
 
 def _joint_best(impacts, buffers, lam):
