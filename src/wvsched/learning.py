@@ -187,8 +187,12 @@ class DuPdsLearner(PdsValueTable):
              discount: float) -> tuple[float, int]:
         """max over y = 0..x of margin * y + discount * continuation(age, x - y)
         and its smallest exact maximiser."""
-        vals = [margin * y + discount * self.continuation(age, x - y, view_state)
-                for y in range(x + 1)]
+        if age >= self.window - 1:               # the expiring age is terminal
+            vals = [margin * y + discount * 0.0 for y in range(x + 1)]
+        else:
+            get = self.u.get
+            vals = [margin * y + discount * get((age, x - y, view_state), 0.0)
+                    for y in range(x + 1)]
         top = max(vals)
         return top, vals.index(top)
 

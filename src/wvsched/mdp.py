@@ -397,10 +397,16 @@ class UserMdp:
         self.ta_state, self.ta_sends, self.group_start = action_table(
             self.layout, self.min_quality, pair_budget)
         self.n_ta = len(self.ta_state)
-        self.ta_total, self.ta_gain, self.payoff_table, post = row_terms(
+        self.ta_total, self.ta_gain, payoff, post = row_terms(
             self.layout, self.ta_state, self.ta_sends, view.gain, self.beta)
-        # Payoff without the price term, already scaled by (1 - delta).
-        self.base_reward = (1.0 - self.discount) * self.payoff_table
+        # The priced arrays are stored view-major, (view states, rows), and
+        # handed out as their (rows, view states) transposes; payoff_table
+        # too: payoff_table[ta, v] is row ta's payoff in view state v.
+        self.payoff_table = np.ascontiguousarray(payoff.T).T
+        # Payoff without the price term, already scaled by (1 - delta), and
+        # the packets the price term charges, as floats.
+        self._base_reward = (1.0 - self.discount) * self.payoff_table.T
+        self._packets = self.ta_total.astype(float)
         self.traffic_kernel = entering_kernel(
             self.layout, np.split(post, self.group_start[list(self.layout.base[1:])]))
         row_sums = np.asarray(self.traffic_kernel.sum(axis=1)).ravel()
@@ -410,8 +416,14 @@ class UserMdp:
         # warm re-solve mostly re-evaluates one policy at new prices.
         self._chain = None
         self.factorizations = 0          # LU factors built
-        # every row's position, a column, for `_best`'s first-maximiser pass
-        self._rows = np.arange(self.n_ta, dtype=np.int64)[:, None]
+        # `_best` passes over k view-major rows of Q at once, reading the
+        # first k view states' share of: each group's flat start and size,
+        # and the flat start of its view state's rows
+        n_view, n_traffic = len(view), self.layout.n_traffic
+        view_rows = np.arange(n_view, dtype=np.int64) * self.n_ta
+        self._starts = (self.group_start[:-1] + view_rows[:, None]).ravel()
+        self._sizes = np.tile(np.diff(self.group_start), n_view)
+        self._view_rows = np.repeat(view_rows, n_traffic)
         # `ValueTable.action_of`'s lookups, kept across re-solves: each checked
         # (phase, buffer)'s traffic index and each action-table row's action
         self._traffic_index: dict[tuple, int] = {}
@@ -424,15 +436,24 @@ class UserMdp:
         return self.layout.n_traffic * len(self.view)
 
     def priced_reward(self, price: np.ndarray) -> np.ndarray:
-        price = checked_price(self.view, price)
-        return self.base_reward - (1.0 - self.discount) * (
-            self.ta_total[:, None] * price[None, :])
+        """(1 - delta) * (u - price * |a|) per (row, view state)."""
+        return self._priced(checked_price(self.view, price)).T
+
+    def _priced(self, price: np.ndarray, views=slice(None)) -> np.ndarray:
+        """The priced reward's view-major rows of the view states `views`."""
+        return self._base_reward[views] - (1.0 - self.discount) * (
+            price[views, None] * self._packets)
 
     def continuation(self, values: np.ndarray) -> np.ndarray:
         """delta * E[V(s') | row, view state]: each row's discounted
         expectation of `values` over the channel and the entering sizes."""
+        return self._continuation(values).T
+
+    def _continuation(self, values: np.ndarray) -> np.ndarray:
+        """`continuation`, view-major."""
         mixed = values @ self.view.transition.T              # E over channel
-        return self.discount * (self.traffic_kernel @ mixed)
+        return np.multiply((self.traffic_kernel @ mixed).T, self.discount,
+                           out=np.empty((len(self.view), self.n_ta)))
 
     def q_values(self, values: np.ndarray, reward: np.ndarray) -> np.ndarray:
         return reward + self.continuation(values)
@@ -441,20 +462,25 @@ class UserMdp:
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One Bellman backup: each state's best Q, its first maximiser and
         the continuation of `values` the Qs added to `reward`."""
-        cont = self.continuation(values)
-        return (*self._best(reward + cont), cont)
+        cont = self._continuation(values)
+        best, choice = self._best(reward.T + cont)
+        return best.T, choice.T, cont.T
 
     def greedy(self, values: np.ndarray, reward: np.ndarray) -> np.ndarray:
         """First (lexicographically smallest) maximizer per state."""
-        return self._best(self.q_values(values, reward))[1]
+        return self._best(self.q_values(values, reward).T)[1].T
 
     def _best(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each traffic state's best Q and first maximising row, per column
-        of `q` (rows, columns), in one pass over all columns."""
-        starts = self.group_start[:-1]
-        vmax = np.maximum.reduceat(q, starts, axis=0)
-        hit = np.where(q >= vmax.take(self.ta_state, axis=0), self._rows, self.n_ta)
-        return vmax, np.minimum.reduceat(hit, starts, axis=0)
+        """Each traffic state's best Q and first maximising row, per
+        view-major row of `q` (k view states, rows), in one flat pass."""
+        k, q = len(q), q.ravel()
+        n = k * self.layout.n_traffic
+        starts = self._starts[:n]
+        vmax = np.maximum.reduceat(q, starts)
+        # each group holds its max: its first hit is the first at or after its start
+        hits = (q >= vmax.repeat(self._sizes[:n])).nonzero()[0]
+        first = hits[hits.searchsorted(starts)] - self._view_rows[:n]
+        return vmax.reshape(k, -1), first.reshape(k, -1)
 
     def solve(self, price: np.ndarray, tol: float = 1e-6,
               init: "ValueTable | None" = None, max_iter: int = 1_000) -> "ValueTable":
@@ -463,23 +489,24 @@ class UserMdp:
 
         The start policy is the first maximiser of the priced reward plus
         `init`'s continuation, which is `greedy(init.values, reward)`. A
-        table that `solve` returned carries the continuation of the backup
-        that chose its policy, so in the view states whose price equals the
-        table's, the start is the table's own policy, and only the moved
-        ones are maximised; a table that carries none has every view state
-        moved. Each step evaluates the policy exactly, takes one backup and
-        changes a state's action to the backup's first maximiser only where
-        the best Q beats the current one by more than tol * (1 - delta):
-        without that margin, first-maximiser improvement can cycle among
-        actions whose Qs differ only by rounding. When no state gains more,
-        the values are within tol of the optimum; they are returned with
-        the backup's first-maximiser policy and its continuation. Raises
-        ModelError after `max_iter` steps, and for an `init` that is not a
-        table of this MDP with finite values of its shape.
+        table that `solve` returned carries its priced reward and the
+        continuation of the backup that chose its policy, so in the view
+        states whose price equals the table's, the start is the table's own
+        reward and policy, and only the moved ones are re-priced and
+        maximised; a table that carries none has every view state moved.
+        Each step evaluates the policy exactly, takes one backup of every
+        view state and changes a state's action to the backup's first
+        maximiser only where the best Q beats the current one by more than
+        tol * (1 - delta): without that margin, first-maximiser improvement
+        can cycle among actions whose Qs differ only by rounding. When no
+        state gains more, the values are within tol of the optimum; they are
+        returned with the backup's first-maximiser policy and its
+        continuation. Raises ModelError after `max_iter` steps, and for an
+        `init` that is not a table of this MDP with finite values of its
+        shape.
         """
-        reward = self.priced_reward(price)
-        price = np.asarray(price)
-        policy = self._start_policy(reward, price, init)
+        price = checked_price(self.view, price)
+        reward, policy = self._start(price, init)
         margin = tol * (1.0 - self.discount)
         for steps in range(1, max_iter + 1):
             values = self.exact_policy_value(ValueTable(self, None, policy, price), price)
@@ -487,16 +514,17 @@ class UserMdp:
             gain = best - values
             better = gain > margin
             if not better.any():
-                return ValueTable(self, values, choice, price, steps, cont)
+                return ValueTable(self, values, choice, price, steps, cont, reward)
             policy = np.where(better, choice, policy)
         raise ModelError(f"policy iteration did not converge in {max_iter} steps "
                          f"(last step's largest gain {float(gain.max()):.3e})")
 
-    def _start_policy(self, reward: np.ndarray, price: np.ndarray,
-                      init: "ValueTable | None") -> np.ndarray:
-        """`solve`'s start: the first maximiser of reward plus init's
-        continuation in the view states whose price moved, init's policy in
-        the others."""
+    def _start(self, price: np.ndarray, init: "ValueTable | None",
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """`solve`'s priced reward and start policy: init's reward and policy
+        in the view states whose price did not move; in the moved ones, the
+        reward re-priced and the first maximiser of it plus init's
+        continuation."""
         shape = (self.layout.n_traffic, len(self.view))
         if init is None:
             init = ValueTable(self, np.zeros(shape), None, price)
@@ -509,16 +537,17 @@ class UserMdp:
                              f"got shape {np.shape(values)}")
         if not np.isfinite(values).all():
             raise ModelError("init values must be finite")
-        if init.continuation is None:
-            cont, moved = self.continuation(values), np.ones(shape[1], dtype=bool)
-        else:
-            cont, moved = init.continuation, price != init.price
-        if moved.all():
-            return self._best(reward + cont)[1]
-        policy = init.policy.copy()
+        if init.continuation is None or init.reward is None:
+            reward = self._priced(price)
+            return reward.T, self._best(reward + self._continuation(values))[1].T
+        moved = price != init.price
+        reward, policy = init.reward.T, init.policy.T
         if moved.any():
-            policy[:, moved] = self._best(reward[:, moved] + cont[:, moved])[1]
-        return policy
+            fresh = self._priced(price, moved)
+            reward, policy = reward.copy(), policy.copy()
+            reward[moved] = fresh
+            policy[moved] = self._best(fresh + init.continuation.T[moved])[1]
+        return reward.T, policy.T
 
     # -- lookups --------------------------------------------------------------
 
@@ -561,14 +590,21 @@ class UserMdp:
         import scipy.sparse as sp
 
         n_view = len(self.view)
-        n = self.n_states
-        rows = self.traffic_kernel[table.policy.ravel()].tocoo()
-        vals = (rows.data[:, None] * self.view.transition[rows.row % n_view]).ravel()
+        kernel = self.traffic_kernel
+        chosen = table.policy.ravel()            # state t * n_view + v's row
+        lo = kernel.indptr[chosen]
+        counts = kernel.indptr[chosen + 1] - lo
+        ends = counts.cumsum()
+        # the chosen rows' kernel entries, state by state, each times its
+        # state's row of the channel transition
+        entry = np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)
+        state_view = np.repeat(np.arange(len(chosen)) % n_view, counts)
+        vals = (kernel.data[entry][:, None] * self.view.transition[state_view]).ravel()
         keep = vals > 0
-        return sp.csr_matrix(
-            (vals[keep], (np.repeat(rows.row, n_view)[keep],
-                          (rows.col[:, None] * n_view + np.arange(n_view)).ravel()[keep])),
-            shape=(n, n))
+        cols = (kernel.indices[entry][:, None] * n_view + np.arange(n_view)).ravel()
+        kept = np.concatenate(([0], keep.cumsum()))
+        return sp.csr_matrix((vals[keep], cols[keep], kept[np.concatenate(([0], ends)) * n_view]),
+                             shape=(self.n_states, self.n_states))
 
     def _policy_chain(self, table: "ValueTable") -> tuple[sp.csr_matrix, spla.SuperLU]:
         """P_pi and the LU factor of I - delta P_pi for the table's policy,
@@ -592,11 +628,12 @@ class UserMdp:
         `solve` optimises); without it, u is the raw long-term payoff. Shape
         (n_traffic, n_view).
         """
-        u = self.payoff_table[table.policy, np.arange(len(self.view))]
+        policy = table.policy.T                  # view-major
+        u = self.payoff_table.T.take(policy + self._view_rows.reshape(len(policy), -1))
         if price is not None:
-            u = u - np.asarray(price) * self.ta_total[table.policy]
+            u = u - np.asarray(price)[:, None] * self.ta_total.take(policy)
         _, lu = self._policy_chain(table)
-        return lu.solve((1.0 - self.discount) * u.ravel()).reshape(u.shape)
+        return lu.solve((1.0 - self.discount) * u.T.ravel()).reshape(table.policy.shape)
 
     def stationary_under(self, table: "ValueTable") -> np.ndarray:
         """Long-run state distribution of the greedy policy's chain.
@@ -651,6 +688,9 @@ class ValueTable:
     # delta * E[V'] per (row, view state) of the backup that chose `policy`,
     # if a solve made the table: a warm re-solve's start (see UserMdp.solve)
     continuation: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (1 - delta) * (u - price * |a|) per (row, view state), if a solve made
+    # the table: a warm re-solve re-prices only the view states that moved
+    reward: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def action_of(self, phase: int, buffer: Sequence[int], view_state: int) -> ScheduleAction:
         """The policy's action; a buffer outside the phase's caps raises

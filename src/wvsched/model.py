@@ -525,6 +525,21 @@ class ChannelModel:
         return categorical_cdf(self.stationary())
 
 
+def check_common_chain(channels: Sequence[ChannelModel],
+                       names: Sequence[str] | None = None) -> None:
+    """Raise ModelError unless every channel runs the first one's chain: as
+    many states and equal transitions, entry for entry. A common channel is
+    simulated on the first chain alone, so a chain that differs, by however
+    little, would be dropped without a word. `names` name the channels in
+    the message (else their positions)."""
+    first = channels[0]
+    for k, c in enumerate(channels[1:], 1):
+        if len(c) != len(first) or not np.array_equal(c.transition, first.transition):
+            who = f"user {names[k]!r}" if names else f"channel {k}"
+            raise ModelError("common channel correlation requires identical channel chains; "
+                             f"{who}'s chain differs from the first user's")
+
+
 def sample_channel(model: ChannelModel, h: int, rng: np.random.Generator) -> int:
     """Draw the next channel state from the row p(.|h)."""
     return bisect_right(model.transition_cdf[h], rng.random())
@@ -753,6 +768,8 @@ class ScenarioConfig:
             raise ModelError("seed must be >= 0")
         if self.channel_correlation not in ("independent", "common"):
             raise ModelError(f"unknown channel_correlation {self.channel_correlation!r}")
+        if self.channel_correlation == "common":
+            check_common_chain(self.channels, [u.name for u in self.users])
         if self.price_view not in ("expected", "full"):
             raise ModelError(f"unknown price_view {self.price_view!r}")
 

@@ -29,6 +29,7 @@ from wvsched.model import (
     Transition,
     UserConfig,
     bandwidth_usage,
+    check_common_chain,
     draw,
     initial_buffer,
     uniforms,
@@ -91,12 +92,7 @@ class JointChannel:
         self.draws = 1 if correlation == "common" else len(self.channels)  # uniforms per step
         self._cdfs = [c.transition_cdf for c in self.channels]
         if correlation == "common":
-            first = self.channels[0]
-            for c in self.channels[1:]:
-                if (len(c) != len(first)
-                        or not np.allclose(c.transition, first.transition)):
-                    raise ModelError(
-                        "common channel correlation requires identical channel chains")
+            check_common_chain(self.channels)
 
     def initial(self, rng: np.random.Generator) -> tuple[int, ...]:
         if self.correlation == "common":

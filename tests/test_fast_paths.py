@@ -665,25 +665,28 @@ def reference_first_maximiser(mdp: UserMdp, q: np.ndarray) -> np.ndarray:
 def reference_warm_solve(mdp: UserMdp, price, tol: float, init_values=None,
                          max_iter: int = 1_000) -> ValueTable:
     """`UserMdp.solve` started from the greedy policy of `init_values` (of
-    zeros if None) in every view state, each Q built afresh from values."""
+    zeros if None) in every view state, each Q built afresh from values,
+    every array (rows, view states) in C order. The table carries the last
+    step's continuation."""
     reward = mdp.priced_reward(price)
     values = (np.zeros((mdp.layout.n_traffic, len(mdp.view))) if init_values is None
               else init_values)
 
-    def q_of(values):
+    def cont_of(values):
         mixed = values @ mdp.view.transition.T
-        return reward + mdp.discount * (mdp.traffic_kernel @ mixed)
+        return mdp.discount * (mdp.traffic_kernel @ mixed)
 
-    policy = reference_first_maximiser(mdp, q_of(values))
+    policy = reference_first_maximiser(mdp, reward + cont_of(values))
     margin = tol * (1.0 - mdp.discount)
     for steps in range(1, max_iter + 1):
         values = mdp.exact_policy_value(ValueTable(mdp, values, policy, price), price)
-        q = q_of(values)
+        cont = cont_of(values)
+        q = reward + cont
         best = np.maximum.reduceat(q, mdp.group_start[:-1], axis=0)
         choice = reference_first_maximiser(mdp, q)
         better = best - values > margin
         if not better.any():
-            return ValueTable(mdp, values, choice, np.asarray(price), steps)
+            return ValueTable(mdp, values, choice, np.asarray(price), steps, cont)
         policy = np.where(better, choice, policy)
     raise ModelError("reference policy iteration did not converge")
 
@@ -2410,7 +2413,7 @@ def test_warm_solve_equals_the_values_based_start(inst, tol, cold, data):
         assert got.policy.tobytes() == want.policy.tobytes()
         assert (got.steps, mdp.factorizations) == (want.steps, ref.factorizations)
         # the carried continuation is that of the returned values
-        assert got.continuation.tobytes() == mdp.continuation(got.values).tobytes()
+        assert got.continuation.tobytes() == want.continuation.tobytes()
         table, ref_init = got, want.values
         move = data.draw(st.sampled_from(["none", "one", "every"]))
         p = p.copy()
@@ -2418,6 +2421,38 @@ def test_warm_solve_equals_the_values_based_start(inst, tol, cold, data):
             p[data.draw(st.integers(0, len(p) - 1))] = data.draw(values_)
         elif move == "every":
             p = np.array([data.draw(values_) for _ in p])
+
+
+def test_warm_solves_along_the_recorded_coordination_path_equal_the_reference(monkeypatch):
+    """tiny-priced proposed-full's coordination re-solves each user's MDP at
+    581 prices, most of which move one view state's entry. Re-solved in
+    order on a fresh UserMdp, each from the table before, they equal
+    `reference_warm_solve` from the table before's values byte for byte:
+    values, policy, continuation, steps and the LU factors built."""
+    sc = preset("tiny-priced")
+    seen: dict[str, list[np.ndarray]] = {}
+    refresh = harness.FullMdpAgent.refresh
+
+    def spy(agent, price_vec):
+        seen.setdefault(agent.user.name, []).append(np.array(price_vec, dtype=float))
+        refresh(agent, price_vec)
+
+    monkeypatch.setattr(harness.FullMdpAgent, "refresh", spy)
+    solution = build_solution(sc, "proposed-full")
+    solution.prepare(np.random.default_rng(sc.seed))
+    for agent in solution.agents:
+        path = seen[agent.user.name]
+        assert len(path) == agent.solves == 581
+        mdp, ref = fresh_copy(agent.mdp), fresh_copy(agent.mdp)
+        table = ref_values = None
+        for p in path:
+            got = mdp.solve(p, tol=1e-7, init=table)
+            want = reference_warm_solve(ref, p, 1e-7, ref_values)
+            for name in ("values", "policy", "continuation"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (got.steps, mdp.factorizations) == (want.steps, ref.factorizations)
+            table, ref_values = got, want.values
+        assert got.values.tobytes() == agent.table.values.tobytes()
 
 
 def test_solve_rejects_an_init_that_is_not_a_finite_table_of_its_mdp():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import ThresholdAgent
+from wvsched.cli import main
 from wvsched.harness import ProposedSolution, build_views, make_agents
 from wvsched.mdp import common_view
 from wvsched.model import (ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig,
@@ -17,7 +19,7 @@ from wvsched.pricing import (
     scale_to_budget,
     update_prices,
 )
-from wvsched.scenario import preset
+from wvsched.scenario import ScenarioError, preset, preset_path, scenario_from_dict
 
 
 def user_price(lambda0: float, rate: float, bits_per_packet: float) -> float:
@@ -106,6 +108,27 @@ def test_joint_channel_common_requires_identical_chains():
     assert jc.all_states() == [(0, 0), (1, 1)]
     jc2 = JointChannel([a, b], "independent")
     assert len(jc2.all_states()) == 4
+
+
+def test_common_channel_rejects_a_chain_off_by_rounding(tmp_path, capsys):
+    """A common channel is simulated on the first user's chain, so a second
+    chain within `np.allclose` of it is still rejected: by JointChannel,
+    by the scenario, naming the user, and by `wvsched run` with exit 2."""
+    raw = json.loads(preset_path("tiny-sym").read_text(encoding="utf-8"))
+    raw["users"][1]["channel"]["transition"][0] = [0.599999, 0.400001]
+    chains = [u.channel for u in preset("tiny-sym").users]
+    near = ChannelModel(chains[1].names, chains[1].gain, chains[1].rate,
+                        raw["users"][1]["channel"]["transition"])
+    assert np.allclose(near.transition, chains[0].transition)
+    with pytest.raises(ModelError, match="identical channel chains"):
+        JointChannel([chains[0], near], "common")
+    with pytest.raises(ScenarioError, match="user 'b'"):
+        scenario_from_dict(raw)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--solution", "proposed",
+                 "--slots", "5", "--out", str(tmp_path / "out")]) == 2
+    assert "user 'b'" in capsys.readouterr().err
 
 
 def test_slack_bandwidth_gives_zero_prices_and_unconstrained_policies():
