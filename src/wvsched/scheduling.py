@@ -192,22 +192,24 @@ def priced_problem(window: int, view: ChannelView, discount: float,
 
 
 class TableShare:
-    """The `DuTables` solved at the last priced problem, shared by the
-    agents that would solve the same rows.
+    """The `DuTables` solved at each window's last priced problem, shared
+    by the agents that would solve the same rows.
 
     `backward_induction` solves each kind's rows alone, so a kind's rows of
     one solve are those of any other solve at the same `priced_problem` that
-    holds the kind. `lookup` answers a template at the kept problem from the
-    first kept solve whose layout holds all of its kinds: with that solve's
-    arrays if the kinds are equal, in equal order, else with a gather of its
-    kinds' row blocks. `keep` records a new solve, dropping the kept ones
-    if its problem differs. Kinds match on their impact's exact bits, as a
+    holds the kind. `lookup` answers a template at its window's kept problem
+    from the first kept solve whose layout holds all of its kinds: with that
+    solve's arrays if the kinds are equal, in equal order, else with a
+    gather of its kinds' row blocks. `keep` records a new solve, dropping
+    the kept ones of its window if its problem differs. Agents of one
+    coordination on a common channel differ in window but not in view or
+    discount, so a user of another window refreshed in between leaves a
+    kept solve in place. Kinds match on their impact's exact bits, as a
     0.0 and a -0.0 impact give margins of different bytes.
     """
 
     def __init__(self):
-        self._problem: tuple | None = None
-        self._solved: list[DuTables] = []
+        self._kept: dict[int, tuple[tuple, list[DuTables]]] = {}  # window -> problem, solves
         self._picks: dict[tuple[DuLayout, DuLayout], tuple | None] = {}
 
     def lookup(self, problem: tuple, template: GopTemplate, view: ChannelView,
@@ -215,9 +217,10 @@ class TableShare:
         """`build_du_tables(template, view, discount, price)`, whose
         `priced_problem` is `problem`, from a kept solve, or None if no kept
         solve holds it."""
-        if problem != self._problem:
+        kept = self._kept.get(template.window)
+        if kept is None or kept[0] != problem:
             return None
-        for solved in self._solved:
+        for solved in kept[1]:
             pick = self._pick(solved.layout, template.du_layout)
             if pick is None:
                 continue
@@ -231,9 +234,10 @@ class TableShare:
 
     def keep(self, problem: tuple, tables: DuTables) -> DuTables:
         """Record `tables`, solved at `problem`, and return it."""
-        if problem != self._problem:
-            self._problem, self._solved = problem, []
-        self._solved.append(tables)
+        kept = self._kept.get(tables.template.window)
+        if kept is None or kept[0] != problem:
+            kept = self._kept[tables.template.window] = (problem, [])
+        kept[1].append(tables)
         return tables
 
     def _pick(self, solved: DuLayout, layout: DuLayout) -> tuple | None:

@@ -89,8 +89,8 @@ def test_table_share_answers_only_the_problem_it_solved():
     for a subset in another order, equal to the template's own solve. A
     different window, transition (also one laid out in Fortran order),
     discount or price, a kind it lacks, or an impact that differs only in
-    the sign of a zero, misses; and a solve at a new problem drops the
-    kept ones."""
+    the sign of a zero, misses; a solve of another window keeps them, and a
+    solve at a new problem of their window drops them."""
     view, price = make_view(), np.array([1.5, 4.0])
     big = GopTemplate([du(0, 9.0, 0, 4), du(1, 0.0, 1, 2, (0,)), du(2, 3.0, 1, 3)], 2, 2)
     equal = GopTemplate([du(0, 9.0, 0, 4), du(1, 0.0, 1, 2), du(2, 3.0, 1, 3)], 2, 2)
@@ -117,6 +117,10 @@ def test_table_share_answers_only_the_problem_it_solved():
                  (GopTemplate([du(0, 9.0, 0, 5)], 2, 2),),
                  (GopTemplate([du(0, 9.0, 0, 4), du(1, -0.0, 1, 2)], 2, 2),)]:
         assert lookup(*args) is None
+    wide = GopTemplate(subset.dus, 2, 3)
+    share.keep(priced_problem(3, view, 0.9, price), build_du_tables(wide, view, 0.9, price))
+    assert_same_tables(lookup(wide), build_du_tables(wide, view, 0.9, price))
+    assert_same_tables(lookup(subset), build_du_tables(subset, view, 0.9, price))
     share.keep(priced_problem(2, view, 0.5, price), build_du_tables(big, view, 0.5, price))
     assert lookup(subset) is None
 
