@@ -10,9 +10,7 @@ from wvsched.model import (
     UserState,
     advance_traffic,
     bandwidth_usage,
-    distortion_reduction,
     payoff,
-    sample_channel,
     transmit_energy,
 )
 
@@ -26,8 +24,6 @@ __all__ = [
     "UserState",
     "advance_traffic",
     "bandwidth_usage",
-    "distortion_reduction",
     "payoff",
-    "sample_channel",
     "transmit_energy",
 ]

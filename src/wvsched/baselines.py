@@ -78,32 +78,6 @@ def lyapunov_action(context: Context, buffer: Sequence[int], price: float,
     return drift_response(buffer, beta, gain_to_noise, delta, expected_arrivals)(price)
 
 
-class DriftValueTable:
-    """Virtual post-decision table: U(post) = -(|post|_1 + arrivals)^2.
-
-    Feeding this to the PDS greedy step with the energy-only payoff and the
-    raw (uncollapsed) post-decision key reproduces lyapunov_action exactly:
-    the drift framework is a special case of post-decision scheduling.
-    """
-
-    def __init__(self, expected_arrivals: float):
-        self.expected_arrivals = expected_arrivals
-
-    def value(self, key) -> float:
-        _phase, post, _v = key
-        after = sum(post) + self.expected_arrivals
-        return -(after * after)
-
-
-def energy_only_payoff(beta: float, gain_to_noise: float):
-    """Payoff ignoring distortion impacts, as the drift framework does."""
-
-    def payoff_fn(_phase, action):
-        return -beta * transmit_energy(gain_to_noise, action.total)
-
-    return payoff_fn
-
-
 # ---------------------------------------------------------------------------
 # Uniform price
 # ---------------------------------------------------------------------------

@@ -196,9 +196,7 @@ class PdsDecomposedAgent(PricedAgent):
 
     def __init__(self, user: UserConfig, view: ChannelView, discount: float,
                  rng: np.random.Generator):
-        if user.min_quality > 0:
-            raise ModelError(
-                f"user {user.name}: quality floors are not supported while learning")
+        refuse_floor(user, "the per-DU learning rule")
         super().__init__(user, view, discount)
         self.rng = rng
         self.learners = {du.du_id: DuPdsLearner(du.distortion_impact,

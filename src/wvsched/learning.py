@@ -58,13 +58,6 @@ def pds_key(layout: TrafficLayout, phase: int, buffer: Sequence[int],
     return (phase, survivors, view_state)
 
 
-def raw_pds_key(layout: TrafficLayout, phase: int, buffer: Sequence[int],
-                action: ScheduleAction, view_state: int) -> PdsKey:
-    """Uncollapsed post-decision key (buffer minus sends over all slots)."""
-    post, _ = to_pds(buffer, action, view_state)
-    return (phase, post, view_state)
-
-
 def _default_payoff(layout: TrafficLayout, phase: int, action: ScheduleAction,
                     gain_to_noise: float, beta: float) -> float:
     return slot_payoff(layout.contexts[phase].impacts, action.sends, beta, gain_to_noise)[0]

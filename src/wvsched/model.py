@@ -540,11 +540,6 @@ def check_common_chain(channels: Sequence[ChannelModel],
                              f"{who}'s chain differs from the first user's")
 
 
-def sample_channel(model: ChannelModel, h: int, rng: np.random.Generator) -> int:
-    """Draw the next channel state from the row p(.|h)."""
-    return bisect_right(model.transition_cdf[h], rng.random())
-
-
 # ---------------------------------------------------------------------------
 # States and actions
 # ---------------------------------------------------------------------------
@@ -627,12 +622,6 @@ def iter_actions(context: Context, buffer: Sequence[int],
     for sends in product(*(range(x + 1) for x in buffer)):
         if sum(map(mul, context.impacts, sends)) >= floor - QUALITY_EPS:
             yield ScheduleAction(sends)
-
-
-def distortion_reduction(state: UserState, action: ScheduleAction) -> float:
-    """Quality gained this slot: sum of q_DU * sends_DU."""
-    _check_sends(state.buffer, action.sends)
-    return float(sum(map(mul, state.context.impacts, action.sends)))
 
 
 def slot_payoff(impacts: Sequence[float], sends: Sequence[int], beta: float,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
@@ -132,18 +131,21 @@ def _action_rows(space: JointSpace, scenario: ScenarioConfig) -> tuple[list, lis
 
 
 def _joint_products(space: JointSpace, actions: Sequence[tuple], jphase: int,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Every joint action at every joint state of a phase, ordered by joint
-    state, then user 0's action, user 1's, ... (itertools.product order).
+                    block: range) -> tuple[np.ndarray, np.ndarray]:
+    """Every joint action at the joint states of a phase where user 0 is at
+    a local traffic state in `block`, ordered by joint state, then user 0's
+    action, user 1's, ... (itertools.product order). User 0 is the most
+    significant index digit, so those states are one contiguous run.
 
     Returns each pair's joint state and each user's action row, shape
     (n_users, pairs).
     """
     nc = len(space.c0_states)
     ranges, local = [], []
-    for lay, (ta_state, _, group_start) in zip(space.layouts, actions):
+    for u, (lay, (ta_state, _, group_start)) in enumerate(zip(space.layouts, actions)):
         p = jphase % lay.period
-        lo, hi = group_start[[lay.base[p], lay.base[p] + lay.phase_count(p)]]
+        first, end = (block.start, block.stop) if u == 0 else (0, lay.phase_count(p))
+        lo, hi = group_start[[lay.base[p] + first, lay.base[p] + end]]
         ranges.append(np.arange(lo, hi))
         local.append(ta_state[lo:hi] - lay.base[p])
     sizes = [len(r) for r in ranges]
@@ -314,54 +316,61 @@ def _max_values(space: JointSpace, users: Sequence[UserRows], state: np.ndarray,
 PAIR_CAP = 5_000_000
 
 
-def _product_counts(space: JointSpace, actions: Sequence[tuple], jphase: int) -> np.ndarray:
-    """Each joint state's pair count in the phase's `_joint_products`, in
-    state order, without building them: the product of the users' action
-    counts at their local traffic states (user 0 most significant), the
-    same at every c0."""
-    sizes = []
+def _local_pairs(space: JointSpace, actions: Sequence[tuple], jphase: int) -> np.ndarray:
+    """The phase's unfiltered pair count at each of user 0's local traffic
+    states: a joint state holds the product of its users' action counts at
+    every c0, so user 0's count there times every other user's count summed
+    over its local states, times the joint channel states."""
+    counts = []
     for lay, (_, _, group_start) in zip(space.layouts, actions):
         p = jphase % lay.period
-        sizes.append(np.diff(group_start[lay.base[p]:lay.base[p] + lay.phase_count(p) + 1]))
-    return np.repeat(reduce(np.multiply.outer, sizes).ravel(), len(space.c0_states))
+        counts.append(np.diff(group_start[lay.base[p]:lay.base[p] + lay.phase_count(p) + 1]))
+    return counts[0] * math.prod(int(c.sum()) for c in counts[1:]) * len(space.c0_states)
 
 
 def _joint_pairs(space: JointSpace, actions: Sequence[tuple], users: Sequence[UserRows],
                  bandwidth: float | None, pair_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every joint phase's `_joint_products`, phase after phase, keeping
-    only the pairs whose band usage fits `bandwidth` unless it is None.
+    """Every joint phase's `_joint_products`, keeping only the pairs whose
+    band usage fits `bandwidth` unless it is None. Each phase is built in
+    blocks of user 0's local traffic states: a block holds at most what is
+    left of `pair_cap` in unfiltered pairs, and at least one local state.
     Raises ModelError at the first state without a pair or the first whose
-    pairs pass `pair_cap`, in state order: before the next phase is built,
-    and, unfiltered (`bandwidth` None), before the phase itself is, from
-    its `_product_counts`."""
+    pairs pass `pair_cap`, in state order, before the next block is built.
+    Unfiltered, every state has a pair, so a phase that passes the cap
+    raises before any of it is built."""
     nc = len(space.c0_states)
     states, rows = [], []
     pairs = 0
     for jp in range(space.period):
-        first = space.base[jp] * nc
-        if bandwidth is None:
-            counts = _product_counts(space, actions, jp)
-        else:
-            state, row = _joint_products(space, actions, jp)
-            keep = _band_usage(space, users, state, row) <= bandwidth + 1e-9
-            state, row = state[keep], row[:, keep]
-            counts = np.bincount(state - first, minlength=math.prod(space.counts[jp]) * nc)
-        # the first state without a feasible pair, or the first whose pairs
-        # pass the cap, in state order
-        empty = np.flatnonzero(counts == 0)
-        over = np.flatnonzero(pairs + np.cumsum(counts) > pair_cap)
-        if len(empty) and (not len(over) or empty[0] < over[0]):
-            s0 = space.c0_states[(first + empty[0]) % nc]
-            raise ModelError(
-                f"no feasible joint action in joint channel state {s0} "
-                "(quality floors exceed the band)")
-        if len(over):
+        per_local = _local_pairs(space, actions, jp)
+        if bandwidth is None and pairs + int(per_local.sum()) > pair_cap:
             raise ModelError(f"joint state-action pairs exceed cap {pair_cap}")
-        if bandwidth is None:
-            state, row = _joint_products(space, actions, jp)
-        pairs += len(state)
-        states.append(state)
-        rows.append(row)
+        width = space.strides[jp][0] * nc           # joint states per local state of user 0
+        first = 0
+        while first < len(per_local):
+            fits = int(np.count_nonzero(np.cumsum(per_local[first:]) <= pair_cap - pairs))
+            block = range(first, first + max(fits, 1))
+            state, row = _joint_products(space, actions, jp, block)
+            if bandwidth is not None:
+                keep = _band_usage(space, users, state, row) <= bandwidth + 1e-9
+                state, row = state[keep], row[:, keep]
+            start = space.base[jp] * nc + first * width
+            counts = np.bincount(state - start, minlength=len(block) * width)
+            # the first state without a feasible pair, or the first whose
+            # pairs pass the cap, in state order
+            empty = np.flatnonzero(counts == 0)
+            over = np.flatnonzero(pairs + np.cumsum(counts) > pair_cap)
+            if len(empty) and (not len(over) or empty[0] < over[0]):
+                s0 = space.c0_states[(start + empty[0]) % nc]
+                raise ModelError(
+                    f"no feasible joint action in joint channel state {s0} "
+                    "(quality floors exceed the band)")
+            if len(over):
+                raise ModelError(f"joint state-action pairs exceed cap {pair_cap}")
+            pairs += len(state)
+            states.append(state)
+            rows.append(row)
+            first = block.stop
     return np.concatenate(states), np.concatenate(rows, axis=1)
 
 

@@ -102,7 +102,8 @@ class JointChannel:
 
     def step(self, s0: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
         """The next joint state: one draw if common, else one `uniforms` call
-        over the users, giving the states n `sample_channel` calls would."""
+        over the users, giving the states n scalar `rng.choice` draws from
+        their transition rows would."""
         return self.next_state(s0, iter(uniforms(rng, self.draws)))
 
     def next_state(self, s0: tuple[int, ...], us: Iterator[float]) -> tuple[int, ...]:

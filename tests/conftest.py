@@ -6,12 +6,41 @@ import numpy as np
 import pytest
 
 from wvsched.harness import ProposedSolution, UniformPriceSolution, build_solution
+from wvsched.learning import to_pds
 from wvsched.model import ScheduleAction, transmit_energy
 from wvsched.oracle import centralized_oracle, evaluate_solution
 from wvsched.pricing import PricedAgent
 from wvsched.scenario import preset
+from reference_model import SlotModel
 
 ORACLE_FIXTURES = ("tiny-sym", "tiny-asym", "tiny-mix")
+
+
+def scenario_model(scenario, rng, s0=None) -> SlotModel:
+    """The reference model of `scenario`'s users and channels on `rng`,
+    started at channel state `s0` if given."""
+    return SlotModel(scenario.templates, scenario.channels, rng,
+                     scenario.channel_correlation == "common", s0)
+
+
+def model_slot(model: SlotModel) -> tuple:
+    """The model's slot as the library's rules read it: the joint channel
+    state, each user's `Context` at its phase and each buffer. Asserts
+    that each user's instance order is its context's slot order."""
+    contexts = [tpl.context(model.phase(i)) for i, tpl in enumerate(model.templates)]
+    for i, ctx in enumerate(contexts):
+        assert [s.key for s in ctx.slots] == model.keys(i), (i, ctx, model.keys(i))
+    return model.s0, contexts, model.buffers()
+
+
+def episode_slot_states(scenario, solution, slots: int, seed: int):
+    """Each slot state (s0, contexts, buffers) of an episode of `solution`
+    on the reference model, from a generator seeded `seed`."""
+    model = scenario_model(scenario, np.random.default_rng(seed))
+    for _ in range(slots):
+        state = model_slot(model)
+        yield state
+        model.run_slot([a.sends for a in solution.sent_actions(*state).sent])
 
 
 def context_edges(context) -> list[tuple[int, int]]:
@@ -44,6 +73,38 @@ def drift_objective(backlog: int, sends: int, expected_arrivals: float,
     after = (backlog - sends) + expected_arrivals
     cont = -(after * after)
     return (1.0 - delta) * (u - price * sends) + delta * cont
+
+
+class DriftValueTable:
+    """Virtual post-decision table: U(post) = -(|post|_1 + arrivals)^2.
+
+    Fed to `pds_greedy_action` with `energy_only_payoff` and `raw_pds_key`,
+    it reproduces `lyapunov_action` exactly: the drift framework is a
+    special case of post-decision scheduling.
+    """
+
+    def __init__(self, expected_arrivals: float):
+        self.expected_arrivals = expected_arrivals
+
+    def value(self, key) -> float:
+        _phase, post, _v = key
+        after = sum(post) + self.expected_arrivals
+        return -(after * after)
+
+
+def energy_only_payoff(beta: float, gain_to_noise: float):
+    """Payoff ignoring distortion impacts, as the drift framework does."""
+
+    def payoff_fn(_phase, action):
+        return -beta * transmit_energy(gain_to_noise, action.total)
+
+    return payoff_fn
+
+
+def raw_pds_key(layout, phase: int, buffer, action, view_state: int) -> tuple:
+    """Uncollapsed post-decision key (buffer minus sends over all slots)."""
+    post, _ = to_pds(buffer, action, view_state)
+    return (phase, post, view_state)
 
 
 def assert_same_tables(got, want) -> None:

@@ -13,18 +13,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import DriftValueTable, energy_only_payoff, raw_pds_key
+from reference_model import SlotModel
 from wvsched.harness import compute_metrics, run_episode, write_replay_table
-from wvsched.learning import PdsLearner, pds_greedy_action, raw_pds_key
-from wvsched.baselines import DriftValueTable, energy_only_payoff, lyapunov_action
+from wvsched.learning import PdsLearner, pds_greedy_action
+from wvsched.baselines import lyapunov_action
 from wvsched.mdp import TrafficLayout, UserMdp, ValueTable, common_view
-from wvsched.model import (
-    ChannelModel,
-    DataUnitSpec,
-    GopTemplate,
-    advance_traffic,
-    initial_buffer,
-    iter_actions,
-)
+from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, iter_actions
 from wvsched.scenario import preset
 from wvsched.scheduling import build_du_tables, decomposed_schedule
 
@@ -123,16 +118,13 @@ def test_criterion_5_pds_learning_convergence():
 
     learner = PdsLearner(lay, view.gain, u.beta, sc.discount)
     rng = np.random.default_rng(13)
-    h, buf, phase = 0, initial_buffer(u.template, 0, rng), 0
+    model = SlotModel([u.template], [u.channel], rng, s0=(0,))
     slots_used, gap = None, None
     for t in range(100_000):
-        ctx = u.template.context(phase)
+        phase, (h,), (buf,) = model.phase(0), model.s0, model.buffers()
         act = learner.act(phase, buf, h, float(price[h]), rng=rng)
-        step = advance_traffic(u.template, ctx, buf, act, rng)
-        h2 = int(rng.choice(2, p=u.channel.transition[h]))
-        learner.observe((phase, buf, h, act, step.arrivals, step.buffer, h2),
-                        price)
-        buf, phase, h = step.buffer, step.context.phase, h2
+        ((arrivals, _),) = model.run_slot([act.sends])
+        learner.observe((phase, buf, h, act, arrivals, *model.buffers(), *model.s0), price)
         if (t + 1) % 10_000 == 0:
             gap = max(abs(learner.table.value((p, s, v))
                           - plan_u[lay.pds_index(p, s), v])

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drift_objective
+from conftest import DriftValueTable, drift_objective, energy_only_payoff, raw_pds_key
 from wvsched.baselines import (
-    DriftValueTable,
-    energy_only_payoff,
     lyapunov_action,
     myopic_static_shares,
     scale_up_to_budget,
     uniform_price_solve,
 )
-from wvsched.learning import pds_greedy_action, raw_pds_key
+from wvsched.learning import pds_greedy_action
 from wvsched.mdp import TrafficLayout
 from wvsched.model import DataUnitSpec, GopTemplate, ModelError, ScheduleAction
 from wvsched.scenario import preset

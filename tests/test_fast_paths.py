@@ -1,33 +1,35 @@
-"""Differential tests: every fast path against the simple reference code.
+"""Differential tests: every fast path against simple reference code.
 
-The reference implementations below are the plain versions the fast paths
-replaced: the per-buffer-level loop solve, the round-by-round decomposed
-scheduler that re-evaluates every root each round (for planned tables) and a
-per-DU loop over sends (for learned tables), `rng.choice` draws, the
-user MDP's per-action loops (traffic kernel, policy chain, post-decision
-kernel, action lookups by re-walking `iter_actions`, a fresh `spsolve` for
-each exact evaluation in place of the kept LU factor), the joint kernel's
-loop over (joint state, joint action) pairs with its `choices` callback,
-the exact evaluation asking `sent_actions` at every joint state in place
-of the table solutions' one array pass, the frozen-rule `replay`
-(evaluation replay, clearing calibration, uniform-price usage) deciding
-every slot afresh and stepping it through
-`SlotSystem.advance` instead of walking memoised transitions once per
-`slot_key` on block-drawn uniforms and stepping by successor lookup, the
-episode loop doing the same and building every record afresh, `size_at`
-and `bisect_right` on each uniform in place of the block-wide outcome
-tuples, the slot step drawing each entering DU and
-each channel with its own scalar sampler call, the per-user trim and
+The slot loops are stepped against `reference_model.SlotModel`, a
+dict-based simulator written from the model's definitions that shares no
+code with the library: `SlotSystem`'s start-up and `advance` directly;
+the frozen-rule `walk` (evaluation replay, clearing calibration,
+uniform-price usage, episodes) against `reference_replay` and
+`reference_run_episode`, which decide every slot afresh and build every
+record field from the model's instances, drops, payoffs and band usage;
+the coordination loop against `reference_run_coordination`, which
+recomputes every agent's price vector, refresh gate and settle window
+each slot; and the clearing search on the slot states of model episodes.
+
+The other references are plain versions of what the fast paths compute:
+the per-buffer-level loop solve, the round-by-round decomposed scheduler
+that re-evaluates every root each round (for planned tables) and a per-DU
+loop over sends (for learned tables), `rng.choice` draws, the user MDP's
+per-action loops (traffic kernel, policy chain, post-decision kernel,
+action lookups by re-walking `iter_actions`, a fresh `spsolve` for each
+exact evaluation in place of the kept LU factor), the joint kernel's loop
+over (joint state, joint action) pairs with its `choices` callback, the
+exact evaluation asking `sent_actions` at every joint state in place of
+the table solutions' one array pass, `size_at` and `bisect_right` on each
+uniform in place of the block-wide outcome tuples, the per-user trim and
 inflate loops of the band scaling, the slot-by-slot fills and trims in
-place of their row-array forms, the within-slot clearing search re-pricing
-every agent with `act_at` at each trial price in place of its per-slot
-price responses, the drift rule's loop over send totals, the user MDP's
-warm start maximising every view state from the table's values, and the
-coordination loop recomputing every agent's price vector, refresh gate and
-every settle window each slot while stepping traffic by `advance_traffic`.
-Results must agree exactly (==), not approximately. The one exception is the
-user MDP's policy-iteration solve: its reference, value iteration, stops at
-a tolerance, so the two agree within it.
+place of their row-array forms, the within-slot clearing search
+re-pricing every agent with `act_at` at each trial price in place of its
+per-slot price responses, the drift rule's loop over send totals and the
+user MDP's warm start maximising every view state from the table's
+values. Results must agree exactly (==), not approximately. The one
+exception is the user MDP's policy-iteration solve: its reference, value
+iteration, stops at a tolerance, so the two agree within it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ThresholdAgent, assert_same_tables, context_edges, drift_objective
+from conftest import (
+    ThresholdAgent,
+    assert_same_tables,
+    context_edges,
+    drift_objective,
+    episode_slot_states,
+    model_slot,
+    scenario_model,
+)
+from reference_model import SlotModel
 from wvsched import harness, oracle, pricing, scheduling
 from wvsched.baselines import lyapunov_action, scale_rows_up_to_budget, scale_up_to_budget
 from wvsched.harness import (
@@ -78,12 +89,9 @@ from wvsched.model import (
     ScenarioConfig,
     ScheduleAction,
     UserConfig,
-    advance_traffic,
     bandwidth_usage,
     draw,
-    initial_buffer,
     iter_actions,
-    sample_channel,
     transmit_energy,
 )
 from wvsched.oracle import JointSpace
@@ -189,13 +197,6 @@ def reference_product_chain(channels) -> np.ndarray:
             for c, (ha, hb) in zip(channels, zip(ka, kb)):
                 trans[a, b] *= c.transition[ha, hb]
     return trans
-
-
-def reference_initial(joint: JointChannel, rng):
-    if joint.correlation == "common":
-        c = joint.channels[0]
-        return (int(rng.choice(len(c), p=c.stationary())),) * len(joint.channels)
-    return tuple(int(rng.choice(len(c), p=c.stationary())) for c in joint.channels)
 
 
 def reference_traffic_kernel(mdp: UserMdp) -> sp.csr_matrix:
@@ -430,86 +431,95 @@ def reference_joint_value(scenario, act_rule):
 
 
 def reference_replay(system, decide, slots):
-    """`replay` deciding every slot afresh."""
+    """`replay` on the reference model from the system's slot: each slot is
+    written to the system, decided afresh by `decide` and stepped by the
+    model; the slot after the last is written back."""
+    model = SlotModel(system.templates, system.joint.channels, system.rng,
+                      system.joint.correlation == "common", system.s0,
+                      [c.phase for c in system.contexts], system.buffers)
     total, visits = {}, {}
     for _ in range(slots):
-        s0 = system.s0
+        system.s0, system.contexts, system.buffers = model_slot(model)
+        s0 = model.s0
         value, sent = decide(system)
         total[s0] = total.get(s0, 0.0) + value
         visits[s0] = visits.get(s0, 0) + 1
-        system.advance(sent)
+        model.run_slot([a.sends for a in sent])
+    system.s0, system.contexts, system.buffers = model_slot(model)
     return {s0: t / visits[s0] for s0, t in total.items()}, slots
 
 
+def replays(templates, joint, seed, decide, slots):
+    """`replay`, then `reference_replay`, of the rule `decide` for `slots`
+    slots from a `SlotSystem` started on a generator seeded `seed`: each
+    one's means, decisions, the slot keys it decided in order, its final
+    slot key and the generator's next draw."""
+    out = []
+    for run in (replay, reference_replay):
+        rng = np.random.default_rng(seed)
+        system = SlotSystem(templates, joint, rng)
+        keys = []
+
+        def decided(system):
+            keys.append(slot_key(system.s0, system.contexts, system.buffers))
+            return decide(system)
+
+        mean, decisions = run(system, decided, slots)
+        out.append((mean, decisions, keys, slot_key(system.s0, system.contexts, system.buffers),
+                    rng.random()))
+    return out
+
+
+def sent_totals(solution):
+    """The rule deciding `solution`'s sends, valued by their total."""
+    def decide(system):
+        decision = solution.sent_actions(system.s0, system.contexts, system.buffers)
+        return float(sum(a.total for a in decision.sent)), decision.sent
+    return decide
+
+
+def tally(totals: dict, pairs) -> dict:
+    """`totals` with each (name, count) of `pairs` added, in order."""
+    for name, n in pairs:
+        totals[name] = totals.get(name, 0) + n
+    return totals
+
+
 def reference_run_episode(scenario, solution, slots, rng, pinned_channels=None):
-    """`run_episode` stepping every slot through `SlotSystem.advance` and
-    building every record field afresh; `decisions` counts the distinct
-    slot states it visited."""
-    sc = scenario
-    n_users = len(sc.users)
-    s0 = None
-    if pinned_channels is not None:
-        if sc.channel_correlation != "common":
-            raise ModelError("pinned channel replay requires common correlation")
-        s0 = (int(pinned_channels[0]),) * n_users
-    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation),
-                        rng, s0)
-
+    """`run_episode` on the reference model: every slot decided afresh, its
+    record built from the model's instances, payoffs, band usage and drops,
+    and the totals folded from the records and arrivals; `decisions`
+    counts the distinct slot states it visited."""
+    sc, n = scenario, len(scenario.users)
+    if pinned_channels is not None and sc.channel_correlation != "common":
+        raise ModelError("pinned channel replay requires common correlation")
+    pins = None if pinned_channels is None else [(int(h),) * n for h in pinned_channels]
+    model = scenario_model(sc, rng, None if pins is None else pins[0])
     trace = harness.EpisodeTrace(sc.name, solution.name)
-    trace.arrived = [dict() for _ in range(n_users)]
-    trace.sent_totals = [dict() for _ in range(n_users)]
-    trace.dropped_totals = [dict() for _ in range(n_users)]
-    for i, ctx in enumerate(system.contexts):
-        for slot, x in zip(ctx.slots, system.buffers[i]):
-            trace.arrived[i][slot.du.name] = trace.arrived[i].get(slot.du.name, 0) + x
-
+    trace.arrived = [tally({}, model.traffic(i)) for i in range(n)]
     keys = set()
     for t in range(slots):
-        s0, buffers, contexts = system.s0, system.buffers, system.contexts
+        s0, contexts, buffers = model_slot(model)
         keys.add(slot_key(s0, contexts, buffers))
         decision = solution.sent_actions(s0, contexts, buffers)
-        s0_next = None
-        if pinned_channels is not None:
-            s0_next = (int(pinned_channels[min(t + 1, len(pinned_channels) - 1)]),) * n_users
-        steps = slot_outcomes(system.advance(decision.sent, s0_next), system.buffers)
-        users_rec = []
-        for i, (u, (_, _, arrivals, drops)) in enumerate(zip(sc.users, steps)):
-            act = decision.sent[i]
-            dist = float(sum(s.du.distortion_impact * y
-                             for s, y in zip(contexts[i].slots, act.sends)))
-            en = u.channel.energy(s0[i], act.total)
-            pay = dist - u.beta * en
-            dropped = {}
-            for key, n in drops.items():
-                name = u.template.du(key[1]).name
-                dropped[name] = dropped.get(name, 0) + n
-                trace.dropped_totals[i][name] = trace.dropped_totals[i].get(name, 0) + n
-            for key, n in arrivals.items():
-                name = u.template.du(key[1]).name
-                trace.arrived[i][name] = trace.arrived[i].get(name, 0) + n
-            for s, y in zip(contexts[i].slots, act.sends):
-                if y:
-                    trace.sent_totals[i][s.du.name] = trace.sent_totals[i].get(s.du.name, 0) + y
-            users_rec.append(harness.UserSlotRecord(
-                traffic=[(s.du.name, x) for s, x in zip(contexts[i].slots, buffers[i])],
-                requested=decision.raw[i].sends,
-                sent=act.sends,
-                dropped=dropped,
-                payoff=pay,
-                distortion=dist,
-                energy=en,
-                share=decision.shares[i],
-            ))
-        names = tuple(sc.users[i].channel.names[s0[i]] for i in range(n_users))
-        trace.records.append(harness.SlotRecord(
-            slot=t + 1, s0=tuple(s0), channel_names=names, lam0=decision.lam0,
-            users=users_rec, messages=2 * n_users))
-
-    for ctx, buf in zip(system.contexts, system.buffers):
-        rem = {}
-        for slot, x in zip(ctx.slots, buf):
-            rem[slot.du.name] = rem.get(slot.du.name, 0) + x
-        trace.remaining.append(rem)
+        usage = model.usage([act.total for act in decision.sent], sc.bits_per_packet)
+        users = [harness.UserSlotRecord(model.traffic(i), decision.raw[i].sends, act.sends, {},
+                                        *model.payoff(i, act.sends, u.beta), usage[i] / sc.bandwidth)
+                 for i, (u, act) in enumerate(zip(sc.users, decision.sent))]
+        steps = model.run_slot([act.sends for act in decision.sent],
+                               None if pins is None else pins[min(t + 1, len(pins) - 1)])
+        for i, (rec, (arrivals, drops)) in enumerate(zip(users, steps)):
+            tally(rec.dropped, ((model.name(i, key), x) for key, x in drops.items()))
+            tally(trace.arrived[i], ((model.name(i, key), x) for key, x in arrivals.items()))
+        names = tuple(u.channel.names[h] for u, h in zip(sc.users, s0))
+        trace.records.append(harness.SlotRecord(t + 1, tuple(s0), names, decision.lam0, users,
+                                                2 * n))
+    recs = [[rec.users[i] for rec in trace.records] for i in range(n)]
+    trace.sent_totals = [tally({}, ((name, y) for ur in urs for (name, _), y in
+                                    zip(ur.traffic, ur.sent) if y)) for urs in recs]
+    trace.dropped_totals = [tally({}, (x for ur in urs for x in ur.dropped.items()))
+                            for urs in recs]
+    trace.remaining = [tally({}, model.traffic(i)) for i in range(n)]
     trace.decisions = len(keys)
     return trace
 
@@ -620,36 +630,6 @@ def reference_scale_up_to_budget(contexts, actions, buffers, rates, bits_per_pac
             for ctx, act, buf in zip(contexts, actions, buffers)]
 
 
-def slot_outcomes(moves, buffers) -> list[tuple]:
-    """(context, buffer, arrivals, drops) per user of one `SlotSystem.advance`:
-    its transitions and the buffers it drew."""
-    return [(m.context, buf, {key: buf[j] for j, _, key in m.entering}, dict(m.dropped))
-            for m, buf in zip(moves, buffers, strict=True)]
-
-
-def reference_advance(templates, joint, s0, contexts, buffers, sent, rng):
-    """One slot with a `sample_size` call per entering DU, user by user, then
-    a `sample_channel` call per channel draw: (context, buffer, arrivals,
-    drops) per user, and the next joint state."""
-    out = []
-    for tpl, ctx, buf, act in zip(templates, contexts, buffers, sent):
-        step, nxt = tpl.step(ctx.phase), tpl.context(ctx.phase + 1)
-        left = [x - y for x, y in zip(buf, act.sends)]
-        dropped = {ctx.slots[i].key: left[i] for i in step.expiring if left[i] > 0}
-        new = [0] * len(nxt)
-        for i, j in step.survivors:
-            new[j] = left[i]
-        arrivals = {}
-        for j in step.entering:
-            new[j] = arrivals[nxt.slots[j].key] = nxt.slots[j].du.sample_size(rng)
-        out.append((nxt, tuple(new), arrivals, dropped))
-    if joint.correlation == "common":
-        s0_next = (sample_channel(joint.channels[0], s0[0], rng),) * len(s0)
-    else:
-        s0_next = tuple(sample_channel(c, h, rng) for c, h in zip(joint.channels, s0))
-    return out, s0_next
-
-
 def reference_first_maximiser(mdp: UserMdp, q: np.ndarray) -> np.ndarray:
     """Each traffic state's first maximising row of `q`, one view state
     (column) at a time."""
@@ -693,13 +673,18 @@ def reference_warm_solve(mdp: UserMdp, price, tol: float, init_values=None,
 
 def reference_run_coordination(agents, *, bandwidth, bits_per_packet, correlation="independent",
                                tolerance=1e-3, max_slots=200_000, eval_slots=20_000, rng=None):
-    """`run_coordination` recomputing everything every slot: each agent's
+    """`run_coordination` recomputing everything every slot (each agent's
     whole `price_vector`, the refresh gate for every agent, every window's
-    settle test, and each user's traffic stepped by `advance_traffic`."""
+    settle test) on the reference model's traffic and channel, then the
+    library's frozen replay from the model's last slot."""
     rng = rng if rng is not None else np.random.default_rng(0)
     table = PriceTable()
     joint = JointChannel([a.channel for a in agents], correlation)
-    system = SlotSystem([a.template for a in agents], joint, rng)
+    model = SlotModel([a.template for a in agents], joint.channels, rng, correlation == "common")
+    # what `slot_requests` and `replay` read: a `SlotSystem`, whose own
+    # start-up draws go to a spare generator, put at the model's slot
+    system = SlotSystem(model.templates, joint, np.random.default_rng(0))
+    system.rng = rng
     last_price_vec = [None] * len(agents)
     refreshes = [0] * len(agents)
     solves = [a.solves for a in agents]
@@ -723,25 +708,22 @@ def reference_run_coordination(agents, *, bandwidth, bits_per_packet, correlatio
                 agent.refresh(vec)
                 last_price_vec[i] = now
                 refreshes[i] += 1
-        s0 = system.s0
-        contexts = system.contexts
+        system.s0, system.contexts, system.buffers = model_slot(model)
+        s0, contexts = system.s0, system.contexts
         requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
         lam_before = table.get(s0)
         pricing.update_prices(table, s0, requests, bandwidth)
         win = windows.setdefault(s0, deque(maxlen=pricing.SWEEP_FACTOR + 1))
         win.append((abs(table.get(s0) - lam_before), table.get(s0)))
-        s0_next = joint.step(s0, rng)
+        s0_next = model.next_channel()
         for i, agent in enumerate(agents):
             agent.observe(contexts[i], system.buffers[i], agent.view.view_state(s0),
                           sent[i], agent.view.view_state(s0_next))
-        steps = [advance_traffic(t, ctx, buf, act, rng) for t, ctx, buf, act in
-                 zip(system.templates, system.contexts, system.buffers, sent, strict=True)]
-        system.buffers = [st_.buffer for st_ in steps]
-        system.contexts = [st_.context for st_ in steps]
-        system.s0 = s0_next
+        model.run_slot([act.sends for act in sent], s0_next)
         if all(state_settled(w) for w in windows.values()):
             converged = True
             break
+    system.s0, system.contexts, system.buffers = model_slot(model)
 
     report = pricing.CoordinationReport(
         prices=dict(table.lam), counts=dict(table.counts), slots_run=slots,
@@ -930,6 +912,19 @@ def slot_systems(draw_, common=None):
     chans = [shared if common else draw_(channels()) for _ in range(n_users)]
     joint = JointChannel(chans, "common" if common else "independent")
     return templates, joint, draw_(st.integers(0, 2**32 - 1))
+
+
+def priced_agents(templates, joint, data, name):
+    """A scenario of `templates` on `joint` at a drawn band, and its
+    decomposed agents refreshed at drawn prices."""
+    users = tuple(UserConfig(f"u{i}", t, c)
+                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
+    sc = ScenarioConfig(name, users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+                        channel_correlation=joint.correlation)
+    agents = make_agents(sc, "decomposed")
+    for a in agents:
+        a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+    return sc, agents
 
 
 def random_table(mdp: UserMdp, price, seed) -> ValueTable:
@@ -1346,17 +1341,6 @@ def assert_same_clear(solution, s0, contexts, buffers) -> int:
     return len(trials)
 
 
-def episode_slot_states(scenario, solution, slots, seed):
-    """Each slot state (s0, contexts, buffers) of an episode of `solution`,
-    stepped slot by slot through `SlotSystem.advance`."""
-    joint = JointChannel(scenario.channels, scenario.channel_correlation)
-    system = SlotSystem(scenario.templates, joint, np.random.default_rng(seed))
-    for _ in range(slots):
-        state = (system.s0, system.contexts, system.buffers)
-        yield state
-        system.advance(solution.sent_actions(*state).sent)
-
-
 @pytest.mark.parametrize("name", ["proposed", "lyapunov"])
 def test_clearing_search_equals_per_agent_repricing_on_episodes(illustration_suite, name):
     """Every slot of three illustration-2user episodes under clearing, with
@@ -1482,8 +1466,8 @@ def test_channel_draws_equal_choice(chan, seed):
     fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for h in range(len(chan)):
         for _ in range(20):
-            assert sample_channel(chan, h, fast) == \
-                int(ref.choice(len(chan), p=chan.transition[h]))
+            assert JointChannel([chan]).step((h,), fast) == \
+                (int(ref.choice(len(chan), p=chan.transition[h])),)
     for _ in range(20):
         assert draw(chan.stationary_cdf, fast) == \
             int(ref.choice(len(chan), p=chan.stationary()))
@@ -1509,7 +1493,7 @@ def test_joint_initial_equals_choice(chans, common, seed):
     joint = JointChannel(chans, "common" if common else "independent")
     fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(10):
-        assert joint.initial(fast) == reference_initial(joint, ref)
+        assert joint.initial(fast) == SlotModel([], chans, ref, common).s0
     assert fast.random() == ref.random()
 
 
@@ -1519,21 +1503,26 @@ def test_joint_initial_equals_choice(chans, common, seed):
     [ChannelModel(["g", "b"], [1.0, 1.0], [2.0, 1.0], [[0.5, 0.5], [0.0, 1.0]])] * 2,
     "independent"), 3))
 def test_batched_slot_engine_equals_per_du_draws(inst):
+    """`SlotSystem`'s start-up and `advance` equal the reference model's: the
+    channel states, contexts, buffers, each user's arrivals and drops (the
+    library's keys count GOPs from the slot's own GOP, the model's from
+    slot 0's) and the generator after."""
     templates, joint, seed = inst
     fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     system = SlotSystem(templates, joint, fast)
-    s0 = joint.initial(ref)
-    buffers = [initial_buffer(t, 0, ref) for t in templates]
-    contexts = [t.context(0) for t in templates]
-    assert (system.s0, system.buffers) == (s0, buffers)
+    model = SlotModel(templates, joint.channels, ref, joint.correlation == "common")
+    assert (system.s0, system.contexts, system.buffers) == model_slot(model)
     for t in range(25):
         sent = [ScheduleAction(tuple(x * (t + u + 1) % (x + 1) for x in buf))
-                for u, buf in enumerate(buffers)]
-        expect, s0 = reference_advance(templates, joint, s0, contexts, buffers, sent, ref)
-        assert slot_outcomes(system.advance(sent), system.buffers) == expect
-        assert system.s0 == s0
-        contexts = [c for c, _, _, _ in expect]
-        buffers = [b for _, b, _, _ in expect]
+                for u, buf in enumerate(system.buffers)]
+        moves = system.advance(sent)
+        steps = model.run_slot([act.sends for act in sent])
+        assert (system.s0, system.contexts, system.buffers) == model_slot(model)
+        for tpl, move, buf, (arrivals, drops) in zip(templates, moves, system.buffers, steps,
+                                                     strict=True):
+            now, nxt = t // tpl.period, (t + 1) // tpl.period
+            assert {(o + nxt, d): buf[j] for j, _, (o, d) in move.entering} == arrivals
+            assert {(o + now, d): n for (o, d), n in move.dropped} == drops
     assert fast.random() == ref.random()
 
 
@@ -1549,24 +1538,15 @@ def test_frozen_usage_equals_fresh_decisions(inst, data):
     price: `replay` decides each distinct slot once, with the same usage and
     the same stream as deciding every slot."""
     templates, joint, seed = inst
-    users = tuple(UserConfig(f"u{i}", t, c)
-                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
-    sc = ScenarioConfig("memo", users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
-                        channel_correlation=joint.correlation)
-    agents = make_agents(sc, "decomposed")
-    for a in agents:
-        a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+    sc, agents = priced_agents(templates, joint, data, "memo")
 
     def band_request(system):
         requests, sent = slot_requests(agents, system, 1.0, sc.bandwidth)
         return sum(requests), sent
 
-    results = []
-    for run in (replay, reference_replay):
-        rng = np.random.default_rng(seed)
-        mean, _ = run(SlotSystem(templates, joint, rng), band_request, 200)
-        results.append((mean, rng.random()))
-    assert results[0] == results[1]
+    (mean, _, _, final, after), (ref_mean, _, _, ref_final, ref_after) = \
+        replays(templates, joint, seed, band_request, 200)
+    assert (mean, final, after) == (ref_mean, ref_final, ref_after)
 
 
 @pytest.mark.parametrize("common", [False, True])
@@ -1578,30 +1558,15 @@ def test_block_drawn_replay_equals_fresh_decisions(common, data):
     reference visits, leaves the system in the reference's final slot and
     the generator where the reference leaves it."""
     templates, joint, seed = data.draw(slot_systems(common=common))
-    users = tuple(UserConfig(f"u{i}", t, c)
-                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
-    sc = ScenarioConfig("blocks", users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
-                        channel_correlation=joint.correlation)
-    agents = make_agents(sc, "decomposed")
-    for a in agents:
-        a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+    sc, agents = priced_agents(templates, joint, data, "blocks")
     slots = 2 * pricing.REPLAY_BLOCK + 452
 
-    results = []
-    for run in (replay, reference_replay):
-        rng = np.random.default_rng(seed)
-        system = SlotSystem(templates, joint, rng)
-        keys = []
+    def band_request(system):
+        requests, sent = slot_requests(agents, system, 1.0, sc.bandwidth)
+        return sum(requests), sent
 
-        def band_request(system):
-            keys.append(slot_key(system.s0, system.contexts, system.buffers))
-            requests, sent = slot_requests(agents, system, 1.0, sc.bandwidth)
-            return sum(requests), sent
-
-        mean, decisions = run(system, band_request, slots)
-        final = (system.s0, [c.phase for c in system.contexts], list(system.buffers))
-        results.append((mean, final, rng.random(), decisions, keys))
-    (mean, final, after, decisions, keys), (ref_mean, ref_final, ref_after, _, ref_keys) = results
+    (mean, decisions, keys, final, after), (ref_mean, _, ref_keys, ref_final, ref_after) = \
+        replays(templates, joint, seed, band_request, slots)
     assert (mean, final, after) == (ref_mean, ref_final, ref_after)
     assert decisions == len(keys) == len(set(ref_keys))
     assert len(ref_keys) == slots
@@ -1858,14 +1823,9 @@ def test_episode_walk_equals_reference_on_generated_systems(inst, data):
     episode; `replay` of the same rule against its reference at the same
     block size."""
     templates, joint, seed = inst
-    users = tuple(UserConfig(f"u{i}", t, c)
-                  for i, (t, c) in enumerate(zip(templates, joint.channels)))
-    sc = ScenarioConfig("walk", users, bandwidth=data.draw(st.sampled_from([0.5, 1.0, 2.0])),
-                        channel_correlation=joint.correlation)
+    sc, agents = priced_agents(templates, joint, data, "walk")
     sol = harness.PricedRuntime(sc)
-    sol.agents = make_agents(sc, "decomposed")
-    for a in sol.agents:
-        a.refresh(np.array([data.draw(values_) for _ in range(len(a.view))]))
+    sol.agents = agents
     sol.prices = pricing.PriceTable()
     sol.prices.lam.update({s0: data.draw(values_) for s0 in joint.all_states()})
     pinned = None
@@ -1882,14 +1842,9 @@ def test_episode_walk_equals_reference_on_generated_systems(inst, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pricing, "REPLAY_BLOCK", block)
         assert_same_episode(sc, sol, 60, seed, pinned)
-        results = []
-        for run in (replay, reference_replay):
-            rng = np.random.default_rng(seed)
-            system = SlotSystem(templates, joint, rng)
-            mean, _ = run(system, band_request, 60)
-            final = (system.s0, [c.phase for c in system.contexts], list(system.buffers))
-            results.append((mean, final, rng.random()))
-    assert results[0] == results[1]
+        (mean, _, _, final, after), (ref_mean, _, _, ref_final, ref_after) = \
+            replays(templates, joint, seed, band_request, 60)
+    assert (mean, final, after) == (ref_mean, ref_final, ref_after)
 
 
 def slot_state(scenario, rec) -> tuple:
@@ -2046,17 +2001,10 @@ def test_a_walk_of_no_slots_draws_and_decides_nothing():
     assert sol.episode_memo(sc)[:2] == ({}, {})
 
     joint = JointChannel(sc.channels, sc.channel_correlation)
-    results = []
-    for run in (replay, reference_replay):
-        rng = np.random.default_rng(5)
-        system = SlotSystem(sc.templates, joint, rng)
-        before = (system.s0, list(system.contexts), list(system.buffers))
-        calls = []
-        assert run(system, calls.append, 0) == ({}, 0)
-        assert calls == []
-        assert (system.s0, list(system.contexts), list(system.buffers)) == before
-        results.append(rng.random())
-    assert results[0] == results[1]
+    start = SlotSystem(sc.templates, joint, np.random.default_rng(5))
+    (*got, after), (*want, ref_after) = replays(sc.templates, joint, 5, None, 0)
+    assert got == want == [{}, 0, [], slot_key(start.s0, start.contexts, start.buffers)]
+    assert after == ref_after
 
 
 @pytest.mark.parametrize("slots", [1, pricing.REPLAY_BLOCK])
@@ -2072,21 +2020,10 @@ def test_a_walk_decides_no_state_past_its_last_slot(slots):
     assert set(memo) == {slot_state(sc, rec) for rec in trace.records}
 
     joint = JointChannel(sc.channels, sc.channel_correlation)
-    results = []
-    for run in (replay, reference_replay):
-        rng = np.random.default_rng(6)
-        keys = []
-
-        def sent(system):
-            keys.append(slot_key(system.s0, system.contexts, system.buffers))
-            decision = sol.sent_actions(system.s0, system.contexts, system.buffers)
-            return float(sum(a.total for a in decision.sent)), decision.sent
-
-        mean, _ = run(SlotSystem(sc.templates, joint, rng), sent, slots)
-        results.append((mean, set(keys), len(keys), rng.random()))
-    (mean, keys, decided, after), (ref_mean, ref_keys, ref_slots, ref_after) = results
-    assert (mean, keys, after) == (ref_mean, ref_keys, ref_after)
-    assert decided == len(ref_keys) and ref_slots == slots
+    (mean, _, keys, final, after), (ref_mean, _, ref_keys, ref_final, ref_after) = \
+        replays(sc.templates, joint, 6, sent_totals(sol), slots)
+    assert (mean, set(keys), final, after) == (ref_mean, set(ref_keys), ref_final, ref_after)
+    assert len(keys) == len(set(ref_keys)) and len(ref_keys) == slots
 
 
 def test_pinned_and_free_episodes_on_one_memo_equal_the_reference():
@@ -2115,19 +2052,10 @@ def assert_same_walks(sc, pins):
     sol.prepare(np.random.default_rng(0))
     for pinned in (None, pins, None):
         assert_same_episode(sc, sol, 30, 3, pinned)
-
-    def sent(system):
-        decision = sol.sent_actions(system.s0, system.contexts, system.buffers)
-        return float(sum(a.total for a in decision.sent)), decision.sent
-
     joint = JointChannel(sc.channels, sc.channel_correlation)
-    results = []
-    for run in (replay, reference_replay):
-        rng = np.random.default_rng(4)
-        system = SlotSystem(sc.templates, joint, rng)
-        mean, _ = run(system, sent, 30)
-        results.append((mean, system.s0, list(system.buffers), rng.random()))
-    assert results[0] == results[1]
+    (mean, _, _, final, after), (ref_mean, _, _, ref_final, ref_after) = \
+        replays(sc.templates, joint, 4, sent_totals(sol), 30)
+    assert (mean, final, after) == (ref_mean, ref_final, ref_after)
 
 
 @pytest.mark.parametrize("states", [2, 3])
@@ -2809,21 +2737,29 @@ def test_joint_kernel_callers_equal_pair_loop(inst):
 
 
 @settings(max_examples=EXAMPLES // 6, deadline=None)
-@given(joint_scenarios())
-def test_product_counts_are_the_built_phases_counts(inst):
-    """`oracle._product_counts`, which the unfiltered enumeration checks
-    against the pair cap before it builds a phase, gives every joint
-    state's pair count in each phase's `_joint_products`, on generated
-    instances with quality floors."""
+@given(joint_scenarios(), st.data())
+def test_local_pair_counts_are_the_built_blocks_counts(inst, data):
+    """`oracle._local_pairs`, which sizes the enumeration's blocks against
+    the pair cap, gives the unfiltered pair count of each of user 0's local
+    states in `_joint_products`, and blocks of drawn sizes concatenate to
+    one block of the whole phase, on generated instances with quality
+    floors."""
     sc, _ = inst
     space = JointSpace(sc)
     actions, _ = oracle._action_rows(space, sc)
     nc = len(space.c0_states)
     for jp in range(space.period):
-        state, _ = oracle._joint_products(space, actions, jp)
-        built = np.bincount(state - space.base[jp] * nc,
-                            minlength=int(np.prod(space.counts[jp])) * nc)
-        assert np.array_equal(oracle._product_counts(space, actions, jp), built)
+        per_local = oracle._local_pairs(space, actions, jp)
+        width = space.strides[jp][0] * nc
+        assert len(per_local) * width == int(np.prod(space.counts[jp])) * nc
+        whole, whole_rows = oracle._joint_products(space, actions, jp, range(len(per_local)))
+        built = np.bincount((whole - space.base[jp] * nc) // width, minlength=len(per_local))
+        assert np.array_equal(per_local, built)
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, len(per_local)), max_size=3))))
+        blocks = [oracle._joint_products(space, actions, jp, range(a, b))
+                  for a, b in zip([0] + cuts, cuts + [len(per_local)]) if a < b]
+        assert np.array_equal(np.concatenate([st_ for st_, _ in blocks]), whole)
+        assert np.array_equal(np.concatenate([r for _, r in blocks], axis=1), whole_rows)
 
 
 @pytest.mark.parametrize("name", ["myopic", "myopic+fifo", "myopic+hdf", "proposed",

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import episode_slot_states
 from wvsched import harness
 from wvsched.harness import (
     DriftAgent,
@@ -372,14 +373,17 @@ def test_oracle_rejects_floors_above_the_band():
 def test_rules_that_ignore_quality_floors_refuse_them(name):
     """The static-share rules and the drift scheduler never read a quality
     floor, so building one for a scenario with a floor raises `ModelError`
-    naming the user, as the decomposed and learning agents do; so does a
-    drift agent. With the floor at 0 they build."""
+    naming the user, as the decomposed agent does; so do a drift agent and
+    a learning agent. With the floor at 0 they build."""
     sc = preset("tiny-sym")
     floored = replace(sc, users=(sc.users[0], replace(sc.users[1], min_quality=0.5)))
     with pytest.raises(ModelError, match=f"^user {sc.users[1].name}: quality floors need"):
         build_solution(floored, name)
     with pytest.raises(ModelError, match=f"^user {sc.users[1].name}: quality floors need"):
         harness.make_agents(floored, "drift")
+    with pytest.raises(ModelError, match=f"^user {sc.users[1].name}: quality floors need .*, "
+                                         "the per-DU learning rule does not"):
+        harness.make_agents(floored, "pds")
     assert build_solution(sc, name).name == name
 
 
@@ -409,6 +413,35 @@ def test_penalized_value_pair_cap_is_checked_before_the_kernel(monkeypatch):
     with pytest.raises(ModelError) as exc:
         oracle.penalized_joint_value(preset("tiny-sym"), {})
     assert str(exc.value) == "joint state-action pairs exceed cap 100"
+
+
+@pytest.mark.parametrize("cap", [0, 100, 300_000])
+def test_pair_enumeration_stops_within_one_block_of_the_cap(monkeypatch, cap):
+    """tiny-priced's first joint phase holds 874,800 pairs. The oracle and
+    the dual build each phase in blocks of user 0's local states, and no
+    block holds more (unfiltered) pairs than the cap unless it is a single
+    local state; at cap 0 the oracle raises after one block. The dual's
+    pairs are unfiltered, so it builds none past the cap."""
+    calls = []
+    real = oracle._joint_products
+
+    def spy(space, actions, jphase, *block):
+        state, rows = real(space, actions, jphase, *block)
+        calls.append((block[0] if block else None, len(state)))
+        return state, rows
+
+    monkeypatch.setattr(oracle, "_joint_products", spy)
+    message = f"^joint state-action pairs exceed cap {cap}$"
+    with pytest.raises(ModelError, match=message):
+        centralized_oracle(preset("tiny-priced"), pair_cap=cap)
+    assert all(n <= cap or (block is not None and len(block) == 1) for block, n in calls)
+    assert len(calls) == 1 or cap > 0
+
+    calls.clear()
+    monkeypatch.setattr(oracle, "PAIR_CAP", cap)
+    with pytest.raises(ModelError, match=message):
+        oracle.penalized_joint_value(preset("tiny-priced"), {})
+    assert sum(n for _, n in calls) <= cap
 
 
 def test_priced_oracle_bounds_exact_values(priced_results):
@@ -572,13 +605,7 @@ def test_second_prepare_serves_no_decision_cached_under_the_first(name):
     sc = preset("tiny-priced")
     sol = build_solution(sc, name)
     sol.prepare(np.random.default_rng(1))
-    system = SlotSystem(sc.templates, JointChannel(sc.channels, sc.channel_correlation),
-                        np.random.default_rng(5))
-    path = []
-    for _ in range(300):
-        state = (system.s0, system.contexts, system.buffers)
-        path.append(state)
-        system.advance(sol.sent_actions(*state).sent)
+    path = list(episode_slot_states(sc, sol, 300, 5))
     sol.prepare(np.random.default_rng(2))
     fresh = build_solution(sc, name)
     fresh.prepare(np.random.default_rng(2))

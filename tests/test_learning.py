@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wvsched.learning
+from reference_model import SlotModel
 from wvsched.learning import (
     DuPdsLearner,
     PdsLearner,
@@ -23,8 +24,6 @@ from wvsched.model import (
     DataUnitSpec,
     GopTemplate,
     ScheduleAction,
-    advance_traffic,
-    initial_buffer,
     iter_actions,
     transmit_energy,
 )
@@ -132,14 +131,12 @@ def test_learned_values_approach_planning_values():
 
     learner = PdsLearner(lay, view.gain, u.beta, sc.discount)
     rng = np.random.default_rng(3)
-    h, buf, phase = 0, initial_buffer(u.template, 0, rng), 0
+    model = SlotModel([u.template], [u.channel], rng, s0=(0,))
     for _ in range(30_000):
-        ctx = u.template.context(phase)
+        phase, (h,), (buf,) = model.phase(0), model.s0, model.buffers()
         act = learner.act(phase, buf, h, float(price[h]), rng=rng)
-        step = advance_traffic(u.template, ctx, buf, act, rng)
-        h2 = int(rng.choice(2, p=u.channel.transition[h]))
-        learner.observe((phase, buf, h, act, step.arrivals, step.buffer, h2), price)
-        buf, phase, h = step.buffer, step.context.phase, h2
+        ((arrivals, _),) = model.run_slot([act.sends])
+        learner.observe((phase, buf, h, act, arrivals, *model.buffers(), *model.s0), price)
     from itertools import product
     gap = max(abs(learner.table.value((p, s, v)) - plan[lay.pds_index(p, s), v])
               for p in range(lay.period)

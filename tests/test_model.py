@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import context_edges
 from wvsched import model
+from wvsched.pricing import JointChannel
 from wvsched.model import (
     ChannelModel,
     ContextStep,
@@ -18,10 +19,9 @@ from wvsched.model import (
     _check_step,
     advance_traffic,
     bandwidth_usage,
-    distortion_reduction,
     iter_actions,
     payoff,
-    sample_channel,
+    slot_payoff,
     transmit_energy,
 )
 
@@ -192,13 +192,15 @@ def test_action_set_clamps_on_empty_buffer():
 
 
 def test_distortion_reduction_weighted_sum():
+    """`slot_payoff`'s distortion reduction sums q * y; `payoff` refuses
+    sends past the buffer."""
     dus = [du(0, 10.0, 0, [(2, 1.0)]), du(1, 5.0, 0, [(3, 1.0)])]
     tpl = GopTemplate(dus, 1, 1)
     state = UserState(tpl.context(0), (2, 3), 0)
-    assert distortion_reduction(state, ScheduleAction((2, 3))) == 35.0
-    assert distortion_reduction(state, ScheduleAction((0, 0))) == 0.0
+    assert slot_payoff(state.context.impacts, (2, 3), 0.0, 1.4)[1] == 35.0
+    assert slot_payoff(state.context.impacts, (0, 0), 0.0, 1.4)[1] == 0.0
     with pytest.raises(ModelError):
-        distortion_reduction(state, ScheduleAction((3, 0)))
+        payoff(state, ScheduleAction((3, 0)), 0.0, two_state_channel())
 
 
 def test_distortion_reduction_illustration_first_slot():
@@ -208,7 +210,7 @@ def test_distortion_reduction_illustration_first_slot():
            du(2, 1.0, 0, [(10, 1.0)], name="B")]
     tpl = GopTemplate(dus, 1, 1)
     state = UserState(tpl.context(0), (40, 10, 10), 0)
-    assert distortion_reduction(state, ScheduleAction((30, 0, 0))) == 120.0
+    assert slot_payoff(state.context.impacts, (30, 0, 0), 0.0, 1.4)[1] == 120.0
 
 
 def test_transmit_energy_closed_form():
@@ -340,15 +342,16 @@ def test_returned_step_dicts_are_fresh():
     assert again.dropped == {(0, 0): 5} and again.arrivals == {(0, 0): 7}
 
 
-def test_sample_channel_identity_and_frequencies():
-    ident = ChannelModel(["a", "b"], [1.0, 1.0], [1.0, 1.0],
-                         [[1.0, 0.0], [0.0, 1.0]])
+def test_channel_step_identity_and_frequencies():
+    """`JointChannel.step` of one channel draws from its state's row."""
+    ident = JointChannel([ChannelModel(["a", "b"], [1.0, 1.0], [1.0, 1.0],
+                                       [[1.0, 0.0], [0.0, 1.0]])])
     rng = np.random.default_rng(0)
-    assert all(sample_channel(ident, 1, rng) == 1 for _ in range(20))
+    assert all(ident.step((1,), rng) == (1,) for _ in range(20))
 
-    chan = two_state_channel()
+    chan = JointChannel([two_state_channel()])
     rng = np.random.default_rng(1)
-    stays = sum(sample_channel(chan, 0, rng) == 0 for _ in range(10_000))
+    stays = sum(chan.step((0,), rng) == (0,) for _ in range(10_000))
     assert stays / 10_000 == pytest.approx(0.7, abs=0.02)
 
 

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import ThresholdAgent
+from conftest import ThresholdAgent, model_slot, scenario_model
 from wvsched.cli import main
 from wvsched.harness import ProposedSolution, build_views, make_agents
 from wvsched.mdp import common_view
@@ -150,21 +150,12 @@ def test_slack_bandwidth_gives_zero_prices_and_unconstrained_policies():
 def test_symmetric_users_share_bandwidth_equally(trio_results):
     data = trio_results["tiny-sym"]
     sc, sol = data["scenario"], data["solution"]
-    rng = np.random.default_rng(11)
-    jc = JointChannel(sc.channels, sc.channel_correlation)
-    from wvsched.model import advance_traffic, initial_buffer
-    s0 = jc.initial(rng)
-    buffers = [initial_buffer(u.template, 0, rng) for u in sc.users]
-    phases = [0, 0]
+    model = scenario_model(sc, np.random.default_rng(11))
     req = np.zeros(2)
     for _ in range(6000):
-        contexts = [u.template.context(p) for u, p in zip(sc.users, phases)]
-        decision = sol.sent_actions(s0, contexts, buffers)
-        for i, u in enumerate(sc.users):
-            req[i] += decision.raw[i].total / u.channel.rate[s0[i]]
-            step = advance_traffic(u.template, contexts[i], buffers[i], decision.sent[i], rng)
-            buffers[i], phases[i] = step.buffer, step.context.phase
-        s0 = jc.step(s0, rng)
+        decision = sol.sent_actions(*model_slot(model))
+        req += model.usage([act.total for act in decision.raw], 1.0)
+        model.run_slot([act.sends for act in decision.sent])
     assert abs(req[0] - req[1]) / max(req) < 0.02
 
 

@@ -1,19 +1,13 @@
 """Every slot loop keeps its random stream, pinned to exact values.
 
-All simulation loops start from `pricing.SlotSystem` and share its draw
-order: coordination and the learning curve step it slot by slot, and the
-frozen-rule walks (`replay`, `run_episode`) draw the same uniforms in
-blocks. The order: at start-up the channel state, then each user's
-buffer, one scalar draw per DU; each slot, in user order, one block of k
-uniforms for the k
-DUs entering that user's next phase (no draw when k = 0), then the next
-channel state (one draw if common, one block over the n users if
-independent). A block is one `rng.random(k)` call (a scalar call when
-k = 1) and yields the same doubles as k scalar draws, so the values below
-are those of one scalar draw per DU and channel.
-Coordination's main loop is the one exception: it draws the next channel
-state before the traffic, because learning agents observe it. A reordered
-draw moves every value below, so each is compared with ==.
+All simulation loops start from `pricing.SlotSystem` and draw in the order
+`reference_model.py` sets out: coordination and the learning curve step it
+slot by slot, and the frozen-rule walks (`replay`, `run_episode`) draw the
+same uniforms in blocks, one `rng.random(k)` call yielding the doubles of
+k scalar draws. Coordination's main loop is the one exception: it draws
+the next channel state before the traffic, because learning agents
+observe it. A reordered draw moves every value below, so each is compared
+with ==.
 """
 
 from __future__ import annotations
