@@ -82,11 +82,9 @@ def build_views(scenario: ScenarioConfig) -> list[ChannelView]:
     """One channel view per user, per the scenario's correlation and price view."""
     channels = scenario.channels
     if scenario.channel_correlation == "common":
-        return [common_view(channels[i], len(channels), user=i)
-                for i in range(len(channels))]
-    if scenario.price_view == "full":
-        return [joint_view(channels, i) for i in range(len(channels))]
-    return [own_view(channels, i) for i in range(len(channels))]
+        return [common_view(c, len(channels)) for c in channels]
+    view = joint_view if scenario.price_view == "full" else own_view
+    return [view(scenario.joint, i) for i in range(len(channels))]
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +306,7 @@ class Solution:
 
     name = "abstract"
     # `run_episode`'s walk memo: (the objects it was built under, the memo,
-    # its interned record parts, the scenario's `JointChannel`); see
-    # `episode_memo`
+    # its interned record parts); see `episode_memo`
     _walks: tuple | None = None
 
     def prepare(self, rng: np.random.Generator) -> None:
@@ -324,20 +321,17 @@ class Solution:
         decision cache."""
         return ()
 
-    def episode_memo(self, scenario: ScenarioConfig) -> tuple[dict, dict, JointChannel]:
-        """`run_episode`'s `pricing.walk` memo for episodes on `scenario`, its
-        table of interned record parts and the scenario's `JointChannel`
-        (whose construction checks the channels, so it is built with the
-        memo, not per episode). All three are kept across episodes while the
-        frozen rule stands: while `scenario` and every object of
+    def episode_memo(self, scenario: ScenarioConfig) -> tuple[dict, dict]:
+        """`run_episode`'s `pricing.walk` memo for episodes on `scenario` and
+        its table of interned record parts. Both are kept across episodes
+        while the frozen rule stands: while `scenario` and every object of
         `_rule_state` are the ones they were built under. Any other call
         drops them, and the successors the memo's entries keep, for new,
         empty ones."""
         owners = (scenario, *self._rule_state())
         walks = self._walks
         if walks is None or any(a is not b for a, b in zip(walks[0], owners, strict=True)):
-            walks = self._walks = (owners, {}, {}, JointChannel(scenario.channels,
-                                                                scenario.channel_correlation))
+            walks = self._walks = (owners, {}, {})
         return walks[1:]
 
     def sent_arrays(self, states, c0, contexts, buffers) -> list[np.ndarray] | None:
@@ -579,14 +573,13 @@ class ProposedSolution(PricedRuntime):
         `replay`; each round ends in a `_reprice`.
         """
         sc = self.scenario
-        joint = JointChannel(sc.channels, sc.channel_correlation)
 
         def cleared(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
             decision = self.sent_actions(system.s0, system.contexts, system.buffers)
             return decision.lam0, decision.sent
 
         for _round in range(2):
-            mean_lam, _ = replay(SlotSystem(sc.templates, joint, rng), cleared, 600)
+            mean_lam, _ = replay(SlotSystem(sc.templates, sc.joint, rng), cleared, 600)
             self.prices.lam.update(mean_lam)
             self._reprice(a.view.price_vector(self.prices.lam, sc.bits_per_packet)
                           for a in self.agents)
@@ -702,10 +695,9 @@ class UniformPriceSolution(PricedRuntime):
         self.price = None
         self.result = None
 
-    def _usage_estimator(self, rng: np.random.Generator) -> Callable:
+    def _usage_estimator(self, rng: np.random.Generator,
+                         s0_states: Sequence[tuple[int, ...]]) -> Callable:
         sc = self.scenario
-        joint = JointChannel(sc.channels, sc.channel_correlation)
-        s0_states = joint.all_states()
 
         def estimate(lam: float) -> dict:
             self._reprice(lam * sc.bits_per_packet / np.asarray(a.view.rate)
@@ -725,9 +717,9 @@ class UniformPriceSolution(PricedRuntime):
         self._cache = {}
         # uniform price only needs the user's own channel to index its tables
         self.agents = make_agents(replace(sc, price_view="expected"), self.agent_kind)
-        joint = JointChannel(sc.channels, sc.channel_correlation)
-        self.result = uniform_price_solve(self._usage_estimator(rng),
-                                          joint.all_states(), sc.bandwidth)
+        states = sc.joint.all_states()
+        self.result = uniform_price_solve(self._usage_estimator(rng, states), states,
+                                          sc.bandwidth)
         self.price = self.result.price
         self._reprice(self.price * sc.bits_per_packet / np.asarray(a.view.rate)
                       for a in self.agents)
@@ -849,8 +841,8 @@ def run_episode(scenario: ScenarioConfig, solution: Solution, slots: int,
             raise ModelError(f"pinned channels must be a nonempty sequence of integer "
                              f"channel states in [0, {n_states}); got {list(pinned_channels)}")
         pins = [(int(h),) * n_users for h in pinned_channels]
-    memo, interned, joint = solution.episode_memo(sc)
-    system = SlotSystem(sc.templates, joint, rng, None if pins is None else pins[0])
+    memo, interned = solution.episode_memo(sc)
+    system = SlotSystem(sc.templates, sc.joint, rng, None if pins is None else pins[0])
     steps = walk(system, partial(_decided_slot, sc, solution, interned), slots, memo, pins)
 
     trace = EpisodeTrace(sc.name, solution.name)
@@ -965,9 +957,8 @@ def compute_metrics(trace: EpisodeTrace, scenario: ScenarioConfig) -> MetricsRep
             if rec.slot > 1:
                 i_loss_late += ur.dropped.get("I", 0)
         disc *= delta
-    scale = (1.0 - delta) if delta < 1 else 1.0
-    pay = [scale * p for p in pay]
-    dist = [scale * d for d in dist]
+    pay = [(1.0 - delta) * p for p in pay]
+    dist = [(1.0 - delta) * d for d in dist]
     return MetricsReport(
         solution=trace.solution,
         per_user_payoff=pay,
@@ -1022,6 +1013,16 @@ def _cell(x):
     return x if isinstance(x, int) else f"{x:.6g}"
 
 
+def _write_csv(path: Path, header: list, rows) -> Path:
+    """`header` then `rows` as a CSV file at `path`, its folder made if missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def emit_report(traces: Sequence[EpisodeTrace], scenario: ScenarioConfig,
                 out_dir: str | Path,
                 metrics: Sequence[MetricsReport] | None = None) -> list[Path]:
@@ -1036,46 +1037,33 @@ def emit_report(traces: Sequence[EpisodeTrace], scenario: ScenarioConfig,
     if metrics is None:
         metrics = [compute_metrics(trace, scenario) for trace in traces]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = ["solution", "episodes", "network_payoff", "network_distortion",
-                  "total_distortion", "total_energy", "i_loss_after_slot1"]
-        for i, u in enumerate(scenario.users):
-            header += [f"payoff_{u.name}", f"distortion_{u.name}", f"loss_{u.name}"]
-        w.writerow(header)
-        for m in metrics:
-            row = [m.solution, m.episodes, f"{m.network_payoff:.6g}",
-                   f"{m.network_distortion:.6g}", f"{m.total_distortion:.6g}",
-                   f"{m.total_energy:.6g}", _cell(m.i_loss_after_first_slot)]
-            for i in range(len(scenario.users)):
-                loss = sum(m.loss_by_frame[i].values())
-                row += [f"{m.per_user_payoff[i]:.6g}",
-                        f"{m.per_user_distortion[i]:.6g}", _cell(loss)]
-            w.writerow(row)
-    written.append(metrics_path)
+    header = ["solution", "episodes", "network_payoff", "network_distortion",
+              "total_distortion", "total_energy", "i_loss_after_slot1"]
+    for u in scenario.users:
+        header += [f"payoff_{u.name}", f"distortion_{u.name}", f"loss_{u.name}"]
+    rows = []
+    for m in metrics:
+        row = [m.solution, m.episodes, f"{m.network_payoff:.6g}",
+               f"{m.network_distortion:.6g}", f"{m.total_distortion:.6g}",
+               f"{m.total_energy:.6g}", _cell(m.i_loss_after_first_slot)]
+        for i in range(len(scenario.users)):
+            loss = sum(m.loss_by_frame[i].values())
+            row += [f"{m.per_user_payoff[i]:.6g}",
+                    f"{m.per_user_distortion[i]:.6g}", _cell(loss)]
+        rows.append(row)
+    written = [_write_csv(out / "metrics.csv", header, rows)]
 
     for trace in traces:
-        path = out / f"trace_{trace.solution.replace('+', '_')}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["slot", "channel", "lambda0", "user", "traffic",
-                        "requested", "sent", "dropped", "payoff", "share"])
-            for rec in trace.records:
-                for i, ur in enumerate(rec.users):
-                    w.writerow([
-                        rec.slot, rec.channel_names[i], f"{rec.lam0:.6g}",
-                        scenario.users[i].name,
-                        " ".join(f"{n}({x})" for n, x in ur.traffic),
-                        " ".join(map(str, ur.requested)),
-                        " ".join(map(str, ur.sent)),
-                        " ".join(f"{n}({x})" for n, x in ur.dropped.items()) or "-",
-                        f"{ur.payoff:.6g}", f"{ur.share:.4f}",
-                    ])
-        written.append(path)
+        rows = ([rec.slot, rec.channel_names[i], f"{rec.lam0:.6g}", scenario.users[i].name,
+                 " ".join(f"{n}({x})" for n, x in ur.traffic),
+                 " ".join(map(str, ur.requested)),
+                 " ".join(map(str, ur.sent)),
+                 " ".join(f"{n}({x})" for n, x in ur.dropped.items()) or "-",
+                 f"{ur.payoff:.6g}", f"{ur.share:.4f}"]
+                for rec in trace.records for i, ur in enumerate(rec.users))
+        written.append(_write_csv(out / f"trace_{trace.solution.replace('+', '_')}.csv",
+                                  ["slot", "channel", "lambda0", "user", "traffic",
+                                   "requested", "sent", "dropped", "payoff", "share"], rows))
     return written
 
 
@@ -1118,28 +1106,17 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
 
 def write_learning_curve(rows, path: str | Path) -> Path:
     """slot, user, windowed payoff, sup-norm gap to planning values."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slot", "user", "windowed_payoff", "gap_to_planning"])
-        for slot, user, pay, gap in rows:
-            w.writerow([slot, user, f"{pay:.6g}", f"{gap:.6g}"])
-    return path
+    return _write_csv(Path(path), ["slot", "user", "windowed_payoff", "gap_to_planning"],
+                      ([slot, user, f"{pay:.6g}", f"{gap:.6g}"]
+                       for slot, user, pay, gap in rows))
 
 
 def write_price_trace(report: CoordinationReport, path: str | Path) -> Path:
     """Iteration, state, usage, price, residual rows behind a convergence plot."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "s0", "usage", "lambda0", "residual"])
-        for it, s0, usage, lam in report.price_trace:
-            res = report.residuals.get(s0, "")
-            w.writerow([it, "/".join(map(str, s0)), f"{usage:.6g}", f"{lam:.6g}",
-                        f"{res:.6g}" if res != "" else ""])
-    return path
+    return _write_csv(Path(path), ["iteration", "s0", "usage", "lambda0", "residual"],
+                      ([it, "/".join(map(str, s0)), f"{usage:.6g}", f"{lam:.6g}",
+                        f"{report.residuals[s0]:.6g}" if s0 in report.residuals else ""]
+                       for it, s0, usage, lam in report.price_trace))
 
 
 def format_traffic(ur: UserSlotRecord) -> str:
@@ -1154,9 +1131,6 @@ def format_sched(ur: UserSlotRecord) -> str:
 def write_replay_table(trace: EpisodeTrace, scenario: ScenarioConfig,
                        path: str | Path) -> Path:
     """Slot-column table: traffic states, channel, allocation, scheduling, loss."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n_slots = len(trace.records)
     rows = []
     for i, u in enumerate(scenario.users):
         rows.append([f"traffic {u.name}"] +
@@ -1176,9 +1150,5 @@ def write_replay_table(trace: EpisodeTrace, scenario: ScenarioConfig,
                 parts.append(f"{name}({x}) {scenario.users[i].name}")
         loss_cells.append("; ".join(parts) if parts else "-")
     rows.append(["packet loss"] + loss_cells)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + [f"slot {k + 1}" for k in range(n_slots)])
-        for row in rows:
-            w.writerow(row)
-    return path
+    return _write_csv(Path(path), [""] + [f"slot {k + 1}" for k in range(len(trace.records))],
+                      rows)

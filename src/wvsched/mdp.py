@@ -18,7 +18,6 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 from wvsched.model import (
     ChannelModel,
     GopTemplate,
+    JointChannel,
     ModelError,
     ScheduleAction,
     check_buffer,
@@ -69,23 +69,19 @@ def value_iteration(backup: Callable[[np.ndarray], np.ndarray], values: np.ndarr
 class ChannelView:
     """The channel component a user's MDP conditions on.
 
-    kind "own": the user's own channel; prices are expectations over the
-    other users' stationary channel states. kind "common": one shared chain,
-    the joint state is the shared state repeated. kind "joint": the full
-    product chain, giving the user exact per-joint-state prices.
+    `state_of` maps each joint channel state the view holds to its view
+    state; `transition`, `rate` and `gain` are over the view states, and
+    `price_weights[v]` holds the (joint state, weight) pairs whose prices
+    make up view state v's: E[lambda0(s0) | v].
     """
 
-    def __init__(self, kind: str, user: int, transition: np.ndarray,
-                 rate: np.ndarray, gain: np.ndarray, price_weights,
-                 joint_keys=None):
-        self.kind = kind
-        self.user = user
+    def __init__(self, state_of: Mapping[tuple[int, ...], int], transition: np.ndarray,
+                 rate: np.ndarray, gain: np.ndarray, price_weights):
+        self.state_of = state_of
         self.transition = transition
         self.rate = rate
         self.gain = gain
         self.price_weights = price_weights
-        self.joint_keys = joint_keys
-        self._key_index = {k: i for i, k in enumerate(joint_keys)} if joint_keys else None
         # each joint key's readers: the view states whose price weights read
         # its price, so a move of that one price moves only their entries
         readers: dict[tuple[int, ...], dict[int, None]] = {}
@@ -98,10 +94,12 @@ class ChannelView:
         return len(self.rate)
 
     def view_state(self, s0: tuple[int, ...]) -> int:
-        """Map a realized joint channel state to this view's state index."""
-        if self.kind == "joint":
-            return self._key_index[tuple(s0)]
-        return int(s0[self.user])
+        """The view state of a realized joint channel state; `ModelError`
+        for a joint state the view does not hold."""
+        try:
+            return self.state_of[s0]
+        except KeyError:
+            raise ModelError(f"joint channel state {s0} is not in this view") from None
 
     def price_entry(self, lam: Mapping[tuple[int, ...], float], v: int,
                     bits_per_packet: float) -> float:
@@ -130,65 +128,49 @@ def checked_price(view: ChannelView, price) -> np.ndarray:
     return price
 
 
-def common_view(channel: ChannelModel, n_users: int, user: int = 0) -> ChannelView:
+def common_view(channel: ChannelModel, n_users: int) -> ChannelView:
     """All users ride one shared channel; joint state = shared state repeated."""
-    n = len(channel)
-    weights = tuple((((h,) * n_users, 1.0),) for h in range(n))
+    keys = [(h,) * n_users for h in range(len(channel))]
     return ChannelView(
-        kind="common",
-        user=user,
+        state_of={k: h for h, k in enumerate(keys)},
         transition=channel.transition.copy(),
         rate=channel.rate.copy(),
         gain=channel.gain.copy(),
-        price_weights=weights,
-    )
-
-
-def product_chain(channels: Sequence[ChannelModel]) -> np.ndarray:
-    """Transition matrix of independent channels run side by side, joint
-    states in itertools.product order."""
-    return reduce(np.kron, (c.transition for c in channels), np.ones((1, 1)))
-
-
-def joint_view(channels: Sequence[ChannelModel], user: int) -> ChannelView:
-    """Product chain over all users' independent channels."""
-    keys = [tuple(k) for k in product(*(range(len(c)) for c in channels))]
-    own = np.array([k[user] for k in keys])
-    return ChannelView(
-        kind="joint",
-        user=user,
-        transition=product_chain(channels),
-        rate=channels[user].rate[own],
-        gain=channels[user].gain[own],
         price_weights=tuple(((k, 1.0),) for k in keys),
-        joint_keys=keys,
     )
 
 
-def own_view(channels: Sequence[ChannelModel], user: int) -> ChannelView:
-    """The user's own chain; prices projected via the others' stationary laws."""
-    me = channels[user]
-    others = [(j, c) for j, c in enumerate(channels) if j != user]
-    stat = {j: c.stationary() for j, c in others}
-    weights = []
-    for h in range(len(me)):
-        pairs = []
-        for combo in product(*(range(len(c)) for _, c in others)):
-            key = [0] * len(channels)
-            key[user] = h
-            w = 1.0
-            for (j, _), hj in zip(others, combo):
-                key[j] = hj
-                w *= stat[j][hj]
-            pairs.append((tuple(key), w))
-        weights.append(tuple(pairs))
+def joint_view(joint: JointChannel, user: int) -> ChannelView:
+    """The whole joint chain, giving the user exact per-joint-state prices."""
+    keys = joint.all_states()
+    own = np.array([k[user] for k in keys])
+    channel = joint.channels[user]
     return ChannelView(
-        kind="own",
-        user=user,
+        state_of={k: i for i, k in enumerate(keys)},
+        transition=joint.transition,
+        rate=channel.rate[own],
+        gain=channel.gain[own],
+        price_weights=tuple(((k, 1.0),) for k in keys),
+    )
+
+
+def own_view(joint: JointChannel, user: int) -> ChannelView:
+    """The user's own chain; prices projected via the others' stationary laws."""
+    me, keys = joint.channels[user], joint.all_states()
+    stat = [c.stationary() for c in joint.channels]
+    weights = [[] for _ in range(len(me))]
+    for key in keys:
+        w = 1.0
+        for j, h in enumerate(key):
+            if j != user:
+                w *= stat[j][h]
+        weights[key[user]].append((key, w))
+    return ChannelView(
+        state_of={key: key[user] for key in keys},
         transition=me.transition.copy(),
         rate=me.rate.copy(),
         gain=me.gain.copy(),
-        price_weights=tuple(weights),
+        price_weights=tuple(map(tuple, weights)),
     )
 
 

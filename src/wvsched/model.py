@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from numbers import Integral
 from operator import contains, mul
@@ -540,13 +540,64 @@ def check_common_chain(channels: Sequence[ChannelModel],
                              f"{who}'s chain differs from the first user's")
 
 
+class JointChannel:
+    """The tuple of user channel states: its states, its transition and its
+    slot-by-slot draws. A common channel is one chain whose state every
+    user shares; independent channels run side by side."""
+
+    def __init__(self, channels: Sequence[ChannelModel], correlation: str = "independent"):
+        if correlation not in ("independent", "common"):
+            raise ModelError(f"unknown channel correlation {correlation!r}")
+        self.channels = list(channels)
+        self.correlation = correlation
+        self.draws = 1 if correlation == "common" else len(self.channels)  # uniforms per step
+        self._cdfs = [c.transition_cdf for c in self.channels]
+        if correlation == "common":
+            check_common_chain(self.channels)
+
+    def initial(self, rng: np.random.Generator) -> tuple[int, ...]:
+        if self.correlation == "common":
+            h = draw(self.channels[0].stationary_cdf, rng)
+            return (h,) * len(self.channels)
+        return tuple(draw(c.stationary_cdf, rng) for c in self.channels)
+
+    def step(self, s0: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+        """The next joint state: one draw if common, else one `uniforms` call
+        over the users, giving the states n scalar `rng.choice` draws from
+        their transition rows would."""
+        return self.next_state(s0, iter(uniforms(rng, self.draws)))
+
+    def next_state(self, s0: tuple[int, ...], us: Iterator[float]) -> tuple[int, ...]:
+        """The joint state after `s0` that the next `draws` uniforms of `us`
+        pick, each by `bisect_right` on its row's transition CDF."""
+        if self.correlation == "common":
+            return (bisect_right(self._cdfs[0][s0[0]], next(us)),) * len(self._cdfs)
+        return tuple(bisect_right(cdf[h], u) for cdf, h, u in zip(self._cdfs, s0, us))
+
+    def all_states(self) -> list[tuple[int, ...]]:
+        """Every joint state: the shared state repeated if common, else the
+        users' states in itertools.product order."""
+        if self.correlation == "common":
+            return [(h,) * len(self.channels) for h in range(len(self.channels[0]))]
+        return list(product(*(range(len(c)) for c in self.channels)))
+
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """The transition matrix over `all_states()`: the common chain, or
+        the Kronecker product of the independent chains."""
+        if self.correlation == "common":
+            return self.channels[0].transition
+        return reduce(np.kron, (c.transition for c in self.channels), np.ones((1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # States and actions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class UserState:
-    """Per-user decision state: context, per-DU buffer, own channel state."""
+    """Per-user decision state: context, per-DU buffer, own channel state.
+    Contexts are interned, so states compare them by identity."""
 
     context: Context
     buffer: tuple[int, ...]
@@ -554,13 +605,6 @@ class UserState:
 
     def __post_init__(self):
         check_buffer(self.context, self.buffer)
-
-    def __hash__(self):
-        return hash((id(self.context), self.buffer, self.channel))
-
-    def __eq__(self, other):
-        return (self.context is other.context and self.buffer == other.buffer
-                and self.channel == other.channel)
 
 
 @dataclass(frozen=True, slots=True)
@@ -761,6 +805,14 @@ class ScenarioConfig:
             check_common_chain(self.channels, [u.name for u in self.users])
         if self.price_view not in ("expected", "full"):
             raise ModelError(f"unknown price_view {self.price_view!r}")
+        if self.price_view == "full" and self.channel_correlation == "common":
+            raise ModelError('price_view "full" applies to independent channels only; '
+                             "a common channel's views are exact")
+
+    @cached_property
+    def joint(self) -> JointChannel:
+        """The scenario's `JointChannel`, built on first use."""
+        return JointChannel(self.channels, self.channel_correlation)
 
     @property
     def templates(self) -> list[GopTemplate]:

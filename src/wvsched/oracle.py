@@ -38,14 +38,12 @@ from wvsched.mdp import (
     action_table,
     buffer_grid,
     entering_combos,
-    product_chain,
     row_terms,
     value_iteration,
 )
 from wvsched.model import ModelError, ScenarioConfig, UserConfig
 # mdp.action_table walks iter_actions; perfbench's tracer also patches this name
 from wvsched.model import iter_actions  # noqa: F401
-from wvsched.pricing import JointChannel
 
 if TYPE_CHECKING:
     # loaded where the joint kernel is built (see mdp)
@@ -63,13 +61,10 @@ class JointSpace:
     def __init__(self, scenario: ScenarioConfig, state_cap: int = 200_000):
         self.scenario = scenario
         self.layouts = [TrafficLayout(u.template) for u in scenario.users]
-        self.joint = JointChannel(scenario.channels, scenario.channel_correlation)
-        self.c0_states = self.joint.all_states()
+        self.c0_states = scenario.joint.all_states()
         # each user's own channel state in every joint channel state, (n_users, n_c0)
         self.own = np.array(self.c0_states, dtype=np.int64).T
-        # joint channel transition over c0_states; common correlation rides one chain
-        self.transition = self.joint.channels[0].transition \
-            if self.joint.correlation == "common" else product_chain(self.joint.channels)
+        self.transition = scenario.joint.transition    # over c0_states
         self.period = math.lcm(*(u.template.period for u in scenario.users))
 
         # per jphase: per-user traffic-state counts, the radices of the index

@@ -11,7 +11,6 @@ tolerance, and so did the window's net movement, first to last.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -24,13 +23,12 @@ from wvsched.mdp import ChannelView
 from wvsched.model import (
     ChannelModel,
     GopTemplate,
+    JointChannel,
     ModelError,
     ScheduleAction,
     Transition,
     UserConfig,
     bandwidth_usage,
-    check_common_chain,
-    draw,
     initial_buffer,
     uniforms,
 )
@@ -75,49 +73,6 @@ def update_prices(table: PriceTable, s0: tuple[int, ...],
     table.updates += 1
     table.history.append((table.updates, s0, usage, new))
     return table
-
-
-# ---------------------------------------------------------------------------
-# Joint channel process
-# ---------------------------------------------------------------------------
-
-class JointChannel:
-    """Realizes the tuple of user channel states slot by slot."""
-
-    def __init__(self, channels: Sequence[ChannelModel], correlation: str = "independent"):
-        if correlation not in ("independent", "common"):
-            raise ModelError(f"unknown channel correlation {correlation!r}")
-        self.channels = list(channels)
-        self.correlation = correlation
-        self.draws = 1 if correlation == "common" else len(self.channels)  # uniforms per step
-        self._cdfs = [c.transition_cdf for c in self.channels]
-        if correlation == "common":
-            check_common_chain(self.channels)
-
-    def initial(self, rng: np.random.Generator) -> tuple[int, ...]:
-        if self.correlation == "common":
-            h = draw(self.channels[0].stationary_cdf, rng)
-            return (h,) * len(self.channels)
-        return tuple(draw(c.stationary_cdf, rng) for c in self.channels)
-
-    def step(self, s0: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
-        """The next joint state: one draw if common, else one `uniforms` call
-        over the users, giving the states n scalar `rng.choice` draws from
-        their transition rows would."""
-        return self.next_state(s0, iter(uniforms(rng, self.draws)))
-
-    def next_state(self, s0: tuple[int, ...], us: Iterator[float]) -> tuple[int, ...]:
-        """The joint state after `s0` that the next `draws` uniforms of `us`
-        pick, each by `bisect_right` on its row's transition CDF."""
-        if self.correlation == "common":
-            return (bisect_right(self._cdfs[0][s0[0]], next(us)),) * len(self._cdfs)
-        return tuple(bisect_right(cdf[h], u) for cdf, h, u in zip(self._cdfs, s0, us))
-
-    def all_states(self) -> list[tuple[int, ...]]:
-        if self.correlation == "common":
-            return [(h,) * len(self.channels) for h in range(len(self.channels[0]))]
-        from itertools import product
-        return [tuple(k) for k in product(*(range(len(c)) for c in self.channels))]
 
 
 def slot_key(s0, contexts, buffers) -> tuple:

@@ -15,7 +15,7 @@ window and seed whole numbers (a bool is neither):
       "seed": 0,
       "solver": "proposed",
       "channel_correlation": "common" | "independent",
-      "price_view": "expected" | "full",
+      "price_view": "expected" | "full",   ("full": independent channels only)
       "users": [
         {
           "name": "user1",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from wvsched.model import (
     check_buffer,
 )
 from wvsched.mdp import ChannelView, checked_price
+
+if TYPE_CHECKING:
+    from wvsched.learning import DuPdsLearner
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +116,14 @@ class DuValueTable:
     margin: np.ndarray
 
 
-class DuTables(Mapping):
+class DuTables:
     """`backward_induction` of a template's whole `du_layout` at one price.
 
     Holds the solved price (a list, one float per view state), discount,
     values[age, row, view], post[age, row, view], best_send[age, row, view]
     and margin[kind, view] over the layout's kind rows. Decisions read these
-    layout-wide arrays. As a mapping, du_id -> a `DuValueTable` with its own
-    copies of its kind's rows, built on first access and then kept; no
+    layout-wide arrays. Indexed by du_id, it gives a `DuValueTable` with its
+    own copies of its kind's rows, built on first access and then kept; no
     decision builds one.
     """
 
@@ -157,12 +160,6 @@ class DuTables(Mapping):
                 self.values[:, rows].copy(), self.post[:, rows].copy(),
                 self.best_send[:, rows].copy(), self.margin[kind].copy())
         return tab
-
-    def __iter__(self):
-        return iter(self.layout.kind_of)
-
-    def __len__(self) -> int:
-        return len(self.layout.kind_of)
 
 
 def build_du_tables(template: GopTemplate, view: ChannelView, discount: float,
@@ -265,7 +262,7 @@ class TableShare:
 # ---------------------------------------------------------------------------
 
 def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int,
-                        price: float, tables: Mapping,
+                        price: float, tables: DuTables | Mapping[int, DuPdsLearner],
                         discount: float) -> ScheduleAction:
     """Per-DU scheduling at a scalar price.
 

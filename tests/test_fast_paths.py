@@ -105,7 +105,7 @@ from wvsched.pricing import (
     slot_key,
     slot_requests,
 )
-from wvsched.scenario import preset
+from wvsched.scenario import list_presets, preset
 from wvsched.scheduling import (
     SingleDuModel,
     build_du_tables,
@@ -846,7 +846,8 @@ def user_mdps(draw_):
             c = draw_(channels(max_states=2))
             gains = [draw_(st.sampled_from([0.5, 1.4, 3.0])) for _ in range(len(c))]
             chans.append(ChannelModel(c.names, gains, c.rate, c.transition))
-        view = (joint_view if kind == "joint" else own_view)(chans, draw_(st.integers(0, 1)))
+        view = (joint_view if kind == "joint" else own_view)(JointChannel(chans),
+                                                               draw_(st.integers(0, 1)))
     min_quality = draw_(st.one_of(st.just(0.0), values_))
     mdp = UserMdp(tpl, view, draw_(st.floats(0.0, 1.0)), min_quality, 1.0,
                   draw_(st.floats(0.0, 0.95)))
@@ -972,7 +973,7 @@ def test_vectorised_solve_equals_loop_solve(inst):
 def test_each_du_gets_its_own_model_and_arrays(inst):
     tpl, view, delta, price, *_ = inst
     tables = build_du_tables(tpl, view, delta, price)
-    assert set(tables) == {du.du_id for du in tpl.dus}
+    assert set(tables.layout.kind_of) == {du.du_id for du in tpl.dus}
     arrays = []
     for du in tpl.dus:
         tab = tables[du.du_id]
@@ -1042,7 +1043,7 @@ def test_one_induction_on_fixed_templates_equals_loop_solve_per_du(case):
         cases = [(GopTemplate([DataUnitSpec(0, "D", 2.0, 0, ((5, 1.0),))], 1, 4),
                   common, 0.8, np.array([1.0, 2.5]))]
     elif case == "joint view":
-        view = joint_view([TWO_STATE, TWO_STATE], 0)
+        view = joint_view(JointChannel([TWO_STATE, TWO_STATE]), 0)
         assert len(view) == 4
         cases = [(_two_kinds((2, 6), window=4), view, 0.95, np.array([0.3, 1.1, 2.0, 5.0]))]
     else:
@@ -1479,9 +1480,90 @@ def test_channel_draws_equal_choice(chan, seed):
 def test_product_chain_equals_loop(chans):
     expect = reference_product_chain(chans)
     for user in range(len(chans)):
-        trans = joint_view(chans, user).transition
+        trans = joint_view(JointChannel(chans), user).transition
         assert np.array_equal(trans, expect)
         assert not any(np.shares_memory(trans, c.transition) for c in chans)
+
+
+def reference_views(sc: ScenarioConfig) -> list[tuple]:
+    """Each user's view by the rules written out per kind: (state_of,
+    price weights, transition, rate, gain). A common or own view's state of
+    s0 is s0[user], a joint view's the product index of s0."""
+    chans = sc.channels
+    keys = list(product(*(range(len(c)) for c in chans)))
+    views = []
+    for i, me in enumerate(chans):
+        if sc.channel_correlation == "common":
+            states = [(h,) * len(chans) for h in range(len(me))]
+            views.append(({k: k[i] for k in states}, [[(k, 1.0)] for k in states],
+                          me.transition, me.rate, me.gain))
+        elif sc.price_view == "full":
+            own = [k[i] for k in keys]
+            views.append(({k: v for v, k in enumerate(keys)}, [[(k, 1.0)] for k in keys],
+                          reference_product_chain(chans), me.rate[own], me.gain[own]))
+        else:
+            others = [j for j in range(len(chans)) if j != i]
+            weights = []
+            for h in range(len(me)):
+                pairs = []
+                for combo in product(*(range(len(chans[j])) for j in others)):
+                    key, w = [h] * len(chans), 1.0
+                    for j, hj in zip(others, combo):
+                        key[j] = hj
+                        w *= chans[j].stationary()[hj]
+                    pairs.append((tuple(key), w))
+                weights.append(pairs)
+            views.append(({k: k[i] for k in keys}, weights, me.transition, me.rate, me.gain))
+    return views
+
+
+def assert_views_follow_the_rules(sc: ScenarioConfig) -> None:
+    """`build_views` equals `reference_views`, weights and arrays byte for
+    byte; the scenario's joint channel is built once; a joint state outside
+    a view raises."""
+    assert sc.joint is sc.joint
+    assert replace(sc).joint is not sc.joint
+    views = harness.build_views(sc)
+    for view, (state_of, weights, trans, rate, gain) in zip(views, reference_views(sc),
+                                                             strict=True):
+        assert view.state_of == state_of
+        assert [view.view_state(k) for k in state_of] == list(state_of.values())
+        assert [[k for k, _ in pairs] for pairs in view.price_weights] == \
+            [[k for k, _ in pairs] for pairs in weights]
+        for pairs, ref in zip(view.price_weights, weights, strict=True):
+            assert np.array([w for _, w in pairs]).tobytes() == \
+                np.array([w for _, w in ref]).tobytes()
+        for got, want in ((view.transition, trans), (view.rate, rate), (view.gain, gain)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes())
+        outside = [(0,) * (len(sc.users) + 1), tuple(len(c) for c in sc.channels)]
+        if sc.channel_correlation == "common" and len(sc.users) > 1 and len(sc.channels[0]) > 1:
+            outside.append((0, 1) + (0,) * (len(sc.users) - 2))   # users apart
+        for s0 in outside:
+            with pytest.raises(ModelError, match="not in this view"):
+                view.view_state(s0)
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_preset_views_follow_the_rules(name):
+    assert_views_follow_the_rules(preset(name))
+
+
+@settings(max_examples=EXAMPLES // 3, deadline=None)
+@given(st.lists(channels(), min_size=1, max_size=3),
+       st.sampled_from(["common", "expected", "full"]), st.data())
+def test_views_follow_the_rules(chans, how, data):
+    """1-3 users on a common channel (one chain; rates and gains apart) or
+    on independent ones priced by own or joint views."""
+    if how == "common":
+        chans = [ChannelModel(chans[0].names, chans[0].gain * (1 + i), chans[0].rate * (1 + i),
+                              chans[0].transition) for i in range(len(chans))]
+    tpl = GopTemplate([DataUnitSpec(0, "I", 1.0, 0, ((1, 1.0),))], 1, 1)
+    users = tuple(UserConfig(f"u{i}", tpl, c) for i, c in enumerate(chans))
+    sc = ScenarioConfig("views", users, channel_correlation=(
+        "common" if how == "common" else "independent"),
+        price_view="full" if how == "full" else "expected")
+    assert_views_follow_the_rules(sc)
 
 
 @settings(max_examples=EXAMPLES // 3, deadline=None)
@@ -1736,7 +1818,7 @@ def test_decomposed_usage_by_view_equals_fresh_decisions(inst, data):
     leaves the generator as deciding and advancing every slot does."""
     templates, joint, seed = inst
     user = UserConfig("u", templates[0], joint.channels[0])
-    agent = DecomposedAgent(user, own_view([user.channel], 0),
+    agent = DecomposedAgent(user, own_view(JointChannel([user.channel]), 0),
                             data.draw(st.sampled_from([0.0, 0.9])))
     agent.refresh(np.array([data.draw(values_) for _ in range(len(agent.view))]))
     b = data.draw(st.sampled_from([0.5, 1.0]))
@@ -2428,7 +2510,7 @@ def test_policy_iteration_steps_on_gop16_user():
     below the cold solve's steps raises."""
     sc = preset("gop16-default")
     u = sc.users[1]
-    view = common_view(u.channel, len(sc.users), user=1)
+    view = common_view(u.channel, len(sc.users))
     mdp = UserMdp(u.template, view, u.beta, u.min_quality, sc.bits_per_packet,
                   sc.discount)
     lam = {(0, 0): 1.267, (1, 1): 1.419}
@@ -2462,8 +2544,7 @@ def blurred_view(view: ChannelView) -> ChannelView:
         + tuple((key, 0.25 * w / (n - 1)) for u in range(n) if u != v
                 for key, w in view.price_weights[u])
         for v in range(n))
-    return ChannelView(view.kind, view.user, view.transition, view.rate, view.gain, weights,
-                       view.joint_keys)
+    return ChannelView(view.state_of, view.transition, view.rate, view.gain, weights)
 
 
 # each view kind's scenario: the preset's common channel, or independent

@@ -348,7 +348,7 @@ def test_unbinding_band_oracle_is_sum_of_user_optima():
     orc = centralized_oracle(slack)
     total = 0.0
     for i, u in enumerate(slack.users):
-        mdp = UserMdp(u.template, common_view(u.channel, 2, user=i), u.beta,
+        mdp = UserMdp(u.template, common_view(u.channel, 2), u.beta,
                       u.min_quality, 1.0, slack.discount)
         total += float(mdp.solve(np.zeros(2), tol=1e-9).values.mean())
     assert orc.mean_value == pytest.approx(total, abs=1e-5)

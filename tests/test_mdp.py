@@ -19,6 +19,7 @@ from wvsched.model import (
     ChannelModel,
     DataUnitSpec,
     GopTemplate,
+    JointChannel,
     ModelError,
     ScheduleAction,
     transmit_energy,
@@ -291,13 +292,13 @@ def test_state_budget_rejection_reports_sizing():
 def test_views_project_prices():
     chans = [make_channel(), make_channel(rate=(8.0, 2.0))]
     lam = {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 2.0, (1, 1): 4.0}
-    jv = joint_view(chans, 1)
+    jv = joint_view(JointChannel(chans), 1)
     vec = jv.price_vector(lam, 1.0)
     # joint view state order is the product enumeration
     assert vec[jv.view_state((1, 1))] == pytest.approx(4.0 / 2.0)
     assert vec[jv.view_state((0, 1))] == pytest.approx(1.0 / 2.0)
 
-    ov = own_view(chans, 1)
+    ov = own_view(JointChannel(chans), 1)
     vec2 = ov.price_vector(lam, 1.0)
     stat0 = chans[0].stationary()
     expect_bad = (stat0[0] * 1.0 + stat0[1] * 4.0) / 2.0
@@ -312,8 +313,8 @@ def test_views_project_prices():
 def test_user_price_ratio_between_users():
     lam = {(1, 1): 0.5}
     chans = [make_channel(rate=(60.0, 60.0)), make_channel(rate=(40.0, 40.0))]
-    v1 = common_view(chans[0], 2, user=0).price_vector(lam, 1.0)
-    v2 = ChannelView("common", 1, chans[1].transition, chans[1].rate,
+    v1 = common_view(chans[0], 2).price_vector(lam, 1.0)
+    v2 = ChannelView({(h, h): h for h in range(2)}, chans[1].transition, chans[1].rate,
                      chans[1].gain, tuple((((h, h), 1.0),) for h in range(2)))
     vec2 = v2.price_vector(lam, 1.0)
     assert v1[1] / vec2[1] == pytest.approx(40.0 / 60.0)

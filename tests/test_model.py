@@ -163,6 +163,21 @@ def test_scenario_config_rejects_non_finite_numbers_and_negative_seeds(field, va
         model.ScenarioConfig("s", (user,), **{field: value})
 
 
+def test_user_states_compare_by_value_and_context_identity():
+    """Equal states are equal and hash alike; a state of another template's
+    context (equal in phase and slots) differs; a state equals nothing that
+    is not a state."""
+    tpl, other = fig_template(), fig_template()
+    state = UserState(tpl.context(0), (1, 0, 2), 1)
+    same = UserState(tpl.context(0), (1, 0, 2), 1)
+    assert state == same and hash(state) == hash(same)
+    assert state != UserState(tpl.context(0), (1, 0, 2), 0)
+    assert state != UserState(other.context(0), (1, 0, 2), 1)
+    assert state != None  # noqa: E711
+    assert state not in [1, 2]
+    assert {state: 1}[same] == 1
+
+
 # ---------------------------------------------------------------------------
 # actions and payoffs
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -131,6 +132,29 @@ def test_common_channel_rejects_a_chain_off_by_rounding(tmp_path, capsys):
     assert "user 'b'" in capsys.readouterr().err
 
 
+def test_full_price_view_is_refused_on_a_common_channel(tmp_path, capsys):
+    """A common channel's views are exact, so `price_view` "full" there
+    would do nothing: the scenario refuses it, and `wvsched run` on such a
+    file exits 2 naming it. "expected" on a common preset, and "full" on
+    independent channels, still build their views."""
+    sc = preset("tiny-sym")
+    with pytest.raises(ModelError, match="price_view"):
+        ScenarioConfig("s", sc.users, channel_correlation="common", price_view="full")
+    raw = json.loads(preset_path("tiny-priced").read_text(encoding="utf-8"))
+    assert "price_view" not in raw
+    raw["price_view"] = "full"
+    with pytest.raises(ScenarioError, match="price_view"):
+        scenario_from_dict(raw)
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--solution", "proposed",
+                 "--slots", "5", "--out", str(tmp_path / "out")]) == 2
+    assert "price_view" in capsys.readouterr().err
+    assert len(build_views(replace(sc, price_view="expected"))) == len(sc.users)
+    full = replace(sc, channel_correlation="independent", price_view="full")
+    assert [len(v) for v in build_views(full)] == [len(full.joint.all_states())] * 2
+
+
 def test_slack_bandwidth_gives_zero_prices_and_unconstrained_policies():
     base = preset("tiny-sym")
     slack = ScenarioConfig(
@@ -203,7 +227,7 @@ def test_penalized_value_decomposes_across_users(trio_results):
     total = 0.0
     n_users = len(sc.users)
     for i, u in enumerate(sc.users):
-        view = common_view(u.channel, n_users, user=i)
+        view = common_view(u.channel, n_users)
         from wvsched.mdp import UserMdp
         mdp = UserMdp(u.template, view, u.beta, u.min_quality,
                       sc.bits_per_packet, sc.discount)
