@@ -555,10 +555,7 @@ class ProposedSolution(PricedRuntime):
         self._cache = {}
         self.agents = make_agents(sc, self.agent_kind, rng)
         self.prices, self.report = run_coordination(
-            self.agents,
-            bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
-            correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
-            max_slots=self.max_slots, eval_slots=self.eval_slots, rng=rng)
+            sc, self.agents, max_slots=self.max_slots, eval_slots=self.eval_slots, rng=rng)
         if self.clearing:
             self._calibrate(rng)
 

@@ -1,17 +1,17 @@
 """Per-channel-state resource pricing by stochastic subgradient.
 
-The coordinator keeps one nonnegative price per joint channel state. Each
-slot the users submit bandwidth requests implied by their priced policies;
-the visited state's price moves by (sum of requests - bandwidth) with a
-1/(k+1) stepsize, where k counts that state's own updates. Convergence is
-declared once every visited state is settled: over a sliding window of its
-last `SWEEP_FACTOR` + 1 updates, each update moved its price by at most the
-tolerance, and so did the window's net movement, first to last.
+Coordination is a network manager and its users. The `Manager` keeps one
+nonnegative price per joint channel state and sees only each slot's state
+and the users' band requests: the visited state's price moves by (sum of
+requests - bandwidth) with a 1/(k+1) stepsize, k that state's own updates,
+until every visited state is settled. The users (`PricedAgent`) decide from
+the price vectors it delivers and their own state alone; `run_coordination`
+wires them to the simulated system, a `SlotSystem`.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from numbers import Integral
@@ -25,6 +25,7 @@ from wvsched.model import (
     GopTemplate,
     JointChannel,
     ModelError,
+    ScenarioConfig,
     ScheduleAction,
     Transition,
     UserConfig,
@@ -90,9 +91,10 @@ class SlotSystem:
     agents draw between slots, and `harness.pds_learning_curve` step it
     with `advance`; a frozen rule (`replay`, `harness.run_episode`) runs on
     `walk`, which draws the same uniforms in blocks. All of them draw in
-    the order set out here but one: `run_coordination` draws each slot's
-    next channel state before the traffic, because its agents observe it,
-    and hands it to `advance` as `s0_next`.
+    the order set out here but one: `run_coordination`, on the scenario's
+    templates and `ScenarioConfig.joint`, draws each slot's next channel
+    state before the traffic, because its agents observe it, and hands it
+    to `advance` as `s0_next`; its `Manager` draws nothing.
 
     Start-up draws the channel state (unless `s0` is given), then each
     user's initial buffer, one scalar draw per DU. Each `advance` then
@@ -268,136 +270,138 @@ class CoordinationReport:
     eval_slots: int = 0                   # slots the frozen policies were replayed
     eval_decisions: int = 0               # distinct slot decisions computed there
     eval_transitions: int = 0             # (slot state, draw outcome) successors it recorded
-    refreshes: list[int] = field(default_factory=list)  # per agent, refreshes the loop's gate passed
+    refreshes: list[int] = field(default_factory=list)  # per agent, vectors the gate passed
     solves: list[int] = field(default_factory=list)     # per agent, the solves those refreshes ran
 
 
-# price updates per settle sweep of one state (see state_settled)
+# price updates per settle sweep of one state (see `Manager`)
 SWEEP_FACTOR = 10
 
 
-def run_coordination(agents: Sequence[PricedAgent], *,
-                     bandwidth: float, bits_per_packet: float,
-                     correlation: str = "independent",
-                     tolerance: float = 1e-3, max_slots: int = 200_000,
-                     eval_slots: int = 20_000,
-                     rng: np.random.Generator | None = None) -> tuple[PriceTable, CoordinationReport]:
-    """Iterate priced re-solves, bandwidth requests, and subgradient updates.
+class Manager:
+    """The network manager. It sees each slot's joint channel state and the
+    users' band requests alone, and holds the `PriceTable`.
 
-    Templates and channels are read off the agents; one price update happens
-    per simulated slot, at the realized joint channel state. Afterwards the
-    converged policies are frozen and replayed for `eval_slots` to estimate
-    per-state expected usage and complementary-slackness residuals; frozen
-    policies are deterministic, so the replay computes each distinct slot
-    decision once.
+    `update` is one `update_prices` step at the visited state s0. It rewrites
+    only the projected price entries (Python floats) of the view states whose
+    `readers` hold s0, and tests only s0's window of its last `SWEEP_FACTOR`
+    + 1 updates: s0 is settled once each of their price moves, and their net
+    move (which catches slow drift), is at most the tolerance; `settled` once
+    every updated state is. `deliver` hands a user its price vector only when
+    an entry moved by more than tolerance / 10 since the last one it was
+    sent; `refreshes` counts those.
+    """
+
+    def __init__(self, views: Sequence[ChannelView], bandwidth: float,
+                 bits_per_packet: float, tolerance: float):
+        self.views, self.bandwidth, self.bits_per_packet = list(views), bandwidth, bits_per_packet
+        self.tolerance, self.gate, self.table = tolerance, tolerance / 10.0, PriceTable()
+        self.vecs = [v.price_vector(self.table.lam, bits_per_packet).tolist() for v in views]
+        n = len(self.views)
+        # stale: moved since the gate last saw them; sent: the last vector passed
+        self.stale, self.sent, self.refreshes = [True] * n, [None] * n, [0] * n
+        self.windows = defaultdict(lambda: (deque(maxlen=SWEEP_FACTOR + 1),
+                                            deque(maxlen=SWEEP_FACTOR + 1)))
+        self.unsettled: set[tuple[int, ...]] = set()
+        self.settled = False
+
+    def deliver(self) -> list[tuple[int, np.ndarray]]:
+        """(user, price vector) for each user, in order, whose vector passed the gate."""
+        out = []
+        for i, stale in enumerate(self.stale):
+            if stale:
+                self.stale[i] = False
+                now, last = self.vecs[i], self.sent[i]
+                if last is None or any(abs(a - b) > self.gate for a, b in zip(now, last)):
+                    self.sent[i] = list(now)
+                    self.refreshes[i] += 1
+                    out.append((i, np.array(now)))
+        return out
+
+    def vectors(self) -> list[np.ndarray]:
+        """Every user's price vector, gate or not: the prices users freeze at."""
+        return [np.array(vec) for vec in self.vecs]
+
+    def update(self, s0: tuple[int, ...], requests: Sequence[float]) -> None:
+        """One price step at s0 from the users' requests; see the class."""
+        table, tol, b = self.table, self.tolerance, self.bits_per_packet
+        before = table.get(s0)
+        update_prices(table, s0, requests, self.bandwidth)
+        lam = table.get(s0)
+        if lam != before:                # else no entry moves
+            for i, (view, vec) in enumerate(zip(self.views, self.vecs)):
+                for v in view.readers.get(s0, ()):
+                    entry = view.price_entry(table.lam, v, b)
+                    if entry != vec[v]:
+                        vec[v] = entry
+                        self.stale[i] = True
+        moves, lams = self.windows[s0]
+        moves.append(abs(lam - before))
+        lams.append(lam)
+        if len(moves) > SWEEP_FACTOR and max(moves) <= tol and abs(lam - lams[0]) <= tol:
+            self.unsettled.discard(s0)
+        else:
+            self.unsettled.add(s0)
+        self.settled = not self.unsettled
+
+
+def run_coordination(scenario: ScenarioConfig, agents: Sequence[PricedAgent], *,
+                     max_slots: int = 200_000, eval_slots: int = 20_000,
+                     rng: np.random.Generator | None = None) -> tuple[PriceTable, CoordinationReport]:
+    """Coordinate `agents`, one per user of `scenario` in order, by a
+    `Manager` on the scenario's band, bits per packet and price tolerance,
+    with the system on its templates and joint channel. Each slot the agents
+    refresh at the vectors the manager delivers, their requests update the
+    price at the realized state, and they observe the slot, until the
+    manager reports every visited state settled. Then the policies are
+    frozen at the final prices and replayed (each distinct slot decision
+    computed once) for `eval_slots` to estimate per-state expected usage
+    and complementary-slackness residuals.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    table = PriceTable()
-    joint = JointChannel([a.channel for a in agents], correlation)
-    system = SlotSystem([a.template for a in agents], joint, rng)
-
-    # each agent's projected prices, kept current as Python floats: a slot
-    # moves one price, lam0(s0), so only the entries of the view states
-    # that read s0 move, in place
-    vecs = [a.view.price_vector(table.lam, bits_per_packet).tolist() for a in agents]
-    stale = [True] * len(agents)         # moved since the refresh gate last saw it
-    last_price_vec = [None] * len(agents)
-    refreshes = [0] * len(agents)
+    joint, b, band = scenario.joint, scenario.bits_per_packet, scenario.bandwidth
+    system = SlotSystem(scenario.templates, joint, rng)
+    manager = Manager([a.view for a in agents], band, b, scenario.price_tolerance)
     solves = [a.solves for a in agents]
-    refresh_gate = tolerance / 10.0
-    # per updated state, the price moves and the prices of its last
-    # SWEEP_FACTOR + 1 updates
-    windows: dict[tuple[int, ...], tuple[deque, deque]] = {}
-    unsettled: set[tuple[int, ...]] = set()
-    converged = False
-    slots = 0
-    # each agent's view state of the current slot, computed once a slot
     views = [a.view.view_state(system.s0) for a in agents]
-
-    def state_settled(moves: deque, lams: deque) -> bool:
-        # a state is settled once a full sweep of its updates are each small
-        # and their net price movement is small (catches slow drift)
-        if len(moves) < SWEEP_FACTOR + 1:
-            return False
-        if max(moves) > tolerance:
-            return False
-        return abs(lams[-1] - lams[0]) <= tolerance
-
+    slots = 0
     for slots in range(1, max_slots + 1):
-        # refresh priced policies when the projected prices moved enough,
-        # compared as Python floats: as exact as numpy's, and cheaper on a
-        # few view states. Prices that have not moved since the gate last
-        # saw them get its same answer, no.
-        for i, agent in enumerate(agents):
-            if stale[i]:
-                stale[i] = False
-                now, last = vecs[i], last_price_vec[i]
-                if last is None or any(abs(a - b) > refresh_gate for a, b in zip(now, last)):
-                    agent.refresh(np.array(now))
-                    last_price_vec[i] = list(now)
-                    refreshes[i] += 1
-
-        s0 = system.s0
-        contexts = system.contexts
-        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth, views)
-        lam_before = table.get(s0)
-        update_prices(table, s0, requests, bandwidth)
-        lam = table.get(s0)
-        if lam != lam_before:                # else no entry moves
-            for i, agent in enumerate(agents):
-                view = agent.view
-                for v in view.readers.get(s0, ()):
-                    entry = view.price_entry(table.lam, v, bits_per_packet)
-                    if entry != vecs[i][v]:
-                        vecs[i][v] = entry
-                        stale[i] = True
-        # a window changes only when its own state is updated
-        win = windows.get(s0)
-        if win is None:
-            win = windows[s0] = (deque(maxlen=SWEEP_FACTOR + 1), deque(maxlen=SWEEP_FACTOR + 1))
-        win[0].append(abs(lam - lam_before))
-        win[1].append(lam)
-        if state_settled(*win):
-            unsettled.discard(s0)
-        else:
-            unsettled.add(s0)
-
+        for i, vec in manager.deliver():
+            agents[i].refresh(vec)
+        s0, contexts, buffers = system.s0, system.contexts, system.buffers
+        requests, sent = slot_requests(agents, system, b, band, views)
+        manager.update(s0, requests)
         # the next channel state is drawn before the traffic: observers need it
         s0_next = joint.step(s0, rng)
         next_views = [a.view.view_state(s0_next) for a in agents]
-        for agent, ctx, buf, v, act, v_next in zip(agents, contexts, system.buffers, views,
-                                                   sent, next_views):
-            agent.observe(ctx, buf, v, act, v_next)
+        for a, ctx, buf, v, act, v_next in zip(agents, contexts, buffers, views, sent, next_views):
+            a.observe(ctx, buf, v, act, v_next)
         system.advance(sent, s0_next)
         views = next_views
-
-        if not unsettled:
-            converged = True
+        if manager.settled:
             break
 
+    table = manager.table
     report = CoordinationReport(
-        prices=dict(table.lam),
-        counts=dict(table.counts),
-        slots_run=slots,
-        converged=converged,
-        price_trace=[(it, key, usage, lam) for it, key, usage, lam in table.history],
+        prices=dict(table.lam), counts=dict(table.counts), slots_run=slots,
+        converged=manager.settled, price_trace=list(table.history),
         price_trace_dropped=table.updates - len(table.history),
         exchange_messages_per_slot=2 * len(agents),  # one price + one request per user
-        refreshes=refreshes,
-        solves=[a.solves - before for a, before in zip(agents, solves)],
-    )
-    if not converged:
+        refreshes=list(manager.refreshes), solves=[a.solves - k for a, k in zip(agents, solves)])
+    if not report.converged:
+        unsettled = ", ".join(f"{s0} after {table.counts[s0]} updates"
+                              for s0 in sorted(manager.unsettled))
         raise CoordinationError(
-            f"prices did not settle within {max_slots} slots "
-            f"(tolerance {tolerance}); see report.price_trace", report)
+            f"prices did not settle within {max_slots} slots (tolerance "
+            f"{scenario.price_tolerance}); unsettled states: {unsettled}; "
+            "see report.price_trace", report)
 
-    # settle policies at the final prices, then measure usage with them frozen
-    for agent, vec in zip(agents, vecs):
+    for agent, vec in zip(agents, manager.vectors()):
         agent.freeze()
-        agent.refresh(np.array(vec))
+        agent.refresh(vec)
 
     def band_request(system: SlotSystem) -> tuple[float, list[ScheduleAction]]:
-        requests, sent = slot_requests(agents, system, bits_per_packet, bandwidth)
+        requests, sent = slot_requests(agents, system, b, band)
         return sum(requests), sent
 
     memo: dict[tuple, tuple] = {}
@@ -406,7 +410,7 @@ def run_coordination(agents: Sequence[PricedAgent], *,
     report.eval_transitions = sum(len(entry[-1]) for entry in memo.values())
     report.eval_slots = eval_slots
     for key, mean_usage in report.expected_usage.items():
-        report.residuals[key] = abs(table.get(key) * (mean_usage - bandwidth))
+        report.residuals[key] = abs(table.get(key) * (mean_usage - band))
     return table, report
 
 
@@ -414,14 +418,13 @@ def slot_requests(agents: Sequence[PricedAgent], system: SlotSystem,
                   bits_per_packet: float, bandwidth: float,
                   views: Sequence[int] | None = None) -> tuple[list[float], list[ScheduleAction]]:
     """Each user's band request at its priced action in the system's current
-    slot, and the actions scaled to fit the band. `views` are the agents'
-    view states of that slot, computed here if None."""
-    s0 = system.s0
+    slot, at its view's rate, and the actions scaled to fit the band. `views`
+    are the agents' view states of that slot, computed here if None."""
     if views is None:
-        views = [a.view.view_state(s0) for a in agents]
+        views = [a.view.view_state(system.s0) for a in agents]
     actions = [a.act(ctx, buf, v)
                for a, ctx, buf, v in zip(agents, system.contexts, system.buffers, views)]
-    rates = [a.channel.rate[h] for a, h in zip(agents, s0)]
+    rates = [a.view.rate[v] for a, v in zip(agents, views)]
     requests = [act.total * bits_per_packet / r for act, r in zip(actions, rates)]
     return requests, scale_to_budget(system.contexts, actions, rates, bits_per_packet,
                                      bandwidth)

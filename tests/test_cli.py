@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from functools import partial
 
 import numpy as np
@@ -285,7 +286,10 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     code = main(["run", "--scenario", str(path), "--solution", "proposed-full",
                  "--slots", "5", "--max-slots", "3000", "--out", str(tmp_path)])
     assert code == 3
-    assert "non-convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-convergence" in err
+    # the bad state is the one left unsettled, named with its update count
+    assert re.search(r"; unsettled states: \(1, 1\) after \d+ updates; see report", err)
 
 
 @pytest.mark.parametrize("name", ["lyapunov", "proposed+edf"])
@@ -293,7 +297,12 @@ def test_max_slots_reaches_the_allocator_of(name, tmp_path, capsys):
     code = main(["run", "--scenario", "illustration-2user", "--solution", name,
                  "--max-slots", "5", "--slots", "5", "--out", str(tmp_path)])
     assert code == 3
-    assert "non-convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-convergence" in err
+    # no state settles within 5 updates: every visited one is named, and
+    # their update counts add up to the 5 slots
+    named = re.findall(r"\(\d, \d\) after (\d+) updates", err)
+    assert named and sum(map(int, named)) == 5
 
 
 def test_compare_clearing_reaches_the_allocators_it_builds(tmp_path, monkeypatch):

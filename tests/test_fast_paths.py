@@ -2557,9 +2557,17 @@ COORDINATION_VIEWS = {
 }
 
 
+def reference_coordination(sc, agents, **kwargs):
+    """`reference_run_coordination` on the band, bits per packet, channel
+    correlation and price tolerance of `sc`."""
+    return reference_run_coordination(
+        agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
+        correlation=sc.channel_correlation, tolerance=sc.price_tolerance, **kwargs)
+
+
 def coordinate(run, sc, kind: str, view_kind: str, max_slots: int):
-    """`run` (run_coordination or its reference) on fresh agents of `kind`
-    and the scenario's generator: the price table (None when it raised
+    """`run` (run_coordination or `reference_coordination`) on fresh agents
+    of `kind` and the scenario's generator: the price table (None when it raised
     `CoordinationError`), the report, every refresh vector in call order,
     the generator's state after and the agents."""
     rng = np.random.default_rng(sc.seed)
@@ -2578,9 +2586,7 @@ def coordinate(run, sc, kind: str, view_kind: str, max_slots: int):
             solve(vec)
         agent.refresh = refresh
     try:
-        table, report = run(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
-                            correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
-                            max_slots=max_slots, eval_slots=300, rng=rng)
+        table, report = run(sc, agents, max_slots=max_slots, eval_slots=300, rng=rng)
     except pricing.CoordinationError as err:
         table, report = None, err.report
     return table, report, calls, rng.bit_generator.state, agents
@@ -2600,7 +2606,7 @@ def test_incremental_coordination_equals_full_recomputation(name, view_kind, kin
     cap = 20_000
     for settles in (True, False):
         got = coordinate(pricing.run_coordination, sc, kind, view_kind, cap)
-        want = coordinate(reference_run_coordination, sc, kind, view_kind, cap)
+        want = coordinate(reference_coordination, sc, kind, view_kind, cap)
         (table, report, calls, state, agents), (ref_table, ref_report, ref_calls, ref_state,
                                                 ref_agents) = got, want
         assert report.converged == settles and (table is not None) == settles
@@ -2693,10 +2699,7 @@ def test_shared_inductions_equal_each_agents_own_solve(sc, lam):
                     assert_own_tables(a)
         agent.refresh = refresh
     try:
-        pricing.run_coordination(agents, bandwidth=sc.bandwidth,
-                                 bits_per_packet=sc.bits_per_packet,
-                                 correlation=sc.channel_correlation,
-                                 tolerance=sc.price_tolerance, max_slots=40, eval_slots=20,
+        pricing.run_coordination(sc, agents, max_slots=40, eval_slots=20,
                                  rng=np.random.default_rng(0))
     except pricing.CoordinationError:
         pass

@@ -835,9 +835,7 @@ def test_decomposed_agents_count_the_solves_their_refreshes_make(monkeypatch):
     monkeypatch.setattr(harness, "build_du_tables", counted)
     agents = harness.make_agents(sc, "decomposed")
     with pytest.raises(CoordinationError) as err:
-        run_coordination(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
-                         correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
-                         max_slots=60, rng=np.random.default_rng(sc.seed))
+        run_coordination(sc, agents, max_slots=60, rng=np.random.default_rng(sc.seed))
     report = err.value.report
     first, second = agents
     assert set(second.template.du_layout.kinds) < set(first.template.du_layout.kinds)
@@ -1028,9 +1026,7 @@ def test_refresh_gate_decides_as_the_numpy_rule(monkeypatch):
             solve(vec)
         agent.refresh = refresh
     with pytest.raises(CoordinationError) as err:
-        run_coordination(agents, bandwidth=sc.bandwidth, bits_per_packet=sc.bits_per_packet,
-                         correlation=sc.channel_correlation, tolerance=sc.price_tolerance,
-                         max_slots=600, rng=np.random.default_rng(sc.seed))
+        run_coordination(sc, agents, max_slots=600, rng=np.random.default_rng(sc.seed))
     gate = sc.price_tolerance / 10.0
     taken = {True: 0, False: 0}
     for agent, refreshes in zip(agents, err.value.report.refreshes):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ThresholdAgent, model_slot, scenario_model
+from wvsched import model, pricing
 from wvsched.cli import main
 from wvsched.harness import ProposedSolution, build_views, make_agents
 from wvsched.mdp import common_view
@@ -15,6 +16,8 @@ from wvsched.model import (ChannelModel, DataUnitSpec, GopTemplate, ModelError, 
                            ScenarioConfig)
 from wvsched.pricing import (
     JointChannel,
+    Manager,
+    PricedAgent,
     PriceTable,
     run_coordination,
     scale_to_budget,
@@ -246,13 +249,27 @@ def test_penalized_value_decomposes_across_users(trio_results):
 def test_nonconvergence_raises_with_diagnostics():
     from wvsched.pricing import CoordinationError
 
-    sc = preset("tiny-mix")
+    sc = replace(preset("tiny-mix"), price_tolerance=1e-9)
     agents = make_agents(sc, "full")
     with pytest.raises(CoordinationError) as err:
-        run_coordination(agents, bandwidth=sc.bandwidth,
-                         bits_per_packet=1.0, correlation="common",
-                         tolerance=1e-9, max_slots=40, rng=np.random.default_rng(0))
+        run_coordination(sc, agents, max_slots=40, rng=np.random.default_rng(0))
     assert err.value.report.price_trace
+    # the message names every unsettled state with its update count: the
+    # settle rule re-applied to each state's prices in the (untruncated) trace
+    report = err.value.report
+    lams = {}
+    for _, s0, _, lam in report.price_trace:
+        lams.setdefault(s0, [0.0]).append(lam)
+    window = pricing.SWEEP_FACTOR + 1
+    unsettled = sorted(
+        s0 for s0, seq in lams.items()
+        if len(seq) <= window
+        or max(abs(b - a) for a, b in zip(seq[-window - 1:], seq[-window:])) > 1e-9
+        or abs(seq[-1] - seq[-window]) > 1e-9)
+    assert unsettled
+    named = ", ".join(f"{s0} after {report.counts[s0]} updates" for s0 in unsettled)
+    assert f"(tolerance 1e-09); unsettled states: {named}; see report.price_trace" \
+        in str(err.value)
 
 
 def test_truncated_price_history_counts_the_dropped_updates(monkeypatch):
@@ -295,11 +312,8 @@ def test_coordination_settles_with_a_minimal_priced_agent():
     leaves it refreshed at the final prices."""
     sc = preset("gop16-default")
     agents = [ThresholdAgent(u, v, sc.discount) for u, v in zip(sc.users, build_views(sc))]
-    table, report = run_coordination(agents, bandwidth=sc.bandwidth,
-                                     bits_per_packet=sc.bits_per_packet,
-                                     correlation=sc.channel_correlation,
-                                     tolerance=sc.price_tolerance, max_slots=50_000,
-                                     eval_slots=500, rng=np.random.default_rng(sc.seed))
+    table, report = run_coordination(sc, agents, max_slots=50_000, eval_slots=500,
+                                     rng=np.random.default_rng(sc.seed))
     assert report.converged
     assert report.eval_decisions > 0
     assert all(lam >= 0 for lam in table.lam.values())
@@ -308,3 +322,81 @@ def test_coordination_settles_with_a_minimal_priced_agent():
     ctx = sc.templates[0].context(0)
     assert agents[0].fill_order(ctx) == ctx.impact_order()
     assert agents[0].bid(ctx, 0, backlog=7) == ctx.slots[0].du.distortion_impact
+
+
+def test_manager_rebuilds_a_recorded_coordination(monkeypatch):
+    """A `Manager` built from gop16-default's views and numbers alone, fed
+    the (joint state, requests) stream a coordination recorded, rebuilds
+    that run's price table, refreshes, delivered vectors and settle slot.
+    It holds no agent, template or channel, and each agent's `refresh`
+    received only vectors the run's manager handed out: those `deliver`
+    let through, then those of `vectors`."""
+    sc = preset("gop16-default")
+    stream, delivered, final = [], [], []
+    update = pricing.update_prices
+
+    def recorded(table, s0, requests, bandwidth):
+        stream.append((s0, list(requests)))
+        return update(table, s0, requests, bandwidth)
+
+    def kept(method, into):
+        def wrapper(self):
+            into.append(method(self))
+            return into[-1]
+        return wrapper
+
+    monkeypatch.setattr(pricing, "update_prices", recorded)
+    monkeypatch.setattr(Manager, "deliver", kept(Manager.deliver, delivered))
+    monkeypatch.setattr(Manager, "vectors", kept(Manager.vectors, final))
+    agents = make_agents(sc, "decomposed")
+    received = [[] for _ in agents]
+    for agent, got in zip(agents, received):
+        def refresh(vec, got=got, solve=agent.refresh):
+            got.append(vec)
+            solve(vec)
+        agent.refresh = refresh
+    table, report = run_coordination(sc, agents, eval_slots=200,
+                                     rng=np.random.default_rng(sc.seed))
+    monkeypatch.undo()
+    assert report.converged and len(stream) == len(delivered) == report.slots_run
+    assert len(final) == 1
+    for i, got in enumerate(received):
+        sent = [vec for out in delivered for j, vec in out if j == i] + [final[0][i]]
+        assert len(got) == len(sent) and all(a is b for a, b in zip(got, sent))
+
+    manager = Manager(build_views(sc), sc.bandwidth, sc.bits_per_packet, sc.price_tolerance)
+    held = [x for value in vars(manager).values()
+            for x in (value if isinstance(value, list) else [value])]
+    assert not any(isinstance(x, (PricedAgent, GopTemplate, ChannelModel, JointChannel))
+                   for x in held)
+    for (s0, requests), want in zip(stream, delivered):
+        assert not manager.settled
+        got = manager.deliver()
+        assert [(i, v.tobytes()) for i, v in got] == [(i, v.tobytes()) for i, v in want]
+        manager.update(s0, requests)
+    assert manager.settled
+    assert (manager.table.lam, manager.table.counts, list(manager.table.history),
+            manager.table.updates) == (table.lam, table.counts, list(table.history),
+                                       table.updates)
+    assert manager.refreshes == report.refreshes
+    assert [v.tobytes() for v in manager.vectors()] == [v.tobytes() for v in final[0]]
+
+
+def test_proposed_prepare_builds_no_joint_channel_but_the_scenarios(monkeypatch):
+    """`ProposedSolution.prepare` on tiny-sym's independent channels runs its
+    coordination on `ScenarioConfig.joint`, so once that is built no
+    `JointChannel` is."""
+    sc = replace(preset("tiny-sym"), channel_correlation="independent")
+    assert sc.joint is sc.joint
+    built = []
+    init = model.JointChannel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.JointChannel, "__init__", counted)
+    sol = ProposedSolution(sc, eval_slots=200)
+    sol.prepare(np.random.default_rng(sc.seed))
+    assert sol.report.converged
+    assert built == []
