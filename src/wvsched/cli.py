@@ -32,7 +32,7 @@ from wvsched.harness import (
 )
 from wvsched.model import ModelError
 from wvsched.oracle import centralized_oracle
-from wvsched.pricing import CoordinationError
+from wvsched.pricing import MAX_SLOTS, CoordinationError
 from wvsched.scenario import ScenarioError, list_presets, load_scenario
 
 REPLAY_CHANNELS = {"illustration-2user": [0, 1, 1, 1, 0]}
@@ -81,7 +81,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=seed, default=None)
     run.add_argument("--clearing", action="store_true",
                      help="per-slot price clearing instead of proportional trims")
-    run.add_argument("--max-slots", type=count, default=120_000,
+    run.add_argument("--max-slots", type=count, default=MAX_SLOTS,
                      help="price-iteration slot cap before non-convergence")
     run.add_argument("--out", default="out")
 
@@ -120,7 +120,7 @@ def _allocator_kwargs(name: str, **kwargs) -> dict:
 
 
 def _prepare(scenario, name: str, seed: int, clearing: bool,
-             max_slots: int = 120_000):
+             max_slots: int = MAX_SLOTS):
     solution = build_solution(scenario, name, **_allocator_kwargs(
         name, clearing=clearing, max_slots=max_slots))
     solution.prepare(np.random.default_rng(seed))

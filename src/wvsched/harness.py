@@ -52,6 +52,7 @@ from wvsched.model import (
 # perfbench's tracer patches the slot engine's traffic step under this name
 from wvsched.model import advance_traffic  # noqa: F401
 from wvsched.pricing import (
+    MAX_SLOTS,
     CoordinationReport,
     JointChannel,
     PricedAgent,
@@ -534,7 +535,7 @@ class ProposedSolution(PricedRuntime):
     name = "proposed"
 
     def __init__(self, scenario: ScenarioConfig, agent_kind: str = "decomposed",
-                 max_slots: int = 120_000, eval_slots: int = 20_000,
+                 max_slots: int = MAX_SLOTS, eval_slots: int = 20_000,
                  clearing: bool = False):
         no_act_at = {"pds": "the PDS learning agents of proposed-learning",
                      "full": "the full tabular agents of proposed-full"}
@@ -701,11 +702,9 @@ class UniformPriceSolution(PricedRuntime):
                           for a in self.agents)
             per_user = [a.usage_by_view(sc.bits_per_packet, rng, self.usage_slots)
                         for a in self.agents]
-            out = {}
-            for s0 in s0_states:
-                out[s0] = float(sum(us[agent.view.view_state(s0)]
-                                    for us, agent in zip(per_user, self.agents)))
-            return out
+            return {s0: float(sum(us[agent.view.view_state(s0)]
+                                  for us, agent in zip(per_user, self.agents)))
+                    for s0 in s0_states}
 
         return estimate
 
@@ -1116,29 +1115,23 @@ def write_price_trace(report: CoordinationReport, path: str | Path) -> Path:
                        for it, s0, usage, lam in report.price_trace))
 
 
-def format_traffic(ur: UserSlotRecord) -> str:
-    return ", ".join(f"{n}({x})" for n, x in ur.traffic)
-
-
-def format_sched(ur: UserSlotRecord) -> str:
-    pairs = [(n, y) for (n, _x), y in zip(ur.traffic, ur.sent)]
-    return ", ".join(f"{n}({y})" for n, y in pairs)
-
-
 def write_replay_table(trace: EpisodeTrace, scenario: ScenarioConfig,
                        path: str | Path) -> Path:
     """Slot-column table: traffic states, channel, allocation, scheduling, loss."""
     rows = []
     for i, u in enumerate(scenario.users):
         rows.append([f"traffic {u.name}"] +
-                    [format_traffic(rec.users[i]) for rec in trace.records])
+                    [", ".join(f"{n}({x})" for n, x in rec.users[i].traffic)
+                     for rec in trace.records])
     rows.append(["channel"] + [rec.channel_names[0] for rec in trace.records])
     rows.append(["allocation"] +
                 ["(" + ", ".join(f"{ur.share:.2f}" for ur in rec.users) + ")"
                  for rec in trace.records])
     for i, u in enumerate(scenario.users):
         rows.append([f"scheduling {u.name}"] +
-                    [format_sched(rec.users[i]) for rec in trace.records])
+                    [", ".join(f"{n}({y})" for (n, _x), y in zip(rec.users[i].traffic,
+                                                                 rec.users[i].sent))
+                     for rec in trace.records])
     loss_cells = []
     for rec in trace.records:
         parts = []

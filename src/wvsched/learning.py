@@ -58,11 +58,6 @@ def pds_key(layout: TrafficLayout, phase: int, buffer: Sequence[int],
     return (phase, survivors, view_state)
 
 
-def _default_payoff(layout: TrafficLayout, phase: int, action: ScheduleAction,
-                    gain_to_noise: float, beta: float) -> float:
-    return slot_payoff(layout.contexts[phase].impacts, action.sends, beta, gain_to_noise)[0]
-
-
 def pds_greedy_action(layout: TrafficLayout, phase: int, buffer: Sequence[int],
                       view_state: int, table, price: float,
                       beta: float, gain_to_noise: float, delta: float,
@@ -79,10 +74,8 @@ def pds_greedy_action(layout: TrafficLayout, phase: int, buffer: Sequence[int],
     """
     best_act, best_val = None, -np.inf
     for act in iter_actions(layout.contexts[phase], buffer, min_quality):
-        if payoff_fn is None:
-            u = _default_payoff(layout, phase, act, gain_to_noise, beta)
-        else:
-            u = payoff_fn(phase, act)
+        u = (slot_payoff(layout.contexts[phase].impacts, act.sends, beta, gain_to_noise)[0]
+             if payoff_fn is None else payoff_fn(phase, act))
         key = key_fn(layout, phase, buffer, act, view_state)
         val = (1.0 - delta) * (u - price * act.total) + delta * table.value(key)
         if val >= best_val:

@@ -62,6 +62,43 @@ def value_iteration(backup: Callable[[np.ndarray], np.ndarray], values: np.ndarr
                      f"(last sweep moved {diff:.3e})")
 
 
+def stationary_law(p: sp.spmatrix) -> np.ndarray:
+    """The stationary law of the Markov chain with sparse transition matrix
+    `p`: one direct solve (Stewart 1994, *Introduction to the Numerical
+    Solution of Markov Chains*, ch. 2) of pi Q = 0 on the chain's closed
+    class, one equation replaced by sum(pi) = 1; mass 0 off the class. Raises
+    ModelError naming the count of closed classes when there are several,
+    and when the equations are singular in floating point."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sp.csr_matrix(p > 0)
+    n_class, label = connected_components(graph, connection="strong")
+    src = label.repeat(np.diff(graph.indptr))            # a closed class has no edge out
+    closed = np.bincount(src[src != label[graph.indices]], minlength=n_class) == 0
+    if closed.sum() > 1:
+        raise ModelError(f"the chain has {closed.sum()} closed classes; its law is not unique")
+    keep = np.flatnonzero(closed[label])
+    rows = sp.csr_matrix(p)[keep].tocoo()               # the class's rows stay in it
+    k, i, j = len(keep), rows.row, np.searchsorted(keep, rows.col)
+    off = (i != j) & (rows.data > 0)
+    # equation j of pi Q = 0 is column j of Q = P - I, its diagonal the negated off-diagonal
+    # row sum (P_ii - 1 would lose a small exit to rounding); equation 0 becomes sum(pi) = 1
+    exits = np.bincount(i[off], rows.data[off], k)
+    rest = off & (j > 0)
+    eq = np.concatenate([np.zeros(k, dtype=np.int64), j[rest], np.arange(1, k)])
+    var = np.concatenate([np.arange(k), i[rest], np.arange(1, k)])
+    coef = np.concatenate([np.ones(k), rows.data[rest], -exits[1:]])
+    a = sp.csc_matrix((coef, (eq, var)), shape=(k, k))
+    law = np.zeros(p.shape[0])
+    try:
+        law[keep] = spla.splu(a).solve(np.eye(1, k)[0])
+    except RuntimeError as err:          # SuperLU: "Factor is exactly singular"
+        raise ModelError(f"stationary law: the balance equations are singular ({err})") from None
+    return law
+
+
 # ---------------------------------------------------------------------------
 # Channel views
 # ---------------------------------------------------------------------------
@@ -618,33 +655,16 @@ class UserMdp:
         return lu.solve((1.0 - self.discount) * u.T.ravel()).reshape(table.policy.shape)
 
     def stationary_under(self, table: "ValueTable") -> np.ndarray:
-        """Long-run state distribution of the greedy policy's chain.
-
-        Power iteration on the half-lazy chain; the traffic phase makes the
-        raw chain periodic, so plain power iteration would oscillate.
-        """
-        p_pi = self._policy_chain(table)[0].T.tocsr()
-        dist = np.full(self.n_states, 1.0 / self.n_states)
-        for _ in range(200_000):
-            nxt = 0.5 * (p_pi @ dist) + 0.5 * dist   # lazy chain: aperiodic
-            if np.max(np.abs(nxt - dist)) < 1e-13:
-                return nxt / nxt.sum()
-            dist = nxt
-        raise ModelError("stationary distribution did not converge in 200000 power steps")
+        """Long-run state distribution of the policy's chain P_pi (`stationary_law`)."""
+        return stationary_law(self._policy_chain(table)[0])
 
     def expected_usage_by_view(self, table: "ValueTable") -> np.ndarray:
-        """E[bandwidth request | view state] under the policy's stationary law."""
-        n_view = len(self.view)
-        dist = self.stationary_under(table).reshape(self.layout.n_traffic, n_view)
-        usage = np.zeros(n_view)
-        for v in range(n_view):
-            w = dist[:, v]
-            tot = w.sum()
-            if tot <= 0:
-                continue
-            sends = self.ta_total[table.policy[:, v]]
-            usage[v] = float(np.dot(w, sends)) / tot * self.bits_per_packet / self.view.rate[v]
-        return usage
+        """E[bandwidth request | view state] under the stationary law; 0 where it has no mass."""
+        dist = self.stationary_under(table).reshape(self.layout.n_traffic, len(self.view))
+        mass = dist.sum(axis=0)
+        sent = np.einsum("tv,tv->v", dist, self.ta_total[table.policy])
+        mean = np.divide(sent, mass, out=np.zeros_like(mass), where=mass > 0)
+        return mean * self.bits_per_packet / self.view.rate
 
     def pds_planning_values(self, table: "ValueTable") -> np.ndarray:
         """Exact post-decision values E[V | post-state] from the solved table.

@@ -295,14 +295,9 @@ class GopTemplate:
             for o in range(lo, hi):
                 remaining = o * self.period + du.deadline_offset - phase
                 slots.append(ContextSlot(key=(o, du.du_id), du=du, remaining=remaining))
-        slots.sort(key=lambda s: (s.key[0], self._du_pos(s.key[1])))
+        pos = {du.du_id: i for i, du in enumerate(self.dus)}
+        slots.sort(key=lambda s: (s.key[0], pos[s.key[1]]))
         return Context(phase, tuple(slots), self.window)
-
-    def _du_pos(self, du_id: int) -> int:
-        for i, du in enumerate(self.dus):
-            if du.du_id == du_id:
-                return i
-        raise KeyError(du_id)
 
     def _build_step(self, phase: int) -> "ContextStep":
         cur = self._contexts[phase]

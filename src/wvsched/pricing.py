@@ -37,6 +37,9 @@ from wvsched.model import (
 from wvsched.model import advance_traffic  # noqa: F401
 from wvsched.scheduling import fill, fill_rows
 
+# the default slot cap of run_coordination, ProposedSolution and `wvsched run`
+MAX_SLOTS = 120_000
+
 
 class CoordinationError(RuntimeError):
     """Price iteration hit its slot cap; carries the report for diagnosis."""
@@ -346,7 +349,7 @@ class Manager:
 
 
 def run_coordination(scenario: ScenarioConfig, agents: Sequence[PricedAgent], *,
-                     max_slots: int = 200_000, eval_slots: int = 20_000,
+                     max_slots: int = MAX_SLOTS, eval_slots: int = 20_000,
                      rng: np.random.Generator | None = None) -> tuple[PriceTable, CoordinationReport]:
     """Coordinate `agents`, one per user of `scenario` in order, by a
     `Manager` on the scenario's band, bits per packet and price tolerance,
@@ -356,8 +359,10 @@ def run_coordination(scenario: ScenarioConfig, agents: Sequence[PricedAgent], *,
     manager reports every visited state settled. Then the policies are
     frozen at the final prices and replayed (each distinct slot decision
     computed once) for `eval_slots` to estimate per-state expected usage
-    and complementary-slackness residuals.
+    and complementary-slackness residuals. A `max_slots` that is not a
+    `slot_count` of at least 1 raises ModelError before any draw.
     """
+    max_slots = slot_count(max_slots, "max_slots", 1)
     rng = rng if rng is not None else np.random.default_rng(0)
     joint, b, band = scenario.joint, scenario.bits_per_packet, scenario.bandwidth
     system = SlotSystem(scenario.templates, joint, rng)
@@ -523,11 +528,11 @@ def walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
     return _walk(system, decide, slot_count(slots), memo, pins)
 
 
-def slot_count(slots) -> int:
-    """`slots` as an int, if it is an integer (not a bool) of at least 0;
-    else raises `ModelError` naming it."""
-    if isinstance(slots, bool) or not isinstance(slots, Integral) or slots < 0:
-        raise ModelError(f"slots must be an integer >= 0; got {slots!r}")
+def slot_count(slots, what: str = "slots", low: int = 0) -> int:
+    """`slots` as an int, if it is an integer (not a bool) of at least
+    `low`; else raises `ModelError` naming `what` and the value."""
+    if isinstance(slots, bool) or not isinstance(slots, Integral) or slots < low:
+        raise ModelError(f"{what} must be an integer >= {low}; got {slots!r}")
     return int(slots)
 
 

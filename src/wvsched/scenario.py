@@ -72,25 +72,18 @@ _MISSING = object()
 # One converter per kind of JSON value: each returns x read at the address
 # `where`, or None after appending one error that names the address.
 
-def _object(x, where: str, errors: list[str]) -> dict | None:
-    if isinstance(x, dict):
-        return x
-    errors.append(f"{where}: expected an object, got {x!r}")
-    return None
+def _typed(kind: type, noun: str) -> Callable:
+    """The converter of a JSON value that parses to a Python `kind`."""
+    def read(x, where: str, errors: list[str]):
+        if isinstance(x, kind):
+            return x
+        errors.append(f"{where}: expected {noun}, got {x!r}")
+        return None
+    return read
 
 
-def _list(x, where: str, errors: list[str]) -> list | None:
-    if isinstance(x, list):
-        return x
-    errors.append(f"{where}: expected a list, got {x!r}")
-    return None
-
-
-def _string(x, where: str, errors: list[str]) -> str | None:
-    if isinstance(x, str):
-        return x
-    errors.append(f"{where}: expected a string, got {x!r}")
-    return None
+_object, _list = _typed(dict, "an object"), _typed(list, "a list")
+_string = _typed(str, "a string")
 
 
 def _real(x, where: str, errors: list[str]) -> float | None:
@@ -255,8 +248,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ScenarioError([f"scenario file {path!r} not found and no such preset"])
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError([f"{p}: invalid JSON: {exc}"]) from exc
+    except (OSError, ValueError) as exc:      # a directory, not UTF-8, invalid JSON
+        raise ScenarioError([f"{p}: not a readable UTF-8 JSON file: {exc}"]) from exc
     return scenario_from_dict(raw)
 
 

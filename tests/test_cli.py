@@ -167,6 +167,21 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_a_directory_as_scenario_exits_2(tmp_path, capsys):
+    assert main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert "not a readable UTF-8 JSON file" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_scenario_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # UTF-16 with its byte-order mark: starts with the bytes ff fe
+    bad = tmp_path / "utf16.json"
+    bad.write_text(json.dumps({"users": []}), encoding="utf-16")
+    assert bad.read_bytes()[:2] == b"\xff\xfe"
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "not a readable UTF-8 JSON file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--scenario", "tiny-sym", "--slots", "-3"],
     ["run", "--scenario", "tiny-sym", "--slots", "0"],

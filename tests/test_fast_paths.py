@@ -79,6 +79,7 @@ from wvsched.mdp import (
     entering_combos,
     joint_view,
     own_view,
+    stationary_law,
     value_iteration,
 )
 from wvsched.model import (
@@ -254,6 +255,28 @@ def reference_exact_policy_value(mdp: UserMdp, table: ValueTable, price=None):
     a = sp.eye(mdp.n_states, format="csr") - mdp.discount * reference_policy_transition(
         mdp, table)
     return spla.spsolve(a.tocsc(), (1.0 - mdp.discount) * u).reshape(-1, n_view)
+
+
+def reference_closed_classes(p: np.ndarray) -> list[np.ndarray]:
+    """The closed classes of the dense chain `p`, from its reachability
+    closure: a state is in one when every state it reaches reaches it back,
+    and its class is the set it reaches."""
+    reach = (p > 0) | np.eye(len(p), dtype=bool)
+    while True:
+        wider = (reach.astype(float) @ reach.astype(float)) > 0
+        if (wider == reach).all():
+            break
+        reach = wider
+    closed = [i for i in range(len(p)) if (reach[:, i] | ~reach[i]).all()]
+    return [np.array(c) for c in sorted({tuple(np.flatnonzero(reach[i])) for i in closed})]
+
+
+def reference_stationary_law(p: np.ndarray) -> np.ndarray:
+    """The stationary law of the irreducible dense chain `p`: its
+    eigenvector of eigenvalue 1, normalised."""
+    w, v = np.linalg.eig(p.T)
+    law = v[:, np.argmin(np.abs(w - 1.0))].real
+    return law / law.sum()
 
 
 def reference_user_solve(mdp: UserMdp, price, tol: float, init=None) -> np.ndarray:
@@ -2381,6 +2404,40 @@ def test_policy_chain_and_exact_value_equal_loops(inst, seed_b, bump):
     else:
         assert mdp.stationary_under(a).tobytes() == want.tobytes()
     assert mdp.factorizations == built
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(user_mdps())
+def test_stationary_law_equals_dense_eigenvector(inst):
+    """On an arbitrary policy's chain with one closed class, the sparse
+    solve's law is 0 off the class. Where the class's bordered balance
+    system is well conditioned (condition number at most 1e3, so rounding
+    alone moves the law by about 1e-13 at most), it also raises nothing,
+    sums to 1 and is within 1e-12 of the dense eigenvector; a worse
+    conditioned one may raise ModelError. A chain with more closed classes
+    raises, naming their count."""
+    mdp, price, seed = inst
+    p = mdp.policy_transition(random_table(mdp, price, seed))
+    dense = p.toarray()
+    classes = reference_closed_classes(dense)
+    if len(classes) > 1:
+        with pytest.raises(ModelError, match=f"has {len(classes)} closed classes"):
+            stationary_law(p)
+        return
+    closed = dense[np.ix_(classes[0], classes[0])]
+    bordered = closed.T - np.eye(len(closed))
+    bordered[0] = 1.0
+    well_posed = np.linalg.cond(bordered) <= 1e3
+    try:
+        got = stationary_law(p)
+    except ModelError:
+        assert not well_posed
+        return
+    assert not np.delete(got, classes[0]).any()
+    if well_posed:
+        assert abs(got.sum() - 1.0) <= 1e-12
+        want = reference_stationary_law(closed)
+        assert np.abs(got[classes[0]] - want).max() <= 1e-12
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -320,11 +320,23 @@ def test_user_price_ratio_between_users():
     assert v1[1] / vec2[1] == pytest.approx(40.0 / 60.0)
 
 
-def test_stationary_law_raises_when_power_iteration_stalls():
-    # the channel leaves each state with probability 1e-9 or 2e-9: the true
-    # channel law is (2/3, 1/3), far beyond the power-step cap from uniform
+def test_stationary_law_is_exact_on_a_slowly_mixing_channel():
+    # the channel leaves each state with probability 1e-9 or 2e-9, far too
+    # slowly for power iteration from the uniform law; the direct solve
+    # gives the channel law (2/3, 1/3)
     chan = make_channel(trans=((1.0 - 1e-9, 1e-9), (2e-9, 1.0 - 2e-9)))
     mdp = make_mdp(sizes=((1, 1.0),), window=1, channel=chan)
+    law = mdp.stationary_under(mdp.solve(np.zeros(2)))
+    channel_law = law.reshape(mdp.layout.n_traffic, 2).sum(axis=0)
+    assert np.abs(channel_law - [2 / 3, 1 / 3]).max() <= 1e-12
+
+
+def test_stationary_law_of_a_chain_with_two_closed_classes_raises():
+    # a channel that never moves: each channel state is a closed class
+    chan = make_channel(trans=((1.0, 0.0), (0.0, 1.0)))
+    mdp = make_mdp(sizes=((1, 1.0),), window=1, channel=chan)
     table = mdp.solve(np.zeros(2))
-    with pytest.raises(ModelError, match="did not converge"):
+    with pytest.raises(ModelError, match="has 2 closed classes"):
         mdp.stationary_under(table)
+    with pytest.raises(ModelError, match="has 2 closed classes"):
+        mdp.expected_usage_by_view(table)

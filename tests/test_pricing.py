@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import json
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ThresholdAgent, model_slot, scenario_model
-from wvsched import model, pricing
+from wvsched import cli, model, pricing
 from wvsched.cli import main
 from wvsched.harness import ProposedSolution, build_views, make_agents
 from wvsched.mdp import common_view
@@ -244,6 +246,27 @@ def test_penalized_value_decomposes_across_users(trio_results):
                               (1 - sc.discount) * credit)
         total += float(table.values.mean()) + float(off.mean())
     assert joint_mean == pytest.approx(total, abs=1e-3)
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True, "5", None])
+def test_coordination_refuses_a_slot_cap_below_one_before_any_draw(cap):
+    sc = preset("tiny-sym")
+    agents = make_agents(sc, "decomposed")
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ModelError, match=re.escape(f"max_slots must be an integer >= 1; "
+                                                   f"got {cap!r}")):
+        run_coordination(sc, agents, max_slots=cap, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_one_default_slot_cap():
+    """run_coordination, ProposedSolution and `wvsched run --max-slots` share
+    the default slot cap."""
+    sol = ProposedSolution(preset("tiny-sym"))
+    run = inspect.signature(run_coordination).parameters["max_slots"].default
+    argv = cli._parser().parse_args(["run", "--scenario", "tiny-sym"])
+    assert sol.max_slots == run == argv.max_slots == pricing.MAX_SLOTS
 
 
 def test_nonconvergence_raises_with_diagnostics():
