@@ -33,7 +33,6 @@ from wvsched.mdp import (
     ChannelView,
     UserMdp,
     checked_price,
-    common_view,
     joint_view,
     own_view,
 )
@@ -80,12 +79,10 @@ from wvsched.scheduling import (
 
 
 def build_views(scenario: ScenarioConfig) -> list[ChannelView]:
-    """One channel view per user, per the scenario's correlation and price view."""
-    channels = scenario.channels
-    if scenario.channel_correlation == "common":
-        return [common_view(c, len(channels)) for c in channels]
+    """One channel view per user of the scenario's joint channel, per its
+    price view."""
     view = joint_view if scenario.price_view == "full" else own_view
-    return [view(scenario.joint, i) for i in range(len(channels))]
+    return [view(scenario.joint, i) for i in range(len(scenario.users))]
 
 
 # ---------------------------------------------------------------------------
@@ -1068,17 +1065,20 @@ def pds_learning_curve(scenario: ScenarioConfig, price: np.ndarray, slots: int,
     """Train a full-state PDS learner on the first user at fixed prices.
 
     Returns (rows, learner): rows carry (slot, user, windowed payoff, sup-norm
-    gap to the planning post-decision values).
+    gap to the planning post-decision values). A bad `slots` or `every` (a
+    `pricing.slot_count`, `every` >= 1) raises `ModelError` before any draw.
     """
+    slots, every = slot_count(slots), slot_count(every, "every", 1)
     u = scenario.users[0]
-    view = common_view(u.channel, 1)
+    joint = JointChannel([u.channel])
+    view = own_view(joint, 0)
     mdp = UserMdp(u.template, view, u.beta, u.min_quality,
                   scenario.bits_per_packet, scenario.discount)
     plan_u = mdp.pds_planning_values(mdp.solve(np.asarray(price)))
     lay = mdp.layout
     learner = PdsLearner(lay, view.gain, u.beta, scenario.discount,
                          min_quality=u.min_quality)
-    system = SlotSystem([u.template], JointChannel([u.channel]), rng)
+    system = SlotSystem([u.template], joint, rng)
     rows = []
     window_pay = 0.0
     for t in range(slots):

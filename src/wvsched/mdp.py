@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from wvsched.model import (
-    ChannelModel,
     GopTemplate,
     JointChannel,
     ModelError,
@@ -165,18 +164,6 @@ def checked_price(view: ChannelView, price) -> np.ndarray:
     return price
 
 
-def common_view(channel: ChannelModel, n_users: int) -> ChannelView:
-    """All users ride one shared channel; joint state = shared state repeated."""
-    keys = [(h,) * n_users for h in range(len(channel))]
-    return ChannelView(
-        state_of={k: h for h, k in enumerate(keys)},
-        transition=channel.transition.copy(),
-        rate=channel.rate.copy(),
-        gain=channel.gain.copy(),
-        price_weights=tuple(((k, 1.0),) for k in keys),
-    )
-
-
 def joint_view(joint: JointChannel, user: int) -> ChannelView:
     """The whole joint chain, giving the user exact per-joint-state prices."""
     keys = joint.all_states()
@@ -192,15 +179,17 @@ def joint_view(joint: JointChannel, user: int) -> ChannelView:
 
 
 def own_view(joint: JointChannel, user: int) -> ChannelView:
-    """The user's own chain; prices projected via the others' stationary laws."""
-    me, keys = joint.channels[user], joint.all_states()
-    stat = [c.stationary() for c in joint.channels]
+    """The user's own chain; prices projected via the stationary laws of the
+    other chains, each read at the state of its first user. On a common
+    channel there are none: every weight is 1 and no law is read."""
+    me, keys, mine = joint.channels[user], joint.all_states(), joint.chain_of[user]
+    others = [(joint.chain_of.index(k), c.stationary())
+              for k, c in enumerate(joint.chains) if k != mine]
     weights = [[] for _ in range(len(me))]
     for key in keys:
         w = 1.0
-        for j, h in enumerate(key):
-            if j != user:
-                w *= stat[j][h]
+        for j, pi in others:
+            w *= pi[key[j]]
         weights[key[user]].append((key, w))
     return ChannelView(
         state_of={key: key[user] for key in keys},

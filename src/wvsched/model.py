@@ -536,53 +536,58 @@ def check_common_chain(channels: Sequence[ChannelModel],
 
 
 class JointChannel:
-    """The tuple of user channel states: its states, its transition and its
-    slot-by-slot draws. A common channel is one chain whose state every
-    user shares; independent channels run side by side."""
+    """The tuple of user channel states, run on `chains`: user i's state is
+    that of chain `chain_of[i]`. A common channel is one chain that every
+    user reads; independent channels are one chain per user. A step draws
+    one uniform per chain."""
 
     def __init__(self, channels: Sequence[ChannelModel], correlation: str = "independent"):
         if correlation not in ("independent", "common"):
             raise ModelError(f"unknown channel correlation {correlation!r}")
         self.channels = list(channels)
         self.correlation = correlation
-        self.draws = 1 if correlation == "common" else len(self.channels)  # uniforms per step
-        self._cdfs = [c.transition_cdf for c in self.channels]
         if correlation == "common":
             check_common_chain(self.channels)
+            self.chains, self.chain_of = self.channels[:1], (0,) * len(self.channels)
+        else:
+            self.chains, self.chain_of = self.channels, tuple(range(len(self.channels)))
+
+    @cached_property
+    def _state_of(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each tuple of chain states (itertools.product order) to its joint state."""
+        return {hs: tuple(hs[k] for k in self.chain_of)
+                for hs in product(*(range(len(c)) for c in self.chains))}
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], list[list[float]]]:
+        """Each joint state's row of each chain's `transition_cdf`."""
+        cdfs = [c.transition_cdf for c in self.chains]
+        return {s0: [cdf[h] for cdf, h in zip(cdfs, hs)] for hs, s0 in self._state_of.items()}
 
     def initial(self, rng: np.random.Generator) -> tuple[int, ...]:
-        if self.correlation == "common":
-            h = draw(self.channels[0].stationary_cdf, rng)
-            return (h,) * len(self.channels)
-        return tuple(draw(c.stationary_cdf, rng) for c in self.channels)
+        """A joint state drawn from the chains' stationary laws, one draw each."""
+        return self._state_of[tuple(draw(c.stationary_cdf, rng) for c in self.chains)]
 
     def step(self, s0: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
-        """The next joint state: one draw if common, else one `uniforms` call
-        over the users, giving the states n scalar `rng.choice` draws from
-        their transition rows would."""
-        return self.next_state(s0, iter(uniforms(rng, self.draws)))
+        """The next joint state, from one `uniforms` call over the chains:
+        the states that a scalar `rng.choice` draw from each chain's
+        transition row would give."""
+        return self.next_state(s0, iter(uniforms(rng, len(self.chains))))
 
     def next_state(self, s0: tuple[int, ...], us: Iterator[float]) -> tuple[int, ...]:
-        """The joint state after `s0` that the next `draws` uniforms of `us`
-        pick, each by `bisect_right` on its row's transition CDF."""
-        if self.correlation == "common":
-            return (bisect_right(self._cdfs[0][s0[0]], next(us)),) * len(self._cdfs)
-        return tuple(bisect_right(cdf[h], u) for cdf, h, u in zip(self._cdfs, s0, us))
+        """The joint state after `s0` that the next uniform of `us` per chain
+        picks, each by `bisect_right` on its row's transition CDF."""
+        return self._state_of[tuple(map(bisect_right, self._rows[s0], us))]
 
     def all_states(self) -> list[tuple[int, ...]]:
-        """Every joint state: the shared state repeated if common, else the
-        users' states in itertools.product order."""
-        if self.correlation == "common":
-            return [(h,) * len(self.channels) for h in range(len(self.channels[0]))]
-        return list(product(*(range(len(c)) for c in self.channels)))
+        """Every joint state, its chains' states in itertools.product order."""
+        return list(self._state_of.values())
 
     @cached_property
     def transition(self) -> np.ndarray:
-        """The transition matrix over `all_states()`: the common chain, or
-        the Kronecker product of the independent chains."""
-        if self.correlation == "common":
-            return self.channels[0].transition
-        return reduce(np.kron, (c.transition for c in self.channels), np.ones((1, 1)))
+        """The transition matrix over `all_states()`: the Kronecker product of
+        the chains, a new array."""
+        return reduce(np.kron, (c.transition for c in self.chains), np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +801,12 @@ class ScenarioConfig:
             raise ModelError("seed must be >= 0")
         if self.channel_correlation not in ("independent", "common"):
             raise ModelError(f"unknown channel_correlation {self.channel_correlation!r}")
+        names = [u.name for u in self.users]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ModelError(f"user name {name!r} is given to more than one user")
         if self.channel_correlation == "common":
-            check_common_chain(self.channels, [u.name for u in self.users])
+            check_common_chain(self.channels, names)
         if self.price_view not in ("expected", "full"):
             raise ModelError(f"unknown price_view {self.price_view!r}")
         if self.price_view == "full" and self.channel_correlation == "common":

@@ -104,11 +104,12 @@ class SlotSystem:
     steps each user, in user order, by its `GopTemplate.transition` and
     `Transition.buffer`, drawing one block of k uniforms for the k DUs
     entering at its next phase (none when no DU enters), and last the next
-    channel state (unless `s0_next` is given): one draw if the channel is
-    common, one block over the n users if not. A block is one generator
-    call (`model.uniforms`: `rng.random(k)`, or `rng.random()` when k = 1)
-    and yields the same doubles as k scalar draws, so the stream is the one
-    the per-DU samplers would consume.
+    channel state (unless `s0_next` is given). The channel draws one
+    uniform per chain (`JointChannel.chains`; one if it is common, one per
+    user if not), in one block. A block is one generator call
+    (`model.uniforms`: `rng.random(k)`, or `rng.random()` when k = 1) and
+    yields the same doubles as k scalar draws, so the stream is the one the
+    per-DU samplers would consume.
     """
 
     def __init__(self, templates: Sequence[GopTemplate], joint: JointChannel,
@@ -542,7 +543,7 @@ def _walk(system: SlotSystem, decide: Callable, slots: int, memo: dict,
     templates, joint, rng = system.templates, system.joint, system.rng
     s0, contexts, buffers = system.s0, system.contexts, tuple(system.buffers)
     phases = tuple(c.phase for c in contexts)
-    channels = joint.channels[:joint.draws] if pins is None else []
+    channels = joint.chains if pins is None else []
     key = (s0, phases, buffers)
     entry = memo.get(key)
     done = 0

@@ -7,7 +7,8 @@ import pytest
 
 from wvsched.harness import ProposedSolution, UniformPriceSolution, build_solution
 from wvsched.learning import to_pds
-from wvsched.model import ScheduleAction, transmit_energy
+from wvsched.mdp import own_view
+from wvsched.model import JointChannel, ScheduleAction, transmit_energy
 from wvsched.oracle import centralized_oracle, evaluate_solution
 from wvsched.pricing import PricedAgent
 from wvsched.scenario import preset
@@ -21,6 +22,11 @@ def scenario_model(scenario, rng, s0=None) -> SlotModel:
     started at channel state `s0` if given."""
     return SlotModel(scenario.templates, scenario.channels, rng,
                      scenario.channel_correlation == "common", s0)
+
+
+def shared_view(channel, n_users: int):
+    """User 0's `own_view` of `n_users` users on one common `channel`."""
+    return own_view(JointChannel([channel] * n_users, "common"), 0)
 
 
 def model_slot(model: SlotModel) -> tuple:

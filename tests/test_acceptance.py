@@ -13,12 +13,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import DriftValueTable, energy_only_payoff, raw_pds_key
+from conftest import DriftValueTable, energy_only_payoff, raw_pds_key, shared_view
 from reference_model import SlotModel
 from wvsched.harness import compute_metrics, run_episode, write_replay_table
 from wvsched.learning import PdsLearner, pds_greedy_action
 from wvsched.baselines import lyapunov_action
-from wvsched.mdp import TrafficLayout, UserMdp, ValueTable, common_view
+from wvsched.mdp import TrafficLayout, UserMdp, ValueTable
 from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, iter_actions
 from wvsched.scenario import preset
 from wvsched.scheduling import build_du_tables, decomposed_schedule
@@ -77,7 +77,7 @@ def test_criterion_4_decomposition_attains_joint_optimum():
     rng = np.random.default_rng(2024)
     chan = ChannelModel(["g", "b"], [1.4, 1.4], [6.0, 3.0],
                         [[0.7, 0.3], [0.4, 0.6]])
-    view = common_view(chan, 1)
+    view = shared_view(chan, 1)
     start = time.time()
     for trial in range(500):
         n = int(rng.integers(1, 4))
@@ -107,7 +107,7 @@ def test_criterion_5_pds_learning_convergence():
     policy's payoff lands within 2% of the planning policy's."""
     sc = preset("pds-toy")
     u = sc.users[0]
-    view = common_view(u.channel, 1)
+    view = shared_view(u.channel, 1)
     mdp = UserMdp(u.template, view, u.beta, u.min_quality, sc.bits_per_packet,
                   sc.discount)
     price = np.array([0.2, 0.6])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DriftValueTable, drift_objective, energy_only_payoff, raw_pds_key
+from conftest import (DriftValueTable, drift_objective, energy_only_payoff, raw_pds_key,
+                      shared_view)
 from wvsched.baselines import (
     lyapunov_action,
     myopic_static_shares,
@@ -222,7 +223,7 @@ def test_proposed_beats_uniform_on_binding_fixture(priced_results):
 # ---------------------------------------------------------------------------
 
 def test_edf_matches_myopic_priced_greedy_at_du_boundary_cuts():
-    from wvsched.mdp import UserMdp, common_view
+    from wvsched.mdp import UserMdp
     from wvsched.model import ChannelModel
     from wvsched.scheduling import edf_rank, fill
 
@@ -233,7 +234,7 @@ def test_edf_matches_myopic_priced_greedy_at_du_boundary_cuts():
            du(2, 1.0, 0, 2, name="C")]
     tpl = GopTemplate(dus, 1, 1)
     chan = ChannelModel(["only"], [1.4], [10.0], [[1.0]])
-    mdp = UserMdp(tpl, common_view(chan, 1), 0.0, 0.0, 1.0, 0.0)
+    mdp = UserMdp(tpl, shared_view(chan, 1), 0.0, 0.0, 1.0, 0.0)
     capacity = 4                      # cuts after DU B
     shadow = 1.0                      # impact of the first excluded DU
     table = mdp.solve(np.array([shadow]))

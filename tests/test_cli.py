@@ -10,7 +10,7 @@ import pytest
 
 from wvsched import cli, harness, pricing
 from wvsched.cli import main
-from wvsched.scenario import load_scenario
+from wvsched.scenario import load_scenario, preset_path
 
 
 def test_presets_command(capsys):
@@ -167,6 +167,19 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_repeated_user_names_exit_2(tmp_path, capsys):
+    """Two users of one name would share every per-user report column and
+    trace row, so a scenario that repeats a name is a validation error."""
+    raw = json.loads(preset_path("tiny-sym").read_text(encoding="utf-8"))
+    raw["users"][1]["name"] = raw["users"][0]["name"]
+    bad = tmp_path / "twins.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["compare", "--scenario", str(bad), "--seeds", "1", "--slots", "5",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "user name 'a' is given to more than one user" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_directory_as_scenario_exits_2(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
     assert "not a readable UTF-8 JSON file" in capsys.readouterr().err
@@ -289,8 +302,6 @@ def test_full_with_clearing_fails_before_coordination(tmp_path, capsys, monkeypa
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):
-    from wvsched.scenario import preset_path
-
     raw = json.loads(preset_path("tiny-mix").read_text(encoding="utf-8"))
     # keep the bad-state demand permanently off the band so updates never quiet
     raw["price_tolerance"] = 1e-12

@@ -57,6 +57,7 @@ from conftest import (
     episode_slot_states,
     model_slot,
     scenario_model,
+    shared_view,
 )
 from reference_model import SlotModel
 from wvsched import harness, oracle, pricing, scheduling
@@ -75,7 +76,6 @@ from wvsched.mdp import (
     UserMdp,
     ValueTable,
     buffer_grid,
-    common_view,
     entering_combos,
     joint_view,
     own_view,
@@ -821,7 +821,7 @@ def instances(draw_):
         dus.append(DataUnitSpec(i, f"D{i}", impacts[i], deadlines[i], draw_(pmfs()),
                                 parents))
     tpl = GopTemplate(dus, max(deadlines[-1], 1) + draw_(st.integers(0, 1)), window)
-    view = common_view(draw_(channels()), 1)
+    view = shared_view(draw_(channels()), 1)
     delta = draw_(st.floats(0.0, 0.99, exclude_max=True))
     price = np.array([draw_(values_) for _ in range(len(view))])
     ctx = tpl.context(draw_(st.integers(0, tpl.period - 1)))
@@ -862,7 +862,7 @@ def user_mdps(draw_):
     assume(TrafficLayout(tpl).n_traffic <= 300)
     kind = draw_(st.sampled_from(["common", "joint", "own"]))
     if kind == "common":
-        view = common_view(draw_(channels()), 1)
+        view = shared_view(draw_(channels()), 1)
     else:
         chans = []
         for _ in range(2):
@@ -884,7 +884,7 @@ def priced_solves(draw_):
     1-2 view states, quality floors and discounts 0, 0.5 and 0.95."""
     tpl = draw_(small_templates())
     assume(TrafficLayout(tpl).n_traffic <= 300)
-    view = common_view(draw_(channels(max_states=2)), 1)
+    view = shared_view(draw_(channels(max_states=2)), 1)
     mdp = UserMdp(tpl, view, draw_(st.floats(0.0, 1.0)),
                   draw_(st.one_of(st.just(0.0), values_)), 1.0,
                   draw_(st.sampled_from([0.0, 0.5, 0.95])))
@@ -1051,7 +1051,7 @@ TWO_STATE = ChannelModel(["bad", "good"], [1.0, 1.4], [2.0, 6.0], [[0.7, 0.3], [
 @pytest.mark.parametrize("case", [
     "caps 1 and 40", "gop16", "one kind", "one DU", "joint view", "prices above impacts"])
 def test_one_induction_on_fixed_templates_equals_loop_solve_per_du(case):
-    common = common_view(TWO_STATE, 2)
+    common = shared_view(TWO_STATE, 2)
     if case == "caps 1 and 40":
         cases = [(_two_kinds((1, 40)), common, 0.9, np.array([0.5, 2.0]))]
     elif case == "gop16":
@@ -1080,7 +1080,7 @@ def test_one_induction_on_fixed_templates_equals_loop_solve_per_du(case):
 def test_templates_with_equal_du_counts_get_their_own_layouts():
     """The layout lives on its template: two live templates with as many DUs
     but other caps each solve on their own rows."""
-    view = common_view(TWO_STATE, 2)
+    view = shared_view(TWO_STATE, 2)
     small, large = _two_kinds((2, 1)), _two_kinds((5, 3))
     assert small.du_layout is small.du_layout
     assert small.du_layout is not large.du_layout
@@ -1136,7 +1136,7 @@ def test_learned_and_planned_tables_share_the_exact_tie_rule():
     du = DataUnitSpec(0, "F", 5e-13, 0, ((1, 1.0),))
     tpl = GopTemplate([du], 1, 1)
     ctx = tpl.context(0)
-    view = common_view(ChannelModel(["only"], [1.0], [1.0], [[1.0]]), 1)
+    view = shared_view(ChannelModel(["only"], [1.0], [1.0], [[1.0]]), 1)
     planned = build_du_tables(tpl, view, 0.0, np.zeros(1))
     learned = {0: DuPdsLearner(du.distortion_impact, tpl.window, 0.0)}
     for tables in (planned, learned):
@@ -1224,7 +1224,7 @@ def test_lookup_takes_equal_values_of_any_number_type(monkeypatch):
         return response(*args)
 
     monkeypatch.setattr(scheduling, "decomposed_response", counted)
-    view = common_view(TWO_STATE, 2)
+    view = shared_view(TWO_STATE, 2)
     ints = GopTemplate([DataUnitSpec(0, "I", 4, 0, ((3, 1.0),)),
                         DataUnitSpec(1, "P", 1, 1, ((0, 0.5), (2, 0.5)), (0,))], 2, 3)
     singles = GopTemplate([DataUnitSpec(0, "I", np.float32(4.3), 0, ((3, 1.0),)),
@@ -1589,6 +1589,27 @@ def test_views_follow_the_rules(chans, how, data):
     assert_views_follow_the_rules(sc)
 
 
+@pytest.mark.parametrize("how", ["common", "expected", "full"])
+def test_three_user_views_follow_the_rules(how):
+    """Three users on one common three-state chain (rates and gains apart),
+    or on independent chains of 3, 2 and 3 states priced by own or joint
+    views."""
+    three = ChannelModel(["g", "m", "b"], [2.0, 1.5, 1.0], [3.0, 2.0, 1.0],
+                         [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+    if how == "common":
+        chans = [ChannelModel(three.names, three.gain * (1 + i), three.rate * (1 + i),
+                              three.transition) for i in range(3)]
+    else:
+        chans = [three, TWO_STATE, ChannelModel(three.names, three.gain, three.rate,
+                                                three.transition[::-1])]
+    tpl = GopTemplate([DataUnitSpec(0, "I", 1.0, 0, ((1, 1.0),))], 1, 1)
+    users = tuple(UserConfig(f"u{i}", tpl, c) for i, c in enumerate(chans))
+    sc = ScenarioConfig("views3", users, channel_correlation=(
+        "common" if how == "common" else "independent"),
+        price_view="full" if how == "full" else "expected")
+    assert_views_follow_the_rules(sc)
+
+
 @settings(max_examples=EXAMPLES // 3, deadline=None)
 @given(st.lists(channels(), min_size=1, max_size=3), st.booleans(),
        st.integers(0, 2**32 - 1))
@@ -1723,7 +1744,7 @@ def test_equal_outcome_codes_draw_equal_outcomes(inst, data):
     same entering sizes and move every joint channel state to the same
     next state, on uniforms at every breakpoint and one ulp either side."""
     templates, joint, seed = inst
-    channels_ = joint.channels[:joint.draws]
+    channels_ = joint.chains
     pool = breakpoint_uniforms(*(du.size_cdf for t in templates for du in t.dus),
                                *(cdf for c in channels_ for cdf in c.transition_cdf))
     phases = [data.draw(st.integers(0, t.period - 1)) for t in templates]
@@ -1739,7 +1760,7 @@ def test_equal_outcome_codes_draw_equal_outcomes(inst, data):
                             for j in t.step(p + k).entering)
                       for t, p in zip(templates, phases))
         rest = list(draws)
-        assert len(rest) == joint.draws
+        assert len(rest) == len(joint.chains)
         moves = tuple(joint.next_state(s0, iter(rest)) for s0 in joint.all_states())
         state = (tuple((p + k) % t.period for t, p in zip(templates, phases)), codes[k])
         assert outcomes.setdefault(state, (sizes, moves)) == (sizes, moves)
@@ -1752,7 +1773,7 @@ def test_blocks_of_one_layout_share_it_read_only(name):
     layout does."""
     sc = preset(name)
     joint = JointChannel(sc.channels, sc.channel_correlation)
-    channels_ = joint.channels[:joint.draws]
+    channels_ = joint.chains
     phases = [1] * len(sc.templates)
 
     def block(seed):
@@ -2525,7 +2546,7 @@ def test_warm_solves_along_the_recorded_coordination_path_equal_the_reference(mo
 def test_solve_rejects_an_init_that_is_not_a_finite_table_of_its_mdp():
     sc = preset("tiny-sym")
     u = sc.users[0]
-    mdp = UserMdp(u.template, common_view(u.channel, len(sc.users)), u.beta, u.min_quality,
+    mdp = UserMdp(u.template, shared_view(u.channel, len(sc.users)), u.beta, u.min_quality,
                   sc.bits_per_packet, sc.discount)
     price = np.full(len(mdp.view), 0.3)
     cold = mdp.solve(price)
@@ -2567,7 +2588,7 @@ def test_policy_iteration_steps_on_gop16_user():
     below the cold solve's steps raises."""
     sc = preset("gop16-default")
     u = sc.users[1]
-    view = common_view(u.channel, len(sc.users))
+    view = shared_view(u.channel, len(sc.users))
     mdp = UserMdp(u.template, view, u.beta, u.min_quality, sc.bits_per_packet,
                   sc.discount)
     lam = {(0, 0): 1.267, (1, 1): 1.419}

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import episode_slot_states
+from conftest import episode_slot_states, shared_view
 from wvsched import harness
 from wvsched.harness import (
     DriftAgent,
@@ -24,7 +24,7 @@ from wvsched.harness import (
     write_price_trace,
     write_replay_table,
 )
-from wvsched.mdp import UserMdp, ValueTable, checked_price, common_view
+from wvsched.mdp import UserMdp, ValueTable, checked_price
 from wvsched import oracle, pricing
 from wvsched.model import ModelError, ScheduleAction, UserState, bandwidth_usage
 from wvsched.oracle import centralized_oracle, joint_value_of
@@ -293,6 +293,24 @@ def test_pinned_channels_must_be_channel_states(pinned):
     assert [rec.s0 for rec in trace.records] == [(h, h) for h in PINNED]
 
 
+@pytest.mark.parametrize("slots, every, message", [
+    (600, 0, "every must be an integer >= 1; got 0"),
+    (600, -3, "every must be an integer >= 1; got -3"),
+    (2.5, 200, "slots must be an integer >= 0; got 2.5"),
+    (-5, 200, "slots must be an integer >= 0; got -5"),
+])
+def test_pds_learning_curve_refuses_bad_counts_before_any_draw(slots, every, message):
+    """A learning curve's `slots` and `every` are checked like an episode's
+    slots, `every` from 1, before any draw: not a bare ZeroDivisionError
+    (every 0) or TypeError (slots 2.5), rows with flipped payoffs (every
+    -3) or no rows at all (slots -5)."""
+    rng = np.random.default_rng(13)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        harness.pds_learning_curve(preset("pds-toy"), np.array([0.2, 0.6]), slots, rng,
+                                   every=every)
+    assert rng.random() == np.random.default_rng(13).random()
+
+
 def test_proposed_replay_loses_no_i_frames_after_first_slot(illustration):
     sc = illustration["scenario"]
     sol = illustration["proposed"]
@@ -332,7 +350,7 @@ def test_single_user_oracle_matches_user_mdp():
                         discount=base.discount, channel_correlation="common")
     u = sc.users[0]
     orc = centralized_oracle(sc)
-    mdp = UserMdp(u.template, common_view(u.channel, 1), u.beta, u.min_quality,
+    mdp = UserMdp(u.template, shared_view(u.channel, 1), u.beta, u.min_quality,
                   sc.bits_per_packet, sc.discount)
     table = mdp.solve(np.zeros(2), tol=1e-9)
     # with the band never binding, the constrained oracle equals the
@@ -348,7 +366,7 @@ def test_unbinding_band_oracle_is_sum_of_user_optima():
     orc = centralized_oracle(slack)
     total = 0.0
     for i, u in enumerate(slack.users):
-        mdp = UserMdp(u.template, common_view(u.channel, 2), u.beta,
+        mdp = UserMdp(u.template, shared_view(u.channel, 2), u.beta,
                       u.min_quality, 1.0, slack.discount)
         total += float(mdp.solve(np.zeros(2), tol=1e-9).values.mean())
     assert orc.mean_value == pytest.approx(total, abs=1e-5)
@@ -580,7 +598,7 @@ def dump_value_table(table: ValueTable, path) -> None:
 def test_value_table_dump(tmp_path):
     sc = preset("pds-toy")
     u = sc.users[0]
-    mdp = UserMdp(u.template, common_view(u.channel, 1), u.beta, 0.0, 1.0,
+    mdp = UserMdp(u.template, shared_view(u.channel, 1), u.beta, 0.0, 1.0,
                   sc.discount)
     table = mdp.solve(np.array([0.2, 0.6]))
     out = tmp_path / "values.csv"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wvsched.learning
+from conftest import shared_view
 from reference_model import SlotModel
 from wvsched.learning import (
     DuPdsLearner,
@@ -18,7 +19,7 @@ from wvsched.learning import (
     pds_update,
     to_pds,
 )
-from wvsched.mdp import TrafficLayout, UserMdp, common_view
+from wvsched.mdp import TrafficLayout, UserMdp
 from wvsched.model import (
     ChannelModel,
     DataUnitSpec,
@@ -123,7 +124,7 @@ def test_learning_module_reads_no_model_statistics():
 def test_learned_values_approach_planning_values():
     sc = preset("pds-toy")
     u = sc.users[0]
-    view = common_view(u.channel, 1)
+    view = shared_view(u.channel, 1)
     mdp = UserMdp(u.template, view, u.beta, 0.0, 1.0, sc.discount)
     price = np.array([0.2, 0.6])
     plan = mdp.pds_planning_values(mdp.solve(price))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shared_view
 from wvsched.mdp import (
     ChannelView,
     UserMdp,
     ValueTable,
-    common_view,
     joint_view,
     own_view,
 )
@@ -37,7 +37,7 @@ def make_mdp(q=3.0, sizes=((0, 0.35), (1, 0.15), (2, 0.15), (3, 0.35)),
     du = DataUnitSpec(0, "F", q, 0, tuple(sizes))
     tpl = GopTemplate([du], 1, window)
     chan = channel or make_channel()
-    view = common_view(chan, 1)
+    view = shared_view(chan, 1)
     return UserMdp(tpl, view, beta, 0.0, 1.0, delta)
 
 
@@ -74,7 +74,7 @@ def test_single_state_single_action_value_is_payoff():
     du = DataUnitSpec(0, "F", 5.0, 0, ((1, 1.0),))
     tpl = GopTemplate([du], 1, 1)
     chan = ChannelModel(["only"], [1.4], [6.0], [[1.0]])
-    mdp = UserMdp(tpl, common_view(chan, 1), 0.0, 0.0, 1.0, 0.8)
+    mdp = UserMdp(tpl, shared_view(chan, 1), 0.0, 0.0, 1.0, 0.8)
     table = mdp.solve(np.array([0.0]))
     full = mdp.layout.index(0, (1,))
     assert table.values[full, 0] == pytest.approx(5.0, abs=1e-6)
@@ -88,7 +88,7 @@ def test_two_state_toy_matches_hand_solved_fixed_point():
     tpl = GopTemplate([du], 1, 2)
     chan = ChannelModel(["only"], [1.4], [6.0], [[1.0]])
     delta = 0.9
-    mdp = UserMdp(tpl, common_view(chan, 1), 0.0, 0.0, 1.0, delta)
+    mdp = UserMdp(tpl, shared_view(chan, 1), 0.0, 0.0, 1.0, delta)
     table = mdp.solve(np.array([0.0]), tol=1e-9)
     # state A = (1, 1): send both -> next state (0, 1); state B = (0, 1):
     # send one -> next (0, 1). Hand fixed point:
@@ -139,7 +139,7 @@ def brute_force_horizon(mdp, template, horizon, phase, buf, v, price):
 def test_three_slot_horizon_matches_backward_induction():
     du = DataUnitSpec(0, "F", 3.0, 0, ((1, 0.5), (2, 0.5)))
     tpl = GopTemplate([du], 1, 2)
-    mdp = UserMdp(tpl, common_view(make_channel(), 1), 0.1, 0.0, 1.0, 0.6)
+    mdp = UserMdp(tpl, shared_view(make_channel(), 1), 0.1, 0.0, 1.0, 0.6)
     price = np.array([0.4, 1.0])
     reward = mdp.priced_reward(price)
     values = np.zeros((mdp.layout.n_traffic, 2))
@@ -202,7 +202,7 @@ def test_greedy_total_nonincreasing_in_price():
 def test_quality_floor_respected_by_greedy_policy():
     du0 = DataUnitSpec(0, "F", 5.0, 0, ((2, 1.0),))
     tpl = GopTemplate([du0], 1, 2)
-    mdp = UserMdp(tpl, common_view(make_channel(), 1), 0.0, 5.0, 1.0, 0.7)
+    mdp = UserMdp(tpl, shared_view(make_channel(), 1), 0.0, 5.0, 1.0, 0.7)
     table = mdp.solve(np.array([50.0, 50.0]))  # punitive price
     for t in range(mdp.layout.n_traffic):
         phase, buf = mdp.layout.decode(t)
@@ -252,7 +252,7 @@ def test_evaluate_policy_constant_payoff_returns_it():
     du = DataUnitSpec(0, "F", 5.0, 0, ((1, 1.0),))
     tpl = GopTemplate([du], 1, 1)
     chan = ChannelModel(["only"], [1.4], [6.0], [[1.0]])
-    mdp = UserMdp(tpl, common_view(chan, 1), 0.0, 0.0, 1.0, 0.8)
+    mdp = UserMdp(tpl, shared_view(chan, 1), 0.0, 0.0, 1.0, 0.8)
     table = mdp.solve(np.zeros(1))
     horizon = discount_horizon(0.8)
     val = evaluate_policy(mdp, table, episodes=400, horizon=horizon,
@@ -285,7 +285,7 @@ def test_state_budget_rejection_reports_sizing():
     du = DataUnitSpec(0, "F", 3.0, 0, tuple((v, 1.0 / 41) for v in range(41)))
     tpl = GopTemplate([du], 1, 2)
     with pytest.raises(Exception, match="budget"):
-        UserMdp(tpl, common_view(make_channel(), 1), 0.0, 0.0, 1.0, 0.9,
+        UserMdp(tpl, shared_view(make_channel(), 1), 0.0, 0.0, 1.0, 0.9,
                 state_budget=100)
 
 
@@ -304,16 +304,33 @@ def test_views_project_prices():
     expect_bad = (stat0[0] * 1.0 + stat0[1] * 4.0) / 2.0
     assert vec2[1] == pytest.approx(expect_bad)
 
-    cv = common_view(chans[0], 2)
+    cv = shared_view(chans[0], 2)
     vec3 = cv.price_vector({(1, 1): 3.0}, 1.0)
     assert vec3[1] == pytest.approx(3.0 / 3.0)
     assert vec3[0] == 0.0
 
 
+def test_own_view_of_a_common_channel_reads_no_stationary_law(monkeypatch):
+    """A common channel has no other chain to average over, so its own
+    views weigh every joint state by 1 and never ask for a stationary law,
+    which an identity chain (two closed classes) does not have."""
+    ident = ChannelModel(["a", "b"], [1.0, 1.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
+
+    def refuse(self):
+        raise AssertionError("stationary law read")
+
+    monkeypatch.setattr(ChannelModel, "stationary", refuse)
+    view = own_view(JointChannel([ident] * 3, "common"), 1)
+    assert view.state_of == {(0, 0, 0): 0, (1, 1, 1): 1}
+    assert view.price_weights == ((((0, 0, 0), 1.0),), (((1, 1, 1), 1.0),))
+    assert view.transition.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert view.price_vector({(1, 1, 1): 3.0}, 1.0).tolist() == [0.0, 1.5]
+
+
 def test_user_price_ratio_between_users():
     lam = {(1, 1): 0.5}
     chans = [make_channel(rate=(60.0, 60.0)), make_channel(rate=(40.0, 40.0))]
-    v1 = common_view(chans[0], 2).price_vector(lam, 1.0)
+    v1 = shared_view(chans[0], 2).price_vector(lam, 1.0)
     v2 = ChannelView({(h, h): h for h in range(2)}, chans[1].transition, chans[1].rate,
                      chans[1].gain, tuple((((h, h), 1.0),) for h in range(2)))
     vec2 = v2.price_vector(lam, 1.0)

@@ -370,6 +370,26 @@ def test_channel_step_identity_and_frequencies():
     assert stays / 10_000 == pytest.approx(0.7, abs=0.02)
 
 
+def test_a_common_channel_of_three_users_is_its_one_chain():
+    """Three users on one common chain: the joint channel draws that chain
+    alone, one uniform a step, and its states, transition, initial state
+    and steps are the chain's, its state repeated for every user."""
+    chan = two_state_channel()
+    joint = JointChannel([chan] * 3, "common")
+    assert joint.chains == [chan] and joint.chain_of == (0, 0, 0)
+    assert joint.all_states() == [(0, 0, 0), (1, 1, 1)]
+    assert joint.transition.tolist() == [[0.7, 0.3], [0.4, 0.6]]
+    assert not np.shares_memory(joint.transition, chan.transition)
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        h = 0 if ref.random() < chan.stationary()[0] else 1
+        assert joint.initial(rng) == (h, h, h)
+        for s0 in [(0, 0, 0), (1, 1, 1), (0, 0, 0)]:
+            h = 0 if ref.random() < (0.7 if s0 == (0, 0, 0) else 0.4) else 1
+            assert joint.step(s0, rng) == (h, h, h)
+        assert rng.random() == ref.random()
+
+
 def test_non_stochastic_transition_rejected():
     with pytest.raises(ModelError, match="sums"):
         ChannelModel(["a", "b"], [1.0, 1.0], [1.0, 1.0], [[0.5, 0.6], [0.5, 0.5]])

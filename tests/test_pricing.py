@@ -9,11 +9,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import ThresholdAgent, model_slot, scenario_model
+from conftest import ThresholdAgent, model_slot, scenario_model, shared_view
 from wvsched import cli, model, pricing
 from wvsched.cli import main
 from wvsched.harness import ProposedSolution, build_views, make_agents
-from wvsched.mdp import common_view
 from wvsched.model import (ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig,
                            ScenarioConfig)
 from wvsched.pricing import (
@@ -232,7 +231,7 @@ def test_penalized_value_decomposes_across_users(trio_results):
     total = 0.0
     n_users = len(sc.users)
     for i, u in enumerate(sc.users):
-        view = common_view(u.channel, n_users)
+        view = shared_view(u.channel, n_users)
         from wvsched.mdp import UserMdp
         mdp = UserMdp(u.template, view, u.beta, u.min_quality,
                       sc.bits_per_packet, sc.discount)

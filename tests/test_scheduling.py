@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_tables
+from conftest import assert_same_tables, shared_view
 from wvsched.harness import DecomposedAgent
-from wvsched.mdp import common_view
 from wvsched.model import ChannelModel, DataUnitSpec, GopTemplate, ModelError, UserConfig
 from wvsched.scheduling import (
     SIMPLE_SCHEDULERS,
@@ -37,7 +36,7 @@ def schedule(name, ctx, buf, cap):
 def make_view():
     chan = ChannelModel(["good", "bad"], [1.4, 1.4], [6.0, 3.0],
                         [[0.7, 0.3], [0.4, 0.6]])
-    return common_view(chan, 1)
+    return shared_view(chan, 1)
 
 
 def test_single_du_myopic_sends_all_when_margin_positive():
@@ -107,7 +106,7 @@ def test_table_share_answers_only_the_problem_it_solved():
     assert got.values is solved.values and got.best_send is solved.best_send
     assert_same_tables(got, build_du_tables(equal, view, 0.9, price))
     assert_same_tables(lookup(subset), build_du_tables(subset, view, 0.9, price))
-    other = common_view(ChannelModel(["good", "bad"], [1.4, 1.4], [6.0, 3.0],
+    other = shared_view(ChannelModel(["good", "bad"], [1.4, 1.4], [6.0, 3.0],
                                      [[0.6, 0.4], [0.4, 0.6]]), 1)
     fortran = make_view()
     fortran.transition = np.asfortranarray(fortran.transition)
@@ -173,7 +172,7 @@ def test_foresighted_single_du_defers_when_future_cheaper():
     tpl = GopTemplate([du(0, 3.0, 1, 4)], 2, 2)
     chan = ChannelModel(["good", "bad"], [1.4, 1.4], [6.0, 3.0],
                         [[0.9, 0.1], [0.6, 0.4]])
-    view = common_view(chan, 1)
+    view = shared_view(chan, 1)
     tables = build_du_tables(tpl, view, 0.95, np.array([0.0, 2.9]))
     ctx = tpl.context(0)   # the DU has remaining=1 here
     act_bad = decomposed_schedule(ctx, (4,), 1, 2.9, tables, 0.95)
@@ -260,7 +259,7 @@ def test_packet_capacity_floor():
 def test_single_du_model_tables_have_backward_consistency():
     chan = ChannelModel(["good", "bad"], [1.4, 1.4], [6.0, 3.0],
                         [[0.7, 0.3], [0.4, 0.6]])
-    view = common_view(chan, 1)
+    view = shared_view(chan, 1)
     d = du(0, 4.0, 1, 3)
     model = SingleDuModel(d, 2, view, 0.9)
     table = model.solve(np.array([0.5, 1.5]))

@@ -80,7 +80,7 @@ def test_traced_solve_counts_one_backup_per_sweep():
     mdp = modules["mdp"]
     sc = preset("tiny-sym")
     u = sc.users[0]
-    model = mdp.UserMdp(u.template, mdp.common_view(u.channel, len(sc.users)), u.beta,
+    model = mdp.UserMdp(u.template, mdp.own_view(sc.joint, 0), u.beta,
                         u.min_quality, sc.bits_per_packet, sc.discount)
     tracer = tracing.Tracer()
     with tracer.active(modules):
