@@ -11,7 +11,7 @@ and is blind to distortion impacts and deadlines by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from wvsched.model import (
     check_buffer,
     transmit_energy,
 )
-from wvsched.scheduling import fill, fill_rows
+from wvsched.scheduling import PriceResponse, fill, fill_rows
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +44,18 @@ def myopic_static_shares(templates: Sequence[GopTemplate]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def drift_response(buffer: Sequence[int], beta: float, gain_to_noise: float,
-                   delta: float, expected_arrivals: float) -> Callable[[float], ScheduleAction]:
+                   delta: float, expected_arrivals: float) -> PriceResponse:
     """The drift-greedy action at this buffer as a function of the price.
 
     Each total m = 0..backlog scores
     (1-delta)(-beta*energy(m) - price*m) + delta * (-(backlog - m + arrivals)^2);
-    the price-free terms are computed once. The objective depends on the
-    action only through its total, so the send vector is the
-    lexicographically largest split of the best total (earliest buffer
-    positions drain first; ties across totals go to the larger total).
-    Blind to per-DU impacts and deadlines.
+    the price-free terms are computed once, and `totals` scores every price
+    at once. The objective depends on the action only through its total, so
+    the send vector is the lexicographically largest split of the best total
+    (earliest buffer positions drain first; ties across totals go to the
+    larger total). The marginal price of the m-th packet is
+    du_m + dcont_m / (1-delta), the price-free terms' steps, each followed
+    by the running minimum over m. Blind to per-DU impacts and deadlines.
     """
     backlog = int(sum(buffer))
     m = np.arange(backlog + 1)
@@ -66,7 +68,14 @@ def drift_response(buffer: Sequence[int], beta: float, gain_to_noise: float,
         vals = keep * (u - price * m) + cont
         return fill(buffer, backlog - int(vals[::-1].argmax()), range(len(buffer)))
 
-    return at
+    def totals(prices: np.ndarray) -> np.ndarray:
+        vals = keep * (u - prices[:, None] * m) + cont
+        return backlog - vals[:, ::-1].argmax(axis=1)
+
+    def marginals() -> np.ndarray:
+        return np.minimum.accumulate(np.diff(u) + np.diff(cont) / keep)
+
+    return PriceResponse(at, totals, marginals)
 
 
 def lyapunov_action(context: Context, buffer: Sequence[int], price: float,

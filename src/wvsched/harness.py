@@ -67,6 +67,7 @@ from wvsched.pricing import (
 )
 from wvsched.scheduling import (
     SIMPLE_SCHEDULERS,
+    PriceResponse,
     TableShare,
     build_du_tables,
     decomposed_response,
@@ -370,20 +371,68 @@ class Solution:
         return sent
 
 
+def clearing_search(lam0: float, fits: Callable[[float], bool]) -> tuple[float, list[float]]:
+    """The within-slot clearing search over `fits`, whether the requests fit
+    the band at a band price: from max(lam0, 1e-3), up to 60 doublings
+    until one fits, then 40 bisections of [lam0, that price]. Returns the
+    smallest fitting price found (the last doubling if none fit) and every
+    trial price in order."""
+    trials: list[float] = []
+    lo, hi = lam0, max(lam0, 1e-3)
+    for _ in range(60):
+        hi *= 2.0
+        trials.append(hi)
+        if fits(hi):
+            break
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        trials.append(mid)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, trials
+
+
+def predicted_clearing_price(responses: Sequence[PriceResponse], rates: Sequence[float],
+                             bits_per_packet: float, bandwidth: float) -> float:
+    """The band price at and above which the responses' marginal prices
+    predict that the sends fit the band; -inf if they all fit.
+
+    An agent at rate r pays a band price lam as the per-packet price
+    lam * b / r, so its marginal price mu is the band price mu * r / b below
+    which it sends that packet, of band share b / r. The prediction is the
+    largest of those band prices at which the shares of the packets priced
+    above and at it overrun the band.
+    """
+    b = bits_per_packet
+    marginals = [r.marginals() for r in responses]
+    prices = np.concatenate([mu * rate / b for mu, rate in zip(marginals, rates)])
+    shares = np.repeat([b / rate for rate in rates], [len(mu) for mu in marginals])
+    order = np.argsort(-prices, kind="stable")
+    over = np.flatnonzero(np.cumsum(shares[order]) > bandwidth + 1e-12)
+    return float(prices[order[over[0]]]) if len(over) else -np.inf
+
+
 class PricedRuntime(Solution):
     """Shared per-slot mechanics for price-mediated solutions.
 
     Each slot, every agent requests at its own prices and `_fit` fits the
     requests into the band. With clearing off, overcommitted slots are
     proportionally trimmed at the coordinator's converged price. With
-    clearing on, a within-slot price search shrinks requests until they fit
-    the band, then leftover capacity is granted to the highest-marginal-value
-    packets users still hold, so the band ends up fully utilized. The search
-    asks each agent for its `price_response` once per slot and calls it once
-    per trial price (`_acts_at`, one step of the search). A subclass may
-    override `_fit` and its row form `_fit_rows` (`mu-mdp` does). Decisions
-    are cached on `slot_key`; `_reprice` re-prices the agents after
-    replacing `_cache`, which also drops `run_episode`'s walk memo.
+    clearing on, a within-slot price search (`clearing_search`) shrinks
+    requests until they fit the band, then leftover capacity is granted to
+    the highest-marginal-value packets users still hold, so the band ends up
+    fully utilized. The search asks each agent for its `price_response` once
+    per slot. When every response is a `PriceResponse`, the search is first
+    run against the price their marginal prices predict and the real fit at
+    all of its trial prices is one `totals` call per agent (`_fits_at`);
+    any other trial price is one `_acts_at`, as is the cleared price.
+    `searches` counts the searches and `off_prediction` the trial prices
+    evaluated one at a time; `prepare` resets both. A subclass may override
+    `_fit` and its row form `_fit_rows` (`mu-mdp` does). Decisions are
+    cached on `slot_key`; `_reprice` re-prices the agents after replacing
+    `_cache`, which also drops `run_episode`'s walk memo.
     """
 
     def __init__(self, scenario: ScenarioConfig, clearing: bool = False):
@@ -391,7 +440,13 @@ class PricedRuntime(Solution):
         self.clearing = clearing
         self.agents = None
         self.prices: PriceTable | None = None
+        self._new_rule()
+
+    def _new_rule(self) -> None:
+        """Forget the decisions and the search counts of an earlier
+        `prepare`."""
         self._cache: dict = {}
+        self.searches = self.off_prediction = 0
 
     def sent_actions(self, s0, contexts, buffers) -> SlotDecision:
         sc = self.scenario
@@ -452,17 +507,33 @@ class PricedRuntime(Solution):
 
     def _acts_at(self, s0, responses, lam0: float) -> list[ScheduleAction]:
         """Every agent's action at the band price `lam0`, each at its own
-        per-packet price; one step of the clearing search."""
+        per-packet price; one trial price of the clearing search."""
         b = self.scenario.bits_per_packet
         return [respond(lam0 * b / a.channel.rate[h])
                 for respond, a, h in zip(responses, self.agents, s0)]
 
+    def _fits_at(self, responses, rates, lams: np.ndarray) -> np.ndarray:
+        """Whether the agents' sends fit the band at each band price of
+        `lams`: one `totals` call per agent, at the per-packet prices and
+        with the usage sum and slack of `_acts_at` and `bandwidth_usage`."""
+        sc = self.scenario
+        b = sc.bits_per_packet
+        usage = sum(r.totals(lams * b / rate) * b / rate for r, rate in zip(responses, rates))
+        return usage <= sc.bandwidth + 1e-12
+
     def _clear(self, s0, contexts, buffers, raw):
         """Smallest price >= the table's at which requests fit the band.
 
-        Doubles, then bisects 40 times; each trial price is one `_acts_at`
-        over the agents' `price_response`s, built once per search.
-        Returns the actions and the clearing price actually applied.
+        `clearing_search` from the table's price, over the agents'
+        `price_response`s, built once per search. Agents that all answer a
+        `PriceResponse` first predict the search: it runs against
+        `predicted_clearing_price`, and `_fits_at` checks the fit at all
+        of its trial prices at once. If every outcome is the predicted one,
+        the real search takes the same steps. Otherwise it runs again on the
+        outcomes checked, and each other trial price is one `_acts_at`; so
+        do agents without that array form. Returns the actions at the
+        clearing price and the price, those of a search of `_acts_at`
+        alone in every case.
         """
         sc = self.scenario
         rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
@@ -474,23 +545,31 @@ class PricedRuntime(Solution):
         lam0 = self.prices.get(tuple(s0))
         if fits(raw):
             return raw, lam0
+        self.searches += 1
         responses = [a.price_response(ctx, buf, a.view.view_state(s0))
                      for a, ctx, buf in zip(self.agents, contexts, buffers)]
-        lo, hi = lam0, max(lam0, 1e-3)
-        acts_hi = raw
-        for _ in range(60):
-            hi *= 2.0
-            acts_hi = self._acts_at(s0, responses, hi)
-            if fits(acts_hi):
-                break
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            acts_mid = self._acts_at(s0, responses, mid)
-            if fits(acts_mid):
-                hi, acts_hi = mid, acts_mid
-            else:
-                lo = mid
-        return acts_hi, hi
+        known: dict[float, bool] = {}
+        if all(isinstance(r, PriceResponse) for r in responses):
+            guess = predicted_clearing_price(responses, rates, sc.bits_per_packet,
+                                             sc.bandwidth)
+            hi, trials = clearing_search(lam0, lambda lam: lam >= guess)
+            lams = np.array(trials)
+            fit = self._fits_at(responses, rates, lams)
+            if np.array_equal(fit, lams >= guess):
+                return self._acts_at(s0, responses, hi), hi
+            known = dict(zip(trials, fit.tolist()))
+        tried: dict[float, list[ScheduleAction]] = {}
+
+        def fits_at(lam: float) -> bool:
+            if lam in known:
+                return known[lam]
+            self.off_prediction += 1
+            tried[lam] = self._acts_at(s0, responses, lam)
+            return fits(tried[lam])
+
+        hi, _ = clearing_search(lam0, fits_at)
+        acts = tried.get(hi)
+        return (self._acts_at(s0, responses, hi) if acts is None else acts), hi
 
     def _top_up(self, s0, contexts, buffers, acts, rates):
         """Fill leftover band with the highest-bid buffered packets; each
@@ -550,7 +629,7 @@ class ProposedSolution(PricedRuntime):
         """Coordinate prices (which leaves the agents frozen at them), then
         calibrate to the cleared prices in clearing mode."""
         sc = self.scenario
-        self._cache = {}
+        self._new_rule()
         self.agents = make_agents(sc, self.agent_kind, rng)
         self.prices, self.report = run_coordination(
             sc, self.agents, max_slots=self.max_slots, eval_slots=self.eval_slots, rng=rng)
@@ -668,6 +747,7 @@ class LyapunovSolution(PricedRuntime):
         self.proposed = proposed
 
     def prepare(self, rng: np.random.Generator) -> None:
+        self._new_rule()
         if self.proposed.prices is None:
             self.proposed.prepare(rng)
         self.prices = self.proposed.prices
@@ -707,7 +787,7 @@ class UniformPriceSolution(PricedRuntime):
 
     def prepare(self, rng: np.random.Generator) -> None:
         sc = self.scenario
-        self._cache = {}
+        self._new_rule()
         # uniform price only needs the user's own channel to index its tables
         self.agents = make_agents(replace(sc, price_view="expected"), self.agent_kind)
         states = sc.joint.all_states()

@@ -489,13 +489,32 @@ class ChannelModel:
     def energy(self, h: int, packets: int) -> float:
         return transmit_energy(float(self.gain[h]), packets)
 
+    def closed_classes(self) -> int:
+        """How many closed communicating classes the chain has. `reach` is
+        the reflexive, transitive closure of the positive transitions
+        (Warshall's algorithm); a state is in a closed class if every state
+        it reaches reaches it back, and that class is then its row of
+        `reach`, counted once at its first state."""
+        n = len(self)
+        reach = (self.transition > 0) | np.eye(n, dtype=bool)
+        for k in range(n):
+            reach |= reach[:, k:k + 1] & reach[k:k + 1]
+        closed = (reach <= reach.T).all(axis=1)
+        return int((closed & (reach.argmax(axis=1) == np.arange(n))).sum())
+
     def stationary(self) -> np.ndarray:
         """Stationary distribution of the channel chain.
 
         Solves pi (P - I) = 0 with the normalization row appended, which also
-        handles periodic chains.
+        handles periodic chains. The law is unique only on a chain with one
+        closed class; each closed class of more has a law of its own, so a
+        chain with more than one raises `ModelError` naming how many.
         """
         n = len(self)
+        closed = self.closed_classes()
+        if closed > 1:
+            raise ModelError(f"channel chain has {closed} closed classes, so no unique "
+                             "stationary law")
         a = np.vstack([(self.transition.T - np.eye(n)), np.ones((1, n))])
         b = np.concatenate([np.zeros(n), [1.0]])
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -545,6 +564,8 @@ class JointChannel:
         if correlation not in ("independent", "common"):
             raise ModelError(f"unknown channel correlation {correlation!r}")
         self.channels = list(channels)
+        if not self.channels:
+            raise ModelError("a joint channel needs at least one channel")
         self.correlation = correlation
         if correlation == "common":
             check_common_chain(self.channels)

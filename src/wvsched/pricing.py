@@ -188,8 +188,9 @@ class PricedAgent:
 
     Within-slot clearing asks an agent only for `price_response`: the slot
     state stays fixed while the search tries prices, so an agent may build
-    there, once per slot, whatever makes each trial price cheap. The default
-    calls `act_at`, so an agent with `act_at` alone clears too.
+    there, once per slot, whatever makes its trial prices cheap. The default
+    calls `act_at`, so an agent with `act_at` alone clears too, one trial
+    price at a time.
     """
 
     solves = 0       # the solves its refreshes ran; 0 for an agent that solves nothing
@@ -220,7 +221,12 @@ class PricedAgent:
     def price_response(self, context, buffer: tuple[int, ...],
                        view_state: int) -> Callable[[float], ScheduleAction]:
         """`act_at` in this slot state as a function of the per-packet price
-        alone. Equal prices give equal actions."""
+        alone. Equal prices give equal actions. A response that is a
+        `scheduling.PriceResponse` also gives its packet totals at many
+        prices at once and its marginal prices; the clearing search then
+        predicts its trial prices from the marginal prices and checks all of
+        them in one `totals` call. Any other callable is called once per
+        trial price."""
         return partial(self.act_at, context, buffer, view_state)
 
     def observe(self, context, buffer: tuple[int, ...], view_state: int,

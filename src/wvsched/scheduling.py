@@ -289,9 +289,32 @@ def decomposed_schedule(context: Context, buffer: Sequence[int], view_state: int
     return ScheduleAction(tuple(sends))
 
 
+@dataclass(slots=True)
+class PriceResponse:
+    """An agent's action in one slot state as a function of its per-packet
+    price, with an array form for many prices at once.
+
+    Called at one price, it gives the action (`at`). `totals(prices)` gives
+    the action's packet total at each price of a float64 vector, by the
+    scalar call's float operations element by element, so entry k equals
+    `at(prices[k]).total`. `marginals()` gives the agent's marginal prices,
+    one per packet it may send, each series after its running minimum: it
+    sends about as many packets as it has marginal prices above the price.
+    The count is exact where every series was non-increasing already (its
+    value concave in the send) and ties do not fall on the price; it is a
+    prediction elsewhere, so a caller checks it against `totals`.
+    """
+
+    at: Callable[[float], ScheduleAction]
+    totals: Callable[[np.ndarray], np.ndarray]
+    marginals: Callable[[], np.ndarray]
+
+    def __call__(self, price: float) -> ScheduleAction:
+        return self.at(price)
+
+
 def decomposed_response(context: Context, buffer: Sequence[int], view_state: int,
-                        tables: DuTables,
-                        discount: float) -> Callable[[float], ScheduleAction]:
+                        tables: DuTables, discount: float) -> PriceResponse:
     """`decomposed_schedule` at this slot state as a function of the price.
 
     Slot i's continuations discount * post[age, row + x - y, view],
@@ -299,7 +322,10 @@ def decomposed_response(context: Context, buffer: Sequence[int], view_state: int
     kind's rows, padded with -inf past x. Each price then takes
     `backward_induction`'s operations for `best_send` on every row at once:
     y * margin + continuation, float64 margins from the layout's impacts,
-    and the first maximiser. A buffer outside the caps raises `ModelError`.
+    and the first maximiser; `totals` takes them at every price at once.
+    Slot i's marginal price of its y-th packet, y = 1..x, is
+    q + (cont_y - cont_{y-1}) / (1 - delta), each followed by the running
+    minimum over y. A buffer outside the caps raises `ModelError`.
     """
     check_buffer(context, buffer)
     discount = float(discount)
@@ -313,7 +339,8 @@ def decomposed_response(context: Context, buffer: Sequence[int], view_state: int
         row = lay.row_start[k]
         cont[i, :x + 1] = post[context.age_of(i), row:row + x + 1][::-1]
     cont *= discount
-    cont[ys > np.array(buffer, dtype=np.int64)[:, None]] = -np.inf
+    past = ys > np.array(buffer, dtype=np.int64)[:, None]
+    cont[past] = -np.inf
     impacts = lay.impacts[kinds]
     keep = 1.0 - discount
 
@@ -321,7 +348,16 @@ def decomposed_response(context: Context, buffer: Sequence[int], view_state: int
         margin = keep * (impacts - float(price))
         return ScheduleAction(tuple((margin[:, None] * ys + cont).argmax(axis=1).tolist()))
 
-    return at
+    def totals(prices: np.ndarray) -> np.ndarray:
+        margin = keep * (impacts - prices[:, None])
+        return (margin[:, :, None] * ys + cont).argmax(axis=2).sum(axis=1)
+
+    def marginals() -> np.ndarray:
+        gaps = np.diff(np.where(past, 0.0, cont), axis=1)     # no -inf - -inf
+        mu = np.minimum.accumulate(impacts[:, None] + gaps / keep, axis=1)
+        return mu[~past[:, 1:]]
+
+    return PriceResponse(at, totals, marginals)
 
 
 # ---------------------------------------------------------------------------

@@ -550,7 +550,7 @@ def reference_run_episode(scenario, solution, slots, rng, pinned_channels=None):
 def reference_clear(solution, s0, contexts, buffers, raw):
     """`PricedRuntime._clear` re-pricing every agent with `act_at` at each
     trial price. Returns the actions, the clearing price and each trial's
-    actions in order."""
+    band price and actions in order."""
     sc = solution.scenario
     rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
     trials = []
@@ -559,7 +559,7 @@ def reference_clear(solution, s0, contexts, buffers, raw):
         acts = [a.act_at(ctx, buf, a.view.view_state(s0),
                          lam0 * sc.bits_per_packet / a.channel.rate[s0[i]])
                 for i, (a, ctx, buf) in enumerate(zip(solution.agents, contexts, buffers))]
-        trials.append(acts)
+        trials.append((lam0, acts))
         return acts
 
     def fits(acts) -> bool:
@@ -793,7 +793,11 @@ def pmfs(draw_, max_size=8):
 
 
 @st.composite
-def channels(draw_, max_states=3, min_states=1):
+def channels(draw_, max_states=3, min_states=1, one_class=True):
+    """Chains of min_states to max_states states, zero-probability moves
+    among them. Only chains with one closed class, whose stationary law is
+    unique, unless `one_class` is False: `ChannelModel.stationary` refuses
+    the others, so those serve only tests that read no stationary law."""
     n = draw_(st.integers(min_states, max_states))
     rows = []
     for _ in range(n):
@@ -801,8 +805,10 @@ def channels(draw_, max_states=3, min_states=1):
         w[draw_(st.integers(0, n - 1))] += 0.05
         total = sum(w)
         rows.append([p / total for p in w])
-    return ChannelModel([f"s{h}" for h in range(n)], [1.4] * n,
+    chan = ChannelModel([f"s{h}" for h in range(n)], [1.4] * n,
                         [float(3 + h) for h in range(n)], rows)
+    assume(not one_class or chan.closed_classes() == 1)
+    return chan
 
 
 @st.composite
@@ -821,7 +827,7 @@ def instances(draw_):
         dus.append(DataUnitSpec(i, f"D{i}", impacts[i], deadlines[i], draw_(pmfs()),
                                 parents))
     tpl = GopTemplate(dus, max(deadlines[-1], 1) + draw_(st.integers(0, 1)), window)
-    view = shared_view(draw_(channels()), 1)
+    view = shared_view(draw_(channels(one_class=False)), 1)
     delta = draw_(st.floats(0.0, 0.99, exclude_max=True))
     price = np.array([draw_(values_) for _ in range(len(view))])
     ctx = tpl.context(draw_(st.integers(0, tpl.period - 1)))
@@ -862,7 +868,7 @@ def user_mdps(draw_):
     assume(TrafficLayout(tpl).n_traffic <= 300)
     kind = draw_(st.sampled_from(["common", "joint", "own"]))
     if kind == "common":
-        view = shared_view(draw_(channels()), 1)
+        view = shared_view(draw_(channels(one_class=False)), 1)
     else:
         chans = []
         for _ in range(2):
@@ -884,7 +890,7 @@ def priced_solves(draw_):
     1-2 view states, quality floors and discounts 0, 0.5 and 0.95."""
     tpl = draw_(small_templates())
     assume(TrafficLayout(tpl).n_traffic <= 300)
-    view = shared_view(draw_(channels(max_states=2)), 1)
+    view = shared_view(draw_(channels(max_states=2, one_class=False)), 1)
     mdp = UserMdp(tpl, view, draw_(st.floats(0.0, 1.0)),
                   draw_(st.one_of(st.just(0.0), values_)), 1.0,
                   draw_(st.sampled_from([0.0, 0.5, 0.95])))
@@ -1344,25 +1350,44 @@ def test_clearing_prepare_and_episode_build_no_per_du_table():
 
 def assert_same_clear(solution, s0, contexts, buffers) -> int:
     """`_clear` over the agents' price responses equals `reference_clear`:
-    the same actions and clearing price, and the same actions at every trial
-    price, so the same `_acts_at` steps. Returns the number of steps."""
+    the same actions and clearing price, and every trial price of the
+    reference evaluated, in one batch (`_fits_at`) or alone (`_acts_at`),
+    with the reference's fit there and no other. Returns the number of
+    searches `_clear` ran: 1 for a slot whose requests overran, else 0."""
+    sc = solution.scenario
     raw = [a.act(ctx, buf, a.view.view_state(s0))
            for a, ctx, buf in zip(solution.agents, contexts, buffers)]
-    trials = []
-    acts_at = harness.PricedRuntime._acts_at
+    rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
 
-    def recorded(self, *args):
-        acts = acts_at(self, *args)
-        trials.append(acts)
+    def fits(acts) -> bool:
+        return bandwidth_usage([a.total for a in acts], rates,
+                               sc.bits_per_packet) <= sc.bandwidth + 1e-12
+
+    seen: dict[float, set[bool]] = {}
+    acts_at, fits_at = harness.PricedRuntime._acts_at, harness.PricedRuntime._fits_at
+
+    def single(self, s0, responses, lam0):
+        acts = acts_at(self, s0, responses, lam0)
+        seen.setdefault(lam0, set()).add(fits(acts))
         return acts
 
+    def batched(self, responses, rates, lams):
+        fit = fits_at(self, responses, rates, lams)
+        for lam, ok in zip(lams.tolist(), fit.tolist()):
+            seen.setdefault(lam, set()).add(ok)
+        return fit
+
+    searches = solution.searches
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness.PricedRuntime, "_acts_at", recorded)
+        mp.setattr(harness.PricedRuntime, "_acts_at", single)
+        mp.setattr(harness.PricedRuntime, "_fits_at", batched)
         acts, lam = solution._clear(s0, contexts, buffers, raw)
     ref_acts, ref_lam, ref_trials = reference_clear(solution, s0, contexts, buffers, raw)
     assert (acts, lam) == (ref_acts, ref_lam)
-    assert trials == ref_trials
-    return len(trials)
+    for price, trial in ref_trials:
+        assert seen.get(price) == {fits(trial)}
+    assert bool(ref_trials) == (solution.searches > searches)
+    return solution.searches - searches
 
 
 @pytest.mark.parametrize("name", ["proposed", "lyapunov"])
@@ -1372,9 +1397,42 @@ def test_clearing_search_equals_per_agent_repricing_on_episodes(illustration_sui
     sc = illustration_suite["scenario"]
     sol = illustration_suite["solutions"][name]
     assert sol.clearing
-    steps = [assert_same_clear(sol, *state)
-             for seed in (45, 46, 47) for state in episode_slot_states(sc, sol, 140, seed)]
-    assert sum(n > 0 for n in steps) >= 50
+    searches = [assert_same_clear(sol, *state)
+                for seed in (45, 46, 47) for state in episode_slot_states(sc, sol, 140, seed)]
+    assert sum(searches) >= 50
+
+
+@pytest.mark.parametrize("name", ["proposed", "lyapunov"])
+@pytest.mark.parametrize("wrong", ["reversed", "zero"])
+def test_clearing_search_on_wrong_marginal_prices_equals_per_agent_repricing(
+        illustration_suite, name, wrong):
+    """Marginal prices only predict the search: decomposed and drift agents
+    whose responses give them reversed in size (mirrored about their range,
+    so the dearest packet is priced cheapest; a permutation would predict
+    the same), or all zero, mispredict trial prices, and the search, run
+    again on the checked outcomes, still equals `reference_clear` on every
+    slot of three illustration-2user episodes."""
+    sc = illustration_suite["scenario"]
+    sol = illustration_suite["solutions"][name]
+    kind = type(sol.agents[0])
+    respond = kind.price_response
+
+    def mispriced(self, *state):
+        response = respond(self, *state)
+        mu = response.marginals()
+        if wrong == "zero":
+            bad = np.zeros_like(mu)
+        else:
+            bad = mu.max() + mu.min() - mu if len(mu) else mu
+        return scheduling.PriceResponse(response.at, response.totals, lambda: bad)
+
+    off = sol.off_prediction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kind, "price_response", mispriced)
+        searches = [assert_same_clear(sol, *state) for seed in (45, 46, 47)
+                    for state in episode_slot_states(sc, sol, 140, seed)]
+    assert sum(searches) >= 50
+    assert sol.off_prediction > off
 
 
 @settings(max_examples=EXAMPLES // 3, deadline=None)
@@ -1424,8 +1482,11 @@ def test_act_at_only_agent_clears_through_the_default_response(illustration):
     for a in sol.agents:
         a.refresh(np.zeros(len(a.view)))
     sol.prices = illustration["proposed"].prices
-    steps = [assert_same_clear(sol, *state) for state in episode_slot_states(sc, sol, 140, 45)]
-    assert sum(n > 0 for n in steps) >= 50
+    searches = [assert_same_clear(sol, *state)
+                for state in episode_slot_states(sc, sol, 140, 45)]
+    assert sum(searches) >= 50
+    # without a `PriceResponse` each search tries every trial price alone
+    assert sol.off_prediction >= 41 * sum(searches)
 
 
 # ---------------------------------------------------------------------------
@@ -1499,7 +1560,7 @@ def test_channel_draws_equal_choice(chan, seed):
 
 
 @settings(max_examples=EXAMPLES // 3, deadline=None)
-@given(st.lists(channels(), min_size=1, max_size=3))
+@given(st.lists(channels(one_class=False), min_size=1, max_size=3))
 def test_product_chain_equals_loop(chans):
     expect = reference_product_chain(chans)
     for user in range(len(chans)):
@@ -1710,7 +1771,7 @@ def breakpoint_uniforms(*cdfs) -> list[float]:
 
 
 @settings(max_examples=EXAMPLES // 3, deadline=None)
-@given(channels(), small_templates())
+@given(channels(one_class=False), small_templates())
 def test_draw_buckets_equal_the_scalar_mappings(chan, template):
     """At every CDF breakpoint and one ulp either side, a channel uniform's
     `draw_breaks` bucket fixes `bisect_right` on every row (any uniform of

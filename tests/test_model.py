@@ -390,6 +390,44 @@ def test_a_common_channel_of_three_users_is_its_one_chain():
         assert rng.random() == ref.random()
 
 
+def test_a_joint_channel_of_no_channels_is_refused():
+    """No channels make no joint channel, on either correlation: not a
+    one-state channel of the empty tuple, nor an `IndexError`."""
+    for correlation in ("independent", "common"):
+        with pytest.raises(ModelError, match="at least one channel"):
+            JointChannel([], correlation)
+
+
+@pytest.mark.parametrize("trans", [[[1.0, 0.0], [0.0, 1.0]],
+                                   [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]]])
+def test_stationary_law_of_a_chain_with_two_closed_classes_is_refused(trans):
+    """Each closed class has a stationary law of its own, so a chain with
+    two has none unique: the identity chain, and a chain with the blocks
+    {0} and {1, 2}, raise naming the two classes rather than return a mix
+    (the identity's least-squares law would be (0.5, 0.5))."""
+    n = len(trans)
+    chan = ChannelModel([str(h) for h in range(n)], [1.0] * n, [1.0] * n, trans)
+    assert chan.closed_classes() == 2
+    with pytest.raises(ModelError, match="2 closed classes"):
+        chan.stationary()
+
+
+def test_stationary_law_of_one_closed_class_is_the_solve():
+    """A chain with one closed class, irreducible, periodic or with a
+    transient state, keeps its stationary law: the least-squares solve of
+    pi (P - I) = 0 with the normalization row, clipped and normalised."""
+    for trans in ([[0.7, 0.3], [0.4, 0.6]], [[0.0, 1.0], [1.0, 0.0]],
+                  [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.0, 0.6, 0.4]]):
+        chan = ChannelModel([str(h) for h in range(len(trans))], [1.0] * len(trans),
+                            [1.0] * len(trans), trans)
+        assert chan.closed_classes() == 1
+        n = len(trans)
+        a = np.vstack([np.array(trans).T - np.eye(n), np.ones((1, n))])
+        pi, *_ = np.linalg.lstsq(a, np.concatenate([np.zeros(n), [1.0]]), rcond=None)
+        pi = np.clip(pi, 0.0, None)
+        assert chan.stationary().tolist() == (pi / pi.sum()).tolist()
+
+
 def test_non_stochastic_transition_rejected():
     with pytest.raises(ModelError, match="sums"):
         ChannelModel(["a", "b"], [1.0, 1.0], [1.0, 1.0], [[0.5, 0.6], [0.5, 0.5]])
