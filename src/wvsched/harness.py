@@ -371,6 +371,13 @@ class Solution:
         return sent
 
 
+def fits_band(usage, bandwidth: float):
+    """Whether a band usage, or each of an array of them, fits `bandwidth`
+    to within 1e-12: the one fit rule of the clearing search and of its
+    prediction."""
+    return usage <= bandwidth + 1e-12
+
+
 def clearing_search(lam0: float, fits: Callable[[float], bool]) -> tuple[float, list[float]]:
     """The within-slot clearing search over `fits`, whether the requests fit
     the band at a band price: from max(lam0, 1e-3), up to 60 doublings
@@ -410,7 +417,7 @@ def predicted_clearing_price(responses: Sequence[PriceResponse], rates: Sequence
     prices = np.concatenate([mu * rate / b for mu, rate in zip(marginals, rates)])
     shares = np.repeat([b / rate for rate in rates], [len(mu) for mu in marginals])
     order = np.argsort(-prices, kind="stable")
-    over = np.flatnonzero(np.cumsum(shares[order]) > bandwidth + 1e-12)
+    over = np.flatnonzero(~fits_band(np.cumsum(shares[order]), bandwidth))
     return float(prices[order[over[0]]]) if len(over) else -np.inf
 
 
@@ -512,14 +519,19 @@ class PricedRuntime(Solution):
         return [respond(lam0 * b / a.channel.rate[h])
                 for respond, a, h in zip(responses, self.agents, s0)]
 
+    def _fits(self, totals, rates):
+        """Whether the users' packet totals fit the band (`fits_band`); with
+        an array of totals per user, whether they fit at each entry."""
+        sc = self.scenario
+        return fits_band(bandwidth_usage(totals, rates, sc.bits_per_packet), sc.bandwidth)
+
     def _fits_at(self, responses, rates, lams: np.ndarray) -> np.ndarray:
         """Whether the agents' sends fit the band at each band price of
-        `lams`: one `totals` call per agent, at the per-packet prices and
-        with the usage sum and slack of `_acts_at` and `bandwidth_usage`."""
-        sc = self.scenario
-        b = sc.bits_per_packet
-        usage = sum(r.totals(lams * b / rate) * b / rate for r, rate in zip(responses, rates))
-        return usage <= sc.bandwidth + 1e-12
+        `lams`: one `totals` call per agent, at `_acts_at`'s per-packet
+        prices, then `_fits`."""
+        b = self.scenario.bits_per_packet
+        return self._fits([r.totals(lams * b / rate) for r, rate in zip(responses, rates)],
+                          rates)
 
     def _clear(self, s0, contexts, buffers, raw):
         """Smallest price >= the table's at which requests fit the band.
@@ -528,10 +540,11 @@ class PricedRuntime(Solution):
         `price_response`s, built once per search. Agents that all answer a
         `PriceResponse` first predict the search: it runs against
         `predicted_clearing_price`, and `_fits_at` checks the fit at all
-        of its trial prices at once. If every outcome is the predicted one,
-        the real search takes the same steps. Otherwise it runs again on the
-        outcomes checked, and each other trial price is one `_acts_at`; so
-        do agents without that array form. Returns the actions at the
+        of its trial prices at once. The real search then runs on the
+        outcomes checked: where they are the predicted ones it takes the
+        same steps and evaluates nothing more, and each trial price off
+        them is one `_acts_at`, as is every trial price of agents without
+        that array form. Returns the actions at the
         clearing price and the price, those of a search of `_acts_at`
         alone in every case.
         """
@@ -539,8 +552,7 @@ class PricedRuntime(Solution):
         rates = [u.channel.rate[h] for u, h in zip(sc.users, s0)]
 
         def fits(acts) -> bool:
-            return bandwidth_usage([a.total for a in acts], rates,
-                                   sc.bits_per_packet) <= sc.bandwidth + 1e-12
+            return self._fits([a.total for a in acts], rates)
 
         lam0 = self.prices.get(tuple(s0))
         if fits(raw):
@@ -552,11 +564,8 @@ class PricedRuntime(Solution):
         if all(isinstance(r, PriceResponse) for r in responses):
             guess = predicted_clearing_price(responses, rates, sc.bits_per_packet,
                                              sc.bandwidth)
-            hi, trials = clearing_search(lam0, lambda lam: lam >= guess)
-            lams = np.array(trials)
-            fit = self._fits_at(responses, rates, lams)
-            if np.array_equal(fit, lams >= guess):
-                return self._acts_at(s0, responses, hi), hi
+            _, trials = clearing_search(lam0, lambda lam: lam >= guess)
+            fit = self._fits_at(responses, rates, np.array(trials))
             known = dict(zip(trials, fit.tolist()))
         tried: dict[float, list[ScheduleAction]] = {}
 

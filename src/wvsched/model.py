@@ -710,8 +710,10 @@ def payoff(state: UserState, action: ScheduleAction, beta: float,
 
 def bandwidth_usage(totals: Sequence[int], rates: Sequence[float],
                     bits_per_packet: float) -> float:
-    """Fraction of the shared band consumed: sum of total_i * b / r_i."""
-    return float(sum(t * bits_per_packet / r for t, r in zip(totals, rates)))
+    """Fraction of the shared band consumed: sum of total_i * b / r_i. With
+    an array of totals per user (one entry per price), the fraction at each."""
+    usage = sum(t * bits_per_packet / r for t, r in zip(totals, rates))
+    return usage if isinstance(usage, np.ndarray) else float(usage)
 
 
 # ---------------------------------------------------------------------------

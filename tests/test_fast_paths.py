@@ -872,7 +872,7 @@ def user_mdps(draw_):
     else:
         chans = []
         for _ in range(2):
-            c = draw_(channels(max_states=2))
+            c = draw_(channels(max_states=2, one_class=(kind == "own")))
             gains = [draw_(st.sampled_from([0.5, 1.4, 3.0])) for _ in range(len(c))]
             chans.append(ChannelModel(c.names, gains, c.rate, c.transition))
         view = (joint_view if kind == "joint" else own_view)(JointChannel(chans),
